@@ -15,8 +15,7 @@ import numpy as np
 
 from .config import RunConfig
 from .constitutive import energy, energy_gradients
-from .discretization import Grid, State, initial_state, \
-    nonlocal_double_sum, tensor_norm
+from .discretization import Grid, State, nonlocal_double_sum, tensor_norm
 from .dissipation import (
     dist_r,
     norm_p_l1,
@@ -168,14 +167,12 @@ def cmd_reparam(cfg: RunConfig, out_dir: str) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: str,
-              level_parallelism: int = 1) -> int:
+def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
     grid, mat, ops, ep, loading, init = cfg.build()
     report = bv_sweep(ops, mat, loading, init, cfg.regime, cfg.ladder(),
                       n_steps=cfg.n_steps, t_final=cfg.t_final,
                       tol_stat=cfg.tol_stat, tol_jump=cfg.tol_jump,
-                      stab_tol_factor=cfg.stab_tol_factor,
-                      level_parallelism=level_parallelism)
+                      stab_tol_factor=cfg.stab_tol_factor)
     header = ("level,eps,nu,mu,max_stability_nonjump,ed_balance_residual,"
               "contact_integral,total_length,min_z,n_jump_intervals,"
               "dist_to_next")
@@ -436,7 +433,6 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=False, default=None)
         sp.add_argument("--out", required=True)
-        sp.add_argument("--level-parallelism", type=int, default=1)
     gp = sub.add_parser("check-gronwall")
     gp.add_argument("--config", required=True,
                     help="instance file of lemma data blocks")
@@ -459,7 +455,7 @@ def main(argv=None) -> int:
         return cmd_solve(cfg, args.out)
     if args.command == "reparam":
         return cmd_reparam(cfg, args.out)
-    return cmd_sweep(cfg, args.out, args.level_parallelism)
+    return cmd_sweep(cfg, args.out)
 
 
 if __name__ == "__main__":

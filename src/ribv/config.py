@@ -7,9 +7,7 @@ values are comma-separated lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-
-import numpy as np
+from dataclasses import dataclass
 
 from .constitutive import EnergyParams, MaterialParams, Operators
 from .discretization import Grid, initial_state
@@ -23,14 +21,13 @@ _FLOAT_KEYS = {
     "load_amplitude": 0.48, "z0": 0.95,
     "tol_stat": 1e-8, "tol_jump": 1e-3, "stab_tol_factor": 10.0,
 }
-_INT_KEYS = {"grid_n": 4, "n_steps": 20, "max_iter": 500, "seed": 0}
+_INT_KEYS = {"grid_n": 4, "n_steps": 20, "max_iter": 500}
 _STR_KEYS = {
     "load_kind": "ramp",            # ramp | zero
     "regime": "eps0",               # visc | eps0 | eps-nu0 | all0
     "ladder_eps": "1e-1,1e-2,1e-3",
     "ladder_nu": "",                # empty: regime default
     "ladder_mu": "",
-    "dist_z_convention": "subdiff",
     "ed_dnu_args": "triple",
 }
 
@@ -90,9 +87,6 @@ class RunConfig:
             raise ValueError(f"unknown load_kind {self.load_kind!r}")
         if self.regime not in ("visc", "eps0", "eps-nu0", "all0"):
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.dist_z_convention not in ("subdiff", "mirror"):
-            raise ValueError("dist_z_convention must be 'subdiff' or "
-                             "'mirror'")
         if self.ed_dnu_args not in ("triple", "pair"):
             raise ValueError("ed_dnu_args must be 'triple' or 'pair'")
         if self.grid_n < 3:

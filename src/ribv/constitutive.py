@@ -129,24 +129,40 @@ def stiffness_coeff_prime(z, mat: MaterialParams):
     return np.where(z < 1.0, 2.0 * z, 0.0)
 
 
+# The elastic law enters every subproblem through the kernel below: the
+# undamaged tensor C0 xi = 2 mu_L xi + lam_L tr(xi) I, its Frobenius-weighted
+# 3x3 matrix, its energy density, and the deviatoric modulus of C(z).
+
+def base_elastic_apply(xi: np.ndarray, mat: MaterialParams) -> np.ndarray:
+    """Apply C0 to a (..., 3) component array."""
+    tr = tensor_trace(xi)
+    out = 2.0 * mat.lame_mu * np.array(xi, dtype=float, copy=True)
+    out[..., 0] += mat.lame_lambda * tr
+    out[..., 1] += mat.lame_lambda * tr
+    return out
+
+
+def base_elastic_form(mat: MaterialParams) -> np.ndarray:
+    """3x3 matrix S0 with 1/2 C0 e : e = 1/2 e S0 e in component storage."""
+    return FROB_W[:, None] * base_elastic_apply(np.eye(3), mat)
+
+
+def base_elastic_density(e: np.ndarray, mat: MaterialParams) -> np.ndarray:
+    """Unit-coefficient elastic density 1/2 C0 e : e of a (..., 3) array."""
+    tr = tensor_trace(e)
+    return 0.5 * (2 * mat.lame_mu * tensor_dot(e, e)
+                  + mat.lame_lambda * tr ** 2)
+
+
+def deviatoric_modulus(z, mat: MaterialParams):
+    """Modulus 2 mu_L c(z) of C(z) on trace-free tensors."""
+    return 2.0 * mat.lame_mu * stiffness_coeff(z, mat)
+
+
 def elastic_tensor_apply(z, xi: np.ndarray, mat: MaterialParams) -> np.ndarray:
     """Apply C(z) to a (..., 3) component array."""
     coef = stiffness_coeff(z, mat)
-    tr = tensor_trace(xi)
-    out = 2.0 * mat.lame_mu * np.array(xi, dtype=float, copy=True)
-    out[..., 0] += mat.lame_lambda * tr
-    out[..., 1] += mat.lame_lambda * tr
-    return np.asarray(coef)[..., None] * out
-
-
-def elastic_tensor_prime_apply(z, xi: np.ndarray, mat: MaterialParams) -> np.ndarray:
-    """Apply C'(z) to a (..., 3) component array."""
-    coef = stiffness_coeff_prime(z, mat)
-    tr = tensor_trace(xi)
-    out = 2.0 * mat.lame_mu * np.array(xi, dtype=float, copy=True)
-    out[..., 0] += mat.lame_lambda * tr
-    out[..., 1] += mat.lame_lambda * tr
-    return np.asarray(coef)[..., None] * out
+    return np.asarray(coef)[..., None] * base_elastic_apply(xi, mat)
 
 
 def damage_potential(z, mat: MaterialParams):
@@ -241,7 +257,8 @@ def energy_gradients(t: float, state: State, ops: Operators,
     w, _, F, _ = eval_loading(loading, t)
     e = total_strain(ops.B, state, w)
     zc = cell_damage(grid, state.z)
-    sigma = elastic_tensor_apply(zc, e, mat)
+    sigma0 = base_elastic_apply(e, mat)
+    sigma = stiffness_coeff(zc, mat)[:, None] * sigma0
 
     # u: B^T (w_c sigma) - F on free dofs.
     weighted = (grid.w_cell[:, None] * FROB_W[None, :] * sigma).ravel()
@@ -251,7 +268,7 @@ def energy_gradients(t: float, state: State, ops: Operators,
 
     # z: nonlocal + barrier + half C'(z) e:e scattered to corner nodes.
     _, Wp = damage_potential(state.z, mat)
-    cp = elastic_tensor_prime_apply(zc, e, mat)
+    cp = stiffness_coeff_prime(zc, mat)[:, None] * sigma0
     cell_drive = 0.5 * tensor_dot(cp, e)  # (n_cells,)
     scatter = np.zeros(grid.n_nodes)
     np.add.at(scatter, grid.cells.ravel(),

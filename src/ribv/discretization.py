@@ -74,7 +74,6 @@ class Grid:
     h: float = field(init=False)
     nodes: np.ndarray = field(init=False)          # (n_nodes, 2)
     cells: np.ndarray = field(init=False)          # (n_cells, 4) corner ids
-    cell_centers: np.ndarray = field(init=False)   # (n_cells, 2)
     w_cell: np.ndarray = field(init=False)         # (n_cells,)
     lump: np.ndarray = field(init=False)           # (n_nodes,)
     dirichlet_mask: np.ndarray = field(init=False)  # (n_nodes,) bool
@@ -98,7 +97,6 @@ class Grid:
                 cells.append([nid(ix, iy), nid(ix + 1, iy),
                               nid(ix + 1, iy + 1), nid(ix, iy + 1)])
         cells = np.array(cells, dtype=int)
-        centers = nodes[cells].mean(axis=1)
         w_cell = np.full(len(cells), h * h)
 
         lump = np.zeros(n * n)
@@ -110,7 +108,6 @@ class Grid:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "cell_centers", centers)
         object.__setattr__(self, "w_cell", w_cell)
         object.__setattr__(self, "lump", lump)
         object.__setattr__(self, "dirichlet_mask", mask)

@@ -21,8 +21,8 @@ from .constitutive import (
     MaterialParams,
     Operators,
     cell_damage,
+    deviatoric_modulus,
     energy_gradients,
-    stiffness_coeff,
     yield_radius,
 )
 from .discretization import (
@@ -141,17 +141,10 @@ def conj_visc_u(ops: Operators, eta: np.ndarray, eps: float, nu: float) -> float
     return float(eta @ ops.K_D_inv @ eta / (2.0 * eps * nu))
 
 
-def dist_r(grid: Grid, chi: np.ndarray, kappa: float,
-           convention: str = "subdiff") -> float:
-    """Lumped-L2 distance of the nodal field chi to the stable set of the
-    damage dissipation at zero rate.
-
-    convention "subdiff" uses the set {gamma >= -kappa} (the default,
-    certified against the projection oracle); "mirror" uses
-    {gamma >= +kappa} for comparison runs.
-    """
-    thr = -kappa if convention == "subdiff" else kappa
-    viol = np.maximum(thr - chi, 0.0)
+def dist_r(grid: Grid, chi: np.ndarray, kappa: float) -> float:
+    """Lumped-L2 distance of the nodal field chi to the stable set
+    {gamma >= -kappa} of the damage dissipation at zero rate."""
+    viol = np.maximum(-kappa - chi, 0.0)
     return float(np.sqrt(np.sum(grid.lump * viol ** 2)))
 
 
@@ -167,17 +160,32 @@ def dist_h(grid: Grid, z: np.ndarray, omega: np.ndarray,
     return float(np.sqrt(np.sum(grid.w_cell * viol ** 2)))
 
 
+def subdiff_violation(xi: np.ndarray, direction: np.ndarray,
+                      R: np.ndarray) -> np.ndarray:
+    """Per-cell distance of xi to the subdifferential of R_c |.| at
+    direction_c: the ball of radius R_c where the direction vanishes, the
+    point R_c direction_c / |direction_c| elsewhere."""
+    dn = tensor_norm(direction)
+    viol = np.empty(len(dn))
+    moving = dn > 1e-14
+    if np.any(moving):
+        dirs = direction[moving] / dn[moving, None]
+        viol[moving] = tensor_norm(xi[moving] - R[moving, None] * dirs)
+    viol[~moving] = np.maximum(tensor_norm(xi[~moving]) - R[~moving], 0.0)
+    return viol
+
+
 # ---------------------------------------------------------------------------
 # dual diagnostics
 # ---------------------------------------------------------------------------
 
 def dual_diagnostics(t: float, state: State, ops: Operators,
-                     mat: MaterialParams, mu: float, nu: float, loading,
-                     dist_z_convention: str = "subdiff") -> DualDiagnostics:
+                     mat: MaterialParams, mu: float, nu: float,
+                     loading) -> DualDiagnostics:
     """Evaluate every dual stability magnitude of a state at time t."""
     g_u, g_z, g_p = energy_gradients(t, state, ops, mat, mu, loading)
     dual_u = float(np.sqrt(max(g_u @ ops.K_D_inv @ g_u, 0.0)))
-    dz = dist_r(ops.grid, -g_z, mat.kappa, dist_z_convention)
+    dz = dist_r(ops.grid, -g_z, mat.kappa)
     dp = dist_h(ops.grid, state.z, -g_p, mat)
     # hardening-free surrogate: test sigma_D itself
     dp0 = dist_h(ops.grid, state.z, -(g_p - mu * state.p), mat)
@@ -258,5 +266,5 @@ def prox_plastic_cells(grid: Grid, z: np.ndarray, p_prev: np.ndarray,
     a = yield_radius(zc, mat)
     b = np.full_like(a, eps * nu / tau)
     mu_w = np.full_like(a, mu)
-    c_q = 2.0 * mat.lame_mu * stiffness_coeff(zc, mat)
+    c_q = deviatoric_modulus(zc, mat)
     return prox_plastic(p_prev, tensor_dev(e_bar), a, b, mu_w, c_q)

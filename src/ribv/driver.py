@@ -9,27 +9,24 @@ discretization error and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constitutive import EnergyParams, MaterialParams, Operators, energy, \
     energy_time_derivative
-from .discretization import LoadingSpec, State, apply_sym_gradient, \
-    eval_loading, total_strain
+from .discretization import LoadingSpec, State, eval_loading, total_strain
 from .dissipation import (
     DualDiagnostics,
     Rate,
     d_nu,
     dual_diagnostics,
-    norm_p_l1,
     norm_p_l2,
     norm_u_h1,
     norm_z_hm,
-    norm_z_m,
     psi_total,
 )
-from .solver import StepResult, Z_FLOOR, incremental_step
+from .solver import incremental_step
 
 _GAUSS_N = 8
 
@@ -117,10 +114,10 @@ def pre_relax(t0: float, init_state: State, ops: Operators,
 def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
                 loading: LoadingSpec, init_state: State,
                 n_steps: int | None = None, tol_stat: float = 1e-8,
-                max_iter: int = 500, relax_initial: bool = True,
-                abort_on_reject: bool = True) -> Trajectory:
+                max_iter: int = 500) -> Trajectory:
     """Drive the incremental scheme from t=0 to t=t_final with uniform
-    step ep.tau (or n_steps uniform steps if given)."""
+    step ep.tau (or n_steps uniform steps if given), starting from the
+    pre-relaxed initial state and stopping at the first rejected step."""
     if n_steps is None:
         n_steps = int(round(ep.t_final / ep.tau))
     tau = ep.t_final / n_steps
@@ -128,13 +125,9 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
                       t_final=ep.t_final)
     times = np.linspace(0.0, ep.t_final, n_steps + 1)
 
-    state0 = pre_relax(0.0, init_state, ops, mat, ep, loading) \
-        if relax_initial else init_state.copy()
+    state0 = pre_relax(0.0, init_state, ops, mat, ep, loading)
 
     states = [state0]
-    zero_rate = Rate(u_rate=np.zeros_like(state0.u),
-                     z_rate=np.zeros_like(state0.z),
-                     p_rate=np.zeros_like(state0.p))
     E = [energy(0.0, state0, ops, mat, ep.mu, loading)]
     N = [0.0]
     psi = [0.0]
@@ -181,8 +174,7 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
         acc.append(res.accepted)
         if not res.accepted:
             aborted_at = k
-            if abort_on_reject:
-                break
+            break
 
     n_kept = len(states)
     return Trajectory(

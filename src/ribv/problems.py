@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constitutive import EnergyParams, MaterialParams, Operators
-from .discretization import Grid, LoadingSpec, State, initial_state
+from .discretization import Grid, LoadingSpec, initial_state
 
 
 def ramp_loading(grid: Grid, amplitude: float = 1.0,

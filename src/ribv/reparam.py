@@ -20,19 +20,20 @@ from scipy.optimize import minimize_scalar
 
 from .constitutive import EnergyParams, MaterialParams, Operators, energy, \
     energy_gradients, yield_radius, cell_damage
-from .discretization import LoadingSpec, State, eval_loading, tensor_dot, \
+from .discretization import LoadingSpec, State, eval_loading, \
     tensor_norm, total_strain
 from .dissipation import (
     DualDiagnostics,
     Rate,
     d_nu,
     d_up,
-    dual_diagnostics,
+    norm_kd,
     norm_p_l1,
     norm_p_l2,
     norm_u_h1,
     norm_z_hm,
     norm_z_m,
+    subdiff_violation,
 )
 from .driver import Trajectory, _power_integral
 
@@ -49,7 +50,7 @@ class ParamTrajectory:
     over (s_{k-1}, s_k], zero at knot 0.
     """
 
-    kind: str                      # "std" or "ed"
+    kind: str                      # "std", "ed" or "ed-pair"
     s: np.ndarray                  # (n+1,) strictly increasing
     t: np.ndarray                  # (n+1,) nondecreasing slow time
     states: list[State]
@@ -87,7 +88,14 @@ def _trajectory_increments(traj: Trajectory, ops: Operators):
     return out
 
 
-def _build_ptraj(kind, traj, ops, ds_list, incs):
+def _build_ptraj(kind, traj, ops):
+    """Knots s_k = s_{k-1} + tau_k * integrand at the time rates (slow-time
+    rate 1); the normalization is the same integrand at the
+    reparameterized rates."""
+    incs = _trajectory_increments(traj, ops)
+    ds_list = [tau * _integrand(kind, ops, traj.ep, 1.0, rate, erate,
+                                traj.dual_diag[k].d_nu_star)
+               for k, (tau, rate, erate) in enumerate(incs, start=1)]
     n = len(traj.times)
     s = np.zeros(n)
     s[1:] = np.cumsum(ds_list)
@@ -119,33 +127,38 @@ def _build_ptraj(kind, traj, ops, ds_list, incs):
     return ptraj
 
 
+def _integrand(kind, ops, ep, t_rate, rate, erate, d_nu_star):
+    """Arclength integrand of a reparameterization kind at slow-time rate
+    t_rate, state rate `rate` and strain rate erate."""
+    grid = ops.grid
+    if kind == "std":
+        return (t_rate + norm_u_h1(ops, rate.u_rate)
+                + norm_z_hm(ops, rate.z_rate)
+                + norm_p_l2(grid, rate.p_rate))
+    if kind == "ed":
+        dn = d_nu(ops, rate, ep.nu)
+    else:  # "ed-pair": the rate functional without the damage rate
+        dn = float(np.sqrt(ep.nu) * np.hypot(norm_kd(ops, rate.u_rate),
+                                             norm_p_l2(grid, rate.p_rate)))
+    rmu = np.sqrt(ep.mu)
+    return (t_rate + rmu * norm_u_h1(ops, rate.u_rate)
+            + norm_z_hm(ops, rate.z_rate)
+            + norm_p_l1(grid, rate.p_rate)
+            + rmu * norm_p_l2(grid, rate.p_rate)
+            + norm_p_l2(grid, erate)
+            + dn * d_nu_star)
+
+
 def _normalization_value(ptraj: ParamTrajectory, ops: Operators,
                          k: int) -> float:
-    grid = ops.grid
-    if ptraj.kind == "std":
-        return (ptraj.t_rate[k] + norm_u_h1(ops, ptraj.u_rate[k])
-                + norm_z_hm(ops, ptraj.z_rate[k])
-                + norm_p_l2(grid, ptraj.p_rate[k]))
-    rmu = np.sqrt(ptraj.ep.mu)
-    dn = d_nu(ops, ptraj.rate(k), ptraj.ep.nu)
-    return (ptraj.t_rate[k] + rmu * norm_u_h1(ops, ptraj.u_rate[k])
-            + norm_z_hm(ops, ptraj.z_rate[k])
-            + norm_p_l1(grid, ptraj.p_rate[k])
-            + rmu * norm_p_l2(grid, ptraj.p_rate[k])
-            + norm_p_l2(grid, ptraj.e_rate[k])
-            + dn * ptraj.diag[k].d_nu_star)
+    return _integrand(ptraj.kind, ops, ptraj.ep, ptraj.t_rate[k],
+                      ptraj.rate(k), ptraj.e_rate[k],
+                      ptraj.diag[k].d_nu_star)
 
 
 def reparam_standard(traj: Trajectory, ops: Operators) -> ParamTrajectory:
     """Arclength with integrand 1 + ||u'||_H1 + ||z'||_Hm + ||p'||_L2."""
-    incs = _trajectory_increments(traj, ops)
-    ds = []
-    for tau, rate, _ in incs:
-        integrand = (1.0 + norm_u_h1(ops, rate.u_rate)
-                     + norm_z_hm(ops, rate.z_rate)
-                     + norm_p_l2(ops.grid, rate.p_rate))
-        ds.append(tau * integrand)
-    return _build_ptraj("std", traj, ops, ds, incs)
+    return _build_ptraj("std", traj, ops)
 
 
 def reparam_ed(traj: Trajectory, ops: Operators,
@@ -159,44 +172,8 @@ def reparam_ed(traj: Trajectory, ops: Operators,
     """
     if ed_dnu_args not in ("triple", "pair"):
         raise ValueError("ed_dnu_args must be 'triple' or 'pair'")
-    ep = traj.ep
-    incs = _trajectory_increments(traj, ops)
-    rmu = np.sqrt(ep.mu)
-    ds = []
-    for k, (tau, rate, erate) in enumerate(incs, start=1):
-        if ed_dnu_args == "triple":
-            dn = d_nu(ops, rate, ep.nu)
-        else:
-            dn = float(np.sqrt(ep.nu) * np.hypot(
-                np.sqrt(max(rate.u_rate.ravel()[ops.grid.free_dofs]
-                            @ ops.K_D @
-                            rate.u_rate.ravel()[ops.grid.free_dofs], 0.0)),
-                norm_p_l2(ops.grid, rate.p_rate)))
-        integrand = (1.0 + rmu * norm_u_h1(ops, rate.u_rate)
-                     + norm_z_hm(ops, rate.z_rate)
-                     + norm_p_l1(ops.grid, rate.p_rate)
-                     + rmu * norm_p_l2(ops.grid, rate.p_rate)
-                     + norm_p_l2(ops.grid, erate)
-                     + dn * traj.dual_diag[k].d_nu_star)
-        ds.append(tau * integrand)
-    ptraj = _build_ptraj("ed", traj, ops, ds, incs)
-    if ed_dnu_args == "pair":
-        # recompute the normalization against the two-argument reading
-        for k in range(1, ptraj.n_knots):
-            rate = ptraj.rate(k)
-            uf = rate.u_rate.ravel()[ops.grid.free_dofs]
-            dn = float(np.sqrt(ptraj.ep.nu) * np.hypot(
-                np.sqrt(max(uf @ ops.K_D @ uf, 0.0)),
-                norm_p_l2(ops.grid, rate.p_rate)))
-            ptraj.normalization[k] = (
-                ptraj.t_rate[k]
-                + rmu * norm_u_h1(ops, rate.u_rate)
-                + norm_z_hm(ops, rate.z_rate)
-                + norm_p_l1(ops.grid, rate.p_rate)
-                + rmu * norm_p_l2(ops.grid, rate.p_rate)
-                + norm_p_l2(ops.grid, ptraj.e_rate[k])
-                + dn * ptraj.diag[k].d_nu_star)
-    return ptraj
+    return _build_ptraj("ed" if ed_dnu_args == "triple" else "ed-pair",
+                        traj, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +318,9 @@ def _switching_residual(lam_up: float, lam_z: float, t: float, state: State,
     rz2 = float(np.sum(grid.lump * viol ** 2))
 
     # plastic block: 0 in (1-lam) dH(z, p') + lam nu p' + (1-lam) g_p
-    zc = cell_damage(grid, state.z)
-    V = yield_radius(zc, mat)
+    V = yield_radius(cell_damage(grid, state.z), mat)
     xi = -(lam_up * ep.nu * rate.p_rate + (1 - lam_up) * g_p)
-    pn = tensor_norm(rate.p_rate)
-    moving = pn > 1e-14
-    dist = np.empty(grid.n_cells)
-    if np.any(moving):
-        dirs = rate.p_rate[moving] / pn[moving, None]
-        dist[moving] = tensor_norm(
-            xi[moving] - (1 - lam_up) * V[moving, None] * dirs)
-    nm = ~moving
-    dist[nm] = np.maximum(tensor_norm(xi[nm]) - (1 - lam_up) * V[nm], 0.0)
+    dist = subdiff_violation(xi, rate.p_rate, (1 - lam_up) * V)
     rp2 = float(np.sum(grid.w_cell * dist ** 2))
     return float(np.sqrt(ru2 + rz2 + rp2))
 
@@ -509,8 +477,8 @@ def _ladder_ok(regime: str, ladder) -> bool:
 def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
              init_state: State, regime: str, ladder, n_steps: int = 20,
              t_final: float = 1.0, tol_stat: float = 1e-8,
-             tol_jump: float = TOL_JUMP, stab_tol_factor: float = 10.0,
-             level_parallelism: int = 1) -> SweepReport:
+             tol_jump: float = TOL_JUMP,
+             stab_tol_factor: float = 10.0) -> SweepReport:
     """Run viscous solves along a vanishing-parameter ladder, reparam-
     eterize (energy-dissipation arclength when everything vanishes,
     standard otherwise), and assemble the cross-level convergence
@@ -524,7 +492,8 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
         raise ValueError(f"ladder violates the constraints of regime "
                          f"{regime!r}")
 
-    def run_level(lvl):
+    levels = []
+    for lvl in ladder:
         eps, nu, mu = lvl
         ep = EnergyParams(eps=eps, nu=nu, mu=mu, tau=t_final / n_steps,
                           t_final=t_final)
@@ -537,18 +506,6 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
             ptraj = reparam_ed(traj, ops)
         else:
             ptraj = reparam_standard(traj, ops)
-        return ptraj
-
-    if level_parallelism > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=level_parallelism) as ex:
-            ptrajs = list(ex.map(run_level, ladder))
-    else:
-        ptrajs = [run_level(lvl) for lvl in ladder]
-
-    levels = []
-    for lvl, ptraj in zip(ladder, ptrajs):
-        eps = lvl[0]
         stab_tol = stab_tol_factor * eps
         jm = _jump_mask(ptraj, tol_jump)
         mags = np.array([stability_magnitude(regime, d)

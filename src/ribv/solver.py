@@ -4,12 +4,12 @@ Each step minimizes
 
     tau Psi_{eps,nu}(q, (q - q_prev)/tau) + E_mu(t_k, q)
 
-by alternating exact convex subproblem solves in u (SPD linear system)
-and p (cellwise proximal map) with a projected-gradient solve in z under
-the irreversibility constraint z <= z_prev.  Sweeps start from q_prev,
-so the incremental functional decreases monotonically and the one-step
-energy estimate holds by construction.  Acceptance is certified through
-the stationarity residuals of the three coupled optimality conditions.
+by sweeps that alternate a joint (u, p) solve with z frozen (semismooth
+Newton on u, with p eliminated by the exact cellwise proximal map) and a
+projected-Newton solve in z under the irreversibility constraint
+z_floor <= z <= z_prev.  Sweeps start from q_prev.  Acceptance is
+certified through the stationarity residuals of the three coupled
+optimality conditions.
 """
 
 from __future__ import annotations
@@ -17,14 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .constitutive import (
     EnergyParams,
     MaterialParams,
     Operators,
+    base_elastic_density,
+    base_elastic_form,
     cell_damage,
     damage_potential,
+    deviatoric_modulus,
     energy,
     stiffness_coeff,
     stiffness_coeff_prime,
@@ -36,11 +38,11 @@ from .discretization import (
     State,
     apply_sym_gradient,
     eval_loading,
-    tensor_dev,
     tensor_dot,
     tensor_norm,
 )
-from .dissipation import Rate, psi_total, prox_plastic_cells
+from .dissipation import Rate, psi_total, prox_plastic_cells, \
+    subdiff_violation
 
 Z_FLOOR = 1e-8
 
@@ -59,54 +61,6 @@ class StepResult:
 # ---------------------------------------------------------------------------
 # subproblem solves
 # ---------------------------------------------------------------------------
-
-def _cell_stiffness(grid, mat: MaterialParams, z: np.ndarray) -> np.ndarray:
-    """Per-cell 3x3 quadratic forms S_c with Q = 1/2 sum_c e_c S_c e_c
-    (component storage xx, yy, xy)."""
-    coef = stiffness_coeff(cell_damage(grid, z), mat)
-    lam, mu_l = mat.lame_lambda, mat.lame_mu
-    S0 = np.array([[2 * mu_l + lam, lam, 0.0],
-                   [lam, 2 * mu_l + lam, 0.0],
-                   [0.0, 0.0, 4 * mu_l]])
-    return (grid.w_cell * coef)[:, None, None] * S0[None, :, :]
-
-
-def solve_u_step(t: float, state: State, prev_state: State, ops: Operators,
-                 mat: MaterialParams, ep: EnergyParams,
-                 loading: LoadingSpec) -> np.ndarray:
-    """Exact minimization in u with (z, p) frozen: SPD solve of
-    ((eps nu / tau) K_D + K(z)) u = rhs on the free dofs."""
-    grid = ops.grid
-    w, _, F, _ = eval_loading(loading, t)
-    S = _cell_stiffness(grid, mat, state.z)
-    free = grid.free_dofs
-    Bf = ops.B.reshape(grid.n_cells * 3, 2 * grid.n_nodes)
-    K_full = np.einsum("cia,cij,cjb->ab", ops.B, S, ops.B)
-    visc_fac = ep.eps * ep.nu / ep.tau
-    lhs = K_full[np.ix_(free, free)] + visc_fac * ops.K_D
-    strain_w = apply_sym_gradient(ops.B, w) - state.p
-    rhs_full = F - np.einsum("cia,cij,cj->a", ops.B, S, strain_w)
-    rhs = rhs_full[free] + visc_fac * (ops.K_D @ prev_state.u.ravel()[free])
-    try:
-        c, low = cho_factor(lhs)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("displacement system is not SPD; "
-                           "check grid and material parameters") from exc
-    u_free = cho_solve((c, low), rhs)
-    u = np.zeros(2 * grid.n_nodes)
-    u[free] = u_free
-    return u.reshape(grid.n_nodes, 2)
-
-
-def solve_p_step(t: float, state: State, prev_state: State, ops: Operators,
-                 mat: MaterialParams, ep: EnergyParams,
-                 loading: LoadingSpec) -> np.ndarray:
-    """Exact cellwise plastic update with (u, z) frozen."""
-    w, _, _, _ = eval_loading(loading, t)
-    e_bar = apply_sym_gradient(ops.B, state.u + w)
-    return prox_plastic_cells(ops.grid, state.z, prev_state.p, e_bar,
-                              mat, ep.eps, ep.nu, ep.mu, ep.tau)
-
 
 _DEV_PROJ = np.array([[0.5, -0.5, 0.0],
                       [-0.5, 0.5, 0.0],
@@ -131,16 +85,18 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     grid = ops.grid
     w, _, F_ext, _ = eval_loading(loading, t)
     free = grid.free_dofs
-    S = _cell_stiffness(grid, mat, state.z)
     zc = cell_damage(grid, state.z)
+    # per-cell 3x3 forms: Q = 1/2 sum_c e_c S_c e_c
+    S = (grid.w_cell * stiffness_coeff(zc, mat))[:, None, None] \
+        * base_elastic_form(mat)[None, :, :]
     V = yield_radius(zc, mat)
     visc_fac = ep.eps * ep.nu / ep.tau
     u_prev_f = prev_state.u.ravel()[free]
     wflat = w.ravel()
     a_c = V
     b_c = visc_fac
-    modulus = b_c + ep.mu + 2.0 * mat.lame_mu * stiffness_coeff(zc, mat)
-    c_q = 2.0 * mat.lame_mu * stiffness_coeff(zc, mat)
+    c_q = deviatoric_modulus(zc, mat)
+    modulus = b_c + ep.mu + c_q
 
     def split(u_free):
         u_full = np.zeros(2 * grid.n_nodes)
@@ -228,10 +184,7 @@ def _z_objective_pieces(t, state, prev_state, ops, mat, ep, loading):
     grid = ops.grid
     w, _, _, _ = eval_loading(loading, t)
     e = apply_sym_gradient(ops.B, state.u + w) - state.p
-    lam, mu_l = mat.lame_lambda, mat.lame_mu
-    # unit-coefficient elastic density per cell: 1/2 C0 e : e
-    tr = e[:, 0] + e[:, 1]
-    q0 = 0.5 * (2 * mu_l * tensor_dot(e, e) + lam * tr ** 2)
+    q0 = base_elastic_density(e, mat)
     dp_norm = tensor_norm(state.p - prev_state.p)
     return q0, dp_norm
 
@@ -383,17 +336,10 @@ def el_residuals(t: float, state: State, prev_state: State, ops: Operators,
     gv2 = max(lhs2 - rhs2, 0.0)
     r_z = float(gv1 + gv2)
 
-    xi = -g_p - (ep.eps * ep.nu / ep.tau) * (state.p - prev_state.p)
-    zc = cell_damage(grid, state.z)
-    V = yield_radius(zc, mat)
     dp = state.p - prev_state.p
-    dpn = tensor_norm(dp)
-    viol = np.empty(grid.n_cells)
-    moving = dpn > 1e-14
-    if np.any(moving):
-        dirs = dp[moving] / dpn[moving, None]
-        viol[moving] = tensor_norm(xi[moving] - V[moving, None] * dirs)
-    viol[~moving] = np.maximum(tensor_norm(xi[~moving]) - V[~moving], 0.0)
+    xi = -g_p - (ep.eps * ep.nu / ep.tau) * dp
+    viol = subdiff_violation(xi, dp,
+                             yield_radius(cell_damage(grid, state.z), mat))
     r_p = float(np.sqrt(np.sum(grid.w_cell * viol ** 2)))
     return r_u, r_z, r_p
 
@@ -412,7 +358,7 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
                      mat: MaterialParams, ep: EnergyParams,
                      loading: LoadingSpec, tol_stat: float = 1e-8,
                      max_iter: int = 500) -> StepResult:
-    """Alternating u -> p -> z sweeps from prev_state until the combined
+    """Alternating (u, p) -> z sweeps from prev_state until the combined
     optimality residual drops below tol_stat (or max_iter sweeps)."""
     state = prev_state.copy()
     val0 = incremental_functional(t, state, prev_state, ops, mat, ep, loading)

@@ -48,6 +48,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="line 2: unknown config key"
                                              " 'epps'"):
             RunConfig.parse("grid_n = 4\nepps = 0.1\n")
+        # removed keys are unknown too
+        with pytest.raises(ValueError, match="line 1: unknown config key"
+                                             " 'seed'"):
+            RunConfig.parse("seed = 0\n")
+        with pytest.raises(ValueError, match="line 2: unknown config key"
+                                             " 'dist_z_convention'"):
+            RunConfig.parse("grid_n = 4\ndist_z_convention = subdiff\n")
 
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -128,7 +135,7 @@ class TestReparamSweep:
                               "regime = eps0\n"
                               "ladder_eps = 1e-1,1e-2\n"
                               "nu = 0.1\nmu = 0.1\n")
-        rc = cmd_sweep(cfg, str(tmp_path), level_parallelism=1)
+        rc = cmd_sweep(cfg, str(tmp_path))
         assert rc == 0
         rows = np.genfromtxt(tmp_path / "sweep.csv", delimiter=",",
                              names=True)

@@ -297,18 +297,3 @@ class TestSweep:
             bv_sweep(ops, mat, zero_loading(grid),
                      initial_state(grid, 0.95), "all0",
                      [(1e-1, 0.2, 0.1), (1e-2, 0.02, 0.01)], n_steps=5)
-
-    def test_level_parallelism_matches_serial(self):
-        grid = Grid(3)
-        mat = reference_material()
-        ops = Operators.build(grid, mat)
-        loading = ramp_loading(grid, amplitude=0.45)
-        ladder = [(1e-1, 0.1, 0.1), (1e-2, 0.1, 0.1)]
-        a = bv_sweep(ops, mat, loading, initial_state(grid, 0.95),
-                     "eps0", ladder, n_steps=5)
-        b = bv_sweep(ops, mat, loading, initial_state(grid, 0.95),
-                     "eps0", ladder, n_steps=5, level_parallelism=2)
-        for la, lb in zip(a.levels, b.levels):
-            assert la.max_stability_nonjump == lb.max_stability_nonjump
-            assert la.ed_balance_residual == lb.ed_balance_residual
-        assert a.pairwise_sup_distance == b.pairwise_sup_distance

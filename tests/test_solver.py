@@ -30,7 +30,6 @@ from ribv.solver import (
     el_residuals,
     incremental_functional,
     incremental_step,
-    solve_u_step,
     solve_up_step,
     solve_z_step,
 )
@@ -69,9 +68,9 @@ class TestTrivialSteps:
         assert np.max(np.abs(res.new_state.p - prev.p)) < 1e-8
         assert np.max(np.abs(res.new_state.z - prev.z)) < 1e-8
 
-    def test_u_step_descends(self, rng):
-        # exact quadratic solve: the energy in u strictly decreases from
-        # any non-optimal start
+    def test_up_step_descends(self, rng):
+        # joint (u, p) minimization with z frozen: the incremental
+        # functional does not increase from a random start
         grid = Grid(3)
         mat = reference_material()
         ops = Operators.build(grid, mat)
@@ -80,11 +79,12 @@ class TestTrivialSteps:
         for _ in range(5):
             prev = random_state(grid, rng)
             st = prev.copy()
-            u_new = solve_u_step(0.7, st, prev, ops, mat, ep, loading)
+            u_new, p_new = solve_up_step(0.7, st, prev, ops, mat, ep,
+                                         loading)
             before = incremental_functional(0.7, st, prev, ops, mat, ep,
                                             loading)
             st2 = st.copy()
-            st2.u = u_new
+            st2.u, st2.p = u_new, p_new
             after = incremental_functional(0.7, st2, prev, ops, mat, ep,
                                            loading)
             assert after <= before + 1e-12
