@@ -14,8 +14,9 @@ import sys
 import numpy as np
 
 from .config import RunConfig
-from .constitutive import energy, energy_gradients
-from .discretization import Grid, State, nonlocal_double_sum, tensor_norm
+from .constitutive import Operators, energy, energy_gradients
+from .discretization import Grid, State, eval_loading, nonlocal_double_sum, \
+    tensor_norm, total_strain
 from .dissipation import (
     dist_r,
     norm_p_l1,
@@ -31,7 +32,7 @@ from .gronwall import (
     check_gronwall_viscous,
     viscous_hypotheses,
 )
-from .problems import ramp_loading
+from .problems import ramp_loading, reference_material, reference_problem
 from .reparam import (
     bv_sweep,
     detect_jumps,
@@ -67,8 +68,6 @@ def _write_kv(path, pairs):
 
 def trajectory_rows(traj: Trajectory, ops, ptraj_std, ptraj_ed):
     """Assemble the fixed-order per-step diagnostic rows."""
-    from .discretization import eval_loading, total_strain
-
     rows = []
     for k in range(len(traj.times)):
         st = traj.states[k]
@@ -287,10 +286,8 @@ def cmd_check_gronwall(instance_path: str, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _selftest_gradients(rng) -> tuple[bool, str]:
-    from .problems import reference_material
     grid = Grid(3)
     mat = reference_material()
-    from .constitutive import Operators
     ops = Operators.build(grid, mat)
     loading = ramp_loading(grid, amplitude=0.3)
     worst = 0.0
@@ -357,8 +354,6 @@ def _selftest_prox(rng) -> tuple[bool, str]:
 
 
 def _selftest_nonlocal(rng) -> tuple[bool, str]:
-    from .constitutive import Operators
-    from .problems import reference_material
     grid = Grid(3)
     mat = reference_material()
     ops = Operators.build(grid, mat)
@@ -392,7 +387,6 @@ def _selftest_dist(rng) -> tuple[bool, str]:
 
 
 def _selftest_balance(_rng) -> tuple[bool, str]:
-    from .problems import reference_problem
     _, mat, ops, ep, loading, init = reference_problem(
         n_side=3, n_steps=10, amplitude=0.4)
     traj = run_viscous(ops, mat, ep, loading, init, n_steps=10)

@@ -27,13 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .discretization import (
     FROB_W,
     Grid,
     LoadingSpec,
     State,
+    SymGradient,
     apply_sym_gradient,
+    assemble_nonlocal_form,
+    assemble_sym_gradient,
     eval_loading,
     tensor_dev,
     tensor_dot,
@@ -204,23 +208,28 @@ class Operators:
     """Assembled discrete operators reused by every energy evaluation."""
 
     grid: Grid
-    B: np.ndarray        # (n_cells, 3, 2 n_nodes)
+    B: SymGradient       # element-local symmetrized gradient
     A_m: np.ndarray      # (n_nodes, n_nodes)
     K_D: np.ndarray      # (n_free, n_free) viscosity/H1 seminorm matrix
-    K_D_inv: np.ndarray  # explicit inverse (desk-scale systems)
+    K_D_chol: np.ndarray  # lower Cholesky factor of K_D, Fortran order
 
     @classmethod
     def build(cls, grid: Grid, mat: MaterialParams) -> "Operators":
-        from .discretization import assemble_nonlocal_form, assemble_sym_gradient
         B = assemble_sym_gradient(grid)
         A_m = assemble_nonlocal_form(grid, mat.m_order)
-        Bf = B.reshape(grid.n_cells * 3, 2 * grid.n_nodes)
-        wf = np.repeat(grid.w_cell, 3) * np.tile(FROB_W, grid.n_cells)
-        K_full = Bf.T @ (wf[:, None] * Bf)
-        free = grid.free_dofs
-        K_D = K_full[np.ix_(free, free)]
-        K_D_inv = np.linalg.inv(K_D)
-        return cls(grid=grid, B=B, A_m=A_m, K_D=K_D, K_D_inv=K_D_inv)
+        K_D = B.form(grid.w_cell[:, None, None] * np.diag(FROB_W),
+                     grid.free_dofs)
+        chol = np.asfortranarray(np.linalg.cholesky(K_D))
+        return cls(grid=grid, B=B, A_m=A_m, K_D=K_D, K_D_chol=chol)
+
+    def dual_norm(self, g: np.ndarray) -> float:
+        """Dual norm sqrt(g K_D^-1 g) of a covector on the free dofs."""
+        # the raw LAPACK call: scipy.linalg.solve_triangular costs ~10x
+        # more per call on the small systems the solver loops over
+        x, info = lapack.dtrtrs(self.K_D_chol, g, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
+        return float(np.sqrt(x @ x))
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +270,8 @@ def energy_gradients(t: float, state: State, ops: Operators,
     sigma = stiffness_coeff(zc, mat)[:, None] * sigma0
 
     # u: B^T (w_c sigma) - F on free dofs.
-    weighted = (grid.w_cell[:, None] * FROB_W[None, :] * sigma).ravel()
-    Bf = ops.B.reshape(grid.n_cells * 3, 2 * grid.n_nodes)
-    g_u_full = Bf.T @ weighted - F
-    g_u = g_u_full[grid.free_dofs]
+    weighted = grid.w_cell[:, None] * FROB_W[None, :] * sigma
+    g_u = (ops.B.adjoint(weighted) - F)[grid.free_dofs]
 
     # z: nonlocal + barrier + half C'(z) e:e scattered to corner nodes.
     _, Wp = damage_potential(state.z, mat)

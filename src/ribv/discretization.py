@@ -9,7 +9,9 @@ point per cell.  Symmetric 2x2 tensors are stored as component triples
 The module provides:
 
 * ``Grid`` -- nodes, cells, quadrature weights, Dirichlet mask,
-* ``assemble_sym_gradient`` -- the cellwise symmetrized gradient B,
+* ``SymGradient`` / ``assemble_sym_gradient`` -- the symmetrized
+  gradient B as one 3x8 cell matrix and the cell-to-dof map, with its
+  apply, adjoint and assembled element forms sum_c B_c^T T_c B_c,
 * ``assemble_nonlocal_form`` -- a Gagliardo-type nonlocal bilinear form
   for the damage field, built from finite-difference nodal gradients,
 * ``LoadingSpec`` / ``eval_loading`` -- time-dependent Dirichlet data
@@ -87,16 +89,10 @@ class Grid:
         X, Y = np.meshgrid(xs, xs, indexing="xy")
         nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-        def nid(ix, iy):
-            return iy * n + ix
-
-        cells = []
-        for iy in range(n - 1):
-            for ix in range(n - 1):
-                # counter-clockwise: SW, SE, NE, NW
-                cells.append([nid(ix, iy), nid(ix + 1, iy),
-                              nid(ix + 1, iy + 1), nid(ix, iy + 1)])
-        cells = np.array(cells, dtype=int)
+        # counter-clockwise corners SW, SE, NE, NW, cells row by row
+        iy, ix = np.divmod(np.arange((n - 1) ** 2), n - 1)
+        sw = iy * n + ix
+        cells = np.column_stack([sw, sw + 1, sw + n + 1, sw + n])
         w_cell = np.full(len(cells), h * h)
 
         lump = np.zeros(n * n)
@@ -176,33 +172,62 @@ def initial_state(grid: Grid, z0: float = 1.0) -> State:
 # symmetrized gradient
 # ---------------------------------------------------------------------------
 
-def assemble_sym_gradient(grid: Grid) -> np.ndarray:
-    """Dense operator B of shape (n_cells, 3, 2*n_nodes).
+@dataclass(frozen=True)
+class SymGradient:
+    """Element-local symmetrized gradient B.
 
-    Row block c maps the flat nodal displacement vector (node-major,
-    components interleaved) to the symmetrized gradient (xx, yy, xy) at
-    the center of cell c.  Constant fields are annihilated exactly.
+    Every cell applies the same 3x8 matrix ``local`` to its eight corner
+    dofs ``dofs[c]`` (x then y of the corners SW, SE, NE, NW) and yields
+    the strain (xx, yy, xy) at its center.  Flat displacement vectors are
+    node-major with the components interleaved.
     """
-    n_nodes = grid.n_nodes
-    B = np.zeros((grid.n_cells, 3, 2 * n_nodes))
+
+    local: np.ndarray   # (3, 8)
+    dofs: np.ndarray    # (n_cells, 8)
+    n_dofs: int
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the cell matrix and the cell-to-dof map."""
+        return self.local.nbytes + self.dofs.nbytes
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """B v for a displacement field of n_dofs entries; (n_cells, 3)."""
+        return np.ravel(v)[self.dofs] @ self.local.T
+
+    def adjoint(self, s: np.ndarray) -> np.ndarray:
+        """B^T s for a cellwise (n_cells, 3) array; flat (n_dofs,)."""
+        return np.bincount(self.dofs.ravel(), weights=(s @ self.local).ravel(),
+                           minlength=self.n_dofs)
+
+    def form(self, T: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """Dense sum_c B_c^T T_c B_c of per-cell (n_cells, 3, 3) forms,
+        restricted to the dof indices ``free``."""
+        Ke = self.local.T @ T @ self.local
+        n = self.n_dofs
+        pairs = self.dofs[:, :, None] * n + self.dofs[:, None, :]
+        K = np.bincount(pairs.ravel(), weights=Ke.ravel(), minlength=n * n)
+        return K.reshape(n, n)[np.ix_(free, free)]
+
+
+def assemble_sym_gradient(grid: Grid) -> SymGradient:
+    """The symmetrized gradient of the grid: Q1 shape-function derivatives
+    at the cell center.  Constant fields are annihilated exactly."""
     h = grid.h
-    # Q1 shape-function derivatives at the cell center, corner order
-    # SW, SE, NE, NW.
     dndx = np.array([-1.0, 1.0, 1.0, -1.0]) / (2.0 * h)
     dndy = np.array([-1.0, -1.0, 1.0, 1.0]) / (2.0 * h)
-    for c, corners in enumerate(grid.cells):
-        for a, node in enumerate(corners):
-            ux, uy = 2 * node, 2 * node + 1
-            B[c, 0, ux] += dndx[a]                 # e_xx
-            B[c, 1, uy] += dndy[a]                 # e_yy
-            B[c, 2, ux] += 0.5 * dndy[a]           # e_xy
-            B[c, 2, uy] += 0.5 * dndx[a]
-    return B
+    local = np.zeros((3, 8))
+    local[0, 0::2] = dndx                  # e_xx
+    local[1, 1::2] = dndy                  # e_yy
+    local[2, 0::2] = 0.5 * dndy            # e_xy
+    local[2, 1::2] = 0.5 * dndx
+    dofs = (2 * grid.cells[:, :, None] + np.arange(2)).reshape(-1, 8)
+    return SymGradient(local=local, dofs=dofs, n_dofs=2 * grid.n_nodes)
 
 
-def apply_sym_gradient(B: np.ndarray, field_uv: np.ndarray) -> np.ndarray:
+def apply_sym_gradient(B: SymGradient, field_uv: np.ndarray) -> np.ndarray:
     """Evaluate B on a (n_nodes, 2) field; returns (n_cells, 3)."""
-    return B @ field_uv.ravel()
+    return B.apply(field_uv)
 
 
 # ---------------------------------------------------------------------------
@@ -213,37 +238,17 @@ def _fd_gradient_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Finite-difference nodal gradient reconstruction: two (n_nodes,
     n_nodes) matrices Gx, Gy.  Central differences in the interior,
     one-sided at the boundary."""
-    n = grid.n_side
-    h = grid.h
-    N = grid.n_nodes
-    Gx = np.zeros((N, N))
-    Gy = np.zeros((N, N))
-
-    def nid(ix, iy):
-        return iy * n + ix
-
-    for iy in range(n):
-        for ix in range(n):
-            i = nid(ix, iy)
-            if 0 < ix < n - 1:
-                Gx[i, nid(ix + 1, iy)] += 1.0 / (2 * h)
-                Gx[i, nid(ix - 1, iy)] -= 1.0 / (2 * h)
-            elif ix == 0:
-                Gx[i, nid(1, iy)] += 1.0 / h
-                Gx[i, i] -= 1.0 / h
-            else:
-                Gx[i, i] += 1.0 / h
-                Gx[i, nid(n - 2, iy)] -= 1.0 / h
-            if 0 < iy < n - 1:
-                Gy[i, nid(ix, iy + 1)] += 1.0 / (2 * h)
-                Gy[i, nid(ix, iy - 1)] -= 1.0 / (2 * h)
-            elif iy == 0:
-                Gy[i, nid(ix, 1)] += 1.0 / h
-                Gy[i, i] -= 1.0 / h
-            else:
-                Gy[i, i] += 1.0 / h
-                Gy[i, nid(ix, n - 2)] -= 1.0 / h
-    return Gx, Gy
+    n, h, N = grid.n_side, grid.h, grid.n_nodes
+    i = np.arange(N)
+    out = []
+    for pos, step in ((i % n, 1), (i // n, n)):
+        hi = np.where(pos < n - 1, i + step, i)
+        lo = np.where(pos > 0, i - step, i)
+        G = np.zeros((N, N))
+        G[i, hi] = 1.0 / ((hi - lo) // step * h)
+        G[i, lo] = -G[i, hi]
+        out.append(G)
+    return out[0], out[1]
 
 
 def assemble_nonlocal_form(grid: Grid, m_order: float = 1.5) -> np.ndarray:
@@ -325,12 +330,8 @@ class LoadingSpec:
         # Each node inherits the value of the Dirichlet node in its row
         # (the left-edge node with the same y), scaled by (1 - x).
         gd = np.asarray(self.g_dir, dtype=float).reshape(grid.n_nodes, 2)
-        lift = np.zeros_like(gd)
-        for iy in range(n):
-            edge = iy * n  # ix = 0
-            for ix in range(n):
-                i = iy * n + ix
-                lift[i] = gd[edge] * (1.0 - grid.nodes[i, 0])
+        edge = np.arange(grid.n_nodes) // n * n  # ix = 0
+        lift = gd[edge] * (1.0 - grid.nodes[:, 0])[:, None]
         fv = (grid.lump[:, None] * np.asarray(self.f0, float)).ravel()
         object.__setattr__(self, "lift", lift)
         object.__setattr__(self, "f_vec", fv)
@@ -351,6 +352,6 @@ def eval_loading(spec: LoadingSpec, t: float):
     return w, w_rate, F, F_rate
 
 
-def total_strain(B: np.ndarray, state: State, w_field: np.ndarray) -> np.ndarray:
+def total_strain(B: SymGradient, state: State, w_field: np.ndarray) -> np.ndarray:
     """Elastic strain e = B(u + w) - p, cellwise (n_cells, 3)."""
     return apply_sym_gradient(B, state.u + w_field) - state.p

@@ -50,7 +50,7 @@ class Rate:
 class DualDiagnostics:
     """Dual stability magnitudes of a state at a time instant.
 
-    dual_u      -- dual norm of the displacement residual (K_D^-1 metric)
+    dual_u      -- dual norm of the displacement residual (ops.dual_norm)
     dist_z      -- lumped-L2 distance of -g_z to the half-spaces {>= -kappa}
     dist_p      -- weighted distance of -g_p to the cellwise yield balls
     dist_p0     -- same with the hardening term dropped (sigma_D tested)
@@ -138,7 +138,7 @@ def conj_visc_u(ops: Operators, eta: np.ndarray, eps: float, nu: float) -> float
     eta = np.asarray(eta, dtype=float)
     if eps * nu <= 0.0:
         return 0.0 if np.all(eta == 0.0) else float("inf")
-    return float(eta @ ops.K_D_inv @ eta / (2.0 * eps * nu))
+    return ops.dual_norm(eta) ** 2 / (2.0 * eps * nu)
 
 
 def dist_r(grid: Grid, chi: np.ndarray, kappa: float) -> float:
@@ -184,7 +184,7 @@ def dual_diagnostics(t: float, state: State, ops: Operators,
                      loading) -> DualDiagnostics:
     """Evaluate every dual stability magnitude of a state at time t."""
     g_u, g_z, g_p = energy_gradients(t, state, ops, mat, mu, loading)
-    dual_u = float(np.sqrt(max(g_u @ ops.K_D_inv @ g_u, 0.0)))
+    dual_u = ops.dual_norm(g_u)
     dz = dist_r(ops.grid, -g_z, mat.kappa)
     dp = dist_h(ops.grid, state.z, -g_p, mat)
     # hardening-free surrogate: test sigma_D itself

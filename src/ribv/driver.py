@@ -70,6 +70,13 @@ class Trajectory:
             p_rate=(self.states[k].p - self.states[k - 1].p) / tau,
         )
 
+    def strain_rate(self, k: int, ops: Operators) -> np.ndarray:
+        """Backward-difference rate of the elastic strain at step k >= 1."""
+        e0, e1 = (total_strain(ops.B, self.states[j],
+                               eval_loading(self.loading, self.times[j])[0])
+                  for j in (k - 1, k))
+        return (e1 - e0) / (self.times[k] - self.times[k - 1])
+
 
 def _power_integral(t0: float, t1: float, state: State, ops: Operators,
                     mat: MaterialParams, mu: float,
@@ -221,17 +228,12 @@ def enhanced_estimate_total(traj: Trajectory, ops: Operators) -> float:
     """Accumulated rate total  sum_k tau (||e'|| + ||z'||_Hm +
     sqrt(mu) ||u'||_H1 + sqrt(mu) ||p'||_L2), the quantity whose bound
     is uniform across vanishing-parameter levels with nu <= mu."""
-    ep, loading = traj.ep, traj.loading
+    ep = traj.ep
     total = 0.0
     for k in range(1, len(traj.times)):
         tau = traj.times[k] - traj.times[k - 1]
         rate = traj.rate(k)
-        w0, _, _, _ = eval_loading(loading, traj.times[k - 1])
-        w1, _, _, _ = eval_loading(loading, traj.times[k])
-        e0 = total_strain(ops.B, traj.states[k - 1], w0)
-        e1 = total_strain(ops.B, traj.states[k], w1)
-        e_rate = (e1 - e0) / tau
-        total += tau * (norm_p_l2(ops.grid, e_rate)
+        total += tau * (norm_p_l2(ops.grid, traj.strain_rate(k, ops))
                         + norm_z_hm(ops, rate.z_rate)
                         + np.sqrt(ep.mu) * norm_u_h1(ops, rate.u_rate)
                         + np.sqrt(ep.mu) * norm_p_l2(ops.grid, rate.p_rate))

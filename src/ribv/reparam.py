@@ -20,8 +20,7 @@ from scipy.optimize import minimize_scalar
 
 from .constitutive import EnergyParams, MaterialParams, Operators, energy, \
     energy_gradients, yield_radius, cell_damage
-from .discretization import LoadingSpec, State, eval_loading, \
-    tensor_norm, total_strain
+from .discretization import LoadingSpec, State, tensor_norm
 from .dissipation import (
     DualDiagnostics,
     Rate,
@@ -35,7 +34,7 @@ from .dissipation import (
     norm_z_m,
     subdiff_violation,
 )
-from .driver import Trajectory, _power_integral
+from .driver import Trajectory, _power_integral, run_viscous
 
 TOL_JUMP = 1e-3
 
@@ -79,12 +78,7 @@ def _trajectory_increments(traj: Trajectory, ops: Operators):
     out = []
     for k in range(1, len(traj.times)):
         tau = traj.times[k] - traj.times[k - 1]
-        rate = traj.rate(k)
-        w0, _, _, _ = eval_loading(traj.loading, traj.times[k - 1])
-        w1, _, _, _ = eval_loading(traj.loading, traj.times[k])
-        e0 = total_strain(ops.B, traj.states[k - 1], w0)
-        e1 = total_strain(ops.B, traj.states[k], w1)
-        out.append((tau, rate, (e1 - e0) / tau))
+        out.append((tau, traj.rate(k), traj.strain_rate(k, ops)))
     return out
 
 
@@ -292,18 +286,19 @@ def stability_check(ptraj: ParamTrajectory, regime: str,
 # switching recovery
 # ---------------------------------------------------------------------------
 
-def _switching_residual(lam_up: float, lam_z: float, t: float, state: State,
+def _switching_residual(lam_up: float, lam_z: float, grads, state: State,
                         rate: Rate, ops: Operators, mat: MaterialParams,
-                        ep: EnergyParams, loading: LoadingSpec) -> float:
+                        ep: EnergyParams) -> float:
     """Least-squares residual of the convex-combination optimality
     system with coefficient lam_up on the displacement/plastic blocks
-    and lam_z on the damage block."""
+    and lam_z on the damage block; grads = (g_u, g_z, g_p) are the
+    energy gradients at the knot."""
     grid = ops.grid
-    g_u, g_z, g_p = energy_gradients(t, state, ops, mat, ep.mu, loading)
+    g_u, g_z, g_p = grads
 
     uf = rate.u_rate.ravel()[grid.free_dofs]
     res_u_vec = lam_up * ep.nu * (ops.K_D @ uf) + (1 - lam_up) * g_u
-    ru2 = float(res_u_vec @ ops.K_D_inv @ res_u_vec)
+    ru2 = ops.dual_norm(res_u_vec) ** 2
 
     # damage block: 0 in (1-lam) dR(z') + lam z' + (1-lam) chi nodewise;
     # the subdifferential is {-(1-lam) kappa} where z' < 0 and the ray
@@ -343,11 +338,12 @@ def recover_switching(ptraj: ParamTrajectory, ops: Operators,
         lams = np.zeros(n)
     resid = np.zeros(n)
     for k in range(1, n):
-        t, state, rate = ptraj.t[k], ptraj.states[k], ptraj.rate(k)
+        state, rate = ptraj.states[k], ptraj.rate(k)
+        grads = energy_gradients(ptraj.t[k], state, ops, mat, ep.mu, loading)
 
         def res_single(l):
-            return _switching_residual(l, l, t, state, rate, ops, mat,
-                                       ep, loading)
+            return _switching_residual(l, l, grads, state, rate, ops, mat,
+                                       ep)
 
         if not multi_rate:
             r = minimize_scalar(res_single, bounds=(0.0, 1.0),
@@ -362,21 +358,20 @@ def recover_switching(ptraj: ParamTrajectory, ops: Operators,
         else:
             # branch 1: lam_up = 0, lam_z free
             r1 = minimize_scalar(
-                lambda l: _switching_residual(0.0, l, t, state, rate, ops,
-                                              mat, ep, loading),
+                lambda l: _switching_residual(0.0, l, grads, state, rate,
+                                              ops, mat, ep),
                 bounds=(0.0, 1.0), method="bounded",
                 options={"xatol": 1e-10})
             # branch 2: lam_z = 1, lam_up free
             r2 = minimize_scalar(
-                lambda l: _switching_residual(l, 1.0, t, state, rate, ops,
-                                              mat, ep, loading),
+                lambda l: _switching_residual(l, 1.0, grads, state, rate,
+                                              ops, mat, ep),
                 bounds=(0.0, 1.0), method="bounded",
                 options={"xatol": 1e-10})
             cands = [((0.0, float(r1.x)), float(r1.fun)),
                      ((float(r2.x), 1.0), float(r2.fun)),
-                     ((0.0, 0.0), _switching_residual(0.0, 0.0, t, state,
-                                                      rate, ops, mat, ep,
-                                                      loading))]
+                     ((0.0, 0.0), _switching_residual(0.0, 0.0, grads, state,
+                                                      rate, ops, mat, ep))]
             (lu, lz), rr = min(cands, key=lambda c: c[1])
             lams[k] = (lu, lz)
             resid[k] = rr
@@ -483,8 +478,6 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
     eterize (energy-dissipation arclength when everything vanishes,
     standard otherwise), and assemble the cross-level convergence
     evidence."""
-    from .driver import run_viscous
-
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     ladder = [tuple(float(x) for x in lvl) for lvl in ladder]

@@ -28,6 +28,7 @@ from .constitutive import (
     damage_potential,
     deviatoric_modulus,
     energy,
+    energy_gradients,
     stiffness_coeff,
     stiffness_coeff_prime,
     yield_radius,
@@ -79,8 +80,8 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     Newton iteration: the inner minimum is the exact cellwise prox, the
     gradient of F needs only the elastic stress at p*(u) (envelope
     theorem), and the Hessian uses the consistent tangent of the prox.
-    Terminates when the dual (K_D^-1) norm of the gradient is <=
-    tol_dual.
+    Terminates when the dual norm ``ops.dual_norm`` of the gradient is
+    <= tol_dual.
     """
     grid = ops.grid
     w, _, F_ext, _ = eval_loading(loading, t)
@@ -101,7 +102,7 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     def split(u_free):
         u_full = np.zeros(2 * grid.n_nodes)
         u_full[free] = u_free
-        e_bar = ops.B @ (u_full + wflat)
+        e_bar = ops.B.apply(u_full + wflat)
         p = prox_plastic_cells(grid, state.z, prev_state.p, e_bar, mat,
                                ep.eps, ep.nu, ep.mu, ep.tau)
         return u_full, e_bar, p
@@ -118,8 +119,8 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
         val += 0.5 * visc_fac * np.sum(grid.w_cell * tensor_dot(dp, dp))
         val += 0.5 * ep.mu * np.sum(grid.w_cell * tensor_dot(p, p))
         sigma_w = np.einsum("cij,cj->ci", S, e)  # w_c- and frob-weighted
-        grad = np.einsum("cia,ci->a", ops.B, sigma_w)[free] \
-            - F_ext[free] + visc_fac * (ops.K_D @ du)
+        grad = ops.B.adjoint(sigma_w)[free] - F_ext[free] \
+            + visc_fac * (ops.K_D @ du)
         return float(val), grad, e_bar, p
 
     def tangent(e_bar):
@@ -143,12 +144,11 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     u_free = state.u.ravel()[free].copy()
     val, grad, e_bar, p = value_grad(u_free)
     for _ in range(max_iter):
-        r_dual = np.sqrt(max(grad @ ops.K_D_inv @ grad, 0.0))
+        r_dual = ops.dual_norm(grad)
         if r_dual <= tol_dual:
             break
         T = tangent(e_bar)
-        H = visc_fac * ops.K_D + np.einsum(
-            "cia,cij,cjb->ab", ops.B[:, :, free], T, ops.B[:, :, free])
+        H = visc_fac * ops.K_D + ops.B.form(T, free)
         try:
             step = np.linalg.solve(0.5 * (H + H.T), grad)
         except np.linalg.LinAlgError:
@@ -159,17 +159,21 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
             trial = u_free - alpha * step
             val_t, grad_t, e_bar_t, p_t = value_grad(trial)
             if val_t <= val - 1e-4 * alpha * (grad @ step) + 1e-15:
-                u_free, val, grad, e_bar, p = trial, val_t, grad_t, \
-                    e_bar_t, p_t
                 accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        if accepted:
+            if np.array_equal(trial, u_free):
+                # the step is below the resolution of u: every later
+                # iteration would repeat this one exactly
+                break
+            u_free, val, grad, e_bar, p = trial, val_t, grad_t, e_bar_t, p_t
+        else:
             # roundoff plateau: keep the full step only if it improves
             # the dual residual
             trial = u_free - step
             val_t, grad_t, e_bar_t, p_t = value_grad(trial)
-            if np.sqrt(max(grad_t @ ops.K_D_inv @ grad_t, 0.0)) < r_dual:
+            if ops.dual_norm(grad_t) < r_dual:
                 u_free, val, grad, e_bar, p = trial, val_t, grad_t, \
                     e_bar_t, p_t
             else:
@@ -228,9 +232,8 @@ def _z_hess(z, q0, ops, mat, ep):
     H = ops.A_m + np.diag(grid.lump * (Wpp + ep.eps / ep.tau))
     # damage-elasticity coupling: d/dz of the scattered cell drive
     cell_curv = grid.w_cell * 2.0 * (zc < 1.0) * q0 / 16.0
-    for c in range(grid.n_cells):
-        idx = grid.cells[c]
-        H[np.ix_(idx, idx)] += cell_curv[c]
+    idx = grid.cells
+    np.add.at(H, (idx[:, :, None], idx[:, None, :]), cell_curv[:, None, None])
     return H
 
 
@@ -312,17 +315,17 @@ def el_residuals(t: float, state: State, prev_state: State, ops: Operators,
     """Residuals of the three coupled optimality conditions of the
     incremental problem at (t, state).
 
-    r_u: dual (K_D^-1) norm of the viscous displacement stationarity.
+    r_u: dual norm (``ops.dual_norm``) of the viscous displacement
+         stationarity.
     r_z: violation of the one-sided variational inequality pair for z.
     r_p: cellwise inclusion residual of the plastic flow condition.
     """
-    from .constitutive import energy_gradients
     grid = ops.grid
     g_u, g_z, g_p = energy_gradients(t, state, ops, mat, ep.mu, loading)
     free = grid.free_dofs
     du = (state.u - prev_state.u).ravel()[free]
     res_u = (ep.eps * ep.nu / ep.tau) * (ops.K_D @ du) + g_u
-    r_u = float(np.sqrt(max(res_u @ ops.K_D_inv @ res_u, 0.0)))
+    r_u = ops.dual_norm(res_u)
 
     z_rate = (state.z - prev_state.z) / ep.tau
     chi = g_z  # density form of the damage driving force

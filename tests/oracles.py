@@ -127,3 +127,21 @@ def prox_oracle_batch(p_prev, ebar, a, b, mu_w, c_q, levels=6):
         width = width / 15.0
     return np.column_stack([centers[:, 0], -centers[:, 0],
                             centers[:, 1]])
+
+
+def dense_sym_gradient(grid):
+    """Dense symmetrized gradient of shape (n_cells, 3, 2*n_nodes), built
+    cell by cell from the Q1 shape-function derivatives at the cell
+    center (corner order SW, SE, NE, NW)."""
+    B = np.zeros((grid.n_cells, 3, 2 * grid.n_nodes))
+    h = grid.h
+    dndx = np.array([-1.0, 1.0, 1.0, -1.0]) / (2.0 * h)
+    dndy = np.array([-1.0, -1.0, 1.0, 1.0]) / (2.0 * h)
+    for c, corners in enumerate(grid.cells):
+        for a, node in enumerate(corners):
+            ux, uy = 2 * node, 2 * node + 1
+            B[c, 0, ux] += dndx[a]                 # e_xx
+            B[c, 1, uy] += dndy[a]                 # e_yy
+            B[c, 2, ux] += 0.5 * dndy[a]           # e_xy
+            B[c, 2, uy] += 0.5 * dndx[a]
+    return B

@@ -21,6 +21,8 @@ from ribv.discretization import (
 )
 from ribv.problems import ramp_loading
 
+from oracles import dense_sym_gradient
+
 
 def nodal_field(grid, fn):
     return np.array([fn(x, y) for x, y in grid.nodes])
@@ -78,6 +80,24 @@ class TestSymGradient:
         B = assemble_sym_gradient(g)
         u = nodal_field(g, lambda x, y: (-y, x))
         assert np.allclose(apply_sym_gradient(B, u), 0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("n_side", [3, 4, 7])
+    def test_matches_dense_reference(self, n_side, rng):
+        g = Grid(n_side)
+        B = assemble_sym_gradient(g)
+        D = dense_sym_gradient(g)
+        v = rng.normal(size=2 * g.n_nodes)
+        s = rng.normal(size=(g.n_cells, 3))
+        T = rng.normal(size=(g.n_cells, 3, 3))
+        free = g.free_dofs
+        Df = D[:, :, free]
+        dense_form = np.einsum("cia,cij,cjb->ab", Df, T, Df)
+        for got, ref in ((B.apply(v), D @ v),
+                         (B.adjoint(s), np.einsum("cia,ci->a", D, s)),
+                         (B.form(T, free), dense_form)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(
+                1.0, np.max(np.abs(ref)))
 
 
 class TestNonlocalForm:

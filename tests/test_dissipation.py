@@ -91,7 +91,9 @@ class TestConjugate:
         # eta^2 / (2 eps nu K_D) = 4/4 = 1
         class _Stub:
             K_D = np.array([[2.0]])
-            K_D_inv = np.array([[0.5]])
+
+            def dual_norm(self, g):
+                return float(np.sqrt(g @ g / 2.0))
         assert conj_visc_u(_Stub(), np.array([2.0]), 1.0, 1.0) == \
             pytest.approx(1.0, abs=1e-14)
 

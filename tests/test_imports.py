@@ -1,4 +1,5 @@
-"""Static hygiene: every name a ribv module imports is used there."""
+"""Static hygiene: every name a ribv module imports is used there, and
+every import sits at module level."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,19 @@ def test_no_unused_imports():
     offenders = [msg for path in sorted(SRC.glob("*.py"))
                  for msg in _unused_imports(path)]
     assert not offenders, "unused imports:\n" + "\n".join(offenders)
+
+
+def _nested_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top = {id(node) for node in tree.body}
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and id(node) not in top]
+
+
+def test_imports_at_module_level():
+    offenders = [msg for path in sorted(SRC.glob("*.py"))
+                 for msg in _nested_imports(path)]
+    assert not offenders, "imports below module level:\n" \
+        + "\n".join(offenders)

@@ -4,6 +4,7 @@ switching recovery, and vanishing-parameter sweeps."""
 import numpy as np
 import pytest
 
+import ribv.reparam as reparam_module
 from ribv.constitutive import (
     EnergyParams,
     Operators,
@@ -207,7 +208,7 @@ def manufactured_rate(lam, lam_z, state, t, ops, mat, ep, loading):
 
     u_rate = np.zeros(2 * grid.n_nodes)
     u_rate[grid.free_dofs] = -(1 - lam) / (lam * ep.nu) \
-        * (ops.K_D_inv @ g_u)
+        * np.linalg.solve(ops.K_D, g_u)
     u_rate = u_rate.reshape(-1, 2)
 
     if lam_z >= 1.0:
@@ -273,6 +274,20 @@ class TestSwitchingRecovery:
         p = reparam_standard(traj, ops)
         _, resid = recover_switching(p, ops)
         assert np.all(resid[1:] < 1e-7)
+
+    @pytest.mark.parametrize("multi_rate", [False, True])
+    def test_one_gradient_per_knot(self, monkeypatch, multi_rate):
+        ops, traj = ramp_run(n_steps=4, n_side=3)
+        p = reparam_standard(traj, ops)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return energy_gradients(*args, **kwargs)
+
+        monkeypatch.setattr(reparam_module, "energy_gradients", counted)
+        recover_switching(p, ops, multi_rate=multi_rate)
+        assert len(calls) == p.n_knots - 1
 
 
 class TestSweep:
