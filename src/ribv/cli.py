@@ -150,6 +150,7 @@ def cmd_reparam(cfg: RunConfig, out_dir: str) -> int:
         ("command", "reparam"),
         ("eps", ep.eps), ("nu", ep.nu), ("mu", ep.mu),
         ("n_steps", traj.n_steps),
+        ("aborted_at", -1 if traj.aborted_at is None else traj.aborted_at),
         ("total_length_std", float(p_std.s[-1])),
         ("total_length_ed", float(p_ed.s[-1])),
         ("max_normalization_deviation_std", dev_std),
@@ -163,11 +164,11 @@ def cmd_reparam(cfg: RunConfig, out_dir: str) -> int:
         ("max_switch_residual", float(resid[1:].max())
          if len(resid) > 1 else 0.0),
     ])
-    return 0
+    return 0 if traj.aborted_at is None else 1
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
-    grid, mat, ops, ep, loading, init = cfg.build()
+    _, mat, ops, _, loading, init = cfg.build()
     report = bv_sweep(ops, mat, loading, init, cfg.regime, cfg.ladder(),
                       n_steps=cfg.n_steps, t_final=cfg.t_final,
                       tol_stat=cfg.tol_stat, tol_jump=cfg.tol_jump,
@@ -297,7 +298,7 @@ def _selftest_gradients(rng) -> tuple[bool, str]:
                    p=rng.normal(0, 0.05, (grid.n_cells, 3)))
         st.u[grid.dirichlet_mask] = 0.0
         t = rng.uniform(0.2, 0.8)
-        g_u, g_z, g_p = energy_gradients(t, st, ops, mat, 0.1, loading)
+        g_u, g_z, _ = energy_gradients(t, st, ops, mat, 0.1, loading)
         h = 1e-6
         for _ in range(3):
             du = np.zeros(2 * grid.n_nodes)

@@ -132,9 +132,7 @@ class RunConfig:
             raise ValueError("ladder_eps must not be empty")
         if self.ladder_nu.strip():
             nus = [float(x) for x in self.ladder_nu.split(",")]
-        elif self.regime in ("eps-nu0",):
-            nus = list(eps)
-        elif self.regime == "all0":
+        elif self.regime in ("eps-nu0", "all0"):
             nus = list(eps)
         else:
             nus = [self.nu] * len(eps)

@@ -21,14 +21,12 @@ from .constitutive import (
     MaterialParams,
     Operators,
     cell_damage,
-    deviatoric_modulus,
     energy_gradients,
     yield_radius,
 )
 from .discretization import (
     Grid,
     State,
-    tensor_dev,
     tensor_dot,
     tensor_norm,
     tensor_trace,
@@ -255,16 +253,3 @@ def prox_plastic(p_prev: np.ndarray, e_bar_dev: np.ndarray, a, b, mu_w, c_q):
                           0.0)
     return p_prev + np.asarray(factor)[..., None] * d
 
-
-def prox_plastic_cells(grid: Grid, z: np.ndarray, p_prev: np.ndarray,
-                       e_bar: np.ndarray, mat: MaterialParams,
-                       eps: float, nu: float, mu: float, tau: float) -> np.ndarray:
-    """Cellwise plastic update: shrinkage with threshold V(z_c), viscous
-    modulus eps*nu/tau, hardening mu, and the deviatoric elastic coupling
-    coefficient of C(z_c)."""
-    zc = cell_damage(grid, z)
-    a = yield_radius(zc, mat)
-    b = np.full_like(a, eps * nu / tau)
-    mu_w = np.full_like(a, mu)
-    c_q = deviatoric_modulus(zc, mat)
-    return prox_plastic(p_prev, tensor_dev(e_bar), a, b, mu_w, c_q)

@@ -9,7 +9,7 @@ discretization error and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +37,8 @@ class Trajectory:
 
     All per-step arrays have length n_steps + 1 with entry 0 describing
     the initial state (rate quantities are 0 there by convention).
+    E_mu[k] is the energy at times[k] and power[k] the power integral
+    over step k; ``reparam.ed_balance_residual_bv`` reuses both.
     """
 
     times: np.ndarray
@@ -46,7 +48,6 @@ class Trajectory:
     loading: LoadingSpec
     E_mu: np.ndarray
     N_value: np.ndarray          # dissipation rate functional per step
-    psi_value: np.ndarray        # potential at the backward-difference rate
     power: np.ndarray            # integral of the partial time derivative
     balance_residual_cum: np.ndarray
     dual_diag: list[DualDiagnostics]
@@ -111,10 +112,8 @@ def pre_relax(t0: float, init_state: State, ops: Operators,
     t0.  A single incremental step with an enormous time step removes
     the viscous terms while keeping the rate-independent dissipation, so
     the result is stable with respect to the dissipation distance."""
-    ep_relax = EnergyParams(eps=ep.eps, nu=ep.nu, mu=ep.mu, tau=1e12,
-                            t_final=ep.t_final)
-    res = incremental_step(t0, init_state, ops, mat, ep_relax, loading,
-                           tol_stat=tol_stat, max_iter=max_iter)
+    res = incremental_step(t0, init_state, ops, mat, replace(ep, tau=1e12),
+                           loading, tol_stat=tol_stat, max_iter=max_iter)
     return res.new_state
 
 
@@ -128,8 +127,7 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
     if n_steps is None:
         n_steps = int(round(ep.t_final / ep.tau))
     tau = ep.t_final / n_steps
-    ep = EnergyParams(eps=ep.eps, nu=ep.nu, mu=ep.mu, tau=tau,
-                      t_final=ep.t_final)
+    ep = replace(ep, tau=tau)
     times = np.linspace(0.0, ep.t_final, n_steps + 1)
 
     state0 = pre_relax(0.0, init_state, ops, mat, ep, loading)
@@ -137,7 +135,6 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
     states = [state0]
     E = [energy(0.0, state0, ops, mat, ep.mu, loading)]
     N = [0.0]
-    psi = [0.0]
     power = [0.0]
     bal = [0.0]
     dd = [dual_diagnostics(0.0, state0, ops, mat, ep.mu, ep.nu, loading)]
@@ -169,8 +166,6 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
         states.append(state)
         E.append(Ek)
         N.append(Nk)
-        psi.append(psi_total(state, rate, ops, mat, ep.eps, ep.nu,
-                             tol_pos=1e-12))
         power.append(pk)
         bal.append(abs(Ek + diss_sum - E[0] - power_sum))
         dd.append(dual_diagnostics(t_k, state, ops, mat, ep.mu, ep.nu,
@@ -192,7 +187,6 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
         loading=loading,
         E_mu=np.array(E),
         N_value=np.array(N),
-        psi_value=np.array(psi),
         power=np.array(power),
         balance_residual_cum=np.array(bal),
         dual_diag=dd,

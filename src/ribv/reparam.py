@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .constitutive import EnergyParams, MaterialParams, Operators, energy, \
+from .constitutive import EnergyParams, MaterialParams, Operators, \
     energy_gradients, yield_radius, cell_damage
 from .discretization import LoadingSpec, State, tensor_norm
 from .dissipation import (
@@ -34,7 +34,7 @@ from .dissipation import (
     norm_z_m,
     subdiff_violation,
 )
-from .driver import Trajectory, _power_integral, run_viscous
+from .driver import Trajectory, run_viscous
 
 TOL_JUMP = 1e-3
 
@@ -422,31 +422,29 @@ def _align_z_curves(pa: ParamTrajectory, pb: ParamTrajectory, ops) -> float:
     return float(best)
 
 
-def ed_balance_residual_bv(ptraj: ParamTrajectory, ops: Operators,
-                           regime: str, stab_tol: float,
-                           tol_jump: float = TOL_JUMP) -> tuple[float, float]:
+def ed_balance_residual_bv(ptraj: ParamTrajectory, traj: Trajectory,
+                           ops: Operators, regime: str,
+                           stab_tol: float) -> tuple[float, float]:
     """Energy-dissipation balance residual of a candidate limit curve
     with the regime's contact potential: |E(end) + integral M ds -
-    E(0) - integral power|.  Returns (residual, contact_integral).
+    E(0) - integral power|.  ptraj must be a reparameterization of the
+    viscous run traj, whose energies E_mu and per-step power integrals
+    supply E and the power.  Returns (residual, contact_integral).
     Either may be +inf when an infinite branch is hit."""
-    ep, mat, loading = ptraj.ep, ptraj.mat, ptraj.loading
     contact = 0.0
     power = 0.0
     for k in range(1, ptraj.n_knots):
         ds = ptraj.s[k] - ptraj.s[k - 1]
         m = contact_potential(regime, float(ptraj.t_rate[k]),
                               ptraj.states[k], ptraj.rate(k),
-                              ptraj.diag[k], ops, mat, ep,
+                              ptraj.diag[k], ops, ptraj.mat, ptraj.ep,
                               stab_tol=stab_tol)
         contact += ds * m
-        power += _power_integral(ptraj.t[k - 1], ptraj.t[k],
-                                 ptraj.states[k - 1], ops, mat, ep.mu,
-                                 loading)
-    e_end = energy(ptraj.t[-1], ptraj.states[-1], ops, mat, ep.mu, loading)
-    e_0 = energy(ptraj.t[0], ptraj.states[0], ops, mat, ep.mu, loading)
+        power += traj.power[k]
     if not np.isfinite(contact):
         return float("inf"), float(contact)
-    return float(abs(e_end + contact - e_0 - power)), float(contact)
+    resid = abs(traj.E_mu[-1] + contact - traj.E_mu[0] - power)
+    return float(resid), float(contact)
 
 
 def _ladder_ok(regime: str, ladder) -> bool:
@@ -506,8 +504,8 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
         nonjump = ~jm
         nonjump[0] = False
         max_stab = float(mags[nonjump].max()) if np.any(nonjump) else 0.0
-        resid, contact = ed_balance_residual_bv(ptraj, ops, regime,
-                                                stab_tol, tol_jump)
+        resid, contact = ed_balance_residual_bv(ptraj, traj, ops, regime,
+                                                stab_tol)
         levels.append(LevelReport(
             params=lvl,
             n_steps=n_steps,

@@ -39,11 +39,11 @@ from .discretization import (
     State,
     apply_sym_gradient,
     eval_loading,
+    tensor_dev,
     tensor_dot,
     tensor_norm,
 )
-from .dissipation import Rate, psi_total, prox_plastic_cells, \
-    subdiff_violation
+from .dissipation import Rate, prox_plastic, psi_total, subdiff_violation
 
 Z_FLOOR = 1e-8
 
@@ -52,7 +52,6 @@ Z_FLOOR = 1e-8
 class StepResult:
     new_state: State
     iterations: int
-    functional_value: float
     el_residuals: tuple[float, float, float]  # (r_u, r_z, r_p)
     decrease: float
     accepted: bool
@@ -94,17 +93,15 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     visc_fac = ep.eps * ep.nu / ep.tau
     u_prev_f = prev_state.u.ravel()[free]
     wflat = w.ravel()
-    a_c = V
-    b_c = visc_fac
     c_q = deviatoric_modulus(zc, mat)
-    modulus = b_c + ep.mu + c_q
+    modulus = visc_fac + ep.mu + c_q
 
     def split(u_free):
         u_full = np.zeros(2 * grid.n_nodes)
         u_full[free] = u_free
         e_bar = ops.B.apply(u_full + wflat)
-        p = prox_plastic_cells(grid, state.z, prev_state.p, e_bar, mat,
-                               ep.eps, ep.nu, ep.mu, ep.tau)
+        p = prox_plastic(prev_state.p, tensor_dev(e_bar), V, visc_fac,
+                         ep.mu, c_q)
         return u_full, e_bar, p
 
     def value_grad(u_free):
@@ -126,10 +123,10 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     def tangent(e_bar):
         """Per-cell consistent tangent S_c (I - dp*/d e_bar)."""
         dev = e_bar @ _DEV_PROJ.T
-        d = (c_q[:, None] * dev + b_c * prev_state.p) / modulus[:, None] \
+        d = (c_q[:, None] * dev + visc_fac * prev_state.p) / modulus[:, None] \
             - prev_state.p
         dn = np.sqrt(np.maximum(tensor_dot(d, d), 0.0))
-        shrink = a_c / (modulus * np.maximum(dn, 1e-300))
+        shrink = V / (modulus * np.maximum(dn, 1e-300))
         J = np.zeros((grid.n_cells, 3, 3))
         yielding = shrink < 1.0
         if np.any(yielding):
@@ -183,9 +180,8 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     return u_full.reshape(grid.n_nodes, 2), p
 
 
-def _z_objective_pieces(t, state, prev_state, ops, mat, ep, loading):
+def _z_objective_pieces(t, state, prev_state, ops, mat, loading):
     """Precompute the z-independent data of the z subproblem."""
-    grid = ops.grid
     w, _, _, _ = eval_loading(loading, t)
     e = apply_sym_gradient(ops.B, state.u + w) - state.p
     q0 = base_elastic_density(e, mat)
@@ -227,7 +223,6 @@ def _z_hess(z, q0, ops, mat, ep):
     piecewise linear and contributes nothing)."""
     grid = ops.grid
     zc = cell_damage(grid, z)
-    _, Wp = damage_potential(z, mat)
     Wpp = mat.q_exp * (mat.q_exp + 1.0) * mat.w0 * z ** (-mat.q_exp - 2.0)
     H = ops.A_m + np.diag(grid.lump * (Wpp + ep.eps / ep.tau))
     # damage-elasticity coupling: d/dz of the scattered cell drive
@@ -254,7 +249,7 @@ def solve_z_step(t: float, state: State, prev_state: State, ops: Operators,
     to decrease the objective."""
     grid = ops.grid
     z_prev = prev_state.z
-    q0, dp_norm = _z_objective_pieces(t, state, prev_state, ops, mat, ep, loading)
+    q0, dp_norm = _z_objective_pieces(t, state, prev_state, ops, mat, loading)
     z = np.clip(state.z, Z_FLOOR, z_prev)
     val = _z_value(z, z_prev, q0, dp_norm, ops, mat, ep)
     m = grid.lump
@@ -362,10 +357,12 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
                      loading: LoadingSpec, tol_stat: float = 1e-8,
                      max_iter: int = 500) -> StepResult:
     """Alternating (u, p) -> z sweeps from prev_state until the combined
-    optimality residual drops below tol_stat (or max_iter sweeps)."""
+    optimality residual drops below tol_stat (or max_iter sweeps).
+
+    The incremental functional is evaluated twice, at prev_state and at
+    the final state; ``decrease`` is the drop between the two."""
     state = prev_state.copy()
     val0 = incremental_functional(t, state, prev_state, ops, mat, ep, loading)
-    val = val0
     residuals = (np.inf, np.inf, np.inf)
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
@@ -374,17 +371,14 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
             tol_dual=max(1e-13, 0.02 * tol_stat))
         state.z = solve_z_step(t, state, prev_state, ops, mat, ep, loading,
                                tol=0.1 * tol_stat)
-        new_val = incremental_functional(t, state, prev_state, ops, mat,
-                                         ep, loading)
         residuals = el_residuals(t, state, prev_state, ops, mat, ep, loading)
-        val = new_val
         if max(residuals) <= tol_stat:
             break
     accepted = max(residuals) <= tol_stat
+    val = incremental_functional(t, state, prev_state, ops, mat, ep, loading)
     return StepResult(
         new_state=state,
         iterations=sweeps,
-        functional_value=val,
         el_residuals=residuals,
         decrease=val0 - val,
         accepted=accepted,

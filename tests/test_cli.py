@@ -129,6 +129,16 @@ class TestReparamSweep:
         summary = (tmp_path / "summary.txt").read_text()
         assert "max_normalization_deviation_std" in summary
 
+    def test_reparam_reports_truncated_run(self, tmp_path):
+        # one sweep per step cannot converge the damaging ramp: the run
+        # stops at the first rejected step
+        cfg = RunConfig.parse("grid_n = 3\nn_steps = 4\nmax_iter = 1\n"
+                              "load_amplitude = 1.2\n")
+        rc = cmd_reparam(cfg, str(tmp_path))
+        assert rc == 1
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "aborted_at = 2" in summary
+
     def test_sweep_outputs(self, tmp_path):
         cfg = RunConfig.parse("grid_n = 3\nn_steps = 6\n"
                               "load_amplitude = 0.4\n"

@@ -1,5 +1,6 @@
-"""Static hygiene: every name a ribv module imports is used there, and
-every import sits at module level."""
+"""Static hygiene: every name a ribv module imports is used there, every
+import sits at module level, and no function binds a name it never
+reads."""
 
 import ast
 from pathlib import Path
@@ -51,4 +52,50 @@ def test_imports_at_module_level():
     offenders = [msg for path in sorted(SRC.glob("*.py"))
                  for msg in _nested_imports(path)]
     assert not offenders, "imports below module level:\n" \
+        + "\n".join(offenders)
+
+
+def _scope_nodes(func):
+    """Nodes of a function body, not descending into nested scopes."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _unread_names(path: Path) -> list[str]:
+    """Locals a function binds and never reads, and parameters a
+    private function never reads.  Names starting with '_' are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        bound = {}
+        for node in _scope_nodes(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.setdefault(node.id, node.lineno)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.setdefault(node.name, node.lineno)
+        if func.name.startswith("_"):
+            a = func.args
+            for arg in (a.posonlyargs + a.args + a.kwonlyargs
+                        + [x for x in (a.vararg, a.kwarg) if x]):
+                bound.setdefault(arg.arg, arg.lineno)
+        out += [f"{path.name}:{line}: {func.name}: {name}"
+                for name, line in sorted(bound.items(), key=lambda kv: kv[1])
+                if not name.startswith("_") and name not in read]
+    return out
+
+
+def test_no_unread_names():
+    offenders = [msg for path in sorted(SRC.glob("*.py"))
+                 for msg in _unread_names(path)]
+    assert not offenders, "names bound and never read:\n" \
         + "\n".join(offenders)

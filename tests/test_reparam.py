@@ -9,12 +9,13 @@ from ribv.constitutive import (
     EnergyParams,
     Operators,
     cell_damage,
+    energy,
     energy_gradients,
     yield_radius,
 )
 from ribv.discretization import Grid, State, initial_state, tensor_norm
 from ribv.dissipation import Rate, d_nu, d_up, dual_diagnostics, norm_z_hm
-from ribv.driver import run_viscous
+from ribv.driver import _power_integral, run_viscous
 from ribv.problems import (
     ramp_loading,
     reference_material,
@@ -299,6 +300,26 @@ class TestSweep:
                        initial_state(grid, 0.95), "eps0",
                        [(1e-1, 0.1, 0.1), (1e-2, 0.1, 0.1)], n_steps=5)
         assert all(d < 1e-10 for d in rep.pairwise_sup_distance)
+
+    def test_balance_matches_requadrature(self):
+        # the BV balance reuses the viscous run's energies and power; the
+        # same floats come out of a fresh quadrature along ptraj's states
+        _, mat, ops, _, loading, init = reference_problem(
+            n_side=3, n_steps=6, amplitude=0.4)
+        rep = bv_sweep(ops, mat, loading, init, "eps0",
+                       [(1e-1, 0.1, 0.1), (1e-2, 0.1, 0.1)], n_steps=6)
+        for lv in rep.levels:
+            p = lv.ptraj
+            mu = p.ep.mu
+            power = 0.0
+            for k in range(1, p.n_knots):
+                power += _power_integral(p.t[k - 1], p.t[k], p.states[k - 1],
+                                         ops, mat, mu, loading)
+            e_end = energy(p.t[-1], p.states[-1], ops, mat, mu, loading)
+            e_0 = energy(p.t[0], p.states[0], ops, mat, mu, loading)
+            assert np.isfinite(lv.contact_integral)
+            assert lv.ed_balance_residual == \
+                abs(e_end + lv.contact_integral - e_0 - power)
 
     def test_ladder_validation(self):
         grid = Grid(3)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import ribv.solver as solver_module
 from ribv.constitutive import (
     EnergyParams,
     Operators,
@@ -251,3 +252,22 @@ class TestIncrementalStep:
                                tol_stat=1e-9)
         r = el_residuals(0.9, res.new_state, prev, ops, mat, ep, loading)
         assert max(r) <= 1e-9
+
+    def test_functional_evaluated_once_per_end(self, monkeypatch):
+        # the step functional is taken at prev_state and at the result,
+        # however many sweeps the step takes
+        grid = Grid(3)
+        mat = reference_material()
+        ops = Operators.build(grid, mat)
+        loading = ramp_loading(grid, amplitude=1.2)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return incremental_functional(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "incremental_functional", counted)
+        res = incremental_step(0.9, initial_state(grid, z0=0.95), ops, mat,
+                               small_ep(tau=0.1), loading, tol_stat=1e-9)
+        assert res.iterations >= 2
+        assert len(calls) == 2
