@@ -172,7 +172,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
     report = bv_sweep(ops, mat, loading, init, cfg.regime, cfg.ladder(),
                       n_steps=cfg.n_steps, t_final=cfg.t_final,
                       tol_stat=cfg.tol_stat, tol_jump=cfg.tol_jump,
-                      stab_tol_factor=cfg.stab_tol_factor)
+                      stab_tol_factor=cfg.stab_tol_factor,
+                      max_iter=cfg.max_iter)
     header = ("level,eps,nu,mu,max_stability_nonjump,ed_balance_residual,"
               "contact_integral,total_length,min_z,n_jump_intervals,"
               "dist_to_next")

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .discretization import (
     FROB_W,
@@ -199,36 +199,64 @@ def cell_damage(grid: Grid, z: np.ndarray) -> np.ndarray:
     return z[grid.cells].mean(axis=1)
 
 
+def viscous_cell_form(grid: Grid) -> np.ndarray:
+    """Per-cell (n_cells, 3, 3) forms w_c diag(1, 1, 2) whose element form
+    is K_D: 1/2 u K_D u = 1/2 sum_c w_c |(B u)_c|^2."""
+    return grid.w_cell[:, None, None] * np.diag(FROB_W)
+
+
 # ---------------------------------------------------------------------------
 # assembled operators shared across evaluations
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Operators:
-    """Assembled discrete operators reused by every energy evaluation."""
+    """Assembled discrete operators reused by every energy evaluation.
+
+    The viscosity matrix K_D (the strain seminorm on the free dofs) is
+    held as its lower band with ``B.kd`` subdiagonals, ``K_D_band[i - j,
+    j] = K_D[i, j]`` for j <= i <= j + kd, together with its band
+    Cholesky factor in the same storage; products and dual norms go
+    through BLAS/LAPACK band kernels.  ``K_D`` expands the band into a
+    dense matrix for reference checks.
+    """
 
     grid: Grid
-    B: SymGradient       # element-local symmetrized gradient
-    A_m: np.ndarray      # (n_nodes, n_nodes)
-    K_D: np.ndarray      # (n_free, n_free) viscosity/H1 seminorm matrix
-    K_D_chol: np.ndarray  # lower Cholesky factor of K_D, Fortran order
+    B: SymGradient         # element-local symmetrized gradient
+    A_m: np.ndarray        # (n_nodes, n_nodes)
+    K_D_band: np.ndarray   # (kd + 1, n_free) lower band of K_D, Fortran order
+    K_D_chol: np.ndarray   # (kd + 1, n_free) lower band Cholesky factor
 
     @classmethod
     def build(cls, grid: Grid, mat: MaterialParams) -> "Operators":
         B = assemble_sym_gradient(grid)
         A_m = assemble_nonlocal_form(grid, mat.m_order)
-        K_D = B.form(grid.w_cell[:, None, None] * np.diag(FROB_W),
-                     grid.free_dofs)
-        chol = np.asfortranarray(np.linalg.cholesky(K_D))
-        return cls(grid=grid, B=B, A_m=A_m, K_D=K_D, K_D_chol=chol)
+        band = np.asfortranarray(B.form(viscous_cell_form(grid))[2 * B.kd:])
+        chol, info = lapack.dpbtrf(band, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpbtrf failed with info={info}")
+        return cls(grid=grid, B=B, A_m=A_m, K_D_band=band, K_D_chol=chol)
+
+    @property
+    def K_D(self) -> np.ndarray:
+        """Dense (n_free, n_free) K_D, expanded from the band."""
+        n = self.B.n_free
+        K = np.zeros((n, n))
+        for d, diag in enumerate(self.K_D_band):
+            K[np.arange(d, n), np.arange(n - d)] = diag[:n - d]
+        return K + np.tril(K, -1).T
+
+    def apply_K_D(self, v: np.ndarray) -> np.ndarray:
+        """K_D v for a vector on the free dofs."""
+        return blas.dsbmv(self.B.kd, 1.0, self.K_D_band, v, lower=1)
 
     def dual_norm(self, g: np.ndarray) -> float:
         """Dual norm sqrt(g K_D^-1 g) of a covector on the free dofs."""
-        # the raw LAPACK call: scipy.linalg.solve_triangular costs ~10x
-        # more per call on the small systems the solver loops over
-        x, info = lapack.dtrtrs(self.K_D_chol, g, lower=1)
+        # the raw LAPACK call: scipy.linalg.solve_banded costs ~30x more
+        # per call on the small systems the solver loops over
+        x, info = lapack.dtbtrs(self.K_D_chol, g, uplo="L")
         if info != 0:
-            raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
+            raise np.linalg.LinAlgError(f"dtbtrs failed with info={info}")
         return float(np.sqrt(x @ x))
 
 

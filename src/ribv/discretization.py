@@ -11,7 +11,9 @@ The module provides:
 * ``Grid`` -- nodes, cells, quadrature weights, Dirichlet mask,
 * ``SymGradient`` / ``assemble_sym_gradient`` -- the symmetrized
   gradient B as one 3x8 cell matrix and the cell-to-dof map, with its
-  apply, adjoint and assembled element forms sum_c B_c^T T_c B_c,
+  apply, adjoint and element forms sum_c B_c^T T_c B_c assembled over
+  the free dofs in LAPACK general-band storage (the node-major dof
+  order keeps their bandwidth at 2 n_side + 1),
 * ``assemble_nonlocal_form`` -- a Gagliardo-type nonlocal bilinear form
   for the damage field, built from finite-difference nodal gradients,
 * ``LoadingSpec`` / ``eval_loading`` -- time-dependent Dirichlet data
@@ -79,6 +81,9 @@ class Grid:
     w_cell: np.ndarray = field(init=False)         # (n_cells,)
     lump: np.ndarray = field(init=False)           # (n_nodes,)
     dirichlet_mask: np.ndarray = field(init=False)  # (n_nodes,) bool
+    # flat displacement dof indices (node-major, x then y) not on the
+    # Dirichlet boundary, ascending
+    free_dofs: np.ndarray = field(init=False)      # (n_free,)
 
     def __post_init__(self):
         n = self.n_side
@@ -107,6 +112,9 @@ class Grid:
         object.__setattr__(self, "w_cell", w_cell)
         object.__setattr__(self, "lump", lump)
         object.__setattr__(self, "dirichlet_mask", mask)
+        fn = np.flatnonzero(~mask)
+        object.__setattr__(self, "free_dofs",
+                           (2 * fn[:, None] + np.arange(2)).ravel())
 
     @property
     def n_nodes(self) -> int:
@@ -115,17 +123,6 @@ class Grid:
     @property
     def n_cells(self) -> int:
         return (self.n_side - 1) ** 2
-
-    @property
-    def free_nodes(self) -> np.ndarray:
-        return np.flatnonzero(~self.dirichlet_mask)
-
-    @property
-    def free_dofs(self) -> np.ndarray:
-        """Flat displacement dof indices (node-major, x then y) not on the
-        Dirichlet boundary."""
-        fn = self.free_nodes
-        return np.sort(np.concatenate([2 * fn, 2 * fn + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +177,25 @@ class SymGradient:
     dofs ``dofs[c]`` (x then y of the corners SW, SE, NE, NW) and yields
     the strain (xx, yy, xy) at its center.  Flat displacement vectors are
     node-major with the components interleaved.
+
+    Element forms are assembled over the ``n_free`` free dofs, whose
+    couplings reach at most ``kd`` positions off the diagonal.
+    ``band_pos[c, a, b]`` is the flat position of the pair of local dofs
+    (a, b) of cell c in a Fortran-order (3 kd + 1, n_free) general-band
+    array, or one past its end when either dof is constrained.
     """
 
-    local: np.ndarray   # (3, 8)
-    dofs: np.ndarray    # (n_cells, 8)
+    local: np.ndarray     # (3, 8)
+    dofs: np.ndarray      # (n_cells, 8)
     n_dofs: int
+    n_free: int
+    kd: int
+    band_pos: np.ndarray  # (n_cells, 8, 8)
 
     @property
     def nbytes(self) -> int:
-        """Bytes held: the cell matrix and the cell-to-dof map."""
-        return self.local.nbytes + self.dofs.nbytes
+        """Bytes held: the cell matrix, the cell-to-dof and the band maps."""
+        return self.local.nbytes + self.dofs.nbytes + self.band_pos.nbytes
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """B v for a displacement field of n_dofs entries; (n_cells, 3)."""
@@ -200,14 +206,17 @@ class SymGradient:
         return np.bincount(self.dofs.ravel(), weights=(s @ self.local).ravel(),
                            minlength=self.n_dofs)
 
-    def form(self, T: np.ndarray, free: np.ndarray) -> np.ndarray:
-        """Dense sum_c B_c^T T_c B_c of per-cell (n_cells, 3, 3) forms,
-        restricted to the dof indices ``free``."""
+    def form(self, T: np.ndarray) -> np.ndarray:
+        """sum_c B_c^T T_c B_c of per-cell (n_cells, 3, 3) forms on the free
+        dofs, in the LAPACK general-band storage of ``?gbsv`` with kd sub-
+        and superdiagonals: entry (i, j) sits at row 2 kd + i - j of column
+        j of a Fortran-order (3 kd + 1, n_free) array whose first kd rows
+        are zero."""
         Ke = self.local.T @ T @ self.local
-        n = self.n_dofs
-        pairs = self.dofs[:, :, None] * n + self.dofs[:, None, :]
-        K = np.bincount(pairs.ravel(), weights=Ke.ravel(), minlength=n * n)
-        return K.reshape(n, n)[np.ix_(free, free)]
+        rows = 3 * self.kd + 1
+        K = np.bincount(self.band_pos.ravel(), weights=Ke.ravel(),
+                        minlength=rows * self.n_free + 1)
+        return K[:-1].reshape(self.n_free, rows).T
 
 
 def assemble_sym_gradient(grid: Grid) -> SymGradient:
@@ -222,7 +231,19 @@ def assemble_sym_gradient(grid: Grid) -> SymGradient:
     local[2, 0::2] = 0.5 * dndy            # e_xy
     local[2, 1::2] = 0.5 * dndx
     dofs = (2 * grid.cells[:, :, None] + np.arange(2)).reshape(-1, 8)
-    return SymGradient(local=local, dofs=dofs, n_dofs=2 * grid.n_nodes)
+
+    # free position of every cell dof, -1 where constrained
+    n_dofs, n_free = 2 * grid.n_nodes, len(grid.free_dofs)
+    pos = np.full(n_dofs, -1)
+    pos[grid.free_dofs] = np.arange(n_free)
+    fp = pos[dofs]
+    i, j = fp[:, :, None], fp[:, None, :]
+    kept = (i >= 0) & (j >= 0)
+    kd = int(np.max(np.abs(i - j), where=kept, initial=0))
+    rows = 3 * kd + 1
+    band_pos = np.where(kept, j * rows + 2 * kd + i - j, rows * n_free)
+    return SymGradient(local=local, dofs=dofs, n_dofs=n_dofs, n_free=n_free,
+                       kd=kd, band_pos=band_pos)
 
 
 def apply_sym_gradient(B: SymGradient, field_uv: np.ndarray) -> np.ndarray:

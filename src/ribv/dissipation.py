@@ -74,7 +74,7 @@ def norm_kd(ops: Operators, u_field: np.ndarray) -> float:
     """Viscous H1 seminorm of a nodal field vanishing on the Dirichlet
     nodes (the free-dof restriction is then exact)."""
     v = u_field.ravel()[ops.grid.free_dofs]
-    return float(np.sqrt(max(v @ ops.K_D @ v, 0.0)))
+    return float(np.sqrt(max(v @ ops.apply_K_D(v), 0.0)))
 
 
 def norm_u_h1(ops: Operators, u_field: np.ndarray) -> float:
@@ -82,7 +82,7 @@ def norm_u_h1(ops: Operators, u_field: np.ndarray) -> float:
     grid = ops.grid
     l2sq = np.sum(grid.lump * np.sum(u_field ** 2, axis=1))
     v = u_field.ravel()[grid.free_dofs]
-    return float(np.sqrt(l2sq + max(v @ ops.K_D @ v, 0.0)))
+    return float(np.sqrt(l2sq + max(v @ ops.apply_K_D(v), 0.0)))
 
 
 def norm_z_m(grid: Grid, z_field: np.ndarray) -> float:

@@ -297,7 +297,7 @@ def _switching_residual(lam_up: float, lam_z: float, grads, state: State,
     g_u, g_z, g_p = grads
 
     uf = rate.u_rate.ravel()[grid.free_dofs]
-    res_u_vec = lam_up * ep.nu * (ops.K_D @ uf) + (1 - lam_up) * g_u
+    res_u_vec = lam_up * ep.nu * ops.apply_K_D(uf) + (1 - lam_up) * g_u
     ru2 = ops.dual_norm(res_u_vec) ** 2
 
     # damage block: 0 in (1-lam) dR(z') + lam z' + (1-lam) chi nodewise;
@@ -471,7 +471,8 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
              init_state: State, regime: str, ladder, n_steps: int = 20,
              t_final: float = 1.0, tol_stat: float = 1e-8,
              tol_jump: float = TOL_JUMP,
-             stab_tol_factor: float = 10.0) -> SweepReport:
+             stab_tol_factor: float = 10.0,
+             max_iter: int = 500) -> SweepReport:
     """Run viscous solves along a vanishing-parameter ladder, reparam-
     eterize (energy-dissipation arclength when everything vanishes,
     standard otherwise), and assemble the cross-level convergence
@@ -489,7 +490,8 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
         ep = EnergyParams(eps=eps, nu=nu, mu=mu, tau=t_final / n_steps,
                           t_final=t_final)
         traj = run_viscous(ops, mat, ep, loading, init_state.copy(),
-                           n_steps=n_steps, tol_stat=tol_stat)
+                           n_steps=n_steps, tol_stat=tol_stat,
+                           max_iter=max_iter)
         if traj.aborted_at is not None:
             raise RuntimeError(f"viscous run failed at step "
                                f"{traj.aborted_at} for level {lvl}")

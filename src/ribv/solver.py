@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .constitutive import (
     EnergyParams,
@@ -31,6 +32,7 @@ from .constitutive import (
     energy_gradients,
     stiffness_coeff,
     stiffness_coeff_prime,
+    viscous_cell_form,
     yield_radius,
 )
 from .discretization import (
@@ -68,6 +70,16 @@ _DEV_PROJ = np.array([[0.5, -0.5, 0.0],
 _FROB_G = np.diag(FROB_W)
 
 
+def band_newton_step(H: np.ndarray, kd: int, grad: np.ndarray) -> np.ndarray:
+    """Solve H step = grad for H in the general-band storage of
+    ``SymGradient.form`` by banded LU (LAPACK ``dgbsv``, which overwrites
+    H).  An exactly singular H gives step = grad."""
+    _, _, step, info = lapack.dgbsv(kd, kd, H, grad, overwrite_ab=1)
+    if info < 0:
+        raise ValueError(f"dgbsv: argument {-info} is invalid")
+    return grad if info > 0 else step
+
+
 def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
                   mat: MaterialParams, ep: EnergyParams, loading: LoadingSpec,
                   tol_dual: float = 1e-12,
@@ -79,6 +91,9 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     Newton iteration: the inner minimum is the exact cellwise prox, the
     gradient of F needs only the elastic stress at p*(u) (envelope
     theorem), and the Hessian uses the consistent tangent of the prox.
+    Its symmetric part is assembled over the free dofs in band storage
+    and solved by banded LU with partial pivoting (LAPACK ``dgbsv``); an
+    exactly singular Hessian falls back to the gradient as the step.
     Terminates when the dual norm ``ops.dual_norm`` of the gradient is
     <= tol_dual.
     """
@@ -110,14 +125,14 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
         val = 0.5 * np.einsum("ci,cij,cj->", e, S, e)
         val -= F_ext @ (u_full + wflat)
         du = u_free - u_prev_f
-        val += 0.5 * visc_fac * du @ ops.K_D @ du
+        kd_du = ops.apply_K_D(du)
+        val += 0.5 * visc_fac * du @ kd_du
         dp = p - prev_state.p
         val += np.sum(grid.w_cell * V * tensor_norm(dp))
         val += 0.5 * visc_fac * np.sum(grid.w_cell * tensor_dot(dp, dp))
         val += 0.5 * ep.mu * np.sum(grid.w_cell * tensor_dot(p, p))
         sigma_w = np.einsum("cij,cj->ci", S, e)  # w_c- and frob-weighted
-        grad = ops.B.adjoint(sigma_w)[free] - F_ext[free] \
-            + visc_fac * (ops.K_D @ du)
+        grad = ops.B.adjoint(sigma_w)[free] - F_ext[free] + visc_fac * kd_du
         return float(val), grad, e_bar, p
 
     def tangent(e_bar):
@@ -138,6 +153,8 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
                 (1.0 - sh) * _DEV_PROJ[None] + sh * outer @ _DEV_PROJ[None])
         return np.einsum("cij,cjk->cik", S, np.eye(3)[None] - J)
 
+    visc_cells = visc_fac * viscous_cell_form(grid)
+
     u_free = state.u.ravel()[free].copy()
     val, grad, e_bar, p = value_grad(u_free)
     for _ in range(max_iter):
@@ -145,11 +162,9 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
         if r_dual <= tol_dual:
             break
         T = tangent(e_bar)
-        H = visc_fac * ops.K_D + ops.B.form(T, free)
-        try:
-            step = np.linalg.solve(0.5 * (H + H.T), grad)
-        except np.linalg.LinAlgError:
-            step = grad
+        # symmetric part of the Hessian visc_fac K_D + sum_c B_c^T T_c B_c
+        H = ops.B.form(visc_cells + 0.5 * (T + T.transpose(0, 2, 1)))
+        step = band_newton_step(H, ops.B.kd, grad)
         alpha = 1.0
         accepted = False
         for _bt in range(50):
@@ -319,7 +334,7 @@ def el_residuals(t: float, state: State, prev_state: State, ops: Operators,
     g_u, g_z, g_p = energy_gradients(t, state, ops, mat, ep.mu, loading)
     free = grid.free_dofs
     du = (state.u - prev_state.u).ravel()[free]
-    res_u = (ep.eps * ep.nu / ep.tau) * (ops.K_D @ du) + g_u
+    res_u = (ep.eps * ep.nu / ep.tau) * ops.apply_K_D(du) + g_u
     r_u = ops.dual_norm(res_u)
 
     z_rate = (state.z - prev_state.z) / ep.tau

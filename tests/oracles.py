@@ -145,3 +145,14 @@ def dense_sym_gradient(grid):
             B[c, 2, ux] += 0.5 * dndy[a]           # e_xy
             B[c, 2, uy] += 0.5 * dndx[a]
     return B
+
+
+def band_to_dense(ab, kd):
+    """Dense matrix of a LAPACK general-band array with kd sub- and
+    superdiagonals, A[i, j] = ab[2 kd + i - j, j], read entry by entry."""
+    n = ab.shape[1]
+    A = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - kd), min(n, i + kd + 1)):
+            A[i, j] = ab[2 * kd + i - j, j]
+    return A

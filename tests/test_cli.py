@@ -154,6 +154,18 @@ class TestReparamSweep:
         summary = (tmp_path / "summary.txt").read_text()
         assert "stability_decay_ratios" in summary
 
+    def test_sweep_honours_max_iter(self, tmp_path):
+        # one sweep per step cannot converge the damaging ramp: the first
+        # level stops at a rejected step and the sweep names it
+        cfg = RunConfig.parse("grid_n = 3\nn_steps = 4\nmax_iter = 1\n"
+                              "load_amplitude = 1.2\n"
+                              "regime = eps0\n"
+                              "ladder_eps = 1e-1,1e-2\n"
+                              "nu = 0.1\nmu = 0.1\n")
+        with pytest.raises(RuntimeError, match=r"failed at step \d+ for "
+                                               r"level \(0\.1, "):
+            cmd_sweep(cfg, str(tmp_path))
+
 
 class TestGronwallCommand:
     SAMPLE = """

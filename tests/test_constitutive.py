@@ -23,6 +23,7 @@ from ribv.discretization import Grid, LoadingSpec, State, initial_state
 from ribv.problems import ramp_loading, reference_material
 
 from conftest import random_state
+from oracles import FROB_W, dense_sym_gradient, dual_norm_oracle
 
 
 def make_mat(**over):
@@ -218,3 +219,35 @@ class TestGradients:
         dt = energy_time_derivative(0.5, st, ops, mat, 0.1,
                                     still_loading(grid))
         assert dt == pytest.approx(0.0, abs=1e-14)
+
+
+class TestBandOperators:
+    """The band-stored K_D against dense references."""
+
+    @pytest.mark.parametrize("n_side", [3, 4, 7])
+    def test_matches_dense(self, n_side, rng):
+        grid = Grid(n_side)
+        ops = Operators.build(grid, make_mat())
+        D = dense_sym_gradient(grid)[:, :, grid.free_dofs]
+        ref = np.einsum("cia,c,i,cib->ab", D, grid.w_cell, FROB_W, D)
+        K = ops.K_D
+        assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert ops.B.kd == 2 * n_side + 1
+        for _ in range(5):
+            v = rng.normal(size=len(K))
+            assert np.max(np.abs(ops.apply_K_D(v) - K @ v)) <= \
+                1e-13 * np.max(np.abs(K)) * np.max(np.abs(v)) * len(v)
+            assert ops.dual_norm(v) == pytest.approx(
+                dual_norm_oracle(K, v), rel=1e-10)
+
+    def test_storage_is_banded(self):
+        # no (n_free, n_free) array: every operator array other than the
+        # nonlocal A_m fits in one general band
+        ops = Operators.build(Grid(24), make_mat())
+        B = ops.B
+        limit = (3 * B.kd + 1) * B.n_free
+        arrays = {name: v for name, v in {**vars(ops), **vars(B)}.items()
+                  if isinstance(v, np.ndarray) and name != "A_m"}
+        assert {"K_D_band", "K_D_chol", "band_pos"} <= set(arrays)
+        for name, v in arrays.items():
+            assert v.size <= limit, name

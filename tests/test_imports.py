@@ -1,6 +1,6 @@
 """Static hygiene: every name a ribv module imports is used there, every
-import sits at module level, and no function binds a name it never
-reads."""
+import sits at module level, no function binds a name it never reads,
+and no module reaches for a dense viscosity operator."""
 
 import ast
 from pathlib import Path
@@ -99,3 +99,31 @@ def test_no_unread_names():
                  for msg in _unread_names(path)]
     assert not offenders, "names bound and never read:\n" \
         + "\n".join(offenders)
+
+
+_DENSE_LINALG = {"cholesky", "inv"}
+
+
+def _dense_operator_uses(path: Path) -> list[str]:
+    """Reads of the dense ``K_D`` property (kept for reference checks
+    only) and dense ``linalg.cholesky`` / ``linalg.inv`` calls."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "K_D":
+            out.append(f"{path.name}:{node.lineno}: reads .K_D")
+        elif (isinstance(node, ast.Attribute) and node.attr in _DENSE_LINALG
+              and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "linalg"):
+            out.append(f"{path.name}:{node.lineno}: linalg.{node.attr}")
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").endswith("linalg")):
+            out += [f"{path.name}:{node.lineno}: imports {a.name}"
+                    for a in node.names if a.name in _DENSE_LINALG]
+    return out
+
+
+def test_no_dense_viscosity_operator():
+    offenders = [msg for path in sorted(SRC.glob("*.py"))
+                 for msg in _dense_operator_uses(path)]
+    assert not offenders, "dense operator use:\n" + "\n".join(offenders)

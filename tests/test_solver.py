@@ -16,6 +16,7 @@ from ribv.constitutive import (
     energy,
     energy_gradients,
     stiffness_coeff,
+    viscous_cell_form,
     yield_radius,
 )
 from ribv.discretization import Grid, State, apply_sym_gradient, \
@@ -29,6 +30,7 @@ from ribv.problems import (
 )
 from ribv.solver import (
     Z_FLOOR,
+    band_newton_step,
     el_residuals,
     incremental_functional,
     incremental_step,
@@ -37,6 +39,7 @@ from ribv.solver import (
 )
 
 from conftest import random_state
+from oracles import band_to_dense
 
 
 def small_ep(eps=1e-2, nu=1e-2, mu=1e-2, tau=0.05):
@@ -90,6 +93,33 @@ class TestTrivialSteps:
             after = incremental_functional(0.7, st2, prev, ops, mat, ep,
                                            loading)
             assert after <= before + 1e-12
+
+
+class TestBandNewtonStep:
+    @pytest.mark.parametrize("n_side", [3, 4, 7])
+    def test_matches_dense_solve(self, n_side, rng):
+        ops = Operators.build(Grid(n_side), reference_material())
+        B = ops.B
+        M = rng.normal(size=(B.dofs.shape[0], 3, 3))
+        T = M @ M.transpose(0, 2, 1) + 0.1 * viscous_cell_form(ops.grid)
+        H = B.form(T)
+        dense = band_to_dense(H, B.kd)
+        g = rng.normal(size=B.n_free)
+        ref = np.linalg.solve(dense, g)
+        step = band_newton_step(H, B.kd, g)
+        assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_singular_takes_gradient(self, rng):
+        # stiffness in e_xx alone leaves the y dofs without any coupling:
+        # the band has zero columns and LU meets an exactly zero pivot
+        ops = Operators.build(Grid(4), reference_material())
+        B = ops.B
+        T = np.zeros((B.dofs.shape[0], 3, 3))
+        T[:, 0, 0] = 1.0
+        H = B.form(T)
+        assert np.linalg.matrix_rank(band_to_dense(H, B.kd)) < B.n_free
+        g = rng.normal(size=B.n_free)
+        assert band_newton_step(H, B.kd, g) is g
 
 
 class TestZStep:
