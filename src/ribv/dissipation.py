@@ -181,7 +181,15 @@ def dual_diagnostics(t: float, state: State, ops: Operators,
                      mat: MaterialParams, mu: float, nu: float,
                      loading) -> DualDiagnostics:
     """Evaluate every dual stability magnitude of a state at time t."""
-    g_u, g_z, g_p = energy_gradients(t, state, ops, mat, mu, loading)
+    grads = energy_gradients(t, state, ops, mat, mu, loading)
+    return diagnostics_from_gradients(grads, state, ops, mat, mu, nu)
+
+
+def diagnostics_from_gradients(grads: tuple, state: State, ops: Operators,
+                               mat: MaterialParams, mu: float,
+                               nu: float) -> DualDiagnostics:
+    """``dual_diagnostics`` from the energy's partial gradients."""
+    g_u, g_z, g_p = grads
     dual_u = ops.dual_norm(g_u)
     dz = dist_r(ops.grid, -g_z, mat.kappa)
     dp = dist_h(ops.grid, state.z, -g_p, mat)

@@ -20,13 +20,13 @@ from .dissipation import (
     DualDiagnostics,
     Rate,
     d_nu,
-    dual_diagnostics,
+    diagnostics_from_gradients,
     norm_p_l2,
     norm_u_h1,
     norm_z_hm,
     psi_total,
 )
-from .solver import incremental_step
+from .solver import StepResult, incremental_step
 
 _GAUSS_N = 8
 
@@ -94,27 +94,27 @@ def _power_integral(t0: float, t1: float, state: State, ops: Operators,
 
 
 def dissipation_rate(state: State, rate: Rate, ops: Operators,
-                     mat: MaterialParams, ep: EnergyParams) -> float:
+                     mat: MaterialParams,
+                     ep: EnergyParams) -> tuple[float, float]:
     """Rate functional N = R(z') + H(z, p') + eps (nu ||u'||_KD^2 +
-    ||z'||_M^2 + nu ||p'||_L2^2).  Twice the viscous half of the
-    incremental potential, as dictated by the balance identity."""
+    ||z'||_M^2 + nu ||p'||_L2^2), returned with the primal rate D_nu.
+    Twice the viscous half of the incremental potential (balance law)."""
     psi_visc_half = psi_total(state, rate, ops, mat, ep.eps, ep.nu,
                               tol_pos=1e-12)
+    dnu = d_nu(ops, rate, ep.nu)
     # psi carries eps/2 * quadratic; N carries eps * quadratic
-    quad = 0.5 * ep.eps * d_nu(ops, rate, ep.nu) ** 2
-    return psi_visc_half + quad
+    return psi_visc_half + 0.5 * ep.eps * dnu ** 2, dnu
 
 
 def pre_relax(t0: float, init_state: State, ops: Operators,
               mat: MaterialParams, ep: EnergyParams, loading: LoadingSpec,
-              tol_stat: float = 1e-9, max_iter: int = 200) -> State:
+              tol_stat: float = 1e-9, max_iter: int = 200) -> StepResult:
     """Relax the initial data to a stationary starting configuration at
     t0.  A single incremental step with an enormous time step removes
     the viscous terms while keeping the rate-independent dissipation, so
-    the result is stable with respect to the dissipation distance."""
-    res = incremental_step(t0, init_state, ops, mat, replace(ep, tau=1e12),
-                           loading, tol_stat=tol_stat, max_iter=max_iter)
-    return res.new_state
+    its ``new_state`` is stable with respect to the dissipation distance."""
+    return incremental_step(t0, init_state, ops, mat, replace(ep, tau=1e12),
+                            loading, tol_stat=tol_stat, max_iter=max_iter)
 
 
 def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
@@ -130,72 +130,50 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
     ep = replace(ep, tau=tau)
     times = np.linspace(0.0, ep.t_final, n_steps + 1)
 
-    state0 = pre_relax(0.0, init_state, ops, mat, ep, loading)
-
-    states = [state0]
-    E = [energy(0.0, state0, ops, mat, ep.mu, loading)]
+    steps = [pre_relax(0.0, init_state, ops, mat, ep, loading)]
     N = [0.0]
     power = [0.0]
-    bal = [0.0]
-    dd = [dual_diagnostics(0.0, state0, ops, mat, ep.mu, ep.nu, loading)]
-    elr = [(0.0, 0.0, 0.0)]
     dnus = [0.0]
-    iters = [0]
-    acc = [True]
     aborted_at = None
-    z_floor_hit = False
-
-    diss_sum = 0.0
-    power_sum = 0.0
     for k in range(1, n_steps + 1):
-        t_k = times[k]
-        res = incremental_step(t_k, states[-1], ops, mat, ep, loading,
+        prev = steps[-1].new_state
+        res = incremental_step(times[k], prev, ops, mat, ep, loading,
                                tol_stat=tol_stat, max_iter=max_iter)
-        z_floor_hit = z_floor_hit or res.z_floor_active
         state = res.new_state
-        rate = Rate(u_rate=(state.u - states[-1].u) / tau,
-                    z_rate=(state.z - states[-1].z) / tau,
-                    p_rate=(state.p - states[-1].p) / tau)
-        Nk = dissipation_rate(state, rate, ops, mat, ep)
-        pk = _power_integral(times[k - 1], t_k, states[-1], ops, mat,
-                             ep.mu, loading)
-        diss_sum += tau * Nk
-        power_sum += pk
-        Ek = energy(t_k, state, ops, mat, ep.mu, loading)
-
-        states.append(state)
-        E.append(Ek)
+        rate = Rate(u_rate=(state.u - prev.u) / tau,
+                    z_rate=(state.z - prev.z) / tau,
+                    p_rate=(state.p - prev.p) / tau)
+        Nk, dnu_k = dissipation_rate(state, rate, ops, mat, ep)
+        steps.append(res)
         N.append(Nk)
-        power.append(pk)
-        bal.append(abs(Ek + diss_sum - E[0] - power_sum))
-        dd.append(dual_diagnostics(t_k, state, ops, mat, ep.mu, ep.nu,
-                                   loading))
-        elr.append(res.el_residuals)
-        dnus.append(d_nu(ops, rate, ep.nu))
-        iters.append(res.iterations)
-        acc.append(res.accepted)
+        power.append(_power_integral(times[k - 1], times[k], prev, ops, mat,
+                                     ep.mu, loading))
+        dnus.append(dnu_k)
         if not res.accepted:
             aborted_at = k
             break
 
-    n_kept = len(states)
+    E = np.array([r.energy for r in steps])
     return Trajectory(
-        times=times[:n_kept],
-        states=states,
+        times=times[:len(steps)],
+        states=[r.new_state for r in steps],
         ep=ep,
         mat=mat,
         loading=loading,
-        E_mu=np.array(E),
+        E_mu=E,
         N_value=np.array(N),
         power=np.array(power),
-        balance_residual_cum=np.array(bal),
-        dual_diag=dd,
-        el_residuals=elr,
+        balance_residual_cum=np.abs(E + np.cumsum(tau * np.array(N)) - E[0]
+                                    - np.cumsum(power)),
+        dual_diag=[diagnostics_from_gradients(r.gradients, r.new_state, ops,
+                                              mat, ep.mu, ep.nu)
+                   for r in steps],
+        el_residuals=[(0.0, 0.0, 0.0)] + [r.el_residuals for r in steps[1:]],
         dnu=np.array(dnus),
-        iterations=np.array(iters),
-        accepted=np.array(acc, dtype=bool),
+        iterations=np.array([0] + [r.iterations for r in steps[1:]]),
+        accepted=np.array([True] + [r.accepted for r in steps[1:]]),
         aborted_at=aborted_at,
-        z_floor_hit=z_floor_hit,
+        z_floor_hit=any(r.z_floor_active for r in steps[1:]),
     )
 
 
@@ -210,7 +188,7 @@ def balance_residual(traj: Trajectory, ops: Operators) -> np.ndarray:
     for k in range(1, len(traj.times)):
         tau = traj.times[k] - traj.times[k - 1]
         rate = traj.rate(k)
-        diss += tau * dissipation_rate(traj.states[k], rate, ops, mat, ep)
+        diss += tau * dissipation_rate(traj.states[k], rate, ops, mat, ep)[0]
         pwr += _power_integral(traj.times[k - 1], traj.times[k],
                                traj.states[k - 1], ops, mat, ep.mu, loading)
         Ek = energy(traj.times[k], traj.states[k], ops, mat, ep.mu, loading)

@@ -48,15 +48,21 @@ from .discretization import (
 from .dissipation import Rate, prox_plastic, psi_total, subdiff_violation
 
 Z_FLOOR = 1e-8
+# sufficient-decrease fraction delta of the (u, p) line search
+_ARMIJO = 1e-4
 
 
 @dataclass
 class StepResult:
+    """One incremental step at time t; ``energy`` and ``gradients``
+    (g_u, g_z, g_p) are those of the energy at (t, new_state)."""
     new_state: State
     iterations: int
     el_residuals: tuple[float, float, float]  # (r_u, r_z, r_p)
     decrease: float
     accepted: bool
+    energy: float
+    gradients: tuple[np.ndarray, np.ndarray, np.ndarray]
     z_floor_active: bool = False
 
 
@@ -94,8 +100,12 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     Its symmetric part is assembled over the free dofs in band storage
     and solved by banded LU with partial pivoting (LAPACK ``dgbsv``); an
     exactly singular Hessian falls back to the gradient as the step.
-    Terminates when the dual norm ``ops.dual_norm`` of the gradient is
-    <= tol_dual.
+    Steps are halved until Armijo's condition holds or, where the
+    objective changes by at most 1e-12 of itself (roundoff), the
+    approximate Armijo condition of Hager & Zhang (2005).  Stops when
+    the dual norm ``ops.dual_norm`` of the gradient is <= tol_dual and
+    raises RuntimeError, stating that norm, when 50 halvings find no
+    acceptable step or max_iter iterations end above tol_dual.
     """
     grid = ops.grid
     w, _, F_ext, _ = eval_loading(loading, t)
@@ -111,16 +121,12 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     c_q = deviatoric_modulus(zc, mat)
     modulus = visc_fac + ep.mu + c_q
 
-    def split(u_free):
+    def value_grad(u_free):
         u_full = np.zeros(2 * grid.n_nodes)
         u_full[free] = u_free
         e_bar = ops.B.apply(u_full + wflat)
         p = prox_plastic(prev_state.p, tensor_dev(e_bar), V, visc_fac,
                          ep.mu, c_q)
-        return u_full, e_bar, p
-
-    def value_grad(u_free):
-        u_full, e_bar, p = split(u_free)
         e = e_bar - p
         val = 0.5 * np.einsum("ci,cij,cj->", e, S, e)
         val -= F_ext @ (u_full + wflat)
@@ -157,39 +163,31 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
 
     u_free = state.u.ravel()[free].copy()
     val, grad, e_bar, p = value_grad(u_free)
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         r_dual = ops.dual_norm(grad)
         if r_dual <= tol_dual:
             break
+        if it == max_iter:
+            raise RuntimeError(f"solve_up_step: dual residual {r_dual:.3e} "
+                               f"> tol_dual after {max_iter} iterations")
         T = tangent(e_bar)
         # symmetric part of the Hessian visc_fac K_D + sum_c B_c^T T_c B_c
         H = ops.B.form(visc_cells + 0.5 * (T + T.transpose(0, 2, 1)))
         step = band_newton_step(H, ops.B.kd, grad)
+        slope = grad @ step
         alpha = 1.0
-        accepted = False
         for _bt in range(50):
             trial = u_free - alpha * step
             val_t, grad_t, e_bar_t, p_t = value_grad(trial)
-            if val_t <= val - 1e-4 * alpha * (grad @ step) + 1e-15:
-                accepted = True
+            if val_t <= val - _ARMIJO * alpha * slope or (
+                    abs(val_t - val) <= 1e-12 * abs(val)
+                    and grad_t @ step >= -(1 - 2 * _ARMIJO) * slope):
                 break
             alpha *= 0.5
-        if accepted:
-            if np.array_equal(trial, u_free):
-                # the step is below the resolution of u: every later
-                # iteration would repeat this one exactly
-                break
-            u_free, val, grad, e_bar, p = trial, val_t, grad_t, e_bar_t, p_t
         else:
-            # roundoff plateau: keep the full step only if it improves
-            # the dual residual
-            trial = u_free - step
-            val_t, grad_t, e_bar_t, p_t = value_grad(trial)
-            if ops.dual_norm(grad_t) < r_dual:
-                u_free, val, grad, e_bar, p = trial, val_t, grad_t, \
-                    e_bar_t, p_t
-            else:
-                break
+            raise RuntimeError(f"solve_up_step: no acceptable step in 50 "
+                               f"halvings at dual residual {r_dual:.3e}")
+        u_free, val, grad, e_bar, p = trial, val_t, grad_t, e_bar_t, p_t
     u_full = np.zeros(2 * grid.n_nodes)
     u_full[free] = u_free
     return u_full.reshape(grid.n_nodes, 2), p
@@ -319,11 +317,11 @@ def solve_z_step(t: float, state: State, prev_state: State, ops: Operators,
 # optimality residuals
 # ---------------------------------------------------------------------------
 
-def el_residuals(t: float, state: State, prev_state: State, ops: Operators,
-                 mat: MaterialParams, ep: EnergyParams,
-                 loading: LoadingSpec) -> tuple[float, float, float]:
+def el_residuals(grads: tuple, state: State, prev_state: State,
+                 ops: Operators, mat: MaterialParams,
+                 ep: EnergyParams) -> tuple[float, float, float]:
     """Residuals of the three coupled optimality conditions of the
-    incremental problem at (t, state).
+    incremental problem at a state, given the energy gradients there.
 
     r_u: dual norm (``ops.dual_norm``) of the viscous displacement
          stationarity.
@@ -331,7 +329,7 @@ def el_residuals(t: float, state: State, prev_state: State, ops: Operators,
     r_p: cellwise inclusion residual of the plastic flow condition.
     """
     grid = ops.grid
-    g_u, g_z, g_p = energy_gradients(t, state, ops, mat, ep.mu, loading)
+    g_u, g_z, g_p = grads
     free = grid.free_dofs
     du = (state.u - prev_state.u).ravel()[free]
     res_u = (ep.eps * ep.nu / ep.tau) * ops.apply_K_D(du) + g_u
@@ -357,14 +355,20 @@ def el_residuals(t: float, state: State, prev_state: State, ops: Operators,
     return r_u, r_z, r_p
 
 
-def incremental_functional(t: float, state: State, prev_state: State,
-                           ops: Operators, mat: MaterialParams,
-                           ep: EnergyParams, loading: LoadingSpec) -> float:
+def _tau_psi(state: State, prev_state: State, ops: Operators,
+             mat: MaterialParams, ep: EnergyParams) -> float:
     rate = Rate(u_rate=(state.u - prev_state.u) / ep.tau,
                 z_rate=(state.z - prev_state.z) / ep.tau,
                 p_rate=(state.p - prev_state.p) / ep.tau)
-    psi = psi_total(state, rate, ops, mat, ep.eps, ep.nu, tol_pos=1e-14)
-    return ep.tau * psi + energy(t, state, ops, mat, ep.mu, loading)
+    return ep.tau * psi_total(state, rate, ops, mat, ep.eps, ep.nu,
+                              tol_pos=1e-14)
+
+
+def incremental_functional(t: float, state: State, prev_state: State,
+                           ops: Operators, mat: MaterialParams,
+                           ep: EnergyParams, loading: LoadingSpec) -> float:
+    return _tau_psi(state, prev_state, ops, mat, ep) \
+        + energy(t, state, ops, mat, ep.mu, loading)
 
 
 def incremental_step(t: float, prev_state: State, ops: Operators,
@@ -372,30 +376,35 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
                      loading: LoadingSpec, tol_stat: float = 1e-8,
                      max_iter: int = 500) -> StepResult:
     """Alternating (u, p) -> z sweeps from prev_state until the combined
-    optimality residual drops below tol_stat (or max_iter sweeps).
+    optimality residual drops below tol_stat (or max_iter sweeps); a
+    (u, p) solve that cannot reach its tolerance raises RuntimeError.
 
-    The incremental functional is evaluated twice, at prev_state and at
-    the final state; ``decrease`` is the drop between the two."""
+    The energy is evaluated at prev_state and at the final state, the
+    energy gradients once per sweep; ``decrease`` is the drop of the
+    incremental functional between the two ends."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
     state = prev_state.copy()
     val0 = incremental_functional(t, state, prev_state, ops, mat, ep, loading)
-    residuals = (np.inf, np.inf, np.inf)
-    sweeps = 0
     for sweeps in range(1, max_iter + 1):
         state.u, state.p = solve_up_step(
             t, state, prev_state, ops, mat, ep, loading,
             tol_dual=max(1e-13, 0.02 * tol_stat))
         state.z = solve_z_step(t, state, prev_state, ops, mat, ep, loading,
                                tol=0.1 * tol_stat)
-        residuals = el_residuals(t, state, prev_state, ops, mat, ep, loading)
+        grads = energy_gradients(t, state, ops, mat, ep.mu, loading)
+        residuals = el_residuals(grads, state, prev_state, ops, mat, ep)
         if max(residuals) <= tol_stat:
             break
-    accepted = max(residuals) <= tol_stat
-    val = incremental_functional(t, state, prev_state, ops, mat, ep, loading)
+    energy_k = energy(t, state, ops, mat, ep.mu, loading)
     return StepResult(
         new_state=state,
         iterations=sweeps,
         el_residuals=residuals,
-        decrease=val0 - val,
-        accepted=accepted,
+        decrease=val0 - (_tau_psi(state, prev_state, ops, mat, ep)
+                         + energy_k),
+        accepted=max(residuals) <= tol_stat,
+        energy=energy_k,
+        gradients=grads,
         z_floor_active=bool(np.any(state.z <= Z_FLOOR * (1 + 1e-12))),
     )

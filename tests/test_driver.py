@@ -1,7 +1,12 @@
 """Time-stepping driver and energy-dissipation balance diagnostics."""
 
+import sys
+
 import numpy as np
 import pytest
+
+import ribv.constitutive as constitutive_module
+import ribv.solver as solver_module
 
 from ribv.constitutive import EnergyParams, Operators
 from ribv.discretization import Grid, initial_state
@@ -108,6 +113,33 @@ class TestRampRun:
         assert total > 0.0
 
 
+class TestEvaluationCounts:
+    def test_step_quantities_taken_from_step(self, monkeypatch):
+        # each step's energy and energy gradients come from the step
+        # result: the energy is evaluated at the two ends of every step
+        # (the pre-relaxation included) and the gradients once per sweep
+        counts = {"energy": 0, "energy_gradients": 0, "sweeps": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("energy", "energy_gradients"):
+            fn = getattr(constitutive_module, name)
+            for mod in list(sys.modules.values()):
+                if mod.__name__.startswith("ribv") \
+                        and getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counting(name, fn))
+        monkeypatch.setattr(solver_module, "solve_z_step",
+                            counting("sweeps", solver_module.solve_z_step))
+        ops, traj = run_reference(4)
+        assert traj.aborted_at is None
+        assert counts["energy"] == 2 * (traj.n_steps + 1)
+        assert counts["energy_gradients"] == counts["sweeps"]
+
+
 class TestPreRelax:
     def test_relaxed_state_is_stable(self):
         grid = Grid(3)
@@ -117,7 +149,7 @@ class TestPreRelax:
                           t_final=1.0)
         loading = ramp_loading(grid, amplitude=0.45)
         st = pre_relax(0.0, initial_state(grid, 0.95), ops, mat, ep,
-                       loading)
+                       loading).new_state
         from ribv.dissipation import dual_diagnostics
         dd = dual_diagnostics(0.0, st, ops, mat, ep.mu, ep.nu, loading)
         assert dd.dist_z < 1e-8

@@ -21,7 +21,9 @@ from ribv.constitutive import (
 )
 from ribv.discretization import Grid, State, apply_sym_gradient, \
     initial_state, tensor_norm
-from ribv.dissipation import Rate, psi_total
+from ribv.config import RunConfig
+from ribv.dissipation import Rate, prox_plastic, psi_total
+from ribv.driver import run_viscous
 from ribv.problems import (
     ramp_loading,
     reference_material,
@@ -93,6 +95,47 @@ class TestTrivialSteps:
             after = incremental_functional(0.7, st2, prev, ops, mat, ep,
                                            loading)
             assert after <= before + 1e-12
+
+
+class TestUpStepExits:
+    def test_roundoff_tail_is_short(self, monkeypatch):
+        # a damaging ramp near the vanishing-viscosity regime: each solve
+        # ends where the objective's decrease is below roundoff, and the
+        # line search accepts such steps without halving them away
+        cfg = RunConfig.parse("grid_n = 4\nn_steps = 20\n"
+                              "load_amplitude = 1.2\nz0 = 0.95\n")
+        _, mat, ops, ep, loading, init = cfg.build()
+        prox_calls = [0]
+        per_solve = []
+
+        def counted_prox(*args, **kwargs):
+            prox_calls[0] += 1
+            return prox_plastic(*args, **kwargs)
+
+        def counted_solve(*args, **kwargs):
+            before = prox_calls[0]
+            out = solve_up_step(*args, **kwargs)
+            per_solve.append(prox_calls[0] - before)
+            return out
+
+        monkeypatch.setattr(solver_module, "prox_plastic", counted_prox)
+        monkeypatch.setattr(solver_module, "solve_up_step", counted_solve)
+        traj = run_viscous(ops, mat, ep, loading, init, n_steps=cfg.n_steps,
+                           tol_stat=cfg.tol_stat, max_iter=cfg.max_iter)
+        assert traj.aborted_at is None
+        assert max(per_solve) <= 10
+
+    def test_unconverged_solve_raises(self):
+        # one Newton iteration from the unloaded state under a damaging
+        # load cannot reach tol_dual: the solve says so
+        grid = Grid(4)
+        mat = reference_material()
+        ops = Operators.build(grid, mat)
+        loading = ramp_loading(grid, amplitude=1.2)
+        prev = initial_state(grid, z0=0.95)
+        with pytest.raises(RuntimeError, match="dual residual"):
+            solve_up_step(1.0, prev.copy(), prev, ops, mat, small_ep(),
+                          loading, max_iter=1)
 
 
 class TestBandNewtonStep:
@@ -280,12 +323,13 @@ class TestIncrementalStep:
         prev = initial_state(grid, z0=0.95)
         res = incremental_step(0.9, prev, ops, mat, ep, loading,
                                tol_stat=1e-9)
-        r = el_residuals(0.9, res.new_state, prev, ops, mat, ep, loading)
+        grads = energy_gradients(0.9, res.new_state, ops, mat, ep.mu, loading)
+        r = el_residuals(grads, res.new_state, prev, ops, mat, ep)
         assert max(r) <= 1e-9
 
     def test_functional_evaluated_once_per_end(self, monkeypatch):
-        # the step functional is taken at prev_state and at the result,
-        # however many sweeps the step takes
+        # the energy, and with it the step functional, is taken at
+        # prev_state and at the result, however many sweeps the step takes
         grid = Grid(3)
         mat = reference_material()
         ops = Operators.build(grid, mat)
@@ -294,9 +338,9 @@ class TestIncrementalStep:
 
         def counted(*args, **kwargs):
             calls.append(args[0])
-            return incremental_functional(*args, **kwargs)
+            return energy(*args, **kwargs)
 
-        monkeypatch.setattr(solver_module, "incremental_functional", counted)
+        monkeypatch.setattr(solver_module, "energy", counted)
         res = incremental_step(0.9, initial_state(grid, z0=0.95), ops, mat,
                                small_ep(tau=0.1), loading, tol_stat=1e-9)
         assert res.iterations >= 2
