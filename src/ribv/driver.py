@@ -140,12 +140,11 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
         res = incremental_step(times[k], prev, ops, mat, ep, loading,
                                tol_stat=tol_stat, max_iter=max_iter)
         state = res.new_state
-        rate = Rate(u_rate=(state.u - prev.u) / tau,
-                    z_rate=(state.z - prev.z) / tau,
-                    p_rate=(state.p - prev.p) / tau)
-        Nk, dnu_k = dissipation_rate(state, rate, ops, mat, ep)
+        dnu_k = d_nu(ops, Rate(u_rate=(state.u - prev.u) / tau,
+                                z_rate=(state.z - prev.z) / tau,
+                                p_rate=(state.p - prev.p) / tau), ep.nu)
         steps.append(res)
-        N.append(Nk)
+        N.append(res.psi + 0.5 * ep.eps * dnu_k ** 2)
         power.append(_power_integral(times[k - 1], times[k], prev, ops, mat,
                                      ep.mu, loading))
         dnus.append(dnu_k)

@@ -7,9 +7,10 @@ Each step minimizes
 by sweeps that alternate a joint (u, p) solve with z frozen (semismooth
 Newton on u, with p eliminated by the exact cellwise proximal map) and a
 projected-Newton solve in z under the irreversibility constraint
-z_floor <= z <= z_prev.  Sweeps start from q_prev.  Acceptance is
-certified through the stationarity residuals of the three coupled
-optimality conditions.
+z_floor <= z <= z_prev.  Both solves backtrack to one acceptance rule
+and raise RuntimeError when they cannot converge.  Sweeps start from
+q_prev.  Acceptance is certified through the stationarity residuals of
+the three coupled optimality conditions.
 """
 
 from __future__ import annotations
@@ -48,8 +49,19 @@ from .discretization import (
 from .dissipation import Rate, prox_plastic, psi_total, subdiff_violation
 
 Z_FLOOR = 1e-8
-# sufficient-decrease fraction delta of the (u, p) line search
+# sufficient-decrease fraction delta of both line searches
 _ARMIJO = 1e-4
+
+
+def _acceptable(val, val_t, slope, slope_t):
+    """Line-search test of a step s to a trial point (value val_t, slope
+    g_t.s) from one with value val and slope g.s: Armijo, or, where val_t
+    <= val + 1e-6 |val|, the approximate Armijo condition of Hager & Zhang
+    (SIAM J. Optim. 16 (2005) 170), which judges by slopes where values
+    drown in roundoff."""
+    return val_t <= val + _ARMIJO * slope or (
+        val_t <= val + 1e-6 * abs(val)
+        and slope_t <= (2 * _ARMIJO - 1) * slope)
 
 
 @dataclass
@@ -63,6 +75,7 @@ class StepResult:
     accepted: bool
     energy: float
     gradients: tuple[np.ndarray, np.ndarray, np.ndarray]
+    psi: float  # Psi_{eps,nu} at new_state of the step's rate
     z_floor_active: bool = False
 
 
@@ -100,9 +113,9 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     Its symmetric part is assembled over the free dofs in band storage
     and solved by banded LU with partial pivoting (LAPACK ``dgbsv``); an
     exactly singular Hessian falls back to the gradient as the step.
-    Steps are halved until Armijo's condition holds or, where the
-    objective changes by at most 1e-12 of itself (roundoff), the
-    approximate Armijo condition of Hager & Zhang (2005).  Stops when
+    Steps are halved until ``_acceptable`` holds: Armijo's condition or,
+    where the objective grows by at most 1e-6 of itself, the approximate
+    Armijo condition of Hager & Zhang (2005).  Stops when
     the dual norm ``ops.dual_norm`` of the gradient is <= tol_dual and
     raises RuntimeError, stating that norm, when 50 halvings find no
     acceptable step or max_iter iterations end above tol_dual.
@@ -173,15 +186,13 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
         T = tangent(e_bar)
         # symmetric part of the Hessian visc_fac K_D + sum_c B_c^T T_c B_c
         H = ops.B.form(visc_cells + 0.5 * (T + T.transpose(0, 2, 1)))
-        step = band_newton_step(H, ops.B.kd, grad)
+        step = -band_newton_step(H, ops.B.kd, grad)
         slope = grad @ step
         alpha = 1.0
         for _bt in range(50):
-            trial = u_free - alpha * step
+            trial = u_free + alpha * step
             val_t, grad_t, e_bar_t, p_t = value_grad(trial)
-            if val_t <= val - _ARMIJO * alpha * slope or (
-                    abs(val_t - val) <= 1e-12 * abs(val)
-                    and grad_t @ step >= -(1 - 2 * _ARMIJO) * slope):
+            if _acceptable(val, val_t, alpha * slope, alpha * (grad_t @ step)):
                 break
             alpha *= 0.5
         else:
@@ -245,72 +256,57 @@ def _z_hess(z, q0, ops, mat, ep):
     return H
 
 
-def _z_stationarity(z, z_prev, g, m):
-    """Mass-norm of the density-form projected gradient on the box."""
-    d = g / m
-    proj = np.where(z <= Z_FLOOR * (1 + 1e-12), np.minimum(d, 0.0),
-                    np.where(z >= z_prev - 1e-15, np.maximum(d, 0.0), d))
-    return float(np.sqrt(np.sum(m * proj ** 2)))
+def _at_bounds(z, z_prev):
+    """Masks of the nodes at the lower and at the upper bound of z."""
+    return z <= Z_FLOOR * (1 + 1e-12), z >= z_prev - 1e-15
 
 
 def solve_z_step(t: float, state: State, prev_state: State, ops: Operators,
                  mat: MaterialParams, ep: EnergyParams, loading: LoadingSpec,
                  tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
-    """Minimize the z subproblem under z_floor <= z <= z_prev by a
-    projected Newton iteration with backtracking, falling back to
-    mass-preconditioned gradient steps when the Newton direction fails
-    to decrease the objective."""
-    grid = ops.grid
+    """Minimize the z subproblem under z_floor <= z <= z_prev by
+    projected Newton: g/m at nodes held at a bound, the (SPD) Newton step
+    on the others, halved along the projection arc clip(z - alpha d)
+    (Calamai & More, Math. Prog. 39 (1987) 93) until ``_acceptable``;
+    trials that leave z unmoved are rejected.  Raises RuntimeError,
+    stating the stationarity residual, when 50 halvings find no step or
+    max_iter iterations end above tol."""
     z_prev = prev_state.z
     q0, dp_norm = _z_objective_pieces(t, state, prev_state, ops, mat, loading)
+    m = ops.grid.lump
     z = np.clip(state.z, Z_FLOOR, z_prev)
     val = _z_value(z, z_prev, q0, dp_norm, ops, mat, ep)
-    m = grid.lump
-    n = grid.n_nodes
-    for _ in range(max_iter):
-        g = _z_grad(z, z_prev, q0, dp_norm, ops, mat, ep)
-        if _z_stationarity(z, z_prev, g, m) <= tol:
-            break
+    g = _z_grad(z, z_prev, q0, dp_norm, ops, mat, ep)
+    for it in range(max_iter + 1):
         d = g / m
-        lower = z <= Z_FLOOR * (1 + 1e-12)
-        upper = z >= z_prev - 1e-15
-        active = (lower & (d > 0)) | (upper & (d < 0))
-        direction = np.zeros(n)
-        free = ~active
-        if np.any(free):
-            H = _z_hess(z, q0, ops, mat, ep)
-            try:
-                direction[free] = np.linalg.solve(
-                    H[np.ix_(free, free)], g[free])
-            except np.linalg.LinAlgError:
-                direction[free] = d[free]
-        improved = False
-        for trial in (direction, d):
-            alpha = 1.0
-            for _bt in range(50):
-                z_new = np.clip(z - alpha * trial, Z_FLOOR, z_prev)
-                if np.any(z_new != z):
-                    val_new = _z_value(z_new, z_prev, q0, dp_norm, ops,
-                                       mat, ep)
-                    if val_new <= val - 1e-4 * alpha * max(g @ trial, 0.0):
-                        z, val = z_new, val_new
-                        improved = True
-                        break
-                alpha *= 0.5
-            if improved:
-                break
-        if not improved:
-            # near the minimizer the objective decrease drowns in
-            # roundoff; fall back to accepting by residual decrease
-            res = _z_stationarity(z, z_prev, g, m)
-            z_try = np.clip(z - direction, Z_FLOOR, z_prev)
-            g_try = _z_grad(z_try, z_prev, q0, dp_norm, ops, mat, ep)
-            if _z_stationarity(z_try, z_prev, g_try, m) < res:
-                z = z_try
-                val = _z_value(z, z_prev, q0, dp_norm, ops, mat, ep)
-            else:
-                break
-    return z
+        lower, upper = _at_bounds(z, z_prev)
+        # mass-norm of the density-form projected gradient on the box
+        proj = np.where(lower, np.minimum(d, 0.0),
+                        np.where(upper, np.maximum(d, 0.0), d))
+        res = float(np.sqrt(np.sum(m * proj ** 2)))
+        if res <= tol:
+            return z
+        if it == max_iter:
+            raise RuntimeError(f"solve_z_step: stationarity residual "
+                               f"{res:.3e} > tol after {max_iter} iterations")
+        # held nodes keep d, the others take the Newton direction
+        free = ~((lower & (d > 0)) | (upper & (d < 0)))
+        H = _z_hess(z, q0, ops, mat, ep)
+        d[free] = np.linalg.solve(H[np.ix_(free, free)], g[free])
+        alpha = 1.0
+        for _bt in range(50):
+            z_t = np.clip(z - alpha * d, Z_FLOOR, z_prev)
+            s = z_t - z
+            if np.any(s != 0.0):
+                val_t = _z_value(z_t, z_prev, q0, dp_norm, ops, mat, ep)
+                g_t = _z_grad(z_t, z_prev, q0, dp_norm, ops, mat, ep)
+                if _acceptable(val, val_t, g @ s, g_t @ s):
+                    break
+            alpha *= 0.5
+        else:
+            raise RuntimeError(f"solve_z_step: no acceptable step in 50 "
+                               f"halvings at stationarity residual {res:.3e}")
+        z, val, g = z_t, val_t, g_t
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +351,18 @@ def el_residuals(grads: tuple, state: State, prev_state: State,
     return r_u, r_z, r_p
 
 
-def _tau_psi(state: State, prev_state: State, ops: Operators,
-             mat: MaterialParams, ep: EnergyParams) -> float:
+def _psi(state: State, prev_state: State, ops: Operators,
+         mat: MaterialParams, ep: EnergyParams) -> float:
     rate = Rate(u_rate=(state.u - prev_state.u) / ep.tau,
                 z_rate=(state.z - prev_state.z) / ep.tau,
                 p_rate=(state.p - prev_state.p) / ep.tau)
-    return ep.tau * psi_total(state, rate, ops, mat, ep.eps, ep.nu,
-                              tol_pos=1e-14)
+    return psi_total(state, rate, ops, mat, ep.eps, ep.nu, tol_pos=1e-14)
 
 
 def incremental_functional(t: float, state: State, prev_state: State,
                            ops: Operators, mat: MaterialParams,
                            ep: EnergyParams, loading: LoadingSpec) -> float:
-    return _tau_psi(state, prev_state, ops, mat, ep) \
+    return ep.tau * _psi(state, prev_state, ops, mat, ep) \
         + energy(t, state, ops, mat, ep.mu, loading)
 
 
@@ -377,10 +372,10 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
                      max_iter: int = 500) -> StepResult:
     """Alternating (u, p) -> z sweeps from prev_state until the combined
     optimality residual drops below tol_stat (or max_iter sweeps); a
-    (u, p) solve that cannot reach its tolerance raises RuntimeError.
+    (u, p) or z solve that cannot reach its tolerance raises RuntimeError.
 
-    The energy is evaluated at prev_state and at the final state, the
-    energy gradients once per sweep; ``decrease`` is the drop of the
+    The energy and Psi are evaluated at prev_state and at the final state,
+    the energy gradients once per sweep; ``decrease`` is the drop of the
     incremental functional between the two ends."""
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
@@ -397,14 +392,15 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
         if max(residuals) <= tol_stat:
             break
     energy_k = energy(t, state, ops, mat, ep.mu, loading)
+    psi_k = _psi(state, prev_state, ops, mat, ep)
     return StepResult(
         new_state=state,
         iterations=sweeps,
         el_residuals=residuals,
-        decrease=val0 - (_tau_psi(state, prev_state, ops, mat, ep)
-                         + energy_k),
+        decrease=val0 - (ep.tau * psi_k + energy_k),
         accepted=max(residuals) <= tol_stat,
         energy=energy_k,
         gradients=grads,
-        z_floor_active=bool(np.any(state.z <= Z_FLOOR * (1 + 1e-12))),
+        psi=psi_k,
+        z_floor_active=bool(np.any(_at_bounds(state.z, prev_state.z)[0])),
     )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ribv.constitutive as constitutive_module
+import ribv.dissipation as dissipation_module
 import ribv.solver as solver_module
 
 from ribv.constitutive import EnergyParams, Operators
@@ -115,10 +116,12 @@ class TestRampRun:
 
 class TestEvaluationCounts:
     def test_step_quantities_taken_from_step(self, monkeypatch):
-        # each step's energy and energy gradients come from the step
-        # result: the energy is evaluated at the two ends of every step
-        # (the pre-relaxation included) and the gradients once per sweep
-        counts = {"energy": 0, "energy_gradients": 0, "sweeps": 0}
+        # each step's energy, dissipation potential and energy gradients
+        # come from the step result: the energy and psi are evaluated at
+        # the two ends of every step (the pre-relaxation included) and
+        # the gradients once per sweep
+        counts = {"energy": 0, "energy_gradients": 0, "psi_total": 0,
+                  "sweeps": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -126,8 +129,10 @@ class TestEvaluationCounts:
                 return fn(*args, **kwargs)
             return wrapped
 
-        for name in ("energy", "energy_gradients"):
-            fn = getattr(constitutive_module, name)
+        for module, name in ((constitutive_module, "energy"),
+                             (constitutive_module, "energy_gradients"),
+                             (dissipation_module, "psi_total")):
+            fn = getattr(module, name)
             for mod in list(sys.modules.values()):
                 if mod.__name__.startswith("ribv") \
                         and getattr(mod, name, None) is fn:
@@ -137,6 +142,7 @@ class TestEvaluationCounts:
         ops, traj = run_reference(4)
         assert traj.aborted_at is None
         assert counts["energy"] == 2 * (traj.n_steps + 1)
+        assert counts["psi_total"] == 2 * (traj.n_steps + 1)
         assert counts["energy_gradients"] == counts["sweeps"]
 
 

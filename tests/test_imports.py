@@ -1,6 +1,7 @@
 """Static hygiene: every name a ribv module imports is used there, every
 import sits at module level, no function binds a name it never reads,
-and no module reaches for a dense viscosity operator."""
+no module reaches for a dense viscosity operator, and the solvers have
+one line-search rule and no fallback for a failed linear solve."""
 
 import ast
 from pathlib import Path
@@ -127,3 +128,29 @@ def test_no_dense_viscosity_operator():
     offenders = [msg for path in sorted(SRC.glob("*.py"))
                  for msg in _dense_operator_uses(path)]
     assert not offenders, "dense operator use:\n" + "\n".join(offenders)
+
+
+def _line_search_escapes(path: Path) -> list[str]:
+    """Reads of ``_ARMIJO`` outside the acceptance predicate
+    ``_acceptable``, and ``except`` clauses naming ``LinAlgError``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef)
+              and func.name == "_acceptable"
+              for node in ast.walk(func)}
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == "_ARMIJO"
+                and isinstance(node.ctx, ast.Load) and id(node) not in inside):
+            out.append(f"{path.name}:{node.lineno}: reads _ARMIJO")
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None \
+                and any(getattr(n, "id", getattr(n, "attr", None))
+                        == "LinAlgError" for n in ast.walk(node.type)):
+            out.append(f"{path.name}:{node.lineno}: except LinAlgError")
+    return out
+
+
+def test_one_line_search_rule():
+    offenders = [msg for path in sorted(SRC.glob("*.py"))
+                 for msg in _line_search_escapes(path)]
+    assert not offenders, "line-search escapes:\n" + "\n".join(offenders)

@@ -22,7 +22,7 @@ from ribv.constitutive import (
 from ribv.discretization import Grid, State, apply_sym_gradient, \
     initial_state, tensor_norm
 from ribv.config import RunConfig
-from ribv.dissipation import Rate, prox_plastic, psi_total
+from ribv.dissipation import Rate, psi_total
 from ribv.driver import run_viscous
 from ribv.problems import (
     ramp_loading,
@@ -99,31 +99,47 @@ class TestTrivialSteps:
 
 class TestUpStepExits:
     def test_roundoff_tail_is_short(self, monkeypatch):
-        # a damaging ramp near the vanishing-viscosity regime: each solve
-        # ends where the objective's decrease is below roundoff, and the
-        # line search accepts such steps without halving them away
-        cfg = RunConfig.parse("grid_n = 4\nn_steps = 20\n"
-                              "load_amplitude = 1.2\nz0 = 0.95\n")
-        _, mat, ops, ep, loading, init = cfg.build()
-        prox_calls = [0]
-        per_solve = []
+        # a damaging ramp near the vanishing-viscosity regime and a loaded
+        # 16x16 grid: each solve ends where the objective's decrease is
+        # below roundoff, and both line searches accept such steps without
+        # halving them away
+        calls = {"prox_plastic": 0, "_z_value": 0}
+        per_solve = {"solve_up_step": [], "solve_z_step": []}
 
-        def counted_prox(*args, **kwargs):
-            prox_calls[0] += 1
-            return prox_plastic(*args, **kwargs)
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
 
-        def counted_solve(*args, **kwargs):
-            before = prox_calls[0]
-            out = solve_up_step(*args, **kwargs)
-            per_solve.append(prox_calls[0] - before)
-            return out
+        def per_call(name, fn, counter):
+            def wrapped(*args, **kwargs):
+                before = calls[counter]
+                out = fn(*args, **kwargs)
+                per_solve[name].append(calls[counter] - before)
+                return out
+            return wrapped
 
-        monkeypatch.setattr(solver_module, "prox_plastic", counted_prox)
-        monkeypatch.setattr(solver_module, "solve_up_step", counted_solve)
-        traj = run_viscous(ops, mat, ep, loading, init, n_steps=cfg.n_steps,
-                           tol_stat=cfg.tol_stat, max_iter=cfg.max_iter)
-        assert traj.aborted_at is None
-        assert max(per_solve) <= 10
+        for name in calls:
+            monkeypatch.setattr(solver_module, name,
+                                counted(name, getattr(solver_module, name)))
+        monkeypatch.setattr(solver_module, "solve_up_step",
+                            per_call("solve_up_step", solve_up_step,
+                                     "prox_plastic"))
+        monkeypatch.setattr(solver_module, "solve_z_step",
+                            per_call("solve_z_step", solve_z_step,
+                                     "_z_value"))
+        for text in ("grid_n = 4\nn_steps = 20\nload_amplitude = 1.2\n"
+                     "z0 = 0.95\n",
+                     "grid_n = 16\nn_steps = 20\nload_amplitude = 0.48\n"):
+            cfg = RunConfig.parse(text)
+            _, mat, ops, ep, loading, init = cfg.build()
+            traj = run_viscous(ops, mat, ep, loading, init,
+                               n_steps=cfg.n_steps, tol_stat=cfg.tol_stat,
+                               max_iter=cfg.max_iter)
+            assert traj.aborted_at is None
+        assert max(per_solve["solve_up_step"]) <= 10
+        assert max(per_solve["solve_z_step"]) <= 10
 
     def test_unconverged_solve_raises(self):
         # one Newton iteration from the unloaded state under a damaging
@@ -223,6 +239,22 @@ class TestZStep:
         z_new = solve_z_step(1.0, st, prev, ops, mat, ep, loading)
         assert np.all(z_new <= prev.z + 1e-15)
         assert np.all(z_new >= Z_FLOOR * (1 - 1e-12))
+
+    def test_unconverged_z_solve_raises(self, rng):
+        # one projected Newton iteration cannot reach tol on the data of
+        # test_box_constraints: the solve says so instead of returning z
+        grid = Grid(3)
+        mat = reference_material()
+        ops = Operators.build(grid, mat)
+        loading = ramp_loading(grid, amplitude=0.45)
+        prev = initial_state(grid, z0=0.9)
+        st = prev.copy()
+        st.u[~grid.dirichlet_mask] = rng.normal(0, 0.3,
+                                                (grid.n_nodes
+                                                 - grid.n_side, 2))
+        with pytest.raises(RuntimeError, match="residual"):
+            solve_z_step(1.0, st, prev, ops, mat, small_ep(), loading,
+                         max_iter=1)
 
 
 class TestIncrementalStep:
