@@ -14,8 +14,8 @@ The module provides:
   apply, adjoint and element forms sum_c B_c^T T_c B_c assembled over
   the free dofs in LAPACK general-band storage (the node-major dof
   order keeps their bandwidth at 2 n_side + 1),
-* ``assemble_nonlocal_form`` -- a Gagliardo-type nonlocal bilinear form
-  for the damage field, built from finite-difference nodal gradients,
+* ``assemble_nonlocal_form`` -- a Gagliardo-type nonlocal form for the
+  damage field, built in O(N^2.5) from a 1-D stencil and a kernel table,
 * ``LoadingSpec`` / ``eval_loading`` -- time-dependent Dirichlet data
   (with a fixed interior lift) and external nodal forces,
 * ``total_strain`` -- e = B(u + w) - p.
@@ -24,6 +24,7 @@ The module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Callable
 
 import numpy as np
@@ -255,21 +256,14 @@ def apply_sym_gradient(B: SymGradient, field_uv: np.ndarray) -> np.ndarray:
 # nonlocal damage form
 # ---------------------------------------------------------------------------
 
-def _fd_gradient_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Finite-difference nodal gradient reconstruction: two (n_nodes,
-    n_nodes) matrices Gx, Gy.  Central differences in the interior,
-    one-sided at the boundary."""
-    n, h, N = grid.n_side, grid.h, grid.n_nodes
-    i = np.arange(N)
-    out = []
-    for pos, step in ((i % n, 1), (i // n, n)):
-        hi = np.where(pos < n - 1, i + step, i)
-        lo = np.where(pos > 0, i - step, i)
-        G = np.zeros((N, N))
-        G[i, hi] = 1.0 / ((hi - lo) // step * h)
-        G[i, lo] = -G[i, hi]
-        out.append(G)
-    return out[0], out[1]
+def _fd_stencil(grid: Grid) -> np.ndarray:
+    """1-D finite-difference derivative on n_side nodes, central inside and
+    one-sided at the ends: Gx = I (x) D and Gy = D (x) I, i.e. Z D^T and
+    D Z for a nodal field reshaped to Z[iy, ix]."""
+    n, h = grid.n_side, grid.h
+    D = (np.eye(n, k=1) - np.eye(n, k=-1)) / (2.0 * h)
+    D[0, :2] = D[-1, -2:] = (-1.0 / h, 1.0 / h)
+    return D
 
 
 def assemble_nonlocal_form(grid: Grid, m_order: float = 1.5) -> np.ndarray:
@@ -281,41 +275,46 @@ def assemble_nonlocal_form(grid: Grid, m_order: float = 1.5) -> np.ndarray:
     of z.  Requires m_order > 1 (n/2 in two dimensions); the singular
     diagonal i = j is excluded.  Constants are annihilated since their
     reconstructed gradient vanishes.
+
+    The kernel is tabulated by index offset and gathered, and each of
+    Gx^T L Gx and Gy^T L Gy applies D to one axis of L viewed as (n, n,
+    n, n): O(N^2.5) flops for N nodes, three N x N arrays live at once.
     """
     if m_order <= 1.0:
         raise ValueError("nonlocal order must exceed 1")
-    x = grid.nodes
-    diff = x[:, None, :] - x[None, :, :]
-    dist2 = np.sum(diff * diff, axis=-1)
-    np.fill_diagonal(dist2, 1.0)  # placeholder, zeroed below
-    kernel = dist2 ** (-m_order)  # |x_i - x_j|^(-2 m)
-    np.fill_diagonal(kernel, 0.0)
-    W = np.outer(grid.lump, grid.lump) * kernel
-    # Graph Laplacian of the pair weights: g L g' = 1/2 sum_{i!=j}
-    # W_ij (g_i - g_j)(g'_i - g'_j); the ordered double sum is twice that.
-    L = np.diag(W.sum(axis=1)) - W
-    Gx, Gy = _fd_gradient_matrices(grid)
-    A = 2.0 * (Gx.T @ L @ Gx + Gy.T @ L @ Gy)
-    return 0.5 * (A + A.T)
+    n, N, D = grid.n_side, grid.n_nodes, _fd_stencil(grid)
+    r2 = (grid.h * np.arange(n)) ** 2
+    dist2 = r2[:, None] + r2
+    dist2[0, 0] = np.inf  # the excluded diagonal: inf^(-m) = 0
+    off = np.abs(np.arange(n)[:, None] - np.arange(n))
+    # W_ij = m_i m_j |x_i - x_j|^(-2 m), gathered by (|diy|, |dix|)
+    W = (dist2 ** -m_order)[off[:, None, :, None], off[None, :, None, :]]
+    W = W.reshape(N, N) * np.outer(grid.lump, grid.lump)
+    # L = diag(W 1) - W in place; g L g' is half the ordered double sum
+    L = np.negative(W, out=W)
+    L.flat[::N + 1] = -L.sum(axis=1)
+    # Gx^T L Gx: D on jx, then ix; Gy^T L Gy: on jy, then iy (in T, L)
+    T = L.reshape(N * n, n) @ D
+    A = np.matmul(D.T, T.reshape(n, n, N)).reshape(N, N)
+    np.matmul(D.T, L.reshape(N, n, n), out=T.reshape(N, n, n))
+    np.matmul(D.T, T.reshape(n, n * N), out=L.reshape(n, n * N))
+    A += L
+    return np.add(A, A.T, out=T.reshape(N, N))  # 0.5 (2 A + 2 A^T)
 
 
 def nonlocal_double_sum(grid: Grid, m_order: float,
                         z1: np.ndarray, z2: np.ndarray) -> float:
     """Direct O(N^2) evaluation of the nonlocal form, bypassing the
     assembled matrix.  Used as an independent cross-check."""
-    Gx, Gy = _fd_gradient_matrices(grid)
-    g1 = np.column_stack([Gx @ z1, Gy @ z1])
-    g2 = np.column_stack([Gx @ z2, Gy @ z2])
+    D, n = _fd_stencil(grid), grid.n_side
+    Z = np.reshape([z1, z2], (2, n, n))
+    g1, g2 = np.stack([(Z @ D.T).reshape(2, -1), (D @ Z).reshape(2, -1)], -1)
     total = 0.0
     x = grid.nodes
-    for i in range(grid.n_nodes):
-        for j in range(grid.n_nodes):
-            if i == j:
-                continue
-            r2 = np.sum((x[i] - x[j]) ** 2)
-            k = r2 ** (-m_order)
-            total += grid.lump[i] * grid.lump[j] * k * np.dot(
-                g1[i] - g1[j], g2[i] - g2[j])
+    for i, j in permutations(range(grid.n_nodes), 2):
+        k = np.sum((x[i] - x[j]) ** 2) ** (-m_order)
+        total += grid.lump[i] * grid.lump[j] * k * np.dot(
+            g1[i] - g1[j], g2[i] - g2[j])
     return total
 
 

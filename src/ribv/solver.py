@@ -248,7 +248,8 @@ def _z_hess(z, q0, ops, mat, ep):
     grid = ops.grid
     zc = cell_damage(grid, z)
     Wpp = mat.q_exp * (mat.q_exp + 1.0) * mat.w0 * z ** (-mat.q_exp - 2.0)
-    H = ops.A_m + np.diag(grid.lump * (Wpp + ep.eps / ep.tau))
+    H = ops.A_m.copy()
+    H.flat[::grid.n_nodes + 1] += grid.lump * (Wpp + ep.eps / ep.tau)
     # damage-elasticity coupling: d/dz of the scattered cell drive
     cell_curv = grid.w_cell * 2.0 * (zc < 1.0) * q0 / 16.0
     idx = grid.cells

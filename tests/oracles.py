@@ -156,3 +156,37 @@ def band_to_dense(ab, kd):
         for j in range(max(0, i - kd), min(n, i + kd + 1)):
             A[i, j] = ab[2 * kd + i - j, j]
     return A
+
+
+def dense_fd_gradients(grid):
+    """Finite-difference nodal gradient as two dense (n_nodes, n_nodes)
+    matrices Gx, Gy, built row by row: central differences in the
+    interior, one-sided at the boundary."""
+    n, h, N = grid.n_side, grid.h, grid.n_nodes
+    i = np.arange(N)
+    out = []
+    for pos, step in ((i % n, 1), (i // n, n)):
+        hi = np.where(pos < n - 1, i + step, i)
+        lo = np.where(pos > 0, i - step, i)
+        G = np.zeros((N, N))
+        G[i, hi] = 1.0 / ((hi - lo) // step * h)
+        G[i, lo] = -G[i, hi]
+        out.append(G)
+    return out[0], out[1]
+
+
+def dense_nonlocal_form(grid, m_order):
+    """The nonlocal form from the node coordinates and dense products:
+    the kernel at every node pair, the graph Laplacian L of the pair
+    weights and 2 (Gx^T L Gx + Gy^T L Gy), symmetrized."""
+    x = grid.nodes
+    diff = x[:, None, :] - x[None, :, :]
+    dist2 = np.sum(diff * diff, axis=-1)
+    np.fill_diagonal(dist2, 1.0)
+    kernel = dist2 ** (-m_order)
+    np.fill_diagonal(kernel, 0.0)
+    W = np.outer(grid.lump, grid.lump) * kernel
+    L = np.diag(W.sum(axis=1)) - W
+    Gx, Gy = dense_fd_gradients(grid)
+    A = 2.0 * (Gx.T @ L @ Gx + Gy.T @ L @ Gy)
+    return 0.5 * (A + A.T)

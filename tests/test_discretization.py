@@ -1,5 +1,7 @@
 """Grid, strain operator, nonlocal form, and loading evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from ribv.discretization import (
 )
 from ribv.problems import ramp_loading
 
-from oracles import band_to_dense, dense_sym_gradient
+from oracles import band_to_dense, dense_nonlocal_form, dense_sym_gradient
 
 
 def nodal_field(grid, fn):
@@ -100,43 +102,86 @@ class TestSymGradient:
                 1.0, np.max(np.abs(ref)))
 
 
+# every form check runs where most nodes take the central difference too
+NONLOCAL_SIDES = (3, 5, 8)
+
+
 class TestNonlocalForm:
     def test_constants_annihilated(self):
-        g = Grid(3)
-        A = assemble_nonlocal_form(g, 1.5)
-        assert np.allclose(A @ np.ones(g.n_nodes), 0.0, atol=1e-10)
+        for n_side in NONLOCAL_SIDES:
+            g = Grid(n_side)
+            A = assemble_nonlocal_form(g, 1.5)
+            assert np.allclose(A @ np.ones(g.n_nodes), 0.0, atol=1e-10)
 
     def test_symmetry(self, rng):
-        g = Grid(3)
-        A = assemble_nonlocal_form(g, 1.5)
-        assert np.allclose(A, A.T, atol=1e-14)
-        z1 = rng.normal(size=g.n_nodes)
-        z2 = rng.normal(size=g.n_nodes)
-        assert z1 @ A @ z2 == pytest.approx(z2 @ A @ z1, abs=1e-12)
-
-    def test_psd_random(self, rng):
-        g = Grid(3)
-        A = assemble_nonlocal_form(g, 1.5)
-        for _ in range(1000):
-            v = rng.normal(size=g.n_nodes)
-            assert v @ A @ v >= -1e-12
-
-    def test_corner_indicator_matches_double_sum(self):
-        g = Grid(3)
-        A = assemble_nonlocal_form(g, 1.5)
-        z = np.zeros(g.n_nodes)
-        z[0] = 1.0  # corner node
-        assert z @ A @ z == pytest.approx(
-            nonlocal_double_sum(g, 1.5, z, z), rel=1e-12)
-
-    def test_random_fields_match_double_sum(self, rng):
-        g = Grid(3)
-        A = assemble_nonlocal_form(g, 1.5)
-        for _ in range(5):
+        for n_side in NONLOCAL_SIDES:
+            g = Grid(n_side)
+            A = assemble_nonlocal_form(g, 1.5)
+            assert np.allclose(A, A.T, atol=1e-14)
             z1 = rng.normal(size=g.n_nodes)
             z2 = rng.normal(size=g.n_nodes)
-            assert z1 @ A @ z2 == pytest.approx(
-                nonlocal_double_sum(g, 1.5, z1, z2), rel=1e-12, abs=1e-12)
+            assert z1 @ A @ z2 == pytest.approx(z2 @ A @ z1, abs=1e-12)
+
+    def test_psd_random(self, rng):
+        for n_side in NONLOCAL_SIDES:
+            g = Grid(n_side)
+            A = assemble_nonlocal_form(g, 1.5)
+            for _ in range(1000):
+                v = rng.normal(size=g.n_nodes)
+                assert v @ A @ v >= -1e-12
+
+    def test_corner_indicator_matches_double_sum(self):
+        for n_side in NONLOCAL_SIDES:
+            g = Grid(n_side)
+            A = assemble_nonlocal_form(g, 1.5)
+            z = np.zeros(g.n_nodes)
+            z[0] = 1.0  # corner node
+            assert z @ A @ z == pytest.approx(
+                nonlocal_double_sum(g, 1.5, z, z), rel=1e-12)
+
+    def test_random_fields_match_double_sum(self, rng):
+        for n_side in NONLOCAL_SIDES:
+            g = Grid(n_side)
+            A = assemble_nonlocal_form(g, 1.5)
+            for _ in range(5):
+                z1 = rng.normal(size=g.n_nodes)
+                z2 = rng.normal(size=g.n_nodes)
+                assert z1 @ A @ z2 == pytest.approx(
+                    nonlocal_double_sum(g, 1.5, z1, z2), rel=1e-12,
+                    abs=1e-12)
+
+    @pytest.mark.parametrize("n_side", [3, 4, 7, 12, 16])
+    def test_matches_dense_reference(self, n_side):
+        g = Grid(n_side)
+        A = assemble_nonlocal_form(g, 1.5)
+        ref = dense_nonlocal_form(g, 1.5)
+        assert A.shape == ref.shape
+        assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(A, A.T)
+
+    def test_smooth_field_energy_converges(self):
+        # z = cos(pi x) cos(pi y): the discrete seminorm rises toward its
+        # h-limit, each increment under half the last as h halves
+        energy = []
+        for n_side in (8, 16, 32):
+            g = Grid(n_side)
+            z = np.cos(np.pi * g.nodes[:, 0]) * np.cos(np.pi * g.nodes[:, 1])
+            energy.append(z @ assemble_nonlocal_form(g, 1.5) @ z)
+        steps = np.diff(energy)
+        assert np.all(steps > 0.0)
+        assert steps[1] < 0.5 * steps[0]
+
+    def test_memory_budget(self):
+        # the assembly holds a few N x N arrays at once, not a dense
+        # gradient matrix and its products beside the pair weights
+        g = Grid(32)
+        tracemalloc.start()
+        try:
+            assemble_nonlocal_form(g, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * g.n_nodes ** 2 * 8
 
     def test_rejects_low_order(self):
         with pytest.raises(ValueError):
