@@ -196,7 +196,14 @@ def plastic_density(z, pi: np.ndarray, mat: MaterialParams, tol: float = 1e-10):
 
 def cell_damage(grid: Grid, z: np.ndarray) -> np.ndarray:
     """Q1 interpolation of nodal damage at cell centers (corner mean)."""
-    return z[grid.cells].mean(axis=1)
+    return z[grid.cells].sum(axis=1) * 0.25
+
+
+def corner_scatter(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """Adjoint of ``cell_damage``: each cell value spread by 1/4 onto its
+    four corners."""
+    return np.bincount(grid.cells.ravel(), np.repeat(0.25 * v, 4),
+                       minlength=grid.n_nodes)
 
 
 def viscous_cell_form(grid: Grid) -> np.ndarray:
@@ -250,14 +257,24 @@ class Operators:
         """K_D v for a vector on the free dofs."""
         return blas.dsbmv(self.B.kd, 1.0, self.K_D_band, v, lower=1)
 
-    def dual_norm(self, g: np.ndarray) -> float:
-        """Dual norm sqrt(g K_D^-1 g) of a covector on the free dofs."""
+    def apply_A_m(self, z: np.ndarray) -> np.ndarray:
+        """A_m z, applied to z - z[0]: A_m annihilates constants, and the
+        shift makes that exact in floating point."""
+        return self.A_m @ (z - z[0])
+
+    def dual_solve(self, g: np.ndarray) -> np.ndarray:
+        """y = L^-1 g for the band Cholesky factor K_D = L L^T of a
+        covector g on the free dofs: linear in g, with |y| its dual norm."""
         # the raw LAPACK call: scipy.linalg.solve_banded costs ~30x more
         # per call on the small systems the solver loops over
-        x, info = lapack.dtbtrs(self.K_D_chol, g, uplo="L")
+        y, info = lapack.dtbtrs(self.K_D_chol, g, uplo="L")
         if info != 0:
             raise np.linalg.LinAlgError(f"dtbtrs failed with info={info}")
-        return float(np.sqrt(x @ x))
+        return y
+
+    def dual_norm(self, g: np.ndarray) -> float:
+        """Dual norm sqrt(g K_D^-1 g) = |dual_solve(g)| of a covector."""
+        return float(np.linalg.norm(self.dual_solve(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +292,7 @@ def energy(t: float, state: State, ops: Operators, mat: MaterialParams,
     Wz, _ = damage_potential(state.z, mat)
     dam = np.sum(grid.lump * Wz)
     hard = 0.5 * mu * np.sum(grid.w_cell * tensor_dot(state.p, state.p))
-    nonloc = 0.5 * state.z @ ops.A_m @ state.z
+    nonloc = 0.5 * state.z @ ops.apply_A_m(state.z)
     work = F @ (state.u + w).ravel()
     return quad + dam + hard + nonloc - work
 
@@ -304,15 +321,40 @@ def energy_gradients(t: float, state: State, ops: Operators,
     # z: nonlocal + barrier + half C'(z) e:e scattered to corner nodes.
     _, Wp = damage_potential(state.z, mat)
     cp = stiffness_coeff_prime(zc, mat)[:, None] * sigma0
-    cell_drive = 0.5 * tensor_dot(cp, e)  # (n_cells,)
-    scatter = np.zeros(grid.n_nodes)
-    np.add.at(scatter, grid.cells.ravel(),
-              np.repeat(grid.w_cell * cell_drive / 4.0, 4))
-    g_z = (ops.A_m @ state.z) / grid.lump + Wp + scatter / grid.lump
+    cell_drive = 0.5 * grid.w_cell * tensor_dot(cp, e)  # (n_cells,)
+    g_z = (ops.apply_A_m(state.z) + corner_scatter(grid, cell_drive)) \
+        / grid.lump + Wp
 
     # p: mu p - sigma_D.
     g_p = mu * state.p - tensor_dev(sigma)
     return g_u, g_z, g_p
+
+
+def power_coefficients(state: State, ops: Operators, mat: MaterialParams,
+                       loading: LoadingSpec) -> tuple[float, ...]:
+    """Coefficients (a, b, c, d) of the partial time derivative of the
+    energy at a frozen state.  With w(t) = theta(t) lift and F(t) =
+    phi(t) f, the derivative int sigma : E(w') - <F', u + w> - <F, w'>
+    is theta'(a + theta b) - phi'(c + theta d) - phi theta' d
+    (``power_at``)."""
+    grid = ops.grid
+    Ew = apply_sym_gradient(ops.B, loading.lift)
+    sigma_w = grid.w_cell[:, None] \
+        * elastic_tensor_apply(cell_damage(grid, state.z), Ew, mat)
+    e0 = apply_sym_gradient(ops.B, state.u) - state.p
+    return (np.sum(tensor_dot(sigma_w, e0)), np.sum(tensor_dot(sigma_w, Ew)),
+            loading.f_vec @ state.u.ravel(),
+            loading.f_vec @ loading.lift.ravel())
+
+
+def power_at(t: float, coeffs: tuple[float, ...],
+             loading: LoadingSpec) -> float:
+    """Partial time derivative of the energy at time t from the frozen
+    state's ``power_coefficients``."""
+    a, b, c, d = coeffs
+    theta, theta_dot = loading.theta(t), loading.theta_dot(t)
+    return theta_dot * (a + theta * b) - loading.phi_dot(t) * (c + theta * d) \
+        - loading.phi(t) * theta_dot * d
 
 
 def energy_time_derivative(t: float, state: State, ops: Operators,
@@ -320,13 +362,4 @@ def energy_time_derivative(t: float, state: State, ops: Operators,
                            loading: LoadingSpec) -> float:
     """Partial time derivative of the energy at frozen state:
     int sigma : E(w') - <F', u + w> - <F, w'>."""
-    grid = ops.grid
-    w, w_rate, F, F_rate = eval_loading(loading, t)
-    e = total_strain(ops.B, state, w)
-    zc = cell_damage(grid, state.z)
-    sigma = elastic_tensor_apply(zc, e, mat)
-    Ew_rate = apply_sym_gradient(ops.B, w_rate)
-    term1 = np.sum(grid.w_cell * tensor_dot(sigma, Ew_rate))
-    term2 = F_rate @ (state.u + w).ravel()
-    term3 = F @ w_rate.ravel()
-    return term1 - term2 - term3
+    return power_at(t, power_coefficients(state, ops, mat, loading), loading)

@@ -53,7 +53,7 @@ def tensor_dev(xi: np.ndarray) -> np.ndarray:
 
 def tensor_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Frobenius inner product of (..., 3) component arrays."""
-    return np.einsum("...i,...i->...", a * FROB_W, b)
+    return (a * b) @ FROB_W
 
 
 def tensor_norm(a: np.ndarray) -> np.ndarray:

@@ -158,17 +158,23 @@ def dist_h(grid: Grid, z: np.ndarray, omega: np.ndarray,
     return float(np.sqrt(np.sum(grid.w_cell * viol ** 2)))
 
 
+def flow_directions(direction: np.ndarray):
+    """Mask of the cells where a cellwise direction moves (norm above
+    1e-14), and its unit direction on them."""
+    dn = tensor_norm(direction)
+    moving = dn > 1e-14
+    return moving, direction[moving] / dn[moving, None]
+
+
 def subdiff_violation(xi: np.ndarray, direction: np.ndarray,
-                      R: np.ndarray) -> np.ndarray:
+                      R: np.ndarray, flow=None) -> np.ndarray:
     """Per-cell distance of xi to the subdifferential of R_c |.| at
     direction_c: the ball of radius R_c where the direction vanishes, the
-    point R_c direction_c / |direction_c| elsewhere."""
-    dn = tensor_norm(direction)
-    viol = np.empty(len(dn))
-    moving = dn > 1e-14
-    if np.any(moving):
-        dirs = direction[moving] / dn[moving, None]
-        viol[moving] = tensor_norm(xi[moving] - R[moving, None] * dirs)
+    point R_c direction_c / |direction_c| elsewhere.  ``flow`` passes in
+    ``flow_directions(direction)`` where the caller already has it."""
+    moving, dirs = flow_directions(direction) if flow is None else flow
+    viol = np.empty(len(xi))
+    viol[moving] = tensor_norm(xi[moving] - R[moving, None] * dirs)
     viol[~moving] = np.maximum(tensor_norm(xi[~moving]) - R[~moving], 0.0)
     return viol
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constitutive import EnergyParams, MaterialParams, Operators, energy, \
-    energy_time_derivative
+    power_at, power_coefficients
 from .discretization import LoadingSpec, State, eval_loading, total_strain
 from .dissipation import (
     DualDiagnostics,
@@ -51,6 +51,7 @@ class Trajectory:
     power: np.ndarray            # integral of the partial time derivative
     balance_residual_cum: np.ndarray
     dual_diag: list[DualDiagnostics]
+    gradients: list[tuple]       # energy gradients (g_u, g_z, g_p)
     el_residuals: list[tuple[float, float, float]]
     dnu: np.ndarray              # D_nu of the backward-difference rate
     iterations: np.ndarray
@@ -80,16 +81,16 @@ class Trajectory:
 
 
 def _power_integral(t0: float, t1: float, state: State, ops: Operators,
-                    mat: MaterialParams, mu: float,
-                    loading: LoadingSpec) -> float:
+                    mat: MaterialParams, loading: LoadingSpec) -> float:
     """Gauss-Legendre integral of the partial time derivative of the
-    energy over [t0, t1] at the frozen state."""
+    energy over [t0, t1] at the frozen state, whose power coefficients
+    are computed once for all nodes."""
     xg, wg = np.polynomial.legendre.leggauss(_GAUSS_N)
     mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+    coeffs = power_coefficients(state, ops, mat, loading)
     total = 0.0
     for x, w in zip(xg, wg):
-        total += w * energy_time_derivative(mid + half * x, state, ops,
-                                            mat, mu, loading)
+        total += w * power_at(mid + half * x, coeffs, loading)
     return half * total
 
 
@@ -146,7 +147,7 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
         steps.append(res)
         N.append(res.psi + 0.5 * ep.eps * dnu_k ** 2)
         power.append(_power_integral(times[k - 1], times[k], prev, ops, mat,
-                                     ep.mu, loading))
+                                     loading))
         dnus.append(dnu_k)
         if not res.accepted:
             aborted_at = k
@@ -167,6 +168,7 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
         dual_diag=[diagnostics_from_gradients(r.gradients, r.new_state, ops,
                                               mat, ep.mu, ep.nu)
                    for r in steps],
+        gradients=[r.gradients for r in steps],
         el_residuals=[(0.0, 0.0, 0.0)] + [r.el_residuals for r in steps[1:]],
         dnu=np.array(dnus),
         iterations=np.array([0] + [r.iterations for r in steps[1:]]),
@@ -189,7 +191,7 @@ def balance_residual(traj: Trajectory, ops: Operators) -> np.ndarray:
         rate = traj.rate(k)
         diss += tau * dissipation_rate(traj.states[k], rate, ops, mat, ep)[0]
         pwr += _power_integral(traj.times[k - 1], traj.times[k],
-                               traj.states[k - 1], ops, mat, ep.mu, loading)
+                               traj.states[k - 1], ops, mat, loading)
         Ek = energy(traj.times[k], traj.states[k], ops, mat, ep.mu, loading)
         out[k] = abs(Ek + diss - E0 - pwr)
     return out

@@ -19,13 +19,14 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .constitutive import EnergyParams, MaterialParams, Operators, \
-    energy_gradients, yield_radius, cell_damage
+    yield_radius, cell_damage
 from .discretization import LoadingSpec, State, tensor_norm
 from .dissipation import (
     DualDiagnostics,
     Rate,
     d_nu,
     d_up,
+    flow_directions,
     norm_kd,
     norm_p_l1,
     norm_p_l2,
@@ -59,6 +60,7 @@ class ParamTrajectory:
     p_rate: list[np.ndarray]
     e_rate: list[np.ndarray]
     diag: list[DualDiagnostics]
+    gradients: list[tuple]         # energy gradients of the viscous run
     normalization: np.ndarray      # (n+1,), == 1 at interior knots
     ep: EnergyParams
     mat: MaterialParams
@@ -109,12 +111,12 @@ def _build_ptraj(kind, traj, ops):
         z_rate.append(rate.z_rate * fac)
         p_rate.append(rate.p_rate * fac)
         e_rate.append(erate * fac)
-    diag = list(traj.dual_diag)
     ptraj = ParamTrajectory(
         kind=kind, s=s, t=traj.times.copy(), states=[st.copy() for st in
                                                      traj.states],
         t_rate=t_rate, u_rate=u_rate, z_rate=z_rate, p_rate=p_rate,
-        e_rate=e_rate, diag=diag, normalization=np.ones(n),
+        e_rate=e_rate, diag=list(traj.dual_diag),
+        gradients=list(traj.gradients), normalization=np.ones(n),
         ep=traj.ep, mat=traj.mat, loading=traj.loading)
     for k in range(1, n):
         ptraj.normalization[k] = _normalization_value(ptraj, ops, k)
@@ -286,38 +288,45 @@ def stability_check(ptraj: ParamTrajectory, regime: str,
 # switching recovery
 # ---------------------------------------------------------------------------
 
-def _switching_residual(lam_up: float, lam_z: float, grads, state: State,
-                        rate: Rate, ops: Operators, mat: MaterialParams,
-                        ep: EnergyParams) -> float:
-    """Least-squares residual of the convex-combination optimality
-    system with coefficient lam_up on the displacement/plastic blocks
-    and lam_z on the damage block; grads = (g_u, g_z, g_p) are the
-    energy gradients at the knot."""
+def _switching_residual(grads, state: State, rate: Rate, ops: Operators,
+                        mat: MaterialParams, ep: EnergyParams):
+    """Least-squares residual residual(lam_up, lam_z) of the convex-
+    combination optimality system at one knot, with coefficient lam_up on
+    the displacement/plastic blocks and lam_z on the damage block; grads
+    = (g_u, g_z, g_p) are the energy gradients at the knot.  Everything
+    independent of the coefficients is computed once, here."""
     grid = ops.grid
     g_u, g_z, g_p = grads
 
+    # K_D^{-1/2} is linear: the dual norm of lam a + (1-lam) b is
+    # |lam y_a + (1-lam) y_b|
     uf = rate.u_rate.ravel()[grid.free_dofs]
-    res_u_vec = lam_up * ep.nu * ops.apply_K_D(uf) + (1 - lam_up) * g_u
-    ru2 = ops.dual_norm(res_u_vec) ** 2
+    y_visc = ops.dual_solve(ep.nu * ops.apply_K_D(uf))
+    y_grad = ops.dual_solve(g_u)
 
     # damage block: 0 in (1-lam) dR(z') + lam z' + (1-lam) chi nodewise;
     # the subdifferential is {-(1-lam) kappa} where z' < 0 and the ray
     # [-(1-lam) kappa, inf) where z' = 0
-    lam = lam_z
-    target = -(lam * rate.z_rate + (1 - lam) * g_z)
-    floor = -(1 - lam) * mat.kappa
-    viol = np.where(
-        rate.z_rate > 1e-12, np.abs(target) + 1.0,
-        np.where(rate.z_rate < -1e-12, np.abs(target - floor),
-                 np.maximum(floor - target, 0.0)))
-    rz2 = float(np.sum(grid.lump * viol ** 2))
+    zr = rate.z_rate
+    rising, falling = zr > 1e-12, zr < -1e-12
 
     # plastic block: 0 in (1-lam) dH(z, p') + lam nu p' + (1-lam) g_p
     V = yield_radius(cell_damage(grid, state.z), mat)
-    xi = -(lam_up * ep.nu * rate.p_rate + (1 - lam_up) * g_p)
-    dist = subdiff_violation(xi, rate.p_rate, (1 - lam_up) * V)
-    rp2 = float(np.sum(grid.w_cell * dist ** 2))
-    return float(np.sqrt(ru2 + rz2 + rp2))
+    flow = flow_directions(rate.p_rate)
+
+    def residual(lam_up: float, lam_z: float) -> float:
+        y = lam_up * y_visc + (1 - lam_up) * y_grad
+        target = -(lam_z * zr + (1 - lam_z) * g_z)
+        floor = -(1 - lam_z) * mat.kappa
+        viol = np.where(rising, np.abs(target) + 1.0,
+                        np.where(falling, np.abs(target - floor),
+                                 np.maximum(floor - target, 0.0)))
+        xi = -(lam_up * ep.nu * rate.p_rate + (1 - lam_up) * g_p)
+        dist = subdiff_violation(xi, rate.p_rate, (1 - lam_up) * V, flow)
+        return float(np.sqrt(y @ y + np.sum(grid.lump * viol ** 2)
+                             + np.sum(grid.w_cell * dist ** 2)))
+
+    return residual
 
 
 def recover_switching(ptraj: ParamTrajectory, ops: Operators,
@@ -327,54 +336,33 @@ def recover_switching(ptraj: ParamTrajectory, ops: Operators,
     Single-rate: one lambda per knot shared by all blocks.  Multi-rate:
     (lambda_up, lambda_z) with the switching constraint
     lambda_up (1 - lambda_z) = 0, handled by minimizing both admissible
-    branches.  Returns (lambdas, residuals); lambdas has shape (n,) or
-    (n, 2).
+    branches.  The energy gradients are the viscous run's
+    (``ptraj.gradients``).  Returns (lambdas, residuals); lambdas has
+    shape (n,) or (n, 2).
     """
     n = ptraj.n_knots
-    mat, ep, loading = ptraj.mat, ptraj.ep, ptraj.loading
-    if multi_rate:
-        lams = np.zeros((n, 2))
-    else:
-        lams = np.zeros(n)
+    lams = np.zeros((n, 2)) if multi_rate else np.zeros(n)
     resid = np.zeros(n)
+    if multi_rate:
+        # branch 1: lam_up = 0, lam_z free; branch 2: lam_z = 1, lam_up free
+        searches = ((lambda l: (0.0, l)), (lambda l: (l, 1.0)))
+        corners = ((0.0, 0.0),)
+    else:
+        searches, corners = ((lambda l: (l, l)),), ((0.0, 0.0), (1.0, 1.0))
     for k in range(1, n):
-        state, rate = ptraj.states[k], ptraj.rate(k)
-        grads = energy_gradients(ptraj.t[k], state, ops, mat, ep.mu, loading)
-
-        def res_single(l):
-            return _switching_residual(l, l, grads, state, rate, ops, mat,
-                                       ep)
-
-        if not multi_rate:
-            r = minimize_scalar(res_single, bounds=(0.0, 1.0),
-                                method="bounded",
+        residual = _switching_residual(ptraj.gradients[k], ptraj.states[k],
+                                       ptraj.rate(k), ops, ptraj.mat,
+                                       ptraj.ep)
+        cands = []
+        for pair in searches:
+            r = minimize_scalar(lambda l: residual(*pair(l)),
+                                bounds=(0.0, 1.0), method="bounded",
                                 options={"xatol": 1e-10})
-            best_l, best_r = float(r.x), float(r.fun)
-            for cand in (0.0, 1.0):
-                rc = res_single(cand)
-                if rc < best_r:
-                    best_l, best_r = cand, rc
-            lams[k], resid[k] = best_l, best_r
-        else:
-            # branch 1: lam_up = 0, lam_z free
-            r1 = minimize_scalar(
-                lambda l: _switching_residual(0.0, l, grads, state, rate,
-                                              ops, mat, ep),
-                bounds=(0.0, 1.0), method="bounded",
-                options={"xatol": 1e-10})
-            # branch 2: lam_z = 1, lam_up free
-            r2 = minimize_scalar(
-                lambda l: _switching_residual(l, 1.0, grads, state, rate,
-                                              ops, mat, ep),
-                bounds=(0.0, 1.0), method="bounded",
-                options={"xatol": 1e-10})
-            cands = [((0.0, float(r1.x)), float(r1.fun)),
-                     ((float(r2.x), 1.0), float(r2.fun)),
-                     ((0.0, 0.0), _switching_residual(0.0, 0.0, grads, state,
-                                                      rate, ops, mat, ep))]
-            (lu, lz), rr = min(cands, key=lambda c: c[1])
-            lams[k] = (lu, lz)
-            resid[k] = rr
+            cands.append((pair(float(r.x)), float(r.fun)))
+        cands += [(c, residual(*c)) for c in corners]
+        # the first smallest: a search result wins ties with the corners
+        (lam_up, lam_z), resid[k] = min(cands, key=lambda c: c[1])
+        lams[k] = (lam_up, lam_z) if multi_rate else lam_up
     return lams, resid
 
 

@@ -27,6 +27,7 @@ from .constitutive import (
     base_elastic_density,
     base_elastic_form,
     cell_damage,
+    corner_scatter,
     damage_potential,
     deviatoric_modulus,
     energy,
@@ -40,11 +41,11 @@ from .discretization import (
     FROB_W,
     LoadingSpec,
     State,
-    apply_sym_gradient,
     eval_loading,
     tensor_dev,
     tensor_dot,
     tensor_norm,
+    total_strain,
 )
 from .dissipation import Rate, prox_plastic, psi_total, subdiff_violation
 
@@ -141,8 +142,8 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
         p = prox_plastic(prev_state.p, tensor_dev(e_bar), V, visc_fac,
                          ep.mu, c_q)
         e = e_bar - p
-        val = 0.5 * np.einsum("ci,cij,cj->", e, S, e)
-        val -= F_ext @ (u_full + wflat)
+        sigma_w = np.einsum("cij,cj->ci", S, e)  # w_c- and frob-weighted
+        val = 0.5 * np.vdot(sigma_w, e) - F_ext @ (u_full + wflat)
         du = u_free - u_prev_f
         kd_du = ops.apply_K_D(du)
         val += 0.5 * visc_fac * du @ kd_du
@@ -150,7 +151,6 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
         val += np.sum(grid.w_cell * V * tensor_norm(dp))
         val += 0.5 * visc_fac * np.sum(grid.w_cell * tensor_dot(dp, dp))
         val += 0.5 * ep.mu * np.sum(grid.w_cell * tensor_dot(p, p))
-        sigma_w = np.einsum("cij,cj->ci", S, e)  # w_c- and frob-weighted
         grad = ops.B.adjoint(sigma_w)[free] - F_ext[free] + visc_fac * kd_du
         return float(val), grad, e_bar, p
 
@@ -204,42 +204,26 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     return u_full.reshape(grid.n_nodes, 2), p
 
 
-def _z_objective_pieces(t, state, prev_state, ops, mat, loading):
-    """Precompute the z-independent data of the z subproblem."""
-    w, _, _, _ = eval_loading(loading, t)
-    e = apply_sym_gradient(ops.B, state.u + w) - state.p
-    q0 = base_elastic_density(e, mat)
-    dp_norm = tensor_norm(state.p - prev_state.p)
-    return q0, dp_norm
-
-
 def _z_value(z, z_prev, q0, dp_norm, ops, mat, ep):
+    """Value and Euclidean gradient of the z subproblem objective, from
+    one damage_potential call and one A_m product."""
     grid = ops.grid
     zc = cell_damage(grid, z)
-    Wz, _ = damage_potential(z, mat)
-    val = 0.5 * z @ ops.A_m @ z
-    val += np.sum(grid.lump * Wz)
+    W, Wp = damage_potential(z, mat)
+    Az = ops.apply_A_m(z)
+    dz = z - z_prev
+    val = 0.5 * z @ Az
+    val += np.sum(grid.lump * W)
     val += np.sum(grid.w_cell * stiffness_coeff(zc, mat) * q0)
     val += np.sum(grid.w_cell * yield_radius(zc, mat) * dp_norm)
-    dz = z - z_prev
     val += 0.5 * (ep.eps / ep.tau) * np.sum(grid.lump * dz ** 2)
     val -= mat.kappa * np.sum(grid.lump * dz)
-    return float(val)
-
-
-def _z_grad(z, z_prev, q0, dp_norm, ops, mat, ep):
-    """Euclidean gradient of the z subproblem objective."""
-    grid = ops.grid
-    zc = cell_damage(grid, z)
-    _, Wp = damage_potential(z, mat)
-    g = ops.A_m @ z + grid.lump * Wp
     cell_term = grid.w_cell * (stiffness_coeff_prime(zc, mat) * q0
-                               + mat.sigma_y * (1 - mat.m_bar)
-                               * (zc < 1.0) * (zc > 0.0) * dp_norm)
-    np.add.at(g, grid.cells.ravel(), np.repeat(cell_term / 4.0, 4))
-    g += (ep.eps / ep.tau) * grid.lump * (z - z_prev)
-    g -= mat.kappa * grid.lump
-    return g
+                               + mat.c_k * ((zc < 1.0) & (zc > 0.0))
+                               * dp_norm)
+    g = Az + corner_scatter(grid, cell_term) \
+        + grid.lump * (Wp + (ep.eps / ep.tau) * dz - mat.kappa)
+    return float(val), g
 
 
 def _z_hess(z, q0, ops, mat, ep):
@@ -269,15 +253,18 @@ def solve_z_step(t: float, state: State, prev_state: State, ops: Operators,
     projected Newton: g/m at nodes held at a bound, the (SPD) Newton step
     on the others, halved along the projection arc clip(z - alpha d)
     (Calamai & More, Math. Prog. 39 (1987) 93) until ``_acceptable``;
-    trials that leave z unmoved are rejected.  Raises RuntimeError,
-    stating the stationarity residual, when 50 halvings find no step or
-    max_iter iterations end above tol."""
+    trials that leave z unmoved are rejected, and each other trial is one
+    ``_z_value`` call.  Raises RuntimeError, stating the stationarity
+    residual, when 50 halvings find no step or max_iter iterations end
+    above tol."""
     z_prev = prev_state.z
-    q0, dp_norm = _z_objective_pieces(t, state, prev_state, ops, mat, loading)
+    # z-independent cell data: elastic density at unit stiffness, |dp|
+    w = eval_loading(loading, t)[0]
+    q0 = base_elastic_density(total_strain(ops.B, state, w), mat)
+    dp_norm = tensor_norm(state.p - prev_state.p)
     m = ops.grid.lump
     z = np.clip(state.z, Z_FLOOR, z_prev)
-    val = _z_value(z, z_prev, q0, dp_norm, ops, mat, ep)
-    g = _z_grad(z, z_prev, q0, dp_norm, ops, mat, ep)
+    val, g = _z_value(z, z_prev, q0, dp_norm, ops, mat, ep)
     for it in range(max_iter + 1):
         d = g / m
         lower, upper = _at_bounds(z, z_prev)
@@ -299,8 +286,7 @@ def solve_z_step(t: float, state: State, prev_state: State, ops: Operators,
             z_t = np.clip(z - alpha * d, Z_FLOOR, z_prev)
             s = z_t - z
             if np.any(s != 0.0):
-                val_t = _z_value(z_t, z_prev, q0, dp_norm, ops, mat, ep)
-                g_t = _z_grad(z_t, z_prev, q0, dp_norm, ops, mat, ep)
+                val_t, g_t = _z_value(z_t, z_prev, q0, dp_norm, ops, mat, ep)
                 if _acceptable(val, val_t, g @ s, g_t @ s):
                     break
             alpha *= 0.5

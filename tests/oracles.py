@@ -190,3 +190,38 @@ def dense_nonlocal_form(grid, m_order):
     Gx, Gy = dense_fd_gradients(grid)
     A = 2.0 * (Gx.T @ L @ Gx + Gy.T @ L @ Gy)
     return 0.5 * (A + A.T)
+
+
+def switching_residual(lam_up, lam_z, grads, state, rate, ops, mat, ep):
+    """Least-squares residual of the switching system at one knot, every
+    block recomputed at the given (lam_up, lam_z): the displacement
+    block's dual norm by a dense K_D solve, the yield radii from the
+    corner-mean damage and the plastic block cell by cell."""
+    grid = ops.grid
+    g_u, g_z, g_p = grads
+    K = ops.K_D
+    res_u = lam_up * ep.nu * K @ rate.u_rate.ravel()[grid.free_dofs] \
+        + (1 - lam_up) * g_u
+    ru2 = res_u @ np.linalg.solve(K, res_u)
+
+    target = -(lam_z * rate.z_rate + (1 - lam_z) * g_z)
+    floor = -(1 - lam_z) * mat.kappa
+    viol = np.where(
+        rate.z_rate > 1e-12, np.abs(target) + 1.0,
+        np.where(rate.z_rate < -1e-12, np.abs(target - floor),
+                 np.maximum(floor - target, 0.0)))
+    rz2 = np.sum(grid.lump * viol ** 2)
+
+    zc = state.z[grid.cells].mean(axis=1)
+    radii = (1 - lam_up) * mat.sigma_y \
+        * (mat.m_bar + (1 - mat.m_bar) * np.clip(zc, 0.0, 1.0))
+    rp2 = 0.0
+    for c in range(grid.n_cells):
+        xi = -(lam_up * ep.nu * rate.p_rate[c] + (1 - lam_up) * g_p[c])
+        dn = wnorm(rate.p_rate[c])
+        if dn > 1e-14:
+            dist = wnorm(xi - radii[c] * rate.p_rate[c] / dn)
+        else:
+            dist = max(wnorm(xi) - radii[c], 0.0)
+        rp2 += grid.w_cell[c] * dist ** 2
+    return float(np.sqrt(ru2 + rz2 + rp2))

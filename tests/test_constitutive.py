@@ -198,18 +198,27 @@ class TestGradients:
             assert fd == pytest.approx(exact, rel=1e-6, abs=1e-10)
 
     def test_time_derivative_fd(self, rng):
+        # the force ramp (theta = 0), then theta(t) = t on a random
+        # Dirichlet lift together with a force ramp, which exercises
+        # every coefficient of the power formula
         grid = Grid(3)
         mat = reference_material()
         ops = Operators.build(grid, mat)
-        loading = ramp_loading(grid, amplitude=0.4)
+        lifted = LoadingSpec(
+            grid=grid, g_dir=rng.normal(0.0, 0.2, (grid.n_nodes, 2)),
+            theta=lambda t: t, theta_dot=lambda t: 1.0,
+            f0=rng.normal(0.0, 1.0, (grid.n_nodes, 2)),
+            phi=lambda t: 0.5 + t * t, phi_dot=lambda t: 2.0 * t,
+            t_final=1.0)
         h = 1e-6
-        for _ in range(10):
-            st = random_state(grid, rng)
-            t = rng.uniform(0.1, 0.9)
-            dt = energy_time_derivative(t, st, ops, mat, 0.1, loading)
-            fd = (energy(t + h, st, ops, mat, 0.1, loading)
-                  - energy(t - h, st, ops, mat, 0.1, loading)) / (2 * h)
-            assert dt == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        for loading in (ramp_loading(grid, amplitude=0.4), lifted):
+            for _ in range(10):
+                st = random_state(grid, rng)
+                t = rng.uniform(0.1, 0.9)
+                dt = energy_time_derivative(t, st, ops, mat, 0.1, loading)
+                fd = (energy(t + h, st, ops, mat, 0.1, loading)
+                      - energy(t - h, st, ops, mat, 0.1, loading)) / (2 * h)
+                assert dt == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_frozen_loading_time_derivative(self, rng):
         grid = Grid(3)
@@ -219,6 +228,25 @@ class TestGradients:
         dt = energy_time_derivative(0.5, st, ops, mat, 0.1,
                                     still_loading(grid))
         assert dt == pytest.approx(0.0, abs=1e-14)
+
+
+class TestNonlocalTerm:
+    def test_constant_field_is_exact(self, rng):
+        # A_m annihilates constants: on z = 0.95 the nonlocal parts of the
+        # energy and of g_z (the differences to a zero nonlocal form)
+        # read exactly 0.0, not summation-order roundoff
+        grid = Grid(32)
+        mat = make_mat()
+        ops = Operators.build(grid, mat)
+        local = dataclasses.replace(ops, A_m=np.zeros_like(ops.A_m))
+        st = random_state(grid, rng)
+        st.z = np.full(grid.n_nodes, 0.95)
+        loading = ramp_loading(grid, amplitude=0.4)
+        assert energy(0.5, st, ops, mat, 0.1, loading) \
+            - energy(0.5, st, local, mat, 0.1, loading) == 0.0
+        g_z = energy_gradients(0.5, st, ops, mat, 0.1, loading)[1]
+        g_z_local = energy_gradients(0.5, st, local, mat, 0.1, loading)[1]
+        assert np.max(np.abs(g_z - g_z_local)) == 0.0
 
 
 class TestBandOperators:

@@ -9,6 +9,8 @@ import ribv.constitutive as constitutive_module
 import ribv.dissipation as dissipation_module
 import ribv.solver as solver_module
 
+from ribv.cli import cmd_reparam
+from ribv.config import RunConfig
 from ribv.constitutive import EnergyParams, Operators
 from ribv.discretization import Grid, initial_state
 from ribv.driver import (
@@ -114,35 +116,52 @@ class TestRampRun:
         assert total > 0.0
 
 
+def count_evaluations(monkeypatch):
+    """Count energy, energy-gradient and psi evaluations through every
+    ribv module that binds them, and sweeps by z solves."""
+    counts = {"energy": 0, "energy_gradients": 0, "psi_total": 0,
+              "sweeps": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, name in ((constitutive_module, "energy"),
+                         (constitutive_module, "energy_gradients"),
+                         (dissipation_module, "psi_total")):
+        fn = getattr(module, name)
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("ribv") \
+                    and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting(name, fn))
+    monkeypatch.setattr(solver_module, "solve_z_step",
+                        counting("sweeps", solver_module.solve_z_step))
+    return counts
+
+
 class TestEvaluationCounts:
     def test_step_quantities_taken_from_step(self, monkeypatch):
         # each step's energy, dissipation potential and energy gradients
         # come from the step result: the energy and psi are evaluated at
         # the two ends of every step (the pre-relaxation included) and
         # the gradients once per sweep
-        counts = {"energy": 0, "energy_gradients": 0, "psi_total": 0,
-                  "sweeps": 0}
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        for module, name in ((constitutive_module, "energy"),
-                             (constitutive_module, "energy_gradients"),
-                             (dissipation_module, "psi_total")):
-            fn = getattr(module, name)
-            for mod in list(sys.modules.values()):
-                if mod.__name__.startswith("ribv") \
-                        and getattr(mod, name, None) is fn:
-                    monkeypatch.setattr(mod, name, counting(name, fn))
-        monkeypatch.setattr(solver_module, "solve_z_step",
-                            counting("sweeps", solver_module.solve_z_step))
+        counts = count_evaluations(monkeypatch)
         ops, traj = run_reference(4)
         assert traj.aborted_at is None
         assert counts["energy"] == 2 * (traj.n_steps + 1)
         assert counts["psi_total"] == 2 * (traj.n_steps + 1)
+        assert counts["energy_gradients"] == counts["sweeps"]
+
+    def test_reparam_gradients_once_per_sweep(self, monkeypatch, tmp_path):
+        # switching recovery reads each knot's gradients from the viscous
+        # run, so the whole reparam command evaluates them once per sweep
+        counts = count_evaluations(monkeypatch)
+        cfg = RunConfig.parse("grid_n = 4\nn_steps = 6\n"
+                              "load_amplitude = 1.2\n")
+        assert cmd_reparam(cfg, str(tmp_path)) == 0
+        assert counts["sweeps"] > 0
         assert counts["energy_gradients"] == counts["sweeps"]
 
 

@@ -4,6 +4,7 @@ switching recovery, and vanishing-parameter sweeps."""
 import numpy as np
 import pytest
 
+import ribv.constitutive as constitutive_module
 import ribv.reparam as reparam_module
 from ribv.constitutive import (
     EnergyParams,
@@ -25,6 +26,7 @@ from ribv.problems import (
 from ribv.reparam import (
     ParamTrajectory,
     _normalization_value,
+    _switching_residual,
     bv_sweep,
     contact_potential,
     detect_jumps,
@@ -34,7 +36,8 @@ from ribv.reparam import (
     stability_check,
 )
 
-from conftest import random_state
+from conftest import random_rate, random_state
+from oracles import switching_residual
 
 
 def ramp_run(n_steps=20, n_side=4, amplitude=0.48, tol_stat=1e-8,
@@ -196,8 +199,10 @@ def _build_knot_traj(state, rate, t, ops, mat, ep, loading):
         z_rate=[np.zeros_like(state.z), rate.z_rate],
         p_rate=[np.zeros_like(state.p), rate.p_rate],
         e_rate=[np.zeros((grid.n_cells, 3))] * 2,
-        diag=[None, None], normalization=np.ones(2), ep=ep, mat=mat,
-        loading=loading)
+        diag=[None, None],
+        gradients=[None, energy_gradients(t, state, ops, mat, ep.mu,
+                                          loading)],
+        normalization=np.ones(2), ep=ep, mat=mat, loading=loading)
 
 
 def manufactured_rate(lam, lam_z, state, t, ops, mat, ep, loading):
@@ -278,17 +283,61 @@ class TestSwitchingRecovery:
 
     @pytest.mark.parametrize("multi_rate", [False, True])
     def test_one_gradient_per_knot(self, monkeypatch, multi_rate):
+        # each knot's gradients are the viscous run's, evaluated once
+        # there, and recover_switching evaluates none of its own
         ops, traj = ramp_run(n_steps=4, n_side=3)
         p = reparam_standard(traj, ops)
+        assert len(p.gradients) == p.n_knots
+        for k in range(1, p.n_knots):
+            fresh = energy_gradients(p.t[k], p.states[k], ops, p.mat,
+                                     p.ep.mu, p.loading)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(fresh, p.gradients[k]))
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return energy_gradients(*args, **kwargs)
 
-        monkeypatch.setattr(reparam_module, "energy_gradients", counted)
+        for module in (constitutive_module, reparam_module):
+            monkeypatch.setattr(module, "energy_gradients", counted,
+                                raising=False)
         recover_switching(p, ops, multi_rate=multi_rate)
-        assert len(calls) == p.n_knots - 1
+        assert calls == []
+
+    def test_closure_matches_oracle(self, rng):
+        # the per-knot closure against the formula with every block
+        # recomputed per call, on rates that take every branch
+        grid, mat, ops, loading, ep, state = self._setup(rng)
+        rate = random_rate(grid, rng, z_down=False)
+        rate.z_rate[::3] = 0.0
+        rate.z_rate[1::3] *= 1e-5  # small rates still count as moving
+        rate.p_rate[::3] = 0.0
+        grads = energy_gradients(0.8, state, ops, mat, ep.mu, loading)
+        residual = _switching_residual(grads, state, rate, ops, mat, ep)
+        lams = np.vstack([rng.uniform(0.0, 1.0, (20, 2)),
+                          [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]])
+        for lam_up, lam_z in lams:
+            assert residual(lam_up, lam_z) == pytest.approx(
+                switching_residual(lam_up, lam_z, grads, state, rate, ops,
+                                   mat, ep), rel=1e-12)
+
+    @pytest.mark.parametrize("multi_rate", [False, True])
+    def test_two_dual_solves_per_knot(self, monkeypatch, multi_rate):
+        # the displacement block's dual norm is linear in lambda after
+        # two triangular solves per knot, whatever the search evaluates
+        ops, traj = ramp_run(n_steps=4, n_side=3)
+        p = reparam_standard(traj, ops)
+        calls = []
+        dual_solve = Operators.dual_solve
+
+        def counted(self, g):
+            calls.append(1)
+            return dual_solve(self, g)
+
+        monkeypatch.setattr(Operators, "dual_solve", counted)
+        recover_switching(p, ops, multi_rate=multi_rate)
+        assert 0 < len(calls) <= 2 * (p.n_knots - 1)
 
 
 class TestSweep:
@@ -314,7 +363,7 @@ class TestSweep:
             power = 0.0
             for k in range(1, p.n_knots):
                 power += _power_integral(p.t[k - 1], p.t[k], p.states[k - 1],
-                                         ops, mat, mu, loading)
+                                         ops, mat, loading)
             e_end = energy(p.t[-1], p.states[-1], ops, mat, mu, loading)
             e_0 = energy(p.t[0], p.states[0], ops, mat, mu, loading)
             assert np.isfinite(lv.contact_integral)

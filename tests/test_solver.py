@@ -32,6 +32,7 @@ from ribv.problems import (
 )
 from ribv.solver import (
     Z_FLOOR,
+    _z_value,
     band_newton_step,
     el_residuals,
     incremental_functional,
@@ -255,6 +256,55 @@ class TestZStep:
         with pytest.raises(RuntimeError, match="residual"):
             solve_z_step(1.0, st, prev, ops, mat, small_ep(), loading,
                          max_iter=1)
+
+    @pytest.mark.parametrize("n_side", [3, 5])
+    def test_z_value_gradient_fd(self, n_side, rng):
+        # the fused value-and-gradient call: central differences of the
+        # value along random directions at random interior z, away from
+        # the kinks of the stiffness and yield-radius laws
+        grid = Grid(n_side)
+        mat = reference_material()
+        ops = Operators.build(grid, mat)
+        ep = small_ep()
+        q0 = rng.uniform(0.0, 0.5, grid.n_cells)
+        dp_norm = rng.uniform(0.0, 0.2, grid.n_cells)
+        h = 1e-6
+        for _ in range(5):
+            z = rng.uniform(0.3, 0.9, grid.n_nodes)
+            z_prev = z + rng.uniform(0.0, 0.1, grid.n_nodes)
+            dz = rng.normal(size=grid.n_nodes)
+            _, g = _z_value(z, z_prev, q0, dp_norm, ops, mat, ep)
+            fp, _ = _z_value(z + h * dz, z_prev, q0, dp_norm, ops, mat, ep)
+            fm, _ = _z_value(z - h * dz, z_prev, q0, dp_norm, ops, mat, ep)
+            assert (fp - fm) / (2 * h) == pytest.approx(g @ dz, rel=1e-7)
+
+    def test_one_potential_per_evaluation(self, monkeypatch):
+        # each z trial is one fused call: per z solve, the barrier
+        # potential is evaluated exactly as often as the objective
+        calls = {"damage_potential": 0, "_z_value": 0}
+        per_solve = []
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def per_call(*args, **kwargs):
+            before = dict(calls)
+            out = solve_z_step(*args, **kwargs)
+            per_solve.append(tuple(calls[k] - before[k] for k in calls))
+            return out
+
+        for name in calls:
+            monkeypatch.setattr(solver_module, name,
+                                counted(name, getattr(solver_module, name)))
+        monkeypatch.setattr(solver_module, "solve_z_step", per_call)
+        _, mat, ops, ep, loading, init = reference_problem(
+            n_side=4, n_steps=5, amplitude=1.2)
+        traj = run_viscous(ops, mat, ep, loading, init, n_steps=5)
+        assert traj.aborted_at is None
+        assert per_solve and all(n_pot == n_val for n_pot, n_val in per_solve)
 
 
 class TestIncrementalStep:
