@@ -28,7 +28,6 @@ _STR_KEYS = {
     "ladder_eps": "1e-1,1e-2,1e-3",
     "ladder_nu": "",                # empty: regime default
     "ladder_mu": "",
-    "ed_dnu_args": "triple",
 }
 
 
@@ -87,8 +86,6 @@ class RunConfig:
             raise ValueError(f"unknown load_kind {self.load_kind!r}")
         if self.regime not in ("visc", "eps0", "eps-nu0", "all0"):
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.ed_dnu_args not in ("triple", "pair"):
-            raise ValueError("ed_dnu_args must be 'triple' or 'pair'")
         if self.grid_n < 3:
             # a 2x2 grid leaves the one-point-quadrature stiffness
             # singular on the free dofs (hourglass modes)

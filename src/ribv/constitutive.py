@@ -35,7 +35,6 @@ from .discretization import (
     LoadingSpec,
     State,
     SymGradient,
-    apply_sym_gradient,
     assemble_nonlocal_form,
     assemble_sym_gradient,
     eval_loading,
@@ -284,7 +283,7 @@ class Operators:
 def energy(t: float, state: State, ops: Operators, mat: MaterialParams,
            mu: float, loading: LoadingSpec) -> float:
     grid = ops.grid
-    w, _, F, _ = eval_loading(loading, t)
+    w, F = eval_loading(loading, t)
     e = total_strain(ops.B, state, w)
     zc = cell_damage(grid, state.z)
     sigma = elastic_tensor_apply(zc, e, mat)
@@ -308,7 +307,7 @@ def energy_gradients(t: float, state: State, ops: Operators,
              Frobenius pairing), g_p = mu p - sigma_D.
     """
     grid = ops.grid
-    w, _, F, _ = eval_loading(loading, t)
+    w, F = eval_loading(loading, t)
     e = total_strain(ops.B, state, w)
     zc = cell_damage(grid, state.z)
     sigma0 = base_elastic_apply(e, mat)
@@ -338,10 +337,10 @@ def power_coefficients(state: State, ops: Operators, mat: MaterialParams,
     is theta'(a + theta b) - phi'(c + theta d) - phi theta' d
     (``power_at``)."""
     grid = ops.grid
-    Ew = apply_sym_gradient(ops.B, loading.lift)
+    Ew = ops.B.apply(loading.lift)
     sigma_w = grid.w_cell[:, None] \
         * elastic_tensor_apply(cell_damage(grid, state.z), Ew, mat)
-    e0 = apply_sym_gradient(ops.B, state.u) - state.p
+    e0 = ops.B.apply(state.u) - state.p
     return (np.sum(tensor_dot(sigma_w, e0)), np.sum(tensor_dot(sigma_w, Ew)),
             loading.f_vec @ state.u.ravel(),
             loading.f_vec @ loading.lift.ravel())
@@ -355,11 +354,3 @@ def power_at(t: float, coeffs: tuple[float, ...],
     theta, theta_dot = loading.theta(t), loading.theta_dot(t)
     return theta_dot * (a + theta * b) - loading.phi_dot(t) * (c + theta * d) \
         - loading.phi(t) * theta_dot * d
-
-
-def energy_time_derivative(t: float, state: State, ops: Operators,
-                           mat: MaterialParams, mu: float,
-                           loading: LoadingSpec) -> float:
-    """Partial time derivative of the energy at frozen state:
-    int sigma : E(w') - <F', u + w> - <F, w'>."""
-    return power_at(t, power_coefficients(state, ops, mat, loading), loading)

@@ -247,11 +247,6 @@ def assemble_sym_gradient(grid: Grid) -> SymGradient:
                        kd=kd, band_pos=band_pos)
 
 
-def apply_sym_gradient(B: SymGradient, field_uv: np.ndarray) -> np.ndarray:
-    """Evaluate B on a (n_nodes, 2) field; returns (n_cells, 3)."""
-    return B.apply(field_uv)
-
-
 # ---------------------------------------------------------------------------
 # nonlocal damage form
 # ---------------------------------------------------------------------------
@@ -358,20 +353,16 @@ class LoadingSpec:
 
 
 def eval_loading(spec: LoadingSpec, t: float):
-    """Return (w_field, w_rate_field, F_vector, F_rate_vector) at time t.
+    """Return (w_field, F_vector) at time t.
 
-    ``w_field`` and its rate are (n_nodes, 2); the force vectors are flat
-    covectors of length 2*n_nodes paired with flat displacement fields.
+    ``w_field`` is (n_nodes, 2); the force vector is a flat covector of
+    length 2*n_nodes paired with flat displacement fields.
     """
     if t < -1e-12 or t > spec.t_final + 1e-12:
         raise ValueError(f"time {t} outside [0, {spec.t_final}]")
-    w = spec.lift * spec.theta(t)
-    w_rate = spec.lift * spec.theta_dot(t)
-    F = spec.f_vec * spec.phi(t)
-    F_rate = spec.f_vec * spec.phi_dot(t)
-    return w, w_rate, F, F_rate
+    return spec.lift * spec.theta(t), spec.f_vec * spec.phi(t)
 
 
 def total_strain(B: SymGradient, state: State, w_field: np.ndarray) -> np.ndarray:
     """Elastic strain e = B(u + w) - p, cellwise (n_cells, 3)."""
-    return apply_sym_gradient(B, state.u + w_field) - state.p
+    return B.apply(state.u + w_field) - state.p

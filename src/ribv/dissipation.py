@@ -94,7 +94,7 @@ def norm_z_hm(ops: Operators, z_field: np.ndarray) -> float:
     """Nonlocal Sobolev-type norm: lumped L2 plus the Gagliardo form."""
     grid = ops.grid
     return float(np.sqrt(np.sum(grid.lump * z_field ** 2)
-                         + max(z_field @ ops.A_m @ z_field, 0.0)))
+                         + max(z_field @ ops.apply_A_m(z_field), 0.0)))
 
 
 def norm_p_l2(grid: Grid, p_field: np.ndarray) -> float:

@@ -119,14 +119,12 @@ def pre_relax(t0: float, init_state: State, ops: Operators,
 
 
 def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
-                loading: LoadingSpec, init_state: State,
-                n_steps: int | None = None, tol_stat: float = 1e-8,
-                max_iter: int = 500) -> Trajectory:
-    """Drive the incremental scheme from t=0 to t=t_final with uniform
-    step ep.tau (or n_steps uniform steps if given), starting from the
-    pre-relaxed initial state and stopping at the first rejected step."""
-    if n_steps is None:
-        n_steps = int(round(ep.t_final / ep.tau))
+                loading: LoadingSpec, init_state: State, n_steps: int,
+                tol_stat: float = 1e-8, max_iter: int = 500) -> Trajectory:
+    """Drive the incremental scheme from t=0 to t=t_final in n_steps
+    uniform steps (ep.tau is replaced by t_final / n_steps), starting
+    from the pre-relaxed initial state and stopping at the first
+    rejected step."""
     tau = ep.t_final / n_steps
     ep = replace(ep, tau=tau)
     times = np.linspace(0.0, ep.t_final, n_steps + 1)

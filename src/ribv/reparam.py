@@ -20,19 +20,19 @@ from scipy.optimize import minimize_scalar
 
 from .constitutive import EnergyParams, MaterialParams, Operators, \
     yield_radius, cell_damage
-from .discretization import LoadingSpec, State, tensor_norm
+from .discretization import LoadingSpec, State
 from .dissipation import (
     DualDiagnostics,
     Rate,
     d_nu,
     d_up,
     flow_directions,
-    norm_kd,
     norm_p_l1,
     norm_p_l2,
     norm_u_h1,
     norm_z_hm,
     norm_z_m,
+    psi_total,
     subdiff_violation,
 )
 from .driver import Trajectory, run_viscous
@@ -44,83 +44,62 @@ REGIMES = ("visc", "eps0", "eps-nu0", "all0")
 
 @dataclass
 class ParamTrajectory:
-    """Trajectory in arclength parameterization.
+    """A viscous run reparameterized by arclength: its knot map s -> t.
 
-    Arrays are indexed by knot; rates at knot k are backward differences
-    over (s_{k-1}, s_k], zero at knot 0.
+    Knot k sits at arclength s[k] and slow time traj.times[k]; states,
+    dual diagnostics, energy gradients, ep, mat and loading are the
+    run's, read from ``traj``.  Rates at knot k >= 1 are backward
+    differences over (s_{k-1}, s_k]; t_rate is 0 at knot 0.
     """
 
-    kind: str                      # "std", "ed" or "ed-pair"
+    kind: str                      # "std" or "ed"
+    traj: Trajectory
     s: np.ndarray                  # (n+1,) strictly increasing
-    t: np.ndarray                  # (n+1,) nondecreasing slow time
-    states: list[State]
-    t_rate: np.ndarray             # (n+1,)
-    u_rate: list[np.ndarray]
-    z_rate: list[np.ndarray]
-    p_rate: list[np.ndarray]
-    e_rate: list[np.ndarray]
-    diag: list[DualDiagnostics]
-    gradients: list[tuple]         # energy gradients of the viscous run
+    t_rate: np.ndarray             # (n+1,) dt/ds
     normalization: np.ndarray      # (n+1,), == 1 at interior knots
-    ep: EnergyParams
-    mat: MaterialParams
-    loading: LoadingSpec
 
     @property
     def n_knots(self) -> int:
         return len(self.s)
 
     def rate(self, k: int) -> Rate:
-        return Rate(u_rate=self.u_rate[k], z_rate=self.z_rate[k],
-                    p_rate=self.p_rate[k])
+        """State rate per unit s at knot k >= 1: the run's time rate
+        scaled by dt/ds."""
+        return _scaled(self.traj.rate(k), self.t_rate[k])
+
+    def jumps(self, tol_jump: float) -> np.ndarray:
+        """Boolean per knot: True where the slow time is (numerically)
+        frozen, t_rate < tol_jump; never at knot 0."""
+        mask = self.t_rate < tol_jump
+        mask[0] = False
+        return mask
 
 
-def _trajectory_increments(traj: Trajectory, ops: Operators):
-    """Backward-difference rate data per original step (index 1..N)."""
-    out = []
-    for k in range(1, len(traj.times)):
-        tau = traj.times[k] - traj.times[k - 1]
-        out.append((tau, traj.rate(k), traj.strain_rate(k, ops)))
-    return out
+def _scaled(rate: Rate, f) -> Rate:
+    return Rate(u_rate=rate.u_rate * f, z_rate=rate.z_rate * f,
+                p_rate=rate.p_rate * f)
 
 
 def _build_ptraj(kind, traj, ops):
     """Knots s_k = s_{k-1} + tau_k * integrand at the time rates (slow-time
     rate 1); the normalization is the same integrand at the
     reparameterized rates."""
-    incs = _trajectory_increments(traj, ops)
-    ds_list = [tau * _integrand(kind, ops, traj.ep, 1.0, rate, erate,
-                                traj.dual_diag[k].d_nu_star)
-               for k, (tau, rate, erate) in enumerate(incs, start=1)]
     n = len(traj.times)
-    s = np.zeros(n)
-    s[1:] = np.cumsum(ds_list)
+    ds = np.zeros(n)
     t_rate = np.zeros(n)
-    u_rate = [np.zeros_like(traj.states[0].u)]
-    z_rate = [np.zeros_like(traj.states[0].z)]
-    p_rate = [np.zeros_like(traj.states[0].p)]
-    e_rate = [np.zeros((ops.grid.n_cells, 3))]
+    normalization = np.ones(n)
     for k in range(1, n):
-        ds = ds_list[k - 1]
-        if ds <= 0:
+        tau = traj.times[k] - traj.times[k - 1]
+        rate, erate = traj.rate(k), traj.strain_rate(k, ops)
+        dns = traj.dual_diag[k].d_nu_star
+        ds[k] = tau * _integrand(kind, ops, traj.ep, 1.0, rate, erate, dns)
+        if ds[k] <= 0:
             raise ValueError(f"degenerate zero-length step at knot {k}")
-        tau, rate, erate = incs[k - 1]
-        fac = tau / ds
-        t_rate[k] = fac
-        u_rate.append(rate.u_rate * fac)
-        z_rate.append(rate.z_rate * fac)
-        p_rate.append(rate.p_rate * fac)
-        e_rate.append(erate * fac)
-    ptraj = ParamTrajectory(
-        kind=kind, s=s, t=traj.times.copy(), states=[st.copy() for st in
-                                                     traj.states],
-        t_rate=t_rate, u_rate=u_rate, z_rate=z_rate, p_rate=p_rate,
-        e_rate=e_rate, diag=list(traj.dual_diag),
-        gradients=list(traj.gradients), normalization=np.ones(n),
-        ep=traj.ep, mat=traj.mat, loading=traj.loading)
-    for k in range(1, n):
-        ptraj.normalization[k] = _normalization_value(ptraj, ops, k)
-    return ptraj
+        fac = t_rate[k] = tau / ds[k]
+        normalization[k] = _integrand(kind, ops, traj.ep, fac,
+                                      _scaled(rate, fac), erate * fac, dns)
+    return ParamTrajectory(kind=kind, traj=traj, s=np.cumsum(ds),
+                           t_rate=t_rate, normalization=normalization)
 
 
 def _integrand(kind, ops, ep, t_rate, rate, erate, d_nu_star):
@@ -131,25 +110,13 @@ def _integrand(kind, ops, ep, t_rate, rate, erate, d_nu_star):
         return (t_rate + norm_u_h1(ops, rate.u_rate)
                 + norm_z_hm(ops, rate.z_rate)
                 + norm_p_l2(grid, rate.p_rate))
-    if kind == "ed":
-        dn = d_nu(ops, rate, ep.nu)
-    else:  # "ed-pair": the rate functional without the damage rate
-        dn = float(np.sqrt(ep.nu) * np.hypot(norm_kd(ops, rate.u_rate),
-                                             norm_p_l2(grid, rate.p_rate)))
     rmu = np.sqrt(ep.mu)
     return (t_rate + rmu * norm_u_h1(ops, rate.u_rate)
             + norm_z_hm(ops, rate.z_rate)
             + norm_p_l1(grid, rate.p_rate)
             + rmu * norm_p_l2(grid, rate.p_rate)
             + norm_p_l2(grid, erate)
-            + dn * d_nu_star)
-
-
-def _normalization_value(ptraj: ParamTrajectory, ops: Operators,
-                         k: int) -> float:
-    return _integrand(ptraj.kind, ops, ptraj.ep, ptraj.t_rate[k],
-                      ptraj.rate(k), ptraj.e_rate[k],
-                      ptraj.diag[k].d_nu_star)
+            + d_nu(ops, rate, ep.nu) * d_nu_star)
 
 
 def reparam_standard(traj: Trajectory, ops: Operators) -> ParamTrajectory:
@@ -157,37 +124,16 @@ def reparam_standard(traj: Trajectory, ops: Operators) -> ParamTrajectory:
     return _build_ptraj("std", traj, ops)
 
 
-def reparam_ed(traj: Trajectory, ops: Operators,
-               ed_dnu_args: str = "triple") -> ParamTrajectory:
+def reparam_ed(traj: Trajectory, ops: Operators) -> ParamTrajectory:
     """Energy-dissipation arclength: the integrand additionally carries
     the rate L1 norm, the strain rate, and the product of the primal
-    rate functional with its dual counterpart.
-
-    ed_dnu_args selects the rate functional in the product term:
-    "triple" (default) includes the damage rate, "pair" drops it.
-    """
-    if ed_dnu_args not in ("triple", "pair"):
-        raise ValueError("ed_dnu_args must be 'triple' or 'pair'")
-    return _build_ptraj("ed" if ed_dnu_args == "triple" else "ed-pair",
-                        traj, ops)
+    rate functional D_nu with its dual counterpart."""
+    return _build_ptraj("ed", traj, ops)
 
 
 # ---------------------------------------------------------------------------
 # contact potentials
 # ---------------------------------------------------------------------------
-
-def _rate_independent_part(state: State, rate: Rate, ops: Operators,
-                           mat: MaterialParams) -> float:
-    """R(z') + H(z, p'); +inf when z' has a positive component."""
-    grid = ops.grid
-    if np.any(rate.z_rate > 1e-12):
-        return float("inf")
-    rz = mat.kappa * np.sum(grid.lump * np.abs(rate.z_rate))
-    zc = cell_damage(grid, state.z)
-    hp = np.sum(grid.w_cell * yield_radius(zc, mat)
-                * tensor_norm(rate.p_rate))
-    return float(rz + hp)
-
 
 def contact_potential(regime: str, t_rate: float, state: State, rate: Rate,
                       diag: DualDiagnostics, ops: Operators,
@@ -203,7 +149,8 @@ def contact_potential(regime: str, t_rate: float, state: State, rate: Rate,
         raise ValueError(f"unknown regime {regime!r}")
     if t_rate < 0:
         raise ValueError("slow-time rate must be nonnegative")
-    ri = _rate_independent_part(state, rate, ops, mat)
+    # R(z') + H(z, p'): the potential without its viscous part
+    ri = psi_total(state, rate, ops, mat, 0.0, 0.0, tol_pos=1e-12)
     if not np.isfinite(ri):
         return float("inf")
     dn = d_nu(ops, rate, ep.nu)
@@ -241,26 +188,12 @@ def contact_potential(regime: str, t_rate: float, state: State, rate: Rate,
 def detect_jumps(ptraj: ParamTrajectory,
                  tol_jump: float = TOL_JUMP) -> list[tuple[float, float]]:
     """Maximal s-intervals over which the slow time is (numerically)
-    frozen: consecutive knots with t_rate < tol_jump."""
-    jumps = []
-    k = 1
-    n = ptraj.n_knots
-    while k < n:
-        if ptraj.t_rate[k] < tol_jump:
-            start = k
-            while k < n and ptraj.t_rate[k] < tol_jump:
-                k += 1
-            jumps.append((float(ptraj.s[start - 1]), float(ptraj.s[k - 1])))
-        else:
-            k += 1
-    return jumps
-
-
-def _jump_mask(ptraj: ParamTrajectory, tol_jump: float) -> np.ndarray:
-    """Boolean per knot: True when the knot lies in a jump segment."""
-    mask = np.zeros(ptraj.n_knots, dtype=bool)
-    mask[1:] = ptraj.t_rate[1:] < tol_jump
-    return mask
+    frozen: each run a..b of consecutive ``ptraj.jumps`` knots gives
+    the interval (s_{a-1}, s_b)."""
+    edges = np.diff(np.concatenate(([0], ptraj.jumps(tol_jump), [0])))
+    return [(float(ptraj.s[a - 1]), float(ptraj.s[b - 1]))
+            for a, b in zip(np.flatnonzero(edges > 0),
+                            np.flatnonzero(edges < 0))]
 
 
 def stability_magnitude(regime: str, diag: DualDiagnostics) -> float:
@@ -278,9 +211,9 @@ def stability_check(ptraj: ParamTrajectory, regime: str,
                     tol_stab: float, tol_jump: float = TOL_JUMP):
     """Per-knot stability magnitudes and booleans; jump knots are True
     by convention (no requirement there)."""
-    mags = np.array([stability_magnitude(regime, d) for d in ptraj.diag])
-    jm = _jump_mask(ptraj, tol_jump)
-    ok = (mags <= tol_stab) | jm
+    mags = np.array([stability_magnitude(regime, d)
+                     for d in ptraj.traj.dual_diag])
+    ok = (mags <= tol_stab) | ptraj.jumps(tol_jump)
     return ok, mags
 
 
@@ -337,7 +270,7 @@ def recover_switching(ptraj: ParamTrajectory, ops: Operators,
     (lambda_up, lambda_z) with the switching constraint
     lambda_up (1 - lambda_z) = 0, handled by minimizing both admissible
     branches.  The energy gradients are the viscous run's
-    (``ptraj.gradients``).  Returns (lambdas, residuals); lambdas has
+    (``ptraj.traj.gradients``).  Returns (lambdas, residuals); lambdas has
     shape (n,) or (n, 2).
     """
     n = ptraj.n_knots
@@ -349,10 +282,10 @@ def recover_switching(ptraj: ParamTrajectory, ops: Operators,
         corners = ((0.0, 0.0),)
     else:
         searches, corners = ((lambda l: (l, l)),), ((0.0, 0.0), (1.0, 1.0))
+    traj = ptraj.traj
     for k in range(1, n):
-        residual = _switching_residual(ptraj.gradients[k], ptraj.states[k],
-                                       ptraj.rate(k), ops, ptraj.mat,
-                                       ptraj.ep)
+        residual = _switching_residual(traj.gradients[k], traj.states[k],
+                                       ptraj.rate(k), ops, traj.mat, traj.ep)
         cands = []
         for pair in searches:
             r = minimize_scalar(lambda l: residual(*pair(l)),
@@ -396,8 +329,8 @@ def _align_z_curves(pa: ParamTrajectory, pb: ParamTrajectory, ops) -> float:
     between the damage curves of two levels."""
     ref = pa if pa.n_knots >= pb.n_knots else pb
     sig = ref.s / ref.s[-1]
-    za = np.array([st.z for st in pa.states])
-    zb = np.array([st.z for st in pb.states])
+    za = np.array([st.z for st in pa.traj.states])
+    zb = np.array([st.z for st in pb.traj.states])
     sa = pa.s / pa.s[-1]
     sb = pb.s / pb.s[-1]
     best = 0.0
@@ -410,22 +343,23 @@ def _align_z_curves(pa: ParamTrajectory, pb: ParamTrajectory, ops) -> float:
     return float(best)
 
 
-def ed_balance_residual_bv(ptraj: ParamTrajectory, traj: Trajectory,
-                           ops: Operators, regime: str,
+def ed_balance_residual_bv(ptraj: ParamTrajectory, ops: Operators,
+                           regime: str,
                            stab_tol: float) -> tuple[float, float]:
     """Energy-dissipation balance residual of a candidate limit curve
     with the regime's contact potential: |E(end) + integral M ds -
-    E(0) - integral power|.  ptraj must be a reparameterization of the
-    viscous run traj, whose energies E_mu and per-step power integrals
-    supply E and the power.  Returns (residual, contact_integral).
-    Either may be +inf when an infinite branch is hit."""
+    E(0) - integral power|.  The energies E_mu and per-step power
+    integrals of the reparameterized viscous run ``ptraj.traj`` supply E
+    and the power.  Returns (residual, contact_integral).  Either may be
+    +inf when an infinite branch is hit."""
+    traj = ptraj.traj
     contact = 0.0
     power = 0.0
     for k in range(1, ptraj.n_knots):
         ds = ptraj.s[k] - ptraj.s[k - 1]
         m = contact_potential(regime, float(ptraj.t_rate[k]),
-                              ptraj.states[k], ptraj.rate(k),
-                              ptraj.diag[k], ops, ptraj.mat, ptraj.ep,
+                              traj.states[k], ptraj.rate(k),
+                              traj.dual_diag[k], ops, traj.mat, traj.ep,
                               stab_tol=stab_tol)
         contact += ds * m
         power += traj.power[k]
@@ -488,13 +422,12 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
         else:
             ptraj = reparam_standard(traj, ops)
         stab_tol = stab_tol_factor * eps
-        jm = _jump_mask(ptraj, tol_jump)
         mags = np.array([stability_magnitude(regime, d)
-                         for d in ptraj.diag])
-        nonjump = ~jm
+                         for d in traj.dual_diag])
+        nonjump = ~ptraj.jumps(tol_jump)
         nonjump[0] = False
         max_stab = float(mags[nonjump].max()) if np.any(nonjump) else 0.0
-        resid, contact = ed_balance_residual_bv(ptraj, traj, ops, regime,
+        resid, contact = ed_balance_residual_bv(ptraj, ops, regime,
                                                 stab_tol)
         levels.append(LevelReport(
             params=lvl,
@@ -504,7 +437,7 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
             contact_integral=contact,
             ed_balance_residual=resid,
             total_length=float(ptraj.s[-1]),
-            min_z=float(min(st.z.min() for st in ptraj.states)),
+            min_z=float(min(st.z.min() for st in traj.states)),
             ptraj=ptraj,
         ))
 

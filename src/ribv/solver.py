@@ -122,7 +122,7 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     acceptable step or max_iter iterations end above tol_dual.
     """
     grid = ops.grid
-    w, _, F_ext, _ = eval_loading(loading, t)
+    w, F_ext = eval_loading(loading, t)
     free = grid.free_dofs
     zc = cell_damage(grid, state.z)
     # per-cell 3x3 forms: Q = 1/2 sum_c e_c S_c e_c

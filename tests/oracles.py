@@ -225,3 +225,19 @@ def switching_residual(lam_up, lam_z, grads, state, rate, ops, mat, ep):
             dist = max(wnorm(xi) - radii[c], 0.0)
         rp2 += grid.w_cell[c] * dist ** 2
     return float(np.sqrt(ru2 + rz2 + rp2))
+
+
+def jump_intervals(s, t_rate, tol_jump):
+    """Knot-by-knot scan for maximal runs of knots k >= 1 with
+    t_rate[k] < tol_jump; a run a..b gives the interval (s[a-1], s[b])."""
+    jumps = []
+    k, n = 1, len(s)
+    while k < n:
+        if t_rate[k] < tol_jump:
+            start = k
+            while k < n and t_rate[k] < tol_jump:
+                k += 1
+            jumps.append((float(s[start - 1]), float(s[k - 1])))
+        else:
+            k += 1
+    return jumps

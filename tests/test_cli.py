@@ -55,6 +55,9 @@ class TestConfig:
         with pytest.raises(ValueError, match="line 2: unknown config key"
                                              " 'dist_z_convention'"):
             RunConfig.parse("grid_n = 4\ndist_z_convention = subdiff\n")
+        with pytest.raises(ValueError, match="line 1: unknown config key"
+                                             " 'ed_dnu_args'"):
+            RunConfig.parse("ed_dnu_args = pair\n")
 
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="line 1"):

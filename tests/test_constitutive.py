@@ -13,8 +13,9 @@ from ribv.constitutive import (
     elastic_tensor_apply,
     energy,
     energy_gradients,
-    energy_time_derivative,
     plastic_density,
+    power_at,
+    power_coefficients,
     stiffness_coeff,
     stiffness_coeff_prime,
     yield_radius,
@@ -215,7 +216,8 @@ class TestGradients:
             for _ in range(10):
                 st = random_state(grid, rng)
                 t = rng.uniform(0.1, 0.9)
-                dt = energy_time_derivative(t, st, ops, mat, 0.1, loading)
+                dt = power_at(t, power_coefficients(st, ops, mat, loading),
+                              loading)
                 fd = (energy(t + h, st, ops, mat, 0.1, loading)
                       - energy(t - h, st, ops, mat, 0.1, loading)) / (2 * h)
                 assert dt == pytest.approx(fd, rel=1e-6, abs=1e-9)
@@ -225,8 +227,8 @@ class TestGradients:
         mat = make_mat()
         ops = Operators.build(grid, mat)
         st = random_state(grid, rng)
-        dt = energy_time_derivative(0.5, st, ops, mat, 0.1,
-                                    still_loading(grid))
+        loading = still_loading(grid)
+        dt = power_at(0.5, power_coefficients(st, ops, mat, loading), loading)
         assert dt == pytest.approx(0.0, abs=1e-14)
 
 

@@ -1,7 +1,8 @@
 """Static hygiene: every name a ribv module imports is used there, every
 import sits at module level, no function binds a name it never reads,
-no module reaches for a dense viscosity operator, and the solvers have
-one line-search rule and no fallback for a failed linear solve."""
+no module reaches for a dense viscosity operator, the nonlocal form is
+applied through ``Operators``, and the solvers have one line-search rule
+and no fallback for a failed linear solve."""
 
 import ast
 from pathlib import Path
@@ -128,6 +129,31 @@ def test_no_dense_viscosity_operator():
     offenders = [msg for path in sorted(SRC.glob("*.py"))
                  for msg in _dense_operator_uses(path)]
     assert not offenders, "dense operator use:\n" + "\n".join(offenders)
+
+
+# the one scope per module allowed to read the dense nonlocal form: the
+# Operators class (apply_A_m) and the z-step Newton Hessian
+_A_M_READERS = {"constitutive.py": "Operators", "solver.py": "_z_hess"}
+
+
+def _nonlocal_form_reads(path: Path) -> list[str]:
+    """Reads of ``.A_m`` outside the module's allowed scope."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = {id(node) for scope in ast.walk(tree)
+              if isinstance(scope, (ast.ClassDef, ast.FunctionDef))
+              and scope.name == _A_M_READERS.get(path.name)
+              for node in ast.walk(scope)}
+    return [f"{path.name}:{node.lineno}: reads .A_m"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "A_m"
+            and isinstance(node.ctx, ast.Load) and id(node) not in inside]
+
+
+def test_nonlocal_form_applied_through_operators():
+    offenders = [msg for path in sorted(SRC.glob("*.py"))
+                 for msg in _nonlocal_form_reads(path)]
+    assert not offenders, "A_m read outside Operators:\n" \
+        + "\n".join(offenders)
 
 
 def _line_search_escapes(path: Path) -> list[str]:

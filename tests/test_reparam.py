@@ -15,8 +15,9 @@ from ribv.constitutive import (
     yield_radius,
 )
 from ribv.discretization import Grid, State, initial_state, tensor_norm
-from ribv.dissipation import Rate, d_nu, d_up, dual_diagnostics, norm_z_hm
-from ribv.driver import _power_integral, run_viscous
+from ribv.dissipation import Rate, d_nu, d_up, dual_diagnostics, norm_z_hm, \
+    psi_total
+from ribv.driver import Trajectory, _power_integral, run_viscous
 from ribv.problems import (
     ramp_loading,
     reference_material,
@@ -25,7 +26,7 @@ from ribv.problems import (
 )
 from ribv.reparam import (
     ParamTrajectory,
-    _normalization_value,
+    _integrand,
     _switching_residual,
     bv_sweep,
     contact_potential,
@@ -37,7 +38,7 @@ from ribv.reparam import (
 )
 
 from conftest import random_rate, random_state
-from oracles import switching_residual
+from oracles import jump_intervals, switching_residual
 
 
 def ramp_run(n_steps=20, n_side=4, amplitude=0.48, tol_stat=1e-8,
@@ -67,28 +68,44 @@ class TestNormalization:
         for p in (reparam_standard(traj, ops), reparam_ed(traj, ops)):
             assert np.all(np.abs(p.normalization[1:] - 1.0) < 1e-8)
             assert np.all(np.diff(p.s) > 0)
-            assert np.all(np.diff(p.t) >= 0)
+            assert np.all(p.t_rate >= 0)
 
-    def test_ed_dnu_pair_variant(self):
+    def test_rates_scale_the_run(self):
+        # a reparameterization holds the run itself; its rates are the
+        # run's time rates times dt/ds = tau / ds, bit for bit
         ops, traj = ramp_run(n_steps=10)
-        p = reparam_ed(traj, ops, ed_dnu_args="pair")
-        assert np.all(np.abs(p.normalization[1:] - 1.0) < 1e-8)
+        for p in (reparam_standard(traj, ops), reparam_ed(traj, ops)):
+            assert p.traj is traj
+            for k in range(1, p.n_knots):
+                tau = traj.times[k] - traj.times[k - 1]
+                fac = p.t_rate[k]
+                assert fac == pytest.approx(tau / (p.s[k] - p.s[k - 1]),
+                                            rel=1e-12)
+                r, rs = traj.rate(k), p.rate(k)
+                assert np.array_equal(rs.u_rate, r.u_rate * fac)
+                assert np.array_equal(rs.z_rate, r.z_rate * fac)
+                assert np.array_equal(rs.p_rate, r.p_rate * fac)
 
     def test_round_trip_rates_resum(self):
-        # rebuild rates from (s, q(s)) alone and re-integrate the
+        # rebuild rates from (s, t, q(s)) alone and re-integrate the
         # normalization: the total must reproduce the final arclength
         ops, traj = ramp_run(n_steps=10)
-        p = reparam_standard(traj, ops)
-        total = 0.0
-        for k in range(1, p.n_knots):
-            ds = p.s[k] - p.s[k - 1]
-            check = Rate(
-                u_rate=(p.states[k].u - p.states[k - 1].u) / ds,
-                z_rate=(p.states[k].z - p.states[k - 1].z) / ds,
-                p_rate=(p.states[k].p - p.states[k - 1].p) / ds)
-            assert np.allclose(check.u_rate, p.u_rate[k], atol=1e-10)
-            total += ds * _normalization_value(p, ops, k)
-        assert total == pytest.approx(p.s[-1], abs=1e-10)
+        st = traj.states
+        for p in (reparam_standard(traj, ops), reparam_ed(traj, ops)):
+            total = 0.0
+            for k in range(1, p.n_knots):
+                ds = p.s[k] - p.s[k - 1]
+                t_rate = (traj.times[k] - traj.times[k - 1]) / ds
+                check = Rate(u_rate=(st[k].u - st[k - 1].u) / ds,
+                             z_rate=(st[k].z - st[k - 1].z) / ds,
+                             p_rate=(st[k].p - st[k - 1].p) / ds)
+                assert np.allclose(check.u_rate, p.rate(k).u_rate,
+                                   atol=1e-10)
+                total += ds * _integrand(
+                    p.kind, ops, traj.ep, t_rate, check,
+                    traj.strain_rate(k, ops) * t_rate,
+                    traj.dual_diag[k].d_nu_star)
+            assert total == pytest.approx(p.s[-1], abs=1e-10)
 
 
 class TestContactPotential:
@@ -102,10 +119,10 @@ class TestContactPotential:
         # the tau-dependent tolerance.
         ops, traj = ramp_run(n_steps=10, amplitude=0.46, tol_stat=1e-11)
         p = reparam_standard(traj, ops)
-        ep = p.ep
+        ep = traj.ep
         for k in range(1, p.n_knots):
             dn = d_nu(ops, p.rate(k), ep.nu)
-            ds = p.diag[k].d_nu_star
+            ds = traj.dual_diag[k].d_nu_star
             # the stored rate is per unit s; the slow-time rate is a
             # factor 1/t' larger, so eps * D_nu(q') / t' must match D*
             assert abs(ep.eps * dn / p.t_rate[k] - ds) < 1e-8
@@ -113,14 +130,14 @@ class TestContactPotential:
     def test_viscous_branch_consistency(self):
         ops, traj = ramp_run(n_steps=10, amplitude=0.46, tol_stat=1e-11)
         p = reparam_standard(traj, ops)
-        ep, mat = p.ep, p.mat
-        from ribv.reparam import _rate_independent_part
+        ep, mat = traj.ep, traj.mat
         for k in range(1, p.n_knots):
             m = contact_potential("visc", float(p.t_rate[k]),
-                                  p.states[k], p.rate(k), p.diag[k],
-                                  ops, mat, ep, stab_tol=10 * ep.eps)
-            ri = _rate_independent_part(p.states[k], p.rate(k), ops,
-                                        mat)
+                                  traj.states[k], p.rate(k),
+                                  traj.dual_diag[k], ops, mat, ep,
+                                  stab_tol=10 * ep.eps)
+            ri = psi_total(traj.states[k], p.rate(k), ops, mat, 0.0, 0.0,
+                           tol_pos=1e-12)
             dn = d_nu(ops, p.rate(k), ep.nu)
             expect = ri + ep.eps * dn ** 2 / p.t_rate[k]
             assert m == pytest.approx(expect, rel=1e-6, abs=1e-10)
@@ -142,10 +159,9 @@ class TestContactPotential:
         rate = Rate(u_rate=u_rate, z_rate=np.zeros(grid.n_nodes),
                     p_rate=p_rate)
         diag = dual_diagnostics(0.5, st, ops, mat, ep.mu, ep.nu, loading)
-        from ribv.reparam import _rate_independent_part
         m = contact_potential("eps-nu0", 0.0, st, rate, diag, ops, mat,
                               ep, stab_tol=0.1)
-        ri = _rate_independent_part(st, rate, ops, mat)
+        ri = psi_total(st, rate, ops, mat, 0.0, 0.0, tol_pos=1e-12)
         expect = ri + d_up(ops, u_rate, p_rate) * diag.d_star_mu
         assert m == pytest.approx(expect, rel=1e-12)
 
@@ -187,22 +203,41 @@ class TestJumpsAndStability:
         assert all(p.normalization[k] == pytest.approx(1.0, abs=1e-8)
                    for k in snap_knots)
 
+    def test_jump_runs_from_hand_set_rates(self, rng):
+        # the rule reads only s and t_rate: runs of knots 1-2, 4 and 6-7
+        # (one knot apart, the last one ending at the last knot); knot 0
+        # never counts although its t_rate is 0
+        t_rate = np.array([0.0, 1e-4, 0.0, 0.5, 1e-5, 0.5, 2e-4, 1e-6])
+        p = ParamTrajectory(kind="std", traj=None, s=np.arange(8.0),
+                            t_rate=t_rate, normalization=np.ones(8))
+        assert detect_jumps(p) == [(0.0, 2.0), (3.0, 4.0), (5.0, 7.0)]
+        assert detect_jumps(p, tol_jump=0.0) == []
+        assert detect_jumps(p, tol_jump=1.0) == [(0.0, 7.0)]
+        # random rates against the knot-by-knot scan
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            p = ParamTrajectory(
+                kind="std", traj=None, s=np.cumsum(rng.uniform(0.1, 1, n)),
+                t_rate=rng.choice([0.0, 1e-4, 0.5], n),
+                normalization=np.ones(n))
+            assert detect_jumps(p) == jump_intervals(p.s, p.t_rate, 1e-3)
+
 
 def _build_knot_traj(state, rate, t, ops, mat, ep, loading):
-    grid = ops.grid
-    zeros = State(np.zeros_like(state.u), np.zeros_like(state.z),
-                  np.zeros_like(state.p))
-    return ParamTrajectory(
-        kind="std", s=np.array([0.0, 1.0]), t=np.array([t, t]),
-        states=[zeros, state], t_rate=np.array([0.0, 0.0]),
-        u_rate=[np.zeros_like(state.u), rate.u_rate],
-        z_rate=[np.zeros_like(state.z), rate.z_rate],
-        p_rate=[np.zeros_like(state.p), rate.p_rate],
-        e_rate=[np.zeros((grid.n_cells, 3))] * 2,
-        diag=[None, None],
+    """A one-step run that reaches state at time t with time rate `rate`,
+    reparameterized at dt/ds = 1."""
+    start = State(state.u - rate.u_rate, state.z - rate.z_rate,
+                  state.p - rate.p_rate)
+    traj = Trajectory(
+        times=np.array([t - 1.0, t]), states=[start, state], ep=ep,
+        mat=mat, loading=loading, E_mu=None, N_value=None, power=None,
+        balance_residual_cum=None, dual_diag=[None, None],
         gradients=[None, energy_gradients(t, state, ops, mat, ep.mu,
                                           loading)],
-        normalization=np.ones(2), ep=ep, mat=mat, loading=loading)
+        el_residuals=None, dnu=None, iterations=None, accepted=None)
+    return ParamTrajectory(kind="std", traj=traj, s=np.array([0.0, 1.0]),
+                           t_rate=np.array([0.0, 1.0]),
+                           normalization=np.ones(2))
 
 
 def manufactured_rate(lam, lam_z, state, t, ops, mat, ep, loading):
@@ -287,12 +322,12 @@ class TestSwitchingRecovery:
         # there, and recover_switching evaluates none of its own
         ops, traj = ramp_run(n_steps=4, n_side=3)
         p = reparam_standard(traj, ops)
-        assert len(p.gradients) == p.n_knots
+        assert len(traj.gradients) == p.n_knots
         for k in range(1, p.n_knots):
-            fresh = energy_gradients(p.t[k], p.states[k], ops, p.mat,
-                                     p.ep.mu, p.loading)
+            fresh = energy_gradients(traj.times[k], traj.states[k], ops,
+                                     traj.mat, traj.ep.mu, traj.loading)
             assert all(np.array_equal(a, b)
-                       for a, b in zip(fresh, p.gradients[k]))
+                       for a, b in zip(fresh, traj.gradients[k]))
         calls = []
 
         def counted(*args, **kwargs):
@@ -358,14 +393,14 @@ class TestSweep:
         rep = bv_sweep(ops, mat, loading, init, "eps0",
                        [(1e-1, 0.1, 0.1), (1e-2, 0.1, 0.1)], n_steps=6)
         for lv in rep.levels:
-            p = lv.ptraj
-            mu = p.ep.mu
+            t, st = lv.ptraj.traj.times, lv.ptraj.traj.states
+            mu = lv.ptraj.traj.ep.mu
             power = 0.0
-            for k in range(1, p.n_knots):
-                power += _power_integral(p.t[k - 1], p.t[k], p.states[k - 1],
-                                         ops, mat, loading)
-            e_end = energy(p.t[-1], p.states[-1], ops, mat, mu, loading)
-            e_0 = energy(p.t[0], p.states[0], ops, mat, mu, loading)
+            for k in range(1, len(t)):
+                power += _power_integral(t[k - 1], t[k], st[k - 1], ops, mat,
+                                         loading)
+            e_end = energy(t[-1], st[-1], ops, mat, mu, loading)
+            e_0 = energy(t[0], st[0], ops, mat, mu, loading)
             assert np.isfinite(lv.contact_integral)
             assert lv.ed_balance_residual == \
                 abs(e_end + lv.contact_integral - e_0 - power)
