@@ -109,24 +109,33 @@ def norm_p_l1(grid: Grid, p_field: np.ndarray) -> float:
 # dissipation potential and conjugates
 # ---------------------------------------------------------------------------
 
-def psi_total(state: State, rate: Rate, ops: Operators, mat: MaterialParams,
-              eps: float, nu: float, tol_pos: float = 0.0) -> float:
-    """Overall dissipation potential
-
-        kappa ||z'||_L1 + sum_c w_c V(z_c) |p'_c|
-        + eps/2 (nu ||u'||_KD^2 + ||z'||_M^2 + nu ||p'||_L2^2),
-
-    returning +inf when some z' component is positive."""
+def psi_rate_independent(state: State, rate: Rate, ops: Operators,
+                         mat: MaterialParams, tol_pos: float = 0.0) -> float:
+    """Rate-independent dissipation R(z') + H(z, p') =
+    kappa ||z'||_L1 + sum_c w_c V(z_c) |p'_c|, returning +inf when some
+    z' component exceeds tol_pos."""
     grid = ops.grid
     if np.any(rate.z_rate > tol_pos):
         return float("inf")
     rz = np.sum(grid.lump * mat.kappa * np.abs(rate.z_rate))
     zc = cell_damage(grid, state.z)
     hp = np.sum(grid.w_cell * yield_radius(zc, mat) * tensor_norm(rate.p_rate))
-    visc = 0.5 * eps * (nu * norm_kd(ops, rate.u_rate) ** 2
-                        + norm_z_m(grid, rate.z_rate) ** 2
-                        + nu * norm_p_l2(grid, rate.p_rate) ** 2)
-    return float(rz + hp + visc)
+    return float(rz + hp)
+
+
+def psi_total(state: State, rate: Rate, ops: Operators, mat: MaterialParams,
+              eps: float, nu: float, tol_pos: float = 0.0) -> float:
+    """Overall dissipation potential: the rate-independent part plus
+    its viscous quadratic,
+
+        kappa ||z'||_L1 + sum_c w_c V(z_c) |p'_c|
+        + eps/2 (nu ||u'||_KD^2 + ||z'||_M^2 + nu ||p'||_L2^2),
+
+    returning +inf when some z' component exceeds tol_pos."""
+    ri = psi_rate_independent(state, rate, ops, mat, tol_pos)
+    if not np.isfinite(ri):
+        return ri
+    return float(ri + 0.5 * eps * _d_nu_sq(ops, rate, nu))
 
 
 def conj_visc_u(ops: Operators, eta: np.ndarray, eps: float, nu: float) -> float:
@@ -216,13 +225,18 @@ def diagnostics_from_gradients(grads: tuple, state: State, ops: Operators,
     )
 
 
+def _d_nu_sq(ops: Operators, rate: Rate, nu: float) -> float:
+    """nu ||u'||_KD^2 + ||z'||_M^2 + nu ||p'||_L2^2."""
+    grid = ops.grid
+    return (nu * norm_kd(ops, rate.u_rate) ** 2
+            + norm_z_m(grid, rate.z_rate) ** 2
+            + nu * norm_p_l2(grid, rate.p_rate) ** 2)
+
+
 def d_nu(ops: Operators, rate: Rate, nu: float) -> float:
     """Primal rate functional sqrt(nu ||u'||_KD^2 + ||z'||_M^2 +
     nu ||p'||_L2^2)."""
-    grid = ops.grid
-    return float(np.sqrt(nu * norm_kd(ops, rate.u_rate) ** 2
-                         + norm_z_m(grid, rate.z_rate) ** 2
-                         + nu * norm_p_l2(grid, rate.p_rate) ** 2))
+    return float(np.sqrt(_d_nu_sq(ops, rate, nu)))
 
 
 def d_up(ops: Operators, u_rate: np.ndarray, p_rate: np.ndarray) -> float:

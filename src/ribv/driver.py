@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constitutive import EnergyParams, MaterialParams, Operators, energy, \
+from .constitutive import EnergyParams, MaterialParams, Operators, \
     power_at, power_coefficients
 from .discretization import LoadingSpec, State, eval_loading, total_strain
 from .dissipation import (
@@ -24,11 +24,11 @@ from .dissipation import (
     norm_p_l2,
     norm_u_h1,
     norm_z_hm,
-    psi_total,
 )
 from .solver import StepResult, incremental_step
 
-_GAUSS_N = 8
+# 8-point Gauss-Legendre rule on [-1, 1] for the power integral
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass
@@ -85,26 +85,12 @@ def _power_integral(t0: float, t1: float, state: State, ops: Operators,
     """Gauss-Legendre integral of the partial time derivative of the
     energy over [t0, t1] at the frozen state, whose power coefficients
     are computed once for all nodes."""
-    xg, wg = np.polynomial.legendre.leggauss(_GAUSS_N)
     mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
     coeffs = power_coefficients(state, ops, mat, loading)
     total = 0.0
-    for x, w in zip(xg, wg):
+    for x, w in zip(_GAUSS_X, _GAUSS_W):
         total += w * power_at(mid + half * x, coeffs, loading)
     return half * total
-
-
-def dissipation_rate(state: State, rate: Rate, ops: Operators,
-                     mat: MaterialParams,
-                     ep: EnergyParams) -> tuple[float, float]:
-    """Rate functional N = R(z') + H(z, p') + eps (nu ||u'||_KD^2 +
-    ||z'||_M^2 + nu ||p'||_L2^2), returned with the primal rate D_nu.
-    Twice the viscous half of the incremental potential (balance law)."""
-    psi_visc_half = psi_total(state, rate, ops, mat, ep.eps, ep.nu,
-                              tol_pos=1e-12)
-    dnu = d_nu(ops, rate, ep.nu)
-    # psi carries eps/2 * quadratic; N carries eps * quadratic
-    return psi_visc_half + 0.5 * ep.eps * dnu ** 2, dnu
 
 
 def pre_relax(t0: float, init_state: State, ops: Operators,
@@ -174,25 +160,6 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
         aborted_at=aborted_at,
         z_floor_hit=any(r.z_floor_active for r in steps[1:]),
     )
-
-
-def balance_residual(traj: Trajectory, ops: Operators) -> np.ndarray:
-    """Recompute the per-step cumulative balance residual from stored
-    states only (independent quadrature path)."""
-    ep, mat, loading = traj.ep, traj.mat, traj.loading
-    out = np.zeros(len(traj.times))
-    diss = 0.0
-    pwr = 0.0
-    E0 = energy(traj.times[0], traj.states[0], ops, mat, ep.mu, loading)
-    for k in range(1, len(traj.times)):
-        tau = traj.times[k] - traj.times[k - 1]
-        rate = traj.rate(k)
-        diss += tau * dissipation_rate(traj.states[k], rate, ops, mat, ep)[0]
-        pwr += _power_integral(traj.times[k - 1], traj.times[k],
-                               traj.states[k - 1], ops, mat, loading)
-        Ek = energy(traj.times[k], traj.states[k], ops, mat, ep.mu, loading)
-        out[k] = abs(Ek + diss - E0 - pwr)
-    return out
 
 
 def enhanced_estimate_total(traj: Trajectory, ops: Operators) -> float:

@@ -1,6 +1,7 @@
 """Arclength reparameterizations, contact potentials for the four
-parameter regimes, jump detection, stability certification, switching
-recovery, and the vanishing-parameter sweep driver.
+parameter regimes, jump detection, the largest stability magnitude off
+the jumps, switching recovery, and the vanishing-parameter sweep
+driver.
 
 Conventions.  A reparameterized trajectory keeps one knot per original
 time step; rates are backward differences on the nonuniform s-grid with
@@ -32,7 +33,7 @@ from .dissipation import (
     norm_u_h1,
     norm_z_hm,
     norm_z_m,
-    psi_total,
+    psi_rate_independent,
     subdiff_violation,
 )
 from .driver import Trajectory, run_viscous
@@ -90,7 +91,9 @@ def _build_ptraj(kind, traj, ops):
     normalization = np.ones(n)
     for k in range(1, n):
         tau = traj.times[k] - traj.times[k - 1]
-        rate, erate = traj.rate(k), traj.strain_rate(k, ops)
+        rate = traj.rate(k)
+        # only the energy-dissipation integrand reads the strain rate
+        erate = traj.strain_rate(k, ops) if kind == "ed" else 0.0
         dns = traj.dual_diag[k].d_nu_star
         ds[k] = tau * _integrand(kind, ops, traj.ep, 1.0, rate, erate, dns)
         if ds[k] <= 0:
@@ -149,8 +152,7 @@ def contact_potential(regime: str, t_rate: float, state: State, rate: Rate,
         raise ValueError(f"unknown regime {regime!r}")
     if t_rate < 0:
         raise ValueError("slow-time rate must be nonnegative")
-    # R(z') + H(z, p'): the potential without its viscous part
-    ri = psi_total(state, rate, ops, mat, 0.0, 0.0, tol_pos=1e-12)
+    ri = psi_rate_independent(state, rate, ops, mat, tol_pos=1e-12)
     if not np.isfinite(ri):
         return float("inf")
     dn = d_nu(ops, rate, ep.nu)
@@ -207,14 +209,15 @@ def stability_magnitude(regime: str, diag: DualDiagnostics) -> float:
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def stability_check(ptraj: ParamTrajectory, regime: str,
-                    tol_stab: float, tol_jump: float = TOL_JUMP):
-    """Per-knot stability magnitudes and booleans; jump knots are True
-    by convention (no requirement there)."""
-    mags = np.array([stability_magnitude(regime, d)
-                     for d in ptraj.traj.dual_diag])
-    ok = (mags <= tol_stab) | ptraj.jumps(tol_jump)
-    return ok, mags
+def max_stability_nonjump(ptraj: ParamTrajectory, regime: str,
+                          tol_jump: float = TOL_JUMP) -> float:
+    """Largest stability magnitude over the knots k >= 1 outside the
+    jumps, where it must vanish in the limit; 0 when there is none."""
+    off_jump = ~ptraj.jumps(tol_jump)
+    off_jump[0] = False
+    return float(max((stability_magnitude(regime, d)
+                      for d, keep in zip(ptraj.traj.dual_diag, off_jump)
+                      if keep), default=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -324,23 +327,28 @@ class SweepReport:
     pairwise_sup_distance: list[float]      # consecutive levels
 
 
+def _interp_rows(x: np.ndarray, xp: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """``np.interp`` of every column of Z (one row per increasing knot xp)
+    at the points x >= xp[0], by its own formula slope (x - xp_j) + Z_j,
+    which is Z_j itself at a knot; the last row at and beyond the end."""
+    n = len(xp)
+    j = np.searchsorted(xp, x, side="right") - 1
+    i = np.minimum(j, n - 2)
+    slope = (Z[i + 1] - Z[i]) / (xp[i + 1] - xp[i])[:, None]
+    blend = slope * (x - xp[i])[:, None] + Z[i]
+    return np.where((j == n - 1)[:, None], Z[-1], blend)
+
+
 def _align_z_curves(pa: ParamTrajectory, pb: ParamTrajectory, ops) -> float:
     """Sup (over the finer rescaled s-grid) of the lumped-L2 distance
     between the damage curves of two levels."""
     ref = pa if pa.n_knots >= pb.n_knots else pb
     sig = ref.s / ref.s[-1]
-    za = np.array([st.z for st in pa.traj.states])
-    zb = np.array([st.z for st in pb.traj.states])
-    sa = pa.s / pa.s[-1]
-    sb = pb.s / pb.s[-1]
-    best = 0.0
-    for x in sig:
-        zax = np.array([np.interp(x, sa, za[:, i])
-                        for i in range(za.shape[1])])
-        zbx = np.array([np.interp(x, sb, zb[:, i])
-                        for i in range(zb.shape[1])])
-        best = max(best, norm_z_m(ops.grid, zax - zbx))
-    return float(best)
+    za, zb = (_interp_rows(sig, p.s / p.s[-1],
+                           np.array([st.z for st in p.traj.states]))
+              for p in (pa, pb))
+    return float(np.sqrt(np.sum(ops.grid.lump * (za - zb) ** 2,
+                                axis=1)).max())
 
 
 def ed_balance_residual_bv(ptraj: ParamTrajectory, ops: Operators,
@@ -421,18 +429,13 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
             ptraj = reparam_ed(traj, ops)
         else:
             ptraj = reparam_standard(traj, ops)
-        stab_tol = stab_tol_factor * eps
-        mags = np.array([stability_magnitude(regime, d)
-                         for d in traj.dual_diag])
-        nonjump = ~ptraj.jumps(tol_jump)
-        nonjump[0] = False
-        max_stab = float(mags[nonjump].max()) if np.any(nonjump) else 0.0
         resid, contact = ed_balance_residual_bv(ptraj, ops, regime,
-                                                stab_tol)
+                                                stab_tol_factor * eps)
         levels.append(LevelReport(
             params=lvl,
             n_steps=n_steps,
-            max_stability_nonjump=max_stab,
+            max_stability_nonjump=max_stability_nonjump(ptraj, regime,
+                                                        tol_jump),
             jump_intervals=detect_jumps(ptraj, tol_jump),
             contact_integral=contact,
             ed_balance_residual=resid,

@@ -6,6 +6,10 @@ implementation under test beyond its public inputs."""
 import numpy as np
 from scipy.optimize import minimize
 
+from ribv.constitutive import energy
+from ribv.dissipation import d_nu, psi_total
+from ribv.driver import _power_integral
+
 FROB_W = np.array([1.0, 1.0, 2.0])
 
 
@@ -241,3 +245,46 @@ def jump_intervals(s, t_rate, tol_jump):
         else:
             k += 1
     return jumps
+
+
+def balance_residual(traj, ops):
+    """Per-step cumulative energy-dissipation balance residual of a
+    viscous run recomputed from its stored states: the energies afresh,
+    and the dissipation rate N = psi + eps/2 D_nu^2 (psi carries half of
+    the viscous quadratic, N all of it) from each backward-difference
+    rate.  The power integral is not independent: it shares
+    ``driver._power_integral`` with ``run_viscous``."""
+    ep, mat, loading = traj.ep, traj.mat, traj.loading
+    out = np.zeros(len(traj.times))
+    diss = 0.0
+    pwr = 0.0
+    E0 = energy(traj.times[0], traj.states[0], ops, mat, ep.mu, loading)
+    for k in range(1, len(traj.times)):
+        tau = traj.times[k] - traj.times[k - 1]
+        rate = traj.rate(k)
+        psi = psi_total(traj.states[k], rate, ops, mat, ep.eps, ep.nu,
+                        tol_pos=1e-12)
+        diss += tau * (psi + 0.5 * ep.eps * d_nu(ops, rate, ep.nu) ** 2)
+        pwr += _power_integral(traj.times[k - 1], traj.times[k],
+                               traj.states[k - 1], ops, mat, loading)
+        Ek = energy(traj.times[k], traj.states[k], ops, mat, ep.mu, loading)
+        out[k] = abs(Ek + diss - E0 - pwr)
+    return out
+
+
+def align_z_curves(pa, pb, grid):
+    """Sup over the finer rescaled s-grid of the lumped-L2 distance
+    between the damage curves of two reparameterized levels, by one
+    ``np.interp`` per node and point."""
+    ref = pa if pa.n_knots >= pb.n_knots else pb
+    sig = ref.s / ref.s[-1]
+    za = np.array([st.z for st in pa.traj.states])
+    zb = np.array([st.z for st in pb.traj.states])
+    sa = pa.s / pa.s[-1]
+    sb = pb.s / pb.s[-1]
+    best = 0.0
+    for x in sig:
+        d = np.array([np.interp(x, sa, za[:, i]) - np.interp(x, sb, zb[:, i])
+                      for i in range(za.shape[1])])
+        best = max(best, float(np.sqrt(np.sum(grid.lump * d ** 2))))
+    return best

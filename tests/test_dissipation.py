@@ -20,6 +20,7 @@ from ribv.dissipation import (
     norm_z_hm,
     norm_z_m,
     prox_plastic,
+    psi_rate_independent,
     psi_total,
 )
 from ribv.problems import ramp_loading, reference_material
@@ -58,6 +59,7 @@ class TestPotential:
         rate = random_rate(grid, rng)
         rate.z_rate[3] = 1e-6
         assert psi_total(st, rate, ops, mat, 0.1, 0.1) == np.inf
+        assert psi_rate_independent(st, rate, ops, mat) == np.inf
 
     def test_rate_independent_part_resums(self, setup, rng):
         # eps = 0: the value is exactly the quadrature re-sum of
@@ -83,6 +85,20 @@ class TestPotential:
             - psi_total(st, rate, ops, mat, 0.0, nu)
         assert visc == pytest.approx(0.5 * eps * d_nu(ops, rate, nu) ** 2,
                                      rel=1e-10)
+
+    def test_rate_independent_split(self, setup, rng):
+        # psi is R + H plus eps/2 D_nu^2: exactly R + H at eps = nu = 0
+        grid, mat, ops = setup
+        for _ in range(20):
+            st = random_state(grid, rng)
+            rate = random_rate(grid, rng)
+            ri = psi_rate_independent(st, rate, ops, mat)
+            assert ri == psi_total(st, rate, ops, mat, 0.0, 0.0)
+            eps, nu = rng.uniform(0.05, 1.0, 2)
+            psi = psi_total(st, rate, ops, mat, eps, nu)
+            # relative to psi: the difference cancels the digits of R + H
+            assert psi - ri == pytest.approx(
+                0.5 * eps * d_nu(ops, rate, nu) ** 2, abs=1e-14 * psi)
 
 
 class TestConjugate:

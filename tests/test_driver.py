@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ribv.constitutive as constitutive_module
+import ribv.discretization as discretization_module
 import ribv.dissipation as dissipation_module
 import ribv.solver as solver_module
 
@@ -13,13 +14,7 @@ from ribv.cli import cmd_reparam
 from ribv.config import RunConfig
 from ribv.constitutive import EnergyParams, Operators
 from ribv.discretization import Grid, initial_state
-from ribv.driver import (
-    balance_residual,
-    dissipation_rate,
-    enhanced_estimate_total,
-    pre_relax,
-    run_viscous,
-)
+from ribv.driver import enhanced_estimate_total, pre_relax, run_viscous
 from ribv.dissipation import norm_p_l2, norm_u_h1, norm_z_m
 from ribv.problems import (
     ramp_loading,
@@ -27,6 +22,10 @@ from ribv.problems import (
     reference_problem,
     zero_loading,
 )
+from ribv.reparam import ed_balance_residual_bv, reparam_ed, \
+    reparam_standard
+
+from oracles import balance_residual
 
 
 def run_reference(n_steps, n_side=3, amplitude=0.45, **ep_over):
@@ -117,10 +116,10 @@ class TestRampRun:
 
 
 def count_evaluations(monkeypatch):
-    """Count energy, energy-gradient and psi evaluations through every
-    ribv module that binds them, and sweeps by z solves."""
+    """Count energy, energy-gradient, psi and loading evaluations through
+    every ribv module that binds them, and sweeps by z solves."""
     counts = {"energy": 0, "energy_gradients": 0, "psi_total": 0,
-              "sweeps": 0}
+              "eval_loading": 0, "sweeps": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -130,7 +129,8 @@ def count_evaluations(monkeypatch):
 
     for module, name in ((constitutive_module, "energy"),
                          (constitutive_module, "energy_gradients"),
-                         (dissipation_module, "psi_total")):
+                         (dissipation_module, "psi_total"),
+                         (discretization_module, "eval_loading")):
         fn = getattr(module, name)
         for mod in list(sys.modules.values()):
             if mod.__name__.startswith("ribv") \
@@ -163,6 +163,19 @@ class TestEvaluationCounts:
         assert cmd_reparam(cfg, str(tmp_path)) == 0
         assert counts["sweeps"] > 0
         assert counts["energy_gradients"] == counts["sweeps"]
+
+    def test_reparam_skips_unread_work(self, monkeypatch):
+        # the standard arclength reads no strain rate, so it evaluates no
+        # loading (the energy-dissipation one two per knot), and the BV
+        # balance takes R + H without the viscous norms of psi
+        ops, traj = run_reference(4)
+        counts = count_evaluations(monkeypatch)
+        ptraj = reparam_standard(traj, ops)
+        assert counts["eval_loading"] == 0
+        reparam_ed(traj, ops)
+        assert counts["eval_loading"] == 2 * traj.n_steps
+        ed_balance_residual_bv(ptraj, ops, "visc", 10 * traj.ep.eps)
+        assert counts["psi_total"] == 0
 
 
 class TestPreRelax:

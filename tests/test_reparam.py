@@ -1,6 +1,8 @@
 """Arclength reparameterization, contact potentials, jump detection,
 switching recovery, and vanishing-parameter sweeps."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from ribv.constitutive import (
     yield_radius,
 )
 from ribv.discretization import Grid, State, initial_state, tensor_norm
-from ribv.dissipation import Rate, d_nu, d_up, dual_diagnostics, norm_z_hm, \
-    psi_total
+from ribv.dissipation import DualDiagnostics, Rate, d_nu, d_up, \
+    dual_diagnostics, psi_rate_independent
 from ribv.driver import Trajectory, _power_integral, run_viscous
 from ribv.problems import (
     ramp_loading,
@@ -25,20 +27,24 @@ from ribv.problems import (
     zero_loading,
 )
 from ribv.reparam import (
+    REGIMES,
     ParamTrajectory,
+    _align_z_curves,
     _integrand,
+    _interp_rows,
     _switching_residual,
     bv_sweep,
     contact_potential,
     detect_jumps,
+    max_stability_nonjump,
     recover_switching,
     reparam_ed,
     reparam_standard,
-    stability_check,
+    stability_magnitude,
 )
 
 from conftest import random_rate, random_state
-from oracles import jump_intervals, switching_residual
+from oracles import align_z_curves, jump_intervals, switching_residual
 
 
 def ramp_run(n_steps=20, n_side=4, amplitude=0.48, tol_stat=1e-8,
@@ -136,8 +142,8 @@ class TestContactPotential:
                                   traj.states[k], p.rate(k),
                                   traj.dual_diag[k], ops, mat, ep,
                                   stab_tol=10 * ep.eps)
-            ri = psi_total(traj.states[k], p.rate(k), ops, mat, 0.0, 0.0,
-                           tol_pos=1e-12)
+            ri = psi_rate_independent(traj.states[k], p.rate(k), ops, mat,
+                                      tol_pos=1e-12)
             dn = d_nu(ops, p.rate(k), ep.nu)
             expect = ri + ep.eps * dn ** 2 / p.t_rate[k]
             assert m == pytest.approx(expect, rel=1e-6, abs=1e-10)
@@ -161,7 +167,7 @@ class TestContactPotential:
         diag = dual_diagnostics(0.5, st, ops, mat, ep.mu, ep.nu, loading)
         m = contact_potential("eps-nu0", 0.0, st, rate, diag, ops, mat,
                               ep, stab_tol=0.1)
-        ri = psi_total(st, rate, ops, mat, 0.0, 0.0, tol_pos=1e-12)
+        ri = psi_rate_independent(st, rate, ops, mat, tol_pos=1e-12)
         expect = ri + d_up(ops, u_rate, p_rate) * diag.d_star_mu
         assert m == pytest.approx(expect, rel=1e-12)
 
@@ -182,8 +188,10 @@ class TestJumpsAndStability:
         traj = run_viscous(ops, mat, ep, zero_loading(grid),
                            initial_state(grid, 0.95), n_steps=5)
         p = reparam_standard(traj, ops)
-        ok, _ = stability_check(p, "visc", tol_stab=1e-6)
-        assert np.all(ok)
+        # no jump, so the maximum runs over every knot k >= 1
+        assert not np.any(p.jumps(1e-3))
+        assert max_stability_nonjump(p, "visc") <= 1e-6
+        assert stability_magnitude("visc", traj.dual_diag[0]) <= 1e-6
 
     def test_forced_snap_detected(self):
         # small viscosity and hardening under a load that exceeds the
@@ -202,6 +210,16 @@ class TestJumpsAndStability:
         assert snap_knots
         assert all(p.normalization[k] == pytest.approx(1.0, abs=1e-8)
                    for k in snap_knots)
+        # the stability maximum skips exactly the knots k >= 1 that the
+        # knot-by-knot jump scan puts inside an interval (s_{a-1}, s_b]
+        intervals = jump_intervals(p.s, p.t_rate, 1e-3)
+        outside = [k for k in range(1, p.n_knots)
+                   if not any(a < p.s[k] <= b for a, b in intervals)]
+        assert len(outside) < p.n_knots - 1
+        for regime in REGIMES:
+            assert max_stability_nonjump(p, regime) == max(
+                stability_magnitude(regime, traj.dual_diag[k])
+                for k in outside)
 
     def test_jump_runs_from_hand_set_rates(self, rng):
         # the rule reads only s and t_rate: runs of knots 1-2, 4 and 6-7
@@ -221,6 +239,21 @@ class TestJumpsAndStability:
                 t_rate=rng.choice([0.0, 1e-4, 0.5], n),
                 normalization=np.ones(n))
             assert detect_jumps(p) == jump_intervals(p.s, p.t_rate, 1e-3)
+
+    def test_stability_maximum_from_hand_set_rates(self):
+        # knot 0 and the jump knots 2 and 4 carry the largest magnitudes,
+        # so counting any of them would show in the maximum
+        diag = [DualDiagnostics(0.0, 0.0, 0.0, 0.0, d_nu_star=m,
+                                d_star_mu=0.0, d_star0=0.0)
+                for m in (9.0, 1.0, 8.0, 2.0, 7.0)]
+        p = ParamTrajectory(kind="std",
+                            traj=SimpleNamespace(dual_diag=diag),
+                            s=np.arange(5.0),
+                            t_rate=np.array([0.0, 0.5, 1e-4, 0.5, 1e-5]),
+                            normalization=np.ones(5))
+        assert max_stability_nonjump(p, "visc") == 2.0
+        assert max_stability_nonjump(p, "visc", tol_jump=0.0) == 8.0
+        assert max_stability_nonjump(p, "visc", tol_jump=1.0) == 0.0
 
 
 def _build_knot_traj(state, rate, t, ops, mat, ep, loading):
@@ -404,6 +437,33 @@ class TestSweep:
             assert np.isfinite(lv.contact_integral)
             assert lv.ed_balance_residual == \
                 abs(e_end + lv.contact_integral - e_0 - power)
+
+    def test_alignment_matches_pointwise_interp(self):
+        # the row blend against one np.interp per node and point, on a
+        # ladder whose last level snaps, and on levels of unequal length
+        _, mat, ops, _, loading, init = reference_problem(
+            n_side=4, n_steps=20, amplitude=0.48)
+        rep = bv_sweep(ops, mat, loading, init, "eps0",
+                       [(1e-2, 1e-4, 1e-4), (1e-3, 1e-4, 1e-4),
+                        (1e-4, 1e-4, 1e-4)], n_steps=20)
+        assert rep.levels[-1].jump_intervals
+        pairs = list(zip(rep.levels, rep.levels[1:]))
+        for (a, b), d in zip(pairs, rep.pairwise_sup_distance):
+            assert d == pytest.approx(
+                align_z_curves(a.ptraj, b.ptraj, ops.grid), rel=1e-14)
+        ep = rep.levels[0].ptraj.traj.ep
+        coarse = reparam_standard(run_viscous(ops, mat, ep, loading, init,
+                                              n_steps=7), ops)
+        fine = rep.levels[-1].ptraj
+        for pa, pb in ((coarse, fine), (fine, coarse)):
+            assert _align_z_curves(pa, pb, ops) == pytest.approx(
+                align_z_curves(pa, pb, ops.grid), rel=1e-14)
+        # at its own knots a curve comes back bit for bit, the last one
+        # included, as from np.interp
+        for p in (coarse, fine):
+            sig = p.s / p.s[-1]
+            z = np.array([st.z for st in p.traj.states])
+            assert np.array_equal(_interp_rows(sig, sig, z), z)
 
     def test_ladder_validation(self):
         grid = Grid(3)
