@@ -2,13 +2,14 @@
 
 Material model:
 
-* damage-dependent isotropic elasticity
-      C(z) xi = (delta_reg + min(z,1)^2) (2 mu_L xi + lam_L tr(xi) I),
+* damage-dependent isotropic elasticity C(z) xi = c(z) C0 xi,
+      c(z) = delta_reg + min(z,1)^2,  C0 xi = 2 mu_L xi + lam_L tr(xi) I,
+  with c'(z) = 2z and c''(z) = 2 on [0, 1), both 0 beyond,
 * damage potential W(z) = w0 z^(-q_exp) with q_exp > 4 (a barrier at the
-  fully broken state z = 0),
+  fully broken state z = 0), W''(z) = q_exp (q_exp+1) w0 z^(-q_exp-2),
 * damage-dependent yield radius V(z) = sigma_y (m_bar + (1-m_bar)
   clamp(z,0,1)) for the deviatoric constraint ball, with plastic
-  dissipation density H(z, pi) = V(z) |pi|,
+  dissipation density H(z, pi) = V(z) |pi|; V'(z) = c_k on (0, 1),
 * unidirectional damage dissipation density kappa |zeta| for zeta <= 0.
 
 The assembled energy is
@@ -119,35 +120,24 @@ class EnergyParams:
 # ---------------------------------------------------------------------------
 
 def stiffness_coeff(z, mat: MaterialParams):
-    """Scalar factor (delta_reg + min(z,1)^2) of the elastic tensor."""
+    """Return (c(z), c'(z), c''(z)) for the stiffness factor c(z) =
+    delta_reg + min(z,1)^2 of the elastic tensor C(z) = c(z) C0."""
     z = np.asarray(z, dtype=float)
     if np.any(z < 0):
         raise ValueError("damage must be nonnegative")
-    return mat.delta_reg + np.minimum(z, 1.0) ** 2
+    below = z < 1.0
+    return (mat.delta_reg + np.minimum(z, 1.0) ** 2,
+            np.where(below, 2.0 * z, 0.0), 2.0 * below)
 
-
-def stiffness_coeff_prime(z, mat: MaterialParams):
-    """Derivative of the stiffness factor: 2z on [0,1), 0 beyond."""
-    z = np.asarray(z, dtype=float)
-    return np.where(z < 1.0, 2.0 * z, 0.0)
-
-
-# The elastic law enters every subproblem through the kernel below: the
-# undamaged tensor C0 xi = 2 mu_L xi + lam_L tr(xi) I, its Frobenius-weighted
-# 3x3 matrix, its energy density, and the deviatoric modulus of C(z).
 
 def base_elastic_apply(xi: np.ndarray, mat: MaterialParams) -> np.ndarray:
-    """Apply C0 to a (..., 3) component array."""
+    """Apply the undamaged tensor C0 xi = 2 mu_L xi + lam_L tr(xi) I to a
+    (..., 3) component array."""
     tr = tensor_trace(xi)
     out = 2.0 * mat.lame_mu * np.array(xi, dtype=float, copy=True)
     out[..., 0] += mat.lame_lambda * tr
     out[..., 1] += mat.lame_lambda * tr
     return out
-
-
-def base_elastic_form(mat: MaterialParams) -> np.ndarray:
-    """3x3 matrix S0 with 1/2 C0 e : e = 1/2 e S0 e in component storage."""
-    return FROB_W[:, None] * base_elastic_apply(np.eye(3), mat)
 
 
 def base_elastic_density(e: np.ndarray, mat: MaterialParams) -> np.ndarray:
@@ -157,15 +147,9 @@ def base_elastic_density(e: np.ndarray, mat: MaterialParams) -> np.ndarray:
                   + mat.lame_lambda * tr ** 2)
 
 
-def deviatoric_modulus(z, mat: MaterialParams):
-    """Modulus 2 mu_L c(z) of C(z) on trace-free tensors."""
-    return 2.0 * mat.lame_mu * stiffness_coeff(z, mat)
-
-
-def elastic_tensor_apply(z, xi: np.ndarray, mat: MaterialParams) -> np.ndarray:
-    """Apply C(z) to a (..., 3) component array."""
-    coef = stiffness_coeff(z, mat)
-    return np.asarray(coef)[..., None] * base_elastic_apply(xi, mat)
+def deviatoric_modulus(c, mat: MaterialParams):
+    """Modulus 2 mu_L c of C(z) on trace-free tensors, c = c(z)."""
+    return 2.0 * mat.lame_mu * c
 
 
 def damage_potential(z, mat: MaterialParams):
@@ -178,19 +162,21 @@ def damage_potential(z, mat: MaterialParams):
     return W, Wp
 
 
+def damage_curvature(z, mat: MaterialParams):
+    """W''(z) of the barrier potential at z > 0."""
+    return mat.q_exp * (mat.q_exp + 1.0) * mat.w0 * z ** (-mat.q_exp - 2.0)
+
+
 def yield_radius(z, mat: MaterialParams):
     """Damage-dependent radius of the admissible deviatoric stress ball."""
     z = np.asarray(z, dtype=float)
     return mat.sigma_y * (mat.m_bar + (1.0 - mat.m_bar) * np.clip(z, 0.0, 1.0))
 
 
-def plastic_density(z, pi: np.ndarray, mat: MaterialParams, tol: float = 1e-10):
-    """Support function H(z, pi) = V(z) |pi| of the constraint ball;
-    requires a trace-free argument."""
-    pi = np.asarray(pi, dtype=float)
-    if np.max(np.abs(tensor_trace(pi)), initial=0.0) > tol:
-        raise ValueError("plastic direction must be trace-free")
-    return yield_radius(z, mat) * np.sqrt(tensor_dot(pi, pi))
+def yield_radius_prime(z, mat: MaterialParams):
+    """V'(z): c_k on (0, 1), 0 outside (where V is constant)."""
+    z = np.asarray(z, dtype=float)
+    return mat.c_k * ((z < 1.0) & (z > 0.0))
 
 
 def cell_damage(grid: Grid, z: np.ndarray) -> np.ndarray:
@@ -203,6 +189,13 @@ def corner_scatter(grid: Grid, v: np.ndarray) -> np.ndarray:
     four corners."""
     return np.bincount(grid.cells.ravel(), np.repeat(0.25 * v, 4),
                        minlength=grid.n_nodes)
+
+
+def add_corner_form(grid: Grid, H: np.ndarray, v: np.ndarray) -> None:
+    """Add sum_c v_c a_c a_c^T to H in place, a_c = 1/4 at the corners of
+    cell c: the Hessian of z -> sum_c f_c(z_c) for v_c = f_c''(z_c)."""
+    np.add.at(H, (grid.cells[:, :, None], grid.cells[:, None, :]),
+              (v / 16.0)[:, None, None])
 
 
 def viscous_cell_form(grid: Grid) -> np.ndarray:
@@ -286,7 +279,7 @@ def energy(t: float, state: State, ops: Operators, mat: MaterialParams,
     w, F = eval_loading(loading, t)
     e = total_strain(ops.B, state, w)
     zc = cell_damage(grid, state.z)
-    sigma = elastic_tensor_apply(zc, e, mat)
+    sigma = stiffness_coeff(zc, mat)[0][:, None] * base_elastic_apply(e, mat)
     quad = 0.5 * np.sum(grid.w_cell * tensor_dot(sigma, e))
     Wz, _ = damage_potential(state.z, mat)
     dam = np.sum(grid.lump * Wz)
@@ -311,7 +304,8 @@ def energy_gradients(t: float, state: State, ops: Operators,
     e = total_strain(ops.B, state, w)
     zc = cell_damage(grid, state.z)
     sigma0 = base_elastic_apply(e, mat)
-    sigma = stiffness_coeff(zc, mat)[:, None] * sigma0
+    c, cp, _ = stiffness_coeff(zc, mat)
+    sigma = c[:, None] * sigma0
 
     # u: B^T (w_c sigma) - F on free dofs.
     weighted = grid.w_cell[:, None] * FROB_W[None, :] * sigma
@@ -319,8 +313,7 @@ def energy_gradients(t: float, state: State, ops: Operators,
 
     # z: nonlocal + barrier + half C'(z) e:e scattered to corner nodes.
     _, Wp = damage_potential(state.z, mat)
-    cp = stiffness_coeff_prime(zc, mat)[:, None] * sigma0
-    cell_drive = 0.5 * grid.w_cell * tensor_dot(cp, e)  # (n_cells,)
+    cell_drive = 0.5 * grid.w_cell * tensor_dot(cp[:, None] * sigma0, e)  # (n_cells,)
     g_z = (ops.apply_A_m(state.z) + corner_scatter(grid, cell_drive)) \
         / grid.lump + Wp
 
@@ -338,8 +331,8 @@ def power_coefficients(state: State, ops: Operators, mat: MaterialParams,
     (``power_at``)."""
     grid = ops.grid
     Ew = ops.B.apply(loading.lift)
-    sigma_w = grid.w_cell[:, None] \
-        * elastic_tensor_apply(cell_damage(grid, state.z), Ew, mat)
+    c = stiffness_coeff(cell_damage(grid, state.z), mat)[0]
+    sigma_w = grid.w_cell[:, None] * (c[:, None] * base_elastic_apply(Ew, mat))
     e0 = ops.B.apply(state.u) - state.p
     return (np.sum(tensor_dot(sigma_w, e0)), np.sum(tensor_dot(sigma_w, Ew)),
             loading.f_vec @ state.u.ravel(),

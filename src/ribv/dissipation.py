@@ -25,8 +25,10 @@ from .constitutive import (
     yield_radius,
 )
 from .discretization import (
+    FROB_W,
     Grid,
     State,
+    tensor_dev,
     tensor_dot,
     tensor_norm,
     tensor_trace,
@@ -42,6 +44,17 @@ class Rate:
     u_rate: np.ndarray   # (n_nodes, 2), zero on Dirichlet nodes
     z_rate: np.ndarray   # (n_nodes,)
     p_rate: np.ndarray   # (n_cells, 3)
+
+    @classmethod
+    def between(cls, prev: State, state: State, tau: float) -> "Rate":
+        """Backward-difference rate (state - prev) / tau."""
+        return cls(u_rate=(state.u - prev.u) / tau,
+                   z_rate=(state.z - prev.z) / tau,
+                   p_rate=(state.p - prev.p) / tau)
+
+
+# the deviatoric projection as a 3x3 matrix: tensor_dev(xi) = xi @ _DEV.T
+_DEV = tensor_dev(np.eye(3))
 
 
 @dataclass
@@ -249,6 +262,25 @@ def d_up(ops: Operators, u_rate: np.ndarray, p_rate: np.ndarray) -> float:
 # plastic proximal map
 # ---------------------------------------------------------------------------
 
+def _prox_shift(p_prev, e_bar_dev, a, b, mu_w, c_q):
+    """The algebra ``prox_plastic`` and its derivative share: the shift d
+    = (b p_prev + c_q e_bar_dev) / M - p_prev of the unconstrained
+    minimizer from p_prev, M = b + mu_w + c_q, |d|, the shrink a/(M |d|)
+    (below 1 where the cell yields) and M."""
+    b, c_q = np.asarray(b, dtype=float), np.asarray(c_q, dtype=float)
+    modulus = b + mu_w + c_q
+    if np.any(modulus <= 0):
+        raise ValueError("quadratic modulus must be positive")
+    if np.any(a < 0):
+        raise ValueError("shrinkage threshold must be nonnegative")
+    d = (b[..., None] * p_prev + c_q[..., None] * e_bar_dev) \
+        / modulus[..., None] - p_prev
+    dn = tensor_norm(d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shrink = np.where(dn > 0.0, a / (modulus * dn), np.inf)
+    return d, dn, shrink, modulus
+
+
 def prox_plastic(p_prev: np.ndarray, e_bar_dev: np.ndarray, a, b, mu_w, c_q):
     """Exact minimizer over trace-free pi of
 
@@ -257,27 +289,29 @@ def prox_plastic(p_prev: np.ndarray, e_bar_dev: np.ndarray, a, b, mu_w, c_q):
 
     Accepts broadcast scalar or per-cell coefficients; returns an array of
     the same shape as p_prev.  The quadratic modulus b + mu_w + c_q must
-    be positive.
-    """
-    p_prev = np.asarray(p_prev, dtype=float)
-    e_bar_dev = np.asarray(e_bar_dev, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    mu_w = np.asarray(mu_w, dtype=float)
-    c_q = np.asarray(c_q, dtype=float)
-    modulus = b + mu_w + c_q
-    if np.any(modulus <= 0):
-        raise ValueError("quadratic modulus must be positive")
-    if np.any(a < 0):
-        raise ValueError("shrinkage threshold must be nonnegative")
-    # unconstrained quadratic minimizer, then shrinkage toward p_prev
-    pi_hat = (b[..., None] * p_prev + c_q[..., None] * e_bar_dev) / modulus[..., None]
-    d = pi_hat - p_prev
-    dn = tensor_norm(d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(dn > 0.0,
-                          np.maximum(1.0 - a / (modulus * np.where(dn > 0, dn, 1.0)),
-                                     0.0),
-                          0.0)
-    return p_prev + np.asarray(factor)[..., None] * d
+    be positive."""
+    d, _, shrink, _ = _prox_shift(p_prev, e_bar_dev, a, b, mu_w, c_q)
+    # shrinkage of the shift toward p_prev
+    return p_prev + np.maximum(1.0 - shrink, 0.0)[..., None] * d
 
+
+def prox_plastic_derivative(p_prev: np.ndarray, e_bar: np.ndarray, a, b,
+                            mu_w, c_q) -> np.ndarray:
+    """Jacobian (..., 3, 3) of e_bar -> prox_plastic(p_prev,
+    tensor_dev(e_bar), a, b, mu_w, c_q): the consistent tangent of the
+    return map (Simo & Taylor, Comput. Methods Appl. Mech. Engrg. 48
+    (1985) 101).  It vanishes where the cell sticks and is c_q/M ((1 - s)
+    P + s n n^T G P) where it yields, n = d/|d|, s the shrink, P the
+    deviatoric projection and G = diag(FROB_W)."""
+    d, dn, shrink, modulus = _prox_shift(p_prev, e_bar @ _DEV.T, a, b, mu_w,
+                                         c_q)
+    J = np.zeros(d.shape + (3,))
+    yielding = shrink < 1.0
+    if np.any(yielding):
+        n = d[yielding] / dn[yielding, None]
+        outer = n[:, :, None] * (n * FROB_W)[:, None, :]
+        sh = shrink[yielding][:, None, None]
+        ratio = np.broadcast_to(c_q / modulus, dn.shape)
+        J[yielding] = ratio[yielding, None, None] * (
+            (1.0 - sh) * _DEV[None] + sh * outer @ _DEV[None])
+    return J

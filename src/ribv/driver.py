@@ -65,12 +65,8 @@ class Trajectory:
 
     def rate(self, k: int) -> Rate:
         """Backward-difference rate at step k >= 1."""
-        tau = self.times[k] - self.times[k - 1]
-        return Rate(
-            u_rate=(self.states[k].u - self.states[k - 1].u) / tau,
-            z_rate=(self.states[k].z - self.states[k - 1].z) / tau,
-            p_rate=(self.states[k].p - self.states[k - 1].p) / tau,
-        )
+        return Rate.between(self.states[k - 1], self.states[k],
+                            self.times[k] - self.times[k - 1])
 
     def strain_rate(self, k: int, ops: Operators) -> np.ndarray:
         """Backward-difference rate of the elastic strain at step k >= 1."""
@@ -125,9 +121,7 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
         res = incremental_step(times[k], prev, ops, mat, ep, loading,
                                tol_stat=tol_stat, max_iter=max_iter)
         state = res.new_state
-        dnu_k = d_nu(ops, Rate(u_rate=(state.u - prev.u) / tau,
-                                z_rate=(state.z - prev.z) / tau,
-                                p_rate=(state.p - prev.p) / tau), ep.nu)
+        dnu_k = d_nu(ops, Rate.between(prev, state, tau), ep.nu)
         steps.append(res)
         N.append(res.psi + 0.5 * ep.eps * dnu_k ** 2)
         power.append(_power_integral(times[k - 1], times[k], prev, ops, mat,

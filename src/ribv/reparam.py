@@ -155,11 +155,11 @@ def contact_potential(regime: str, t_rate: float, state: State, rate: Rate,
     ri = psi_rate_independent(state, rate, ops, mat, tol_pos=1e-12)
     if not np.isfinite(ri):
         return float("inf")
-    dn = d_nu(ops, rate, ep.nu)
 
     if regime == "visc":
         if ep.eps <= 0:
             raise ValueError("regime 'visc' needs eps > 0")
+        dn = d_nu(ops, rate, ep.nu)
         if t_rate > 0:
             return ri + (ep.eps / (2 * t_rate)) * dn ** 2 \
                 + (t_rate / (2 * ep.eps)) * diag.d_nu_star ** 2
@@ -170,7 +170,7 @@ def contact_potential(regime: str, t_rate: float, state: State, rate: Rate,
             raise ValueError("regime 'eps0' needs nu > 0")
         if t_rate > 0:
             return ri if diag.d_nu_star <= stab_tol else float("inf")
-        return ri + dn * diag.d_nu_star
+        return ri + d_nu(ops, rate, ep.nu) * diag.d_nu_star
 
     # multi-rate and all-vanishing regimes share the reduced structure;
     # they differ in which dual surrogate is tested

@@ -24,18 +24,20 @@ from .constitutive import (
     EnergyParams,
     MaterialParams,
     Operators,
+    add_corner_form,
+    base_elastic_apply,
     base_elastic_density,
-    base_elastic_form,
     cell_damage,
     corner_scatter,
+    damage_curvature,
     damage_potential,
     deviatoric_modulus,
     energy,
     energy_gradients,
     stiffness_coeff,
-    stiffness_coeff_prime,
     viscous_cell_form,
     yield_radius,
+    yield_radius_prime,
 )
 from .discretization import (
     FROB_W,
@@ -47,7 +49,8 @@ from .discretization import (
     tensor_norm,
     total_strain,
 )
-from .dissipation import Rate, prox_plastic, psi_total, subdiff_violation
+from .dissipation import Rate, prox_plastic, prox_plastic_derivative, \
+    psi_total, subdiff_violation
 
 Z_FLOOR = 1e-8
 # sufficient-decrease fraction delta of both line searches
@@ -84,12 +87,6 @@ class StepResult:
 # subproblem solves
 # ---------------------------------------------------------------------------
 
-_DEV_PROJ = np.array([[0.5, -0.5, 0.0],
-                      [-0.5, 0.5, 0.0],
-                      [0.0, 0.0, 1.0]])
-_FROB_G = np.diag(FROB_W)
-
-
 def band_newton_step(H: np.ndarray, kd: int, grad: np.ndarray) -> np.ndarray:
     """Solve H step = grad for H in the general-band storage of
     ``SymGradient.form`` by banded LU (LAPACK ``dgbsv``, which overwrites
@@ -110,7 +107,8 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     instead minimize the envelope F(u) = min_p J(u, p) by a semismooth
     Newton iteration: the inner minimum is the exact cellwise prox, the
     gradient of F needs only the elastic stress at p*(u) (envelope
-    theorem), and the Hessian uses the consistent tangent of the prox.
+    theorem), and the Hessian uses the consistent tangent S_c (I - J_c)
+    of the prox, J_c from ``dissipation.prox_plastic_derivative``.
     Its symmetric part is assembled over the free dofs in band storage
     and solved by banded LU with partial pivoting (LAPACK ``dgbsv``); an
     exactly singular Hessian falls back to the gradient as the step.
@@ -125,15 +123,15 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     w, F_ext = eval_loading(loading, t)
     free = grid.free_dofs
     zc = cell_damage(grid, state.z)
+    c = stiffness_coeff(zc, mat)[0]
     # per-cell 3x3 forms: Q = 1/2 sum_c e_c S_c e_c
-    S = (grid.w_cell * stiffness_coeff(zc, mat))[:, None, None] \
-        * base_elastic_form(mat)[None, :, :]
+    S = (grid.w_cell * c)[:, None, None] \
+        * (FROB_W[:, None] * base_elastic_apply(np.eye(3), mat))[None, :, :]
     V = yield_radius(zc, mat)
     visc_fac = ep.eps * ep.nu / ep.tau
     u_prev_f = prev_state.u.ravel()[free]
     wflat = w.ravel()
-    c_q = deviatoric_modulus(zc, mat)
-    modulus = visc_fac + ep.mu + c_q
+    c_q = deviatoric_modulus(c, mat)
 
     def value_grad(u_free):
         u_full = np.zeros(2 * grid.n_nodes)
@@ -154,24 +152,6 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
         grad = ops.B.adjoint(sigma_w)[free] - F_ext[free] + visc_fac * kd_du
         return float(val), grad, e_bar, p
 
-    def tangent(e_bar):
-        """Per-cell consistent tangent S_c (I - dp*/d e_bar)."""
-        dev = e_bar @ _DEV_PROJ.T
-        d = (c_q[:, None] * dev + visc_fac * prev_state.p) / modulus[:, None] \
-            - prev_state.p
-        dn = np.sqrt(np.maximum(tensor_dot(d, d), 0.0))
-        shrink = V / (modulus * np.maximum(dn, 1e-300))
-        J = np.zeros((grid.n_cells, 3, 3))
-        yielding = shrink < 1.0
-        if np.any(yielding):
-            dy = d[yielding] / dn[yielding, None]
-            outer = dy[:, :, None] * (dy @ _FROB_G)[:, None, :]
-            sh = shrink[yielding][:, None, None]
-            J[yielding] = (c_q[yielding, None, None] /
-                           modulus[yielding, None, None]) * (
-                (1.0 - sh) * _DEV_PROJ[None] + sh * outer @ _DEV_PROJ[None])
-        return np.einsum("cij,cjk->cik", S, np.eye(3)[None] - J)
-
     visc_cells = visc_fac * viscous_cell_form(grid)
 
     u_free = state.u.ravel()[free].copy()
@@ -183,7 +163,10 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
         if it == max_iter:
             raise RuntimeError(f"solve_up_step: dual residual {r_dual:.3e} "
                                f"> tol_dual after {max_iter} iterations")
-        T = tangent(e_bar)
+        # per-cell consistent tangent S_c (I - dp*/d e_bar)
+        J = prox_plastic_derivative(prev_state.p, e_bar, V, visc_fac, ep.mu,
+                                    c_q)
+        T = np.einsum("cij,cjk->cik", S, np.eye(3)[None] - J)
         # symmetric part of the Hessian visc_fac K_D + sum_c B_c^T T_c B_c
         H = ops.B.form(visc_cells + 0.5 * (T + T.transpose(0, 2, 1)))
         step = -band_newton_step(H, ops.B.kd, grad)
@@ -214,13 +197,12 @@ def _z_value(z, z_prev, q0, dp_norm, ops, mat, ep):
     dz = z - z_prev
     val = 0.5 * z @ Az
     val += np.sum(grid.lump * W)
-    val += np.sum(grid.w_cell * stiffness_coeff(zc, mat) * q0)
+    c, cp, _ = stiffness_coeff(zc, mat)
+    val += np.sum(grid.w_cell * c * q0)
     val += np.sum(grid.w_cell * yield_radius(zc, mat) * dp_norm)
     val += 0.5 * (ep.eps / ep.tau) * np.sum(grid.lump * dz ** 2)
     val -= mat.kappa * np.sum(grid.lump * dz)
-    cell_term = grid.w_cell * (stiffness_coeff_prime(zc, mat) * q0
-                               + mat.c_k * ((zc < 1.0) & (zc > 0.0))
-                               * dp_norm)
+    cell_term = grid.w_cell * (cp * q0 + yield_radius_prime(zc, mat) * dp_norm)
     g = Az + corner_scatter(grid, cell_term) \
         + grid.lump * (Wp + (ep.eps / ep.tau) * dz - mat.kappa)
     return float(val), g
@@ -230,14 +212,12 @@ def _z_hess(z, q0, ops, mat, ep):
     """Hessian of the z subproblem (a.e.; the yield-radius term is
     piecewise linear and contributes nothing)."""
     grid = ops.grid
-    zc = cell_damage(grid, z)
-    Wpp = mat.q_exp * (mat.q_exp + 1.0) * mat.w0 * z ** (-mat.q_exp - 2.0)
     H = ops.A_m.copy()
-    H.flat[::grid.n_nodes + 1] += grid.lump * (Wpp + ep.eps / ep.tau)
+    H.flat[::grid.n_nodes + 1] += grid.lump * (damage_curvature(z, mat)
+                                               + ep.eps / ep.tau)
     # damage-elasticity coupling: d/dz of the scattered cell drive
-    cell_curv = grid.w_cell * 2.0 * (zc < 1.0) * q0 / 16.0
-    idx = grid.cells
-    np.add.at(H, (idx[:, :, None], idx[:, None, :]), cell_curv[:, None, None])
+    cpp = stiffness_coeff(cell_damage(grid, z), mat)[2]
+    add_corner_form(grid, H, grid.w_cell * cpp * q0)
     return H
 
 
@@ -340,10 +320,8 @@ def el_residuals(grads: tuple, state: State, prev_state: State,
 
 def _psi(state: State, prev_state: State, ops: Operators,
          mat: MaterialParams, ep: EnergyParams) -> float:
-    rate = Rate(u_rate=(state.u - prev_state.u) / ep.tau,
-                z_rate=(state.z - prev_state.z) / ep.tau,
-                p_rate=(state.p - prev_state.p) / ep.tau)
-    return psi_total(state, rate, ops, mat, ep.eps, ep.nu, tol_pos=1e-14)
+    return psi_total(state, Rate.between(prev_state, state, ep.tau), ops, mat,
+                     ep.eps, ep.nu, tol_pos=1e-14)
 
 
 def incremental_functional(t: float, state: State, prev_state: State,

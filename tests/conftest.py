@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ribv.constitutive import EnergyParams, MaterialParams, Operators
-from ribv.discretization import Grid, State, initial_state
-from ribv.problems import ramp_loading, reference_material, zero_loading
+from ribv.constitutive import Operators
+from ribv.discretization import Grid, State
+from ribv.problems import reference_material
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 """Config parsing, batch entry points, and output files."""
 
 import filecmp
-import os
 
 import numpy as np
 import pytest

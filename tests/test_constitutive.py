@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 
 from ribv.constitutive import (
-    EnergyParams,
     MaterialParams,
     Operators,
+    base_elastic_apply,
+    damage_curvature,
     damage_potential,
-    elastic_tensor_apply,
     energy,
     energy_gradients,
-    plastic_density,
     power_at,
     power_coefficients,
     stiffness_coeff,
-    stiffness_coeff_prime,
     yield_radius,
+    yield_radius_prime,
 )
 from ribv.discretization import Grid, LoadingSpec, State, initial_state
 from ribv.problems import ramp_loading, reference_material
@@ -41,23 +40,35 @@ class TestElasticTensor:
         # (delta + z^2)(2 mu xi + lam tr xi I) = 1.05 * (3, 1, 0)
         mat = make_mat()
         xi = np.array([[1.0, 0.0, 0.0]])
-        out = elastic_tensor_apply(np.array([1.0]), xi, mat)
+        c, _, _ = stiffness_coeff(np.array([1.0]), mat)
+        out = c[:, None] * base_elastic_apply(xi, mat)
         assert np.allclose(out, 1.05 * np.array([[3.0, 1.0, 0.0]]),
                            atol=1e-14)
 
     def test_zero_input(self, rng):
         mat = make_mat()
         z = rng.uniform(0.1, 1.0, 4)
-        out = elastic_tensor_apply(z, np.zeros((4, 3)), mat)
+        out = stiffness_coeff(z, mat)[0][:, None] \
+            * base_elastic_apply(np.zeros((4, 3)), mat)
         assert np.allclose(out, 0.0)
 
     def test_coefficient_saturates_above_one(self):
         mat = make_mat()
-        assert stiffness_coeff(np.array([1.5]), mat)[0] == \
-            pytest.approx(1.05)
-        assert stiffness_coeff_prime(np.array([1.5]), mat)[0] == 0.0
-        assert stiffness_coeff_prime(np.array([0.5]), mat)[0] == \
-            pytest.approx(1.0)
+        c, cp, cpp = stiffness_coeff(np.array([1.5, 0.5]), mat)
+        assert c[0] == pytest.approx(1.05)
+        assert cp[0] == 0.0 and cpp[0] == 0.0
+        assert cp[1] == pytest.approx(1.0)
+        assert cpp[1] == 2.0
+
+    def test_derivatives_match_fd(self, rng):
+        mat = make_mat()
+        z = np.concatenate([rng.uniform(0.1, 0.9, 20),
+                            rng.uniform(1.1, 2.0, 5)])
+        h = 1e-6
+        c, cp, cpp = stiffness_coeff(z, mat)
+        up, down = stiffness_coeff(z + h, mat), stiffness_coeff(z - h, mat)
+        assert np.allclose(cp, (up[0] - down[0]) / (2 * h), atol=1e-8)
+        assert np.allclose(cpp, (up[1] - down[1]) / (2 * h), atol=1e-8)
 
 
 class TestDamagePotential:
@@ -80,6 +91,9 @@ class TestDamagePotential:
         Wp_fd = (damage_potential(z + h, mat)[0]
                  - damage_potential(z - h, mat)[0]) / (2 * h)
         assert np.allclose(Wp, Wp_fd, rtol=1e-6)
+        Wpp_fd = (damage_potential(z + h, mat)[1]
+                  - damage_potential(z - h, mat)[1]) / (2 * h)
+        assert np.allclose(damage_curvature(z, mat), Wpp_fd, rtol=1e-6)
 
 
 class TestYieldRadius:
@@ -88,22 +102,13 @@ class TestYieldRadius:
         assert yield_radius(np.array([1.0]), mat)[0] == pytest.approx(1.0)
         assert yield_radius(np.array([0.0]), mat)[0] == pytest.approx(0.5)
 
-    def test_plastic_density_support_function(self, rng):
-        # H(z, pi) = V(z) |pi| equals the max of sigma : pi over the
-        # radius-V(z) deviatoric ball (brute-force sampled)
+    def test_slope_matches_fd(self, rng):
         mat = make_mat()
-        pi = np.array([[np.sqrt(2.0), -np.sqrt(2.0), 0.0]])
-        # weighted Frobenius norm: sqrt(2 + 2) = 2
-        val = plastic_density(np.array([1.0]), pi, mat)
-        assert val[0] == pytest.approx(2.0, rel=1e-12)
-        # sampled-support cross-check
-        dirs = rng.normal(size=(10000, 3))
-        dirs[:, 1] = -dirs[:, 0]
-        w = np.array([1.0, 1.0, 2.0])
-        norms = np.sqrt(np.sum(w * dirs ** 2, axis=1))
-        sig = dirs / norms[:, None]  # |sigma| = 1 = V(1)
-        sampled = np.max(np.sum(w * sig * pi[0], axis=1))
-        assert sampled == pytest.approx(2.0, abs=1e-3)
+        z = np.concatenate([rng.uniform(0.05, 0.95, 20),
+                            rng.uniform(1.05, 2.0, 5)])
+        h = 1e-7
+        fd = (yield_radius(z + h, mat) - yield_radius(z - h, mat)) / (2 * h)
+        assert np.allclose(yield_radius_prime(z, mat), fd, atol=1e-8)
 
 
 class TestMaterialValidation:

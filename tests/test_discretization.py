@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ribv.discretization import (
     Grid,
-    State,
     assemble_nonlocal_form,
     assemble_sym_gradient,
     eval_loading,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ribv.constitutive import Operators, cell_damage, yield_radius
-from ribv.discretization import Grid
+from ribv.discretization import Grid, tensor_dev, tensor_norm
 from ribv.dissipation import (
     Rate,
     conj_visc_u,
@@ -14,12 +14,11 @@ from ribv.dissipation import (
     dist_h,
     dist_r,
     dual_diagnostics,
-    norm_p_l1,
     norm_p_l2,
     norm_u_h1,
-    norm_z_hm,
     norm_z_m,
     prox_plastic,
+    prox_plastic_derivative,
     psi_rate_independent,
     psi_total,
 )
@@ -253,6 +252,39 @@ class TestProx:
         e = np.array([[0.12, -0.12, 0.04]])
         out = prox_plastic(p, e, 10.0, 1.0, 1.0, 1.0)
         assert np.allclose(out, p, atol=1e-14)
+
+    def test_derivative_matches_fd(self, rng):
+        # the consistent tangent against central differences of the prox
+        # in each component of the full strain, on yielding and stuck
+        # cells, with scalar b and mu_w as in the (u, p) solve
+        n = 200
+        p = rng.normal(0.0, 0.1, (n, 3))
+        p[:, 1] = -p[:, 0]
+        e_bar = rng.normal(0.0, 0.3, (n, 3))
+        b, mu_w = 0.02, 0.05
+        c_q = rng.uniform(0.5, 2.0, n)
+        modulus = b + mu_w + c_q
+        d = (b * p + c_q[:, None] * tensor_dev(e_bar)) / modulus[:, None] - p
+        # thresholds that put the shrink a / (M |d|) in [0.05, 0.95] or
+        # [1.05, 2], at least 0.05 from the yield switch
+        shrink = np.where(rng.random(n) < 0.5, rng.uniform(0.05, 0.95, n),
+                          rng.uniform(1.05, 2.0, n))
+        a = shrink * modulus * tensor_norm(d)
+        J = prox_plastic_derivative(p, e_bar, a, b, mu_w, c_q)
+        h = 1e-6
+        J_fd = np.empty_like(J)
+        for k in range(3):
+            step = np.zeros(3)
+            step[k] = h
+            J_fd[:, :, k] = (
+                prox_plastic(p, tensor_dev(e_bar + step), a, b, mu_w, c_q)
+                - prox_plastic(p, tensor_dev(e_bar - step), a, b, mu_w,
+                               c_q)) / (2 * h)
+        stuck = shrink > 1.0
+        assert 0 < stuck.sum() < n
+        assert np.all(J[stuck] == 0.0) and np.all(J_fd[stuck] == 0.0)
+        np.testing.assert_allclose(J_fd, J, rtol=1e-6,
+                                   atol=1e-6 * np.max(np.abs(J)))
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,6 @@
 import sys
 
 import numpy as np
-import pytest
 
 import ribv.constitutive as constitutive_module
 import ribv.discretization as discretization_module
@@ -22,7 +21,7 @@ from ribv.problems import (
     reference_problem,
     zero_loading,
 )
-from ribv.reparam import ed_balance_residual_bv, reparam_ed, \
+from ribv.reparam import TOL_JUMP, ed_balance_residual_bv, reparam_ed, \
     reparam_standard
 
 from oracles import balance_residual
@@ -116,10 +115,10 @@ class TestRampRun:
 
 
 def count_evaluations(monkeypatch):
-    """Count energy, energy-gradient, psi and loading evaluations through
-    every ribv module that binds them, and sweeps by z solves."""
+    """Count energy, energy-gradient, psi, D_nu and loading evaluations
+    through every ribv module that binds them, and sweeps by z solves."""
     counts = {"energy": 0, "energy_gradients": 0, "psi_total": 0,
-              "eval_loading": 0, "sweeps": 0}
+              "d_nu": 0, "eval_loading": 0, "sweeps": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -130,6 +129,7 @@ def count_evaluations(monkeypatch):
     for module, name in ((constitutive_module, "energy"),
                          (constitutive_module, "energy_gradients"),
                          (dissipation_module, "psi_total"),
+                         (dissipation_module, "d_nu"),
                          (discretization_module, "eval_loading")):
         fn = getattr(module, name)
         for mod in list(sys.modules.values()):
@@ -166,8 +166,9 @@ class TestEvaluationCounts:
 
     def test_reparam_skips_unread_work(self, monkeypatch):
         # the standard arclength reads no strain rate, so it evaluates no
-        # loading (the energy-dissipation one two per knot), and the BV
-        # balance takes R + H without the viscous norms of psi
+        # loading (the energy-dissipation one two per knot), the BV
+        # balance takes R + H without the viscous norms of psi, and the
+        # eps0 contact potential reads D_nu on jump knots only
         ops, traj = run_reference(4)
         counts = count_evaluations(monkeypatch)
         ptraj = reparam_standard(traj, ops)
@@ -176,6 +177,10 @@ class TestEvaluationCounts:
         assert counts["eval_loading"] == 2 * traj.n_steps
         ed_balance_residual_bv(ptraj, ops, "visc", 10 * traj.ep.eps)
         assert counts["psi_total"] == 0
+        assert not ptraj.jumps(TOL_JUMP).any()
+        before = counts["d_nu"]
+        ed_balance_residual_bv(ptraj, ops, "eps0", 10 * traj.ep.eps)
+        assert counts["d_nu"] == before
 
 
 class TestPreRelax:

@@ -1,8 +1,9 @@
-"""Static hygiene: every name a ribv module imports is used there, every
-import sits at module level, no function binds a name it never reads,
-no module reaches for a dense viscosity operator, the nonlocal form is
-applied through ``Operators``, and the solvers have one line-search rule
-and no fallback for a failed linear solve."""
+"""Static hygiene: every name a ribv module or a test module imports is
+used there, every import sits at module level, no function binds a name
+it never reads, no module reaches for a dense viscosity operator, the
+nonlocal form is applied through ``Operators``, the material law's
+constants are read in ``constitutive`` only, and the solvers have one
+line-search rule and no fallback for a failed linear solve."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,9 @@ from pathlib import Path
 import ribv
 
 SRC = Path(ribv.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+# kept unchanged as the fixed acceptance suite, with two unused imports
+_SCAN_EXEMPT = {"test_acceptance.py"}
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -36,9 +40,36 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    offenders = [msg for path in sorted(SRC.glob("*.py"))
-                 for msg in _unused_imports(path)]
+    paths = sorted(SRC.glob("*.py")) + [
+        path for path in sorted(TESTS.glob("*.py"))
+        if path.name not in _SCAN_EXEMPT]
+    offenders = [msg for path in paths for msg in _unused_imports(path)]
     assert not offenders, "unused imports:\n" + "\n".join(offenders)
+
+
+# constants of the elastic, barrier and yield laws, and the one module
+# besides constitutive that may read them: config maps its keys onto
+# MaterialParams
+_LAW_CONSTANTS = {"lame_lambda", "lame_mu", "delta_reg", "sigma_y", "m_bar",
+                  "w0", "q_exp"}
+_LAW_READERS = {"constitutive.py", "config.py"}
+
+
+def _law_constant_reads(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}: reads .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in _LAW_CONSTANTS
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_law_constants_read_in_constitutive_only():
+    offenders = [msg for path in sorted(SRC.glob("*.py"))
+                 if path.name not in _LAW_READERS
+                 for msg in _law_constant_reads(path)]
+    assert not offenders, "law constants read outside constitutive:\n" \
+        + "\n".join(offenders)
 
 
 def _nested_imports(path: Path) -> list[str]:

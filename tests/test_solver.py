@@ -11,7 +11,6 @@ import ribv.solver as solver_module
 from ribv.constitutive import (
     EnergyParams,
     Operators,
-    cell_damage,
     damage_potential,
     energy,
     energy_gradients,
@@ -19,7 +18,7 @@ from ribv.constitutive import (
     viscous_cell_form,
     yield_radius,
 )
-from ribv.discretization import Grid, State, initial_state, tensor_norm
+from ribv.discretization import Grid, initial_state, tensor_norm
 from ribv.config import RunConfig
 from ribv.dissipation import Rate, psi_total
 from ribv.driver import run_viscous
@@ -215,7 +214,7 @@ class TestZStep:
             za = np.full(grid.n_nodes, zeta)
             W, _ = damage_potential(za, mat)
             val = float(np.sum(grid.lump * W))
-            val += stiffness_coeff(np.array([zeta]), mat)[0] * q0
+            val += stiffness_coeff(np.array([zeta]), mat)[0][0] * q0
             val += yield_radius(np.array([zeta]), mat)[0] * dp
             d = zeta - zp
             val += mat.kappa * abs(d) + 0.5 * ep.eps / ep.tau * d ** 2
