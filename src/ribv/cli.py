@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig
-from .constitutive import Operators, energy, energy_gradients
+from .constitutive import energy, energy_gradients
 from .discretization import Grid, State, eval_loading, nonlocal_double_sum, \
     tensor_norm, total_strain
 from .dissipation import (
@@ -32,7 +32,7 @@ from .gronwall import (
     check_gronwall_viscous,
     viscous_hypotheses,
 )
-from .problems import ramp_loading, reference_material, reference_problem
+from .problems import reference_problem
 from .reparam import (
     bv_sweep,
     detect_jumps,
@@ -169,8 +169,8 @@ def cmd_reparam(cfg: RunConfig, out_dir: str) -> int:
 def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
     _, mat, ops, _, loading, init = cfg.build()
     report = bv_sweep(ops, mat, loading, init, cfg.regime, cfg.ladder(),
-                      n_steps=cfg.n_steps, t_final=cfg.t_final,
-                      tol_stat=cfg.tol_stat, tol_jump=cfg.tol_jump,
+                      n_steps=cfg.n_steps, tol_stat=cfg.tol_stat,
+                      tol_jump=cfg.tol_jump,
                       stab_tol_factor=cfg.stab_tol_factor,
                       max_iter=cfg.max_iter)
     header = ("level,eps,nu,mu,max_stability_nonjump,ed_balance_residual,"
@@ -287,10 +287,8 @@ def cmd_check_gronwall(instance_path: str, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _selftest_gradients(rng) -> tuple[bool, str]:
-    grid = Grid(3)
-    mat = reference_material()
-    ops = Operators.build(grid, mat)
-    loading = ramp_loading(grid, amplitude=0.3)
+    grid, mat, ops, _, loading, _ = reference_problem(n_side=3,
+                                                      amplitude=0.3)
     worst = 0.0
     for _ in range(20):
         st = State(u=rng.normal(0, 0.05, (grid.n_nodes, 2)),
@@ -355,9 +353,7 @@ def _selftest_prox(rng) -> tuple[bool, str]:
 
 
 def _selftest_nonlocal(rng) -> tuple[bool, str]:
-    grid = Grid(3)
-    mat = reference_material()
-    ops = Operators.build(grid, mat)
+    grid, mat, ops, _, _, _ = reference_problem(n_side=3)
     worst = 0.0
     for _ in range(10):
         z1 = rng.uniform(0.2, 1.0, grid.n_nodes)

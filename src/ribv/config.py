@@ -1,22 +1,23 @@
-"""Flat key-value run configuration.
+"""Flat key-value run configuration of the reference problem.
 
 Format: one `key = value` per line, `#` starts a comment, blank lines
 ignored.  Unknown keys are rejected with the offending name.  Ladder
-values are comma-separated lists.
+values are comma-separated lists.  The material keys and their defaults
+are the fields of ``MaterialParams``; ``RunConfig.build`` hands the
+values to ``problems.reference_problem``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .constitutive import EnergyParams, MaterialParams, Operators
-from .discretization import Grid, initial_state
-from .problems import ramp_loading, zero_loading
+from .constitutive import EnergyParams, MaterialParams
+from .problems import reference_problem
+from .reparam import ladder_levels
 
+_MATERIAL_KEYS = {f.name: f.default for f in fields(MaterialParams)}
 _FLOAT_KEYS = {
-    "lame_lambda": 1.0, "lame_mu": 1.0, "delta_reg": 0.05,
-    "sigma_y": 0.85, "m_bar": 0.8, "kappa": 0.03, "w0": 0.034,
-    "q_exp": 5.0, "m_order": 1.5,
+    **_MATERIAL_KEYS,
     "eps": 1e-2, "nu": 1e-2, "mu": 1e-2, "t_final": 1.0,
     "load_amplitude": 0.48, "z0": 0.95,
     "tol_stat": 1e-8, "tol_jump": 1e-3, "stab_tol_factor": 10.0,
@@ -46,11 +47,7 @@ class RunConfig:
 
     @classmethod
     def defaults(cls) -> "RunConfig":
-        vals = {}
-        vals.update(_FLOAT_KEYS)
-        vals.update(_INT_KEYS)
-        vals.update(_STR_KEYS)
-        return cls(values=vals)
+        return cls(values={**_FLOAT_KEYS, **_INT_KEYS, **_STR_KEYS})
 
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
@@ -81,17 +78,17 @@ class RunConfig:
 
     def validate(self) -> None:
         self.material()  # raises on bad constants
-        self.energy_params()
         if self.load_kind not in ("ramp", "zero"):
             raise ValueError(f"unknown load_kind {self.load_kind!r}")
-        if self.regime not in ("visc", "eps0", "eps-nu0", "all0"):
-            raise ValueError(f"unknown regime {self.regime!r}")
         if self.grid_n < 3:
             # a 2x2 grid leaves the one-point-quadrature stiffness
             # singular on the free dofs (hourglass modes)
             raise ValueError("grid_n must be at least 3")
         if self.n_steps < 1:
             raise ValueError("n_steps must be positive")
+        # raises on bad regularization parameters or time step
+        EnergyParams(eps=self.eps, nu=self.nu, mu=self.mu,
+                     tau=self.t_final / self.n_steps, t_final=self.t_final)
         if not (0.0 < self.z0 <= 1.0):
             raise ValueError("z0 must lie in (0, 1]")
         self.ladder()
@@ -99,31 +96,21 @@ class RunConfig:
     # -- constructors for the solver stack ------------------------------
 
     def material(self) -> MaterialParams:
-        return MaterialParams(
-            lame_lambda=self.lame_lambda, lame_mu=self.lame_mu,
-            delta_reg=self.delta_reg, sigma_y=self.sigma_y,
-            m_bar=self.m_bar, kappa=self.kappa, w0=self.w0,
-            q_exp=self.q_exp, m_order=self.m_order)
-
-    def energy_params(self) -> EnergyParams:
-        return EnergyParams(eps=self.eps, nu=self.nu, mu=self.mu,
-                            tau=self.t_final / self.n_steps,
-                            t_final=self.t_final)
+        return MaterialParams(**{k: self.values[k] for k in _MATERIAL_KEYS})
 
     def build(self):
-        """Return (grid, mat, ops, ep, loading, init_state)."""
-        grid = Grid(self.grid_n)
-        mat = self.material()
-        ops = Operators.build(grid, mat)
-        ep = self.energy_params()
-        if self.load_kind == "ramp":
-            loading = ramp_loading(grid, amplitude=self.load_amplitude,
-                                   t_final=self.t_final)
-        else:
-            loading = zero_loading(grid, t_final=self.t_final)
-        return grid, mat, ops, ep, loading, initial_state(grid, self.z0)
+        """Return (grid, mat, ops, ep, loading, init_state): the reference
+        problem with this config's values; load_kind zero is amplitude 0."""
+        return reference_problem(
+            n_side=self.grid_n, eps=self.eps, nu=self.nu, mu=self.mu,
+            n_steps=self.n_steps,
+            amplitude=self.load_amplitude if self.load_kind == "ramp"
+            else 0.0,
+            t_final=self.t_final, z0=self.z0, mat=self.material())
 
     def ladder(self) -> list[tuple[float, float, float]]:
+        """The (eps, nu, mu) levels of the sweep, checked against the
+        regime by ``reparam.ladder_levels``."""
         eps = [float(x) for x in self.ladder_eps.split(",") if x.strip()]
         if not eps:
             raise ValueError("ladder_eps must not be empty")
@@ -141,4 +128,4 @@ class RunConfig:
             mus = [self.mu] * len(eps)
         if not (len(eps) == len(nus) == len(mus)):
             raise ValueError("ladder lists must have equal length")
-        return list(zip(eps, nus, mus))
+        return ladder_levels(self.regime, zip(eps, nus, mus))

@@ -48,15 +48,16 @@ from .discretization import (
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Material constants. Validated at construction."""
+    """Material constants. Validated at construction.  The defaults are
+    the reference problem's material (``problems``)."""
 
     lame_lambda: float = 1.0
     lame_mu: float = 1.0
     delta_reg: float = 0.05
-    sigma_y: float = 1.0
-    m_bar: float = 0.5
-    kappa: float = 1.0
-    w0: float = 0.1
+    sigma_y: float = 0.85
+    m_bar: float = 0.8
+    kappa: float = 0.03
+    w0: float = 0.034
     q_exp: float = 5.0
     m_order: float = 1.5
 

@@ -301,8 +301,9 @@ def prox_plastic_derivative(p_prev: np.ndarray, e_bar: np.ndarray, a, b,
     tensor_dev(e_bar), a, b, mu_w, c_q): the consistent tangent of the
     return map (Simo & Taylor, Comput. Methods Appl. Mech. Engrg. 48
     (1985) 101).  It vanishes where the cell sticks and is c_q/M ((1 - s)
-    P + s n n^T G P) where it yields, n = d/|d|, s the shrink, P the
-    deviatoric projection and G = diag(FROB_W)."""
+    P + s n n^T G) where it yields, n = d/|d|, s the shrink, P the
+    deviatoric projection and G = diag(FROB_W); n is trace-free, so
+    n n^T G P = n n^T G."""
     d, dn, shrink, modulus = _prox_shift(p_prev, e_bar @ _DEV.T, a, b, mu_w,
                                          c_q)
     J = np.zeros(d.shape + (3,))
@@ -313,5 +314,5 @@ def prox_plastic_derivative(p_prev: np.ndarray, e_bar: np.ndarray, a, b,
         sh = shrink[yielding][:, None, None]
         ratio = np.broadcast_to(c_q / modulus, dn.shape)
         J[yielding] = ratio[yielding, None, None] * (
-            (1.0 - sh) * _DEV[None] + sh * outer @ _DEV[None])
+            (1.0 - sh) * _DEV[None] + sh * outer)
     return J

@@ -1,10 +1,12 @@
-"""Ready-made problem setups shared by tests, demos, and the batch
-entry points.
+"""The reference problem, which every command, demo and test solves.
 
-The reference ramp problem pulls a left-clamped unit square rightward
-with a linearly growing body force.  The constants are tuned so that a
-short run passes through all three phases: elastic, plastic flow, and
-damage growth, without ever hitting the damage floor.
+The reference ramp problem pulls a left-clamped unit square with a
+linearly growing body force.  Its material is ``MaterialParams()``,
+whose defaults are tuned so that a short run passes through all three
+phases: elastic, plastic flow, and damage growth, without ever hitting
+the damage floor.  ``reference_problem`` is the one builder of the
+problem; ``RunConfig.build`` calls it with a config's values, and
+amplitude 0 gives the unloaded problem.
 """
 
 from __future__ import annotations
@@ -35,42 +37,19 @@ def ramp_loading(grid: Grid, amplitude: float = 1.0,
     )
 
 
-def zero_loading(grid: Grid, t_final: float = 1.0) -> LoadingSpec:
-    return LoadingSpec(
-        grid=grid,
-        g_dir=np.zeros((grid.n_nodes, 2)),
-        theta=lambda t: 0.0,
-        theta_dot=lambda t: 0.0,
-        f0=np.zeros((grid.n_nodes, 2)),
-        phi=lambda t: 0.0,
-        phi_dot=lambda t: 0.0,
-        t_final=t_final,
-    )
-
-
 def reference_material() -> MaterialParams:
     """Constants of the reference ramp problem."""
-    return MaterialParams(
-        lame_lambda=1.0,
-        lame_mu=1.0,
-        delta_reg=0.05,
-        sigma_y=0.85,
-        m_bar=0.8,
-        kappa=0.03,
-        w0=0.034,
-        q_exp=5.0,
-        m_order=1.5,
-    )
+    return MaterialParams()
 
 
 def reference_problem(n_side: int = 4, eps: float = 1e-2, nu: float = 1e-2,
                       mu: float = 1e-2, n_steps: int = 20,
                       amplitude: float = 0.48, t_final: float = 1.0,
-                      z0: float = 0.95):
+                      z0: float = 0.95,
+                      mat: MaterialParams = MaterialParams()):
     """Return (grid, mat, ops, ep, loading, init_state) for the reference
     ramp.  z0 < 1 so the damage driving force is active from the start."""
     grid = Grid(n_side)
-    mat = reference_material()
     ops = Operators.build(grid, mat)
     ep = EnergyParams(eps=eps, nu=nu, mu=mu, tau=t_final / n_steps,
                       t_final=t_final)

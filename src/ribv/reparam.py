@@ -377,42 +377,48 @@ def ed_balance_residual_bv(ptraj: ParamTrajectory, ops: Operators,
     return float(resid), float(contact)
 
 
-def _ladder_ok(regime: str, ladder) -> bool:
-    eps = [l[0] for l in ladder]
-    nus = [l[1] for l in ladder]
-    mus = [l[2] for l in ladder]
+def ladder_levels(regime: str, ladder) -> list[tuple[float, float, float]]:
+    """The ladder as float (eps, nu, mu) levels.  Raises ValueError on an
+    unknown regime or a ladder that breaks the regime's constraints:
+    eps strictly decreasing, and nu, mu fixed (eps0), nu/eps and mu
+    fixed (eps-nu0), or mu strictly decreasing with nu <= mu (all0)."""
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}")
+    levels = [tuple(float(x) for x in lvl) for lvl in ladder]
+    eps = [l[0] for l in levels]
+    nus = [l[1] for l in levels]
+    mus = [l[2] for l in levels]
     dec = all(a > b for a, b in zip(eps, eps[1:]))
     if regime == "eps0":
-        return dec and len(set(nus)) == 1 and len(set(mus)) == 1 \
+        ok = dec and len(set(nus)) == 1 and len(set(mus)) == 1 \
             and nus[0] > 0
-    if regime == "eps-nu0":
+    elif regime == "eps-nu0":
         ratios = [n / e for n, e in zip(nus, eps)]
-        return dec and len(set(mus)) == 1 \
+        ok = dec and len(set(mus)) == 1 \
             and max(ratios) - min(ratios) < 1e-12
-    if regime == "all0":
-        return dec and all(a > b for a, b in zip(mus, mus[1:])) \
+    elif regime == "all0":
+        ok = dec and all(a > b for a, b in zip(mus, mus[1:])) \
             and all(n <= m + 1e-15 for n, m in zip(nus, mus))
-    if regime == "visc":
-        return True
-    return False
+    else:
+        ok = True
+    if not ok:
+        raise ValueError(f"ladder violates the constraints of regime "
+                         f"{regime!r}")
+    return levels
 
 
 def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
              init_state: State, regime: str, ladder, n_steps: int = 20,
-             t_final: float = 1.0, tol_stat: float = 1e-8,
-             tol_jump: float = TOL_JUMP,
+             tol_stat: float = 1e-8, tol_jump: float = TOL_JUMP,
              stab_tol_factor: float = 10.0,
              max_iter: int = 500) -> SweepReport:
-    """Run viscous solves along a vanishing-parameter ladder, reparam-
+    """Run viscous solves over the loading's horizon along a
+    vanishing-parameter ladder (checked by ``ladder_levels``), reparam-
     eterize (energy-dissipation arclength when everything vanishes,
     standard otherwise), and assemble the cross-level convergence
     evidence."""
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
-    ladder = [tuple(float(x) for x in lvl) for lvl in ladder]
-    if not _ladder_ok(regime, ladder):
-        raise ValueError(f"ladder violates the constraints of regime "
-                         f"{regime!r}")
+    ladder = ladder_levels(regime, ladder)
+    t_final = loading.t_final
 
     levels = []
     for lvl in ladder:

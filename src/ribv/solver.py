@@ -75,7 +75,6 @@ class StepResult:
     new_state: State
     iterations: int
     el_residuals: tuple[float, float, float]  # (r_u, r_z, r_p)
-    decrease: float
     accepted: bool
     energy: float
     gradients: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -318,19 +317,6 @@ def el_residuals(grads: tuple, state: State, prev_state: State,
     return r_u, r_z, r_p
 
 
-def _psi(state: State, prev_state: State, ops: Operators,
-         mat: MaterialParams, ep: EnergyParams) -> float:
-    return psi_total(state, Rate.between(prev_state, state, ep.tau), ops, mat,
-                     ep.eps, ep.nu, tol_pos=1e-14)
-
-
-def incremental_functional(t: float, state: State, prev_state: State,
-                           ops: Operators, mat: MaterialParams,
-                           ep: EnergyParams, loading: LoadingSpec) -> float:
-    return ep.tau * _psi(state, prev_state, ops, mat, ep) \
-        + energy(t, state, ops, mat, ep.mu, loading)
-
-
 def incremental_step(t: float, prev_state: State, ops: Operators,
                      mat: MaterialParams, ep: EnergyParams,
                      loading: LoadingSpec, tol_stat: float = 1e-8,
@@ -339,13 +325,11 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
     optimality residual drops below tol_stat (or max_iter sweeps); a
     (u, p) or z solve that cannot reach its tolerance raises RuntimeError.
 
-    The energy and Psi are evaluated at prev_state and at the final state,
-    the energy gradients once per sweep; ``decrease`` is the drop of the
-    incremental functional between the two ends."""
+    The energy and Psi are evaluated once, at the final state, the energy
+    gradients once per sweep."""
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     state = prev_state.copy()
-    val0 = incremental_functional(t, state, prev_state, ops, mat, ep, loading)
     for sweeps in range(1, max_iter + 1):
         state.u, state.p = solve_up_step(
             t, state, prev_state, ops, mat, ep, loading,
@@ -357,12 +341,12 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
         if max(residuals) <= tol_stat:
             break
     energy_k = energy(t, state, ops, mat, ep.mu, loading)
-    psi_k = _psi(state, prev_state, ops, mat, ep)
+    psi_k = psi_total(state, Rate.between(prev_state, state, ep.tau), ops,
+                      mat, ep.eps, ep.nu, tol_pos=1e-14)
     return StepResult(
         new_state=state,
         iterations=sweeps,
         el_residuals=residuals,
-        decrease=val0 - (ep.tau * psi_k + energy_k),
         accepted=max(residuals) <= tol_stat,
         energy=energy_k,
         gradients=grads,

@@ -7,7 +7,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ribv.constitutive import energy
-from ribv.dissipation import d_nu, psi_total
+from ribv.dissipation import Rate, d_nu, psi_total
 from ribv.driver import _power_integral
 
 FROB_W = np.array([1.0, 1.0, 2.0])
@@ -245,6 +245,15 @@ def jump_intervals(s, t_rate, tol_jump):
         else:
             k += 1
     return jumps
+
+
+def incremental_functional(t, state, prev_state, ops, mat, ep, loading):
+    """tau Psi_{eps,nu}(q, (q - q_prev)/tau) + E_mu(t, q), the functional
+    one incremental step minimizes, at a state q."""
+    rate = Rate.between(prev_state, state, ep.tau)
+    return ep.tau * psi_total(state, rate, ops, mat, ep.eps, ep.nu,
+                              tol_pos=1e-14) \
+        + energy(t, state, ops, mat, ep.mu, loading)
 
 
 def balance_residual(traj, ops):

@@ -16,6 +16,8 @@ from ribv.cli import (
     parse_gronwall_instances,
 )
 from ribv.config import RunConfig
+from ribv.constitutive import MaterialParams
+from ribv.problems import reference_material, reference_problem
 
 FAST_CFG = """
 grid_n = 3
@@ -85,6 +87,30 @@ class TestConfig:
             RunConfig.parse("regime = eps0\n"
                             "ladder_eps = 1e-1,1e-2\n"
                             "ladder_nu = 0.1\n").ladder()
+
+    def test_ladder_checked_at_parse(self):
+        # a rising eps0 ladder, and an all0 ladder with nu > mu, fail
+        # when the config is read, before any operator is assembled
+        with pytest.raises(ValueError, match="constraints of regime"):
+            RunConfig.parse("regime = eps0\nladder_eps = 1e-3,1e-1\n")
+        with pytest.raises(ValueError, match="constraints of regime"):
+            RunConfig.parse("regime = all0\nladder_eps = 1e-1,1e-2\n"
+                            "ladder_nu = 2e-1,2e-2\n")
+
+    def test_one_reference_problem(self):
+        # one material and one builder: the default config builds the
+        # reference problem bit for bit
+        assert MaterialParams() == reference_material() \
+            == RunConfig.defaults().material()
+        _, mat, ops, ep, loading, init = RunConfig.defaults().build()
+        _, mat_r, ops_r, ep_r, loading_r, init_r = reference_problem()
+        assert mat == mat_r
+        assert ep == ep_r
+        assert np.array_equal(ops.A_m, ops_r.A_m)
+        assert np.array_equal(ops.K_D_band, ops_r.K_D_band)
+        assert np.array_equal(loading.f_vec, loading_r.f_vec)
+        for name in ("u", "z", "p"):
+            assert np.array_equal(getattr(init, name), getattr(init_r, name))
 
 
 class TestSolveCommand:

@@ -19,7 +19,6 @@ from ribv.problems import (
     ramp_loading,
     reference_material,
     reference_problem,
-    zero_loading,
 )
 from ribv.reparam import TOL_JUMP, ed_balance_residual_bv, reparam_ed, \
     reparam_standard
@@ -40,7 +39,7 @@ class TestZeroLoading:
         ops = Operators.build(grid, mat)
         ep = EnergyParams(eps=1e-2, nu=1e-2, mu=1e-2, tau=0.1,
                           t_final=1.0)
-        traj = run_viscous(ops, mat, ep, zero_loading(grid),
+        traj = run_viscous(ops, mat, ep, ramp_loading(grid, 0.0),
                            initial_state(grid, 0.95), n_steps=10)
         assert traj.aborted_at is None
         for st in traj.states[1:]:
@@ -54,7 +53,7 @@ class TestZeroLoading:
         ops = Operators.build(grid, mat)
         ep = EnergyParams(eps=1e-2, nu=1e-2, mu=1e-2, tau=0.1,
                           t_final=1.0)
-        traj = run_viscous(ops, mat, ep, zero_loading(grid),
+        traj = run_viscous(ops, mat, ep, ramp_loading(grid, 0.0),
                            initial_state(grid, 0.95), n_steps=10)
         assert np.all(traj.balance_residual_cum < 1e-12)
         assert np.all(balance_residual(traj, ops) < 1e-12)
@@ -144,14 +143,14 @@ def count_evaluations(monkeypatch):
 class TestEvaluationCounts:
     def test_step_quantities_taken_from_step(self, monkeypatch):
         # each step's energy, dissipation potential and energy gradients
-        # come from the step result: the energy and psi are evaluated at
-        # the two ends of every step (the pre-relaxation included) and
+        # come from the step result: the energy and psi are evaluated
+        # once per step, at its result (the pre-relaxation included), and
         # the gradients once per sweep
         counts = count_evaluations(monkeypatch)
         ops, traj = run_reference(4)
         assert traj.aborted_at is None
-        assert counts["energy"] == 2 * (traj.n_steps + 1)
-        assert counts["psi_total"] == 2 * (traj.n_steps + 1)
+        assert counts["energy"] == traj.n_steps + 1
+        assert counts["psi_total"] == traj.n_steps + 1
         assert counts["energy_gradients"] == counts["sweeps"]
 
     def test_reparam_gradients_once_per_sweep(self, monkeypatch, tmp_path):

@@ -2,8 +2,9 @@
 used there, every import sits at module level, no function binds a name
 it never reads, no module reaches for a dense viscosity operator, the
 nonlocal form is applied through ``Operators``, the material law's
-constants are read in ``constitutive`` only, and the solvers have one
-line-search rule and no fallback for a failed linear solve."""
+constants are read in ``constitutive`` only, the reference problem is
+built in ``problems`` only, and the solvers have one line-search rule
+and no fallback for a failed linear solve."""
 
 import ast
 from pathlib import Path
@@ -47,12 +48,9 @@ def test_no_unused_imports():
     assert not offenders, "unused imports:\n" + "\n".join(offenders)
 
 
-# constants of the elastic, barrier and yield laws, and the one module
-# besides constitutive that may read them: config maps its keys onto
-# MaterialParams
+# constants of the elastic, barrier and yield laws
 _LAW_CONSTANTS = {"lame_lambda", "lame_mu", "delta_reg", "sigma_y", "m_bar",
                   "w0", "q_exp"}
-_LAW_READERS = {"constitutive.py", "config.py"}
 
 
 def _law_constant_reads(path: Path) -> list[str]:
@@ -66,9 +64,33 @@ def _law_constant_reads(path: Path) -> list[str]:
 
 def test_law_constants_read_in_constitutive_only():
     offenders = [msg for path in sorted(SRC.glob("*.py"))
-                 if path.name not in _LAW_READERS
+                 if path.name != "constitutive.py"
                  for msg in _law_constant_reads(path)]
     assert not offenders, "law constants read outside constitutive:\n" \
+        + "\n".join(offenders)
+
+
+def _problem_builds(path: Path) -> list[str]:
+    """Calls of ``Operators.build`` and ``LoadingSpec``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and f.attr == "build" \
+                and getattr(f.value, "id", None) == "Operators":
+            out.append(f"{path.name}:{node.lineno}: Operators.build")
+        elif getattr(f, "id", None) == "LoadingSpec":
+            out.append(f"{path.name}:{node.lineno}: LoadingSpec")
+    return out
+
+
+def test_reference_problem_built_in_problems_only():
+    offenders = [msg for path in sorted(SRC.glob("*.py"))
+                 if path.name != "problems.py"
+                 for msg in _problem_builds(path)]
+    assert not offenders, "problem built outside problems:\n" \
         + "\n".join(offenders)
 
 

@@ -24,7 +24,6 @@ from ribv.problems import (
     ramp_loading,
     reference_material,
     reference_problem,
-    zero_loading,
 )
 from ribv.reparam import (
     REGIMES,
@@ -64,7 +63,7 @@ class TestNormalization:
         ops = Operators.build(grid, mat)
         ep = EnergyParams(eps=1e-2, nu=1e-2, mu=1e-2, tau=0.1,
                           t_final=1.0)
-        traj = run_viscous(ops, mat, ep, zero_loading(grid),
+        traj = run_viscous(ops, mat, ep, ramp_loading(grid, 0.0),
                            initial_state(grid, 0.95), n_steps=10)
         p = reparam_standard(traj, ops)
         assert np.allclose(p.s, traj.times, atol=1e-12)
@@ -185,7 +184,7 @@ class TestJumpsAndStability:
         ops = Operators.build(grid, mat)
         ep = EnergyParams(eps=1e-2, nu=1e-2, mu=1e-2, tau=0.1,
                           t_final=1.0)
-        traj = run_viscous(ops, mat, ep, zero_loading(grid),
+        traj = run_viscous(ops, mat, ep, ramp_loading(grid, 0.0),
                            initial_state(grid, 0.95), n_steps=5)
         p = reparam_standard(traj, ops)
         # no jump, so the maximum runs over every knot k >= 1
@@ -342,7 +341,7 @@ class TestSwitchingRecovery:
         ops = Operators.build(grid, mat)
         ep = EnergyParams(eps=1e-2, nu=1e-2, mu=1e-2, tau=0.1,
                           t_final=1.0)
-        traj = run_viscous(ops, mat, ep, zero_loading(grid),
+        traj = run_viscous(ops, mat, ep, ramp_loading(grid, 0.0),
                            initial_state(grid, 0.95), n_steps=3,
                            tol_stat=1e-10)
         p = reparam_standard(traj, ops)
@@ -413,7 +412,7 @@ class TestSweep:
         grid = Grid(3)
         mat = reference_material()
         ops = Operators.build(grid, mat)
-        rep = bv_sweep(ops, mat, zero_loading(grid),
+        rep = bv_sweep(ops, mat, ramp_loading(grid, 0.0),
                        initial_state(grid, 0.95), "eps0",
                        [(1e-1, 0.1, 0.1), (1e-2, 0.1, 0.1)], n_steps=5)
         assert all(d < 1e-10 for d in rep.pairwise_sup_distance)
@@ -470,10 +469,10 @@ class TestSweep:
         mat = reference_material()
         ops = Operators.build(grid, mat)
         with pytest.raises(ValueError):
-            bv_sweep(ops, mat, zero_loading(grid),
+            bv_sweep(ops, mat, ramp_loading(grid, 0.0),
                      initial_state(grid, 0.95), "eps0",
                      [(1e-2, 0.1, 0.1), (1e-1, 0.1, 0.1)], n_steps=5)
         with pytest.raises(ValueError):
-            bv_sweep(ops, mat, zero_loading(grid),
+            bv_sweep(ops, mat, ramp_loading(grid, 0.0),
                      initial_state(grid, 0.95), "all0",
                      [(1e-1, 0.2, 0.1), (1e-2, 0.02, 0.01)], n_steps=5)

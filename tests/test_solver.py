@@ -26,21 +26,19 @@ from ribv.problems import (
     ramp_loading,
     reference_material,
     reference_problem,
-    zero_loading,
 )
 from ribv.solver import (
     Z_FLOOR,
     _z_value,
     band_newton_step,
     el_residuals,
-    incremental_functional,
     incremental_step,
     solve_up_step,
     solve_z_step,
 )
 
 from conftest import random_state
-from oracles import band_to_dense
+from oracles import band_to_dense, incremental_functional
 
 
 def small_ep(eps=1e-2, nu=1e-2, mu=1e-2, tau=0.05):
@@ -52,7 +50,7 @@ class TestTrivialSteps:
         grid = Grid(3)
         mat = reference_material()
         ops = Operators.build(grid, mat)
-        loading = zero_loading(grid)
+        loading = ramp_loading(grid, 0.0)
         prev = initial_state(grid, z0=0.95)
         res = incremental_step(0.5, prev, ops, mat, small_ep(), loading)
         assert res.accepted
@@ -190,7 +188,7 @@ class TestZStep:
         mat = reference_material()
         ops = Operators.build(grid, mat)
         ops = dataclasses.replace(ops, A_m=np.zeros_like(ops.A_m))
-        loading = zero_loading(grid)
+        loading = ramp_loading(grid, 0.0)
         ep = small_ep(tau=0.1)
 
         prev = initial_state(grid, z0=0.9)
@@ -369,7 +367,9 @@ class TestIncrementalStep:
             res = incremental_step(k * ep.tau, prev, ops, mat, ep,
                                    loading)
             assert res.accepted
-            assert res.decrease >= -1e-11
+            before = incremental_functional(k * ep.tau, prev, prev, ops,
+                                            mat, ep, loading)
+            assert before - (ep.tau * res.psi + res.energy) >= -1e-11
             assert np.all(res.new_state.z <= prev.z + 1e-15)
             prev = res.new_state
 
@@ -408,20 +408,25 @@ class TestIncrementalStep:
         assert max(r) <= 1e-9
 
     def test_functional_evaluated_once_per_end(self, monkeypatch):
-        # the energy, and with it the step functional, is taken at
-        # prev_state and at the result, however many sweeps the step takes
+        # the energy and psi, the two terms of the step functional, are
+        # taken once, at the result, however many sweeps the step takes
         grid = Grid(3)
         mat = reference_material()
         ops = Operators.build(grid, mat)
         loading = ramp_loading(grid, amplitude=1.2)
-        calls = []
+        calls = {"energy": 0, "psi_total": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return energy(*args, **kwargs)
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(solver_module, "energy", counted)
+        monkeypatch.setattr(solver_module, "energy",
+                            counted("energy", energy))
+        monkeypatch.setattr(solver_module, "psi_total",
+                            counted("psi_total", psi_total))
         res = incremental_step(0.9, initial_state(grid, z0=0.95), ops, mat,
                                small_ep(tau=0.1), loading, tol_stat=1e-9)
         assert res.iterations >= 2
-        assert len(calls) == 2
+        assert calls == {"energy": 1, "psi_total": 1}
