@@ -3,26 +3,37 @@
 Format: one `key = value` per line, `#` starts a comment, blank lines
 ignored.  Unknown keys are rejected with the offending name.  Ladder
 values are comma-separated lists.  The material keys and their defaults
-are the fields of ``MaterialParams``; ``RunConfig.build`` hands the
-values to ``problems.reference_problem``.
+are the fields of ``MaterialParams``, and the problem keys take their
+defaults from the keywords of ``problems.reference_problem``, to which
+``RunConfig.build`` hands the values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from inspect import signature
 
 from .constitutive import EnergyParams, MaterialParams
 from .problems import reference_problem
 from .reparam import ladder_levels
 
 _MATERIAL_KEYS = {f.name: f.default for f in fields(MaterialParams)}
+# config key -> keyword of reference_problem, whose default it takes
+_PROBLEM_KEYS = {"eps": "eps", "nu": "nu", "mu": "mu", "t_final": "t_final",
+                 "load_amplitude": "amplitude", "z0": "z0",
+                 "grid_n": "n_side", "n_steps": "n_steps"}
+_PROBLEM_DEFAULTS = {
+    key: signature(reference_problem).parameters[kw].default
+    for key, kw in _PROBLEM_KEYS.items()}
 _FLOAT_KEYS = {
     **_MATERIAL_KEYS,
-    "eps": 1e-2, "nu": 1e-2, "mu": 1e-2, "t_final": 1.0,
-    "load_amplitude": 0.48, "z0": 0.95,
+    **{k: v for k, v in _PROBLEM_DEFAULTS.items() if isinstance(v, float)},
     "tol_stat": 1e-8, "tol_jump": 1e-3, "stab_tol_factor": 10.0,
 }
-_INT_KEYS = {"grid_n": 4, "n_steps": 20, "max_iter": 500}
+_INT_KEYS = {
+    **{k: v for k, v in _PROBLEM_DEFAULTS.items() if isinstance(v, int)},
+    "max_iter": 500,
+}
 _STR_KEYS = {
     "load_kind": "ramp",            # ramp | zero
     "regime": "eps0",               # visc | eps0 | eps-nu0 | all0
@@ -91,6 +102,10 @@ class RunConfig:
                      tau=self.t_final / self.n_steps, t_final=self.t_final)
         if not (0.0 < self.z0 <= 1.0):
             raise ValueError("z0 must lie in (0, 1]")
+        if self.tol_stat <= 0:
+            raise ValueError("tol_stat must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be positive")
         self.ladder()
 
     # -- constructors for the solver stack ------------------------------
@@ -101,12 +116,10 @@ class RunConfig:
     def build(self):
         """Return (grid, mat, ops, ep, loading, init_state): the reference
         problem with this config's values; load_kind zero is amplitude 0."""
-        return reference_problem(
-            n_side=self.grid_n, eps=self.eps, nu=self.nu, mu=self.mu,
-            n_steps=self.n_steps,
-            amplitude=self.load_amplitude if self.load_kind == "ramp"
-            else 0.0,
-            t_final=self.t_final, z0=self.z0, mat=self.material())
+        args = {kw: self.values[key] for key, kw in _PROBLEM_KEYS.items()}
+        if self.load_kind == "zero":
+            args["amplitude"] = 0.0
+        return reference_problem(**args, mat=self.material())
 
     def ladder(self) -> list[tuple[float, float, float]]:
         """The (eps, nu, mu) levels of the sweep, checked against the

@@ -18,6 +18,7 @@ The assembled energy is
                  + mu/2 sum_c w_c |p_c|^2 + 1/2 z A z - F(t).(u + w(t))
 
 with e = B(u + w(t)) - p and z_c the Q1 cell-center value (corner mean).
+Only the elastic term and the work depend on t (``loaded_energy``).
 Gradients are returned as the representers used throughout the solver:
 Euclidean covector for u on free dofs, lumped-L2 density for z, cellwise
 density for p.
@@ -274,20 +275,27 @@ class Operators:
 # energy and derivatives
 # ---------------------------------------------------------------------------
 
-def energy(t: float, state: State, ops: Operators, mat: MaterialParams,
-           mu: float, loading: LoadingSpec) -> float:
+def loaded_energy(t: float, state: State, ops: Operators,
+                  mat: MaterialParams, loading: LoadingSpec) -> float:
+    """The part of the energy that depends on t: the elastic energy at
+    e = B(u + w(t)) - p less the work F(t).(u + w(t))."""
     grid = ops.grid
     w, F = eval_loading(loading, t)
     e = total_strain(ops.B, state, w)
     zc = cell_damage(grid, state.z)
     sigma = stiffness_coeff(zc, mat)[0][:, None] * base_elastic_apply(e, mat)
     quad = 0.5 * np.sum(grid.w_cell * tensor_dot(sigma, e))
+    return quad - F @ (state.u + w).ravel()
+
+
+def energy(t: float, state: State, ops: Operators, mat: MaterialParams,
+           mu: float, loading: LoadingSpec) -> float:
+    grid = ops.grid
     Wz, _ = damage_potential(state.z, mat)
     dam = np.sum(grid.lump * Wz)
     hard = 0.5 * mu * np.sum(grid.w_cell * tensor_dot(state.p, state.p))
     nonloc = 0.5 * state.z @ ops.apply_A_m(state.z)
-    work = F @ (state.u + w).ravel()
-    return quad + dam + hard + nonloc - work
+    return loaded_energy(t, state, ops, mat, loading) + dam + hard + nonloc
 
 
 def energy_gradients(t: float, state: State, ops: Operators,
@@ -321,30 +329,3 @@ def energy_gradients(t: float, state: State, ops: Operators,
     # p: mu p - sigma_D.
     g_p = mu * state.p - tensor_dev(sigma)
     return g_u, g_z, g_p
-
-
-def power_coefficients(state: State, ops: Operators, mat: MaterialParams,
-                       loading: LoadingSpec) -> tuple[float, ...]:
-    """Coefficients (a, b, c, d) of the partial time derivative of the
-    energy at a frozen state.  With w(t) = theta(t) lift and F(t) =
-    phi(t) f, the derivative int sigma : E(w') - <F', u + w> - <F, w'>
-    is theta'(a + theta b) - phi'(c + theta d) - phi theta' d
-    (``power_at``)."""
-    grid = ops.grid
-    Ew = ops.B.apply(loading.lift)
-    c = stiffness_coeff(cell_damage(grid, state.z), mat)[0]
-    sigma_w = grid.w_cell[:, None] * (c[:, None] * base_elastic_apply(Ew, mat))
-    e0 = ops.B.apply(state.u) - state.p
-    return (np.sum(tensor_dot(sigma_w, e0)), np.sum(tensor_dot(sigma_w, Ew)),
-            loading.f_vec @ state.u.ravel(),
-            loading.f_vec @ loading.lift.ravel())
-
-
-def power_at(t: float, coeffs: tuple[float, ...],
-             loading: LoadingSpec) -> float:
-    """Partial time derivative of the energy at time t from the frozen
-    state's ``power_coefficients``."""
-    a, b, c, d = coeffs
-    theta, theta_dot = loading.theta(t), loading.theta_dot(t)
-    return theta_dot * (a + theta * b) - loading.phi_dot(t) * (c + theta * d) \
-        - loading.phi(t) * theta_dot * d

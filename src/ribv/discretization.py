@@ -325,16 +325,13 @@ class LoadingSpec:
 
     ``g_dir`` holds nodal values that are only read on the Dirichlet
     nodes; the lift blends them linearly to zero at the opposite edge.
-    ``theta_dot`` / ``phi_dot`` are the exact derivatives.
     """
 
     grid: Grid
     g_dir: np.ndarray                        # (n_nodes, 2)
     theta: Callable[[float], float]
-    theta_dot: Callable[[float], float]
     f0: np.ndarray                           # (n_nodes, 2) force density
     phi: Callable[[float], float]
-    phi_dot: Callable[[float], float]
     t_final: float
     lift: np.ndarray = field(init=False)     # (n_nodes, 2)
     f_vec: np.ndarray = field(init=False)    # (2*n_nodes,) covector

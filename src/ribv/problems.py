@@ -29,10 +29,8 @@ def ramp_loading(grid: Grid, amplitude: float = 1.0,
         grid=grid,
         g_dir=np.zeros((grid.n_nodes, 2)),
         theta=lambda t: 0.0,
-        theta_dot=lambda t: 0.0,
         f0=f0,
         phi=lambda t: t,
-        phi_dot=lambda t: 1.0,
         t_final=t_final,
     )
 

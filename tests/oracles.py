@@ -8,7 +8,6 @@ from scipy.optimize import minimize
 
 from ribv.constitutive import energy
 from ribv.dissipation import Rate, d_nu, psi_total
-from ribv.driver import _power_integral
 
 FROB_W = np.array([1.0, 1.0, 2.0])
 
@@ -261,8 +260,9 @@ def balance_residual(traj, ops):
     viscous run recomputed from its stored states: the energies afresh,
     and the dissipation rate N = psi + eps/2 D_nu^2 (psi carries half of
     the viscous quadratic, N all of it) from each backward-difference
-    rate.  The power integral is not independent: it shares
-    ``driver._power_integral`` with ``run_viscous``."""
+    rate, and the power integral as the sum of the energy changes
+    E(t_k, q_{k-1}) - E(t_{k-1}, q_{k-1}) at the frozen previous states,
+    from whole energies rather than ``driver._power_integral``."""
     ep, mat, loading = traj.ep, traj.mat, traj.loading
     out = np.zeros(len(traj.times))
     diss = 0.0
@@ -274,8 +274,10 @@ def balance_residual(traj, ops):
         psi = psi_total(traj.states[k], rate, ops, mat, ep.eps, ep.nu,
                         tol_pos=1e-12)
         diss += tau * (psi + 0.5 * ep.eps * d_nu(ops, rate, ep.nu) ** 2)
-        pwr += _power_integral(traj.times[k - 1], traj.times[k],
-                               traj.states[k - 1], ops, mat, loading)
+        pwr += (energy(traj.times[k], traj.states[k - 1], ops, mat, ep.mu,
+                       loading)
+                - energy(traj.times[k - 1], traj.states[k - 1], ops, mat,
+                         ep.mu, loading))
         Ek = energy(traj.times[k], traj.states[k], ops, mat, ep.mu, loading)
         out[k] = abs(Ek + diss - E0 - pwr)
     return out

@@ -97,6 +97,15 @@ class TestConfig:
             RunConfig.parse("regime = all0\nladder_eps = 1e-1,1e-2\n"
                             "ladder_nu = 2e-1,2e-2\n")
 
+    def test_solver_settings_checked_at_parse(self):
+        # a nonpositive tolerance or iteration cap fails when the config
+        # is read, before any operator is assembled or step solved
+        for text in ("tol_stat = 0\n", "tol_stat = -1e-8\n"):
+            with pytest.raises(ValueError, match="tol_stat"):
+                RunConfig.parse(text)
+        with pytest.raises(ValueError, match="max_iter"):
+            RunConfig.parse("max_iter = 0\n")
+
     def test_one_reference_problem(self):
         # one material and one builder: the default config builds the
         # reference problem bit for bit

@@ -13,13 +13,12 @@ from ribv.constitutive import (
     damage_potential,
     energy,
     energy_gradients,
-    power_at,
-    power_coefficients,
     stiffness_coeff,
     yield_radius,
     yield_radius_prime,
 )
 from ribv.discretization import Grid, LoadingSpec, State, initial_state
+from ribv.driver import _power_integral
 from ribv.problems import ramp_loading, reference_material
 
 from conftest import random_state
@@ -132,9 +131,9 @@ def still_loading(grid, g_dir=None, f0=None):
     return LoadingSpec(
         grid=grid,
         g_dir=np.zeros((n, 2)) if g_dir is None else g_dir,
-        theta=lambda t: 1.0, theta_dot=lambda t: 0.0,
+        theta=lambda t: 1.0,
         f0=np.zeros((n, 2)) if f0 is None else f0,
-        phi=lambda t: 1.0, phi_dot=lambda t: 0.0,
+        phi=lambda t: 1.0,
         t_final=1.0)
 
 
@@ -204,28 +203,30 @@ class TestGradients:
             assert fd == pytest.approx(exact, rel=1e-6, abs=1e-10)
 
     def test_time_derivative_fd(self, rng):
-        # the force ramp (theta = 0), then theta(t) = t on a random
-        # Dirichlet lift together with a force ramp, which exercises
-        # every coefficient of the power formula
+        # the power integral over [t0, t1] at a frozen state: for the
+        # force ramp (theta = 0) the closed form -(t1 - t0) f.u; for
+        # theta(t) = t on a random Dirichlet lift together with a force
+        # ramp, the change of the whole energy
         grid = Grid(3)
         mat = reference_material()
         ops = Operators.build(grid, mat)
+        ramp = ramp_loading(grid, amplitude=0.4)
         lifted = LoadingSpec(
             grid=grid, g_dir=rng.normal(0.0, 0.2, (grid.n_nodes, 2)),
-            theta=lambda t: t, theta_dot=lambda t: 1.0,
+            theta=lambda t: t,
             f0=rng.normal(0.0, 1.0, (grid.n_nodes, 2)),
-            phi=lambda t: 0.5 + t * t, phi_dot=lambda t: 2.0 * t,
+            phi=lambda t: 0.5 + t * t,
             t_final=1.0)
-        h = 1e-6
-        for loading in (ramp_loading(grid, amplitude=0.4), lifted):
-            for _ in range(10):
-                st = random_state(grid, rng)
-                t = rng.uniform(0.1, 0.9)
-                dt = power_at(t, power_coefficients(st, ops, mat, loading),
-                              loading)
-                fd = (energy(t + h, st, ops, mat, 0.1, loading)
-                      - energy(t - h, st, ops, mat, 0.1, loading)) / (2 * h)
-                assert dt == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        for _ in range(10):
+            st = random_state(grid, rng)
+            t0, t1 = np.sort(rng.uniform(0.0, 1.0, 2))
+            closed = -(t1 - t0) * (ramp.f_vec @ st.u.ravel())
+            assert _power_integral(t0, t1, st, ops, mat, ramp) \
+                == pytest.approx(closed, rel=1e-8)
+            change = (energy(t1, st, ops, mat, 0.1, lifted)
+                      - energy(t0, st, ops, mat, 0.1, lifted))
+            assert _power_integral(t0, t1, st, ops, mat, lifted) \
+                == pytest.approx(change, rel=1e-10)
 
     def test_frozen_loading_time_derivative(self, rng):
         grid = Grid(3)
@@ -233,8 +234,7 @@ class TestGradients:
         ops = Operators.build(grid, mat)
         st = random_state(grid, rng)
         loading = still_loading(grid)
-        dt = power_at(0.5, power_coefficients(st, ops, mat, loading), loading)
-        assert dt == pytest.approx(0.0, abs=1e-14)
+        assert _power_integral(0.2, 0.7, st, ops, mat, loading) == 0.0
 
 
 class TestNonlocalTerm:

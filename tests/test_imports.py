@@ -3,8 +3,9 @@ used there, every import sits at module level, no function binds a name
 it never reads, no module reaches for a dense viscosity operator, the
 nonlocal form is applied through ``Operators``, the material law's
 constants are read in ``constitutive`` only, the reference problem is
-built in ``problems`` only, and the solvers have one line-search rule
-and no fallback for a failed linear solve."""
+built in ``problems`` only, a loading's time profile is read in
+``eval_loading`` only, and the solvers have one line-search rule and no
+fallback for a failed linear solve."""
 
 import ast
 from pathlib import Path
@@ -91,6 +92,29 @@ def test_reference_problem_built_in_problems_only():
                  if path.name != "problems.py"
                  for msg in _problem_builds(path)]
     assert not offenders, "problem built outside problems:\n" \
+        + "\n".join(offenders)
+
+
+def _time_profile_calls(path: Path) -> list[str]:
+    """Calls of a loading's ``.theta`` or ``.phi`` outside
+    ``discretization.eval_loading``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef)
+              and path.name == "discretization.py"
+              and func.name == "eval_loading"
+              for node in ast.walk(func)}
+    return [f"{path.name}:{node.lineno}: calls .{node.func.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("theta", "phi") and id(node) not in inside]
+
+
+def test_time_profile_read_in_eval_loading_only():
+    offenders = [msg for path in sorted(SRC.glob("*.py"))
+                 for msg in _time_profile_calls(path)]
+    assert not offenders, "time profile read outside eval_loading:\n" \
         + "\n".join(offenders)
 
 
