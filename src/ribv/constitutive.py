@@ -121,15 +121,18 @@ class EnergyParams:
 # pointwise laws
 # ---------------------------------------------------------------------------
 
-def stiffness_coeff(z, mat: MaterialParams):
-    """Return (c(z), c'(z), c''(z)) for the stiffness factor c(z) =
-    delta_reg + min(z,1)^2 of the elastic tensor C(z) = c(z) C0."""
+def stiffness(z, mat: MaterialParams):
+    """Stiffness factor c(z) = delta_reg + min(z,1)^2 of C(z) = c(z) C0."""
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
+    if (z < 0).any():
         raise ValueError("damage must be nonnegative")
+    return mat.delta_reg + np.minimum(z, 1.0) ** 2
+
+
+def stiffness_coeff(z, mat: MaterialParams):
+    """Return (c(z), c'(z), c''(z)) for c = ``stiffness``."""
     below = z < 1.0
-    return (mat.delta_reg + np.minimum(z, 1.0) ** 2,
-            np.where(below, 2.0 * z, 0.0), 2.0 * below)
+    return stiffness(z, mat), np.where(below, 2.0 * z, 0.0), 2.0 * below
 
 
 def base_elastic_apply(xi: np.ndarray, mat: MaterialParams) -> np.ndarray:
@@ -157,7 +160,7 @@ def deviatoric_modulus(c, mat: MaterialParams):
 def damage_potential(z, mat: MaterialParams):
     """Return (W(z), W'(z)) for the barrier potential w0 z^(-q)."""
     z = np.asarray(z, dtype=float)
-    if np.any(z <= 0):
+    if (z <= 0).any():
         raise ValueError("damage hit the excluded fully-broken state")
     W = mat.w0 * z ** (-mat.q_exp)
     Wp = -mat.q_exp * mat.w0 * z ** (-mat.q_exp - 1.0)
@@ -171,8 +174,8 @@ def damage_curvature(z, mat: MaterialParams):
 
 def yield_radius(z, mat: MaterialParams):
     """Damage-dependent radius of the admissible deviatoric stress ball."""
-    z = np.asarray(z, dtype=float)
-    return mat.sigma_y * (mat.m_bar + (1.0 - mat.m_bar) * np.clip(z, 0.0, 1.0))
+    z = np.minimum(np.maximum(z, 0.0), 1.0)
+    return mat.sigma_y * (mat.m_bar + (1.0 - mat.m_bar) * z)
 
 
 def yield_radius_prime(z, mat: MaterialParams):
@@ -283,8 +286,8 @@ def loaded_energy(t: float, state: State, ops: Operators,
     w, F = eval_loading(loading, t)
     e = total_strain(ops.B, state, w)
     zc = cell_damage(grid, state.z)
-    sigma = stiffness_coeff(zc, mat)[0][:, None] * base_elastic_apply(e, mat)
-    quad = 0.5 * np.sum(grid.w_cell * tensor_dot(sigma, e))
+    sigma = stiffness(zc, mat)[:, None] * base_elastic_apply(e, mat)
+    quad = 0.5 * (grid.w_cell * tensor_dot(sigma, e)).sum()
     return quad - F @ (state.u + w).ravel()
 
 
@@ -292,8 +295,8 @@ def energy(t: float, state: State, ops: Operators, mat: MaterialParams,
            mu: float, loading: LoadingSpec) -> float:
     grid = ops.grid
     Wz, _ = damage_potential(state.z, mat)
-    dam = np.sum(grid.lump * Wz)
-    hard = 0.5 * mu * np.sum(grid.w_cell * tensor_dot(state.p, state.p))
+    dam = (grid.lump * Wz).sum()
+    hard = 0.5 * mu * (grid.w_cell * tensor_dot(state.p, state.p)).sum()
     nonloc = 0.5 * state.z @ ops.apply_A_m(state.z)
     return loaded_energy(t, state, ops, mat, loading) + dam + hard + nonloc
 

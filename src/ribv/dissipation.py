@@ -93,29 +93,29 @@ def norm_kd(ops: Operators, u_field: np.ndarray) -> float:
 def norm_u_h1(ops: Operators, u_field: np.ndarray) -> float:
     """Full H1 norm: lumped L2 part plus the strain seminorm."""
     grid = ops.grid
-    l2sq = np.sum(grid.lump * np.sum(u_field ** 2, axis=1))
+    l2sq = (grid.lump * (u_field ** 2).sum(axis=1)).sum()
     v = u_field.ravel()[grid.free_dofs]
     return float(np.sqrt(l2sq + max(v @ ops.apply_K_D(v), 0.0)))
 
 
 def norm_z_m(grid: Grid, z_field: np.ndarray) -> float:
     """Lumped L2 norm of a nodal scalar field."""
-    return float(np.sqrt(np.sum(grid.lump * z_field ** 2)))
+    return float(np.sqrt((grid.lump * z_field ** 2).sum()))
 
 
 def norm_z_hm(ops: Operators, z_field: np.ndarray) -> float:
     """Nonlocal Sobolev-type norm: lumped L2 plus the Gagliardo form."""
     grid = ops.grid
-    return float(np.sqrt(np.sum(grid.lump * z_field ** 2)
+    return float(np.sqrt((grid.lump * z_field ** 2).sum()
                          + max(z_field @ ops.apply_A_m(z_field), 0.0)))
 
 
 def norm_p_l2(grid: Grid, p_field: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(grid.w_cell * tensor_dot(p_field, p_field))))
+    return float(np.sqrt((grid.w_cell * tensor_dot(p_field, p_field)).sum()))
 
 
 def norm_p_l1(grid: Grid, p_field: np.ndarray) -> float:
-    return float(np.sum(grid.w_cell * tensor_norm(p_field)))
+    return float((grid.w_cell * tensor_norm(p_field)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +128,11 @@ def psi_rate_independent(state: State, rate: Rate, ops: Operators,
     kappa ||z'||_L1 + sum_c w_c V(z_c) |p'_c|, returning +inf when some
     z' component exceeds tol_pos."""
     grid = ops.grid
-    if np.any(rate.z_rate > tol_pos):
+    if (rate.z_rate > tol_pos).any():
         return float("inf")
-    rz = np.sum(grid.lump * mat.kappa * np.abs(rate.z_rate))
+    rz = (grid.lump * mat.kappa * np.abs(rate.z_rate)).sum()
     zc = cell_damage(grid, state.z)
-    hp = np.sum(grid.w_cell * yield_radius(zc, mat) * tensor_norm(rate.p_rate))
+    hp = (grid.w_cell * yield_radius(zc, mat) * tensor_norm(rate.p_rate)).sum()
     return float(rz + hp)
 
 
@@ -157,7 +157,7 @@ def conj_visc_u(ops: Operators, eta: np.ndarray, eps: float, nu: float) -> float
     unless eta vanishes."""
     eta = np.asarray(eta, dtype=float)
     if eps * nu <= 0.0:
-        return 0.0 if np.all(eta == 0.0) else float("inf")
+        return 0.0 if (eta == 0.0).all() else float("inf")
     return ops.dual_norm(eta) ** 2 / (2.0 * eps * nu)
 
 
@@ -165,7 +165,7 @@ def dist_r(grid: Grid, chi: np.ndarray, kappa: float) -> float:
     """Lumped-L2 distance of the nodal field chi to the stable set
     {gamma >= -kappa} of the damage dissipation at zero rate."""
     viol = np.maximum(-kappa - chi, 0.0)
-    return float(np.sqrt(np.sum(grid.lump * viol ** 2)))
+    return float(np.sqrt((grid.lump * viol ** 2).sum()))
 
 
 def dist_h(grid: Grid, z: np.ndarray, omega: np.ndarray,
@@ -173,11 +173,11 @@ def dist_h(grid: Grid, z: np.ndarray, omega: np.ndarray,
     """Weighted L2 distance of the cellwise deviatoric field omega to the
     pointwise balls of radius V(z_c)."""
     omega = np.asarray(omega, dtype=float)
-    if np.max(np.abs(tensor_trace(omega)), initial=0.0) > tol:
+    if np.abs(tensor_trace(omega)).max(initial=0.0) > tol:
         raise ValueError("omega must be trace-free")
     zc = cell_damage(grid, z)
     viol = np.maximum(tensor_norm(omega) - yield_radius(zc, mat), 0.0)
-    return float(np.sqrt(np.sum(grid.w_cell * viol ** 2)))
+    return float(np.sqrt((grid.w_cell * viol ** 2).sum()))
 
 
 def flow_directions(direction: np.ndarray):
@@ -195,9 +195,8 @@ def subdiff_violation(xi: np.ndarray, direction: np.ndarray,
     point R_c direction_c / |direction_c| elsewhere.  ``flow`` passes in
     ``flow_directions(direction)`` where the caller already has it."""
     moving, dirs = flow_directions(direction) if flow is None else flow
-    viol = np.empty(len(xi))
-    viol[moving] = tensor_norm(xi[moving] - R[moving, None] * dirs)
-    viol[~moving] = np.maximum(tensor_norm(xi[~moving]) - R[~moving], 0.0)
+    viol = np.maximum(tensor_norm(xi) - R, 0.0)
+    viol[moving] = tensor_norm(xi[moving] - R[moving][:, None] * dirs)
     return viol
 
 
@@ -263,22 +262,23 @@ def d_up(ops: Operators, u_rate: np.ndarray, p_rate: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def _prox_shift(p_prev, e_bar_dev, a, b, mu_w, c_q):
-    """The algebra ``prox_plastic`` and its derivative share: the shift d
-    = (b p_prev + c_q e_bar_dev) / M - p_prev of the unconstrained
-    minimizer from p_prev, M = b + mu_w + c_q, |d|, the shrink a/(M |d|)
-    (below 1 where the cell yields) and M."""
-    b, c_q = np.asarray(b, dtype=float), np.asarray(c_q, dtype=float)
+    """``prox_plastic`` and the algebra its derivative reuses: the prox,
+    the shift d = (b p_prev + c_q e_bar_dev) / M - p_prev of the
+    unconstrained minimizer from p_prev, M = b + mu_w + c_q, |d|, the
+    shrink a/(M |d|) (below 1 where the cell yields) and M."""
+    a, b, c_q = map(np.asarray, (a, b, c_q))
     modulus = b + mu_w + c_q
-    if np.any(modulus <= 0):
+    if (modulus <= 0).any():
         raise ValueError("quadratic modulus must be positive")
-    if np.any(a < 0):
+    if (a < 0).any():
         raise ValueError("shrinkage threshold must be nonnegative")
     d = (b[..., None] * p_prev + c_q[..., None] * e_bar_dev) \
         / modulus[..., None] - p_prev
     dn = tensor_norm(d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shrink = np.where(dn > 0.0, a / (modulus * dn), np.inf)
-    return d, dn, shrink, modulus
+    shrink = np.divide(a, modulus * dn, out=np.full(dn.shape, np.inf),
+                       where=dn > 0.0)
+    p = p_prev + np.maximum(1.0 - shrink, 0.0)[..., None] * d
+    return p, d, dn, shrink, modulus
 
 
 def prox_plastic(p_prev: np.ndarray, e_bar_dev: np.ndarray, a, b, mu_w, c_q):
@@ -290,9 +290,7 @@ def prox_plastic(p_prev: np.ndarray, e_bar_dev: np.ndarray, a, b, mu_w, c_q):
     Accepts broadcast scalar or per-cell coefficients; returns an array of
     the same shape as p_prev.  The quadratic modulus b + mu_w + c_q must
     be positive."""
-    d, _, shrink, _ = _prox_shift(p_prev, e_bar_dev, a, b, mu_w, c_q)
-    # shrinkage of the shift toward p_prev
-    return p_prev + np.maximum(1.0 - shrink, 0.0)[..., None] * d
+    return _prox_shift(p_prev, e_bar_dev, a, b, mu_w, c_q)[0]
 
 
 def prox_plastic_derivative(p_prev: np.ndarray, e_bar: np.ndarray, a, b,
@@ -304,11 +302,16 @@ def prox_plastic_derivative(p_prev: np.ndarray, e_bar: np.ndarray, a, b,
     P + s n n^T G) where it yields, n = d/|d|, s the shrink, P the
     deviatoric projection and G = diag(FROB_W); n is trace-free, so
     n n^T G P = n n^T G."""
-    d, dn, shrink, modulus = _prox_shift(p_prev, e_bar @ _DEV.T, a, b, mu_w,
-                                         c_q)
+    return prox_tangent(
+        _prox_shift(p_prev, tensor_dev(e_bar), a, b, mu_w, c_q), c_q)
+
+
+def prox_tangent(shift, c_q) -> np.ndarray:
+    """``prox_plastic_derivative`` from the ``_prox_shift`` of its point."""
+    _, d, dn, shrink, modulus = shift
     J = np.zeros(d.shape + (3,))
     yielding = shrink < 1.0
-    if np.any(yielding):
+    if yielding.any():
         n = d[yielding] / dn[yielding, None]
         outer = n[:, :, None] * (n * FROB_W)[:, None, :]
         sh = shrink[yielding][:, None, None]

@@ -14,6 +14,7 @@ fixed), "all0" (everything vanishing).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,8 +260,8 @@ def _switching_residual(grads, state: State, rate: Rate, ops: Operators,
                                  np.maximum(floor - target, 0.0)))
         xi = -(lam_up * ep.nu * rate.p_rate + (1 - lam_up) * g_p)
         dist = subdiff_violation(xi, rate.p_rate, (1 - lam_up) * V, flow)
-        return float(np.sqrt(y @ y + np.sum(grid.lump * viol ** 2)
-                             + np.sum(grid.w_cell * dist ** 2)))
+        return math.sqrt(y @ y + (grid.lump * viol ** 2).sum()
+                         + (grid.w_cell * dist ** 2).sum())
 
     return residual
 

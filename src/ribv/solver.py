@@ -8,9 +8,10 @@ by sweeps that alternate a joint (u, p) solve with z frozen (semismooth
 Newton on u, with p eliminated by the exact cellwise proximal map) and a
 projected-Newton solve in z under the irreversibility constraint
 z_floor <= z <= z_prev.  Both solves backtrack to one acceptance rule
-and raise RuntimeError when they cannot converge.  Sweeps start from
-q_prev.  Acceptance is certified through the stationarity residuals of
-the three coupled optimality conditions.
+and raise RuntimeError when they cannot converge; each builds its
+Hessian from the value evaluation at the iterate (the prox shift, c'').
+Sweeps start from q_prev.  Acceptance is certified through the
+stationarity residuals of the three coupled optimality conditions.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .constitutive import (
     deviatoric_modulus,
     energy,
     energy_gradients,
+    stiffness,
     stiffness_coeff,
     viscous_cell_form,
     yield_radius,
@@ -49,8 +51,8 @@ from .discretization import (
     tensor_norm,
     total_strain,
 )
-from .dissipation import Rate, prox_plastic, prox_plastic_derivative, \
-    psi_total, subdiff_violation
+from .dissipation import Rate, _prox_shift, prox_tangent, psi_total, \
+    subdiff_violation
 
 Z_FLOOR = 1e-8
 # sufficient-decrease fraction delta of both line searches
@@ -107,7 +109,7 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     Newton iteration: the inner minimum is the exact cellwise prox, the
     gradient of F needs only the elastic stress at p*(u) (envelope
     theorem), and the Hessian uses the consistent tangent S_c (I - J_c)
-    of the prox, J_c from ``dissipation.prox_plastic_derivative``.
+    of the prox: J_c = ``prox_tangent`` of the value evaluation's shift.
     Its symmetric part is assembled over the free dofs in band storage
     and solved by banded LU with partial pivoting (LAPACK ``dgbsv``); an
     exactly singular Hessian falls back to the gradient as the step.
@@ -121,40 +123,42 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     grid = ops.grid
     w, F_ext = eval_loading(loading, t)
     free = grid.free_dofs
+    F_free = F_ext[free]
     zc = cell_damage(grid, state.z)
-    c = stiffness_coeff(zc, mat)[0]
+    c = stiffness(zc, mat)
     # per-cell 3x3 forms: Q = 1/2 sum_c e_c S_c e_c
     S = (grid.w_cell * c)[:, None, None] \
         * (FROB_W[:, None] * base_elastic_apply(np.eye(3), mat))[None, :, :]
     V = yield_radius(zc, mat)
+    wV = grid.w_cell * V
     visc_fac = ep.eps * ep.nu / ep.tau
     u_prev_f = prev_state.u.ravel()[free]
-    wflat = w.ravel()
     c_q = deviatoric_modulus(c, mat)
 
     def value_grad(u_free):
-        u_full = np.zeros(2 * grid.n_nodes)
-        u_full[free] = u_free
-        e_bar = ops.B.apply(u_full + wflat)
-        p = prox_plastic(prev_state.p, tensor_dev(e_bar), V, visc_fac,
-                         ep.mu, c_q)
+        uw = w.flatten()
+        uw[free] += u_free
+        e_bar = ops.B.apply(uw)
+        shift = _prox_shift(prev_state.p, tensor_dev(e_bar), V, visc_fac,
+                            ep.mu, c_q)
+        p = shift[0]
         e = e_bar - p
         sigma_w = np.einsum("cij,cj->ci", S, e)  # w_c- and frob-weighted
-        val = 0.5 * np.vdot(sigma_w, e) - F_ext @ (u_full + wflat)
+        val = 0.5 * np.vdot(sigma_w, e) - F_ext @ uw
         du = u_free - u_prev_f
         kd_du = ops.apply_K_D(du)
         val += 0.5 * visc_fac * du @ kd_du
         dp = p - prev_state.p
-        val += np.sum(grid.w_cell * V * tensor_norm(dp))
-        val += 0.5 * visc_fac * np.sum(grid.w_cell * tensor_dot(dp, dp))
-        val += 0.5 * ep.mu * np.sum(grid.w_cell * tensor_dot(p, p))
-        grad = ops.B.adjoint(sigma_w)[free] - F_ext[free] + visc_fac * kd_du
-        return float(val), grad, e_bar, p
+        val += (wV * tensor_norm(dp)).sum()
+        val += 0.5 * visc_fac * (grid.w_cell * tensor_dot(dp, dp)).sum()
+        val += 0.5 * ep.mu * (grid.w_cell * tensor_dot(p, p)).sum()
+        grad = ops.B.adjoint(sigma_w)[free] - F_free + visc_fac * kd_du
+        return float(val), grad, shift
 
     visc_cells = visc_fac * viscous_cell_form(grid)
 
     u_free = state.u.ravel()[free].copy()
-    val, grad, e_bar, p = value_grad(u_free)
+    val, grad, shift = value_grad(u_free)
     for it in range(max_iter + 1):
         r_dual = ops.dual_norm(grad)
         if r_dual <= tol_dual:
@@ -162,10 +166,8 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
         if it == max_iter:
             raise RuntimeError(f"solve_up_step: dual residual {r_dual:.3e} "
                                f"> tol_dual after {max_iter} iterations")
-        # per-cell consistent tangent S_c (I - dp*/d e_bar)
-        J = prox_plastic_derivative(prev_state.p, e_bar, V, visc_fac, ep.mu,
-                                    c_q)
-        T = np.einsum("cij,cjk->cik", S, np.eye(3)[None] - J)
+        # per-cell consistent tangent S_c (I - dp*/d e_bar) from the shift
+        T = np.matmul(S, np.eye(3) - prox_tangent(shift, c_q))
         # symmetric part of the Hessian visc_fac K_D + sum_c B_c^T T_c B_c
         H = ops.B.form(visc_cells + 0.5 * (T + T.transpose(0, 2, 1)))
         step = -band_newton_step(H, ops.B.kd, grad)
@@ -173,49 +175,48 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
         alpha = 1.0
         for _bt in range(50):
             trial = u_free + alpha * step
-            val_t, grad_t, e_bar_t, p_t = value_grad(trial)
+            val_t, grad_t, shift_t = value_grad(trial)
             if _acceptable(val, val_t, alpha * slope, alpha * (grad_t @ step)):
                 break
             alpha *= 0.5
         else:
             raise RuntimeError(f"solve_up_step: no acceptable step in 50 "
                                f"halvings at dual residual {r_dual:.3e}")
-        u_free, val, grad, e_bar, p = trial, val_t, grad_t, e_bar_t, p_t
+        u_free, val, grad, shift = trial, val_t, grad_t, shift_t
     u_full = np.zeros(2 * grid.n_nodes)
     u_full[free] = u_free
-    return u_full.reshape(grid.n_nodes, 2), p
+    return u_full.reshape(grid.n_nodes, 2), shift[0]
 
 
 def _z_value(z, z_prev, q0, dp_norm, ops, mat, ep):
-    """Value and Euclidean gradient of the z subproblem objective, from
-    one damage_potential call and one A_m product."""
+    """Value, Euclidean gradient and cell c''(z_c) of the z subproblem
+    objective: one damage_potential, stiffness_coeff and A_m product each."""
     grid = ops.grid
     zc = cell_damage(grid, z)
     W, Wp = damage_potential(z, mat)
     Az = ops.apply_A_m(z)
     dz = z - z_prev
     val = 0.5 * z @ Az
-    val += np.sum(grid.lump * W)
-    c, cp, _ = stiffness_coeff(zc, mat)
-    val += np.sum(grid.w_cell * c * q0)
-    val += np.sum(grid.w_cell * yield_radius(zc, mat) * dp_norm)
-    val += 0.5 * (ep.eps / ep.tau) * np.sum(grid.lump * dz ** 2)
-    val -= mat.kappa * np.sum(grid.lump * dz)
+    val += (grid.lump * W).sum()
+    c, cp, cpp = stiffness_coeff(zc, mat)
+    val += (grid.w_cell * c * q0).sum()
+    val += (grid.w_cell * yield_radius(zc, mat) * dp_norm).sum()
+    val += 0.5 * (ep.eps / ep.tau) * (grid.lump * dz ** 2).sum()
+    val -= mat.kappa * (grid.lump * dz).sum()
     cell_term = grid.w_cell * (cp * q0 + yield_radius_prime(zc, mat) * dp_norm)
     g = Az + corner_scatter(grid, cell_term) \
         + grid.lump * (Wp + (ep.eps / ep.tau) * dz - mat.kappa)
-    return float(val), g
+    return float(val), g, cpp
 
 
-def _z_hess(z, q0, ops, mat, ep):
+def _z_hess(z, q0, cpp, ops, mat, ep):
     """Hessian of the z subproblem (a.e.; the yield-radius term is
-    piecewise linear and contributes nothing)."""
+    piecewise linear and contributes nothing), cpp from _z_value at z."""
     grid = ops.grid
     H = ops.A_m.copy()
     H.flat[::grid.n_nodes + 1] += grid.lump * (damage_curvature(z, mat)
                                                + ep.eps / ep.tau)
     # damage-elasticity coupling: d/dz of the scattered cell drive
-    cpp = stiffness_coeff(cell_damage(grid, z), mat)[2]
     add_corner_form(grid, H, grid.w_cell * cpp * q0)
     return H
 
@@ -242,15 +243,15 @@ def solve_z_step(t: float, state: State, prev_state: State, ops: Operators,
     q0 = base_elastic_density(total_strain(ops.B, state, w), mat)
     dp_norm = tensor_norm(state.p - prev_state.p)
     m = ops.grid.lump
-    z = np.clip(state.z, Z_FLOOR, z_prev)
-    val, g = _z_value(z, z_prev, q0, dp_norm, ops, mat, ep)
+    z = np.minimum(np.maximum(state.z, Z_FLOOR), z_prev)
+    val, g, cpp = _z_value(z, z_prev, q0, dp_norm, ops, mat, ep)
     for it in range(max_iter + 1):
         d = g / m
         lower, upper = _at_bounds(z, z_prev)
         # mass-norm of the density-form projected gradient on the box
         proj = np.where(lower, np.minimum(d, 0.0),
                         np.where(upper, np.maximum(d, 0.0), d))
-        res = float(np.sqrt(np.sum(m * proj ** 2)))
+        res = float(np.sqrt((m * proj ** 2).sum()))
         if res <= tol:
             return z
         if it == max_iter:
@@ -258,21 +259,23 @@ def solve_z_step(t: float, state: State, prev_state: State, ops: Operators,
                                f"{res:.3e} > tol after {max_iter} iterations")
         # held nodes keep d, the others take the Newton direction
         free = ~((lower & (d > 0)) | (upper & (d < 0)))
-        H = _z_hess(z, q0, ops, mat, ep)
-        d[free] = np.linalg.solve(H[np.ix_(free, free)], g[free])
+        H = _z_hess(z, q0, cpp, ops, mat, ep)
+        *_, d[free], info = lapack.dgesv(H[np.ix_(free, free)], g[free])
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgesv failed with info={info}")
         alpha = 1.0
         for _bt in range(50):
-            z_t = np.clip(z - alpha * d, Z_FLOOR, z_prev)
+            z_t = np.minimum(np.maximum(z - alpha * d, Z_FLOOR), z_prev)
             s = z_t - z
-            if np.any(s != 0.0):
-                val_t, g_t = _z_value(z_t, z_prev, q0, dp_norm, ops, mat, ep)
-                if _acceptable(val, val_t, g @ s, g_t @ s):
+            if (s != 0.0).any():
+                ev_t = _z_value(z_t, z_prev, q0, dp_norm, ops, mat, ep)
+                if _acceptable(val, ev_t[0], g @ s, ev_t[1] @ s):
                     break
             alpha *= 0.5
         else:
             raise RuntimeError(f"solve_z_step: no acceptable step in 50 "
                                f"halvings at stationarity residual {res:.3e}")
-        z, val, g = z_t, val_t, g_t
+        z, (val, g, cpp) = z_t, ev_t
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +303,12 @@ def el_residuals(grads: tuple, state: State, prev_state: State,
     z_rate = (state.z - prev_state.z) / ep.tau
     chi = g_z  # density form of the damage driving force
     gv1_viol = np.maximum(ep.eps * z_rate + chi - mat.kappa, 0.0)
-    gv1 = np.sqrt(np.sum(grid.lump * gv1_viol ** 2))
+    gv1 = np.sqrt((grid.lump * gv1_viol ** 2).sum())
     p_rate = (state.p - prev_state.p) / ep.tau
-    lhs2 = np.sum(grid.lump * (mat.kappa * np.abs(z_rate)
-                               + ep.eps * z_rate ** 2 + chi * z_rate))
-    rhs2 = mat.c_k * ep.tau * np.max(np.abs(z_rate), initial=0.0) \
-        * np.sum(grid.w_cell * tensor_norm(p_rate))
+    lhs2 = (grid.lump * (mat.kappa * np.abs(z_rate)
+                         + ep.eps * z_rate ** 2 + chi * z_rate)).sum()
+    rhs2 = mat.c_k * ep.tau * np.abs(z_rate).max(initial=0.0) \
+        * (grid.w_cell * tensor_norm(p_rate)).sum()
     gv2 = max(lhs2 - rhs2, 0.0)
     r_z = float(gv1 + gv2)
 
@@ -313,7 +316,7 @@ def el_residuals(grads: tuple, state: State, prev_state: State,
     xi = -g_p - (ep.eps * ep.nu / ep.tau) * dp
     viol = subdiff_violation(xi, dp,
                              yield_radius(cell_damage(grid, state.z), mat))
-    r_p = float(np.sqrt(np.sum(grid.w_cell * viol ** 2)))
+    r_p = float(np.sqrt((grid.w_cell * viol ** 2).sum()))
     return r_u, r_z, r_p
 
 
@@ -351,5 +354,5 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
         energy=energy_k,
         gradients=grads,
         psi=psi_k,
-        z_floor_active=bool(np.any(_at_bounds(state.z, prev_state.z)[0])),
+        z_floor_active=bool(_at_bounds(state.z, prev_state.z)[0].any()),
     )

@@ -8,6 +8,7 @@ from ribv.constitutive import Operators, cell_damage, yield_radius
 from ribv.discretization import Grid, tensor_dev, tensor_norm
 from ribv.dissipation import (
     Rate,
+    _prox_shift,
     conj_visc_u,
     d_nu,
     d_up,
@@ -19,6 +20,7 @@ from ribv.dissipation import (
     norm_z_m,
     prox_plastic,
     prox_plastic_derivative,
+    prox_tangent,
     psi_rate_independent,
     psi_total,
 )
@@ -285,6 +287,37 @@ class TestProx:
         assert np.all(J[stuck] == 0.0) and np.all(J_fd[stuck] == 0.0)
         np.testing.assert_allclose(J_fd, J, rtol=1e-6,
                                    atol=1e-6 * np.max(np.abs(J)))
+
+    def test_tangent_from_value_shift(self, rng):
+        # the (u, p) solve builds its tangent from the shift its value
+        # evaluation holds, formed from tensor_dev(e_bar): it equals the
+        # derivative at e_bar bit for bit, and the prox in the shift equals
+        # prox_plastic, on stuck, yielding and zero-shift cells
+        n = 90
+        p = rng.normal(0.0, 0.1, (n, 3))
+        p[:, 1] = -p[:, 0]
+        e_bar = rng.normal(0.0, 0.3, (n, 3))
+        # zero shift: p_prev = 0 and a pure-trace strain give d = 0 exactly
+        p[:30] = 0.0
+        e_bar[:30, 1], e_bar[:30, 2] = e_bar[:30, 0], 0.0
+        b, mu_w = 0.02, 0.05
+        c_q = rng.uniform(0.5, 2.0, n)
+        modulus = b + mu_w + c_q
+        d = (b * p + c_q[:, None] * tensor_dev(e_bar)) / modulus[:, None] - p
+        shrink = np.where(rng.random(n) < 0.5, rng.uniform(0.05, 0.95, n),
+                          rng.uniform(1.05, 2.0, n))
+        a = shrink * modulus * tensor_norm(d)
+        a[:30] = np.where(rng.random(30) < 0.5, 0.0, rng.uniform(0.1, 1.0, 30))
+        shift = _prox_shift(p, tensor_dev(e_bar), a, b, mu_w, c_q)
+        zero, yielding = shift[2] == 0.0, shift[3] < 1.0
+        assert zero[:30].all() and not zero[30:].any()
+        assert 0 < yielding.sum() < n - 30
+        J = prox_tangent(shift, c_q)
+        np.testing.assert_array_equal(
+            J, prox_plastic_derivative(p, e_bar, a, b, mu_w, c_q))
+        assert (J[~yielding] == 0.0).all() and (J[yielding] != 0.0).any()
+        np.testing.assert_array_equal(
+            shift[0], prox_plastic(p, tensor_dev(e_bar), a, b, mu_w, c_q))
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):

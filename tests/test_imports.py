@@ -4,8 +4,13 @@ it never reads, no module reaches for a dense viscosity operator, the
 nonlocal form is applied through ``Operators``, the material law's
 constants are read in ``constitutive`` only, the reference problem is
 built in ``problems`` only, a loading's time profile is read in
-``eval_loading`` only, and the solvers have one line-search rule and no
-fallback for a failed linear solve."""
+``eval_loading`` only, the solvers have one line-search rule and no
+fallback for a failed linear solve, and the modules of the per-iterate
+work (``solver``, ``constitutive``, ``dissipation``) call no numpy
+function whose ndarray method or ufunc form costs a fraction of it on
+the small per-cell arrays they loop over (``np.sum``, ``np.any``,
+``np.all``, ``np.max``, ``np.clip``, ``np.errstate``,
+``np.linalg.solve``)."""
 
 import ast
 from pathlib import Path
@@ -257,3 +262,25 @@ def test_one_line_search_rule():
     offenders = [msg for path in sorted(SRC.glob("*.py"))
                  for msg in _line_search_escapes(path)]
     assert not offenders, "line-search escapes:\n" + "\n".join(offenders)
+
+
+# in their place: x.sum(), x.any(), x.all(), x.max(initial=),
+# np.minimum(np.maximum(...)), np.divide(..., where=) and lapack.dgesv
+_ITERATE_MODULES = {"solver.py", "constitutive.py", "dissipation.py"}
+_SLOW_NUMPY_CALLS = {"np.sum", "np.any", "np.all", "np.max", "np.clip",
+                     "np.errstate", "np.linalg.solve"}
+
+
+def _slow_numpy_calls(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}: calls {ast.unparse(node.func)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in _SLOW_NUMPY_CALLS]
+
+
+def test_iterate_modules_avoid_slow_numpy_calls():
+    offenders = [msg for path in sorted(SRC.glob("*.py"))
+                 if path.name in _ITERATE_MODULES
+                 for msg in _slow_numpy_calls(path)]
+    assert not offenders, "slow numpy calls:\n" + "\n".join(offenders)

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import ribv.dissipation as dissipation_module
 import ribv.solver as solver_module
 from ribv.constitutive import (
     EnergyParams,
     Operators,
+    cell_damage,
+    damage_curvature,
     damage_potential,
     energy,
     energy_gradients,
@@ -18,7 +21,12 @@ from ribv.constitutive import (
     viscous_cell_form,
     yield_radius,
 )
-from ribv.discretization import Grid, initial_state, tensor_norm
+from ribv.discretization import (
+    Grid,
+    SymGradient,
+    initial_state,
+    tensor_norm,
+)
 from ribv.config import RunConfig
 from ribv.dissipation import Rate, psi_total
 from ribv.driver import run_viscous
@@ -29,6 +37,7 @@ from ribv.problems import (
 )
 from ribv.solver import (
     Z_FLOOR,
+    _z_hess,
     _z_value,
     band_newton_step,
     el_residuals,
@@ -43,6 +52,14 @@ from oracles import band_to_dense, incremental_functional
 
 def small_ep(eps=1e-2, nu=1e-2, mu=1e-2, tau=0.05):
     return EnergyParams(eps=eps, nu=nu, mu=mu, tau=tau, t_final=1.0)
+
+
+def counted(calls, name, fn):
+    """fn, adding each of its calls to calls[name]."""
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
 
 
 class TestTrivialSteps:
@@ -100,14 +117,8 @@ class TestUpStepExits:
         # 16x16 grid: each solve ends where the objective's decrease is
         # below roundoff, and both line searches accept such steps without
         # halving them away
-        calls = {"prox_plastic": 0, "_z_value": 0}
+        calls = {"_prox_shift": 0, "_z_value": 0}
         per_solve = {"solve_up_step": [], "solve_z_step": []}
-
-        def counted(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
 
         def per_call(name, fn, counter):
             def wrapped(*args, **kwargs):
@@ -118,11 +129,11 @@ class TestUpStepExits:
             return wrapped
 
         for name in calls:
-            monkeypatch.setattr(solver_module, name,
-                                counted(name, getattr(solver_module, name)))
+            monkeypatch.setattr(solver_module, name, counted(
+                calls, name, getattr(solver_module, name)))
         monkeypatch.setattr(solver_module, "solve_up_step",
                             per_call("solve_up_step", solve_up_step,
-                                     "prox_plastic"))
+                                     "_prox_shift"))
         monkeypatch.setattr(solver_module, "solve_z_step",
                             per_call("solve_z_step", solve_z_step,
                                      "_z_value"))
@@ -269,9 +280,9 @@ class TestZStep:
             z = rng.uniform(0.3, 0.9, grid.n_nodes)
             z_prev = z + rng.uniform(0.0, 0.1, grid.n_nodes)
             dz = rng.normal(size=grid.n_nodes)
-            _, g = _z_value(z, z_prev, q0, dp_norm, ops, mat, ep)
-            fp, _ = _z_value(z + h * dz, z_prev, q0, dp_norm, ops, mat, ep)
-            fm, _ = _z_value(z - h * dz, z_prev, q0, dp_norm, ops, mat, ep)
+            g = _z_value(z, z_prev, q0, dp_norm, ops, mat, ep)[1]
+            fp = _z_value(z + h * dz, z_prev, q0, dp_norm, ops, mat, ep)[0]
+            fm = _z_value(z - h * dz, z_prev, q0, dp_norm, ops, mat, ep)[0]
             assert (fp - fm) / (2 * h) == pytest.approx(g @ dz, rel=1e-7)
 
     def test_one_potential_per_evaluation(self, monkeypatch):
@@ -280,12 +291,6 @@ class TestZStep:
         calls = {"damage_potential": 0, "_z_value": 0}
         per_solve = []
 
-        def counted(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
         def per_call(*args, **kwargs):
             before = dict(calls)
             out = solve_z_step(*args, **kwargs)
@@ -293,14 +298,86 @@ class TestZStep:
             return out
 
         for name in calls:
-            monkeypatch.setattr(solver_module, name,
-                                counted(name, getattr(solver_module, name)))
+            monkeypatch.setattr(solver_module, name, counted(
+                calls, name, getattr(solver_module, name)))
         monkeypatch.setattr(solver_module, "solve_z_step", per_call)
         _, mat, ops, ep, loading, init = reference_problem(
             n_side=4, n_steps=5, amplitude=1.2)
         traj = run_viscous(ops, mat, ep, loading, init, n_steps=5)
         assert traj.aborted_at is None
         assert per_solve and all(n_pot == n_val for n_pot, n_val in per_solve)
+
+
+class TestOneEvaluationPerIterate:
+    def test_z_hessian_from_passed_curvature(self, rng):
+        # the Hessian from the c'' of the _z_value call at z equals, bit
+        # for bit, one built from z alone in the same order of sums, on
+        # cells on both sides of the stiffness kink at z = 1
+        grid = Grid(4)
+        mat = reference_material()
+        ops = Operators.build(grid, mat)
+        ep = small_ep()
+        q0 = rng.uniform(0.0, 0.5, grid.n_cells)
+        dp_norm = rng.uniform(0.0, 0.2, grid.n_cells)
+        for _ in range(5):
+            z = 0.6 + 0.8 * grid.nodes[:, 0] \
+                + rng.uniform(-0.05, 0.05, grid.n_nodes)
+            cpp = _z_value(z, z + 0.1, q0, dp_norm, ops, mat, ep)[2]
+            H = _z_hess(z, q0, cpp, ops, mat, ep)
+            want = ops.A_m.copy()
+            want[np.diag_indices(grid.n_nodes)] += grid.lump * (
+                damage_curvature(z, mat) + ep.eps / ep.tau)
+            cpp_z = stiffness_coeff(cell_damage(grid, z), mat)[2]
+            assert 0 < np.count_nonzero(cpp_z) < grid.n_cells
+            for c, corners in enumerate(grid.cells):
+                for i in corners:
+                    for j in corners:
+                        want[i, j] += grid.w_cell[c] * cpp_z[c] * q0[c] / 16.0
+            np.testing.assert_array_equal(H, want)
+
+    def test_laws_and_prox_run_in_value_evaluations_only(self, monkeypatch):
+        # per z solve, stiffness_coeff and cell_damage run once per
+        # _z_value call and nowhere else (the Hessian takes c'' from the
+        # evaluation at its iterate); per (u, p) solve, the prox shift runs
+        # once per value evaluation, that is per strain B(u + w), and the
+        # Newton tangent reuses it
+        calls = {"stiffness_coeff": 0, "cell_damage": 0, "_z_value": 0,
+                 "_prox_shift": 0, "apply": 0}
+        per_solve = {"solve_z_step": [], "solve_up_step": []}
+
+        def per_call(name, fn):
+            def wrapped(*args, **kwargs):
+                before = dict(calls)
+                out = fn(*args, **kwargs)
+                per_solve[name].append(
+                    {k: calls[k] - before[k] for k in calls})
+                return out
+            return wrapped
+
+        for name in ("stiffness_coeff", "cell_damage", "_z_value",
+                     "_prox_shift"):
+            monkeypatch.setattr(solver_module, name, counted(
+                calls, name, getattr(solver_module, name)))
+        # the prox and its derivative reach the shift through dissipation
+        monkeypatch.setattr(dissipation_module, "_prox_shift",
+                            counted(calls, "_prox_shift",
+                                    dissipation_module._prox_shift))
+        monkeypatch.setattr(SymGradient, "apply",
+                            counted(calls, "apply", SymGradient.apply))
+        for name in per_solve:
+            monkeypatch.setattr(solver_module, name,
+                                per_call(name, getattr(solver_module, name)))
+        _, mat, ops, ep, loading, init = reference_problem(
+            n_side=4, n_steps=5, amplitude=1.2)
+        traj = run_viscous(ops, mat, ep, loading, init, n_steps=5)
+        assert traj.aborted_at is None
+        assert per_solve["solve_z_step"] and per_solve["solve_up_step"]
+        for n in per_solve["solve_z_step"]:
+            assert n["stiffness_coeff"] == n["cell_damage"] == n["_z_value"]
+        for n in per_solve["solve_up_step"]:
+            assert n["_prox_shift"] == n["apply"] >= 1
+        assert sum(n["_prox_shift"] for n in per_solve["solve_up_step"]) \
+            > len(per_solve["solve_up_step"])
 
 
 class TestIncrementalStep:
@@ -416,16 +493,10 @@ class TestIncrementalStep:
         loading = ramp_loading(grid, amplitude=1.2)
         calls = {"energy": 0, "psi_total": 0}
 
-        def counted(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
         monkeypatch.setattr(solver_module, "energy",
-                            counted("energy", energy))
+                            counted(calls, "energy", energy))
         monkeypatch.setattr(solver_module, "psi_total",
-                            counted("psi_total", psi_total))
+                            counted(calls, "psi_total", psi_total))
         res = incremental_step(0.9, initial_state(grid, z0=0.95), ops, mat,
                                small_ep(tau=0.1), loading, tol_stat=1e-9)
         assert res.iterations >= 2
