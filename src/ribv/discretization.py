@@ -15,7 +15,7 @@ The module provides:
   the free dofs in LAPACK general-band storage (the node-major dof
   order keeps their bandwidth at 2 n_side + 1),
 * ``assemble_nonlocal_form`` -- a Gagliardo-type nonlocal form for the
-  damage field, built in O(N^2.5) from a 1-D stencil and a kernel table,
+  damage field, built in O(N^2) from its n_side distinct Toeplitz blocks,
 * ``LoadingSpec`` / ``eval_loading`` -- time-dependent Dirichlet data
   (with a fixed interior lift) and external nodal forces,
 * ``total_strain`` -- e = B(u + w) - p.
@@ -72,7 +72,8 @@ class Grid:
     ``dirichlet_mask`` marks constrained nodes (left edge by default);
     both displacement components are constrained there.  ``w_cell`` are
     the cell quadrature weights (h^2 each) and ``lump`` the lumped nodal
-    weights (each cell spreads h^2/4 onto its four corners).
+    weights (each cell spreads h^2/4 onto its four corners), lump_1d (x)
+    lump_1d for the 1-D weights lump_1d = (h/2, h, ..., h, h/2).
     """
 
     n_side: int
@@ -80,6 +81,7 @@ class Grid:
     nodes: np.ndarray = field(init=False)          # (n_nodes, 2)
     cells: np.ndarray = field(init=False)          # (n_cells, 4) corner ids
     w_cell: np.ndarray = field(init=False)         # (n_cells,)
+    lump_1d: np.ndarray = field(init=False)        # (n_side,)
     lump: np.ndarray = field(init=False)           # (n_nodes,)
     dirichlet_mask: np.ndarray = field(init=False)  # (n_nodes,) bool
     # flat displacement dof indices (node-major, x then y) not on the
@@ -92,26 +94,26 @@ class Grid:
             raise ValueError("need at least 2 nodes per side")
         h = 1.0 / (n - 1)
         xs = np.linspace(0.0, 1.0, n)
-        X, Y = np.meshgrid(xs, xs, indexing="xy")
-        nodes = np.column_stack([X.ravel(), Y.ravel()])
+        nodes = np.empty((n, n, 2))  # node iy * n + ix at (xs[ix], xs[iy])
+        nodes[..., 0], nodes[..., 1] = xs, xs[:, None]
 
         # counter-clockwise corners SW, SE, NE, NW, cells row by row
-        iy, ix = np.divmod(np.arange((n - 1) ** 2), n - 1)
-        sw = iy * n + ix
-        cells = np.column_stack([sw, sw + 1, sw + n + 1, sw + n])
+        sw = (np.arange(n - 1)[:, None] * n + np.arange(n - 1)).ravel()
+        cells = sw[:, None] + np.array([0, 1, n + 1, n])
         w_cell = np.full(len(cells), h * h)
 
-        lump = np.zeros(n * n)
-        np.add.at(lump, cells.ravel(), h * h / 4.0)
+        lump_1d = np.full(n, h)
+        lump_1d[0] = lump_1d[-1] = 0.5 * h
 
         mask = np.zeros(n * n, dtype=bool)
-        mask[nodes[:, 0] == 0.0] = True  # left edge
+        mask[::n] = True  # left edge
 
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", nodes.reshape(n * n, 2))
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "w_cell", w_cell)
-        object.__setattr__(self, "lump", lump)
+        object.__setattr__(self, "lump_1d", lump_1d)
+        object.__setattr__(self, "lump", np.outer(lump_1d, lump_1d).ravel())
         object.__setattr__(self, "dirichlet_mask", mask)
         fn = np.flatnonzero(~mask)
         object.__setattr__(self, "free_dofs",
@@ -271,30 +273,33 @@ def assemble_nonlocal_form(grid: Grid, m_order: float = 1.5) -> np.ndarray:
     diagonal i = j is excluded.  Constants are annihilated since their
     reconstructed gradient vanishes.
 
-    The kernel is tabulated by index offset and gathered, and each of
-    Gx^T L Gx and Gy^T L Gy applies D to one axis of L viewed as (n, n,
-    n, n): O(N^2.5) flops for N nodes, three N x N arrays live at once.
+    A = 2 (Gx^T L Gx + Gy^T L Gy) for L = diag(W 1) - W, W the pair weights.
+    With m = m1 (x) m1, block (a, b) of Gx^T L Gx over node rows is -m1_a
+    m1_b P_|a-b| + [a = b] D^T diag((W 1)_a) D, P_d = E K_d E^T for E = D^T
+    diag(m1) and K_d the Toeplitz kernel table of row offset d; Gy^T L Gy
+    swaps the axes.  O(N^2) flops for N nodes, two N x N arrays live.
     """
     if m_order <= 1.0:
         raise ValueError("nonlocal order must exceed 1")
-    n, N, D = grid.n_side, grid.n_nodes, _fd_stencil(grid)
+    n, D, m1 = grid.n_side, _fd_stencil(grid), grid.lump_1d
     r2 = (grid.h * np.arange(n)) ** 2
     dist2 = r2[:, None] + r2
     dist2[0, 0] = np.inf  # the excluded diagonal: inf^(-m) = 0
     off = np.abs(np.arange(n)[:, None] - np.arange(n))
-    # W_ij = m_i m_j |x_i - x_j|^(-2 m), gathered by (|diy|, |dix|)
-    W = (dist2 ** -m_order)[off[:, None, :, None], off[None, :, None, :]]
-    W = W.reshape(N, N) * np.outer(grid.lump, grid.lump)
-    # L = diag(W 1) - W in place; g L g' is half the ordered double sum
-    L = np.negative(W, out=W)
-    L.flat[::N + 1] = -L.sum(axis=1)
-    # Gx^T L Gx: D on jx, then ix; Gy^T L Gy: on jy, then iy (in T, L)
-    T = L.reshape(N * n, n) @ D
-    A = np.matmul(D.T, T.reshape(n, n, N)).reshape(N, N)
-    np.matmul(D.T, L.reshape(N, n, n), out=T.reshape(N, n, n))
-    np.matmul(D.T, T.reshape(n, n * N), out=L.reshape(n, n * N))
-    A += L
-    return np.add(A, A.T, out=T.reshape(N, N))  # 0.5 (2 A + 2 A^T)
+    K = (dist2 ** -m_order)[:, off]          # K[d]: rows d apart, (n, n, n)
+    E = D.T * m1
+    P = E @ K @ E.T
+    # row sums r = W 1 on the grid, and D^T diag(r_a) D per node row a
+    w = grid.lump.reshape(n, n)              # m1_a m1_b
+    r = w * (m1 @ (K @ m1)[off])
+    R = (D.T * r[:, None, :]) @ D
+    # Q[a, b] = 2 sym of block (a, b) of Gx^T L Gx, indexed [a, b, ix, jx]
+    Q = (P + P.transpose(0, 2, 1))[off]
+    Q *= -w[:, :, None, None]
+    Q.reshape(n * n, n, n)[::n + 1] += R + R.transpose(0, 2, 1)
+    # A[(a, ix), (b, jx)] = Q[a, b, ix, jx] + Q[ix, jx, a, b]
+    return np.add(Q.transpose(0, 2, 1, 3), Q.transpose(2, 0, 3, 1),
+                  out=np.empty((n, n, n, n))).reshape(n * n, n * n)
 
 
 def nonlocal_double_sum(grid: Grid, m_order: float,

@@ -293,21 +293,14 @@ def prox_plastic(p_prev: np.ndarray, e_bar_dev: np.ndarray, a, b, mu_w, c_q):
     return _prox_shift(p_prev, e_bar_dev, a, b, mu_w, c_q)[0]
 
 
-def prox_plastic_derivative(p_prev: np.ndarray, e_bar: np.ndarray, a, b,
-                            mu_w, c_q) -> np.ndarray:
-    """Jacobian (..., 3, 3) of e_bar -> prox_plastic(p_prev,
-    tensor_dev(e_bar), a, b, mu_w, c_q): the consistent tangent of the
-    return map (Simo & Taylor, Comput. Methods Appl. Mech. Engrg. 48
-    (1985) 101).  It vanishes where the cell sticks and is c_q/M ((1 - s)
-    P + s n n^T G) where it yields, n = d/|d|, s the shrink, P the
-    deviatoric projection and G = diag(FROB_W); n is trace-free, so
-    n n^T G P = n n^T G."""
-    return prox_tangent(
-        _prox_shift(p_prev, tensor_dev(e_bar), a, b, mu_w, c_q), c_q)
-
-
 def prox_tangent(shift, c_q) -> np.ndarray:
-    """``prox_plastic_derivative`` from the ``_prox_shift`` of its point."""
+    """Jacobian (..., 3, 3) of e_bar -> prox_plastic(p_prev,
+    tensor_dev(e_bar), a, b, mu_w, c_q), from the ``_prox_shift`` of its
+    point: the consistent tangent of the return map (Simo & Taylor,
+    Comput. Methods Appl. Mech. Engrg. 48 (1985) 101).  It vanishes where
+    the cell sticks and is c_q/M ((1 - s) P + s n n^T G) where it yields,
+    n = d/|d|, s the shrink, P the deviatoric projection and G =
+    diag(FROB_W); n is trace-free, so n n^T G P = n n^T G."""
     _, d, dn, shrink, modulus = shift
     J = np.zeros(d.shape + (3,))
     yielding = shrink < 1.0

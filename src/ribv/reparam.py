@@ -246,6 +246,7 @@ def _switching_residual(grads, state: State, rate: Rate, ops: Operators,
     # [-(1-lam) kappa, inf) where z' = 0
     zr = rate.z_rate
     rising, falling = zr > 1e-12, zr < -1e-12
+    rest, rises = ~(rising | falling), rising.any()
 
     # plastic block: 0 in (1-lam) dH(z, p') + lam nu p' + (1-lam) g_p
     V = yield_radius(cell_damage(grid, state.z), mat)
@@ -255,9 +256,10 @@ def _switching_residual(grads, state: State, rate: Rate, ops: Operators,
         y = lam_up * y_visc + (1 - lam_up) * y_grad
         target = -(lam_z * zr + (1 - lam_z) * g_z)
         floor = -(1 - lam_z) * mat.kappa
-        viol = np.where(rising, np.abs(target) + 1.0,
-                        np.where(falling, np.abs(target - floor),
-                                 np.maximum(floor - target, 0.0)))
+        viol = np.abs(target - floor, out=np.empty_like(zr), where=falling)
+        np.maximum(floor - target, 0.0, out=viol, where=rest)
+        if rises:
+            viol[rising] = np.abs(target[rising]) + 1.0
         xi = -(lam_up * ep.nu * rate.p_rate + (1 - lam_up) * g_p)
         dist = subdiff_violation(xi, rate.p_rate, (1 - lam_up) * V, flow)
         return math.sqrt(y @ y + (grid.lump * viol ** 2).sum()

@@ -7,7 +7,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ribv.constitutive import energy
-from ribv.dissipation import Rate, d_nu, psi_total
+from ribv.discretization import tensor_dev
+from ribv.dissipation import Rate, _prox_shift, d_nu, prox_tangent, psi_total
 
 FROB_W = np.array([1.0, 1.0, 2.0])
 
@@ -45,6 +46,14 @@ def prox_oracle(p_prev, ebar, a, b, mu_w, c_q):
                             "maxiter": 2000})
     x = res.x
     return np.array([x[0], -x[0], x[1]])
+
+
+def prox_plastic_derivative(p_prev, e_bar, a, b, mu_w, c_q):
+    """Jacobian (..., 3, 3) of e_bar -> prox_plastic(p_prev,
+    tensor_dev(e_bar), a, b, mu_w, c_q): ``prox_tangent`` of the shift
+    formed afresh at e_bar."""
+    return prox_tangent(
+        _prox_shift(p_prev, tensor_dev(e_bar), a, b, mu_w, c_q), c_q)
 
 
 def dist_lumped_oracle(lump, chi, kappa):
@@ -130,6 +139,26 @@ def prox_oracle_batch(p_prev, ebar, a, b, mu_w, c_q, levels=6):
         width = width / 15.0
     return np.column_stack([centers[:, 0], -centers[:, 0],
                             centers[:, 1]])
+
+
+def cell_spread_grid(n_side):
+    """Nodes, cells, lumped weights and free dofs of the n_side x n_side
+    grid built from their first definitions: node coordinates from a
+    meshgrid, corner ids stacked column by column, each cell spreading
+    h^2/4 onto its four corners, and both dofs of every node off the
+    left edge x = 0."""
+    n, h = n_side, 1.0 / (n_side - 1)
+    xs = np.linspace(0.0, 1.0, n)
+    X, Y = np.meshgrid(xs, xs, indexing="xy")
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    iy, ix = np.divmod(np.arange((n - 1) ** 2), n - 1)
+    sw = iy * n + ix
+    cells = np.column_stack([sw, sw + 1, sw + n + 1, sw + n])
+    lump = np.zeros(n * n)
+    np.add.at(lump, cells.ravel(), h * h / 4.0)
+    free = np.flatnonzero(nodes[:, 0] != 0.0)
+    free_dofs = np.column_stack([2 * free, 2 * free + 1]).ravel()
+    return nodes, cells, lump, free_dofs
 
 
 def dense_sym_gradient(grid):

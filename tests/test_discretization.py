@@ -21,7 +21,12 @@ from ribv.discretization import (
 )
 from ribv.problems import ramp_loading
 
-from oracles import band_to_dense, dense_nonlocal_form, dense_sym_gradient
+from oracles import (
+    band_to_dense,
+    cell_spread_grid,
+    dense_nonlocal_form,
+    dense_sym_gradient,
+)
 
 
 def nodal_field(grid, fn):
@@ -49,6 +54,16 @@ class TestGrid:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             Grid(1)
+
+    @pytest.mark.parametrize("n_side", [2, 3, 4, 7, 32])
+    def test_matches_cell_spread_construction(self, n_side):
+        g = Grid(n_side)
+        nodes, cells, lump, free_dofs = cell_spread_grid(n_side)
+        for got, ref in ((g.nodes, nodes), (g.cells, cells),
+                         (g.lump, lump), (g.free_dofs, free_dofs)):
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+        assert np.array_equal(g.lump, np.outer(g.lump_1d, g.lump_1d).ravel())
 
 
 class TestSymGradient:
@@ -148,14 +163,15 @@ class TestNonlocalForm:
                     nonlocal_double_sum(g, 1.5, z1, z2), rel=1e-12,
                     abs=1e-12)
 
-    @pytest.mark.parametrize("n_side", [3, 4, 7, 12, 16])
+    @pytest.mark.parametrize("n_side", [2, 3, 4, 7, 12, 16, 24])
     def test_matches_dense_reference(self, n_side):
         g = Grid(n_side)
-        A = assemble_nonlocal_form(g, 1.5)
-        ref = dense_nonlocal_form(g, 1.5)
-        assert A.shape == ref.shape
-        assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert np.array_equal(A, A.T)
+        for m_order in (1.25, 1.5, 2.0):
+            A = assemble_nonlocal_form(g, m_order)
+            ref = dense_nonlocal_form(g, m_order)
+            assert A.shape == ref.shape
+            assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.array_equal(A, A.T)
 
     def test_smooth_field_energy_converges(self):
         # z = cos(pi x) cos(pi y): the discrete seminorm rises toward its
@@ -170,8 +186,8 @@ class TestNonlocalForm:
         assert steps[1] < 0.5 * steps[0]
 
     def test_memory_budget(self):
-        # the assembly holds a few N x N arrays at once, not a dense
-        # gradient matrix and its products beside the pair weights
+        # the assembly holds the gathered blocks and the result, two
+        # N x N arrays, beside O(N^1.5) work arrays
         g = Grid(32)
         tracemalloc.start()
         try:
@@ -179,7 +195,7 @@ class TestNonlocalForm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * g.n_nodes ** 2 * 8
+        assert peak <= 3 * g.n_nodes ** 2 * 8
 
     def test_rejects_low_order(self):
         with pytest.raises(ValueError):

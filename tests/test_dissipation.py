@@ -19,7 +19,6 @@ from ribv.dissipation import (
     norm_u_h1,
     norm_z_m,
     prox_plastic,
-    prox_plastic_derivative,
     prox_tangent,
     psi_rate_independent,
     psi_total,
@@ -34,6 +33,7 @@ from oracles import (
     dual_norm_oracle,
     prox_objective,
     prox_oracle,
+    prox_plastic_derivative,
     wnorm,
 )
 
