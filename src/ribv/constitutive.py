@@ -27,6 +27,7 @@ density for p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -98,6 +99,11 @@ class MaterialParams:
     def c_k(self) -> float:
         """Lipschitz constant of z -> V(z)."""
         return self.sigma_y * (1.0 - self.m_bar)
+
+    @cached_property
+    def unit_stiffness(self) -> np.ndarray:
+        """3x3 form S0 of C0 on components: 1/2 e S0 e = 1/2 C0 e : e."""
+        return FROB_W[:, None] * base_elastic_apply(np.eye(3), self)
 
 
 @dataclass(frozen=True)
@@ -203,12 +209,6 @@ def add_corner_form(grid: Grid, H: np.ndarray, v: np.ndarray) -> None:
               (v / 16.0)[:, None, None])
 
 
-def viscous_cell_form(grid: Grid) -> np.ndarray:
-    """Per-cell (n_cells, 3, 3) forms w_c diag(1, 1, 2) whose element form
-    is K_D: 1/2 u K_D u = 1/2 sum_c w_c |(B u)_c|^2."""
-    return grid.w_cell[:, None, None] * np.diag(FROB_W)
-
-
 # ---------------------------------------------------------------------------
 # assembled operators shared across evaluations
 # ---------------------------------------------------------------------------
@@ -217,9 +217,8 @@ def viscous_cell_form(grid: Grid) -> np.ndarray:
 class Operators:
     """Assembled discrete operators reused by every energy evaluation.
 
-    The viscosity matrix K_D (the strain seminorm on the free dofs) is
-    held as its lower band with ``B.kd`` subdiagonals, ``K_D_band[i - j,
-    j] = K_D[i, j]`` for j <= i <= j + kd, together with its band
+    The viscosity matrix K_D, 1/2 u K_D u = 1/2 sum_c w_c |(B u)_c|^2, is
+    held as its lower band ``B.form(K_D_cells)`` together with its band
     Cholesky factor in the same storage; products and dual norms go
     through BLAS/LAPACK band kernels.  ``K_D`` expands the band into a
     dense matrix for reference checks.
@@ -228,6 +227,7 @@ class Operators:
     grid: Grid
     B: SymGradient         # element-local symmetrized gradient
     A_m: np.ndarray        # (n_nodes, n_nodes)
+    K_D_cells: np.ndarray  # (n_cells, 3, 3) forms w_c diag(1, 1, 2)
     K_D_band: np.ndarray   # (kd + 1, n_free) lower band of K_D, Fortran order
     K_D_chol: np.ndarray   # (kd + 1, n_free) lower band Cholesky factor
 
@@ -235,11 +235,12 @@ class Operators:
     def build(cls, grid: Grid, mat: MaterialParams) -> "Operators":
         B = assemble_sym_gradient(grid)
         A_m = assemble_nonlocal_form(grid, mat.m_order)
-        band = np.asfortranarray(B.form(viscous_cell_form(grid))[2 * B.kd:])
+        cells = grid.w_cell[:, None, None] * np.diag(FROB_W)
+        band = B.form(cells)
         chol, info = lapack.dpbtrf(band, lower=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dpbtrf failed with info={info}")
-        return cls(grid=grid, B=B, A_m=A_m, K_D_band=band, K_D_chol=chol)
+        return cls(grid, B, A_m, cells, band, chol)
 
     @property
     def K_D(self) -> np.ndarray:
@@ -278,13 +279,19 @@ class Operators:
 # energy and derivatives
 # ---------------------------------------------------------------------------
 
-def loaded_energy(t: float, state: State, ops: Operators,
-                  mat: MaterialParams, loading: LoadingSpec) -> float:
-    """The part of the energy that depends on t: the elastic energy at
-    e = B(u + w(t)) - p less the work F(t).(u + w(t))."""
-    grid = ops.grid
+def strain_at(t: float, state: State, ops: Operators, loading: LoadingSpec):
+    """The loading (w, F) at t and the strain e = B(u + w) - p of state."""
     w, F = eval_loading(loading, t)
-    e = total_strain(ops.B, state, w)
+    return w, F, total_strain(ops.B, state, w)
+
+
+def loaded_energy(t: float, state: State, ops: Operators,
+                  mat: MaterialParams, loading: LoadingSpec, at=None) -> float:
+    """The part of the energy that depends on t: the elastic energy at
+    e = B(u + w(t)) - p less the work F(t).(u + w(t)); ``at`` is
+    ``strain_at(t, state, ops, loading)`` where the caller holds it."""
+    grid = ops.grid
+    w, F, e = at or strain_at(t, state, ops, loading)
     zc = cell_damage(grid, state.z)
     sigma = stiffness(zc, mat)[:, None] * base_elastic_apply(e, mat)
     quad = 0.5 * (grid.w_cell * tensor_dot(sigma, e)).sum()
@@ -292,18 +299,28 @@ def loaded_energy(t: float, state: State, ops: Operators,
 
 
 def energy(t: float, state: State, ops: Operators, mat: MaterialParams,
-           mu: float, loading: LoadingSpec) -> float:
+           mu: float, loading: LoadingSpec, at=None, Az=None) -> float:
+    """E_mu(t, state); ``at`` as in ``loaded_energy``, Az = A_m z."""
     grid = ops.grid
     Wz, _ = damage_potential(state.z, mat)
     dam = (grid.lump * Wz).sum()
     hard = 0.5 * mu * (grid.w_cell * tensor_dot(state.p, state.p)).sum()
-    nonloc = 0.5 * state.z @ ops.apply_A_m(state.z)
-    return loaded_energy(t, state, ops, mat, loading) + dam + hard + nonloc
+    nonloc = 0.5 * state.z @ (ops.apply_A_m(state.z) if Az is None else Az)
+    return loaded_energy(t, state, ops, mat, loading, at) + dam + hard + nonloc
+
+
+def displacement_gradient(e: np.ndarray, zc: np.ndarray, F: np.ndarray,
+                          ops: Operators, mat: MaterialParams) -> np.ndarray:
+    """g_u = B^T (w_c C(z_c) e) - F on the free dofs at strain e."""
+    sigma = stiffness(zc, mat)[:, None] * base_elastic_apply(e, mat)
+    weighted = ops.grid.w_cell[:, None] * FROB_W[None, :] * sigma
+    return (ops.B.adjoint(weighted) - F)[ops.grid.free_dofs]
 
 
 def energy_gradients(t: float, state: State, ops: Operators,
-                     mat: MaterialParams, mu: float, loading: LoadingSpec):
-    """Partial gradients of the energy.
+                     mat: MaterialParams, mu: float, loading: LoadingSpec,
+                     at=None, Az=None):
+    """Partial gradients of the energy; ``at`` and ``Az`` as in ``energy``.
 
     Returns (g_u, g_z, g_p):
       g_u -- Euclidean covector on the free displacement dofs,
@@ -312,23 +329,18 @@ def energy_gradients(t: float, state: State, ops: Operators,
              Frobenius pairing), g_p = mu p - sigma_D.
     """
     grid = ops.grid
-    w, F = eval_loading(loading, t)
-    e = total_strain(ops.B, state, w)
+    _, F, e = at or strain_at(t, state, ops, loading)
     zc = cell_damage(grid, state.z)
+    g_u = displacement_gradient(e, zc, F, ops, mat)
     sigma0 = base_elastic_apply(e, mat)
     c, cp, _ = stiffness_coeff(zc, mat)
-    sigma = c[:, None] * sigma0
-
-    # u: B^T (w_c sigma) - F on free dofs.
-    weighted = grid.w_cell[:, None] * FROB_W[None, :] * sigma
-    g_u = (ops.B.adjoint(weighted) - F)[grid.free_dofs]
 
     # z: nonlocal + barrier + half C'(z) e:e scattered to corner nodes.
     _, Wp = damage_potential(state.z, mat)
     cell_drive = 0.5 * grid.w_cell * tensor_dot(cp[:, None] * sigma0, e)  # (n_cells,)
-    g_z = (ops.apply_A_m(state.z) + corner_scatter(grid, cell_drive)) \
-        / grid.lump + Wp
+    Az = ops.apply_A_m(state.z) if Az is None else Az
+    g_z = (Az + corner_scatter(grid, cell_drive)) / grid.lump + Wp
 
     # p: mu p - sigma_D.
-    g_p = mu * state.p - tensor_dev(sigma)
+    g_p = mu * state.p - tensor_dev(c[:, None] * sigma0)
     return g_u, g_z, g_p

@@ -11,9 +11,9 @@ The module provides:
 * ``Grid`` -- nodes, cells, quadrature weights, Dirichlet mask,
 * ``SymGradient`` / ``assemble_sym_gradient`` -- the symmetrized
   gradient B as one 3x8 cell matrix and the cell-to-dof map, with its
-  apply, adjoint and element forms sum_c B_c^T T_c B_c assembled over
-  the free dofs in LAPACK general-band storage (the node-major dof
-  order keeps their bandwidth at 2 n_side + 1),
+  apply, adjoint and symmetric element forms sum_c B_c^T T_c B_c
+  assembled over the free dofs in LAPACK lower symmetric-band storage
+  (the node-major dof order keeps their bandwidth at 2 n_side + 1),
 * ``assemble_nonlocal_form`` -- a Gagliardo-type nonlocal form for the
   damage field, built in O(N^2) from its n_side distinct Toeplitz blocks,
 * ``LoadingSpec`` / ``eval_loading`` -- time-dependent Dirichlet data
@@ -184,8 +184,9 @@ class SymGradient:
     Element forms are assembled over the ``n_free`` free dofs, whose
     couplings reach at most ``kd`` positions off the diagonal.
     ``band_pos[c, a, b]`` is the flat position of the pair of local dofs
-    (a, b) of cell c in a Fortran-order (3 kd + 1, n_free) general-band
-    array, or one past its end when either dof is constrained.
+    (a, b) of cell c in a Fortran-order (kd + 1, n_free) lower band
+    array, or one past its end when either dof is constrained or the
+    pair lies above the diagonal.
     """
 
     local: np.ndarray     # (3, 8)
@@ -210,13 +211,12 @@ class SymGradient:
                            minlength=self.n_dofs)
 
     def form(self, T: np.ndarray) -> np.ndarray:
-        """sum_c B_c^T T_c B_c of per-cell (n_cells, 3, 3) forms on the free
-        dofs, in the LAPACK general-band storage of ``?gbsv`` with kd sub-
-        and superdiagonals: entry (i, j) sits at row 2 kd + i - j of column
-        j of a Fortran-order (3 kd + 1, n_free) array whose first kd rows
-        are zero."""
+        """sum_c B_c^T T_c B_c of symmetric per-cell (n_cells, 3, 3) forms
+        on the free dofs, in the LAPACK lower band storage of ``?pbsv``:
+        entry (i, j), j <= i <= j + kd, sits at row i - j of column j of a
+        Fortran-order (kd + 1, n_free) array."""
         Ke = self.local.T @ T @ self.local
-        rows = 3 * self.kd + 1
+        rows = self.kd + 1
         K = np.bincount(self.band_pos.ravel(), weights=Ke.ravel(),
                         minlength=rows * self.n_free + 1)
         return K[:-1].reshape(self.n_free, rows).T
@@ -241,10 +241,10 @@ def assemble_sym_gradient(grid: Grid) -> SymGradient:
     pos[grid.free_dofs] = np.arange(n_free)
     fp = pos[dofs]
     i, j = fp[:, :, None], fp[:, None, :]
-    kept = (i >= 0) & (j >= 0)
-    kd = int(np.max(np.abs(i - j), where=kept, initial=0))
-    rows = 3 * kd + 1
-    band_pos = np.where(kept, j * rows + 2 * kd + i - j, rows * n_free)
+    lower = (j >= 0) & (i >= j)
+    kd = int(np.max(i - j, where=lower, initial=0))
+    rows = kd + 1
+    band_pos = np.where(lower, j * rows + i - j, rows * n_free)
     return SymGradient(local=local, dofs=dofs, n_dofs=n_dofs, n_free=n_free,
                        kd=kd, band_pos=band_pos)
 

@@ -10,8 +10,8 @@ projected-Newton solve in z under the irreversibility constraint
 z_floor <= z <= z_prev.  Both solves backtrack to one acceptance rule
 and raise RuntimeError when they cannot converge; each builds its
 Hessian from the value evaluation at the iterate (the prox shift, c'').
-Sweeps start from q_prev.  Acceptance is certified through the
-stationarity residuals of the three coupled optimality conditions.
+Sweeps start from q_prev, form each strain and A_m z once, and are
+certified by r_u first, the other two optimality residuals where it passes.
 """
 
 from __future__ import annotations
@@ -26,23 +26,21 @@ from .constitutive import (
     MaterialParams,
     Operators,
     add_corner_form,
-    base_elastic_apply,
     base_elastic_density,
     cell_damage,
     corner_scatter,
     damage_curvature,
     damage_potential,
     deviatoric_modulus,
+    displacement_gradient,
     energy,
     energy_gradients,
     stiffness,
     stiffness_coeff,
-    viscous_cell_form,
     yield_radius,
     yield_radius_prime,
 )
 from .discretization import (
-    FROB_W,
     LoadingSpec,
     State,
     eval_loading,
@@ -88,21 +86,21 @@ class StepResult:
 # subproblem solves
 # ---------------------------------------------------------------------------
 
-def band_newton_step(H: np.ndarray, kd: int, grad: np.ndarray) -> np.ndarray:
-    """Solve H step = grad for H in the general-band storage of
-    ``SymGradient.form`` by banded LU (LAPACK ``dgbsv``, which overwrites
-    H).  An exactly singular H gives step = grad."""
-    _, _, step, info = lapack.dgbsv(kd, kd, H, grad, overwrite_ab=1)
-    if info < 0:
-        raise ValueError(f"dgbsv: argument {-info} is invalid")
-    return grad if info > 0 else step
+def band_newton_step(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve H step = grad for a symmetric positive definite H in the lower
+    band storage of ``SymGradient.form`` by band Cholesky (LAPACK ``dpbsv``,
+    overwriting H); raises LinAlgError naming info when the factor fails."""
+    _, step, info = lapack.dpbsv(H, grad, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpbsv failed with info={info}")
+    return step
 
 
-def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
-                  mat: MaterialParams, ep: EnergyParams, loading: LoadingSpec,
-                  tol_dual: float = 1e-12,
+def solve_up_step(w: np.ndarray, F_ext: np.ndarray, state: State,
+                  prev_state: State, ops: Operators, mat: MaterialParams,
+                  ep: EnergyParams, tol_dual: float = 1e-12,
                   max_iter: int = 80) -> tuple[np.ndarray, np.ndarray]:
-    """Joint minimization in (u, p) with z frozen.
+    """Joint minimization in (u, p) with z frozen at the loading (w, F_ext).
 
     Alternating u- and p-solves contract slowly once cells yield, so
     instead minimize the envelope F(u) = min_p J(u, p) by a semismooth
@@ -110,9 +108,9 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     gradient of F needs only the elastic stress at p*(u) (envelope
     theorem), and the Hessian uses the consistent tangent S_c (I - J_c)
     of the prox: J_c = ``prox_tangent`` of the value evaluation's shift.
-    Its symmetric part is assembled over the free dofs in band storage
-    and solved by banded LU with partial pivoting (LAPACK ``dgbsv``); an
-    exactly singular Hessian falls back to the gradient as the step.
+    Its symmetric part is assembled over the free dofs in lower band
+    storage and solved by band Cholesky (``band_newton_step``), which
+    raises LinAlgError when the Hessian is not positive definite.
     Steps are halved until ``_acceptable`` holds: Armijo's condition or,
     where the objective grows by at most 1e-6 of itself, the approximate
     Armijo condition of Hager & Zhang (2005).  Stops when
@@ -121,14 +119,12 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
     acceptable step or max_iter iterations end above tol_dual.
     """
     grid = ops.grid
-    w, F_ext = eval_loading(loading, t)
     free = grid.free_dofs
     F_free = F_ext[free]
     zc = cell_damage(grid, state.z)
     c = stiffness(zc, mat)
     # per-cell 3x3 forms: Q = 1/2 sum_c e_c S_c e_c
-    S = (grid.w_cell * c)[:, None, None] \
-        * (FROB_W[:, None] * base_elastic_apply(np.eye(3), mat))[None, :, :]
+    S = (grid.w_cell * c)[:, None, None] * mat.unit_stiffness[None, :, :]
     V = yield_radius(zc, mat)
     wV = grid.w_cell * V
     visc_fac = ep.eps * ep.nu / ep.tau
@@ -155,8 +151,6 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
         grad = ops.B.adjoint(sigma_w)[free] - F_free + visc_fac * kd_du
         return float(val), grad, shift
 
-    visc_cells = visc_fac * viscous_cell_form(grid)
-
     u_free = state.u.ravel()[free].copy()
     val, grad, shift = value_grad(u_free)
     for it in range(max_iter + 1):
@@ -169,8 +163,9 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
         # per-cell consistent tangent S_c (I - dp*/d e_bar) from the shift
         T = np.matmul(S, np.eye(3) - prox_tangent(shift, c_q))
         # symmetric part of the Hessian visc_fac K_D + sum_c B_c^T T_c B_c
-        H = ops.B.form(visc_cells + 0.5 * (T + T.transpose(0, 2, 1)))
-        step = -band_newton_step(H, ops.B.kd, grad)
+        H = ops.B.form(visc_fac * ops.K_D_cells
+                       + 0.5 * (T + T.transpose(0, 2, 1)))
+        step = -band_newton_step(H, grad)
         slope = grad @ step
         alpha = 1.0
         for _bt in range(50):
@@ -189,7 +184,7 @@ def solve_up_step(t: float, state: State, prev_state: State, ops: Operators,
 
 
 def _z_value(z, z_prev, q0, dp_norm, ops, mat, ep):
-    """Value, Euclidean gradient and cell c''(z_c) of the z subproblem
+    """Value, Euclidean gradient, cell c''(z_c) and A_m z of the z subproblem
     objective: one damage_potential, stiffness_coeff and A_m product each."""
     grid = ops.grid
     zc = cell_damage(grid, z)
@@ -206,7 +201,7 @@ def _z_value(z, z_prev, q0, dp_norm, ops, mat, ep):
     cell_term = grid.w_cell * (cp * q0 + yield_radius_prime(zc, mat) * dp_norm)
     g = Az + corner_scatter(grid, cell_term) \
         + grid.lump * (Wp + (ep.eps / ep.tau) * dz - mat.kappa)
-    return float(val), g, cpp
+    return float(val), g, cpp, Az
 
 
 def _z_hess(z, q0, cpp, ops, mat, ep):
@@ -226,25 +221,24 @@ def _at_bounds(z, z_prev):
     return z <= Z_FLOOR * (1 + 1e-12), z >= z_prev - 1e-15
 
 
-def solve_z_step(t: float, state: State, prev_state: State, ops: Operators,
-                 mat: MaterialParams, ep: EnergyParams, loading: LoadingSpec,
-                 tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
-    """Minimize the z subproblem under z_floor <= z <= z_prev by
+def solve_z_step(e: np.ndarray, state: State, prev_state: State,
+                 ops: Operators, mat: MaterialParams, ep: EnergyParams,
+                 tol: float = 1e-10, max_iter: int = 200):
+    """Minimize the z subproblem at strain e under z_floor <= z <= z_prev by
     projected Newton: g/m at nodes held at a bound, the (SPD) Newton step
     on the others, halved along the projection arc clip(z - alpha d)
     (Calamai & More, Math. Prog. 39 (1987) 93) until ``_acceptable``;
     trials that leave z unmoved are rejected, and each other trial is one
-    ``_z_value`` call.  Raises RuntimeError, stating the stationarity
-    residual, when 50 halvings find no step or max_iter iterations end
-    above tol."""
+    ``_z_value`` call.  Returns (z, A_m z); raises RuntimeError, stating
+    the stationarity residual, when 50 halvings find no step or max_iter
+    iterations end above tol."""
     z_prev = prev_state.z
     # z-independent cell data: elastic density at unit stiffness, |dp|
-    w = eval_loading(loading, t)[0]
-    q0 = base_elastic_density(total_strain(ops.B, state, w), mat)
+    q0 = base_elastic_density(e, mat)
     dp_norm = tensor_norm(state.p - prev_state.p)
     m = ops.grid.lump
     z = np.minimum(np.maximum(state.z, Z_FLOOR), z_prev)
-    val, g, cpp = _z_value(z, z_prev, q0, dp_norm, ops, mat, ep)
+    val, g, cpp, Az = _z_value(z, z_prev, q0, dp_norm, ops, mat, ep)
     for it in range(max_iter + 1):
         d = g / m
         lower, upper = _at_bounds(z, z_prev)
@@ -253,14 +247,14 @@ def solve_z_step(t: float, state: State, prev_state: State, ops: Operators,
                         np.where(upper, np.maximum(d, 0.0), d))
         res = float(np.sqrt((m * proj ** 2).sum()))
         if res <= tol:
-            return z
+            return z, Az
         if it == max_iter:
             raise RuntimeError(f"solve_z_step: stationarity residual "
                                f"{res:.3e} > tol after {max_iter} iterations")
         # held nodes keep d, the others take the Newton direction
         free = ~((lower & (d > 0)) | (upper & (d < 0)))
         H = _z_hess(z, q0, cpp, ops, mat, ep)
-        *_, d[free], info = lapack.dgesv(H[np.ix_(free, free)], g[free])
+        *_, d[free], info = lapack.dgesv(H[free][:, free], g[free])
         if info != 0:
             raise np.linalg.LinAlgError(f"dgesv failed with info={info}")
         alpha = 1.0
@@ -275,12 +269,18 @@ def solve_z_step(t: float, state: State, prev_state: State, ops: Operators,
         else:
             raise RuntimeError(f"solve_z_step: no acceptable step in 50 "
                                f"halvings at stationarity residual {res:.3e}")
-        z, (val, g, cpp) = z_t, ev_t
+        z, (val, g, cpp, Az) = z_t, ev_t
 
 
 # ---------------------------------------------------------------------------
 # optimality residuals
 # ---------------------------------------------------------------------------
+
+def _displacement_residual(g_u, state, prev_state, ops, ep):
+    """r_u of ``el_residuals`` from g_u."""
+    du = (state.u - prev_state.u).ravel()[ops.grid.free_dofs]
+    return ops.dual_norm((ep.eps * ep.nu / ep.tau) * ops.apply_K_D(du) + g_u)
+
 
 def el_residuals(grads: tuple, state: State, prev_state: State,
                  ops: Operators, mat: MaterialParams,
@@ -295,10 +295,7 @@ def el_residuals(grads: tuple, state: State, prev_state: State,
     """
     grid = ops.grid
     g_u, g_z, g_p = grads
-    free = grid.free_dofs
-    du = (state.u - prev_state.u).ravel()[free]
-    res_u = (ep.eps * ep.nu / ep.tau) * ops.apply_K_D(du) + g_u
-    r_u = ops.dual_norm(res_u)
+    r_u = _displacement_residual(g_u, state, prev_state, ops, ep)
 
     z_rate = (state.z - prev_state.z) / ep.tau
     chi = g_z  # density form of the damage driving force
@@ -328,22 +325,33 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
     optimality residual drops below tol_stat (or max_iter sweeps); a
     (u, p) or z solve that cannot reach its tolerance raises RuntimeError.
 
-    The energy and Psi are evaluated once, at the final state, the energy
-    gradients once per sweep."""
+    The loading is read once per step; each sweep forms its strain once
+    (for the z-step and the certification) and A_m z once (in the z-step).
+    A sweep is certified r_u first: the full ``energy_gradients`` and
+    ``el_residuals`` run only where r_u <= tol_stat or at the max_iter-th
+    sweep.  The energy and Psi are evaluated once, at the final state."""
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
+    w, F = eval_loading(loading, t)
     state = prev_state.copy()
     for sweeps in range(1, max_iter + 1):
         state.u, state.p = solve_up_step(
-            t, state, prev_state, ops, mat, ep, loading,
+            w, F, state, prev_state, ops, mat, ep,
             tol_dual=max(1e-13, 0.02 * tol_stat))
-        state.z = solve_z_step(t, state, prev_state, ops, mat, ep, loading,
-                               tol=0.1 * tol_stat)
-        grads = energy_gradients(t, state, ops, mat, ep.mu, loading)
+        e = total_strain(ops.B, state, w)
+        state.z, Az = solve_z_step(e, state, prev_state, ops, mat, ep,
+                                   tol=0.1 * tol_stat)
+        g_u = displacement_gradient(e, cell_damage(ops.grid, state.z), F,
+                                    ops, mat)
+        r_u = _displacement_residual(g_u, state, prev_state, ops, ep)
+        if r_u > tol_stat and sweeps < max_iter:
+            continue
+        at = (w, F, e)
+        grads = energy_gradients(t, state, ops, mat, ep.mu, loading, at, Az)
         residuals = el_residuals(grads, state, prev_state, ops, mat, ep)
         if max(residuals) <= tol_stat:
             break
-    energy_k = energy(t, state, ops, mat, ep.mu, loading)
+    energy_k = energy(t, state, ops, mat, ep.mu, loading, at, Az)
     psi_k = psi_total(state, Rate.between(prev_state, state, ep.tau), ops,
                       mat, ep.eps, ep.nu, tol_pos=1e-14)
     return StepResult(

@@ -6,9 +6,10 @@ implementation under test beyond its public inputs."""
 import numpy as np
 from scipy.optimize import minimize
 
-from ribv.constitutive import energy
-from ribv.discretization import tensor_dev
+from ribv.constitutive import energy, energy_gradients
+from ribv.discretization import eval_loading, tensor_dev, total_strain
 from ribv.dissipation import Rate, _prox_shift, d_nu, prox_tangent, psi_total
+from ribv.solver import StepResult, el_residuals, solve_up_step, solve_z_step
 
 FROB_W = np.array([1.0, 1.0, 2.0])
 
@@ -180,13 +181,14 @@ def dense_sym_gradient(grid):
 
 
 def band_to_dense(ab, kd):
-    """Dense matrix of a LAPACK general-band array with kd sub- and
-    superdiagonals, A[i, j] = ab[2 kd + i - j, j], read entry by entry."""
+    """Dense symmetric matrix of a LAPACK lower band array with kd
+    subdiagonals, A[i, j] = A[j, i] = ab[i - j, j] for j <= i <= j + kd,
+    read entry by entry."""
     n = ab.shape[1]
     A = np.zeros((n, n))
-    for i in range(n):
-        for j in range(max(0, i - kd), min(n, i + kd + 1)):
-            A[i, j] = ab[2 * kd + i - j, j]
+    for j in range(n):
+        for i in range(j, min(n, j + kd + 1)):
+            A[i, j] = A[j, i] = ab[i - j, j]
     return A
 
 
@@ -282,6 +284,32 @@ def incremental_functional(t, state, prev_state, ops, mat, ep, loading):
     return ep.tau * psi_total(state, rate, ops, mat, ep.eps, ep.nu,
                               tol_pos=1e-14) \
         + energy(t, state, ops, mat, ep.mu, loading)
+
+
+def certified_step(t, prev_state, ops, mat, ep, loading, tol_stat=1e-8,
+                   max_iter=500):
+    """The incremental step with the full certification on every sweep:
+    after each (u, p) and z solve, the energy gradients and all three EL
+    residuals, the loading, strain and A_m z formed afresh by the public
+    energy functions."""
+    state = prev_state.copy()
+    for sweeps in range(1, max_iter + 1):
+        state.u, state.p = solve_up_step(
+            *eval_loading(loading, t), state, prev_state, ops, mat, ep,
+            tol_dual=max(1e-13, 0.02 * tol_stat))
+        e = total_strain(ops.B, state, eval_loading(loading, t)[0])
+        state.z = solve_z_step(e, state, prev_state, ops, mat, ep,
+                               tol=0.1 * tol_stat)[0]
+        grads = energy_gradients(t, state, ops, mat, ep.mu, loading)
+        residuals = el_residuals(grads, state, prev_state, ops, mat, ep)
+        if max(residuals) <= tol_stat:
+            break
+    return StepResult(
+        new_state=state, iterations=sweeps, el_residuals=residuals,
+        accepted=max(residuals) <= tol_stat,
+        energy=energy(t, state, ops, mat, ep.mu, loading), gradients=grads,
+        psi=psi_total(state, Rate.between(prev_state, state, ep.tau), ops,
+                      mat, ep.eps, ep.nu, tol_pos=1e-14))
 
 
 def balance_residual(traj, ops):

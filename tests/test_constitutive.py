@@ -277,10 +277,10 @@ class TestBandOperators:
 
     def test_storage_is_banded(self):
         # no (n_free, n_free) array: every operator array other than the
-        # nonlocal A_m fits in one general band
+        # nonlocal A_m fits in one lower band
         ops = Operators.build(Grid(24), make_mat())
         B = ops.B
-        limit = (3 * B.kd + 1) * B.n_free
+        limit = (B.kd + 1) * B.n_free
         arrays = {name: v for name, v in {**vars(ops), **vars(B)}.items()
                   if isinstance(v, np.ndarray) and name != "A_m"}
         assert {"K_D_band", "K_D_chol", "band_pos"} <= set(arrays)

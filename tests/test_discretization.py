@@ -104,6 +104,7 @@ class TestSymGradient:
         v = rng.normal(size=2 * g.n_nodes)
         s = rng.normal(size=(g.n_cells, 3))
         T = rng.normal(size=(g.n_cells, 3, 3))
+        T += T.transpose(0, 2, 1)  # the band holds symmetric forms
         free = g.free_dofs
         Df = D[:, :, free]
         dense_form = np.einsum("cia,cij,cjb->ab", Df, T, Df)

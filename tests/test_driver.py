@@ -115,9 +115,10 @@ class TestRampRun:
 
 def count_evaluations(monkeypatch):
     """Count energy, energy-gradient, psi, D_nu and loading evaluations
-    through every ribv module that binds them, and sweeps by z solves."""
+    through every ribv module that binds them, sweeps by z solves and
+    full certifications by el_residuals calls."""
     counts = {"energy": 0, "energy_gradients": 0, "psi_total": 0,
-              "d_nu": 0, "eval_loading": 0, "sweeps": 0}
+              "d_nu": 0, "eval_loading": 0, "sweeps": 0, "el_residuals": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -137,31 +138,40 @@ def count_evaluations(monkeypatch):
                 monkeypatch.setattr(mod, name, counting(name, fn))
     monkeypatch.setattr(solver_module, "solve_z_step",
                         counting("sweeps", solver_module.solve_z_step))
+    monkeypatch.setattr(solver_module, "el_residuals",
+                        counting("el_residuals", solver_module.el_residuals))
     return counts
 
 
 class TestEvaluationCounts:
     def test_step_quantities_taken_from_step(self, monkeypatch):
         # each step's energy, dissipation potential and energy gradients
-        # come from the step result: the energy and psi are evaluated
-        # once per step, at its result (the pre-relaxation included), and
-        # the gradients once per sweep
+        # come from the step result: the energy and psi are evaluated once
+        # per step, at its result (the pre-relaxation included), and the
+        # gradients once per full certification, which only the sweeps
+        # whose r_u passes get; each step reads the loading once, and the
+        # power integral twice more
         counts = count_evaluations(monkeypatch)
         ops, traj = run_reference(4)
         assert traj.aborted_at is None
         assert counts["energy"] == traj.n_steps + 1
         assert counts["psi_total"] == traj.n_steps + 1
-        assert counts["energy_gradients"] == counts["sweeps"]
+        assert counts["eval_loading"] == traj.n_steps + 1 + 2 * traj.n_steps
+        assert counts["energy_gradients"] == counts["el_residuals"]
+        assert traj.n_steps + 1 <= counts["el_residuals"] <= counts["sweeps"]
 
-    def test_reparam_gradients_once_per_sweep(self, monkeypatch, tmp_path):
+    def test_reparam_gradients_once_per_certification(self, monkeypatch,
+                                                      tmp_path):
         # switching recovery reads each knot's gradients from the viscous
-        # run, so the whole reparam command evaluates them once per sweep
+        # run, so the whole reparam command evaluates them in the solver's
+        # full certifications only, fewer than one per sweep
         counts = count_evaluations(monkeypatch)
         cfg = RunConfig.parse("grid_n = 4\nn_steps = 6\n"
                               "load_amplitude = 1.2\n")
         assert cmd_reparam(cfg, str(tmp_path)) == 0
         assert counts["sweeps"] > 0
-        assert counts["energy_gradients"] == counts["sweeps"]
+        assert counts["energy_gradients"] == counts["el_residuals"] \
+            < counts["sweeps"]
 
     def test_reparam_skips_unread_work(self, monkeypatch):
         # the standard arclength reads no strain rate, so it evaluates no

@@ -10,7 +10,7 @@ work (``solver``, ``constitutive``, ``dissipation``) call no numpy
 function whose ndarray method or ufunc form costs a fraction of it on
 the small per-cell arrays they loop over (``np.sum``, ``np.any``,
 ``np.all``, ``np.max``, ``np.clip``, ``np.errstate``,
-``np.linalg.solve``)."""
+``np.linalg.solve``, ``np.ix_``)."""
 
 import ast
 from pathlib import Path
@@ -265,10 +265,11 @@ def test_one_line_search_rule():
 
 
 # in their place: x.sum(), x.any(), x.all(), x.max(initial=),
-# np.minimum(np.maximum(...)), np.divide(..., where=) and lapack.dgesv
+# np.minimum(np.maximum(...)), np.divide(..., where=), lapack.dgesv and
+# x[rows][:, cols]
 _ITERATE_MODULES = {"solver.py", "constitutive.py", "dissipation.py"}
 _SLOW_NUMPY_CALLS = {"np.sum", "np.any", "np.all", "np.max", "np.clip",
-                     "np.errstate", "np.linalg.solve"}
+                     "np.errstate", "np.linalg.solve", "np.ix_"}
 
 
 def _slow_numpy_calls(path: Path) -> list[str]:

@@ -18,14 +18,15 @@ from ribv.constitutive import (
     energy,
     energy_gradients,
     stiffness_coeff,
-    viscous_cell_form,
     yield_radius,
 )
 from ribv.discretization import (
     Grid,
     SymGradient,
+    eval_loading,
     initial_state,
     tensor_norm,
+    total_strain,
 )
 from ribv.config import RunConfig
 from ribv.dissipation import Rate, psi_total
@@ -47,11 +48,16 @@ from ribv.solver import (
 )
 
 from conftest import random_state
-from oracles import band_to_dense, incremental_functional
+from oracles import band_to_dense, certified_step, incremental_functional
 
 
 def small_ep(eps=1e-2, nu=1e-2, mu=1e-2, tau=0.05):
     return EnergyParams(eps=eps, nu=nu, mu=mu, tau=tau, t_final=1.0)
+
+
+def strain(ops, state, loading, t):
+    """The strain e = B(u + w(t)) - p that solve_z_step takes."""
+    return total_strain(ops.B, state, eval_loading(loading, t)[0])
 
 
 def counted(calls, name, fn):
@@ -100,8 +106,8 @@ class TestTrivialSteps:
         for _ in range(5):
             prev = random_state(grid, rng)
             st = prev.copy()
-            u_new, p_new = solve_up_step(0.7, st, prev, ops, mat, ep,
-                                         loading)
+            u_new, p_new = solve_up_step(*eval_loading(loading, 0.7), st,
+                                         prev, ops, mat, ep)
             before = incremental_functional(0.7, st, prev, ops, mat, ep,
                                             loading)
             st2 = st.copy()
@@ -158,8 +164,8 @@ class TestUpStepExits:
         loading = ramp_loading(grid, amplitude=1.2)
         prev = initial_state(grid, z0=0.95)
         with pytest.raises(RuntimeError, match="dual residual"):
-            solve_up_step(1.0, prev.copy(), prev, ops, mat, small_ep(),
-                          loading, max_iter=1)
+            solve_up_step(*eval_loading(loading, 1.0), prev.copy(), prev,
+                          ops, mat, small_ep(), max_iter=1)
 
 
 class TestBandNewtonStep:
@@ -168,17 +174,18 @@ class TestBandNewtonStep:
         ops = Operators.build(Grid(n_side), reference_material())
         B = ops.B
         M = rng.normal(size=(B.dofs.shape[0], 3, 3))
-        T = M @ M.transpose(0, 2, 1) + 0.1 * viscous_cell_form(ops.grid)
+        T = M @ M.transpose(0, 2, 1) + 0.1 * ops.K_D_cells
         H = B.form(T)
         dense = band_to_dense(H, B.kd)
         g = rng.normal(size=B.n_free)
         ref = np.linalg.solve(dense, g)
-        step = band_newton_step(H, B.kd, g)
+        step = band_newton_step(H, g)
         assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
 
-    def test_singular_takes_gradient(self, rng):
+    def test_singular_raises(self, rng):
         # stiffness in e_xx alone leaves the y dofs without any coupling:
-        # the band has zero columns and LU meets an exactly zero pivot
+        # the band has zero columns, and the Cholesky factorization stops
+        # at the first of them (LAPACK info = 2) instead of taking a step
         ops = Operators.build(Grid(4), reference_material())
         B = ops.B
         T = np.zeros((B.dofs.shape[0], 3, 3))
@@ -186,7 +193,8 @@ class TestBandNewtonStep:
         H = B.form(T)
         assert np.linalg.matrix_rank(band_to_dense(H, B.kd)) < B.n_free
         g = rng.normal(size=B.n_free)
-        assert band_newton_step(H, B.kd, g) is g
+        with pytest.raises(np.linalg.LinAlgError, match=r"info=2\b"):
+            band_newton_step(H, g)
 
 
 class TestZStep:
@@ -208,8 +216,8 @@ class TestZStep:
                                 np.zeros(grid.n_nodes)])
         st.p = np.tile([0.05, -0.05, 0.02], (grid.n_cells, 1))
 
-        z_new = solve_z_step(0.5, st, prev, ops, mat, ep, loading,
-                             tol=1e-13)
+        z_new = solve_z_step(strain(ops, st, loading, 0.5), st, prev, ops,
+                             mat, ep, tol=1e-13)[0]
         assert np.ptp(z_new) < 1e-10  # stays uniform by symmetry
 
         e = ops.B.apply(st.u)[0] - st.p[0]
@@ -244,7 +252,8 @@ class TestZStep:
         st.u[~grid.dirichlet_mask] = rng.normal(0, 0.3,
                                                 (grid.n_nodes
                                                  - grid.n_side, 2))
-        z_new = solve_z_step(1.0, st, prev, ops, mat, ep, loading)
+        z_new = solve_z_step(strain(ops, st, loading, 1.0), st, prev, ops,
+                             mat, ep)[0]
         assert np.all(z_new <= prev.z + 1e-15)
         assert np.all(z_new >= Z_FLOOR * (1 - 1e-12))
 
@@ -261,8 +270,8 @@ class TestZStep:
                                                 (grid.n_nodes
                                                  - grid.n_side, 2))
         with pytest.raises(RuntimeError, match="residual"):
-            solve_z_step(1.0, st, prev, ops, mat, small_ep(), loading,
-                         max_iter=1)
+            solve_z_step(strain(ops, st, loading, 1.0), st, prev, ops, mat,
+                         small_ep(), max_iter=1)
 
     @pytest.mark.parametrize("n_side", [3, 5])
     def test_z_value_gradient_fd(self, n_side, rng):
@@ -501,3 +510,95 @@ class TestIncrementalStep:
                                small_ep(tau=0.1), loading, tol_stat=1e-9)
         assert res.iterations >= 2
         assert calls == {"energy": 1, "psi_total": 1}
+
+
+def damaging_step(n_steps=10, k=6):
+    """Operators, material, step parameters and loading of the damaging
+    ramp on a 3x3 grid, with the time and previous state of its step k
+    (15 sweeps)."""
+    _, mat, ops, ep, loading, init = reference_problem(
+        n_side=3, n_steps=n_steps, amplitude=1.2)
+    traj = run_viscous(ops, mat, ep, loading, init, n_steps=n_steps)
+    return ops, mat, traj.ep, loading, traj.times[k], traj.states[k - 1], init
+
+
+def assert_same_step(res, ref):
+    assert res.iterations == ref.iterations
+    assert res.el_residuals == ref.el_residuals
+    assert res.accepted == ref.accepted
+    assert res.energy == ref.energy
+    assert res.psi == ref.psi
+    for got, want in zip(res.gradients, ref.gradients):
+        np.testing.assert_array_equal(got, want)
+    for name in ("u", "z", "p"):
+        np.testing.assert_array_equal(getattr(res.new_state, name),
+                                      getattr(ref.new_state, name))
+
+
+class TestCertificationOrder:
+    """A sweep runs the full certification only where r_u lets it pass,
+    which changes no result."""
+
+    def test_matches_full_certification(self):
+        # a damaging ramp step of 15 sweeps and the pre-relaxation step
+        # (tau = 1e12) agree bit for bit with the loop that certifies
+        # every sweep in full
+        ops, mat, ep, loading, t, prev, init = damaging_step()
+        res = incremental_step(t, prev, ops, mat, ep, loading)
+        assert res.accepted and res.iterations == 15
+        assert_same_step(res, certified_step(t, prev, ops, mat, ep, loading))
+        relax = dataclasses.replace(ep, tau=1e12)
+        res = incremental_step(0.0, init, ops, mat, relax, loading,
+                               tol_stat=1e-9, max_iter=200)
+        assert res.accepted
+        assert_same_step(res, certified_step(0.0, init, ops, mat, relax,
+                                             loading, tol_stat=1e-9,
+                                             max_iter=200))
+
+    @pytest.mark.parametrize("max_iter", [500, 5])
+    def test_gradients_once_per_passing_sweep(self, monkeypatch, max_iter):
+        # energy_gradients runs once per sweep whose r_u is within
+        # tol_stat, plus once at the max_iter-th sweep; r_u is recomputed
+        # here after each z solve from the public energy gradients
+        ops, mat, ep, loading, t, prev, _ = damaging_step()
+        r_u = []
+
+        def z_step(e, state, prev_state, *args, **kwargs):
+            out = solve_z_step(e, state, prev_state, *args, **kwargs)
+            st = state.copy()
+            st.z = out[0]
+            r_u.append(el_residuals(
+                energy_gradients(t, st, ops, mat, ep.mu, loading), st,
+                prev_state, ops, mat, ep)[0])
+            return out
+
+        calls = {"energy_gradients": 0}
+        monkeypatch.setattr(solver_module, "solve_z_step", z_step)
+        monkeypatch.setattr(solver_module, "energy_gradients", counted(
+            calls, "energy_gradients", energy_gradients))
+        res = incremental_step(t, prev, ops, mat, ep, loading,
+                               max_iter=max_iter)
+        assert len(r_u) == res.iterations
+        passing = sum(r <= 1e-8 for r in r_u)
+        if max_iter == 5:
+            # cut at a sweep whose r_u fails
+            assert res.iterations == 5 and r_u[-1] > 1e-8
+            assert calls["energy_gradients"] == passing + 1
+        else:
+            assert 0 < passing < res.iterations == 15
+            assert calls["energy_gradients"] == passing
+
+    def test_max_iter_exit_certifies_in_full(self):
+        # a step cut at max_iter = 5 of its 15 sweeps returns all three
+        # residuals, computed in full at the returned state, and is not
+        # accepted
+        ops, mat, ep, loading, t, prev, _ = damaging_step()
+        res = incremental_step(t, prev, ops, mat, ep, loading, max_iter=5)
+        assert res.iterations == 5 and not res.accepted
+        grads = energy_gradients(t, res.new_state, ops, mat, ep.mu, loading)
+        assert res.el_residuals == el_residuals(grads, res.new_state, prev,
+                                                ops, mat, ep)
+        assert res.el_residuals[0] > 1e-8
+        assert all(np.isfinite(r) and r > 0 for r in res.el_residuals)
+        for got, want in zip(res.gradients, grads):
+            np.testing.assert_array_equal(got, want)
