@@ -15,8 +15,7 @@ import numpy as np
 
 from .config import RunConfig
 from .constitutive import energy, energy_gradients
-from .discretization import Grid, State, eval_loading, nonlocal_double_sum, \
-    tensor_norm, total_strain
+from .discretization import Grid, State, nonlocal_double_sum, tensor_norm
 from .dissipation import (
     dist_r,
     norm_p_l1,
@@ -72,15 +71,13 @@ def trajectory_rows(traj: Trajectory, ops, ptraj_std, ptraj_ed):
     for k in range(len(traj.times)):
         st = traj.states[k]
         dd = traj.dual_diag[k]
-        w, _ = eval_loading(traj.loading, traj.times[k])
-        e = total_strain(ops.B, st, w)
         rows.append((
             k, traj.times[k], ptraj_std.s[k], ptraj_ed.s[k],
             traj.E_mu[k], traj.N_value[k], traj.power[k],
             traj.balance_residual_cum[k], float(st.z.min()),
             dd.dual_u, dd.dist_z, dd.dist_p, traj.dnu[k], dd.d_nu_star,
             norm_u_h1(ops, st.u), norm_p_l1(ops.grid, st.p),
-            norm_p_l2(ops.grid, st.p), norm_p_l2(ops.grid, e),
+            norm_p_l2(ops.grid, st.p), norm_p_l2(ops.grid, traj.strains[k]),
             int(traj.iterations[k]), bool(traj.accepted[k]),
         ))
     return rows

@@ -4,7 +4,9 @@ Material model:
 
 * damage-dependent isotropic elasticity C(z) xi = c(z) C0 xi,
       c(z) = delta_reg + min(z,1)^2,  C0 xi = 2 mu_L xi + lam_L tr(xi) I,
-  with c'(z) = 2z and c''(z) = 2 on [0, 1), both 0 beyond,
+  with c'(z) = 2z and c''(z) = 2 on [0, 1), both 0 beyond; C0 is written
+  once, as the component form ``MaterialParams.unit_stiffness`` (S0), and
+  ``elastic_cells`` gives every cell stress and density from it,
 * damage potential W(z) = w0 z^(-q_exp) with q_exp > 4 (a barrier at the
   fully broken state z = 0), W''(z) = q_exp (q_exp+1) w0 z^(-q_exp-2),
 * damage-dependent yield radius V(z) = sigma_y (m_bar + (1-m_bar)
@@ -43,9 +45,12 @@ from .discretization import (
     eval_loading,
     tensor_dev,
     tensor_dot,
-    tensor_trace,
     total_strain,
 )
+
+
+# q0 = 1/2 s0 . e as one matvec: a short-axis sum costs several times more
+_HALF = np.full(3, 0.5)
 
 
 @dataclass(frozen=True)
@@ -80,20 +85,6 @@ class MaterialParams:
             raise ValueError("q_exp must exceed 4 (2n for n = 2)")
         if self.m_order <= 1.0:
             raise ValueError("m_order must exceed 1")
-        if self.gamma1 <= 0:
-            raise ValueError("elasticity lost ellipticity")
-
-    @property
-    def gamma1(self) -> float:
-        """Lower ellipticity constant of C(z) over z >= 0."""
-        return self.delta_reg * min(2 * self.lame_mu,
-                                    2 * self.lame_mu + 2 * self.lame_lambda)
-
-    @property
-    def gamma2(self) -> float:
-        """Upper ellipticity constant of C(z) over z >= 0."""
-        return (1.0 + self.delta_reg) * max(2 * self.lame_mu,
-                                            2 * self.lame_mu + 2 * self.lame_lambda)
 
     @property
     def c_k(self) -> float:
@@ -102,8 +93,13 @@ class MaterialParams:
 
     @cached_property
     def unit_stiffness(self) -> np.ndarray:
-        """3x3 form S0 of C0 on components: 1/2 e S0 e = 1/2 C0 e : e."""
-        return FROB_W[:, None] * base_elastic_apply(np.eye(3), self)
+        """The undamaged tensor C0 xi = 2 mu_L xi + lam_L tr(xi) I as a
+        symmetric 3x3 form S0 on (xx, yy, xy) components, Frobenius
+        weighted: xi S0 = FROB_W * C0 xi, so (xi S0) . eta = C0 xi : eta."""
+        lam, mu = self.lame_lambda, self.lame_mu
+        return np.array([[2.0 * mu + lam, lam, 0.0],
+                         [lam, 2.0 * mu + lam, 0.0],
+                         [0.0, 0.0, 4.0 * mu]])
 
 
 @dataclass(frozen=True)
@@ -141,21 +137,12 @@ def stiffness_coeff(z, mat: MaterialParams):
     return stiffness(z, mat), np.where(below, 2.0 * z, 0.0), 2.0 * below
 
 
-def base_elastic_apply(xi: np.ndarray, mat: MaterialParams) -> np.ndarray:
-    """Apply the undamaged tensor C0 xi = 2 mu_L xi + lam_L tr(xi) I to a
-    (..., 3) component array."""
-    tr = tensor_trace(xi)
-    out = 2.0 * mat.lame_mu * np.array(xi, dtype=float, copy=True)
-    out[..., 0] += mat.lame_lambda * tr
-    out[..., 1] += mat.lame_lambda * tr
-    return out
-
-
-def base_elastic_density(e: np.ndarray, mat: MaterialParams) -> np.ndarray:
-    """Unit-coefficient elastic density 1/2 C0 e : e of a (..., 3) array."""
-    tr = tensor_trace(e)
-    return 0.5 * (2 * mat.lame_mu * tensor_dot(e, e)
-                  + mat.lame_lambda * tr ** 2)
+def elastic_cells(e: np.ndarray, mat: MaterialParams):
+    """The cell kernel of the elastic law at unit stiffness: for a (..., 3)
+    strain array, the Frobenius-weighted stress s0 = e S0 and the density
+    q0 = 1/2 s0 . e = 1/2 C0 e : e.  C(z) scales both by c(z)."""
+    s0 = e @ mat.unit_stiffness
+    return s0, (s0 * e) @ _HALF
 
 
 def deviatoric_modulus(c, mat: MaterialParams):
@@ -292,9 +279,8 @@ def loaded_energy(t: float, state: State, ops: Operators,
     ``strain_at(t, state, ops, loading)`` where the caller holds it."""
     grid = ops.grid
     w, F, e = at or strain_at(t, state, ops, loading)
-    zc = cell_damage(grid, state.z)
-    sigma = stiffness(zc, mat)[:, None] * base_elastic_apply(e, mat)
-    quad = 0.5 * (grid.w_cell * tensor_dot(sigma, e)).sum()
+    c = stiffness(cell_damage(grid, state.z), mat)
+    quad = (grid.w_cell * c * elastic_cells(e, mat)[1]).sum()
     return quad - F @ (state.u + w).ravel()
 
 
@@ -311,10 +297,11 @@ def energy(t: float, state: State, ops: Operators, mat: MaterialParams,
 
 def displacement_gradient(e: np.ndarray, zc: np.ndarray, F: np.ndarray,
                           ops: Operators, mat: MaterialParams) -> np.ndarray:
-    """g_u = B^T (w_c C(z_c) e) - F on the free dofs at strain e."""
-    sigma = stiffness(zc, mat)[:, None] * base_elastic_apply(e, mat)
-    weighted = ops.grid.w_cell[:, None] * FROB_W[None, :] * sigma
-    return (ops.B.adjoint(weighted) - F)[ops.grid.free_dofs]
+    """g_u = B^T (w_c c(z_c) s0_c) - F on the free dofs at strain e, s0
+    the weighted stress of ``elastic_cells``."""
+    s0, _ = elastic_cells(e, mat)
+    wc = ops.grid.w_cell * stiffness(zc, mat)
+    return (ops.B.adjoint(wc[:, None] * s0) - F)[ops.grid.free_dofs]
 
 
 def energy_gradients(t: float, state: State, ops: Operators,
@@ -332,15 +319,14 @@ def energy_gradients(t: float, state: State, ops: Operators,
     _, F, e = at or strain_at(t, state, ops, loading)
     zc = cell_damage(grid, state.z)
     g_u = displacement_gradient(e, zc, F, ops, mat)
-    sigma0 = base_elastic_apply(e, mat)
+    _, q0 = elastic_cells(e, mat)
     c, cp, _ = stiffness_coeff(zc, mat)
 
-    # z: nonlocal + barrier + half C'(z) e:e scattered to corner nodes.
+    # z: nonlocal + barrier + c'(z) q0 scattered to corner nodes.
     _, Wp = damage_potential(state.z, mat)
-    cell_drive = 0.5 * grid.w_cell * tensor_dot(cp[:, None] * sigma0, e)  # (n_cells,)
     Az = ops.apply_A_m(state.z) if Az is None else Az
-    g_z = (Az + corner_scatter(grid, cell_drive)) / grid.lump + Wp
+    g_z = (Az + corner_scatter(grid, grid.w_cell * cp * q0)) / grid.lump + Wp
 
-    # p: mu p - sigma_D.
-    g_p = mu * state.p - tensor_dev(c[:, None] * sigma0)
+    # p: mu p - sigma_D, sigma_D = 2 mu_L c dev e.
+    g_p = mu * state.p - deviatoric_modulus(c, mat)[:, None] * tensor_dev(e)
     return g_u, g_z, g_p

@@ -15,7 +15,7 @@ import numpy as np
 
 from .constitutive import EnergyParams, MaterialParams, Operators, \
     loaded_energy
-from .discretization import LoadingSpec, State, eval_loading, total_strain
+from .discretization import LoadingSpec, State
 from .dissipation import (
     DualDiagnostics,
     Rate,
@@ -40,6 +40,7 @@ class Trajectory:
 
     times: np.ndarray
     states: list[State]
+    strains: list[np.ndarray]    # elastic strain e of each state
     ep: EnergyParams
     mat: MaterialParams
     loading: LoadingSpec
@@ -65,12 +66,10 @@ class Trajectory:
         return Rate.between(self.states[k - 1], self.states[k],
                             self.times[k] - self.times[k - 1])
 
-    def strain_rate(self, k: int, ops: Operators) -> np.ndarray:
+    def strain_rate(self, k: int) -> np.ndarray:
         """Backward-difference rate of the elastic strain at step k >= 1."""
-        e0, e1 = (total_strain(ops.B, self.states[j],
-                               eval_loading(self.loading, self.times[j])[0])
-                  for j in (k - 1, k))
-        return (e1 - e0) / (self.times[k] - self.times[k - 1])
+        return (self.strains[k] - self.strains[k - 1]) \
+            / (self.times[k] - self.times[k - 1])
 
 
 def _power_integral(t0: float, t1: float, state: State, ops: Operators,
@@ -128,6 +127,7 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
     return Trajectory(
         times=times[:len(steps)],
         states=[r.new_state for r in steps],
+        strains=[r.strain for r in steps],
         ep=ep,
         mat=mat,
         loading=loading,
@@ -158,7 +158,7 @@ def enhanced_estimate_total(traj: Trajectory, ops: Operators) -> float:
     for k in range(1, len(traj.times)):
         tau = traj.times[k] - traj.times[k - 1]
         rate = traj.rate(k)
-        total += tau * (norm_p_l2(ops.grid, traj.strain_rate(k, ops))
+        total += tau * (norm_p_l2(ops.grid, traj.strain_rate(k))
                         + norm_z_hm(ops, rate.z_rate)
                         + np.sqrt(ep.mu) * norm_u_h1(ops, rate.u_rate)
                         + np.sqrt(ep.mu) * norm_p_l2(ops.grid, rate.p_rate))

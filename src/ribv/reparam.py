@@ -94,7 +94,7 @@ def _build_ptraj(kind, traj, ops):
         tau = traj.times[k] - traj.times[k - 1]
         rate = traj.rate(k)
         # only the energy-dissipation integrand reads the strain rate
-        erate = traj.strain_rate(k, ops) if kind == "ed" else 0.0
+        erate = traj.strain_rate(k) if kind == "ed" else 0.0
         dns = traj.dual_diag[k].d_nu_star
         ds[k] = tau * _integrand(kind, ops, traj.ep, 1.0, rate, erate, dns)
         if ds[k] <= 0:

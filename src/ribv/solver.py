@@ -26,13 +26,13 @@ from .constitutive import (
     MaterialParams,
     Operators,
     add_corner_form,
-    base_elastic_density,
     cell_damage,
     corner_scatter,
     damage_curvature,
     damage_potential,
     deviatoric_modulus,
     displacement_gradient,
+    elastic_cells,
     energy,
     energy_gradients,
     stiffness,
@@ -70,8 +70,9 @@ def _acceptable(val, val_t, slope, slope_t):
 
 @dataclass
 class StepResult:
-    """One incremental step at time t; ``energy`` and ``gradients``
-    (g_u, g_z, g_p) are those of the energy at (t, new_state)."""
+    """One incremental step at time t; ``energy``, ``gradients``
+    (g_u, g_z, g_p) and ``strain`` are those of the energy at
+    (t, new_state)."""
     new_state: State
     iterations: int
     el_residuals: tuple[float, float, float]  # (r_u, r_z, r_p)
@@ -79,6 +80,7 @@ class StepResult:
     energy: float
     gradients: tuple[np.ndarray, np.ndarray, np.ndarray]
     psi: float  # Psi_{eps,nu} at new_state of the step's rate
+    strain: np.ndarray  # e = B(u + w(t)) - p, (n_cells, 3)
     z_floor_active: bool = False
 
 
@@ -106,11 +108,14 @@ def solve_up_step(w: np.ndarray, F_ext: np.ndarray, state: State,
     instead minimize the envelope F(u) = min_p J(u, p) by a semismooth
     Newton iteration: the inner minimum is the exact cellwise prox, the
     gradient of F needs only the elastic stress at p*(u) (envelope
-    theorem), and the Hessian uses the consistent tangent S_c (I - J_c)
-    of the prox: J_c = ``prox_tangent`` of the value evaluation's shift.
-    Its symmetric part is assembled over the free dofs in lower band
-    storage and solved by band Cholesky (``band_newton_step``), which
-    raises LinAlgError when the Hessian is not positive definite.
+    theorem), and the Hessian uses the consistent tangent
+    w_c c_c S0 (I - J_c) of the prox: J_c = ``prox_tangent`` of the value
+    evaluation's shift.  Value, gradient and tangent read the cell kernel
+    ``elastic_cells`` and its form S0.  The tangent is symmetric by
+    construction (S0 acts as 2 mu_L G on the trace-free range of J_c, G =
+    diag(FROB_W)); the Hessian is assembled over the free dofs in lower
+    band storage and solved by band Cholesky (``band_newton_step``),
+    which raises LinAlgError when it is not positive definite.
     Steps are halved until ``_acceptable`` holds: Armijo's condition or,
     where the objective grows by at most 1e-6 of itself, the approximate
     Armijo condition of Hager & Zhang (2005).  Stops when
@@ -123,8 +128,7 @@ def solve_up_step(w: np.ndarray, F_ext: np.ndarray, state: State,
     F_free = F_ext[free]
     zc = cell_damage(grid, state.z)
     c = stiffness(zc, mat)
-    # per-cell 3x3 forms: Q = 1/2 sum_c e_c S_c e_c
-    S = (grid.w_cell * c)[:, None, None] * mat.unit_stiffness[None, :, :]
+    wc = grid.w_cell * c
     V = yield_radius(zc, mat)
     wV = grid.w_cell * V
     visc_fac = ep.eps * ep.nu / ep.tau
@@ -138,9 +142,8 @@ def solve_up_step(w: np.ndarray, F_ext: np.ndarray, state: State,
         shift = _prox_shift(prev_state.p, tensor_dev(e_bar), V, visc_fac,
                             ep.mu, c_q)
         p = shift[0]
-        e = e_bar - p
-        sigma_w = np.einsum("cij,cj->ci", S, e)  # w_c- and frob-weighted
-        val = 0.5 * np.vdot(sigma_w, e) - F_ext @ uw
+        s0, q0 = elastic_cells(e_bar - p, mat)
+        val = wc @ q0 - F_ext @ uw
         du = u_free - u_prev_f
         kd_du = ops.apply_K_D(du)
         val += 0.5 * visc_fac * du @ kd_du
@@ -148,7 +151,8 @@ def solve_up_step(w: np.ndarray, F_ext: np.ndarray, state: State,
         val += (wV * tensor_norm(dp)).sum()
         val += 0.5 * visc_fac * (grid.w_cell * tensor_dot(dp, dp)).sum()
         val += 0.5 * ep.mu * (grid.w_cell * tensor_dot(p, p)).sum()
-        grad = ops.B.adjoint(sigma_w)[free] - F_free + visc_fac * kd_du
+        grad = ops.B.adjoint(wc[:, None] * s0)[free] - F_free \
+            + visc_fac * kd_du
         return float(val), grad, shift
 
     u_free = state.u.ravel()[free].copy()
@@ -160,11 +164,10 @@ def solve_up_step(w: np.ndarray, F_ext: np.ndarray, state: State,
         if it == max_iter:
             raise RuntimeError(f"solve_up_step: dual residual {r_dual:.3e} "
                                f"> tol_dual after {max_iter} iterations")
-        # per-cell consistent tangent S_c (I - dp*/d e_bar) from the shift
-        T = np.matmul(S, np.eye(3) - prox_tangent(shift, c_q))
-        # symmetric part of the Hessian visc_fac K_D + sum_c B_c^T T_c B_c
-        H = ops.B.form(visc_fac * ops.K_D_cells
-                       + 0.5 * (T + T.transpose(0, 2, 1)))
+        # per-cell consistent tangent w_c c_c S0 (I - dp*/d e_bar) from
+        # the shift; Hessian visc_fac K_D + sum_c B_c^T T_c B_c
+        T = mat.unit_stiffness @ (np.eye(3) - prox_tangent(shift, c_q))
+        H = ops.B.form(visc_fac * ops.K_D_cells + wc[:, None, None] * T)
         step = -band_newton_step(H, grad)
         slope = grad @ step
         alpha = 1.0
@@ -234,7 +237,7 @@ def solve_z_step(e: np.ndarray, state: State, prev_state: State,
     iterations end above tol."""
     z_prev = prev_state.z
     # z-independent cell data: elastic density at unit stiffness, |dp|
-    q0 = base_elastic_density(e, mat)
+    _, q0 = elastic_cells(e, mat)
     dp_norm = tensor_norm(state.p - prev_state.p)
     m = ops.grid.lump
     z = np.minimum(np.maximum(state.z, Z_FLOOR), z_prev)
@@ -362,5 +365,6 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
         energy=energy_k,
         gradients=grads,
         psi=psi_k,
+        strain=e,
         z_floor_active=bool(_at_bounds(state.z, prev_state.z)[0].any()),
     )

@@ -309,7 +309,7 @@ def certified_step(t, prev_state, ops, mat, ep, loading, tol_stat=1e-8,
         accepted=max(residuals) <= tol_stat,
         energy=energy(t, state, ops, mat, ep.mu, loading), gradients=grads,
         psi=psi_total(state, Rate.between(prev_state, state, ep.tau), ops,
-                      mat, ep.eps, ep.nu, tol_pos=1e-14))
+                      mat, ep.eps, ep.nu, tol_pos=1e-14), strain=e)
 
 
 def balance_residual(traj, ops):

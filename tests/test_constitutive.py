@@ -8,16 +8,20 @@ import pytest
 from ribv.constitutive import (
     MaterialParams,
     Operators,
-    base_elastic_apply,
     damage_curvature,
     damage_potential,
+    deviatoric_modulus,
+    elastic_cells,
     energy,
     energy_gradients,
+    stiffness,
     stiffness_coeff,
     yield_radius,
     yield_radius_prime,
 )
-from ribv.discretization import Grid, LoadingSpec, State, initial_state
+from ribv.discretization import Grid, LoadingSpec, State, initial_state, \
+    tensor_dev
+from ribv.dissipation import _prox_shift, prox_tangent
 from ribv.driver import _power_integral
 from ribv.problems import ramp_loading, reference_material
 
@@ -35,21 +39,51 @@ def make_mat(**over):
 
 class TestElasticTensor:
     def test_hand_expansion(self):
-        # lam = mu = 1, delta = 0.05, z = 1, xi = diag(1, 0):
-        # (delta + z^2)(2 mu xi + lam tr xi I) = 1.05 * (3, 1, 0)
+        # lam = mu = 1: C0 diag(1, 0) = (3, 1, 0), weight 1 on the diagonal
+        # and q0 = 3/2; C0 of the shear xy = 1 is 2, weighted 4, and
+        # q0 = 1/2 * 2 * 2 (both off-diagonal entries) = 2
         mat = make_mat()
-        xi = np.array([[1.0, 0.0, 0.0]])
-        c, _, _ = stiffness_coeff(np.array([1.0]), mat)
-        out = c[:, None] * base_elastic_apply(xi, mat)
-        assert np.allclose(out, 1.05 * np.array([[3.0, 1.0, 0.0]]),
-                           atol=1e-14)
+        s0, q0 = elastic_cells(np.array([[1.0, 0.0, 0.0],
+                                         [0.0, 0.0, 1.0]]), mat)
+        np.testing.assert_array_equal(s0, [[3.0, 1.0, 0.0],
+                                           [0.0, 0.0, 4.0]])
+        np.testing.assert_array_equal(q0, [1.5, 2.0])
 
-    def test_zero_input(self, rng):
-        mat = make_mat()
-        z = rng.uniform(0.1, 1.0, 4)
-        out = stiffness_coeff(z, mat)[0][:, None] \
-            * base_elastic_apply(np.zeros((4, 3)), mat)
-        assert np.allclose(out, 0.0)
+    def test_matches_lame_expansion(self, rng):
+        # s0 = G (2 mu e + lam tr(e) I), q0 = mu |e|^2 + lam/2 tr(e)^2
+        mat = make_mat(lame_lambda=0.7, lame_mu=1.3)
+        e = rng.normal(size=(50, 3))
+        tr = e[:, 0] + e[:, 1]
+        sigma = 2 * 1.3 * e
+        sigma[:, :2] += 0.7 * tr[:, None]
+        s0, q0 = elastic_cells(e, mat)
+        assert np.allclose(s0, FROB_W * sigma, rtol=1e-14, atol=1e-14)
+        assert np.allclose(q0, 1.3 * (e ** 2) @ FROB_W + 0.35 * tr ** 2,
+                           rtol=1e-14, atol=1e-14)
+
+    def test_zero_input(self):
+        s0, q0 = elastic_cells(np.zeros((4, 3)), make_mat())
+        assert (s0 == 0.0).all() and (q0 == 0.0).all()
+
+    def test_consistent_tangent_symmetric(self, rng):
+        # w c S0 (I - J) of the (u, p) Hessian is symmetric to roundoff
+        # without symmetrizing, on yielding and sticking cells alike
+        mat = make_mat(lame_lambda=0.7, lame_mu=1.3)
+        n = 2000
+        p = rng.normal(0.0, 0.1, (n, 3))
+        p[:, 1] = -p[:, 0]
+        e_bar = rng.normal(0.0, 0.3, (n, 3))
+        c = stiffness(rng.uniform(0.0, 1.0, n), mat)
+        wc = rng.uniform(0.01, 1.0, n) * c
+        c_q = deviatoric_modulus(c, mat)
+        a = rng.uniform(0.0, 0.3, n)
+        shift = _prox_shift(p, tensor_dev(e_bar), a, 0.02, 0.05, c_q)
+        yielding = shift[3] < 1.0
+        assert 100 < yielding.sum() < n - 100
+        T = wc[:, None, None] * (mat.unit_stiffness
+                                 @ (np.eye(3) - prox_tangent(shift, c_q)))
+        asym = np.abs(T - T.transpose(0, 2, 1)).max(axis=(1, 2))
+        assert (asym <= 1e-15 * np.linalg.norm(T, axis=(1, 2))).all()
 
     def test_coefficient_saturates_above_one(self):
         mat = make_mat()
@@ -119,11 +153,14 @@ class TestMaterialValidation:
         with pytest.raises(ValueError):
             make_mat(delta_reg=0.0)
 
-    def test_ellipticity_constants(self):
-        mat = make_mat()
-        assert mat.gamma1 > 0
-        assert mat.gamma2 < np.inf
-        assert mat.gamma1 <= mat.gamma2
+    def test_unit_stiffness_spd(self):
+        # the ellipticity of C0: S0 is symmetric with positive spectrum
+        # (2 mu, 2 mu + 2 lam, 4 mu)
+        mat = make_mat(lame_lambda=0.7, lame_mu=1.3)
+        S0 = mat.unit_stiffness
+        np.testing.assert_array_equal(S0, S0.T)
+        assert np.allclose(np.linalg.eigvalsh(S0), [2.6, 4.0, 5.2],
+                           rtol=1e-14)
 
 
 def still_loading(grid, g_dir=None, f0=None):

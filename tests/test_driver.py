@@ -12,7 +12,8 @@ import ribv.solver as solver_module
 from ribv.cli import cmd_reparam
 from ribv.config import RunConfig
 from ribv.constitutive import EnergyParams, Operators
-from ribv.discretization import Grid, initial_state
+from ribv.discretization import Grid, eval_loading, initial_state, \
+    total_strain
 from ribv.driver import enhanced_estimate_total, pre_relax, run_viscous
 from ribv.dissipation import norm_p_l2, norm_u_h1, norm_z_m
 from ribv.problems import (
@@ -112,6 +113,16 @@ class TestRampRun:
         assert np.isfinite(total)
         assert total > 0.0
 
+    def test_strains_are_the_states_strains(self):
+        # each step hands on the strain its last sweep formed: bit-equal to
+        # e = B(u + w(t)) - p formed afresh at every state, the
+        # pre-relaxed one included
+        ops, traj = run_reference(4)
+        assert len(traj.strains) == len(traj.states)
+        for t, st, e in zip(traj.times, traj.states, traj.strains):
+            np.testing.assert_array_equal(
+                e, total_strain(ops.B, st, eval_loading(traj.loading, t)[0]))
+
 
 def count_evaluations(monkeypatch):
     """Count energy, energy-gradient, psi, D_nu and loading evaluations
@@ -174,16 +185,16 @@ class TestEvaluationCounts:
             < counts["sweeps"]
 
     def test_reparam_skips_unread_work(self, monkeypatch):
-        # the standard arclength reads no strain rate, so it evaluates no
-        # loading (the energy-dissipation one two per knot), the BV
-        # balance takes R + H without the viscous norms of psi, and the
-        # eps0 contact potential reads D_nu on jump knots only
+        # the arclengths read their strain rates from the run's strains,
+        # so neither evaluates a loading, the BV balance takes R + H
+        # without the viscous norms of psi, and the eps0 contact potential
+        # reads D_nu on jump knots only
         ops, traj = run_reference(4)
         counts = count_evaluations(monkeypatch)
         ptraj = reparam_standard(traj, ops)
         assert counts["eval_loading"] == 0
         reparam_ed(traj, ops)
-        assert counts["eval_loading"] == 2 * traj.n_steps
+        assert counts["eval_loading"] == 0
         ed_balance_residual_bv(ptraj, ops, "visc", 10 * traj.ep.eps)
         assert counts["psi_total"] == 0
         assert not ptraj.jumps(TOL_JUMP).any()

@@ -2,15 +2,16 @@
 used there, every import sits at module level, no function binds a name
 it never reads, no module reaches for a dense viscosity operator, the
 nonlocal form is applied through ``Operators``, the material law's
-constants are read in ``constitutive`` only, the reference problem is
-built in ``problems`` only, a loading's time profile is read in
-``eval_loading`` only, the solvers have one line-search rule and no
-fallback for a failed linear solve, and the modules of the per-iterate
-work (``solver``, ``constitutive``, ``dissipation``) call no numpy
-function whose ndarray method or ufunc form costs a fraction of it on
-the small per-cell arrays they loop over (``np.sum``, ``np.any``,
-``np.all``, ``np.max``, ``np.clip``, ``np.errstate``,
-``np.linalg.solve``, ``np.ix_``)."""
+constants are read in ``constitutive`` only (the Lame constants only in
+``MaterialParams``, which writes C0 once, and ``deviatoric_modulus``),
+the reference problem is built in ``problems`` only, a loading's time
+profile is read in ``eval_loading`` only, the solvers have one
+line-search rule and no fallback for a failed linear solve, and the
+modules of the per-iterate work (``solver``, ``constitutive``,
+``dissipation``) call no numpy function whose ndarray method or ufunc
+form costs a fraction of it on the small per-cell arrays they loop over
+(``np.sum``, ``np.any``, ``np.all``, ``np.max``, ``np.clip``,
+``np.errstate``, ``np.linalg.solve``, ``np.ix_``)."""
 
 import ast
 from pathlib import Path
@@ -74,6 +75,34 @@ def test_law_constants_read_in_constitutive_only():
                  for msg in _law_constant_reads(path)]
     assert not offenders, "law constants read outside constitutive:\n" \
         + "\n".join(offenders)
+
+
+# the scopes that may read the Lame constants: the material, which builds
+# C0 once (``unit_stiffness``), and the deviatoric modulus 2 mu_L c
+_LAME_READERS = {"MaterialParams", "deviatoric_modulus"}
+
+
+def _lame_constant_reads(path: Path) -> list[str]:
+    """Reads of ``.lame_mu`` or ``.lame_lambda`` outside _LAME_READERS of
+    ``constitutive``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = {id(node) for scope in ast.walk(tree)
+              if isinstance(scope, (ast.ClassDef, ast.FunctionDef))
+              and path.name == "constitutive.py"
+              and scope.name in _LAME_READERS
+              for node in ast.walk(scope)}
+    return [f"{path.name}:{node.lineno}: reads .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("lame_mu", "lame_lambda")
+            and isinstance(node.ctx, ast.Load) and id(node) not in inside]
+
+
+def test_elastic_tensor_written_once():
+    offenders = [msg for path in sorted(SRC.glob("*.py"))
+                 for msg in _lame_constant_reads(path)]
+    assert not offenders, "Lame constants read outside MaterialParams " \
+        "and deviatoric_modulus:\n" + "\n".join(offenders)
 
 
 def _problem_builds(path: Path) -> list[str]:

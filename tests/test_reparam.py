@@ -108,7 +108,7 @@ class TestNormalization:
                                    atol=1e-10)
                 total += ds * _integrand(
                     p.kind, ops, traj.ep, t_rate, check,
-                    traj.strain_rate(k, ops) * t_rate,
+                    traj.strain_rate(k) * t_rate,
                     traj.dual_diag[k].d_nu_star)
             assert total == pytest.approx(p.s[-1], abs=1e-10)
 
@@ -261,8 +261,8 @@ def _build_knot_traj(state, rate, t, ops, mat, ep, loading):
     start = State(state.u - rate.u_rate, state.z - rate.z_rate,
                   state.p - rate.p_rate)
     traj = Trajectory(
-        times=np.array([t - 1.0, t]), states=[start, state], ep=ep,
-        mat=mat, loading=loading, E_mu=None, N_value=None, power=None,
+        times=np.array([t - 1.0, t]), states=[start, state], strains=None,
+        ep=ep, mat=mat, loading=loading, E_mu=None, N_value=None, power=None,
         balance_residual_cum=None, dual_diag=[None, None],
         gradients=[None, energy_gradients(t, state, ops, mat, ep.mu,
                                           loading)],

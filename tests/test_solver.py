@@ -530,6 +530,7 @@ def assert_same_step(res, ref):
     assert res.psi == ref.psi
     for got, want in zip(res.gradients, ref.gradients):
         np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(res.strain, ref.strain)
     for name in ("u", "z", "p"):
         np.testing.assert_array_equal(getattr(res.new_state, name),
                                       getattr(ref.new_state, name))
