@@ -104,6 +104,9 @@ class RunConfig:
             raise ValueError("z0 must lie in (0, 1]")
         if self.tol_stat <= 0:
             raise ValueError("tol_stat must be positive")
+        for key in ("tol_jump", "stab_tol_factor"):
+            if self.values[key] < 0:
+                raise ValueError(f"{key} must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         self.ladder()

@@ -189,12 +189,11 @@ def flow_directions(direction: np.ndarray):
 
 
 def subdiff_violation(xi: np.ndarray, direction: np.ndarray,
-                      R: np.ndarray, flow=None) -> np.ndarray:
+                      R: np.ndarray) -> np.ndarray:
     """Per-cell distance of xi to the subdifferential of R_c |.| at
     direction_c: the ball of radius R_c where the direction vanishes, the
-    point R_c direction_c / |direction_c| elsewhere.  ``flow`` passes in
-    ``flow_directions(direction)`` where the caller already has it."""
-    moving, dirs = flow_directions(direction) if flow is None else flow
+    point R_c direction_c / |direction_c| elsewhere."""
+    moving, dirs = flow_directions(direction)
     viol = np.maximum(tensor_norm(xi) - R, 0.0)
     viol[moving] = tensor_norm(xi[moving] - R[moving][:, None] * dirs)
     return viol

@@ -10,6 +10,14 @@ rate norm equals one) then holds at every interior knot by construction.
 Regime names: "visc" (all parameters fixed positive), "eps0" (viscosity
 scale to zero, rate weights fixed), "eps-nu0" (multi-rate, hardening
 fixed), "all0" (everything vanishing).
+
+Switching recovery fits each knot's rates to lam (viscous system) +
+(1 - lam) (rate-independent system) in least squares.  The dissipation's
+subgradient nearest to minus the energy gradient scales with (1 - lam),
+so the residual is affine in lam and the fit is the clipped one-variable
+least-squares solution; lam = 0 (the stable value) where lam does not
+move it.  Nodes at rest (|z'| <= 1e-12) and sticking cells (|p'| <=
+1e-14) count as z' = p' = 0; a rising node raises.
 """
 
 from __future__ import annotations
@@ -18,11 +26,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .constitutive import EnergyParams, MaterialParams, Operators, \
     yield_radius, cell_damage
-from .discretization import LoadingSpec, State
+from .discretization import FROB_W, LoadingSpec, State, tensor_norm
 from .dissipation import (
     DualDiagnostics,
     Rate,
@@ -35,7 +42,6 @@ from .dissipation import (
     norm_z_hm,
     norm_z_m,
     psi_rate_independent,
-    subdiff_violation,
 )
 from .driver import Trajectory, run_viscous
 
@@ -225,83 +231,75 @@ def max_stability_nonjump(ptraj: ParamTrajectory, regime: str,
 # switching recovery
 # ---------------------------------------------------------------------------
 
-def _switching_residual(grads, state: State, rate: Rate, ops: Operators,
-                        mat: MaterialParams, ep: EnergyParams):
-    """Least-squares residual residual(lam_up, lam_z) of the convex-
-    combination optimality system at one knot, with coefficient lam_up on
-    the displacement/plastic blocks and lam_z on the damage block; grads
-    = (g_u, g_z, g_p) are the energy gradients at the knot.  Everything
-    independent of the coefficients is computed once, here."""
+def _switching_blocks(grads, state: State, rate: Rate, ops: Operators,
+                      mat: MaterialParams, ep: EnergyParams):
+    """The switching residual at one knot as a_up + lam b_up on the
+    displacement/plastic rows and a_z + lam b_z on the damage rows,
+    whitened to the Euclidean norm; grads = (g_u, g_z, g_p)."""
     grid = ops.grid
     g_u, g_z, g_p = grads
-
-    # K_D^{-1/2} is linear: the dual norm of lam a + (1-lam) b is
-    # |lam y_a + (1-lam) y_b|
-    uf = rate.u_rate.ravel()[grid.free_dofs]
-    y_visc = ops.dual_solve(ep.nu * ops.apply_K_D(uf))
+    # lam nu K_D u' + (1 - lam) g_u in the K_D-dual norm: |L^-1 .|
     y_grad = ops.dual_solve(g_u)
-
-    # damage block: 0 in (1-lam) dR(z') + lam z' + (1-lam) chi nodewise;
-    # the subdifferential is {-(1-lam) kappa} where z' < 0 and the ray
-    # [-(1-lam) kappa, inf) where z' = 0
-    zr = rate.z_rate
-    rising, falling = zr > 1e-12, zr < -1e-12
-    rest, rises = ~(rising | falling), rising.any()
-
-    # plastic block: 0 in (1-lam) dH(z, p') + lam nu p' + (1-lam) g_p
+    y_visc = ops.dual_solve(
+        ep.nu * ops.apply_K_D(rate.u_rate.ravel()[grid.free_dofs]))
+    # lam nu p' + (1 - lam) (g_p + V d): d = p'/|p'| on moving cells, the
+    # point of the unit ball with V d nearest to -g_p on sticking ones
+    moving, dirs = flow_directions(rate.p_rate)
     V = yield_radius(cell_damage(grid, state.z), mat)
-    flow = flow_directions(rate.p_rate)
+    d = -g_p / np.maximum(tensor_norm(g_p), V)[:, None]
+    d[moving] = dirs
+    w_p = np.sqrt(grid.w_cell[:, None] * FROB_W)
+    m_p = w_p * (g_p + V[:, None] * d)
+    v_p = w_p * ep.nu * rate.p_rate * moving[:, None]
+    # lam z' + (1 - lam) (g_z - kappa) on falling nodes; at rest the
+    # distance (1 - lam) max(g_z - kappa, 0) to -(1 - lam) [kappa, inf)
+    if (rate.z_rate > 1e-12).any():
+        raise ValueError("a damage rate is positive")
+    falling = rate.z_rate < -1e-12
+    m_z = np.where(falling, g_z - mat.kappa, np.maximum(g_z - mat.kappa, 0))
+    w_z = np.sqrt(grid.lump)
+    a_up = np.concatenate((y_grad, m_p.ravel()))
+    return (a_up, np.concatenate((y_visc, v_p.ravel())) - a_up,
+            w_z * m_z, w_z * (rate.z_rate * falling - m_z))
 
-    def residual(lam_up: float, lam_z: float) -> float:
-        y = lam_up * y_visc + (1 - lam_up) * y_grad
-        target = -(lam_z * zr + (1 - lam_z) * g_z)
-        floor = -(1 - lam_z) * mat.kappa
-        viol = np.abs(target - floor, out=np.empty_like(zr), where=falling)
-        np.maximum(floor - target, 0.0, out=viol, where=rest)
-        if rises:
-            viol[rising] = np.abs(target[rising]) + 1.0
-        xi = -(lam_up * ep.nu * rate.p_rate + (1 - lam_up) * g_p)
-        dist = subdiff_violation(xi, rate.p_rate, (1 - lam_up) * V, flow)
-        return math.sqrt(y @ y + (grid.lump * viol ** 2).sum()
-                         + (grid.w_cell * dist ** 2).sum())
 
-    return residual
+def _fit(a, b):
+    """lam in [0, 1] minimizing |a + lam b| (0 where b = 0) and the
+    squared residual there."""
+    bb = b @ b
+    lam = min(max(-(a @ b) / bb, 0.0), 1.0) if bb > 0 else 0.0
+    r = a + lam * b
+    return lam, r @ r
 
 
 def recover_switching(ptraj: ParamTrajectory, ops: Operators,
                       multi_rate: bool = False):
-    """Per-knot least-squares switching coefficients.
+    """Per-knot least-squares switching coefficients, in closed form.
 
     Single-rate: one lambda per knot shared by all blocks.  Multi-rate:
-    (lambda_up, lambda_z) with the switching constraint
-    lambda_up (1 - lambda_z) = 0, handled by minimizing both admissible
-    branches.  The energy gradients are the viscous run's
-    (``ptraj.traj.gradients``).  Returns (lambdas, residuals); lambdas has
-    shape (n,) or (n, 2).
+    (lambda_up, lambda_z) with lambda_up (1 - lambda_z) = 0; the blocks
+    separate, so the branches (0, lambda_z) and (lambda_up, 1) are fit
+    apart and the first wins a tie.  The energy gradients are the viscous
+    run's (``ptraj.traj.gradients``).  Returns (lambdas, residuals);
+    lambdas has shape (n,) or (n, 2).  A rising damage rate raises.
     """
     n = ptraj.n_knots
     lams = np.zeros((n, 2)) if multi_rate else np.zeros(n)
     resid = np.zeros(n)
-    if multi_rate:
-        # branch 1: lam_up = 0, lam_z free; branch 2: lam_z = 1, lam_up free
-        searches = ((lambda l: (0.0, l)), (lambda l: (l, 1.0)))
-        corners = ((0.0, 0.0),)
-    else:
-        searches, corners = ((lambda l: (l, l)),), ((0.0, 0.0), (1.0, 1.0))
     traj = ptraj.traj
     for k in range(1, n):
-        residual = _switching_residual(traj.gradients[k], traj.states[k],
-                                       ptraj.rate(k), ops, traj.mat, traj.ep)
-        cands = []
-        for pair in searches:
-            r = minimize_scalar(lambda l: residual(*pair(l)),
-                                bounds=(0.0, 1.0), method="bounded",
-                                options={"xatol": 1e-10})
-            cands.append((pair(float(r.x)), float(r.fun)))
-        cands += [(c, residual(*c)) for c in corners]
-        # the first smallest: a search result wins ties with the corners
-        (lam_up, lam_z), resid[k] = min(cands, key=lambda c: c[1])
-        lams[k] = (lam_up, lam_z) if multi_rate else lam_up
+        a_up, b_up, a_z, b_z = _switching_blocks(
+            traj.gradients[k], traj.states[k], ptraj.rate(k), ops,
+            traj.mat, traj.ep)
+        if multi_rate:
+            (lam_z, rz), (lam_up, rup) = _fit(a_z, b_z), _fit(a_up, b_up)
+            r0, r1 = a_up @ a_up + rz, rup + (a_z + b_z) @ (a_z + b_z)
+            lams[k], rr = ((0.0, lam_z), r0) if r0 <= r1 \
+                else ((lam_up, 1.0), r1)
+        else:
+            lams[k], rr = _fit(np.concatenate((a_up, a_z)),
+                               np.concatenate((b_up, b_z)))
+        resid[k] = math.sqrt(rr)
     return lams, resid
 
 

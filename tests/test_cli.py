@@ -98,13 +98,19 @@ class TestConfig:
                             "ladder_nu = 2e-1,2e-2\n")
 
     def test_solver_settings_checked_at_parse(self):
-        # a nonpositive tolerance or iteration cap fails when the config
-        # is read, before any operator is assembled or step solved
+        # a nonpositive tolerance or iteration cap, or a negative jump or
+        # stability tolerance, fails when the config is read, before any
+        # operator is assembled or step solved
         for text in ("tol_stat = 0\n", "tol_stat = -1e-8\n"):
             with pytest.raises(ValueError, match="tol_stat"):
                 RunConfig.parse(text)
         with pytest.raises(ValueError, match="max_iter"):
             RunConfig.parse("max_iter = 0\n")
+        for key in ("tol_jump", "stab_tol_factor"):
+            with pytest.raises(ValueError, match=key):
+                RunConfig.parse(f"{key} = -1\n")
+            # zero is a valid setting: no jumps, exact stability
+            assert RunConfig.parse(f"{key} = 0\n").values[key] == 0.0
 
     def test_one_reference_problem(self):
         # one material and one builder: the default config builds the

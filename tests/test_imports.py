@@ -11,7 +11,8 @@ modules of the per-iterate work (``solver``, ``constitutive``,
 ``dissipation``) call no numpy function whose ndarray method or ufunc
 form costs a fraction of it on the small per-cell arrays they loop over
 (``np.sum``, ``np.any``, ``np.all``, ``np.max``, ``np.clip``,
-``np.errstate``, ``np.linalg.solve``, ``np.ix_``)."""
+``np.errstate``, ``np.linalg.solve``, ``np.ix_``), and no module imports
+any of scipy but ``scipy.linalg``."""
 
 import ast
 from pathlib import Path
@@ -314,3 +315,26 @@ def test_iterate_modules_avoid_slow_numpy_calls():
                  if path.name in _ITERATE_MODULES
                  for msg in _slow_numpy_calls(path)]
     assert not offenders, "slow numpy calls:\n" + "\n".join(offenders)
+
+
+def _scipy_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    # (line, dotted name) of every module or name imported
+    modules = [(node.lineno, alias.name if isinstance(node, ast.Import)
+                else f"{node.module}.{alias.name}")
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names]
+    return [f"{path.name}:{line}: imports {name}"
+            for line, name in modules
+            if name.split(".")[0] == "scipy"
+            and name.split(".")[:2] != ["scipy", "linalg"]]
+
+
+def test_scipy_linalg_only():
+    # the rest of scipy stays out of every process that runs ribv:
+    # scipy.optimize alone added 20 MB of peak RSS and 0.16 s of import
+    offenders = [msg for path in sorted(SRC.glob("*.py"))
+                 for msg in _scipy_imports(path)]
+    assert not offenders, "scipy beyond scipy.linalg:\n" \
+        + "\n".join(offenders)
