@@ -236,6 +236,8 @@ def _switching_blocks(grads, state: State, rate: Rate, ops: Operators,
     """The switching residual at one knot as a_up + lam b_up on the
     displacement/plastic rows and a_z + lam b_z on the damage rows,
     whitened to the Euclidean norm; grads = (g_u, g_z, g_p)."""
+    if (rate.z_rate > 1e-12).any():
+        raise ValueError("a damage rate is positive")
     grid = ops.grid
     g_u, g_z, g_p = grads
     # lam nu K_D u' + (1 - lam) g_u in the K_D-dual norm: |L^-1 .|
@@ -253,8 +255,6 @@ def _switching_blocks(grads, state: State, rate: Rate, ops: Operators,
     v_p = w_p * ep.nu * rate.p_rate * moving[:, None]
     # lam z' + (1 - lam) (g_z - kappa) on falling nodes; at rest the
     # distance (1 - lam) max(g_z - kappa, 0) to -(1 - lam) [kappa, inf)
-    if (rate.z_rate > 1e-12).any():
-        raise ValueError("a damage rate is positive")
     falling = rate.z_rate < -1e-12
     m_z = np.where(falling, g_z - mat.kappa, np.maximum(g_z - mat.kappa, 0))
     w_z = np.sqrt(grid.lump)
