@@ -11,7 +11,7 @@ Material model:
   fully broken state z = 0), W''(z) = q_exp (q_exp+1) w0 z^(-q_exp-2),
 * damage-dependent yield radius V(z) = sigma_y (m_bar + (1-m_bar)
   clamp(z,0,1)) for the deviatoric constraint ball, with plastic
-  dissipation density H(z, pi) = V(z) |pi|; V'(z) = c_k on (0, 1),
+  dissipation density H(z, pi) = V(z) |pi|; V'(z) = c_k on [0, 1),
 * unidirectional damage dissipation density kappa |zeta| for zeta <= 0.
 
 The assembled energy is
@@ -21,6 +21,7 @@ The assembled energy is
 
 with e = B(u + w(t)) - p and z_c the Q1 cell-center value (corner mean).
 Only the elastic term and the work depend on t (``loaded_energy``).
+``damage_cells`` evaluates c, c', c'', V and V' per cell in one pass.
 Gradients are returned as the representers used throughout the solver:
 Euclidean covector for u on free dofs, lumped-L2 density for z, cellwise
 density for p.
@@ -131,12 +132,6 @@ def stiffness(z, mat: MaterialParams):
     return mat.delta_reg + np.minimum(z, 1.0) ** 2
 
 
-def stiffness_coeff(z, mat: MaterialParams):
-    """Return (c(z), c'(z), c''(z)) for c = ``stiffness``."""
-    below = z < 1.0
-    return stiffness(z, mat), np.where(below, 2.0 * z, 0.0), 2.0 * below
-
-
 def elastic_cells(e: np.ndarray, mat: MaterialParams):
     """The cell kernel of the elastic law at unit stiffness: for a (..., 3)
     strain array, the Frobenius-weighted stress s0 = e S0 and the density
@@ -171,10 +166,13 @@ def yield_radius(z, mat: MaterialParams):
     return mat.sigma_y * (mat.m_bar + (1.0 - mat.m_bar) * z)
 
 
-def yield_radius_prime(z, mat: MaterialParams):
-    """V'(z): c_k on (0, 1), 0 outside (where V is constant)."""
-    z = np.asarray(z, dtype=float)
-    return mat.c_k * ((z < 1.0) & (z > 0.0))
+def damage_cells(zc: np.ndarray, mat: MaterialParams):
+    """The cell kernel of the damage laws: (c, c', c'', V, V') at cell
+    damage zc >= 0 in one pass, c = ``stiffness`` and V = ``yield_radius``;
+    c' = 2 zc, c'' = 2 and V' = c_k below zc = 1, all three 0 above."""
+    cpp = 2.0 * (zc < 1.0)
+    return (stiffness(zc, mat), cpp * zc, cpp, yield_radius(zc, mat),
+            (0.5 * mat.c_k) * cpp)
 
 
 def cell_damage(grid: Grid, z: np.ndarray) -> np.ndarray:
@@ -259,7 +257,8 @@ class Operators:
 
     def dual_norm(self, g: np.ndarray) -> float:
         """Dual norm sqrt(g K_D^-1 g) = |dual_solve(g)| of a covector."""
-        return float(np.linalg.norm(self.dual_solve(g)))
+        y = self.dual_solve(g)
+        return float(np.sqrt(y @ y))
 
 
 # ---------------------------------------------------------------------------
@@ -295,32 +294,32 @@ def energy(t: float, state: State, ops: Operators, mat: MaterialParams,
     return loaded_energy(t, state, ops, mat, loading, at) + dam + hard + nonloc
 
 
-def displacement_gradient(e: np.ndarray, zc: np.ndarray, F: np.ndarray,
+def displacement_gradient(e: np.ndarray, c: np.ndarray, F: np.ndarray,
                           ops: Operators, mat: MaterialParams) -> np.ndarray:
-    """g_u = B^T (w_c c(z_c) s0_c) - F on the free dofs at strain e, s0
-    the weighted stress of ``elastic_cells``."""
+    """g_u = B^T (w_c c_c s0_c) - F on the free dofs at strain e and cell
+    stiffness c, s0 the weighted stress of ``elastic_cells``."""
     s0, _ = elastic_cells(e, mat)
-    wc = ops.grid.w_cell * stiffness(zc, mat)
+    wc = ops.grid.w_cell * c
     return (ops.B.adjoint(wc[:, None] * s0) - F)[ops.grid.free_dofs]
 
 
 def energy_gradients(t: float, state: State, ops: Operators,
                      mat: MaterialParams, mu: float, loading: LoadingSpec,
-                     at=None, Az=None):
+                     at=None, Az=None, g_u=None):
     """Partial gradients of the energy; ``at`` and ``Az`` as in ``energy``.
 
     Returns (g_u, g_z, g_p):
-      g_u -- Euclidean covector on the free displacement dofs,
+      g_u -- Euclidean covector on the free displacement dofs (as passed),
       g_z -- nodal density against the lumped weights m_i,
       g_p -- cellwise density against the cell weights w_c (with the
              Frobenius pairing), g_p = mu p - sigma_D.
     """
     grid = ops.grid
     _, F, e = at or strain_at(t, state, ops, loading)
-    zc = cell_damage(grid, state.z)
-    g_u = displacement_gradient(e, zc, F, ops, mat)
+    c, cp, *_ = damage_cells(cell_damage(grid, state.z), mat)
+    if g_u is None:
+        g_u = displacement_gradient(e, c, F, ops, mat)
     _, q0 = elastic_cells(e, mat)
-    c, cp, _ = stiffness_coeff(zc, mat)
 
     # z: nonlocal + barrier + c'(z) q0 scattered to corner nodes.
     _, Wp = damage_potential(state.z, mat)

@@ -260,24 +260,34 @@ def d_up(ops: Operators, u_rate: np.ndarray, p_rate: np.ndarray) -> float:
 # plastic proximal map
 # ---------------------------------------------------------------------------
 
-def _prox_shift(p_prev, e_bar_dev, a, b, mu_w, c_q):
-    """``prox_plastic`` and the algebra its derivative reuses: the prox,
-    the shift d = (b p_prev + c_q e_bar_dev) / M - p_prev of the
-    unconstrained minimizer from p_prev, M = b + mu_w + c_q, |d|, the
-    shrink a/(M |d|) (below 1 where the cell yields) and M."""
+def prox_map(p_prev, a, b, mu_w, c_q):
+    """``prox_plastic`` at fixed p_prev and coefficients, with the algebra
+    its derivative reuses, as a map of e_bar_dev.  The coefficients are
+    checked, and M = b + mu_w + c_q (per cell) and b p_prev formed, once;
+    the map returns the prox, the shift d = (b p_prev + c_q e_bar_dev) / M
+    - p_prev of the unconstrained minimizer from p_prev, |d|, the shrink
+    a/(M |d|) (below 1 where the cell yields) and M."""
     a, b, c_q = map(np.asarray, (a, b, c_q))
-    modulus = b + mu_w + c_q
+    modulus = b + mu_w + c_q + np.zeros(np.shape(p_prev)[:-1])
     if (modulus <= 0).any():
         raise ValueError("quadratic modulus must be positive")
     if (a < 0).any():
         raise ValueError("shrinkage threshold must be nonnegative")
-    d = (b[..., None] * p_prev + c_q[..., None] * e_bar_dev) \
-        / modulus[..., None] - p_prev
-    dn = tensor_norm(d)
-    shrink = np.divide(a, modulus * dn, out=np.full(dn.shape, np.inf),
-                       where=dn > 0.0)
-    p = p_prev + np.maximum(1.0 - shrink, 0.0)[..., None] * d
-    return p, d, dn, shrink, modulus
+    b_p = b[..., None] * p_prev
+
+    def shift(e_bar_dev):
+        d = (b_p + c_q[..., None] * e_bar_dev) / modulus[..., None] - p_prev
+        dn = tensor_norm(d)
+        shrink = np.divide(a, modulus * dn, out=np.full(dn.shape, np.inf),
+                           where=dn > 0.0)
+        p = p_prev + np.maximum(1.0 - shrink, 0.0)[..., None] * d
+        return p, d, dn, shrink, modulus
+    return shift
+
+
+def _prox_shift(p_prev, e_bar_dev, a, b, mu_w, c_q):
+    """``prox_map`` of the coefficients at one e_bar_dev."""
+    return prox_map(p_prev, a, b, mu_w, c_q)(e_bar_dev)
 
 
 def prox_plastic(p_prev: np.ndarray, e_bar_dev: np.ndarray, a, b, mu_w, c_q):
@@ -307,7 +317,7 @@ def prox_tangent(shift, c_q) -> np.ndarray:
         n = d[yielding] / dn[yielding, None]
         outer = n[:, :, None] * (n * FROB_W)[:, None, :]
         sh = shrink[yielding][:, None, None]
-        ratio = np.broadcast_to(c_q / modulus, dn.shape)
-        J[yielding] = ratio[yielding, None, None] * (
+        ratio = (c_q / modulus)[yielding]
+        J[yielding] = ratio[:, None, None] * (
             (1.0 - sh) * _DEV[None] + sh * outer)
     return J

@@ -8,10 +8,12 @@ by sweeps that alternate a joint (u, p) solve with z frozen (semismooth
 Newton on u, with p eliminated by the exact cellwise proximal map) and a
 projected-Newton solve in z under the irreversibility constraint
 z_floor <= z <= z_prev.  Both solves backtrack to one acceptance rule
-and raise RuntimeError when they cannot converge; each builds its
-Hessian from the value evaluation at the iterate (the prox shift, c'').
-Sweeps start from q_prev, form each strain and A_m z once, and are
-certified by r_u first, the other two optimality residuals where it passes.
+and raise RuntimeError when they cannot converge; each forms the data
+fixed over its call once (the prox map; the z cell data and Hessian base)
+and builds its Hessian from the value evaluation at the iterate (the prox
+shift, c'').  Sweeps start from q_prev, form each strain, A_m z and the
+cell laws once, and are certified by r_u first, the other two
+optimality residuals where it passes.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .constitutive import (
     add_corner_form,
     cell_damage,
     corner_scatter,
+    damage_cells,
     damage_curvature,
     damage_potential,
     deviatoric_modulus,
@@ -35,10 +38,7 @@ from .constitutive import (
     elastic_cells,
     energy,
     energy_gradients,
-    stiffness,
-    stiffness_coeff,
     yield_radius,
-    yield_radius_prime,
 )
 from .discretization import (
     LoadingSpec,
@@ -49,7 +49,7 @@ from .discretization import (
     tensor_norm,
     total_strain,
 )
-from .dissipation import Rate, _prox_shift, prox_tangent, psi_total, \
+from .dissipation import Rate, prox_map, prox_tangent, psi_total, \
     subdiff_violation
 
 Z_FLOOR = 1e-8
@@ -101,7 +101,7 @@ def band_newton_step(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
 def solve_up_step(w: np.ndarray, F_ext: np.ndarray, state: State,
                   prev_state: State, ops: Operators, mat: MaterialParams,
                   ep: EnergyParams, tol_dual: float = 1e-12,
-                  max_iter: int = 80) -> tuple[np.ndarray, np.ndarray]:
+                  max_iter: int = 80, cells=None) -> tuple:
     """Joint minimization in (u, p) with z frozen at the loading (w, F_ext).
 
     Alternating u- and p-solves contract slowly once cells yield, so
@@ -111,46 +111,45 @@ def solve_up_step(w: np.ndarray, F_ext: np.ndarray, state: State,
     theorem), and the Hessian uses the consistent tangent
     w_c c_c S0 (I - J_c) of the prox: J_c = ``prox_tangent`` of the value
     evaluation's shift.  Value, gradient and tangent read the cell kernel
-    ``elastic_cells`` and its form S0.  The tangent is symmetric by
-    construction (S0 acts as 2 mu_L G on the trace-free range of J_c, G =
-    diag(FROB_W)); the Hessian is assembled over the free dofs in lower
-    band storage and solved by band Cholesky (``band_newton_step``),
-    which raises LinAlgError when it is not positive definite.
-    Steps are halved until ``_acceptable`` holds: Armijo's condition or,
-    where the objective grows by at most 1e-6 of itself, the approximate
-    Armijo condition of Hager & Zhang (2005).  Stops when
-    the dual norm ``ops.dual_norm`` of the gradient is <= tol_dual and
-    raises RuntimeError, stating that norm, when 50 halvings find no
-    acceptable step or max_iter iterations end above tol_dual.
+    ``elastic_cells`` and its form S0; the cell laws (c, V) at state.z
+    (``cells`` where the caller holds them), the checked ``prox_map`` and
+    the viscous cell forms are formed once per call.  The tangent is
+    symmetric by construction (S0 acts as 2 mu_L G on the trace-free range
+    of J_c, G = diag(FROB_W)); the Hessian is assembled over the free dofs
+    in lower band storage and solved by band Cholesky
+    (``band_newton_step``), which raises LinAlgError when it is not
+    positive definite.  Steps are halved until ``_acceptable`` holds:
+    Armijo's condition or, where the objective grows by at most 1e-6 of
+    itself, the approximate Armijo condition of Hager & Zhang (2005).
+    Stops when the dual norm ``ops.dual_norm`` of the gradient is <=
+    tol_dual and raises RuntimeError, stating that norm, when 50 halvings
+    find no acceptable step or max_iter iterations end above tol_dual.
     """
     grid = ops.grid
     free = grid.free_dofs
     F_free = F_ext[free]
-    zc = cell_damage(grid, state.z)
-    c = stiffness(zc, mat)
-    wc = grid.w_cell * c
-    V = yield_radius(zc, mat)
-    wV = grid.w_cell * V
+    c, V = cells or damage_cells(cell_damage(grid, state.z), mat)[::3]
+    wc, wV = grid.w_cell * c, grid.w_cell * V
     visc_fac = ep.eps * ep.nu / ep.tau
     u_prev_f = prev_state.u.ravel()[free]
     c_q = deviatoric_modulus(c, mat)
+    shift_at = prox_map(prev_state.p, V, visc_fac, ep.mu, c_q)
+    visc_cells, eye = visc_fac * ops.K_D_cells, np.eye(3)
+    uw, w_free = w.flatten(), w.ravel()[free]
 
     def value_grad(u_free):
-        uw = w.flatten()
-        uw[free] += u_free
+        uw[free] = w_free + u_free
         e_bar = ops.B.apply(uw)
-        shift = _prox_shift(prev_state.p, tensor_dev(e_bar), V, visc_fac,
-                            ep.mu, c_q)
+        shift = shift_at(tensor_dev(e_bar))
         p = shift[0]
         s0, q0 = elastic_cells(e_bar - p, mat)
-        val = wc @ q0 - F_ext @ uw
         du = u_free - u_prev_f
         kd_du = ops.apply_K_D(du)
-        val += 0.5 * visc_fac * du @ kd_du
         dp = p - prev_state.p
-        val += (wV * tensor_norm(dp)).sum()
-        val += 0.5 * visc_fac * (grid.w_cell * tensor_dot(dp, dp)).sum()
-        val += 0.5 * ep.mu * (grid.w_cell * tensor_dot(p, p)).sum()
+        dp2 = tensor_dot(dp, dp)
+        val = wc @ q0 - F_ext @ uw + 0.5 * visc_fac * (du @ kd_du) \
+            + wV @ np.sqrt(dp2) + grid.w_cell @ (
+                0.5 * visc_fac * dp2 + 0.5 * ep.mu * tensor_dot(p, p))
         grad = ops.B.adjoint(wc[:, None] * s0)[free] - F_free \
             + visc_fac * kd_du
         return float(val), grad, shift
@@ -166,8 +165,8 @@ def solve_up_step(w: np.ndarray, F_ext: np.ndarray, state: State,
                                f"> tol_dual after {max_iter} iterations")
         # per-cell consistent tangent w_c c_c S0 (I - dp*/d e_bar) from
         # the shift; Hessian visc_fac K_D + sum_c B_c^T T_c B_c
-        T = mat.unit_stiffness @ (np.eye(3) - prox_tangent(shift, c_q))
-        H = ops.B.form(visc_fac * ops.K_D_cells + wc[:, None, None] * T)
+        T = mat.unit_stiffness @ (eye - prox_tangent(shift, c_q))
+        H = ops.B.form(visc_cells + wc[:, None, None] * T)
         step = -band_newton_step(H, grad)
         slope = grad @ step
         alpha = 1.0
@@ -186,36 +185,28 @@ def solve_up_step(w: np.ndarray, F_ext: np.ndarray, state: State,
     return u_full.reshape(grid.n_nodes, 2), shift[0]
 
 
-def _z_value(z, z_prev, q0, dp_norm, ops, mat, ep):
-    """Value, Euclidean gradient, cell c''(z_c) and A_m z of the z subproblem
-    objective: one damage_potential, stiffness_coeff and A_m product each."""
+def _z_value(z, z_prev, a, b, ops, mat, ep):
+    """Value, gradient, cell laws (c, V, c'') and A_m z of the z objective at
+    cell data a = w_c q0, b = w_c |dp|: one damage_cells, damage_potential
+    and A_m product each."""
     grid = ops.grid
-    zc = cell_damage(grid, z)
     W, Wp = damage_potential(z, mat)
     Az = ops.apply_A_m(z)
     dz = z - z_prev
-    val = 0.5 * z @ Az
-    val += (grid.lump * W).sum()
-    c, cp, cpp = stiffness_coeff(zc, mat)
-    val += (grid.w_cell * c * q0).sum()
-    val += (grid.w_cell * yield_radius(zc, mat) * dp_norm).sum()
-    val += 0.5 * (ep.eps / ep.tau) * (grid.lump * dz ** 2).sum()
-    val -= mat.kappa * (grid.lump * dz).sum()
-    cell_term = grid.w_cell * (cp * q0 + yield_radius_prime(zc, mat) * dp_norm)
-    g = Az + corner_scatter(grid, cell_term) \
-        + grid.lump * (Wp + (ep.eps / ep.tau) * dz - mat.kappa)
-    return float(val), g, cpp, Az
+    c, cp, cpp, V, Vp = damage_cells(cell_damage(grid, z), mat)
+    r = ep.eps / ep.tau
+    val = 0.5 * (z @ Az) + grid.lump @ (W + (0.5 * r * dz - mat.kappa) * dz) \
+        + c @ a + V @ b
+    g = Az + corner_scatter(grid, cp * a + Vp * b) \
+        + grid.lump * (Wp + r * dz - mat.kappa)
+    return float(val), g, (c, V, cpp), Az
 
 
-def _z_hess(z, q0, cpp, ops, mat, ep):
-    """Hessian of the z subproblem (a.e.; the yield-radius term is
-    piecewise linear and contributes nothing), cpp from _z_value at z."""
-    grid = ops.grid
+def _z_hess(a, cpp, ops):
+    """The z-Hessian's part fixed while c'' is: A_m plus the coupling
+    sum_c c''_c a_c (corner form); the piecewise linear V adds nothing."""
     H = ops.A_m.copy()
-    H.flat[::grid.n_nodes + 1] += grid.lump * (damage_curvature(z, mat)
-                                               + ep.eps / ep.tau)
-    # damage-elasticity coupling: d/dz of the scattered cell drive
-    add_corner_form(grid, H, grid.w_cell * cpp * q0)
+    add_corner_form(ops.grid, H, cpp * a)
     return H
 
 
@@ -232,47 +223,54 @@ def solve_z_step(e: np.ndarray, state: State, prev_state: State,
     on the others, halved along the projection arc clip(z - alpha d)
     (Calamai & More, Math. Prog. 39 (1987) 93) until ``_acceptable``;
     trials that leave z unmoved are rejected, and each other trial is one
-    ``_z_value`` call.  Returns (z, A_m z); raises RuntimeError, stating
-    the stationarity residual, when 50 halvings find no step or max_iter
-    iterations end above tol."""
-    z_prev = prev_state.z
-    # z-independent cell data: elastic density at unit stiffness, |dp|
-    _, q0 = elastic_cells(e, mat)
-    dp_norm = tensor_norm(state.p - prev_state.p)
-    m = ops.grid.lump
+    ``_z_value`` call.  The cell data a = w_c q0 and b = w_c |dp| are formed
+    once per call, the Hessian base ``_z_hess`` when first needed and again
+    only where a cell crosses z = 1; each iteration adds lump (W'' +
+    eps/tau) to its free slice.  The stationarity residual is the mass
+    norm of g/m over the free nodes (a node pinned at both bounds adds
+    nothing).  Returns (z, A_m z, (c, V)) at the accepted z; raises
+    RuntimeError, stating the residual, when 50 halvings find no step or
+    max_iter iterations end above tol."""
+    z_prev, m, w_cell = prev_state.z, ops.grid.lump, ops.grid.w_cell
+    a = w_cell * elastic_cells(e, mat)[1]
+    b = w_cell * tensor_norm(state.p - prev_state.p)
     z = np.minimum(np.maximum(state.z, Z_FLOOR), z_prev)
-    val, g, cpp, Az = _z_value(z, z_prev, q0, dp_norm, ops, mat, ep)
+    val, g, cells, Az = _z_value(z, z_prev, a, b, ops, mat, ep)
     for it in range(max_iter + 1):
         d = g / m
         lower, upper = _at_bounds(z, z_prev)
-        # mass-norm of the density-form projected gradient on the box
-        proj = np.where(lower, np.minimum(d, 0.0),
-                        np.where(upper, np.maximum(d, 0.0), d))
-        res = float(np.sqrt((m * proj ** 2).sum()))
+        # held nodes keep d, the others take the Newton direction
+        free = ~((lower & (d > 0)) | (upper & (d < 0)))
+        res = float(g[free] @ d[free]) ** 0.5
         if res <= tol:
-            return z, Az
+            return z, Az, cells[:2]
         if it == max_iter:
             raise RuntimeError(f"solve_z_step: stationarity residual "
                                f"{res:.3e} > tol after {max_iter} iterations")
-        # held nodes keep d, the others take the Newton direction
-        free = ~((lower & (d > 0)) | (upper & (d < 0)))
-        H = _z_hess(z, q0, cpp, ops, mat, ep)
-        *_, d[free], info = lapack.dgesv(H[free][:, free], g[free])
+        if it == 0 or (cells[2] != base_cpp).any():
+            base_cpp = cells[2]
+            base = _z_hess(a, base_cpp, ops)
+        idx = free.nonzero()[0]
+        H = base.take(idx, 0).take(idx, 1)
+        H.flat[::len(idx) + 1] += m[idx] * (damage_curvature(z[idx], mat)
+                                            + ep.eps / ep.tau)
+        # H is exactly symmetric: its transpose is the Fortran array
+        *_, d[idx], info = lapack.dgesv(H.T, g[idx], overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dgesv failed with info={info}")
         alpha = 1.0
         for _bt in range(50):
             z_t = np.minimum(np.maximum(z - alpha * d, Z_FLOOR), z_prev)
             s = z_t - z
-            if (s != 0.0).any():
-                ev_t = _z_value(z_t, z_prev, q0, dp_norm, ops, mat, ep)
+            if s.any():
+                ev_t = _z_value(z_t, z_prev, a, b, ops, mat, ep)
                 if _acceptable(val, ev_t[0], g @ s, ev_t[1] @ s):
                     break
             alpha *= 0.5
         else:
             raise RuntimeError(f"solve_z_step: no acceptable step in 50 "
                                f"halvings at stationarity residual {res:.3e}")
-        z, (val, g, cpp, Az) = z_t, ev_t
+        z, (val, g, cells, Az) = z_t, ev_t
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +284,20 @@ def _displacement_residual(g_u, state, prev_state, ops, ep):
 
 
 def el_residuals(grads: tuple, state: State, prev_state: State,
-                 ops: Operators, mat: MaterialParams,
-                 ep: EnergyParams) -> tuple[float, float, float]:
+                 ops: Operators, mat: MaterialParams, ep: EnergyParams,
+                 r_u: float | None = None) -> tuple[float, float, float]:
     """Residuals of the three coupled optimality conditions of the
     incremental problem at a state, given the energy gradients there.
 
     r_u: dual norm (``ops.dual_norm``) of the viscous displacement
-         stationarity.
+         stationarity (as passed where the caller holds it).
     r_z: violation of the one-sided variational inequality pair for z.
     r_p: cellwise inclusion residual of the plastic flow condition.
     """
     grid = ops.grid
     g_u, g_z, g_p = grads
-    r_u = _displacement_residual(g_u, state, prev_state, ops, ep)
+    if r_u is None:
+        r_u = _displacement_residual(g_u, state, prev_state, ops, ep)
 
     z_rate = (state.z - prev_state.z) / ep.tau
     chi = g_z  # density form of the damage driving force
@@ -328,30 +327,32 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
     optimality residual drops below tol_stat (or max_iter sweeps); a
     (u, p) or z solve that cannot reach its tolerance raises RuntimeError.
 
-    The loading is read once per step; each sweep forms its strain once
-    (for the z-step and the certification) and A_m z once (in the z-step).
-    A sweep is certified r_u first: the full ``energy_gradients`` and
-    ``el_residuals`` run only where r_u <= tol_stat or at the max_iter-th
-    sweep.  The energy and Psi are evaluated once, at the final state."""
+    The loading is read once per step; each sweep forms its strain once,
+    and its z-step hands on A_m z and the cell laws (c, V), which the
+    certification and the next sweep's (u, p) solve read.  A sweep is
+    certified r_u first: ``energy_gradients`` and ``el_residuals`` run,
+    from that g_u and r_u, only where r_u <= tol_stat or at the
+    max_iter-th sweep.  Energy and Psi are evaluated once, at the end."""
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     w, F = eval_loading(loading, t)
     state = prev_state.copy()
+    cells = None
     for sweeps in range(1, max_iter + 1):
         state.u, state.p = solve_up_step(
             w, F, state, prev_state, ops, mat, ep,
-            tol_dual=max(1e-13, 0.02 * tol_stat))
+            tol_dual=max(1e-13, 0.02 * tol_stat), cells=cells)
         e = total_strain(ops.B, state, w)
-        state.z, Az = solve_z_step(e, state, prev_state, ops, mat, ep,
-                                   tol=0.1 * tol_stat)
-        g_u = displacement_gradient(e, cell_damage(ops.grid, state.z), F,
-                                    ops, mat)
+        state.z, Az, cells = solve_z_step(e, state, prev_state, ops, mat,
+                                          ep, tol=0.1 * tol_stat)
+        g_u = displacement_gradient(e, cells[0], F, ops, mat)
         r_u = _displacement_residual(g_u, state, prev_state, ops, ep)
         if r_u > tol_stat and sweeps < max_iter:
             continue
         at = (w, F, e)
-        grads = energy_gradients(t, state, ops, mat, ep.mu, loading, at, Az)
-        residuals = el_residuals(grads, state, prev_state, ops, mat, ep)
+        grads = energy_gradients(t, state, ops, mat, ep.mu, loading, at, Az,
+                                 g_u)
+        residuals = el_residuals(grads, state, prev_state, ops, mat, ep, r_u)
         if max(residuals) <= tol_stat:
             break
     energy_k = energy(t, state, ops, mat, ep.mu, loading, at, Az)

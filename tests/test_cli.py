@@ -143,6 +143,15 @@ class TestSolveCommand:
         assert "min_z = " in summary
         assert "aborted_at = -1" in summary
 
+    def test_floor_start_runs(self, tmp_path):
+        # z0 at the floor pins every node at both bounds of the z-step: the
+        # run goes through with the floor flagged
+        cfg = RunConfig.parse(FAST_CFG + "z0 = 1e-8\n")
+        assert cmd_solve(cfg, str(tmp_path)) == 0
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "aborted_at = -1" in summary
+        assert "z_floor_hit = 1" in summary
+
     def test_byte_determinism(self, tmp_path):
         cfg = RunConfig.parse(FAST_CFG)
         a, b = tmp_path / "a", tmp_path / "b"

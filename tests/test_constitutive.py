@@ -8,6 +8,7 @@ import pytest
 from ribv.constitutive import (
     MaterialParams,
     Operators,
+    damage_cells,
     damage_curvature,
     damage_potential,
     deviatoric_modulus,
@@ -15,9 +16,7 @@ from ribv.constitutive import (
     energy,
     energy_gradients,
     stiffness,
-    stiffness_coeff,
     yield_radius,
-    yield_radius_prime,
 )
 from ribv.discretization import Grid, LoadingSpec, State, initial_state, \
     tensor_dev
@@ -87,21 +86,29 @@ class TestElasticTensor:
 
     def test_coefficient_saturates_above_one(self):
         mat = make_mat()
-        c, cp, cpp = stiffness_coeff(np.array([1.5, 0.5]), mat)
+        c, cp, cpp, V, Vp = damage_cells(np.array([1.5, 0.5]), mat)
         assert c[0] == pytest.approx(1.05)
-        assert cp[0] == 0.0 and cpp[0] == 0.0
+        assert cp[0] == 0.0 and cpp[0] == 0.0 and Vp[0] == 0.0
+        assert V[0] == pytest.approx(1.0)
         assert cp[1] == pytest.approx(1.0)
         assert cpp[1] == 2.0
+        assert Vp[1] == pytest.approx(mat.c_k)
 
     def test_derivatives_match_fd(self, rng):
+        # c', c'' and V' of the one-pass kernel against central differences
+        # of its own c and V, away from the kinks at 0 and 1; c and V are
+        # bit for bit those of the single laws
         mat = make_mat()
         z = np.concatenate([rng.uniform(0.1, 0.9, 20),
                             rng.uniform(1.1, 2.0, 5)])
         h = 1e-6
-        c, cp, cpp = stiffness_coeff(z, mat)
-        up, down = stiffness_coeff(z + h, mat), stiffness_coeff(z - h, mat)
+        c, cp, cpp, V, Vp = damage_cells(z, mat)
+        up, down = damage_cells(z + h, mat), damage_cells(z - h, mat)
         assert np.allclose(cp, (up[0] - down[0]) / (2 * h), atol=1e-8)
         assert np.allclose(cpp, (up[1] - down[1]) / (2 * h), atol=1e-8)
+        assert np.allclose(Vp, (up[3] - down[3]) / (2 * h), atol=1e-8)
+        np.testing.assert_array_equal(c, stiffness(z, mat))
+        np.testing.assert_array_equal(V, yield_radius(z, mat))
 
 
 class TestDamagePotential:
@@ -141,7 +148,9 @@ class TestYieldRadius:
                             rng.uniform(1.05, 2.0, 5)])
         h = 1e-7
         fd = (yield_radius(z + h, mat) - yield_radius(z - h, mat)) / (2 * h)
-        assert np.allclose(yield_radius_prime(z, mat), fd, atol=1e-8)
+        assert np.allclose(damage_cells(z, mat)[4], fd, atol=1e-8)
+        # the slope from the right at the fully broken state
+        assert damage_cells(np.zeros(1), mat)[4][0] == mat.c_k
 
 
 class TestMaterialValidation:

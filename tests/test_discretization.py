@@ -131,7 +131,8 @@ class TestNonlocalForm:
         for n_side in NONLOCAL_SIDES:
             g = Grid(n_side)
             A = assemble_nonlocal_form(g, 1.5)
-            assert np.allclose(A, A.T, atol=1e-14)
+            # exact: the z-step hands A's transpose to LAPACK as the matrix
+            np.testing.assert_array_equal(A, A.T)
             z1 = rng.normal(size=g.n_nodes)
             z2 = rng.normal(size=g.n_nodes)
             assert z1 @ A @ z2 == pytest.approx(z2 @ A @ z1, abs=1e-12)

@@ -18,6 +18,7 @@ from ribv.dissipation import (
     norm_p_l2,
     norm_u_h1,
     norm_z_m,
+    prox_map,
     prox_plastic,
     prox_tangent,
     psi_rate_independent,
@@ -323,3 +324,29 @@ class TestProx:
         with pytest.raises(ValueError):
             prox_plastic(np.zeros((1, 3)), np.zeros((1, 3)),
                          1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            prox_map(np.zeros((1, 3)), -1.0, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("per_cell", [False, True])
+    def test_map_matches_shift(self, rng, per_cell):
+        # one map, built once and applied at several strains, returns bit
+        # for bit the shift formed afresh at each, with the shift d of the
+        # written-out formula
+        n = 40
+        p = rng.normal(0.0, 0.1, (n, 3))
+        p[:, 1] = -p[:, 0]
+        a = rng.uniform(0.0, 0.4, n) if per_cell else 0.2
+        c_q = rng.uniform(0.5, 2.0, n) if per_cell else 1.3
+        b, mu_w = 0.02, 0.05
+        shift_at = prox_map(p, a, b, mu_w, c_q)
+        for _ in range(3):
+            e_dev = tensor_dev(rng.normal(0.0, 0.3, (n, 3))
+                               * rng.uniform(0.0, 1.0, (n, 1)))
+            got = shift_at(e_dev)
+            for g, w in zip(got, _prox_shift(p, e_dev, a, b, mu_w, c_q)):
+                np.testing.assert_array_equal(g, w)
+            modulus = np.full(n, b + mu_w) + c_q
+            d = (b * p + np.reshape(c_q, (-1, 1)) * e_dev) \
+                / modulus[:, None] - p
+            np.testing.assert_array_equal(got[1], d)
+            assert 0 < (got[3] < 1.0).sum() < n

@@ -299,7 +299,8 @@ def test_one_line_search_rule():
 # x[rows][:, cols]
 _ITERATE_MODULES = {"solver.py", "constitutive.py", "dissipation.py"}
 _SLOW_NUMPY_CALLS = {"np.sum", "np.any", "np.all", "np.max", "np.clip",
-                     "np.errstate", "np.linalg.solve", "np.ix_"}
+                     "np.errstate", "np.linalg.solve", "np.ix_",
+                     "np.broadcast_to"}
 
 
 def _slow_numpy_calls(path: Path) -> list[str]:

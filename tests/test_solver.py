@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-import ribv.dissipation as dissipation_module
+import ribv.driver as driver_module
 import ribv.solver as solver_module
 from ribv.constitutive import (
     EnergyParams,
     Operators,
     cell_damage,
+    damage_cells,
     damage_curvature,
     damage_potential,
     energy,
     energy_gradients,
-    stiffness_coeff,
+    stiffness,
     yield_radius,
 )
 from ribv.discretization import (
@@ -65,6 +66,13 @@ def counted(calls, name, fn):
     def wrapped(*args, **kwargs):
         calls[name] += 1
         return fn(*args, **kwargs)
+    return wrapped
+
+
+def counted_map(calls, name, make):
+    """make, each call of the function it returns added to calls[name]."""
+    def wrapped(*args, **kwargs):
+        return counted(calls, name, make(*args, **kwargs))
     return wrapped
 
 
@@ -123,7 +131,7 @@ class TestUpStepExits:
         # 16x16 grid: each solve ends where the objective's decrease is
         # below roundoff, and both line searches accept such steps without
         # halving them away
-        calls = {"_prox_shift": 0, "_z_value": 0}
+        calls = {"prox": 0, "_z_value": 0}
         per_solve = {"solve_up_step": [], "solve_z_step": []}
 
         def per_call(name, fn, counter):
@@ -134,12 +142,13 @@ class TestUpStepExits:
                 return out
             return wrapped
 
-        for name in calls:
-            monkeypatch.setattr(solver_module, name, counted(
-                calls, name, getattr(solver_module, name)))
+        monkeypatch.setattr(solver_module, "_z_value", counted(
+            calls, "_z_value", solver_module._z_value))
+        monkeypatch.setattr(solver_module, "prox_map", counted_map(
+            calls, "prox", solver_module.prox_map))
         monkeypatch.setattr(solver_module, "solve_up_step",
                             per_call("solve_up_step", solve_up_step,
-                                     "_prox_shift"))
+                                     "prox"))
         monkeypatch.setattr(solver_module, "solve_z_step",
                             per_call("solve_z_step", solve_z_step,
                                      "_z_value"))
@@ -231,7 +240,7 @@ class TestZStep:
             za = np.full(grid.n_nodes, zeta)
             W, _ = damage_potential(za, mat)
             val = float(np.sum(grid.lump * W))
-            val += stiffness_coeff(np.array([zeta]), mat)[0][0] * q0
+            val += stiffness(np.array([zeta]), mat)[0] * q0
             val += yield_radius(np.array([zeta]), mat)[0] * dp
             d = zeta - zp
             val += mat.kappa * abs(d) + 0.5 * ep.eps / ep.tau * d ** 2
@@ -256,6 +265,25 @@ class TestZStep:
                              mat, ep)[0]
         assert np.all(z_new <= prev.z + 1e-15)
         assert np.all(z_new >= Z_FLOOR * (1 - 1e-12))
+
+    def test_node_pinned_at_both_bounds(self, rng):
+        # a node whose z_prev sits at the floor is held at both bounds: its
+        # negative W' cannot be reduced by any feasible step, and the
+        # stationarity residual leaves it out
+        grid = Grid(4)
+        mat = reference_material()
+        ops = Operators.build(grid, mat)
+        loading = ramp_loading(grid, amplitude=0.45)
+        prev = initial_state(grid, z0=0.9)
+        prev.z[7] = Z_FLOOR
+        st = prev.copy()
+        st.u[~grid.dirichlet_mask] = rng.normal(0, 0.3,
+                                                (grid.n_nodes
+                                                 - grid.n_side, 2))
+        z_new = solve_z_step(strain(ops, st, loading, 1.0), st, prev, ops,
+                             mat, small_ep())[0]
+        assert z_new[7] == Z_FLOOR
+        assert np.all(z_new <= prev.z) and np.all(z_new >= Z_FLOOR)
 
     def test_unconverged_z_solve_raises(self, rng):
         # one projected Newton iteration cannot reach tol on the data of
@@ -282,16 +310,16 @@ class TestZStep:
         mat = reference_material()
         ops = Operators.build(grid, mat)
         ep = small_ep()
-        q0 = rng.uniform(0.0, 0.5, grid.n_cells)
-        dp_norm = rng.uniform(0.0, 0.2, grid.n_cells)
+        a = grid.w_cell * rng.uniform(0.0, 0.5, grid.n_cells)
+        b = grid.w_cell * rng.uniform(0.0, 0.2, grid.n_cells)
         h = 1e-6
         for _ in range(5):
             z = rng.uniform(0.3, 0.9, grid.n_nodes)
             z_prev = z + rng.uniform(0.0, 0.1, grid.n_nodes)
             dz = rng.normal(size=grid.n_nodes)
-            g = _z_value(z, z_prev, q0, dp_norm, ops, mat, ep)[1]
-            fp = _z_value(z + h * dz, z_prev, q0, dp_norm, ops, mat, ep)[0]
-            fm = _z_value(z - h * dz, z_prev, q0, dp_norm, ops, mat, ep)[0]
+            g = _z_value(z, z_prev, a, b, ops, mat, ep)[1]
+            fp = _z_value(z + h * dz, z_prev, a, b, ops, mat, ep)[0]
+            fm = _z_value(z - h * dz, z_prev, a, b, ops, mat, ep)[0]
             assert (fp - fm) / (2 * h) == pytest.approx(g @ dz, rel=1e-7)
 
     def test_one_potential_per_evaluation(self, monkeypatch):
@@ -319,40 +347,46 @@ class TestZStep:
 
 class TestOneEvaluationPerIterate:
     def test_z_hessian_from_passed_curvature(self, rng):
-        # the Hessian from the c'' of the _z_value call at z equals, bit
-        # for bit, one built from z alone in the same order of sums, on
-        # cells on both sides of the stiffness kink at z = 1
+        # the base from the c'' of the _z_value call at z, with the
+        # diagonal term added, equals bit for bit the Hessian built from z
+        # alone, on cells on both sides of the stiffness kink at z = 1
         grid = Grid(4)
         mat = reference_material()
         ops = Operators.build(grid, mat)
         ep = small_ep()
-        q0 = rng.uniform(0.0, 0.5, grid.n_cells)
-        dp_norm = rng.uniform(0.0, 0.2, grid.n_cells)
+        a = grid.w_cell * rng.uniform(0.0, 0.5, grid.n_cells)
+        b = grid.w_cell * rng.uniform(0.0, 0.2, grid.n_cells)
         for _ in range(5):
             z = 0.6 + 0.8 * grid.nodes[:, 0] \
                 + rng.uniform(-0.05, 0.05, grid.n_nodes)
-            cpp = _z_value(z, z + 0.1, q0, dp_norm, ops, mat, ep)[2]
-            H = _z_hess(z, q0, cpp, ops, mat, ep)
-            want = ops.A_m.copy()
-            want[np.diag_indices(grid.n_nodes)] += grid.lump * (
+            cpp = _z_value(z, z + 0.1, a, b, ops, mat, ep)[2][2]
+            H = _z_hess(a, cpp, ops)
+            H[np.diag_indices(grid.n_nodes)] += grid.lump * (
                 damage_curvature(z, mat) + ep.eps / ep.tau)
-            cpp_z = stiffness_coeff(cell_damage(grid, z), mat)[2]
+            want = ops.A_m.copy()
+            cpp_z = damage_cells(cell_damage(grid, z), mat)[2]
             assert 0 < np.count_nonzero(cpp_z) < grid.n_cells
             for c, corners in enumerate(grid.cells):
                 for i in corners:
                     for j in corners:
-                        want[i, j] += grid.w_cell[c] * cpp_z[c] * q0[c] / 16.0
+                        want[i, j] += cpp_z[c] * a[c] / 16.0
+            want[np.diag_indices(grid.n_nodes)] += grid.lump * (
+                damage_curvature(z, mat) + ep.eps / ep.tau)
             np.testing.assert_array_equal(H, want)
 
     def test_laws_and_prox_run_in_value_evaluations_only(self, monkeypatch):
-        # per z solve, stiffness_coeff and cell_damage run once per
-        # _z_value call and nowhere else (the Hessian takes c'' from the
-        # evaluation at its iterate); per (u, p) solve, the prox shift runs
-        # once per value evaluation, that is per strain B(u + w), and the
-        # Newton tangent reuses it
-        calls = {"stiffness_coeff": 0, "cell_damage": 0, "_z_value": 0,
-                 "_prox_shift": 0, "apply": 0}
+        # per z solve, damage_cells and cell_damage run once per _z_value
+        # call, and the Hessian base once while c'' stays fixed; per step,
+        # the (u, p) solves evaluate the cell laws only in the first sweep
+        # (later ones take them from the z-step); per (u, p) solve, the
+        # prox map is checked once and its shift runs once per value
+        # evaluation, that is per strain B(u + w), which the Newton
+        # tangent reuses
+        calls = {"damage_cells": 0, "cell_damage": 0, "_z_value": 0,
+                 "_z_hess": 0, "dgesv": 0, "prox_map": 0, "shift": 0,
+                 "apply": 0, "incremental_step": 0}
         per_solve = {"solve_z_step": [], "solve_up_step": []}
+        bases = []
 
         def per_call(name, fn):
             def wrapped(*args, **kwargs):
@@ -363,14 +397,21 @@ class TestOneEvaluationPerIterate:
                 return out
             return wrapped
 
-        for name in ("stiffness_coeff", "cell_damage", "_z_value",
-                     "_prox_shift"):
+        def z_hess(a, cpp, ops):
+            bases.append((len(per_solve["solve_z_step"]), cpp))
+            return _z_hess(a, cpp, ops)
+
+        for name in ("damage_cells", "cell_damage", "_z_value", "prox_map"):
             monkeypatch.setattr(solver_module, name, counted(
                 calls, name, getattr(solver_module, name)))
-        # the prox and its derivative reach the shift through dissipation
-        monkeypatch.setattr(dissipation_module, "_prox_shift",
-                            counted(calls, "_prox_shift",
-                                    dissipation_module._prox_shift))
+        monkeypatch.setattr(driver_module, "incremental_step", counted(
+            calls, "incremental_step", driver_module.incremental_step))
+        monkeypatch.setattr(solver_module, "_z_hess", counted(
+            calls, "_z_hess", z_hess))
+        monkeypatch.setattr(solver_module, "prox_map", counted_map(
+            calls, "shift", solver_module.prox_map))
+        monkeypatch.setattr(solver_module.lapack, "dgesv", counted(
+            calls, "dgesv", solver_module.lapack.dgesv))
         monkeypatch.setattr(SymGradient, "apply",
                             counted(calls, "apply", SymGradient.apply))
         for name in per_solve:
@@ -382,10 +423,18 @@ class TestOneEvaluationPerIterate:
         assert traj.aborted_at is None
         assert per_solve["solve_z_step"] and per_solve["solve_up_step"]
         for n in per_solve["solve_z_step"]:
-            assert n["stiffness_coeff"] == n["cell_damage"] == n["_z_value"]
+            assert n["damage_cells"] == n["cell_damage"] == n["_z_value"]
+            assert n["_z_hess"] <= n["dgesv"]
+        # a rebuild within one solve only where c'' changed
+        for (k0, cpp0), (k1, cpp1) in zip(bases, bases[1:]):
+            assert k0 != k1 or (cpp0 != cpp1).any()
+        assert len(bases) < sum(n["dgesv"] for n in per_solve["solve_z_step"])
+        assert sum(n["damage_cells"] for n in per_solve["solve_up_step"]) \
+            == calls["incremental_step"]
         for n in per_solve["solve_up_step"]:
-            assert n["_prox_shift"] == n["apply"] >= 1
-        assert sum(n["_prox_shift"] for n in per_solve["solve_up_step"]) \
+            assert n["prox_map"] == 1
+            assert n["shift"] == n["apply"] >= 1
+        assert sum(n["shift"] for n in per_solve["solve_up_step"]) \
             > len(per_solve["solve_up_step"])
 
 
