@@ -8,12 +8,14 @@ config (plus seed, where randomness is involved) pins the bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, read_pairs
 from .constitutive import energy, energy_gradients
 from .discretization import Grid, State, nonlocal_double_sum, tensor_norm
 from .dissipation import (
@@ -44,9 +46,17 @@ CSV_COLUMNS = ("step", "t", "s_std", "s_ed", "E_mu", "N_value", "power",
                "balance_residual", "min_z", "dual_u", "dist_z", "dist_p",
                "dnu", "dstar", "norm_u_H1", "norm_p_L1", "norm_p_L2",
                "norm_e_L2", "iterations", "accepted")
+REPARAM_COLUMNS = ("step", "s_std", "s_ed", "t", "t_rate_std", "t_rate_ed",
+                   "norm_std", "norm_ed", "jump_std", "jump_ed", "lambda",
+                   "switch_residual")
+SWEEP_COLUMNS = ("level", "eps", "nu", "mu", "max_stability_nonjump",
+                 "ed_balance_residual", "contact_integral", "total_length",
+                 "min_z", "n_jump_intervals", "dist_to_next")
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -61,8 +71,14 @@ def _write_lines(path, lines):
 
 
 def _write_kv(path, pairs):
-    _write_lines(path, [f"{k} = {_fmt(v) if not isinstance(v, str) else v}"
-                        for k, v in pairs])
+    _write_lines(path, [f"{k} = {_fmt(v)}" for k, v in pairs])
+
+
+def _write_csv(path, header, rows):
+    """The header line, then one line per row; ``_write_lines`` formats
+    each row as it writes it."""
+    _write_lines(path, (",".join(map(_fmt, row))
+                        for row in itertools.chain([header], rows)))
 
 
 def trajectory_rows(traj: Trajectory, ops, ptraj_std, ptraj_ed):
@@ -83,27 +99,20 @@ def trajectory_rows(traj: Trajectory, ops, ptraj_std, ptraj_ed):
     return rows
 
 
-def write_trajectory_csv(path, rows):
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    _write_lines(path, lines)
-
-
 def _solve_from_config(cfg: RunConfig):
-    grid, mat, ops, ep, loading, init = cfg.build()
+    """(ops, ep, traj, ptraj_std, ptraj_ed): the config's viscous run and
+    its standard and energy-dissipation reparameterizations."""
+    _, mat, ops, ep, loading, init = cfg.build()
     traj = run_viscous(ops, mat, ep, loading, init,
                        n_steps=cfg.n_steps, tol_stat=cfg.tol_stat,
                        max_iter=cfg.max_iter)
-    return grid, mat, ops, ep, loading, traj
+    return ops, ep, traj, reparam_standard(traj, ops), reparam_ed(traj, ops)
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
-    _, _, ops, ep, _, traj = _solve_from_config(cfg)
-    ptraj_std = reparam_standard(traj, ops)
-    ptraj_ed = reparam_ed(traj, ops)
+    ops, ep, traj, ptraj_std, ptraj_ed = _solve_from_config(cfg)
     rows = trajectory_rows(traj, ops, ptraj_std, ptraj_ed)
-    write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), rows)
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), CSV_COLUMNS, rows)
     _write_kv(os.path.join(out_dir, "summary.txt"), [
         ("command", "solve"),
         ("eps", ep.eps), ("nu", ep.nu), ("mu", ep.mu),
@@ -121,27 +130,19 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_reparam(cfg: RunConfig, out_dir: str) -> int:
-    _, _, ops, ep, _, traj = _solve_from_config(cfg)
-    p_std = reparam_standard(traj, ops)
-    p_ed = reparam_ed(traj, ops)
+    ops, ep, traj, p_std, p_ed = _solve_from_config(cfg)
     lams, resid = recover_switching(p_std, ops)
-    header = ("step,s_std,s_ed,t,t_rate_std,t_rate_ed,norm_std,norm_ed,"
-              "jump_std,jump_ed,lambda,switch_residual")
-    lines = [header]
     jump_s, jump_e = p_std.jumps(cfg.tol_jump), p_ed.jumps(cfg.tol_jump)
-    for k in range(p_std.n_knots):
-        lines.append(",".join(_fmt(x) for x in (
-            k, p_std.s[k], p_ed.s[k], traj.times[k], p_std.t_rate[k],
-            p_ed.t_rate[k], p_std.normalization[k], p_ed.normalization[k],
-            jump_s[k], jump_e[k], lams[k], resid[k])))
-    _write_lines(os.path.join(out_dir, "reparam.csv"), lines)
+    _write_csv(os.path.join(out_dir, "reparam.csv"), REPARAM_COLUMNS, (
+        (k, p_std.s[k], p_ed.s[k], traj.times[k], p_std.t_rate[k],
+         p_ed.t_rate[k], p_std.normalization[k], p_ed.normalization[k],
+         jump_s[k], jump_e[k], lams[k], resid[k])
+        for k in range(p_std.n_knots)))
 
     jumps_std = detect_jumps(p_std, cfg.tol_jump)
     jumps_ed = detect_jumps(p_ed, cfg.tol_jump)
-    dev_std = float(np.abs(p_std.normalization[1:] - 1.0).max()) \
-        if p_std.n_knots > 1 else 0.0
-    dev_ed = float(np.abs(p_ed.normalization[1:] - 1.0).max()) \
-        if p_ed.n_knots > 1 else 0.0
+    dev_std, dev_ed = (float(np.abs(p.normalization[1:] - 1.0).max(
+        initial=0.0)) for p in (p_std, p_ed))
     _write_kv(os.path.join(out_dir, "summary.txt"), [
         ("command", "reparam"),
         ("eps", ep.eps), ("nu", ep.nu), ("mu", ep.mu),
@@ -157,8 +158,7 @@ def cmd_reparam(cfg: RunConfig, out_dir: str) -> int:
          ";".join(f"{_fmt(a)}:{_fmt(b)}" for a, b in jumps_std)),
         ("jump_intervals_ed",
          ";".join(f"{_fmt(a)}:{_fmt(b)}" for a, b in jumps_ed)),
-        ("max_switch_residual", float(resid[1:].max())
-         if len(resid) > 1 else 0.0),
+        ("max_switch_residual", float(resid[1:].max(initial=0.0))),
     ])
     return 0 if traj.aborted_at is None else 1
 
@@ -170,19 +170,12 @@ def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
                       tol_jump=cfg.tol_jump,
                       stab_tol_factor=cfg.stab_tol_factor,
                       max_iter=cfg.max_iter)
-    header = ("level,eps,nu,mu,max_stability_nonjump,ed_balance_residual,"
-              "contact_integral,total_length,min_z,n_jump_intervals,"
-              "dist_to_next")
-    lines = [header]
-    for i, lv in enumerate(report.levels):
-        dist = report.pairwise_sup_distance[i] \
-            if i < len(report.pairwise_sup_distance) else float("nan")
-        lines.append(",".join(_fmt(x) for x in (
-            i, lv.params[0], lv.params[1], lv.params[2],
-            lv.max_stability_nonjump, lv.ed_balance_residual,
-            lv.contact_integral, lv.total_length, lv.min_z,
-            len(lv.jump_intervals), dist)))
-    _write_lines(os.path.join(out_dir, "sweep.csv"), lines)
+    dists = report.pairwise_sup_distance + [float("nan")]
+    _write_csv(os.path.join(out_dir, "sweep.csv"), SWEEP_COLUMNS, (
+        (i, *lv.params, lv.max_stability_nonjump, lv.ed_balance_residual,
+         lv.contact_integral, lv.total_length, lv.min_z,
+         len(lv.jump_intervals), dist)
+        for i, (lv, dist) in enumerate(zip(report.levels, dists))))
 
     stabs = [lv.max_stability_nonjump for lv in report.levels]
     ratios = [a / b if b > 0 else float("inf")
@@ -206,43 +199,37 @@ def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
 # gronwall instance files
 # ---------------------------------------------------------------------------
 
-_GRON_SEQ = ("a", "b", "c", "r", "M")
-_GRON_SCALAR = ("B", "Lam", "lam", "b_const", "eta", "rho", "kappa1",
-                "kappa2", "tau", "eps")
+# lemma -> its checker, which returns (hypotheses_ok, bound, holds)
+_CHECKERS = {"classic": check_gronwall_classic,
+             "affine": check_gronwall_affine,
+             "viscous": check_gronwall_viscous}
 
 
 def parse_gronwall_instances(text: str) -> list[GronwallInstance]:
-    """Instance file: blocks of `key = value` lines separated by `---`
-    lines.  Sequences are comma-separated, `lemma` picks the checker."""
-    blocks = [[]]
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if set(line) == {"-"}:
-            blocks.append([])
-            continue
-        blocks[-1].append(line)
+    """Instance file: blocks of config lines (``config.read_pairs``)
+    separated by `---` lines, one key per field of ``GronwallInstance``;
+    `lemma` picks the checker.  Line numbers count in the whole file."""
+    lines = text.splitlines()
+    cuts = [i for i, raw in enumerate(lines)
+            if set(raw.split("#", 1)[0].strip()) == {"-"}]
+    known = {f.name: f for f in fields(GronwallInstance)}
     out = []
-    for blk in blocks:
-        if not blk:
-            continue
+    for a, b in zip([-1] + cuts, cuts + [len(lines)]):
         kw = {}
-        for line in blk:
-            if "=" not in line:
-                raise ValueError(f"expected 'key = value', got {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key == "lemma":
-                kw["lemma"] = val
-            elif key in _GRON_SEQ:
-                kw[key] = np.array([float(x) for x in val.split(",")])
-            elif key in _GRON_SCALAR:
-                kw[key] = float(val)
-            else:
-                raise ValueError(f"unknown instance key {key!r}")
-        if kw.get("lemma") not in ("classic", "affine", "viscous"):
-            raise ValueError("each instance needs lemma = classic | "
-                             "affine | viscous")
+        for ln, key, val in read_pairs("\n".join(lines[a + 1:b]), a + 2):
+            if key not in known:
+                raise ValueError(f"line {ln}: unknown instance key {key!r}")
+            # a sequence field (no plain default) reads comma-separated
+            # floats, any other field its default's type
+            default = known[key].default
+            kw[key] = np.array([float(x) for x in val.split(",")]) \
+                if default is MISSING else type(default)(val)
+        if not kw:
+            continue
+        if kw.get("lemma") not in _CHECKERS:
+            raise ValueError(f"each instance needs lemma = "
+                             f"{' | '.join(_CHECKERS)}, got "
+                             f"{kw.get('lemma')!r}")
         out.append(GronwallInstance(**kw))
     return out
 
@@ -253,15 +240,10 @@ def cmd_check_gronwall(instance_path: str, out_dir: str) -> int:
     lines = []
     n_fail = 0
     for i, inst in enumerate(instances):
-        if inst.lemma == "classic":
-            hyp_ok, _, holds = check_gronwall_classic(inst)
-            msgs = [] if hyp_ok else ["hypotheses violated"]
-        elif inst.lemma == "affine":
-            hyp_ok, _, holds = check_gronwall_affine(inst)
-            msgs = [] if hyp_ok else ["hypotheses violated"]
-        else:
-            hyp_ok, msgs = viscous_hypotheses(inst)
-            _, _, holds = check_gronwall_viscous(inst)
+        hyp_ok, _, holds = _CHECKERS[inst.lemma](inst)
+        # the viscous lemma names each violated hypothesis
+        msgs = [] if hyp_ok else viscous_hypotheses(inst)[1] \
+            if inst.lemma == "viscous" else ["hypotheses violated"]
         # vacuous truth: an instance violating the hypotheses cannot
         # witness a failure of the lemma
         fail = hyp_ok and not holds
@@ -410,6 +392,11 @@ def cmd_selftest(seed: int = 0) -> int:
 
 # ---------------------------------------------------------------------------
 
+# the commands of a run config: name -> command(cfg, out_dir)
+_RUN_COMMANDS = {"solve": cmd_solve, "sweep": cmd_sweep,
+                 "reparam": cmd_reparam}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="ribv",
@@ -417,7 +404,7 @@ def main(argv=None) -> int:
                     "solves, arclength reparameterization, and "
                     "vanishing-parameter sweeps")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("solve", "sweep", "reparam"):
+    for name in _RUN_COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=False, default=None)
         sp.add_argument("--out", required=True)
@@ -438,11 +425,7 @@ def main(argv=None) -> int:
 
     cfg = RunConfig.load(args.config) if args.config \
         else RunConfig.defaults()
-    if args.command == "solve":
-        return cmd_solve(cfg, args.out)
-    if args.command == "reparam":
-        return cmd_reparam(cfg, args.out)
-    return cmd_sweep(cfg, args.out)
+    return _RUN_COMMANDS[args.command](cfg, args.out)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
 """Flat key-value run configuration of the reference problem.
 
 Format: one `key = value` per line, `#` starts a comment, blank lines
-ignored.  Unknown keys are rejected with the offending name.  Ladder
+ignored; ``read_pairs`` reads it, here and in the Gronwall instance
+files.  Unknown keys are rejected with the offending name.  Ladder
 values are comma-separated lists.  The material keys and their defaults
-are the fields of ``MaterialParams``, and the problem keys take their
+are the fields of ``MaterialParams``, the problem keys take their
 defaults from the keywords of ``problems.reference_problem``, to which
-``RunConfig.build`` hands the values.
+``RunConfig.build`` hands the values, and the solver settings take
+theirs from the keywords of ``reparam.bv_sweep``.
 """
 
 from __future__ import annotations
@@ -15,32 +17,42 @@ from inspect import signature
 
 from .constitutive import EnergyParams, MaterialParams
 from .problems import reference_problem
-from .reparam import ladder_levels
+from .reparam import bv_sweep, ladder_levels
+from .solver import Z_FLOOR
 
 _MATERIAL_KEYS = {f.name: f.default for f in fields(MaterialParams)}
 # config key -> keyword of reference_problem, whose default it takes
 _PROBLEM_KEYS = {"eps": "eps", "nu": "nu", "mu": "mu", "t_final": "t_final",
                  "load_amplitude": "amplitude", "z0": "z0",
                  "grid_n": "n_side", "n_steps": "n_steps"}
-_PROBLEM_DEFAULTS = {
-    key: signature(reference_problem).parameters[kw].default
-    for key, kw in _PROBLEM_KEYS.items()}
-_FLOAT_KEYS = {
+# every key with its default, whose type is the type its value is read as
+_DEFAULTS = {
     **_MATERIAL_KEYS,
-    **{k: v for k, v in _PROBLEM_DEFAULTS.items() if isinstance(v, float)},
-    "tol_stat": 1e-8, "tol_jump": 1e-3, "stab_tol_factor": 10.0,
-}
-_INT_KEYS = {
-    **{k: v for k, v in _PROBLEM_DEFAULTS.items() if isinstance(v, int)},
-    "max_iter": 500,
-}
-_STR_KEYS = {
+    **{key: signature(reference_problem).parameters[kw].default
+       for key, kw in _PROBLEM_KEYS.items()},
+    **{key: signature(bv_sweep).parameters[key].default
+       for key in ("tol_stat", "tol_jump", "stab_tol_factor", "max_iter")},
     "load_kind": "ramp",            # ramp | zero
     "regime": "eps0",               # visc | eps0 | eps-nu0 | all0
     "ladder_eps": "1e-1,1e-2,1e-3",
     "ladder_nu": "",                # empty: regime default
     "ladder_mu": "",
 }
+
+
+def read_pairs(text: str, start: int = 1):
+    """Yield (line number, key, value) of each `key = value` line of text,
+    numbering its first line start; `#` starts a comment, and blank lines
+    are skipped."""
+    for ln, raw in enumerate(text.splitlines(), start=start):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {ln}: expected 'key = value', "
+                             f"got {raw!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        yield ln, key, val
 
 
 @dataclass
@@ -58,27 +70,15 @@ class RunConfig:
 
     @classmethod
     def defaults(cls) -> "RunConfig":
-        return cls(values={**_FLOAT_KEYS, **_INT_KEYS, **_STR_KEYS})
+        return cls(values=dict(_DEFAULTS))
 
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
         cfg = cls.defaults()
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {ln}: expected 'key = value', "
-                                 f"got {raw!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key in _FLOAT_KEYS:
-                cfg.values[key] = float(val)
-            elif key in _INT_KEYS:
-                cfg.values[key] = int(val)
-            elif key in _STR_KEYS:
-                cfg.values[key] = val
-            else:
+        for ln, key, val in read_pairs(text):
+            if key not in _DEFAULTS:
                 raise ValueError(f"line {ln}: unknown config key {key!r}")
+            cfg.values[key] = type(_DEFAULTS[key])(val)
         cfg.validate()
         return cfg
 
@@ -100,8 +100,8 @@ class RunConfig:
         # raises on bad regularization parameters or time step
         EnergyParams(eps=self.eps, nu=self.nu, mu=self.mu,
                      tau=self.t_final / self.n_steps, t_final=self.t_final)
-        if not (0.0 < self.z0 <= 1.0):
-            raise ValueError("z0 must lie in (0, 1]")
+        if not (Z_FLOOR <= self.z0 <= 1.0):
+            raise ValueError(f"z0 must lie in [Z_FLOOR, 1] = [{Z_FLOOR}, 1]")
         if self.tol_stat <= 0:
             raise ValueError("tol_stat must be positive")
         for key in ("tol_jump", "stab_tol_factor"):

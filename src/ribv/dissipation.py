@@ -285,11 +285,6 @@ def prox_map(p_prev, a, b, mu_w, c_q):
     return shift
 
 
-def _prox_shift(p_prev, e_bar_dev, a, b, mu_w, c_q):
-    """``prox_map`` of the coefficients at one e_bar_dev."""
-    return prox_map(p_prev, a, b, mu_w, c_q)(e_bar_dev)
-
-
 def prox_plastic(p_prev: np.ndarray, e_bar_dev: np.ndarray, a, b, mu_w, c_q):
     """Exact minimizer over trace-free pi of
 
@@ -299,25 +294,23 @@ def prox_plastic(p_prev: np.ndarray, e_bar_dev: np.ndarray, a, b, mu_w, c_q):
     Accepts broadcast scalar or per-cell coefficients; returns an array of
     the same shape as p_prev.  The quadratic modulus b + mu_w + c_q must
     be positive."""
-    return _prox_shift(p_prev, e_bar_dev, a, b, mu_w, c_q)[0]
+    return prox_map(p_prev, a, b, mu_w, c_q)(e_bar_dev)[0]
 
 
 def prox_tangent(shift, c_q) -> np.ndarray:
     """Jacobian (..., 3, 3) of e_bar -> prox_plastic(p_prev,
-    tensor_dev(e_bar), a, b, mu_w, c_q), from the ``_prox_shift`` of its
-    point: the consistent tangent of the return map (Simo & Taylor,
+    tensor_dev(e_bar), a, b, mu_w, c_q), from the ``prox_map`` shift of
+    its point: the consistent tangent of the return map (Simo & Taylor,
     Comput. Methods Appl. Mech. Engrg. 48 (1985) 101).  It vanishes where
     the cell sticks and is c_q/M ((1 - s) P + s n n^T G) where it yields,
     n = d/|d|, s the shrink, P the deviatoric projection and G =
-    diag(FROB_W); n is trace-free, so n n^T G P = n n^T G."""
+    diag(FROB_W); n is trace-free, so n n^T G P = n n^T G.  One formula
+    serves every cell: the shrink is clipped at 1 and the ratio c_q/M
+    zeroed where the cell sticks, and n is 0 where d is."""
     _, d, dn, shrink, modulus = shift
-    J = np.zeros(d.shape + (3,))
-    yielding = shrink < 1.0
-    if yielding.any():
-        n = d[yielding] / dn[yielding, None]
-        outer = n[:, :, None] * (n * FROB_W)[:, None, :]
-        sh = shrink[yielding][:, None, None]
-        ratio = (c_q / modulus)[yielding]
-        J[yielding] = ratio[:, None, None] * (
-            (1.0 - sh) * _DEV[None] + sh * outer)
-    return J
+    n = np.divide(d, dn[..., None], out=np.zeros_like(d),
+                  where=dn[..., None] > 0.0)
+    outer = n[..., :, None] * (n * FROB_W)[..., None, :]
+    sh = np.minimum(shrink, 1.0)[..., None, None]
+    ratio = (c_q / modulus * (shrink < 1.0))[..., None, None]
+    return ratio * ((1.0 - sh) * _DEV + sh * outer)

@@ -148,17 +148,20 @@ def reparam_ed(traj: Trajectory, ops: Operators) -> ParamTrajectory:
 def contact_potential(regime: str, t_rate: float, state: State, rate: Rate,
                       diag: DualDiagnostics, ops: Operators,
                       mat: MaterialParams, ep: EnergyParams,
-                      stab_tol: float = 0.0) -> float:
+                      stab_tol: float = 0.0, jump: bool = False) -> float:
     """Regime-dependent contact potential at a knot (per unit s).
 
-    Magnitudes below stab_tol are treated as vanished when selecting
-    the piecewise branch, which is how the discrete ladder evaluates
-    the limiting formulas.  Returns +inf on the infinite branches.
+    jump selects the branch of a knot where the slow time is frozen
+    (``ParamTrajectory.jumps``) in the vanishing regimes; "visc" has one
+    formula at every knot.  Magnitudes below stab_tol are treated as
+    vanished when selecting the piecewise branch, which is how the
+    discrete ladder evaluates the limiting formulas.  Returns +inf on
+    the infinite branches.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    if t_rate < 0:
-        raise ValueError("slow-time rate must be nonnegative")
+    if t_rate <= 0:
+        raise ValueError("slow-time rate must be positive")
     ri = psi_rate_independent(state, rate, ops, mat, tol_pos=1e-12)
     if not np.isfinite(ri):
         return float("inf")
@@ -166,23 +169,20 @@ def contact_potential(regime: str, t_rate: float, state: State, rate: Rate,
     if regime == "visc":
         if ep.eps <= 0:
             raise ValueError("regime 'visc' needs eps > 0")
-        dn = d_nu(ops, rate, ep.nu)
-        if t_rate > 0:
-            return ri + (ep.eps / (2 * t_rate)) * dn ** 2 \
-                + (t_rate / (2 * ep.eps)) * diag.d_nu_star ** 2
-        return ri if dn <= stab_tol else float("inf")
+        return ri + (ep.eps / (2 * t_rate)) * d_nu(ops, rate, ep.nu) ** 2 \
+            + (t_rate / (2 * ep.eps)) * diag.d_nu_star ** 2
 
     if regime == "eps0":
         if ep.nu <= 0:
             raise ValueError("regime 'eps0' needs nu > 0")
-        if t_rate > 0:
-            return ri if diag.d_nu_star <= stab_tol else float("inf")
-        return ri + d_nu(ops, rate, ep.nu) * diag.d_nu_star
+        if jump:
+            return ri + d_nu(ops, rate, ep.nu) * diag.d_nu_star
+        return ri if diag.d_nu_star <= stab_tol else float("inf")
 
     # multi-rate and all-vanishing regimes share the reduced structure;
     # they differ in which dual surrogate is tested
     dstar = diag.d_star_mu if regime == "eps-nu0" else diag.d_star0
-    if t_rate > 0:
+    if not jump:
         stable = dstar <= stab_tol and diag.dist_z <= stab_tol
         return ri if stable else float("inf")
     zr_norm = norm_z_m(ops.grid, rate.z_rate)
@@ -353,15 +353,17 @@ def _align_z_curves(pa: ParamTrajectory, pb: ParamTrajectory, ops) -> float:
 
 
 def ed_balance_residual_bv(ptraj: ParamTrajectory, ops: Operators,
-                           regime: str,
-                           stab_tol: float) -> tuple[float, float]:
+                           regime: str, stab_tol: float,
+                           tol_jump: float = TOL_JUMP) -> tuple[float, float]:
     """Energy-dissipation balance residual of a candidate limit curve
     with the regime's contact potential: |E(end) + integral M ds -
-    E(0) - integral power|.  The energies E_mu and per-step power
-    integrals of the reparameterized viscous run ``ptraj.traj`` supply E
-    and the power.  Returns (residual, contact_integral).  Either may be
-    +inf when an infinite branch is hit."""
+    E(0) - integral power|, on the jump branch at the knots
+    ``ptraj.jumps(tol_jump)`` marks.  The energies E_mu and per-step
+    power integrals of the reparameterized viscous run ``ptraj.traj``
+    supply E and the power.  Returns (residual, contact_integral).
+    Either may be +inf when an infinite branch is hit."""
     traj = ptraj.traj
+    jumps = ptraj.jumps(tol_jump)
     contact = 0.0
     power = 0.0
     for k in range(1, ptraj.n_knots):
@@ -369,7 +371,7 @@ def ed_balance_residual_bv(ptraj: ParamTrajectory, ops: Operators,
         m = contact_potential(regime, float(ptraj.t_rate[k]),
                               traj.states[k], ptraj.rate(k),
                               traj.dual_diag[k], ops, traj.mat, traj.ep,
-                              stab_tol=stab_tol)
+                              stab_tol=stab_tol, jump=bool(jumps[k]))
         contact += ds * m
         power += traj.power[k]
     if not np.isfinite(contact):
@@ -436,8 +438,8 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
             ptraj = reparam_ed(traj, ops)
         else:
             ptraj = reparam_standard(traj, ops)
-        resid, contact = ed_balance_residual_bv(ptraj, ops, regime,
-                                                stab_tol_factor * eps)
+        resid, contact = ed_balance_residual_bv(
+            ptraj, ops, regime, stab_tol_factor * eps, tol_jump)
         levels.append(LevelReport(
             params=lvl,
             n_steps=n_steps,

@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 
 from ribv.constitutive import energy, energy_gradients
 from ribv.discretization import eval_loading, tensor_dev, total_strain
-from ribv.dissipation import Rate, _prox_shift, d_nu, prox_tangent, psi_total
+from ribv.dissipation import Rate, d_nu, prox_map, prox_tangent, psi_total
 from ribv.solver import StepResult, el_residuals, solve_up_step, solve_z_step
 
 FROB_W = np.array([1.0, 1.0, 2.0])
@@ -54,7 +54,7 @@ def prox_plastic_derivative(p_prev, e_bar, a, b, mu_w, c_q):
     tensor_dev(e_bar), a, b, mu_w, c_q): ``prox_tangent`` of the shift
     formed afresh at e_bar."""
     return prox_tangent(
-        _prox_shift(p_prev, tensor_dev(e_bar), a, b, mu_w, c_q), c_q)
+        prox_map(p_prev, a, b, mu_w, c_q)(tensor_dev(e_bar)), c_q)
 
 
 def dist_lumped_oracle(lump, chi, kappa):

@@ -1,6 +1,7 @@
 """Config parsing, batch entry points, and output files."""
 
 import filecmp
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ribv.cli import (
 )
 from ribv.config import RunConfig
 from ribv.constitutive import MaterialParams
+from ribv.gronwall import GronwallInstance
 from ribv.problems import reference_material, reference_problem
 
 FAST_CFG = """
@@ -63,6 +65,14 @@ class TestConfig:
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="line 1"):
             RunConfig.parse("grid_n 4\n")
+
+    def test_z0_below_floor_rejected(self):
+        # the solver holds z >= Z_FLOOR = 1e-8, so a start below it is
+        # rejected when the config is read; the floor itself runs
+        # (TestSolveCommand.test_floor_start_runs)
+        with pytest.raises(ValueError, match="z0"):
+            RunConfig.parse("z0 = 1e-9\n")
+        assert RunConfig.parse("z0 = 1e-8\n").z0 == 1e-8
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError, match="grid_n"):
@@ -217,6 +227,64 @@ class TestReparamSweep:
         with pytest.raises(RuntimeError, match=r"failed at step \d+ for "
                                                r"level \(0\.1, "):
             cmd_sweep(cfg, str(tmp_path))
+
+
+# one case per rule of the shared `key = value` reader: (lines, the line
+# of the error or None).  The Gronwall reader gets them after a first
+# instance block, so its line numbers count across a `---` line
+_READER_CASES = [
+    (["# a comment line", "eps = 1e-3"], None),
+    (["", "eps = 1e-3", "   "], None),
+    (["eps = 1e-3   # a trailing comment"], None),
+    (["eps = 1e-3", "eps 1e-3"], 2),
+]
+_GRONWALL_HEAD = ["lemma = classic", "a = 1.0", "b = 0.1", "B = 1.0", "---",
+                  "lemma = affine"]
+
+
+class TestSharedReader:
+    @pytest.mark.parametrize("lines, bad", _READER_CASES)
+    def test_both_formats_read_alike(self, lines, bad):
+        texts = ("\n".join(lines), "\n".join(_GRONWALL_HEAD + lines))
+        if bad is None:
+            assert RunConfig.parse(texts[0]).eps == 1e-3
+            assert parse_gronwall_instances(texts[1])[1].eps == 1e-3
+            return
+        messages = []
+        for parse, text in zip((RunConfig.parse, parse_gronwall_instances),
+                               texts):
+            with pytest.raises(ValueError) as err:
+                parse(text)
+            messages.append(str(err.value))
+        assert messages[0] == f"line {bad}: expected 'key = value', " \
+            f"got {lines[bad - 1]!r}"
+        assert messages[1] == messages[0].replace(
+            f"line {bad}", f"line {bad + len(_GRONWALL_HEAD)}")
+
+    def test_every_instance_field_read(self):
+        # every field of GronwallInstance is a key, read as its type: a
+        # sequence of floats, a float or the lemma's name
+        seqs = ("a", "b", "c", "r", "M")
+        text = "\n".join(
+            f"{f.name} = {'0.5, 1.5' if f.name in seqs else 0.25}"
+            for f in fields(GronwallInstance) if f.name != "lemma")
+        (inst,) = parse_gronwall_instances(text + "\nlemma = viscous")
+        for f in fields(GronwallInstance):
+            got = getattr(inst, f.name)
+            if f.name in seqs:
+                assert got.tolist() == [0.5, 1.5]
+            else:
+                assert got == ("viscous" if f.name == "lemma" else 0.25)
+
+    def test_unknown_instance_key_named(self):
+        with pytest.raises(ValueError, match="line 3: unknown instance key "
+                                             "'gamma'"):
+            parse_gronwall_instances("lemma = classic\nB = 1.0\n"
+                                     "gamma = 0.1\n")
+
+    def test_unknown_lemma_named(self):
+        with pytest.raises(ValueError, match="'gronwall2'"):
+            parse_gronwall_instances("lemma = gronwall2\nB = 1.0\n")
 
 
 class TestGronwallCommand:

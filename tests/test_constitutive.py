@@ -20,7 +20,7 @@ from ribv.constitutive import (
 )
 from ribv.discretization import Grid, LoadingSpec, State, initial_state, \
     tensor_dev
-from ribv.dissipation import _prox_shift, prox_tangent
+from ribv.dissipation import prox_map, prox_tangent
 from ribv.driver import _power_integral
 from ribv.problems import ramp_loading, reference_material
 
@@ -76,7 +76,7 @@ class TestElasticTensor:
         wc = rng.uniform(0.01, 1.0, n) * c
         c_q = deviatoric_modulus(c, mat)
         a = rng.uniform(0.0, 0.3, n)
-        shift = _prox_shift(p, tensor_dev(e_bar), a, 0.02, 0.05, c_q)
+        shift = prox_map(p, a, 0.02, 0.05, c_q)(tensor_dev(e_bar))
         yielding = shift[3] < 1.0
         assert 100 < yielding.sum() < n - 100
         T = wc[:, None, None] * (mat.unit_stiffness

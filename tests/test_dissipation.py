@@ -8,7 +8,6 @@ from ribv.constitutive import Operators, cell_damage, yield_radius
 from ribv.discretization import Grid, tensor_dev, tensor_norm
 from ribv.dissipation import (
     Rate,
-    _prox_shift,
     conj_visc_u,
     d_nu,
     d_up,
@@ -309,7 +308,7 @@ class TestProx:
                           rng.uniform(1.05, 2.0, n))
         a = shrink * modulus * tensor_norm(d)
         a[:30] = np.where(rng.random(30) < 0.5, 0.0, rng.uniform(0.1, 1.0, 30))
-        shift = _prox_shift(p, tensor_dev(e_bar), a, b, mu_w, c_q)
+        shift = prox_map(p, a, b, mu_w, c_q)(tensor_dev(e_bar))
         zero, yielding = shift[2] == 0.0, shift[3] < 1.0
         assert zero[:30].all() and not zero[30:].any()
         assert 0 < yielding.sum() < n - 30
@@ -343,7 +342,7 @@ class TestProx:
             e_dev = tensor_dev(rng.normal(0.0, 0.3, (n, 3))
                                * rng.uniform(0.0, 1.0, (n, 1)))
             got = shift_at(e_dev)
-            for g, w in zip(got, _prox_shift(p, e_dev, a, b, mu_w, c_q)):
+            for g, w in zip(got, prox_map(p, a, b, mu_w, c_q)(e_dev)):
                 np.testing.assert_array_equal(g, w)
             modulus = np.full(n, b + mu_w) + c_q
             d = (b * p + np.reshape(c_q, (-1, 1)) * e_dev) \

@@ -11,8 +11,10 @@ modules of the per-iterate work (``solver``, ``constitutive``,
 ``dissipation``) call no numpy function whose ndarray method or ufunc
 form costs a fraction of it on the small per-cell arrays they loop over
 (``np.sum``, ``np.any``, ``np.all``, ``np.max``, ``np.clip``,
-``np.errstate``, ``np.linalg.solve``, ``np.ix_``), and no module imports
-any of scipy but ``scipy.linalg``."""
+``np.errstate``, ``np.linalg.solve``, ``np.ix_``), no module imports
+any of scipy but ``scipy.linalg``, and each batch format has one owner:
+only ``config`` splits a `key = value` line and only ``cli._write_csv``
+joins a row with ","."""
 
 import ast
 from pathlib import Path
@@ -338,4 +340,48 @@ def test_scipy_linalg_only():
     offenders = [msg for path in sorted(SRC.glob("*.py"))
                  for msg in _scipy_imports(path)]
     assert not offenders, "scipy beyond scipy.linalg:\n" \
+        + "\n".join(offenders)
+
+
+def _key_value_splits(path: Path) -> list[str]:
+    """Calls of ``.split("=", ...)``: the split of a `key = value` line."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}: splits at '='"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "split" and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == "="]
+
+
+def test_key_value_lines_read_in_config_only():
+    offenders = [msg for path in sorted(SRC.glob("*.py"))
+                 if path.name != "config.py"
+                 for msg in _key_value_splits(path)]
+    assert not offenders, "`key = value` lines split outside " \
+        "config.read_pairs:\n" + "\n".join(offenders)
+
+
+def _csv_row_joins(path: Path) -> list[str]:
+    """Calls of ``",".join`` outside ``cli._write_csv``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef)
+              and path.name == "cli.py" and func.name == "_write_csv"
+              for node in ast.walk(func)}
+    return [f"{path.name}:{node.lineno}: joins a row with ','"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "join"
+            and isinstance(node.func.value, ast.Constant)
+            and node.func.value.value == ","
+            and id(node) not in inside]
+
+
+def test_one_csv_writer():
+    offenders = [msg for path in sorted(SRC.glob("*.py"))
+                 for msg in _csv_row_joins(path)]
+    assert not offenders, "CSV rows joined outside cli._write_csv:\n" \
         + "\n".join(offenders)

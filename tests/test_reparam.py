@@ -35,6 +35,7 @@ from ribv.reparam import (
     bv_sweep,
     contact_potential,
     detect_jumps,
+    ed_balance_residual_bv,
     max_stability_nonjump,
     recover_switching,
     reparam_ed,
@@ -148,8 +149,8 @@ class TestContactPotential:
             assert m == pytest.approx(expect, rel=1e-6, abs=1e-10)
 
     def test_multirate_jump_branch_formula(self, rng):
-        # t' = 0, z' = 0 in the nu = eps regime: the value is the
-        # product D(u', p') * D^{*,mu}
+        # a jump knot (t' below tol_jump) with z' = 0 in the nu = eps
+        # regime: the value is the product D(u', p') * D^{*,mu}
         grid = Grid(3)
         mat = reference_material()
         ops = Operators.build(grid, mat)
@@ -164,11 +165,35 @@ class TestContactPotential:
         rate = Rate(u_rate=u_rate, z_rate=np.zeros(grid.n_nodes),
                     p_rate=p_rate)
         diag = dual_diagnostics(0.5, st, ops, mat, ep.mu, ep.nu, loading)
-        m = contact_potential("eps-nu0", 0.0, st, rate, diag, ops, mat,
-                              ep, stab_tol=0.1)
+        m = contact_potential("eps-nu0", 1e-5, st, rate, diag, ops, mat,
+                              ep, stab_tol=0.1, jump=True)
         ri = psi_rate_independent(st, rate, ops, mat, tol_pos=1e-12)
         expect = ri + d_up(ops, u_rate, p_rate) * diag.d_star_mu
         assert m == pytest.approx(expect, rel=1e-12)
+
+
+    def test_jump_knot_takes_jump_branch(self):
+        # the snap's one jump knot (dt/ds about 6e-5) takes the jump branch
+        # of the vanishing regimes: the eps0 balance is finite, with the
+        # contact integral of the viscous formula to roundoff, which holds
+        # at every knot whatever tol_jump marks; on the stable branch the
+        # knot reads inf.  all0 over the energy-dissipation arclength stays
+        # inf: both of its branches are infinite there
+        ops, traj = ramp_run(n_steps=20, amplitude=0.48, eps=1e-4,
+                             nu=1e-4, mu=1e-4)
+        p_std, p_ed = reparam_standard(traj, ops), reparam_ed(traj, ops)
+        assert p_std.jumps(1e-3).sum() == 1
+        stab_tol = 10 * traj.ep.eps
+        _, visc = ed_balance_residual_bv(p_std, ops, "visc", stab_tol)
+        assert ed_balance_residual_bv(p_std, ops, "visc", stab_tol,
+                                      tol_jump=0.0)[1] == visc
+        resid, contact = ed_balance_residual_bv(p_std, ops, "eps0", stab_tol)
+        assert np.isfinite(resid)
+        assert contact == pytest.approx(visc, rel=1e-8)
+        assert ed_balance_residual_bv(p_std, ops, "eps0", stab_tol,
+                                      tol_jump=0.0)[0] == np.inf
+        assert ed_balance_residual_bv(p_ed, ops, "all0", stab_tol)[0] \
+            == np.inf
 
 
 class TestJumpsAndStability:
@@ -527,6 +552,18 @@ class TestSweep:
             sig = p.s / p.s[-1]
             z = np.array([st.z for st in p.traj.states])
             assert np.array_equal(_interp_rows(sig, sig, z), z)
+
+    def test_snap_ladder_balance_finite(self):
+        # an eps0 ladder whose levels each hold one jump knot: the balance
+        # takes the jump branch there, and every level reads finite
+        _, mat, ops, _, loading, init = reference_problem(
+            n_side=4, n_steps=20, amplitude=0.48)
+        rep = bv_sweep(ops, mat, loading, init, "eps0",
+                       [(1e-2, 1e-4, 1e-4), (1e-3, 1e-4, 1e-4),
+                        (1e-4, 1e-4, 1e-4)], n_steps=20)
+        for lv in rep.levels:
+            assert lv.jump_intervals
+            assert np.isfinite(lv.ed_balance_residual)
 
     def test_ladder_validation(self):
         grid = Grid(3)
