@@ -17,7 +17,7 @@ from inspect import signature
 
 from .constitutive import EnergyParams, MaterialParams
 from .problems import reference_problem
-from .reparam import bv_sweep, ladder_levels
+from .reparam import bv_sweep, ladder_levels, regime_entry
 from .solver import Z_FLOOR
 
 _MATERIAL_KEYS = {f.name: f.default for f in fields(MaterialParams)}
@@ -126,22 +126,20 @@ class RunConfig:
 
     def ladder(self) -> list[tuple[float, float, float]]:
         """The (eps, nu, mu) levels of the sweep, checked against the
-        regime by ``reparam.ladder_levels``."""
+        regime by ``reparam.ladder_levels``; an empty ``ladder_nu`` or
+        ``ladder_mu`` follows eps where the regime lets it vanish."""
         eps = [float(x) for x in self.ladder_eps.split(",") if x.strip()]
         if not eps:
             raise ValueError("ladder_eps must not be empty")
-        if self.ladder_nu.strip():
-            nus = [float(x) for x in self.ladder_nu.split(",")]
-        elif self.regime in ("eps-nu0", "all0"):
-            nus = list(eps)
-        else:
-            nus = [self.nu] * len(eps)
-        if self.ladder_mu.strip():
-            mus = [float(x) for x in self.ladder_mu.split(",")]
-        elif self.regime == "all0":
-            mus = list(eps)
-        else:
-            mus = [self.mu] * len(eps)
-        if not (len(eps) == len(nus) == len(mus)):
+        cols = []
+        for key in ("nu", "mu"):
+            text = self.values[f"ladder_{key}"]
+            if text.strip():
+                cols.append([float(x) for x in text.split(",")])
+            elif key in regime_entry(self.regime).vanishing:
+                cols.append(list(eps))
+            else:
+                cols.append([self.values[key]] * len(eps))
+        if any(len(col) != len(eps) for col in cols):
             raise ValueError("ladder lists must have equal length")
-        return ladder_levels(self.regime, zip(eps, nus, mus))
+        return ladder_levels(self.regime, zip(eps, *cols))

@@ -127,8 +127,6 @@ class EnergyParams:
 def stiffness(z, mat: MaterialParams):
     """Stiffness factor c(z) = delta_reg + min(z,1)^2 of C(z) = c(z) C0."""
     z = np.asarray(z, dtype=float)
-    if (z < 0).any():
-        raise ValueError("damage must be nonnegative")
     return mat.delta_reg + np.minimum(z, 1.0) ** 2
 
 
@@ -146,10 +144,8 @@ def deviatoric_modulus(c, mat: MaterialParams):
 
 
 def damage_potential(z, mat: MaterialParams):
-    """Return (W(z), W'(z)) for the barrier potential w0 z^(-q)."""
+    """Return (W(z), W'(z)) for the barrier potential w0 z^(-q) at z > 0."""
     z = np.asarray(z, dtype=float)
-    if (z <= 0).any():
-        raise ValueError("damage hit the excluded fully-broken state")
     W = mat.w0 * z ** (-mat.q_exp)
     Wp = -mat.q_exp * mat.w0 * z ** (-mat.q_exp - 1.0)
     return W, Wp

@@ -97,8 +97,9 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
                 tol_stat: float = 1e-8, max_iter: int = 500) -> Trajectory:
     """Drive the incremental scheme from t=0 to t=t_final in n_steps
     uniform steps (ep.tau is replaced by t_final / n_steps), starting
-    from the pre-relaxed initial state and stopping at the first
-    rejected step."""
+    from the validated, pre-relaxed initial state (step 0) and stopping
+    at the first rejected step, the pre-relaxation included."""
+    init_state.validate(ops.grid)
     tau = ep.t_final / n_steps
     ep = replace(ep, tau=tau)
     times = np.linspace(0.0, ep.t_final, n_steps + 1)
@@ -107,8 +108,9 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
     N = [0.0]
     power = [0.0]
     dnus = [0.0]
-    aborted_at = None
     for k in range(1, n_steps + 1):
+        if not steps[-1].accepted:
+            break
         prev = steps[-1].new_state
         res = incremental_step(times[k], prev, ops, mat, ep, loading,
                                tol_stat=tol_stat, max_iter=max_iter)
@@ -119,10 +121,8 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
         power.append(_power_integral(times[k - 1], times[k], prev, ops, mat,
                                      loading))
         dnus.append(dnu_k)
-        if not res.accepted:
-            aborted_at = k
-            break
 
+    aborted_at = None if steps[-1].accepted else len(steps) - 1
     E = np.array([r.energy for r in steps])
     return Trajectory(
         times=times[:len(steps)],
@@ -140,10 +140,10 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
                                               mat, ep.mu, ep.nu)
                    for r in steps],
         gradients=[r.gradients for r in steps],
-        el_residuals=[(0.0, 0.0, 0.0)] + [r.el_residuals for r in steps[1:]],
+        el_residuals=[r.el_residuals for r in steps],
         dnu=np.array(dnus),
         iterations=np.array([0] + [r.iterations for r in steps[1:]]),
-        accepted=np.array([True] + [r.accepted for r in steps[1:]]),
+        accepted=np.array([r.accepted for r in steps]),
         aborted_at=aborted_at,
         z_floor_hit=any(r.z_floor_active for r in steps[1:]),
     )

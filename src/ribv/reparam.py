@@ -7,9 +7,6 @@ Conventions.  A reparameterized trajectory keeps one knot per original
 time step; rates are backward differences on the nonuniform s-grid with
 no smoothing.  The discrete normalization identity (slow-time rate plus
 rate norm equals one) then holds at every interior knot by construction.
-Regime names: "visc" (all parameters fixed positive), "eps0" (viscosity
-scale to zero, rate weights fixed), "eps-nu0" (multi-rate, hardening
-fixed), "all0" (everything vanishing).
 
 Switching recovery fits each knot's rates to lam (viscous system) +
 (1 - lam) (rate-independent system) in least squares.  The dissipation's
@@ -47,7 +44,34 @@ from .driver import Trajectory, run_viscous
 
 TOL_JUMP = 1e-3
 
-REGIMES = ("visc", "eps0", "eps-nu0", "all0")
+
+@dataclass(frozen=True)
+class Regime:
+    """What a vanishing-parameter regime tests."""
+
+    dual: str                 # DualDiagnostics field to vanish off the jumps
+    multi_rate: bool          # dist_z tested apart from ``dual``
+    vanishing: tuple          # of eps, nu, mu: those going to 0 on a ladder
+    positive: str | None      # the parameter that must stay above 0
+    arclength: str            # of the limit curve: "std" or "ed"
+
+
+# "visc" (all parameters fixed positive, the viscous formula at every knot),
+# "eps0" (viscosity scale to zero, rate weights fixed), "eps-nu0" (multi-
+# rate, hardening fixed), "all0" (everything vanishing)
+REGIMES = {
+    "visc": Regime("d_nu_star", False, (), "eps", "std"),
+    "eps0": Regime("d_nu_star", False, ("eps",), "nu", "std"),
+    "eps-nu0": Regime("d_star_mu", True, ("eps", "nu"), None, "std"),
+    "all0": Regime("d_star0", True, ("eps", "nu", "mu"), None, "ed"),
+}
+
+
+def regime_entry(regime: str) -> Regime:
+    """The ``REGIMES`` entry of a regime name; raises on an unknown one."""
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}")
+    return REGIMES[regime]
 
 
 @dataclass
@@ -158,33 +182,25 @@ def contact_potential(regime: str, t_rate: float, state: State, rate: Rate,
     discrete ladder evaluates the limiting formulas.  Returns +inf on
     the infinite branches.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
+    reg = regime_entry(regime)
     if t_rate <= 0:
         raise ValueError("slow-time rate must be positive")
     ri = psi_rate_independent(state, rate, ops, mat, tol_pos=1e-12)
     if not np.isfinite(ri):
         return float("inf")
+    if reg.positive and getattr(ep, reg.positive) <= 0:
+        raise ValueError(f"regime {regime!r} needs {reg.positive} > 0")
 
-    if regime == "visc":
-        if ep.eps <= 0:
-            raise ValueError("regime 'visc' needs eps > 0")
+    if "eps" not in reg.vanishing:
         return ri + (ep.eps / (2 * t_rate)) * d_nu(ops, rate, ep.nu) ** 2 \
             + (t_rate / (2 * ep.eps)) * diag.d_nu_star ** 2
 
-    if regime == "eps0":
-        if ep.nu <= 0:
-            raise ValueError("regime 'eps0' needs nu > 0")
-        if jump:
-            return ri + d_nu(ops, rate, ep.nu) * diag.d_nu_star
-        return ri if diag.d_nu_star <= stab_tol else float("inf")
-
-    # multi-rate and all-vanishing regimes share the reduced structure;
-    # they differ in which dual surrogate is tested
-    dstar = diag.d_star_mu if regime == "eps-nu0" else diag.d_star0
+    dstar = getattr(diag, reg.dual)
     if not jump:
-        stable = dstar <= stab_tol and diag.dist_z <= stab_tol
-        return ri if stable else float("inf")
+        dist = diag.dist_z if reg.multi_rate else 0.0
+        return ri if dstar <= stab_tol and dist <= stab_tol else float("inf")
+    if not reg.multi_rate:
+        return ri + d_nu(ops, rate, ep.nu) * dstar
     zr_norm = norm_z_m(ops.grid, rate.z_rate)
     dup = d_up(ops, rate.u_rate, rate.p_rate)
     if zr_norm <= stab_tol:
@@ -207,13 +223,8 @@ def detect_jumps(ptraj: ParamTrajectory,
 
 def stability_magnitude(regime: str, diag: DualDiagnostics) -> float:
     """The dual quantity that must vanish on non-jump knots."""
-    if regime in ("visc", "eps0"):
-        return diag.d_nu_star
-    if regime == "eps-nu0":
-        return diag.d_star_mu + diag.dist_z
-    if regime == "all0":
-        return diag.d_star0 + diag.dist_z
-    raise ValueError(f"unknown regime {regime!r}")
+    reg = regime_entry(regime)
+    return getattr(diag, reg.dual) + (diag.dist_z if reg.multi_rate else 0.0)
 
 
 def max_stability_nonjump(ptraj: ParamTrajectory, regime: str,
@@ -382,28 +393,26 @@ def ed_balance_residual_bv(ptraj: ParamTrajectory, ops: Operators,
 
 def ladder_levels(regime: str, ladder) -> list[tuple[float, float, float]]:
     """The ladder as float (eps, nu, mu) levels.  Raises ValueError on an
-    unknown regime or a ladder that breaks the regime's constraints:
-    eps strictly decreasing, and nu, mu fixed (eps0), nu/eps and mu
-    fixed (eps-nu0), or mu strictly decreasing with nu <= mu (all0)."""
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
+    unknown regime or a ladder that breaks the regime's constraints (the
+    ``REGIMES`` entry's): its positive parameter above 0; a vanishing eps
+    or mu strictly decreasing, a fixed parameter constant; nu <= mu where
+    mu vanishes, else a vanishing nu a fixed multiple of eps."""
+    reg = regime_entry(regime)
     levels = [tuple(float(x) for x in lvl) for lvl in ladder]
-    eps = [l[0] for l in levels]
-    nus = [l[1] for l in levels]
-    mus = [l[2] for l in levels]
-    dec = all(a > b for a, b in zip(eps, eps[1:]))
-    if regime == "eps0":
-        ok = dec and len(set(nus)) == 1 and len(set(mus)) == 1 \
-            and nus[0] > 0
-    elif regime == "eps-nu0":
-        ratios = [n / e for n, e in zip(nus, eps)]
-        ok = dec and len(set(mus)) == 1 \
-            and max(ratios) - min(ratios) < 1e-12
-    elif regime == "all0":
-        ok = dec and all(a > b for a, b in zip(mus, mus[1:])) \
+    col = dict(zip(("eps", "nu", "mu"),
+                   ([lvl[i] for lvl in levels] for i in range(3))))
+    eps, nus, mus = col.values()
+    ok = all(x > 0 for x in col.get(reg.positive, ()))
+    if "eps" in reg.vanishing:
+        ok = ok and all(a > b for a, b in zip(eps, eps[1:])) and all(
+            len(set(xs)) == 1 for p, xs in col.items()
+            if p not in reg.vanishing)
+    if "mu" in reg.vanishing:
+        ok = ok and all(a > b for a, b in zip(mus, mus[1:])) \
             and all(n <= m + 1e-15 for n, m in zip(nus, mus))
-    else:
-        ok = True
+    elif "nu" in reg.vanishing:
+        ratios = [n / e for n, e in zip(nus, eps)]
+        ok = ok and max(ratios) - min(ratios) < 1e-12
     if not ok:
         raise ValueError(f"ladder violates the constraints of regime "
                          f"{regime!r}")
@@ -417,9 +426,8 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
              max_iter: int = 500) -> SweepReport:
     """Run viscous solves over the loading's horizon along a
     vanishing-parameter ladder (checked by ``ladder_levels``), reparam-
-    eterize (energy-dissipation arclength when everything vanishes,
-    standard otherwise), and assemble the cross-level convergence
-    evidence."""
+    eterize by the regime's arclength, and assemble the cross-level
+    convergence evidence."""
     ladder = ladder_levels(regime, ladder)
     t_final = loading.t_final
 
@@ -434,10 +442,7 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
         if traj.aborted_at is not None:
             raise RuntimeError(f"viscous run failed at step "
                                f"{traj.aborted_at} for level {lvl}")
-        if regime == "all0":
-            ptraj = reparam_ed(traj, ops)
-        else:
-            ptraj = reparam_standard(traj, ops)
+        ptraj = _build_ptraj(REGIMES[regime].arclength, traj, ops)
         resid, contact = ed_balance_residual_bv(
             ptraj, ops, regime, stab_tol_factor * eps, tol_jump)
         levels.append(LevelReport(

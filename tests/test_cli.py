@@ -85,12 +85,23 @@ class TestConfig:
         assert init.z.shape == (9,)
         assert ep.tau == pytest.approx(cfg.t_final / cfg.n_steps)
 
-    def test_ladder_regime_defaults(self):
-        cfg = RunConfig.parse("regime = eps-nu0\n"
+    @pytest.mark.parametrize("regime", ["visc", "eps0", "eps-nu0", "all0"])
+    def test_ladder_regime_defaults(self, regime):
+        # an empty ladder_nu or ladder_mu follows eps where the regime
+        # lets the parameter vanish, and repeats the config's value
+        # where it is fixed
+        follows = {"visc": (), "eps0": (), "eps-nu0": ("nu",),
+                   "all0": ("nu", "mu")}[regime]
+        cfg = RunConfig.parse(f"regime = {regime}\nnu = 0.05\nmu = 0.2\n"
                               "ladder_eps = 1e-1,1e-2\n")
-        levels = cfg.ladder()
-        assert [lv[0] for lv in levels] == [1e-1, 1e-2]
-        assert [lv[1] for lv in levels] == [1e-1, 1e-2]  # nu follows eps
+        eps, nus, mus = zip(*cfg.ladder())
+        assert eps == (1e-1, 1e-2)
+        assert nus == (eps if "nu" in follows else (0.05, 0.05))
+        assert mus == (eps if "mu" in follows else (0.2, 0.2))
+
+    def test_unknown_regime_named_at_parse(self):
+        with pytest.raises(ValueError, match="unknown regime 'eps1'"):
+            RunConfig.parse("regime = eps1\n")
 
     def test_ladder_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -106,6 +117,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="constraints of regime"):
             RunConfig.parse("regime = all0\nladder_eps = 1e-1,1e-2\n"
                             "ladder_nu = 2e-1,2e-2\n")
+        # the viscous formula divides by eps, so a visc ladder needs
+        # eps > 0 at every level
+        with pytest.raises(ValueError, match="constraints of regime 'visc'"):
+            RunConfig.parse("regime = visc\nladder_eps = 1e-1,0\n")
 
     def test_solver_settings_checked_at_parse(self):
         # a nonpositive tolerance or iteration cap, or a negative jump or

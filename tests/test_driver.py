@@ -1,12 +1,15 @@
 """Time-stepping driver and energy-dissipation balance diagnostics."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import ribv.constitutive as constitutive_module
 import ribv.discretization as discretization_module
 import ribv.dissipation as dissipation_module
+import ribv.driver as driver_module
 import ribv.solver as solver_module
 
 from ribv.cli import cmd_reparam
@@ -217,6 +220,35 @@ class TestPreRelax:
         dd = dual_diagnostics(0.0, st, ops, mat, ep.mu, ep.nu, loading)
         assert dd.dist_z < 1e-8
         assert dd.dist_p < 1e-8
+
+    def test_initial_state_validated(self):
+        # z is checked once, where it enters the run; the z-step keeps
+        # every later z at or above Z_FLOOR
+        _, mat, ops, ep, loading, init = reference_problem(n_side=3,
+                                                           n_steps=2)
+        init.z[4] = 0.0
+        with pytest.raises(ValueError, match="damage field must stay"):
+            run_viscous(ops, mat, ep, loading, init, n_steps=2)
+
+    def test_step0_carries_pre_relaxation(self, monkeypatch):
+        # step 0 reports the pre-relaxation's residuals and acceptance,
+        # and a pre-relaxation that fails aborts the run at step 0
+        ops, traj = run_reference(4)
+        relaxed = pre_relax(0.0, initial_state(ops.grid, 0.95), ops,
+                            traj.mat, traj.ep, traj.loading)
+        assert traj.el_residuals[0] == relaxed.el_residuals
+        assert traj.accepted[0] and traj.iterations[0] == 0
+
+        def failing(*args, **kwargs):
+            return replace(pre_relax(*args, **kwargs), accepted=False,
+                           el_residuals=(1e-3, 0.0, 0.0))
+
+        monkeypatch.setattr(driver_module, "pre_relax", failing)
+        ops, traj = run_reference(4)
+        assert traj.aborted_at == 0 and traj.n_steps == 0
+        assert not traj.accepted[0]
+        assert traj.el_residuals == [(1e-3, 0.0, 0.0)]
+        assert list(traj.iterations) == [0]
 
     def test_rate_backward_difference(self):
         ops, traj = run_reference(10)

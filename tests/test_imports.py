@@ -14,12 +14,14 @@ form costs a fraction of it on the small per-cell arrays they loop over
 ``np.errstate``, ``np.linalg.solve``, ``np.ix_``), no module imports
 any of scipy but ``scipy.linalg``, and each batch format has one owner:
 only ``config`` splits a `key = value` line and only ``cli._write_csv``
-joins a row with ","."""
+joins a row with ",", and only ``reparam``, whose ``REGIMES`` table says
+what each regime tests, compares a value with a regime name."""
 
 import ast
 from pathlib import Path
 
 import ribv
+from ribv.reparam import REGIMES
 
 SRC = Path(ribv.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -384,4 +386,29 @@ def test_one_csv_writer():
     offenders = [msg for path in sorted(SRC.glob("*.py"))
                  for msg in _csv_row_joins(path)]
     assert not offenders, "CSV rows joined outside cli._write_csv:\n" \
+        + "\n".join(offenders)
+
+
+def _regime_name_compares(path: Path) -> list[str]:
+    """Comparisons (``==``, ``in``, ...) of which one side is a regime
+    name or a tuple, list or set holding one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+    def names(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List,
+                                               ast.Set)) else [node]
+        return [n.value for n in items
+                if isinstance(n, ast.Constant) and n.value in REGIMES]
+
+    return [f"{path.name}:{node.lineno}: compares with {name!r}"
+            for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            for side in [node.left, *node.comparators]
+            for name in names(side)]
+
+
+def test_regimes_compared_in_reparam_only():
+    offenders = [msg for path in sorted(SRC.glob("*.py"))
+                 if path.name != "reparam.py"
+                 for msg in _regime_name_compares(path)]
+    assert not offenders, "regime names compared outside reparam:\n" \
         + "\n".join(offenders)
