@@ -1,5 +1,8 @@
-"""Dissipation potentials, conjugates, distance functionals, and the
-plastic proximal map.
+"""Dissipation potentials, the per-step rate record, conjugates,
+distance functionals, and the plastic proximal map.
+
+Every rate norm a diagnostic reads is a field of one ``RateNorms``
+record per step, scaled rather than re-formed by positive homogeneity.
 
 All distance-type quantities come out in closed form because the
 discrete inner products are lumped: the subdifferential of the damage
@@ -83,31 +86,19 @@ class DualDiagnostics:
 # norms
 # ---------------------------------------------------------------------------
 
-def norm_kd(ops: Operators, u_field: np.ndarray) -> float:
-    """Viscous H1 seminorm of a nodal field vanishing on the Dirichlet
-    nodes (the free-dof restriction is then exact)."""
-    v = u_field.ravel()[ops.grid.free_dofs]
-    return float(np.sqrt(max(v @ ops.apply_K_D(v), 0.0)))
+def _h1_parts(ops: Operators, u_field: np.ndarray):
+    """Squared lumped L2 and K_D parts of the H1 norm of a nodal field
+    vanishing on the Dirichlet nodes (so the free dofs carry K_D)."""
+    grid = ops.grid
+    v = u_field.ravel()[grid.free_dofs]
+    return ((grid.lump * (u_field ** 2).sum(axis=1)).sum(),
+            max(v @ ops.apply_K_D(v), 0.0))
 
 
 def norm_u_h1(ops: Operators, u_field: np.ndarray) -> float:
     """Full H1 norm: lumped L2 part plus the strain seminorm."""
-    grid = ops.grid
-    l2sq = (grid.lump * (u_field ** 2).sum(axis=1)).sum()
-    v = u_field.ravel()[grid.free_dofs]
-    return float(np.sqrt(l2sq + max(v @ ops.apply_K_D(v), 0.0)))
-
-
-def norm_z_m(grid: Grid, z_field: np.ndarray) -> float:
-    """Lumped L2 norm of a nodal scalar field."""
-    return float(np.sqrt((grid.lump * z_field ** 2).sum()))
-
-
-def norm_z_hm(ops: Operators, z_field: np.ndarray) -> float:
-    """Nonlocal Sobolev-type norm: lumped L2 plus the Gagliardo form."""
-    grid = ops.grid
-    return float(np.sqrt((grid.lump * z_field ** 2).sum()
-                         + max(z_field @ ops.apply_A_m(z_field), 0.0)))
+    l2sq, kdsq = _h1_parts(ops, u_field)
+    return float(np.sqrt(l2sq + kdsq))
 
 
 def norm_p_l2(grid: Grid, p_field: np.ndarray) -> float:
@@ -118,37 +109,88 @@ def norm_p_l1(grid: Grid, p_field: np.ndarray) -> float:
     return float((grid.w_cell * tensor_norm(p_field)).sum())
 
 
+@dataclass(frozen=True)
+class RateNorms:
+    """Every positively homogeneous quantity of a rate that a diagnostic
+    reads, formed by ``of`` from one K_D and one A_m product;
+    ``RateNorms()`` is the zero rate."""
+
+    u_h1: float = 0.0     # sqrt(||u'||_L2^2 + ||u'||_KD^2), lumped L2
+    u_kd: float = 0.0     # ||u'||_KD, the viscous seminorm
+    z_m: float = 0.0      # ||z'||_M, lumped L2
+    z_hm: float = 0.0     # sqrt(||z'||_M^2 + z' A_m z')
+    z_max: float = 0.0    # max z', for the positivity test
+    r_z: float = 0.0      # R(z') = kappa ||z'||_L1, lumped
+    h_p: float = 0.0      # H(z, p') = sum_c w_c V(z_c) |p'_c|, new state
+    p_l1: float = 0.0
+    p_l2: float = 0.0
+    e_l2: float = 0.0     # ||e'||_L2 of the elastic strain rate
+
+    @classmethod
+    def of(cls, ops: Operators, rate: Rate, state: State | None = None,
+           mat: MaterialParams | None = None,
+           e_rate: np.ndarray | None = None) -> "RateNorms":
+        """The record of a rate; R and H need the new state and the
+        material, and ||e'|| the strain rate: they read nan without."""
+        grid = ops.grid
+        z = rate.z_rate
+        l2sq, kdsq = _h1_parts(ops, rate.u_rate)
+        msq = (grid.lump * z ** 2).sum()
+        p_abs = tensor_norm(rate.p_rate)
+        nan = float("nan")
+        return cls(
+            u_h1=float(np.sqrt(l2sq + kdsq)),
+            u_kd=float(np.sqrt(kdsq)),
+            z_m=float(np.sqrt(msq)),
+            z_hm=float(np.sqrt(msq + max(z @ ops.apply_A_m(z), 0.0))),
+            z_max=float(z.max()),
+            r_z=nan if mat is None
+            else float((grid.lump * mat.kappa * np.abs(z)).sum()),
+            h_p=nan if state is None else float((grid.w_cell * yield_radius(
+                cell_damage(grid, state.z), mat) * p_abs).sum()),
+            p_l1=float((grid.w_cell * p_abs).sum()),
+            p_l2=norm_p_l2(grid, rate.p_rate),
+            e_l2=nan if e_rate is None else norm_p_l2(grid, e_rate))
+
+    def scaled(self, f: float) -> "RateNorms":
+        """The record of f times the rate, f > 0."""
+        return RateNorms(*(f * x for x in vars(self).values()))
+
+    def d_nu_sq(self, nu: float) -> float:
+        """nu ||u'||_KD^2 + ||z'||_M^2 + nu ||p'||_L2^2."""
+        return nu * self.u_kd ** 2 + self.z_m ** 2 + nu * self.p_l2 ** 2
+
+    def d_nu(self, nu: float) -> float:
+        """Primal rate functional D_nu, the root of ``d_nu_sq``."""
+        return float(np.sqrt(self.d_nu_sq(nu)))
+
+    def norm_up(self) -> float:
+        """sqrt(||u'||_H1^2 + ||p'||_L2^2), the hardening-free jump norm."""
+        return float(np.hypot(self.u_h1, self.p_l2))
+
+    def psi(self, eps: float, nu: float, tol_pos: float = 0.0) -> float:
+        """Dissipation potential R(z') + H(z, p') + eps/2 ``d_nu_sq``, +inf
+        when some z' component exceeds tol_pos."""
+        if self.z_max > tol_pos:
+            return float("inf")
+        return float(self.r_z + self.h_p + 0.5 * eps * self.d_nu_sq(nu))
+
+
 # ---------------------------------------------------------------------------
 # dissipation potential and conjugates
 # ---------------------------------------------------------------------------
 
 def psi_rate_independent(state: State, rate: Rate, ops: Operators,
                          mat: MaterialParams, tol_pos: float = 0.0) -> float:
-    """Rate-independent dissipation R(z') + H(z, p') =
-    kappa ||z'||_L1 + sum_c w_c V(z_c) |p'_c|, returning +inf when some
-    z' component exceeds tol_pos."""
-    grid = ops.grid
-    if (rate.z_rate > tol_pos).any():
-        return float("inf")
-    rz = (grid.lump * mat.kappa * np.abs(rate.z_rate)).sum()
-    zc = cell_damage(grid, state.z)
-    hp = (grid.w_cell * yield_radius(zc, mat) * tensor_norm(rate.p_rate)).sum()
-    return float(rz + hp)
+    """Rate-independent dissipation R(z') + H(z, p'), +inf when some z'
+    component exceeds tol_pos (``RateNorms.psi`` at eps = 0)."""
+    return RateNorms.of(ops, rate, state, mat).psi(0.0, 0.0, tol_pos)
 
 
 def psi_total(state: State, rate: Rate, ops: Operators, mat: MaterialParams,
               eps: float, nu: float, tol_pos: float = 0.0) -> float:
-    """Overall dissipation potential: the rate-independent part plus
-    its viscous quadratic,
-
-        kappa ||z'||_L1 + sum_c w_c V(z_c) |p'_c|
-        + eps/2 (nu ||u'||_KD^2 + ||z'||_M^2 + nu ||p'||_L2^2),
-
-    returning +inf when some z' component exceeds tol_pos."""
-    ri = psi_rate_independent(state, rate, ops, mat, tol_pos)
-    if not np.isfinite(ri):
-        return ri
-    return float(ri + 0.5 * eps * _d_nu_sq(ops, rate, nu))
+    """Dissipation potential ``RateNorms.psi`` of a rate at state."""
+    return RateNorms.of(ops, rate, state, mat).psi(eps, nu, tol_pos)
 
 
 def conj_visc_u(ops: Operators, eta: np.ndarray, eps: float, nu: float) -> float:
@@ -236,24 +278,9 @@ def diagnostics_from_gradients(grads: tuple, state: State, ops: Operators,
     )
 
 
-def _d_nu_sq(ops: Operators, rate: Rate, nu: float) -> float:
-    """nu ||u'||_KD^2 + ||z'||_M^2 + nu ||p'||_L2^2."""
-    grid = ops.grid
-    return (nu * norm_kd(ops, rate.u_rate) ** 2
-            + norm_z_m(grid, rate.z_rate) ** 2
-            + nu * norm_p_l2(grid, rate.p_rate) ** 2)
-
-
 def d_nu(ops: Operators, rate: Rate, nu: float) -> float:
-    """Primal rate functional sqrt(nu ||u'||_KD^2 + ||z'||_M^2 +
-    nu ||p'||_L2^2)."""
-    return float(np.sqrt(_d_nu_sq(ops, rate, nu)))
-
-
-def d_up(ops: Operators, u_rate: np.ndarray, p_rate: np.ndarray) -> float:
-    """sqrt(||u'||_H1^2 + ||p'||_L2^2), the two-variable rate norm used in
-    the hardening-free jump regime."""
-    return float(np.hypot(norm_u_h1(ops, u_rate), norm_p_l2(ops.grid, p_rate)))
+    """Primal rate functional ``RateNorms.d_nu`` of a rate."""
+    return RateNorms.of(ops, rate).d_nu(nu)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Run the incremental scheme over a uniform partition and compute the
 energy-dissipation diagnostics along the resulting trajectory.
 
-Rates are backward differences.  The power integral over a step is
+Rates are backward differences over the run's time grid; each step's
+rate norms are formed once, into the ``RateNorms`` record that every
+per-step diagnostic reads.  The power integral over a step is
 exact at the frozen previous state: the change of the energy's
 t-dependent part, so the per-step balance residual measures exactly the
 error of freezing the state over the step and nothing else.
@@ -19,11 +21,8 @@ from .discretization import LoadingSpec, State
 from .dissipation import (
     DualDiagnostics,
     Rate,
-    d_nu,
+    RateNorms,
     diagnostics_from_gradients,
-    norm_p_l2,
-    norm_u_h1,
-    norm_z_hm,
 )
 from .solver import StepResult, incremental_step
 
@@ -52,6 +51,7 @@ class Trajectory:
     gradients: list[tuple]       # energy gradients (g_u, g_z, g_p)
     el_residuals: list[tuple[float, float, float]]
     dnu: np.ndarray              # D_nu of the backward-difference rate
+    rate_norms: list[RateNorms]  # of the backward-difference rate
     iterations: np.ndarray
     accepted: np.ndarray
     aborted_at: int | None = None
@@ -65,11 +65,6 @@ class Trajectory:
         """Backward-difference rate at step k >= 1."""
         return Rate.between(self.states[k - 1], self.states[k],
                             self.times[k] - self.times[k - 1])
-
-    def strain_rate(self, k: int) -> np.ndarray:
-        """Backward-difference rate of the elastic strain at step k >= 1."""
-        return (self.strains[k] - self.strains[k - 1]) \
-            / (self.times[k] - self.times[k - 1])
 
 
 def _power_integral(t0: float, t1: float, state: State, ops: Operators,
@@ -105,23 +100,26 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
     times = np.linspace(0.0, ep.t_final, n_steps + 1)
 
     steps = [pre_relax(0.0, init_state, ops, mat, ep, loading)]
-    N = [0.0]
+    norms = [RateNorms()]
     power = [0.0]
-    dnus = [0.0]
     for k in range(1, n_steps + 1):
         if not steps[-1].accepted:
             break
-        prev = steps[-1].new_state
-        res = incremental_step(times[k], prev, ops, mat, ep, loading,
-                               tol_stat=tol_stat, max_iter=max_iter)
-        state = res.new_state
-        dnu_k = d_nu(ops, Rate.between(prev, state, tau), ep.nu)
+        prev = steps[-1]
+        res = incremental_step(times[k], prev.new_state, ops, mat, ep,
+                               loading, tol_stat=tol_stat, max_iter=max_iter)
+        dt = times[k] - times[k - 1]
         steps.append(res)
-        N.append(res.psi + 0.5 * ep.eps * dnu_k ** 2)
-        power.append(_power_integral(times[k - 1], times[k], prev, ops, mat,
-                                     loading))
-        dnus.append(dnu_k)
+        norms.append(RateNorms.of(
+            ops, Rate.between(prev.new_state, res.new_state, dt),
+            res.new_state, mat, (res.strain - prev.strain) / dt))
+        power.append(_power_integral(times[k - 1], times[k], prev.new_state,
+                                     ops, mat, loading))
 
+    dnus = np.array([n.d_nu(ep.nu) for n in norms])
+    # Psi carries half of the viscous quadratic, N all of it
+    N = np.array([n.psi(ep.eps, ep.nu, tol_pos=1e-14) + 0.5 * ep.eps * d ** 2
+                  for n, d in zip(norms, dnus)])
     aborted_at = None if steps[-1].accepted else len(steps) - 1
     E = np.array([r.energy for r in steps])
     return Trajectory(
@@ -132,16 +130,17 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
         mat=mat,
         loading=loading,
         E_mu=E,
-        N_value=np.array(N),
+        N_value=N,
         power=np.array(power),
-        balance_residual_cum=np.abs(E + np.cumsum(tau * np.array(N)) - E[0]
+        balance_residual_cum=np.abs(E + np.cumsum(tau * N) - E[0]
                                     - np.cumsum(power)),
         dual_diag=[diagnostics_from_gradients(r.gradients, r.new_state, ops,
                                               mat, ep.mu, ep.nu)
                    for r in steps],
         gradients=[r.gradients for r in steps],
         el_residuals=[r.el_residuals for r in steps],
-        dnu=np.array(dnus),
+        dnu=dnus,
+        rate_norms=norms,
         iterations=np.array([0] + [r.iterations for r in steps[1:]]),
         accepted=np.array([r.accepted for r in steps]),
         aborted_at=aborted_at,
@@ -149,17 +148,11 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
     )
 
 
-def enhanced_estimate_total(traj: Trajectory, ops: Operators) -> float:
+def enhanced_estimate_total(traj: Trajectory) -> float:
     """Accumulated rate total  sum_k tau (||e'|| + ||z'||_Hm +
     sqrt(mu) ||u'||_H1 + sqrt(mu) ||p'||_L2), the quantity whose bound
     is uniform across vanishing-parameter levels with nu <= mu."""
-    ep = traj.ep
-    total = 0.0
-    for k in range(1, len(traj.times)):
-        tau = traj.times[k] - traj.times[k - 1]
-        rate = traj.rate(k)
-        total += tau * (norm_p_l2(ops.grid, traj.strain_rate(k))
-                        + norm_z_hm(ops, rate.z_rate)
-                        + np.sqrt(ep.mu) * norm_u_h1(ops, rate.u_rate)
-                        + np.sqrt(ep.mu) * norm_p_l2(ops.grid, rate.p_rate))
-    return float(total)
+    rmu = np.sqrt(traj.ep.mu)
+    return float(sum(tau * (n.e_l2 + n.z_hm + rmu * n.u_h1 + rmu * n.p_l2)
+                     for tau, n in zip(np.diff(traj.times),
+                                       traj.rate_norms[1:])))

@@ -7,6 +7,8 @@ Conventions.  A reparameterized trajectory keeps one knot per original
 time step; rates are backward differences on the nonuniform s-grid with
 no smoothing.  The discrete normalization identity (slow-time rate plus
 rate norm equals one) then holds at every interior knot by construction.
+Both arclengths and every contact potential read the run's rate
+records scaled by dt/ds; only switching recovery reads the rate arrays.
 
 Switching recovery fits each knot's rates to lam (viscous system) +
 (1 - lam) (rate-independent system) in least squares.  The dissipation's
@@ -27,19 +29,7 @@ import numpy as np
 from .constitutive import EnergyParams, MaterialParams, Operators, \
     yield_radius, cell_damage
 from .discretization import FROB_W, LoadingSpec, State, tensor_norm
-from .dissipation import (
-    DualDiagnostics,
-    Rate,
-    d_nu,
-    d_up,
-    flow_directions,
-    norm_p_l1,
-    norm_p_l2,
-    norm_u_h1,
-    norm_z_hm,
-    norm_z_m,
-    psi_rate_independent,
-)
+from .dissipation import DualDiagnostics, Rate, RateNorms, flow_directions
 from .driver import Trajectory, run_viscous
 
 TOL_JUMP = 1e-3
@@ -97,7 +87,12 @@ class ParamTrajectory:
     def rate(self, k: int) -> Rate:
         """State rate per unit s at knot k >= 1: the run's time rate
         scaled by dt/ds."""
-        return _scaled(self.traj.rate(k), self.t_rate[k])
+        rate, f = self.traj.rate(k), self.t_rate[k]
+        return Rate(rate.u_rate * f, rate.z_rate * f, rate.p_rate * f)
+
+    def norms(self, k: int) -> RateNorms:
+        """The record of ``rate(k)``: the run's record scaled by dt/ds."""
+        return self.traj.rate_norms[k].scaled(self.t_rate[k])
 
     def jumps(self, tol_jump: float) -> np.ndarray:
         """Boolean per knot: True where the slow time is (numerically)
@@ -107,73 +102,61 @@ class ParamTrajectory:
         return mask
 
 
-def _scaled(rate: Rate, f) -> Rate:
-    return Rate(u_rate=rate.u_rate * f, z_rate=rate.z_rate * f,
-                p_rate=rate.p_rate * f)
-
-
-def _build_ptraj(kind, traj, ops):
-    """Knots s_k = s_{k-1} + tau_k * integrand at the time rates (slow-time
-    rate 1); the normalization is the same integrand at the
-    reparameterized rates."""
+def _build_ptraj(kind, traj):
+    """Knots s_k = s_{k-1} + tau_k * integrand at the run's rate record
+    (slow-time rate 1); the normalization is the same integrand at the
+    record scaled to the reparameterized rates."""
     n = len(traj.times)
     ds = np.zeros(n)
     t_rate = np.zeros(n)
     normalization = np.ones(n)
     for k in range(1, n):
         tau = traj.times[k] - traj.times[k - 1]
-        rate = traj.rate(k)
-        # only the energy-dissipation integrand reads the strain rate
-        erate = traj.strain_rate(k) if kind == "ed" else 0.0
+        norms = traj.rate_norms[k]
         dns = traj.dual_diag[k].d_nu_star
-        ds[k] = tau * _integrand(kind, ops, traj.ep, 1.0, rate, erate, dns)
+        ds[k] = tau * _integrand(kind, traj.ep, 1.0, norms, dns)
         if ds[k] <= 0:
             raise ValueError(f"degenerate zero-length step at knot {k}")
         fac = t_rate[k] = tau / ds[k]
-        normalization[k] = _integrand(kind, ops, traj.ep, fac,
-                                      _scaled(rate, fac), erate * fac, dns)
+        normalization[k] = _integrand(kind, traj.ep, fac, norms.scaled(fac),
+                                      dns)
     return ParamTrajectory(kind=kind, traj=traj, s=np.cumsum(ds),
                            t_rate=t_rate, normalization=normalization)
 
 
-def _integrand(kind, ops, ep, t_rate, rate, erate, d_nu_star):
+def _integrand(kind, ep, t_rate, norms, d_nu_star):
     """Arclength integrand of a reparameterization kind at slow-time rate
-    t_rate, state rate `rate` and strain rate erate."""
-    grid = ops.grid
+    t_rate and rate record ``norms``."""
     if kind == "std":
-        return (t_rate + norm_u_h1(ops, rate.u_rate)
-                + norm_z_hm(ops, rate.z_rate)
-                + norm_p_l2(grid, rate.p_rate))
+        return t_rate + norms.u_h1 + norms.z_hm + norms.p_l2
     rmu = np.sqrt(ep.mu)
-    return (t_rate + rmu * norm_u_h1(ops, rate.u_rate)
-            + norm_z_hm(ops, rate.z_rate)
-            + norm_p_l1(grid, rate.p_rate)
-            + rmu * norm_p_l2(grid, rate.p_rate)
-            + norm_p_l2(grid, erate)
-            + d_nu(ops, rate, ep.nu) * d_nu_star)
+    return (t_rate + rmu * norms.u_h1 + norms.z_hm + norms.p_l1
+            + rmu * norms.p_l2 + norms.e_l2
+            + norms.d_nu(ep.nu) * d_nu_star)
 
 
 def reparam_standard(traj: Trajectory, ops: Operators) -> ParamTrajectory:
-    """Arclength with integrand 1 + ||u'||_H1 + ||z'||_Hm + ||p'||_L2."""
-    return _build_ptraj("std", traj, ops)
+    """Arclength with integrand 1 + ||u'||_H1 + ||z'||_Hm + ||p'||_L2, from
+    the run's rate records (ops is not read)."""
+    return _build_ptraj("std", traj)
 
 
 def reparam_ed(traj: Trajectory, ops: Operators) -> ParamTrajectory:
     """Energy-dissipation arclength: the integrand additionally carries
     the rate L1 norm, the strain rate, and the product of the primal
-    rate functional D_nu with its dual counterpart."""
-    return _build_ptraj("ed", traj, ops)
+    rate functional D_nu with its dual counterpart (ops is not read)."""
+    return _build_ptraj("ed", traj)
 
 
 # ---------------------------------------------------------------------------
 # contact potentials
 # ---------------------------------------------------------------------------
 
-def contact_potential(regime: str, t_rate: float, state: State, rate: Rate,
-                      diag: DualDiagnostics, ops: Operators,
-                      mat: MaterialParams, ep: EnergyParams,
+def contact_potential(regime: str, t_rate: float, norms: RateNorms,
+                      diag: DualDiagnostics, ep: EnergyParams,
                       stab_tol: float = 0.0, jump: bool = False) -> float:
-    """Regime-dependent contact potential at a knot (per unit s).
+    """Regime-dependent contact potential at a knot (per unit s), from
+    the record ``norms`` of the knot's rate per unit s.
 
     jump selects the branch of a knot where the slow time is frozen
     (``ParamTrajectory.jumps``) in the vanishing regimes; "visc" has one
@@ -185,14 +168,14 @@ def contact_potential(regime: str, t_rate: float, state: State, rate: Rate,
     reg = regime_entry(regime)
     if t_rate <= 0:
         raise ValueError("slow-time rate must be positive")
-    ri = psi_rate_independent(state, rate, ops, mat, tol_pos=1e-12)
+    ri = norms.psi(0.0, 0.0, tol_pos=1e-12)
     if not np.isfinite(ri):
         return float("inf")
     if reg.positive and getattr(ep, reg.positive) <= 0:
         raise ValueError(f"regime {regime!r} needs {reg.positive} > 0")
 
     if "eps" not in reg.vanishing:
-        return ri + (ep.eps / (2 * t_rate)) * d_nu(ops, rate, ep.nu) ** 2 \
+        return ri + (ep.eps / (2 * t_rate)) * norms.d_nu(ep.nu) ** 2 \
             + (t_rate / (2 * ep.eps)) * diag.d_nu_star ** 2
 
     dstar = getattr(diag, reg.dual)
@@ -200,13 +183,11 @@ def contact_potential(regime: str, t_rate: float, state: State, rate: Rate,
         dist = diag.dist_z if reg.multi_rate else 0.0
         return ri if dstar <= stab_tol and dist <= stab_tol else float("inf")
     if not reg.multi_rate:
-        return ri + d_nu(ops, rate, ep.nu) * dstar
-    zr_norm = norm_z_m(ops.grid, rate.z_rate)
-    dup = d_up(ops, rate.u_rate, rate.p_rate)
-    if zr_norm <= stab_tol:
-        return ri + dup * dstar
+        return ri + norms.d_nu(ep.nu) * dstar
+    if norms.z_m <= stab_tol:
+        return ri + norms.norm_up() * dstar
     if dstar <= stab_tol:
-        return ri + zr_norm * diag.dist_z
+        return ri + norms.z_m * diag.dist_z
     return float("inf")
 
 
@@ -363,8 +344,8 @@ def _align_z_curves(pa: ParamTrajectory, pb: ParamTrajectory, ops) -> float:
                                 axis=1)).max())
 
 
-def ed_balance_residual_bv(ptraj: ParamTrajectory, ops: Operators,
-                           regime: str, stab_tol: float,
+def ed_balance_residual_bv(ptraj: ParamTrajectory, regime: str,
+                           stab_tol: float,
                            tol_jump: float = TOL_JUMP) -> tuple[float, float]:
     """Energy-dissipation balance residual of a candidate limit curve
     with the regime's contact potential: |E(end) + integral M ds -
@@ -379,10 +360,9 @@ def ed_balance_residual_bv(ptraj: ParamTrajectory, ops: Operators,
     power = 0.0
     for k in range(1, ptraj.n_knots):
         ds = ptraj.s[k] - ptraj.s[k - 1]
-        m = contact_potential(regime, float(ptraj.t_rate[k]),
-                              traj.states[k], ptraj.rate(k),
-                              traj.dual_diag[k], ops, traj.mat, traj.ep,
-                              stab_tol=stab_tol, jump=bool(jumps[k]))
+        m = contact_potential(regime, float(ptraj.t_rate[k]), ptraj.norms(k),
+                              traj.dual_diag[k], traj.ep, stab_tol=stab_tol,
+                              jump=bool(jumps[k]))
         contact += ds * m
         power += traj.power[k]
     if not np.isfinite(contact):
@@ -394,14 +374,18 @@ def ed_balance_residual_bv(ptraj: ParamTrajectory, ops: Operators,
 def ladder_levels(regime: str, ladder) -> list[tuple[float, float, float]]:
     """The ladder as float (eps, nu, mu) levels.  Raises ValueError on an
     unknown regime or a ladder that breaks the regime's constraints (the
-    ``REGIMES`` entry's): its positive parameter above 0; a vanishing eps
-    or mu strictly decreasing, a fixed parameter constant; nu <= mu where
-    mu vanishes, else a vanishing nu a fixed multiple of eps."""
+    ``REGIMES`` entry's): each vanishing parameter above 0 at every level
+    (the error names it), and its positive parameter above 0; a vanishing
+    eps or mu strictly decreasing, a fixed parameter constant; nu <= mu
+    where mu vanishes, else a vanishing nu a fixed multiple of eps."""
     reg = regime_entry(regime)
     levels = [tuple(float(x) for x in lvl) for lvl in ladder]
     col = dict(zip(("eps", "nu", "mu"),
                    ([lvl[i] for lvl in levels] for i in range(3))))
     eps, nus, mus = col.values()
+    for name in reg.vanishing:
+        if any(x <= 0 for x in col[name]):
+            raise ValueError(f"regime {regime!r} needs {name} > 0")
     ok = all(x > 0 for x in col.get(reg.positive, ()))
     if "eps" in reg.vanishing:
         ok = ok and all(a > b for a, b in zip(eps, eps[1:])) and all(
@@ -442,9 +426,9 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
         if traj.aborted_at is not None:
             raise RuntimeError(f"viscous run failed at step "
                                f"{traj.aborted_at} for level {lvl}")
-        ptraj = _build_ptraj(REGIMES[regime].arclength, traj, ops)
+        ptraj = _build_ptraj(REGIMES[regime].arclength, traj)
         resid, contact = ed_balance_residual_bv(
-            ptraj, ops, regime, stab_tol_factor * eps, tol_jump)
+            ptraj, regime, stab_tol_factor * eps, tol_jump)
         levels.append(LevelReport(
             params=lvl,
             n_steps=n_steps,

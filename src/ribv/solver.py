@@ -49,8 +49,7 @@ from .discretization import (
     tensor_norm,
     total_strain,
 )
-from .dissipation import Rate, prox_map, prox_tangent, psi_total, \
-    subdiff_violation
+from .dissipation import prox_map, prox_tangent, subdiff_violation
 
 Z_FLOOR = 1e-8
 # sufficient-decrease fraction delta of both line searches
@@ -79,7 +78,6 @@ class StepResult:
     accepted: bool
     energy: float
     gradients: tuple[np.ndarray, np.ndarray, np.ndarray]
-    psi: float  # Psi_{eps,nu} at new_state of the step's rate
     strain: np.ndarray  # e = B(u + w(t)) - p, (n_cells, 3)
     z_floor_active: bool = False
 
@@ -332,7 +330,8 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
     certification and the next sweep's (u, p) solve read.  A sweep is
     certified r_u first: ``energy_gradients`` and ``el_residuals`` run,
     from that g_u and r_u, only where r_u <= tol_stat or at the
-    max_iter-th sweep.  Energy and Psi are evaluated once, at the end."""
+    max_iter-th sweep.  The energy is evaluated once, at the end; the
+    step's Psi is read by the driver from its rate record."""
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     w, F = eval_loading(loading, t)
@@ -355,17 +354,13 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
         residuals = el_residuals(grads, state, prev_state, ops, mat, ep, r_u)
         if max(residuals) <= tol_stat:
             break
-    energy_k = energy(t, state, ops, mat, ep.mu, loading, at, Az)
-    psi_k = psi_total(state, Rate.between(prev_state, state, ep.tau), ops,
-                      mat, ep.eps, ep.nu, tol_pos=1e-14)
     return StepResult(
         new_state=state,
         iterations=sweeps,
         el_residuals=residuals,
         accepted=max(residuals) <= tol_stat,
-        energy=energy_k,
+        energy=energy(t, state, ops, mat, ep.mu, loading, at, Az),
         gradients=grads,
-        psi=psi_k,
         strain=e,
         z_floor_active=bool(_at_bounds(state.z, prev_state.z)[0].any()),
     )

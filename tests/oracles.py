@@ -6,9 +6,10 @@ implementation under test beyond its public inputs."""
 import numpy as np
 from scipy.optimize import minimize
 
-from ribv.constitutive import energy, energy_gradients
+from ribv.constitutive import cell_damage, energy, energy_gradients, \
+    yield_radius
 from ribv.discretization import eval_loading, tensor_dev, total_strain
-from ribv.dissipation import Rate, d_nu, prox_map, prox_tangent, psi_total
+from ribv.dissipation import Rate, prox_map, prox_tangent, psi_total
 from ribv.solver import StepResult, el_residuals, solve_up_step, solve_z_step
 
 FROB_W = np.array([1.0, 1.0, 2.0])
@@ -308,8 +309,99 @@ def certified_step(t, prev_state, ops, mat, ep, loading, tol_stat=1e-8,
         new_state=state, iterations=sweeps, el_residuals=residuals,
         accepted=max(residuals) <= tol_stat,
         energy=energy(t, state, ops, mat, ep.mu, loading), gradients=grads,
-        psi=psi_total(state, Rate.between(prev_state, state, ep.tau), ops,
-                      mat, ep.eps, ep.nu, tol_pos=1e-14), strain=e)
+        strain=e)
+
+
+# ---------------------------------------------------------------------------
+# rate norms from the state arrays, each formed afresh
+# ---------------------------------------------------------------------------
+
+def norm_kd(ops, u_field):
+    """Viscous H1 seminorm of a nodal field vanishing on the Dirichlet
+    nodes."""
+    v = u_field.ravel()[ops.grid.free_dofs]
+    return float(np.sqrt(max(v @ ops.apply_K_D(v), 0.0)))
+
+
+def norm_u_h1(ops, u_field):
+    """Full H1 norm: lumped L2 part plus the strain seminorm."""
+    grid = ops.grid
+    l2sq = (grid.lump * (u_field ** 2).sum(axis=1)).sum()
+    v = u_field.ravel()[grid.free_dofs]
+    return float(np.sqrt(l2sq + max(v @ ops.apply_K_D(v), 0.0)))
+
+
+def norm_z_m(grid, z_field):
+    """Lumped L2 norm of a nodal scalar field."""
+    return float(np.sqrt((grid.lump * z_field ** 2).sum()))
+
+
+def norm_z_hm(ops, z_field):
+    """Lumped L2 norm plus the Gagliardo form."""
+    grid = ops.grid
+    return float(np.sqrt((grid.lump * z_field ** 2).sum()
+                         + max(z_field @ ops.apply_A_m(z_field), 0.0)))
+
+
+def norm_p_l2(grid, p_field):
+    """Weighted L2 norm of a cellwise tensor field, cell by cell."""
+    return float(np.sqrt(sum(w * wnorm(p) ** 2
+                             for w, p in zip(grid.w_cell, p_field))))
+
+
+def norm_p_l1(grid, p_field):
+    """Weighted L1 norm of a cellwise tensor field, cell by cell."""
+    return float(sum(w * wnorm(p) for w, p in zip(grid.w_cell, p_field)))
+
+
+def d_nu(ops, rate, nu):
+    """sqrt(nu ||u'||_KD^2 + ||z'||_M^2 + nu ||p'||_L2^2)."""
+    grid = ops.grid
+    return float(np.sqrt(nu * norm_kd(ops, rate.u_rate) ** 2
+                         + norm_z_m(grid, rate.z_rate) ** 2
+                         + nu * norm_p_l2(grid, rate.p_rate) ** 2))
+
+
+def d_up(ops, u_rate, p_rate):
+    """sqrt(||u'||_H1^2 + ||p'||_L2^2)."""
+    return float(np.hypot(norm_u_h1(ops, u_rate),
+                          norm_p_l2(ops.grid, p_rate)))
+
+
+def rate_norm_fields(ops, rate, state, mat, e_rate):
+    """Every field of ``dissipation.RateNorms`` of a rate at state, each
+    from its own array formula."""
+    grid = ops.grid
+    V = yield_radius(cell_damage(grid, state.z), mat)
+    return {
+        "u_h1": norm_u_h1(ops, rate.u_rate),
+        "u_kd": norm_kd(ops, rate.u_rate),
+        "z_m": norm_z_m(grid, rate.z_rate),
+        "z_hm": norm_z_hm(ops, rate.z_rate),
+        "z_max": float(np.max(rate.z_rate)),
+        "r_z": float(np.sum(grid.lump * mat.kappa * np.abs(rate.z_rate))),
+        "h_p": float(sum(w * v * wnorm(p) for w, v, p
+                         in zip(grid.w_cell, V, rate.p_rate))),
+        "p_l1": norm_p_l1(grid, rate.p_rate),
+        "p_l2": norm_p_l2(grid, rate.p_rate),
+        "e_l2": norm_p_l2(grid, e_rate),
+    }
+
+
+def enhanced_estimate_total(traj, ops):
+    """sum_k tau (||e'|| + ||z'||_Hm + sqrt(mu) ||u'||_H1 + sqrt(mu)
+    ||p'||_L2) over a run's backward-difference rates."""
+    ep = traj.ep
+    total = 0.0
+    for k in range(1, len(traj.times)):
+        tau = traj.times[k] - traj.times[k - 1]
+        rate = traj.rate(k)
+        e_rate = (traj.strains[k] - traj.strains[k - 1]) / tau
+        total += tau * (norm_p_l2(ops.grid, e_rate)
+                        + norm_z_hm(ops, rate.z_rate)
+                        + np.sqrt(ep.mu) * norm_u_h1(ops, rate.u_rate)
+                        + np.sqrt(ep.mu) * norm_p_l2(ops.grid, rate.p_rate))
+    return float(total)
 
 
 def balance_residual(traj, ops):

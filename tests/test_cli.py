@@ -122,6 +122,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="constraints of regime 'visc'"):
             RunConfig.parse("regime = visc\nladder_eps = 1e-1,0\n")
 
+    @pytest.mark.parametrize("regime, ladder, name", [
+        ("eps0", "ladder_eps = 1e-1,0", "eps"),
+        ("eps-nu0", "ladder_eps = 1e-1,0", "eps"),
+        ("all0", "ladder_eps = 1e-1,0", "eps"),
+        ("all0", "ladder_eps = 1e-1,1e-2\nladder_mu = 1e-1,0", "mu"),
+    ], ids=["eps0", "eps-nu0", "all0", "all0-mu"])
+    def test_vanishing_parameter_zero_rejected(self, regime, ladder, name):
+        # a vanishing parameter must stay above 0 at every level: eps0
+        # wrote an inf balance, eps-nu0 divided by eps = 0 and all0 failed
+        # only in the sweep; each now fails at parse, naming the parameter
+        with pytest.raises(ValueError, match=f"needs {name} > 0"):
+            RunConfig.parse(f"regime = {regime}\n{ladder}\n")
+
     def test_solver_settings_checked_at_parse(self):
         # a nonpositive tolerance or iteration cap, or a negative jump or
         # stability tolerance, fails when the config is read, before any

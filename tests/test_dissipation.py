@@ -8,15 +8,12 @@ from ribv.constitutive import Operators, cell_damage, yield_radius
 from ribv.discretization import Grid, tensor_dev, tensor_norm
 from ribv.dissipation import (
     Rate,
+    RateNorms,
     conj_visc_u,
     d_nu,
-    d_up,
     dist_h,
     dist_r,
     dual_diagnostics,
-    norm_p_l2,
-    norm_u_h1,
-    norm_z_m,
     prox_map,
     prox_plastic,
     prox_tangent,
@@ -28,14 +25,17 @@ from ribv.problems import ramp_loading, reference_material
 from conftest import random_rate, random_state
 from oracles import (
     conj_visc_oracle,
+    d_up,
     dist_ball_oracle,
     dist_lumped_oracle,
     dual_norm_oracle,
     prox_objective,
     prox_oracle,
     prox_plastic_derivative,
+    rate_norm_fields,
     wnorm,
 )
+from oracles import d_nu as d_nu_oracle
 
 
 @pytest.fixture
@@ -206,17 +206,23 @@ class TestDualDiagnostics:
         assert dd.d_star_mu == dd.d_star0
 
     def test_rate_norm_consistency(self, setup, rng):
-        grid, _, ops = setup
-        rate = random_rate(grid, rng)
+        # the record of a rate matches the array formulas field by field,
+        # and D_nu and the two-variable rate norm read it
+        grid, mat, ops = setup
         nu = 0.3
-        from ribv.dissipation import norm_kd
-        expect = np.sqrt(nu * norm_kd(ops, rate.u_rate) ** 2
-                         + norm_z_m(grid, rate.z_rate) ** 2
-                         + nu * norm_p_l2(grid, rate.p_rate) ** 2)
-        assert d_nu(ops, rate, nu) == pytest.approx(expect, rel=1e-13)
-        assert d_up(ops, rate.u_rate, rate.p_rate) == pytest.approx(
-            np.hypot(norm_u_h1(ops, rate.u_rate),
-                     norm_p_l2(grid, rate.p_rate)), rel=1e-13)
+        for _ in range(10):
+            st = random_state(grid, rng)
+            rate = random_rate(grid, rng, z_down=False)
+            e_rate = rng.normal(0.0, 0.1, (grid.n_cells, 3))
+            rec = RateNorms.of(ops, rate, st, mat, e_rate)
+            for name, want in rate_norm_fields(ops, rate, st, mat,
+                                               e_rate).items():
+                assert getattr(rec, name) == pytest.approx(want, rel=1e-13)
+            assert rec.d_nu(nu) == pytest.approx(d_nu_oracle(ops, rate, nu),
+                                                 rel=1e-13)
+            assert d_nu(ops, rate, nu) == rec.d_nu(nu)
+            assert rec.norm_up() == pytest.approx(
+                d_up(ops, rate.u_rate, rate.p_rate), rel=1e-13)
 
 
 class TestProx:

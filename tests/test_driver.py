@@ -8,17 +8,16 @@ import pytest
 
 import ribv.constitutive as constitutive_module
 import ribv.discretization as discretization_module
-import ribv.dissipation as dissipation_module
 import ribv.driver as driver_module
 import ribv.solver as solver_module
 
-from ribv.cli import cmd_reparam
+from ribv.cli import cmd_reparam, cmd_sweep
 from ribv.config import RunConfig
 from ribv.constitutive import EnergyParams, Operators
 from ribv.discretization import Grid, eval_loading, initial_state, \
     total_strain
+from ribv.dissipation import Rate, RateNorms, norm_p_l2, norm_u_h1
 from ribv.driver import enhanced_estimate_total, pre_relax, run_viscous
-from ribv.dissipation import norm_p_l2, norm_u_h1, norm_z_m
 from ribv.problems import (
     ramp_loading,
     reference_material,
@@ -27,7 +26,8 @@ from ribv.problems import (
 from ribv.reparam import TOL_JUMP, ed_balance_residual_bv, reparam_ed, \
     reparam_standard
 
-from oracles import balance_residual
+import oracles
+from oracles import balance_residual, norm_z_m, rate_norm_fields
 
 
 def run_reference(n_steps, n_side=3, amplitude=0.45, **ep_over):
@@ -111,10 +111,43 @@ class TestRampRun:
         assert r1 / r2 >= 1.5
 
     def test_enhanced_estimate_finite(self):
+        # the sum over the run's rate records is the array formulas' loop
         ops, traj = run_reference(10)
-        total = enhanced_estimate_total(traj, ops)
+        total = enhanced_estimate_total(traj)
         assert np.isfinite(total)
         assert total > 0.0
+        assert total == pytest.approx(
+            oracles.enhanced_estimate_total(traj, ops), rel=1e-13)
+
+    def test_rate_records_match_array_formulas(self):
+        # every field of every step's record on the damaging ramp is the
+        # array formula of the step's backward-difference rate, step 0's
+        # record is the zero rate, and the record of f times the rate is f
+        # times the record at the std arclength's dt/ds and beyond
+        ops, traj = run_reference(10, n_side=4, amplitude=1.2)
+        assert traj.aborted_at is None
+        assert traj.rate_norms[0] == RateNorms()
+        facs = reparam_standard(traj, ops).t_rate
+        assert facs[1:].min() < 0.1
+        for k in range(1, traj.n_steps + 1):
+            tau = traj.times[k] - traj.times[k - 1]
+            rate = traj.rate(k)
+            e_rate = (traj.strains[k] - traj.strains[k - 1]) / tau
+            rec = traj.rate_norms[k]
+            want = rate_norm_fields(ops, rate, traj.states[k], traj.mat,
+                                    e_rate)
+            for name, value in want.items():
+                assert getattr(rec, name) == pytest.approx(value, rel=1e-13)
+            assert traj.dnu[k] == pytest.approx(
+                oracles.d_nu(ops, rate, traj.ep.nu), rel=1e-13)
+            for f in (facs[k], 3.7e-5, 2.5e3):
+                fold = RateNorms.of(
+                    ops, Rate(f * rate.u_rate, f * rate.z_rate,
+                              f * rate.p_rate),
+                    traj.states[k], traj.mat, f * e_rate)
+                for name, value in vars(rec.scaled(f)).items():
+                    assert getattr(fold, name) == pytest.approx(value,
+                                                                rel=1e-13)
 
     def test_strains_are_the_states_strains(self):
         # each step hands on the strain its last sweep formed: bit-equal to
@@ -128,11 +161,11 @@ class TestRampRun:
 
 
 def count_evaluations(monkeypatch):
-    """Count energy, energy-gradient, psi, D_nu and loading evaluations
+    """Count energy, energy-gradient, rate-record and loading evaluations
     through every ribv module that binds them, sweeps by z solves and
     full certifications by el_residuals calls."""
-    counts = {"energy": 0, "energy_gradients": 0, "psi_total": 0,
-              "d_nu": 0, "eval_loading": 0, "sweeps": 0, "el_residuals": 0}
+    counts = {"energy": 0, "energy_gradients": 0, "rate_norms": 0,
+              "eval_loading": 0, "sweeps": 0, "el_residuals": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -142,14 +175,14 @@ def count_evaluations(monkeypatch):
 
     for module, name in ((constitutive_module, "energy"),
                          (constitutive_module, "energy_gradients"),
-                         (dissipation_module, "psi_total"),
-                         (dissipation_module, "d_nu"),
                          (discretization_module, "eval_loading")):
         fn = getattr(module, name)
         for mod in list(sys.modules.values()):
             if mod.__name__.startswith("ribv") \
                     and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counting(name, fn))
+    monkeypatch.setattr(RateNorms, "of", classmethod(
+        counting("rate_norms", RateNorms.of.__func__)))
     monkeypatch.setattr(solver_module, "solve_z_step",
                         counting("sweeps", solver_module.solve_z_step))
     monkeypatch.setattr(solver_module, "el_residuals",
@@ -157,19 +190,47 @@ def count_evaluations(monkeypatch):
     return counts
 
 
+# the modules whose operator products are products of rates
+_RATE_MODULES = {"ribv.dissipation", "ribv.driver", "ribv.reparam"}
+
+
+def count_rate_products(monkeypatch):
+    """Count the ``Operators.apply_K_D`` and ``apply_A_m`` calls made
+    directly by a function of ``_RATE_MODULES``; those of
+    ``reparam._switching_blocks``, one K_D product per knot, apart."""
+    counts = {"K_D": 0, "A_m": 0, "switching_K_D": 0, "switching_A_m": 0}
+
+    def counting(name, fn):
+        def wrapped(self, v):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "_switching_blocks":
+                counts["switching_" + name] += 1
+            elif caller.f_globals["__name__"] in _RATE_MODULES:
+                counts[name] += 1
+            return fn(self, v)
+        return wrapped
+
+    monkeypatch.setattr(Operators, "apply_K_D",
+                        counting("K_D", Operators.apply_K_D))
+    monkeypatch.setattr(Operators, "apply_A_m",
+                        counting("A_m", Operators.apply_A_m))
+    return counts
+
+
 class TestEvaluationCounts:
     def test_step_quantities_taken_from_step(self, monkeypatch):
-        # each step's energy, dissipation potential and energy gradients
-        # come from the step result: the energy and psi are evaluated once
-        # per step, at its result (the pre-relaxation included), and the
-        # gradients once per full certification, which only the sweeps
-        # whose r_u passes get; each step reads the loading once, and the
-        # power integral twice more
+        # each step's energy and energy gradients come from the step
+        # result, and its Psi, D_nu and N from its rate record: the energy
+        # is evaluated once per step, at its result (the pre-relaxation
+        # included), the record once per step after the pre-relaxation,
+        # and the gradients once per full certification, which only the
+        # sweeps whose r_u passes get; each step reads the loading once,
+        # and the power integral twice more
         counts = count_evaluations(monkeypatch)
         ops, traj = run_reference(4)
         assert traj.aborted_at is None
         assert counts["energy"] == traj.n_steps + 1
-        assert counts["psi_total"] == traj.n_steps + 1
+        assert counts["rate_norms"] == traj.n_steps
         assert counts["eval_loading"] == traj.n_steps + 1 + 2 * traj.n_steps
         assert counts["energy_gradients"] == counts["el_residuals"]
         assert traj.n_steps + 1 <= counts["el_residuals"] <= counts["sweeps"]
@@ -188,22 +249,38 @@ class TestEvaluationCounts:
             < counts["sweeps"]
 
     def test_reparam_skips_unread_work(self, monkeypatch):
-        # the arclengths read their strain rates from the run's strains,
-        # so neither evaluates a loading, the BV balance takes R + H
-        # without the viscous norms of psi, and the eps0 contact potential
-        # reads D_nu on jump knots only
+        # both arclengths and the BV balance of every regime read the
+        # run's rate records, scaled: none forms a record, takes an
+        # operator product of a rate or evaluates a loading
         ops, traj = run_reference(4)
         counts = count_evaluations(monkeypatch)
+        products = count_rate_products(monkeypatch)
         ptraj = reparam_standard(traj, ops)
-        assert counts["eval_loading"] == 0
         reparam_ed(traj, ops)
-        assert counts["eval_loading"] == 0
-        ed_balance_residual_bv(ptraj, ops, "visc", 10 * traj.ep.eps)
-        assert counts["psi_total"] == 0
-        assert not ptraj.jumps(TOL_JUMP).any()
-        before = counts["d_nu"]
-        ed_balance_residual_bv(ptraj, ops, "eps0", 10 * traj.ep.eps)
-        assert counts["d_nu"] == before
+        for regime in ("visc", "eps0", "eps-nu0", "all0"):
+            for tol_jump in (TOL_JUMP, 1.0):
+                ed_balance_residual_bv(ptraj, regime, 10 * traj.ep.eps,
+                                       tol_jump)
+        assert ptraj.jumps(1.0)[1:].all() and not ptraj.jumps(TOL_JUMP).any()
+        assert counts["eval_loading"] == counts["rate_norms"] == 0
+        assert not any(products.values())
+
+    def test_rate_norms_formed_once_per_step(self, monkeypatch, tmp_path):
+        # through both commands each step's rate takes one K_D and one
+        # A_m product, in its record, and none at the pre-relaxation;
+        # switching recovery adds its one K_D product per knot
+        products = count_rate_products(monkeypatch)
+        cfg = RunConfig.parse("grid_n = 4\nn_steps = 6\n"
+                              "load_amplitude = 1.2\n")
+        assert cmd_reparam(cfg, str(tmp_path)) == 0
+        assert products == {"K_D": 6, "A_m": 6, "switching_K_D": 6,
+                            "switching_A_m": 0}
+        products.update(dict.fromkeys(products, 0))
+        cfg = RunConfig.parse("grid_n = 4\nn_steps = 5\nnu = 0.1\n"
+                              "mu = 0.1\nladder_eps = 1e-1,1e-2,1e-3\n")
+        assert cmd_sweep(cfg, str(tmp_path)) == 0
+        assert products == {"K_D": 15, "A_m": 15, "switching_K_D": 0,
+                            "switching_A_m": 0}
 
 
 class TestPreRelax:

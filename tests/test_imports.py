@@ -14,8 +14,10 @@ form costs a fraction of it on the small per-cell arrays they loop over
 ``np.errstate``, ``np.linalg.solve``, ``np.ix_``), no module imports
 any of scipy but ``scipy.linalg``, and each batch format has one owner:
 only ``config`` splits a `key = value` line and only ``cli._write_csv``
-joins a row with ",", and only ``reparam``, whose ``REGIMES`` table says
-what each regime tests, compares a value with a regime name."""
+joins a row with ",", only ``reparam``, whose ``REGIMES`` table says
+what each regime tests, compares a value with a regime name, and outside
+``dissipation`` only the state norms of ``cli.trajectory_rows`` call a
+norm function: every rate norm is read from a ``RateNorms`` record."""
 
 import ast
 from pathlib import Path
@@ -412,3 +414,32 @@ def test_regimes_compared_in_reparam_only():
                  for msg in _regime_name_compares(path)]
     assert not offenders, "regime names compared outside reparam:\n" \
         + "\n".join(offenders)
+
+
+# the norm functions of ``dissipation``; outside it, every rate norm is a
+# field of a ``RateNorms`` record
+_NORM_FUNCTIONS = {"norm_u_h1", "norm_z_hm", "norm_p_l1", "norm_p_l2"}
+
+
+def _norm_calls(path: Path) -> list[str]:
+    """Calls of a norm function outside ``cli.trajectory_rows``, which
+    takes the norms of states, not of rates."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef)
+              and path.name == "cli.py" and func.name == "trajectory_rows"
+              for node in ast.walk(func)}
+    return [f"{path.name}:{node.lineno}: calls {name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside
+            for name in [getattr(node.func, "id",
+                                 getattr(node.func, "attr", None))]
+            if name in _NORM_FUNCTIONS]
+
+
+def test_rate_norms_read_from_records():
+    offenders = [msg for path in sorted(SRC.glob("*.py"))
+                 if path.name != "dissipation.py"
+                 for msg in _norm_calls(path)]
+    assert not offenders, "norm functions called outside dissipation " \
+        "and cli.trajectory_rows:\n" + "\n".join(offenders)

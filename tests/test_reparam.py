@@ -18,7 +18,7 @@ from ribv.constitutive import (
     yield_radius,
 )
 from ribv.discretization import Grid, State, initial_state, tensor_norm
-from ribv.dissipation import DualDiagnostics, Rate, d_nu, d_up, \
+from ribv.dissipation import DualDiagnostics, Rate, RateNorms, d_nu, \
     dual_diagnostics, psi_rate_independent
 from ribv.driver import Trajectory, _power_integral, run_viscous
 from ribv.problems import (
@@ -44,7 +44,8 @@ from ribv.reparam import (
 )
 
 from conftest import random_rate, random_state
-from oracles import align_z_curves, jump_intervals, switching_residual
+from oracles import align_z_curves, d_up, jump_intervals, \
+    switching_residual
 
 
 def ramp_run(n_steps=20, n_side=4, amplitude=0.48, tol_stat=1e-8,
@@ -107,10 +108,11 @@ class TestNormalization:
                              p_rate=(st[k].p - st[k - 1].p) / ds)
                 assert np.allclose(check.u_rate, p.rate(k).u_rate,
                                    atol=1e-10)
-                total += ds * _integrand(
-                    p.kind, ops, traj.ep, t_rate, check,
-                    traj.strain_rate(k) * t_rate,
-                    traj.dual_diag[k].d_nu_star)
+                norms = RateNorms.of(
+                    ops, check, st[k], traj.mat,
+                    (traj.strains[k] - traj.strains[k - 1]) / ds)
+                total += ds * _integrand(p.kind, traj.ep, t_rate, norms,
+                                         traj.dual_diag[k].d_nu_star)
             assert total == pytest.approx(p.s[-1], abs=1e-10)
 
 
@@ -138,10 +140,8 @@ class TestContactPotential:
         p = reparam_standard(traj, ops)
         ep, mat = traj.ep, traj.mat
         for k in range(1, p.n_knots):
-            m = contact_potential("visc", float(p.t_rate[k]),
-                                  traj.states[k], p.rate(k),
-                                  traj.dual_diag[k], ops, mat, ep,
-                                  stab_tol=10 * ep.eps)
+            m = contact_potential("visc", float(p.t_rate[k]), p.norms(k),
+                                  traj.dual_diag[k], ep, stab_tol=10 * ep.eps)
             ri = psi_rate_independent(traj.states[k], p.rate(k), ops, mat,
                                       tol_pos=1e-12)
             dn = d_nu(ops, p.rate(k), ep.nu)
@@ -165,8 +165,9 @@ class TestContactPotential:
         rate = Rate(u_rate=u_rate, z_rate=np.zeros(grid.n_nodes),
                     p_rate=p_rate)
         diag = dual_diagnostics(0.5, st, ops, mat, ep.mu, ep.nu, loading)
-        m = contact_potential("eps-nu0", 1e-5, st, rate, diag, ops, mat,
-                              ep, stab_tol=0.1, jump=True)
+        m = contact_potential("eps-nu0", 1e-5,
+                              RateNorms.of(ops, rate, st, mat), diag, ep,
+                              stab_tol=0.1, jump=True)
         ri = psi_rate_independent(st, rate, ops, mat, tol_pos=1e-12)
         expect = ri + d_up(ops, u_rate, p_rate) * diag.d_star_mu
         assert m == pytest.approx(expect, rel=1e-12)
@@ -184,15 +185,15 @@ class TestContactPotential:
         p_std, p_ed = reparam_standard(traj, ops), reparam_ed(traj, ops)
         assert p_std.jumps(1e-3).sum() == 1
         stab_tol = 10 * traj.ep.eps
-        _, visc = ed_balance_residual_bv(p_std, ops, "visc", stab_tol)
-        assert ed_balance_residual_bv(p_std, ops, "visc", stab_tol,
+        _, visc = ed_balance_residual_bv(p_std, "visc", stab_tol)
+        assert ed_balance_residual_bv(p_std, "visc", stab_tol,
                                       tol_jump=0.0)[1] == visc
-        resid, contact = ed_balance_residual_bv(p_std, ops, "eps0", stab_tol)
+        resid, contact = ed_balance_residual_bv(p_std, "eps0", stab_tol)
         assert np.isfinite(resid)
         assert contact == pytest.approx(visc, rel=1e-8)
-        assert ed_balance_residual_bv(p_std, ops, "eps0", stab_tol,
+        assert ed_balance_residual_bv(p_std, "eps0", stab_tol,
                                       tol_jump=0.0)[0] == np.inf
-        assert ed_balance_residual_bv(p_ed, ops, "all0", stab_tol)[0] \
+        assert ed_balance_residual_bv(p_ed, "all0", stab_tol)[0] \
             == np.inf
 
 
@@ -291,7 +292,8 @@ def _build_knot_traj(state, rate, t, ops, mat, ep, loading):
         balance_residual_cum=None, dual_diag=[None, None],
         gradients=[None, energy_gradients(t, state, ops, mat, ep.mu,
                                           loading)],
-        el_residuals=None, dnu=None, iterations=None, accepted=None)
+        el_residuals=None, dnu=None, rate_norms=None, iterations=None,
+        accepted=None)
     return ParamTrajectory(kind="std", traj=traj, s=np.array([0.0, 1.0]),
                            t_rate=np.array([0.0, 1.0]),
                            normalization=np.ones(2))
