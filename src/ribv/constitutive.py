@@ -21,7 +21,9 @@ The assembled energy is
 
 with e = B(u + w(t)) - p and z_c the Q1 cell-center value (corner mean).
 Only the elastic term and the work depend on t (``loaded_energy``).
-``damage_cells`` evaluates c, c', c'', V and V' per cell in one pass.
+``damage_cells`` evaluates c, c', c'', V and V' per cell in one pass, and
+``DamageLaws`` holds every law at one z (W, W', A_m z and the cell laws),
+which the energy and its gradients read where a caller holds them.
 Gradients are returned as the representers used throughout the solver:
 Euclidean covector for u on free dofs, lumped-L2 density for z, cellwise
 density for p.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -257,6 +260,29 @@ class Operators:
         return float(np.sqrt(y @ y))
 
 
+class DamageLaws(NamedTuple):
+    """Every damage law at one nodal z: the barrier W, W' and A_m z at the
+    nodes and ``damage_cells`` at the cell damage.  A tuple, since the z
+    solve makes one per trial."""
+
+    W: np.ndarray
+    Wp: np.ndarray
+    Az: np.ndarray
+    c: np.ndarray
+    cp: np.ndarray
+    cpp: np.ndarray
+    V: np.ndarray
+    Vp: np.ndarray
+
+    @classmethod
+    def at(cls, z: np.ndarray, ops: Operators,
+           mat: MaterialParams) -> "DamageLaws":
+        """The laws at z: one damage_potential, A_m product and
+        damage_cells."""
+        return cls(*damage_potential(z, mat), ops.apply_A_m(z),
+                   *damage_cells(cell_damage(ops.grid, z), mat))
+
+
 # ---------------------------------------------------------------------------
 # energy and derivatives
 # ---------------------------------------------------------------------------
@@ -268,41 +294,48 @@ def strain_at(t: float, state: State, ops: Operators, loading: LoadingSpec):
 
 
 def loaded_energy(t: float, state: State, ops: Operators,
-                  mat: MaterialParams, loading: LoadingSpec, at=None) -> float:
+                  mat: MaterialParams, loading: LoadingSpec, at=None,
+                  laws=None, cells=None) -> float:
     """The part of the energy that depends on t: the elastic energy at
     e = B(u + w(t)) - p less the work F(t).(u + w(t)); ``at`` is
-    ``strain_at(t, state, ops, loading)`` where the caller holds it."""
+    ``strain_at(t, state, ops, loading)``, ``laws`` the ``DamageLaws`` at
+    state.z and ``cells`` ``elastic_cells(e, mat)``, each where the caller
+    holds it."""
     grid = ops.grid
     w, F, e = at or strain_at(t, state, ops, loading)
-    c = stiffness(cell_damage(grid, state.z), mat)
-    quad = (grid.w_cell * c * elastic_cells(e, mat)[1]).sum()
+    c = laws.c if laws else stiffness(cell_damage(grid, state.z), mat)
+    quad = (grid.w_cell * c * (cells or elastic_cells(e, mat))[1]).sum()
     return quad - F @ (state.u + w).ravel()
 
 
 def energy(t: float, state: State, ops: Operators, mat: MaterialParams,
-           mu: float, loading: LoadingSpec, at=None, Az=None) -> float:
-    """E_mu(t, state); ``at`` as in ``loaded_energy``, Az = A_m z."""
+           mu: float, loading: LoadingSpec, laws=None,
+           loaded=None) -> float:
+    """E_mu(t, state); ``laws`` as in ``loaded_energy``, and ``loaded``
+    its value where the caller holds it."""
     grid = ops.grid
-    Wz, _ = damage_potential(state.z, mat)
-    dam = (grid.lump * Wz).sum()
+    laws = laws or DamageLaws.at(state.z, ops, mat)
+    dam = (grid.lump * laws.W).sum()
     hard = 0.5 * mu * (grid.w_cell * tensor_dot(state.p, state.p)).sum()
-    nonloc = 0.5 * state.z @ (ops.apply_A_m(state.z) if Az is None else Az)
-    return loaded_energy(t, state, ops, mat, loading, at) + dam + hard + nonloc
+    nonloc = 0.5 * state.z @ laws.Az
+    if loaded is None:
+        loaded = loaded_energy(t, state, ops, mat, loading, laws=laws)
+    return loaded + dam + hard + nonloc
 
 
-def displacement_gradient(e: np.ndarray, c: np.ndarray, F: np.ndarray,
-                          ops: Operators, mat: MaterialParams) -> np.ndarray:
-    """g_u = B^T (w_c c_c s0_c) - F on the free dofs at strain e and cell
-    stiffness c, s0 the weighted stress of ``elastic_cells``."""
-    s0, _ = elastic_cells(e, mat)
+def displacement_gradient(s0: np.ndarray, c: np.ndarray, F: np.ndarray,
+                          ops: Operators) -> np.ndarray:
+    """g_u = B^T (w_c c_c s0_c) - F on the free dofs at cell stiffness c,
+    s0 the weighted stress of ``elastic_cells`` at the strain."""
     wc = ops.grid.w_cell * c
     return (ops.B.adjoint(wc[:, None] * s0) - F)[ops.grid.free_dofs]
 
 
 def energy_gradients(t: float, state: State, ops: Operators,
                      mat: MaterialParams, mu: float, loading: LoadingSpec,
-                     at=None, Az=None, g_u=None):
-    """Partial gradients of the energy; ``at`` and ``Az`` as in ``energy``.
+                     at=None, laws=None, cells=None, g_u=None):
+    """Partial gradients of the energy; ``at``, ``laws`` and ``cells`` as
+    in ``loaded_energy``.
 
     Returns (g_u, g_z, g_p):
       g_u -- Euclidean covector on the free displacement dofs (as passed),
@@ -312,16 +345,16 @@ def energy_gradients(t: float, state: State, ops: Operators,
     """
     grid = ops.grid
     _, F, e = at or strain_at(t, state, ops, loading)
-    c, cp, *_ = damage_cells(cell_damage(grid, state.z), mat)
+    laws = laws or DamageLaws.at(state.z, ops, mat)
+    s0, q0 = cells or elastic_cells(e, mat)
     if g_u is None:
-        g_u = displacement_gradient(e, c, F, ops, mat)
-    _, q0 = elastic_cells(e, mat)
+        g_u = displacement_gradient(s0, laws.c, F, ops)
 
     # z: nonlocal + barrier + c'(z) q0 scattered to corner nodes.
-    _, Wp = damage_potential(state.z, mat)
-    Az = ops.apply_A_m(state.z) if Az is None else Az
-    g_z = (Az + corner_scatter(grid, grid.w_cell * cp * q0)) / grid.lump + Wp
+    g_z = (laws.Az + corner_scatter(grid, grid.w_cell * laws.cp * q0)) \
+        / grid.lump + laws.Wp
 
     # p: mu p - sigma_D, sigma_D = 2 mu_L c dev e.
-    g_p = mu * state.p - deviatoric_modulus(c, mat)[:, None] * tensor_dev(e)
+    g_p = mu * state.p - deviatoric_modulus(laws.c, mat)[:, None] \
+        * tensor_dev(e)
     return g_u, g_z, g_p

@@ -6,7 +6,10 @@ rate norms are formed once, into the ``RateNorms`` record that every
 per-step diagnostic reads.  The power integral over a step is
 exact at the frozen previous state: the change of the energy's
 t-dependent part, so the per-step balance residual measures exactly the
-error of freezing the state over the step and nothing else.
+error of freezing the state over the step and nothing else.  Its value
+at the step's start is the loaded part of the previous step's energy,
+which that step holds, so each step costs one ``loaded_energy`` call;
+the previous step's damage laws start the next step.
 """
 
 from __future__ import annotations
@@ -68,12 +71,15 @@ class Trajectory:
 
 
 def _power_integral(t0: float, t1: float, state: State, ops: Operators,
-                    mat: MaterialParams, loading: LoadingSpec) -> float:
+                    mat: MaterialParams, loading: LoadingSpec,
+                    held: float | None = None) -> float:
     """Integral of the partial time derivative of the energy over
     [t0, t1] at the frozen state: E(t1, q) - E(t0, q), of which only the
-    loaded part depends on t."""
-    return loaded_energy(t1, state, ops, mat, loading) \
-        - loaded_energy(t0, state, ops, mat, loading)
+    loaded part depends on t; ``held`` is the loaded part at (t0, q)
+    where the caller holds it."""
+    if held is None:
+        held = loaded_energy(t0, state, ops, mat, loading)
+    return loaded_energy(t1, state, ops, mat, loading) - held
 
 
 def pre_relax(t0: float, init_state: State, ops: Operators,
@@ -107,14 +113,15 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
             break
         prev = steps[-1]
         res = incremental_step(times[k], prev.new_state, ops, mat, ep,
-                               loading, tol_stat=tol_stat, max_iter=max_iter)
+                               loading, tol_stat=tol_stat, max_iter=max_iter,
+                               laws=prev.laws)
         dt = times[k] - times[k - 1]
         steps.append(res)
         norms.append(RateNorms.of(
             ops, Rate.between(prev.new_state, res.new_state, dt),
             res.new_state, mat, (res.strain - prev.strain) / dt))
         power.append(_power_integral(times[k - 1], times[k], prev.new_state,
-                                     ops, mat, loading))
+                                     ops, mat, loading, prev.loaded))
 
     dnus = np.array([n.d_nu(ep.nu) for n in norms])
     # Psi carries half of the viscous quadratic, N all of it

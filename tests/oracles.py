@@ -3,11 +3,13 @@ tests.  Each one recomputes a library quantity by a different method
 (grid search, projection, optimality solve) without touching the
 implementation under test beyond its public inputs."""
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.optimize import minimize
 
 from ribv.constitutive import cell_damage, energy, energy_gradients, \
-    yield_radius
+    loaded_energy, yield_radius
 from ribv.discretization import eval_loading, tensor_dev, total_strain
 from ribv.dissipation import Rate, prox_map, prox_tangent, psi_total
 from ribv.solver import StepResult, el_residuals, solve_up_step, solve_z_step
@@ -291,11 +293,12 @@ def certified_step(t, prev_state, ops, mat, ep, loading, tol_stat=1e-8,
                    max_iter=500):
     """The incremental step with the full certification on every sweep:
     after each (u, p) and z solve, the energy gradients and all three EL
-    residuals, the loading, strain and A_m z formed afresh by the public
-    energy functions."""
+    residuals, the loading, strain, cell laws and A_m z formed afresh by
+    the public energy functions, and no record handed from one solve to
+    the next."""
     state = prev_state.copy()
     for sweeps in range(1, max_iter + 1):
-        state.u, state.p = solve_up_step(
+        state.u, state.p, _ = solve_up_step(
             *eval_loading(loading, t), state, prev_state, ops, mat, ep,
             tol_dual=max(1e-13, 0.02 * tol_stat))
         e = total_strain(ops.B, state, eval_loading(loading, t)[0])
@@ -309,7 +312,27 @@ def certified_step(t, prev_state, ops, mat, ep, loading, tol_stat=1e-8,
         new_state=state, iterations=sweeps, el_residuals=residuals,
         accepted=max(residuals) <= tol_stat,
         energy=energy(t, state, ops, mat, ep.mu, loading), gradients=grads,
-        strain=e)
+        strain=e, loaded=loaded_energy(t, state, ops, mat, loading))
+
+
+def viscous_steps(ops, mat, ep, loading, init, n_steps, tol_stat=1e-8,
+                  max_iter=500):
+    """The steps and per-step powers of ``driver.run_viscous`` by a plain
+    loop: the pre-relaxation and every step by ``certified_step``, and
+    the power over step k as two fresh loaded energies at the frozen
+    q_{k-1}, E(t_k, q_{k-1}) - E(t_{k-1}, q_{k-1})."""
+    ep = replace(ep, tau=ep.t_final / n_steps)
+    times = np.linspace(0.0, ep.t_final, n_steps + 1)
+    steps = [certified_step(0.0, init, ops, mat, replace(ep, tau=1e12),
+                            loading, tol_stat=1e-9, max_iter=200)]
+    power = [0.0]
+    for k in range(1, n_steps + 1):
+        prev = steps[-1].new_state
+        steps.append(certified_step(times[k], prev, ops, mat, ep, loading,
+                                    tol_stat=tol_stat, max_iter=max_iter))
+        power.append(loaded_energy(times[k], prev, ops, mat, loading)
+                     - loaded_energy(times[k - 1], prev, ops, mat, loading))
+    return steps, power
 
 
 # ---------------------------------------------------------------------------

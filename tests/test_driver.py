@@ -159,13 +159,42 @@ class TestRampRun:
             np.testing.assert_array_equal(
                 e, total_strain(ops.B, st, eval_loading(traj.loading, t)[0]))
 
+    @pytest.mark.parametrize("n_steps, amplitude, over", [
+        (5, 1.2, {}), (20, 0.48, {"eps": 1e-2, "nu": 0.1, "mu": 0.1})],
+        ids=["damaging", "eps0-level"])
+    def test_matches_fresh_loop(self, n_steps, amplitude, over):
+        # what one sweep, step or power hands the next (strain records,
+        # damage laws, the loaded energy) changes no bit: the run equals a
+        # loop that certifies every sweep in full with everything formed
+        # afresh and takes the power from two fresh loaded energies, on the
+        # damaging ramp and on the second level of the eps0 ladder
+        grid, mat, ops, ep, loading, init = reference_problem(
+            n_side=4, n_steps=n_steps, amplitude=amplitude, **over)
+        traj = run_viscous(ops, mat, ep, loading, init, n_steps=n_steps)
+        steps, power = oracles.viscous_steps(ops, mat, ep, loading, init,
+                                             n_steps)
+        assert traj.aborted_at is None and traj.iterations.sum() > n_steps
+        assert list(traj.power) == power
+        assert list(traj.E_mu) == [r.energy for r in steps]
+        assert traj.el_residuals == [r.el_residuals for r in steps]
+        assert list(traj.iterations[1:]) == [r.iterations for r in steps[1:]]
+        for k, ref in enumerate(steps):
+            np.testing.assert_array_equal(traj.strains[k], ref.strain)
+            for got, want in zip(traj.gradients[k], ref.gradients):
+                np.testing.assert_array_equal(got, want)
+            for name in ("u", "z", "p"):
+                np.testing.assert_array_equal(
+                    getattr(traj.states[k], name),
+                    getattr(ref.new_state, name))
+
 
 def count_evaluations(monkeypatch):
-    """Count energy, energy-gradient, rate-record and loading evaluations
-    through every ribv module that binds them, sweeps by z solves and
-    full certifications by el_residuals calls."""
-    counts = {"energy": 0, "energy_gradients": 0, "rate_norms": 0,
-              "eval_loading": 0, "sweeps": 0, "el_residuals": 0}
+    """Count energy, loaded-energy, energy-gradient, rate-record and
+    loading evaluations through every ribv module that binds them, sweeps
+    by z solves and full certifications by el_residuals calls."""
+    counts = {"energy": 0, "loaded_energy": 0, "energy_gradients": 0,
+              "rate_norms": 0, "eval_loading": 0, "sweeps": 0,
+              "el_residuals": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -174,6 +203,7 @@ def count_evaluations(monkeypatch):
         return wrapped
 
     for module, name in ((constitutive_module, "energy"),
+                         (constitutive_module, "loaded_energy"),
                          (constitutive_module, "energy_gradients"),
                          (discretization_module, "eval_loading")):
         fn = getattr(module, name)
@@ -224,14 +254,17 @@ class TestEvaluationCounts:
         # is evaluated once per step, at its result (the pre-relaxation
         # included), the record once per step after the pre-relaxation,
         # and the gradients once per full certification, which only the
-        # sweeps whose r_u passes get; each step reads the loading once,
-        # and the power integral twice more
+        # sweeps whose r_u passes get; the loaded energy once per step at
+        # its result and once in the power, whose start value is the
+        # previous step's; each step reads the loading once, and the power
+        # once more
         counts = count_evaluations(monkeypatch)
         ops, traj = run_reference(4)
         assert traj.aborted_at is None
         assert counts["energy"] == traj.n_steps + 1
+        assert counts["loaded_energy"] == traj.n_steps + 1 + traj.n_steps
         assert counts["rate_norms"] == traj.n_steps
-        assert counts["eval_loading"] == traj.n_steps + 1 + 2 * traj.n_steps
+        assert counts["eval_loading"] == traj.n_steps + 1 + traj.n_steps
         assert counts["energy_gradients"] == counts["el_residuals"]
         assert traj.n_steps + 1 <= counts["el_residuals"] <= counts["sweeps"]
 

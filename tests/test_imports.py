@@ -17,7 +17,11 @@ only ``config`` splits a `key = value` line and only ``cli._write_csv``
 joins a row with ",", only ``reparam``, whose ``REGIMES`` table says
 what each regime tests, compares a value with a regime name, and outside
 ``dissipation`` only the state norms of ``cli.trajectory_rows`` call a
-norm function: every rate norm is read from a ``RateNorms`` record."""
+norm function: every rate norm is read from a ``RateNorms`` record, and
+each iterate's strain and laws are formed once: in ``solver`` the strain
+and the cell and damage laws are formed only by the (u, p) value
+evaluation and the records, and in ``driver`` the loaded energy only by
+the power."""
 
 import ast
 from pathlib import Path
@@ -443,3 +447,38 @@ def test_rate_norms_read_from_records():
                  for msg in _norm_calls(path)]
     assert not offenders, "norm functions called outside dissipation " \
         "and cli.trajectory_rows:\n" + "\n".join(offenders)
+
+
+# per module, the calls that form an iterate's strain, elastic cells or
+# damage laws, and the scopes allowed to make them: in ``solver`` the
+# (u, p) value evaluation and its record (the z laws come from
+# ``constitutive.DamageLaws``), in ``driver`` the power
+_FORMING_CALLS = {
+    "solver.py": ({"elastic_cells", "damage_cells", "damage_potential",
+                   "apply", "total_strain", "strain_at", "stiffness"},
+                  {"value_grad", "UpRecord"}),
+    "driver.py": ({"loaded_energy", "energy", "energy_gradients"},
+                  {"_power_integral"}),
+}
+
+
+def _forming_calls(path: Path) -> list[str]:
+    names, scopes = _FORMING_CALLS[path.name]
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = {id(node) for scope in ast.walk(tree)
+              if isinstance(scope, (ast.ClassDef, ast.FunctionDef))
+              and scope.name in scopes
+              for node in ast.walk(scope)}
+    return [f"{path.name}:{node.lineno}: calls {name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside
+            for name in [getattr(node.func, "id",
+                                 getattr(node.func, "attr", None))]
+            if name in names]
+
+
+def test_iterate_formed_once():
+    offenders = [msg for name in sorted(_FORMING_CALLS)
+                 for msg in _forming_calls(SRC / name)]
+    assert not offenders, "strain, cells or laws formed outside the " \
+        "value evaluations and the power:\n" + "\n".join(offenders)

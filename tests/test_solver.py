@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-import ribv.driver as driver_module
+import ribv.constitutive as constitutive_module
 import ribv.solver as solver_module
 from ribv.constitutive import (
+    DamageLaws,
     EnergyParams,
     Operators,
     cell_damage,
@@ -30,7 +31,8 @@ from ribv.discretization import (
     total_strain,
 )
 from ribv.config import RunConfig
-from ribv.dissipation import Rate, RateNorms, psi_total
+from ribv.dissipation import Rate, RateNorms, prox_map, prox_tangent, \
+    psi_total
 from ribv.driver import run_viscous
 from ribv.problems import (
     ramp_loading,
@@ -114,8 +116,8 @@ class TestTrivialSteps:
         for _ in range(5):
             prev = random_state(grid, rng)
             st = prev.copy()
-            u_new, p_new = solve_up_step(*eval_loading(loading, 0.7), st,
-                                         prev, ops, mat, ep)
+            u_new, p_new, _ = solve_up_step(*eval_loading(loading, 0.7),
+                                            st, prev, ops, mat, ep)
             before = incremental_functional(0.7, st, prev, ops, mat, ep,
                                             loading)
             st2 = st.copy()
@@ -303,9 +305,10 @@ class TestZStep:
 
     @pytest.mark.parametrize("n_side", [3, 5])
     def test_z_value_gradient_fd(self, n_side, rng):
-        # the fused value-and-gradient call: central differences of the
-        # value along random directions at random interior z, away from
-        # the kinks of the stiffness and yield-radius laws
+        # the laws at z assembled into value and gradient: central
+        # differences of the value along random directions at random
+        # interior z, away from the kinks of the stiffness and yield-radius
+        # laws
         grid = Grid(n_side)
         mat = reference_material()
         ops = Operators.build(grid, mat)
@@ -317,37 +320,51 @@ class TestZStep:
             z = rng.uniform(0.3, 0.9, grid.n_nodes)
             z_prev = z + rng.uniform(0.0, 0.1, grid.n_nodes)
             dz = rng.normal(size=grid.n_nodes)
-            g = _z_value(z, z_prev, a, b, ops, mat, ep)[1]
-            fp = _z_value(z + h * dz, z_prev, a, b, ops, mat, ep)[0]
-            fm = _z_value(z - h * dz, z_prev, a, b, ops, mat, ep)[0]
+            def z_value(x):
+                return _z_value(DamageLaws.at(x, ops, mat), x, z_prev, a, b,
+                                ops, mat, ep)
+
+            g = z_value(z)[1]
+            fp, fm = z_value(z + h * dz)[0], z_value(z - h * dz)[0]
             assert (fp - fm) / (2 * h) == pytest.approx(g @ dz, rel=1e-7)
 
     def test_one_potential_per_evaluation(self, monkeypatch):
-        # each z trial is one fused call: per z solve, the barrier
-        # potential is evaluated exactly as often as the objective
-        calls = {"damage_potential": 0, "_z_value": 0}
+        # each z trial forms its laws once: per z solve, the barrier
+        # potential and the cell laws run once per trial, that is once per
+        # distinct z, one fewer than the objective, whose first evaluation
+        # reads the laws at the z the previous sweep (or step) accepted;
+        # over the run they run once more, for the initial state
+        calls = {"damage_potential": 0, "damage_cells": 0, "_z_value": 0}
         per_solve = []
 
         def per_call(*args, **kwargs):
             before = dict(calls)
             out = solve_z_step(*args, **kwargs)
-            per_solve.append(tuple(calls[k] - before[k] for k in calls))
+            per_solve.append({k: calls[k] - before[k] for k in calls})
             return out
 
-        for name in calls:
-            monkeypatch.setattr(solver_module, name, counted(
-                calls, name, getattr(solver_module, name)))
+        for name in ("damage_potential", "damage_cells"):
+            monkeypatch.setattr(constitutive_module, name, counted(
+                calls, name, getattr(constitutive_module, name)))
+        monkeypatch.setattr(solver_module, "_z_value", counted(
+            calls, "_z_value", solver_module._z_value))
         monkeypatch.setattr(solver_module, "solve_z_step", per_call)
         _, mat, ops, ep, loading, init = reference_problem(
             n_side=4, n_steps=5, amplitude=1.2)
         traj = run_viscous(ops, mat, ep, loading, init, n_steps=5)
         assert traj.aborted_at is None
-        assert per_solve and all(n_pot == n_val for n_pot, n_val in per_solve)
+        assert per_solve
+        for n in per_solve:
+            assert n["damage_potential"] == n["damage_cells"] \
+                == n["_z_value"] - 1
+        assert calls["damage_potential"] == calls["damage_cells"] \
+            == sum(n["damage_cells"] for n in per_solve) + 1
+        assert sum(n["damage_cells"] for n in per_solve) > 0
 
 
 class TestOneEvaluationPerIterate:
     def test_z_hessian_from_passed_curvature(self, rng):
-        # the base from the c'' of the _z_value call at z, with the
+        # the base from the c'' of the laws at z, with the
         # diagonal term added, equals bit for bit the Hessian built from z
         # alone, on cells on both sides of the stiffness kink at z = 1
         grid = Grid(4)
@@ -359,7 +376,7 @@ class TestOneEvaluationPerIterate:
         for _ in range(5):
             z = 0.6 + 0.8 * grid.nodes[:, 0] \
                 + rng.uniform(-0.05, 0.05, grid.n_nodes)
-            cpp = _z_value(z, z + 0.1, a, b, ops, mat, ep)[2][2]
+            cpp = DamageLaws.at(z, ops, mat).cpp
             H = _z_hess(a, cpp, ops)
             H[np.diag_indices(grid.n_nodes)] += grid.lump * (
                 damage_curvature(z, mat) + ep.eps / ep.tau)
@@ -375,16 +392,18 @@ class TestOneEvaluationPerIterate:
             np.testing.assert_array_equal(H, want)
 
     def test_laws_and_prox_run_in_value_evaluations_only(self, monkeypatch):
-        # per z solve, damage_cells and cell_damage run once per _z_value
-        # call, and the Hessian base once while c'' stays fixed; per step,
-        # the (u, p) solves evaluate the cell laws only in the first sweep
-        # (later ones take them from the z-step); per (u, p) solve, the
-        # prox map is checked once and its shift runs once per value
-        # evaluation, that is per strain B(u + w), which the Newton
-        # tangent reuses
+        # per z solve, damage_cells and cell_damage run once per trial
+        # (the first objective reads the laws handed on), and the Hessian
+        # base once while c'' stays fixed; the (u, p) solves never form the
+        # laws, which the z-step or the previous step hands them; per
+        # (u, p) solve, the prox map is checked once and its shift runs once
+        # per value evaluation, that is per strain B(u + w), whose elastic
+        # cells the Newton tangent, the z-step and the certification reuse:
+        # over the run, elastic_cells and SymGradient.apply run only there
+        # and once per step in the power, at the strain of q_{k-1} at t_k
         calls = {"damage_cells": 0, "cell_damage": 0, "_z_value": 0,
                  "_z_hess": 0, "dgesv": 0, "prox_map": 0, "shift": 0,
-                 "apply": 0, "incremental_step": 0}
+                 "apply": 0, "elastic_cells": 0}
         per_solve = {"solve_z_step": [], "solve_up_step": []}
         bases = []
 
@@ -401,11 +420,16 @@ class TestOneEvaluationPerIterate:
             bases.append((len(per_solve["solve_z_step"]), cpp))
             return _z_hess(a, cpp, ops)
 
-        for name in ("damage_cells", "cell_damage", "_z_value", "prox_map"):
+        for name in ("damage_cells", "cell_damage"):
+            monkeypatch.setattr(constitutive_module, name, counted(
+                calls, name, getattr(constitutive_module, name)))
+        elastic = counted(calls, "elastic_cells",
+                          constitutive_module.elastic_cells)
+        for module in (constitutive_module, solver_module):
+            monkeypatch.setattr(module, "elastic_cells", elastic)
+        for name in ("_z_value", "prox_map"):
             monkeypatch.setattr(solver_module, name, counted(
                 calls, name, getattr(solver_module, name)))
-        monkeypatch.setattr(driver_module, "incremental_step", counted(
-            calls, "incremental_step", driver_module.incremental_step))
         monkeypatch.setattr(solver_module, "_z_hess", counted(
             calls, "_z_hess", z_hess))
         monkeypatch.setattr(solver_module, "prox_map", counted_map(
@@ -423,19 +447,57 @@ class TestOneEvaluationPerIterate:
         assert traj.aborted_at is None
         assert per_solve["solve_z_step"] and per_solve["solve_up_step"]
         for n in per_solve["solve_z_step"]:
-            assert n["damage_cells"] == n["cell_damage"] == n["_z_value"]
+            assert n["damage_cells"] == n["cell_damage"] == n["_z_value"] - 1
             assert n["_z_hess"] <= n["dgesv"]
+            assert n["elastic_cells"] == n["apply"] == 0
         # a rebuild within one solve only where c'' changed
         for (k0, cpp0), (k1, cpp1) in zip(bases, bases[1:]):
             assert k0 != k1 or (cpp0 != cpp1).any()
         assert len(bases) < sum(n["dgesv"] for n in per_solve["solve_z_step"])
-        assert sum(n["damage_cells"] for n in per_solve["solve_up_step"]) \
-            == calls["incremental_step"]
         for n in per_solve["solve_up_step"]:
+            assert n["damage_cells"] == 0
             assert n["prox_map"] == 1
-            assert n["shift"] == n["apply"] >= 1
-        assert sum(n["shift"] for n in per_solve["solve_up_step"]) \
-            > len(per_solve["solve_up_step"])
+            assert n["shift"] == n["apply"] == n["elastic_cells"] >= 1
+        up_evals = sum(n["shift"] for n in per_solve["solve_up_step"])
+        assert up_evals > len(per_solve["solve_up_step"])
+        assert calls["elastic_cells"] == calls["apply"] \
+            == up_evals + traj.n_steps
+
+
+    def test_tangent_formed_only_where_a_cell_yields(self, monkeypatch,
+                                                       rng):
+        # where no cell yields, the prox tangent is 0 on every cell and
+        # S0 (I - J) is S0 bit for bit, so the (u, p) solve takes S0 without
+        # forming it: over a damaging run, every tangent it forms has a
+        # yielding cell, and some Newton iterations form none
+        grid = Grid(4)
+        mat = reference_material()
+        n = grid.n_cells
+        p_prev = rng.normal(0.0, 0.05, (n, 3))
+        p_prev[:, 1] = -p_prev[:, 0]
+        c_q = rng.uniform(0.5, 2.0, n)
+        shift = prox_map(p_prev, np.full(n, 1e3), 0.1, 0.01, c_q)(
+            rng.normal(0.0, 0.1, (n, 3)))
+        assert (shift[3] >= 1.0).all()
+        T = mat.unit_stiffness @ (np.eye(3) - prox_tangent(shift, c_q))
+        np.testing.assert_array_equal(
+            T, np.broadcast_to(mat.unit_stiffness, T.shape))
+
+        calls = {"newton": 0}
+        yielding = []
+
+        def tangent(shift, c_q):
+            yielding.append(bool((shift[3] < 1.0).any()))
+            return prox_tangent(shift, c_q)
+
+        monkeypatch.setattr(solver_module, "prox_tangent", tangent)
+        monkeypatch.setattr(solver_module, "band_newton_step", counted(
+            calls, "newton", band_newton_step))
+        _, mat, ops, ep, loading, init = reference_problem(
+            n_side=4, n_steps=5, amplitude=1.2)
+        assert run_viscous(ops, mat, ep, loading, init,
+                           n_steps=5).aborted_at is None
+        assert all(yielding) and 0 < len(yielding) < calls["newton"]
 
 
 class TestIncrementalStep:
@@ -579,6 +641,7 @@ def assert_same_step(res, ref):
     assert res.el_residuals == ref.el_residuals
     assert res.accepted == ref.accepted
     assert res.energy == ref.energy
+    assert res.loaded == ref.loaded
     for got, want in zip(res.gradients, ref.gradients):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(res.strain, ref.strain)
