@@ -22,8 +22,11 @@ The assembled energy is
 with e = B(u + w(t)) - p and z_c the Q1 cell-center value (corner mean).
 Only the elastic term and the work depend on t (``loaded_energy``).
 ``damage_cells`` evaluates c, c', c'', V and V' per cell in one pass, and
-``DamageLaws`` holds every law at one z (W, W', A_m z and the cell laws),
-which the energy and its gradients read where a caller holds them.
+``DamageLaws`` holds every law at one z (W, W', A_m z and the cell laws).
+The energy and its gradients are read from these records
+(``loaded_energy``, ``energy_from``, ``displacement_gradient``,
+``state_gradients``); ``energy`` and ``energy_gradients`` form the
+records of a bare state and read them the same way.
 Gradients are returned as the representers used throughout the solver:
 Euclidean covector for u on free dofs, lumped-L2 density for z, cellwise
 density for p.
@@ -293,34 +296,33 @@ def strain_at(t: float, state: State, ops: Operators, loading: LoadingSpec):
     return w, F, total_strain(ops.B, state, w)
 
 
-def loaded_energy(t: float, state: State, ops: Operators,
-                  mat: MaterialParams, loading: LoadingSpec, at=None,
-                  laws=None, cells=None) -> float:
-    """The part of the energy that depends on t: the elastic energy at
-    e = B(u + w(t)) - p less the work F(t).(u + w(t)); ``at`` is
-    ``strain_at(t, state, ops, loading)``, ``laws`` the ``DamageLaws`` at
-    state.z and ``cells`` ``elastic_cells(e, mat)``, each where the caller
-    holds it."""
-    grid = ops.grid
-    w, F, e = at or strain_at(t, state, ops, loading)
-    c = laws.c if laws else stiffness(cell_damage(grid, state.z), mat)
-    quad = (grid.w_cell * c * (cells or elastic_cells(e, mat))[1]).sum()
-    return quad - F @ (state.u + w).ravel()
+def loaded_energy(w: np.ndarray, F: np.ndarray, u: np.ndarray,
+                  q0: np.ndarray, laws: DamageLaws, ops: Operators) -> float:
+    """The part of the energy that depends on t: the elastic energy less
+    the work F(t).(u + w(t)), from the loading (w, F) at t, the density q0
+    of ``elastic_cells`` at the strain and the ``DamageLaws`` at z."""
+    quad = (ops.grid.w_cell * laws.c * q0).sum()
+    return quad - F @ (u + w).ravel()
 
 
-def energy(t: float, state: State, ops: Operators, mat: MaterialParams,
-           mu: float, loading: LoadingSpec, laws=None,
-           loaded=None) -> float:
-    """E_mu(t, state); ``laws`` as in ``loaded_energy``, and ``loaded``
-    its value where the caller holds it."""
+def energy_from(loaded: float, state: State, laws: DamageLaws,
+                ops: Operators, mu: float) -> float:
+    """E_mu from its ``loaded_energy`` part and the ``DamageLaws`` at
+    state.z."""
     grid = ops.grid
-    laws = laws or DamageLaws.at(state.z, ops, mat)
     dam = (grid.lump * laws.W).sum()
     hard = 0.5 * mu * (grid.w_cell * tensor_dot(state.p, state.p)).sum()
     nonloc = 0.5 * state.z @ laws.Az
-    if loaded is None:
-        loaded = loaded_energy(t, state, ops, mat, loading, laws=laws)
     return loaded + dam + hard + nonloc
+
+
+def energy(t: float, state: State, ops: Operators, mat: MaterialParams,
+           mu: float, loading: LoadingSpec) -> float:
+    """E_mu(t, state), its records formed from the bare state."""
+    w, F, e = strain_at(t, state, ops, loading)
+    laws = DamageLaws.at(state.z, ops, mat)
+    loaded = loaded_energy(w, F, state.u, elastic_cells(e, mat)[1], laws, ops)
+    return energy_from(loaded, state, laws, ops, mu)
 
 
 def displacement_gradient(s0: np.ndarray, c: np.ndarray, F: np.ndarray,
@@ -331,30 +333,29 @@ def displacement_gradient(s0: np.ndarray, c: np.ndarray, F: np.ndarray,
     return (ops.B.adjoint(wc[:, None] * s0) - F)[ops.grid.free_dofs]
 
 
-def energy_gradients(t: float, state: State, ops: Operators,
-                     mat: MaterialParams, mu: float, loading: LoadingSpec,
-                     at=None, laws=None, cells=None, g_u=None):
-    """Partial gradients of the energy; ``at``, ``laws`` and ``cells`` as
-    in ``loaded_energy``.
-
-    Returns (g_u, g_z, g_p):
-      g_u -- Euclidean covector on the free displacement dofs (as passed),
-      g_z -- nodal density against the lumped weights m_i,
-      g_p -- cellwise density against the cell weights w_c (with the
-             Frobenius pairing), g_p = mu p - sigma_D.
-    """
+def state_gradients(e: np.ndarray, q0: np.ndarray, laws: DamageLaws,
+                    p: np.ndarray, ops: Operators, mat: MaterialParams,
+                    mu: float):
+    """(g_z, g_p) at the strain e, its density q0 (``elastic_cells``) and
+    the ``DamageLaws`` at z: g_z the nodal density against the lumped
+    weights m_i, g_p the cellwise density against the cell weights w_c
+    (with the Frobenius pairing), g_p = mu p - sigma_D."""
     grid = ops.grid
-    _, F, e = at or strain_at(t, state, ops, loading)
-    laws = laws or DamageLaws.at(state.z, ops, mat)
-    s0, q0 = cells or elastic_cells(e, mat)
-    if g_u is None:
-        g_u = displacement_gradient(s0, laws.c, F, ops)
-
     # z: nonlocal + barrier + c'(z) q0 scattered to corner nodes.
     g_z = (laws.Az + corner_scatter(grid, grid.w_cell * laws.cp * q0)) \
         / grid.lump + laws.Wp
-
     # p: mu p - sigma_D, sigma_D = 2 mu_L c dev e.
-    g_p = mu * state.p - deviatoric_modulus(laws.c, mat)[:, None] \
-        * tensor_dev(e)
-    return g_u, g_z, g_p
+    g_p = mu * p - deviatoric_modulus(laws.c, mat)[:, None] * tensor_dev(e)
+    return g_z, g_p
+
+
+def energy_gradients(t: float, state: State, ops: Operators,
+                     mat: MaterialParams, mu: float, loading: LoadingSpec):
+    """Partial gradients (g_u, g_z, g_p) of the energy at a bare state:
+    g_u the Euclidean covector on the free displacement dofs
+    (``displacement_gradient``), g_z and g_p as in ``state_gradients``."""
+    _, F, e = strain_at(t, state, ops, loading)
+    laws = DamageLaws.at(state.z, ops, mat)
+    s0, q0 = elastic_cells(e, mat)
+    return (displacement_gradient(s0, laws.c, F, ops),
+            *state_gradients(e, q0, laws, state.p, ops, mat, mu))

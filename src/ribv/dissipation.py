@@ -180,13 +180,6 @@ class RateNorms:
 # dissipation potential and conjugates
 # ---------------------------------------------------------------------------
 
-def psi_rate_independent(state: State, rate: Rate, ops: Operators,
-                         mat: MaterialParams, tol_pos: float = 0.0) -> float:
-    """Rate-independent dissipation R(z') + H(z, p'), +inf when some z'
-    component exceeds tol_pos (``RateNorms.psi`` at eps = 0)."""
-    return RateNorms.of(ops, rate, state, mat).psi(0.0, 0.0, tol_pos)
-
-
 def psi_total(state: State, rate: Rate, ops: Operators, mat: MaterialParams,
               eps: float, nu: float, tol_pos: float = 0.0) -> float:
     """Dissipation potential ``RateNorms.psi`` of a rate at state."""

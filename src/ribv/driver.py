@@ -8,8 +8,9 @@ exact at the frozen previous state: the change of the energy's
 t-dependent part, so the per-step balance residual measures exactly the
 error of freezing the state over the step and nothing else.  Its value
 at the step's start is the loaded part of the previous step's energy,
-which that step holds, so each step costs one ``loaded_energy`` call;
-the previous step's damage laws start the next step.
+which that step holds with its damage laws, so each step costs one
+strain and one ``loaded_energy`` call; the previous step's damage laws
+also start the next step.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constitutive import EnergyParams, MaterialParams, Operators, \
-    loaded_energy
+    elastic_cells, loaded_energy, strain_at
 from .discretization import LoadingSpec, State
 from .dissipation import (
     DualDiagnostics,
@@ -65,21 +66,23 @@ class Trajectory:
         return len(self.times) - 1
 
     def rate(self, k: int) -> Rate:
-        """Backward-difference rate at step k >= 1."""
+        """Backward-difference rate at step k, 1 <= k <= n_steps."""
+        if not 1 <= k <= self.n_steps:
+            raise ValueError(f"step {k} outside 1..{self.n_steps}")
         return Rate.between(self.states[k - 1], self.states[k],
                             self.times[k] - self.times[k - 1])
 
 
-def _power_integral(t0: float, t1: float, state: State, ops: Operators,
-                    mat: MaterialParams, loading: LoadingSpec,
-                    held: float | None = None) -> float:
+def _power_integral(t1: float, prev: StepResult, ops: Operators,
+                    mat: MaterialParams, loading: LoadingSpec) -> float:
     """Integral of the partial time derivative of the energy over
-    [t0, t1] at the frozen state: E(t1, q) - E(t0, q), of which only the
-    loaded part depends on t; ``held`` is the loaded part at (t0, q)
-    where the caller holds it."""
-    if held is None:
-        held = loaded_energy(t0, state, ops, mat, loading)
-    return loaded_energy(t1, state, ops, mat, loading) - held
+    [t0, t1] at the frozen state q of the step ``prev`` at t0:
+    E(t1, q) - E(t0, q), of which only the loaded part depends on t;
+    ``prev`` holds that part at t0 and the damage laws at q."""
+    state = prev.new_state
+    w, F, e = strain_at(t1, state, ops, loading)
+    return loaded_energy(w, F, state.u, elastic_cells(e, mat)[1], prev.laws,
+                         ops) - prev.loaded
 
 
 def pre_relax(t0: float, init_state: State, ops: Operators,
@@ -120,8 +123,7 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
         norms.append(RateNorms.of(
             ops, Rate.between(prev.new_state, res.new_state, dt),
             res.new_state, mat, (res.strain - prev.strain) / dt))
-        power.append(_power_integral(times[k - 1], times[k], prev.new_state,
-                                     ops, mat, loading, prev.loaded))
+        power.append(_power_integral(times[k], prev, ops, mat, loading))
 
     dnus = np.array([n.d_nu(ep.nu) for n in norms])
     # Psi carries half of the viscous quadratic, N all of it

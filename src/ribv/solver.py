@@ -34,16 +34,14 @@ from .constitutive import (
     MaterialParams,
     Operators,
     add_corner_form,
-    cell_damage,
     corner_scatter,
     damage_curvature,
     deviatoric_modulus,
     displacement_gradient,
     elastic_cells,
-    energy,
-    energy_gradients,
+    energy_from,
     loaded_energy,
-    yield_radius,
+    state_gradients,
 )
 from .discretization import (
     LoadingSpec,
@@ -83,26 +81,26 @@ class StepResult:
     energy: float
     gradients: tuple[np.ndarray, np.ndarray, np.ndarray]
     strain: np.ndarray  # e = B(u + w(t)) - p, (n_cells, 3)
-    loaded: float       # loaded_energy(t, new_state)
-    laws: DamageLaws | None = None
+    loaded: float       # loaded_energy at (t, new_state)
+    laws: DamageLaws
     z_floor_active: bool = False
 
 
 class UpRecord(NamedTuple):
     """A (u, p) value evaluation: the strain e = B(u + w) - p, its
     ``elastic_cells`` (s0, q0), |p - p_prev| per cell and the viscous
-    product visc_fac K_D (u - u_prev) on the free dofs (None where no
-    (u, p) solve formed it).  A tuple, since each evaluation makes one."""
+    product visc_fac K_D (u - u_prev) on the free dofs.  A tuple, since
+    each evaluation makes one."""
 
     e: np.ndarray
     s0: np.ndarray
     q0: np.ndarray
     dp_abs: np.ndarray
-    visc_kd: np.ndarray | None = None
+    visc_kd: np.ndarray
 
     @classmethod
     def of(cls, e: np.ndarray, dp_abs: np.ndarray, mat: MaterialParams,
-           visc_kd: np.ndarray | None = None) -> "UpRecord":
+           visc_kd: np.ndarray) -> "UpRecord":
         return cls(e, *elastic_cells(e, mat), dp_abs, visc_kd)
 
 
@@ -120,11 +118,12 @@ def band_newton_step(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return step
 
 
-def solve_up_step(w: np.ndarray, F_ext: np.ndarray, state: State,
-                  prev_state: State, ops: Operators, mat: MaterialParams,
-                  ep: EnergyParams, tol_dual: float = 1e-12,
-                  max_iter: int = 80, laws=None) -> tuple:
-    """Joint minimization in (u, p) with z frozen at the loading (w, F_ext).
+def solve_up_step(w: np.ndarray, F_ext: np.ndarray, laws: DamageLaws,
+                  state: State, prev_state: State, ops: Operators,
+                  mat: MaterialParams, ep: EnergyParams,
+                  tol_dual: float = 1e-12, max_iter: int = 80) -> tuple:
+    """Joint minimization in (u, p) with z frozen at the loading (w, F_ext)
+    and the ``DamageLaws`` at state.z.
 
     Alternating u- and p-solves contract slowly once cells yield, so
     instead minimize the envelope F(u) = min_p J(u, p) by a semismooth
@@ -133,11 +132,10 @@ def solve_up_step(w: np.ndarray, F_ext: np.ndarray, state: State,
     theorem), and the Hessian uses the consistent tangent
     w_c c_c S0 (I - J_c) of the prox: J_c = ``prox_tangent`` of the value
     evaluation's shift.  Value, gradient and tangent read the cell kernel
-    ``elastic_cells`` and its form S0; the cell laws (c, V) at state.z
-    (read from ``laws``, the ``DamageLaws`` there, where the caller holds
-    them), the checked ``prox_map`` and the viscous cell forms are formed
-    once per call.  Where no cell yields, J_c is 0 and the tangent S0
-    itself.  The tangent is symmetric by construction (S0 acts as
+    ``elastic_cells`` and its form S0; the cell laws (c, V) are read from
+    ``laws``, and the checked ``prox_map`` and the viscous cell forms are
+    formed once per call.  Where no cell yields, J_c is 0 and the tangent
+    S0 itself.  The tangent is symmetric by construction (S0 acts as
     2 mu_L G on the trace-free range of J_c, G = diag(FROB_W)); the
     Hessian is assembled over the free dofs in lower band storage and
     solved by band Cholesky (``band_newton_step``), which raises
@@ -152,7 +150,6 @@ def solve_up_step(w: np.ndarray, F_ext: np.ndarray, state: State,
     grid = ops.grid
     free = grid.free_dofs
     F_free = F_ext[free]
-    laws = laws or DamageLaws.at(state.z, ops, mat)
     wc, wV = grid.w_cell * laws.c, grid.w_cell * laws.V
     visc_fac = ep.eps * ep.nu / ep.tau
     u_prev_f = prev_state.u.ravel()[free]
@@ -239,31 +236,29 @@ def _at_bounds(z, z_prev):
     return z <= Z_FLOOR * (1 + 1e-12), z >= z_prev - 1e-15
 
 
-def solve_z_step(e: np.ndarray, state: State, prev_state: State,
-                 ops: Operators, mat: MaterialParams, ep: EnergyParams,
-                 tol: float = 1e-10, max_iter: int = 200, up=None,
-                 laws=None):
-    """Minimize the z subproblem at strain e under z_floor <= z <= z_prev by
-    projected Newton: g/m at nodes held at a bound, the (SPD) Newton step
-    on the others, halved along the projection arc clip(z - alpha d)
-    (Calamai & More, Math. Prog. 39 (1987) 93) until ``_acceptable``;
-    trials that leave z unmoved are rejected, and each other trial is one
-    ``DamageLaws`` and one ``_z_value`` call.  The cell data a = w_c q0 and
-    b = w_c |dp| are formed once per call, from ``up`` (the ``UpRecord`` at
-    state, of strain e) where the caller holds it, the Hessian base
-    ``_z_hess`` when first needed and again only where a cell crosses
-    z = 1; each iteration adds lump (W'' + eps/tau) to its free slice.
-    ``laws``, the ``DamageLaws`` at state.z where the caller holds them,
-    start the solve unless the bounds move state.z.  The stationarity
-    residual is the mass norm of g/m over the free nodes (a node pinned
-    at both bounds adds nothing).  Returns (z, laws) at the accepted z;
-    raises RuntimeError, stating the residual, when 50 halvings find no
-    step or max_iter iterations end above tol."""
+def solve_z_step(up: UpRecord, laws: DamageLaws, state: State,
+                 prev_state: State, ops: Operators, mat: MaterialParams,
+                 ep: EnergyParams, tol: float = 1e-10, max_iter: int = 200):
+    """Minimize the z subproblem at the (u, p) record ``up`` of state under
+    z_floor <= z <= z_prev by projected Newton: g/m at nodes held at a
+    bound, the (SPD) Newton step on the others, halved along the
+    projection arc clip(z - alpha d) (Calamai & More, Math. Prog. 39
+    (1987) 93) until ``_acceptable``; trials that leave z unmoved are
+    rejected, and each other trial is one ``DamageLaws`` and one
+    ``_z_value`` call.  The cell data a = w_c q0 and b = w_c |dp| are
+    formed once per call, from ``up``, the Hessian base ``_z_hess`` when
+    first needed and again only where a cell crosses z = 1; each
+    iteration adds lump (W'' + eps/tau) to its free slice.  ``laws``, the
+    ``DamageLaws`` at state.z, start the solve unless the bounds move
+    state.z.  The stationarity residual is the mass norm of g/m over the
+    free nodes (a node pinned at both bounds adds nothing).  Returns
+    (z, laws) at the accepted z; raises RuntimeError, stating the
+    residual, when 50 halvings find no step or max_iter iterations end
+    above tol."""
     z_prev, m, w_cell = prev_state.z, ops.grid.lump, ops.grid.w_cell
-    up = up or UpRecord.of(e, tensor_norm(state.p - prev_state.p), mat)
     a, b = w_cell * up.q0, w_cell * up.dp_abs
     z = np.minimum(np.maximum(state.z, Z_FLOOR), z_prev)
-    if laws is None or (z != state.z).any():
+    if (z != state.z).any():
         laws = DamageLaws.at(z, ops, mat)
     val, g = _z_value(laws, z, z_prev, a, b, ops, mat, ep)
     for it in range(max_iter + 1):
@@ -309,27 +304,20 @@ def solve_z_step(e: np.ndarray, state: State, prev_state: State,
 # optimality residuals
 # ---------------------------------------------------------------------------
 
-def el_residuals(grads: tuple, state: State, prev_state: State,
-                 ops: Operators, mat: MaterialParams, ep: EnergyParams,
-                 r_u: float | None = None,
-                 V: np.ndarray | None = None) -> tuple[float, float, float]:
+def el_residuals(r_u: float, g_z: np.ndarray, g_p: np.ndarray,
+                 V: np.ndarray, state: State, prev_state: State,
+                 ops: Operators, mat: MaterialParams,
+                 ep: EnergyParams) -> tuple[float, float, float]:
     """Residuals of the three coupled optimality conditions of the
-    incremental problem at a state, given the energy gradients there.
+    incremental problem at a state, given the energy's partial gradients
+    g_z, g_p and the yield radii V of state.z there.
 
     r_u: dual norm (``ops.dual_norm``) of the viscous displacement
-         stationarity (as passed where the caller holds it).
+         stationarity, as passed.
     r_z: violation of the one-sided variational inequality pair for z.
-    r_p: cellwise inclusion residual of the plastic flow condition, at
-         the yield radii V of state.z (as passed where the caller holds
-         them).
+    r_p: cellwise inclusion residual of the plastic flow condition.
     """
     grid = ops.grid
-    g_u, g_z, g_p = grads
-    if r_u is None:
-        du = (state.u - prev_state.u).ravel()[grid.free_dofs]
-        r_u = ops.dual_norm((ep.eps * ep.nu / ep.tau) * ops.apply_K_D(du)
-                            + g_u)
-
     z_rate = (state.z - prev_state.z) / ep.tau
     chi = g_z  # density form of the damage driving force
     gv1_viol = np.maximum(ep.eps * z_rate + chi - mat.kappa, 0.0)
@@ -344,8 +332,6 @@ def el_residuals(grads: tuple, state: State, prev_state: State,
 
     dp = state.p - prev_state.p
     xi = -g_p - (ep.eps * ep.nu / ep.tau) * dp
-    if V is None:
-        V = yield_radius(cell_damage(grid, state.z), mat)
     viol = subdiff_violation(xi, dp, V)
     r_p = float(np.sqrt((grid.w_cell * viol ** 2).sum()))
     return r_u, r_z, r_p
@@ -366,9 +352,9 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
     give g_u, r_p, the energy gradients and the energy their laws, and
     start the next sweep's (u, p) solve and z-solve, since the (u, p)
     solve leaves z alone.  ``laws``, those at prev_state.z (the previous
-    step's), start the first sweep where the caller holds them.  A sweep
-    is certified r_u first: ``energy_gradients`` and ``el_residuals`` run,
-    from that g_u and r_u, only where r_u <= tol_stat or at the
+    step's), start the first sweep; they are formed where not passed.  A
+    sweep is certified r_u first: ``state_gradients`` and ``el_residuals``
+    run, from that g_u and r_u, only where r_u <= tol_stat or at the
     max_iter-th sweep.  The energy and its loaded part are evaluated
     once, at the end; the step's Psi is read by the driver from its rate
     record."""
@@ -379,30 +365,28 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
     laws = laws or DamageLaws.at(state.z, ops, mat)
     for sweeps in range(1, max_iter + 1):
         state.u, state.p, up = solve_up_step(
-            w, F, state, prev_state, ops, mat, ep,
-            tol_dual=max(1e-13, 0.02 * tol_stat), laws=laws)
-        state.z, laws = solve_z_step(up.e, state, prev_state, ops, mat, ep,
-                                     tol=0.1 * tol_stat, up=up, laws=laws)
+            w, F, laws, state, prev_state, ops, mat, ep,
+            tol_dual=max(1e-13, 0.02 * tol_stat))
+        state.z, laws = solve_z_step(up, laws, state, prev_state, ops, mat,
+                                     ep, tol=0.1 * tol_stat)
         g_u = displacement_gradient(up.s0, laws.c, F, ops)
         r_u = ops.dual_norm(up.visc_kd + g_u)
         if r_u > tol_stat and sweeps < max_iter:
             continue
-        at, cells = (w, F, up.e), (up.s0, up.q0)
-        grads = energy_gradients(t, state, ops, mat, ep.mu, loading, at,
-                                 laws, cells, g_u)
-        residuals = el_residuals(grads, state, prev_state, ops, mat, ep, r_u,
-                                 laws.V)
+        g_z, g_p = state_gradients(up.e, up.q0, laws, state.p, ops, mat,
+                                   ep.mu)
+        residuals = el_residuals(r_u, g_z, g_p, laws.V, state, prev_state,
+                                 ops, mat, ep)
         if max(residuals) <= tol_stat:
             break
-    loaded = loaded_energy(t, state, ops, mat, loading, at, laws, cells)
+    loaded = loaded_energy(w, F, state.u, up.q0, laws, ops)
     return StepResult(
         new_state=state,
         iterations=sweeps,
         el_residuals=residuals,
         accepted=max(residuals) <= tol_stat,
-        energy=energy(t, state, ops, mat, ep.mu, loading, laws=laws,
-                      loaded=loaded),
-        gradients=grads,
+        energy=energy_from(loaded, state, laws, ops, ep.mu),
+        gradients=(g_u, g_z, g_p),
         strain=up.e,
         loaded=loaded,
         laws=laws,

@@ -8,11 +8,12 @@ from dataclasses import replace
 import numpy as np
 from scipy.optimize import minimize
 
-from ribv.constitutive import cell_damage, energy, energy_gradients, \
-    loaded_energy, yield_radius
-from ribv.discretization import eval_loading, tensor_dev, total_strain
+from ribv.constitutive import DamageLaws, cell_damage, elastic_cells, \
+    energy, energy_gradients, loaded_energy, strain_at, yield_radius
+from ribv.discretization import eval_loading, tensor_dev, tensor_norm
 from ribv.dissipation import Rate, prox_map, prox_tangent, psi_total
-from ribv.solver import StepResult, el_residuals, solve_up_step, solve_z_step
+from ribv.solver import StepResult, UpRecord, el_residuals, solve_up_step, \
+    solve_z_step
 
 FROB_W = np.array([1.0, 1.0, 2.0])
 
@@ -289,30 +290,68 @@ def incremental_functional(t, state, prev_state, ops, mat, ep, loading):
         + energy(t, state, ops, mat, ep.mu, loading)
 
 
+def loaded_at(t, state, ops, mat, loading):
+    """The loaded part of the energy at (t, state), its strain, elastic
+    cells and damage laws formed afresh."""
+    w, F, e = strain_at(t, state, ops, loading)
+    return loaded_energy(w, F, state.u, elastic_cells(e, mat)[1],
+                         DamageLaws.at(state.z, ops, mat), ops)
+
+
+def viscous_product(state, prev_state, ops, ep):
+    """The viscous product eps nu / tau K_D (u - u_prev) on the free dofs,
+    formed afresh."""
+    du = (state.u - prev_state.u).ravel()[ops.grid.free_dofs]
+    return (ep.eps * ep.nu / ep.tau) * ops.apply_K_D(du)
+
+
+def up_record(t, state, prev_state, ops, mat, ep, loading):
+    """The ``UpRecord`` of state at t, formed afresh from the state
+    arrays."""
+    return UpRecord.of(strain_at(t, state, ops, loading)[2],
+                       tensor_norm(state.p - prev_state.p), mat,
+                       viscous_product(state, prev_state, ops, ep))
+
+
+def certify(t, state, prev_state, ops, mat, ep, loading):
+    """The energy gradients and all three EL residuals at state, with r_u
+    and the yield radii formed afresh: (grads, residuals)."""
+    grads = energy_gradients(t, state, ops, mat, ep.mu, loading)
+    r_u = ops.dual_norm(viscous_product(state, prev_state, ops, ep)
+                        + grads[0])
+    V = yield_radius(cell_damage(ops.grid, state.z), mat)
+    return grads, el_residuals(r_u, *grads[1:], V, state, prev_state, ops,
+                               mat, ep)
+
+
 def certified_step(t, prev_state, ops, mat, ep, loading, tol_stat=1e-8,
                    max_iter=500):
     """The incremental step with the full certification on every sweep:
     after each (u, p) and z solve, the energy gradients and all three EL
-    residuals, the loading, strain, cell laws and A_m z formed afresh by
-    the public energy functions, and no record handed from one solve to
+    residuals by ``certify``, and the loading, strain, cell laws and
+    records formed afresh for each solve, none handed from one solve to
     the next."""
     state = prev_state.copy()
     for sweeps in range(1, max_iter + 1):
         state.u, state.p, _ = solve_up_step(
-            *eval_loading(loading, t), state, prev_state, ops, mat, ep,
+            *eval_loading(loading, t), DamageLaws.at(state.z, ops, mat),
+            state, prev_state, ops, mat, ep,
             tol_dual=max(1e-13, 0.02 * tol_stat))
-        e = total_strain(ops.B, state, eval_loading(loading, t)[0])
-        state.z = solve_z_step(e, state, prev_state, ops, mat, ep,
-                               tol=0.1 * tol_stat)[0]
-        grads = energy_gradients(t, state, ops, mat, ep.mu, loading)
-        residuals = el_residuals(grads, state, prev_state, ops, mat, ep)
+        state.z = solve_z_step(
+            up_record(t, state, prev_state, ops, mat, ep, loading),
+            DamageLaws.at(state.z, ops, mat), state, prev_state, ops, mat,
+            ep, tol=0.1 * tol_stat)[0]
+        grads, residuals = certify(t, state, prev_state, ops, mat, ep,
+                                   loading)
         if max(residuals) <= tol_stat:
             break
     return StepResult(
         new_state=state, iterations=sweeps, el_residuals=residuals,
         accepted=max(residuals) <= tol_stat,
         energy=energy(t, state, ops, mat, ep.mu, loading), gradients=grads,
-        strain=e, loaded=loaded_energy(t, state, ops, mat, loading))
+        strain=strain_at(t, state, ops, loading)[2],
+        loaded=loaded_at(t, state, ops, mat, loading),
+        laws=DamageLaws.at(state.z, ops, mat))
 
 
 def viscous_steps(ops, mat, ep, loading, init, n_steps, tol_stat=1e-8,
@@ -330,8 +369,8 @@ def viscous_steps(ops, mat, ep, loading, init, n_steps, tol_stat=1e-8,
         prev = steps[-1].new_state
         steps.append(certified_step(times[k], prev, ops, mat, ep, loading,
                                     tol_stat=tol_stat, max_iter=max_iter))
-        power.append(loaded_energy(times[k], prev, ops, mat, loading)
-                     - loaded_energy(times[k - 1], prev, ops, mat, loading))
+        power.append(loaded_at(times[k], prev, ops, mat, loading)
+                     - loaded_at(times[k - 1], prev, ops, mat, loading))
     return steps, power
 
 

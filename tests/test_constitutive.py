@@ -1,11 +1,13 @@
 """Constitutive laws, energy assembly, and gradient consistency."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ribv.constitutive import (
+    DamageLaws,
     MaterialParams,
     Operators,
     damage_cells,
@@ -25,7 +27,7 @@ from ribv.driver import _power_integral
 from ribv.problems import ramp_loading, reference_material
 
 from conftest import random_state
-from oracles import FROB_W, dense_sym_gradient, dual_norm_oracle
+from oracles import FROB_W, dense_sym_gradient, dual_norm_oracle, loaded_at
 
 
 def make_mat(**over):
@@ -183,6 +185,14 @@ def still_loading(grid, g_dir=None, f0=None):
         t_final=1.0)
 
 
+def held_step(t0, state, ops, mat, loading):
+    """What the power over a step reads of the step result at (t0,
+    state): the state, its damage laws and the loaded energy there."""
+    return SimpleNamespace(new_state=state,
+                           laws=DamageLaws.at(state.z, ops, mat),
+                           loaded=loaded_at(t0, state, ops, mat, loading))
+
+
 class TestEnergy:
     def test_rest_state_value(self):
         # u = p = 0, z = 1, no loading: only the damage potential
@@ -267,11 +277,13 @@ class TestGradients:
             st = random_state(grid, rng)
             t0, t1 = np.sort(rng.uniform(0.0, 1.0, 2))
             closed = -(t1 - t0) * (ramp.f_vec @ st.u.ravel())
-            assert _power_integral(t0, t1, st, ops, mat, ramp) \
+            assert _power_integral(t1, held_step(t0, st, ops, mat, ramp),
+                                   ops, mat, ramp) \
                 == pytest.approx(closed, rel=1e-8)
             change = (energy(t1, st, ops, mat, 0.1, lifted)
                       - energy(t0, st, ops, mat, 0.1, lifted))
-            assert _power_integral(t0, t1, st, ops, mat, lifted) \
+            assert _power_integral(t1, held_step(t0, st, ops, mat, lifted),
+                                   ops, mat, lifted) \
                 == pytest.approx(change, rel=1e-10)
 
     def test_frozen_loading_time_derivative(self, rng):
@@ -280,7 +292,8 @@ class TestGradients:
         ops = Operators.build(grid, mat)
         st = random_state(grid, rng)
         loading = still_loading(grid)
-        assert _power_integral(0.2, 0.7, st, ops, mat, loading) == 0.0
+        assert _power_integral(0.7, held_step(0.2, st, ops, mat, loading),
+                               ops, mat, loading) == 0.0
 
 
 class TestNonlocalTerm:

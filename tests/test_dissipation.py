@@ -17,7 +17,6 @@ from ribv.dissipation import (
     prox_map,
     prox_plastic,
     prox_tangent,
-    psi_rate_independent,
     psi_total,
 )
 from ribv.problems import ramp_loading, reference_material
@@ -60,7 +59,7 @@ class TestPotential:
         rate = random_rate(grid, rng)
         rate.z_rate[3] = 1e-6
         assert psi_total(st, rate, ops, mat, 0.1, 0.1) == np.inf
-        assert psi_rate_independent(st, rate, ops, mat) == np.inf
+        assert psi_total(st, rate, ops, mat, 0.0, 0.0) == np.inf
 
     def test_rate_independent_part_resums(self, setup, rng):
         # eps = 0: the value is exactly the quadrature re-sum of
@@ -93,9 +92,9 @@ class TestPotential:
         for _ in range(20):
             st = random_state(grid, rng)
             rate = random_rate(grid, rng)
-            ri = psi_rate_independent(st, rate, ops, mat)
-            assert ri == psi_total(st, rate, ops, mat, 0.0, 0.0)
+            ri = psi_total(st, rate, ops, mat, 0.0, 0.0)
             eps, nu = rng.uniform(0.05, 1.0, 2)
+            assert ri == psi_total(st, rate, ops, mat, 0.0, nu)
             psi = psi_total(st, rate, ops, mat, eps, nu)
             # relative to psi: the difference cancels the digits of R + H
             assert psi - ri == pytest.approx(

@@ -190,11 +190,13 @@ class TestRampRun:
 
 def count_evaluations(monkeypatch):
     """Count energy, loaded-energy, energy-gradient, rate-record and
-    loading evaluations through every ribv module that binds them, sweeps
-    by z solves and full certifications by el_residuals calls."""
-    counts = {"energy": 0, "loaded_energy": 0, "energy_gradients": 0,
-              "rate_norms": 0, "eval_loading": 0, "sweeps": 0,
-              "el_residuals": 0}
+    loading evaluations through every ribv module that binds them (the
+    bare-state ``energy`` and ``energy_gradients`` apart from the record
+    readers ``energy_from`` and ``state_gradients``), sweeps by z solves
+    and full certifications by el_residuals calls."""
+    counts = {"energy": 0, "energy_from": 0, "loaded_energy": 0,
+              "energy_gradients": 0, "state_gradients": 0, "rate_norms": 0,
+              "eval_loading": 0, "sweeps": 0, "el_residuals": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -203,8 +205,10 @@ def count_evaluations(monkeypatch):
         return wrapped
 
     for module, name in ((constitutive_module, "energy"),
+                         (constitutive_module, "energy_from"),
                          (constitutive_module, "loaded_energy"),
                          (constitutive_module, "energy_gradients"),
+                         (constitutive_module, "state_gradients"),
                          (discretization_module, "eval_loading")):
         fn = getattr(module, name)
         for mod in list(sys.modules.values()):
@@ -251,34 +255,38 @@ class TestEvaluationCounts:
     def test_step_quantities_taken_from_step(self, monkeypatch):
         # each step's energy and energy gradients come from the step
         # result, and its Psi, D_nu and N from its rate record: the energy
-        # is evaluated once per step, at its result (the pre-relaxation
-        # included), the record once per step after the pre-relaxation,
-        # and the gradients once per full certification, which only the
-        # sweeps whose r_u passes get; the loaded energy once per step at
-        # its result and once in the power, whose start value is the
-        # previous step's; each step reads the loading once, and the power
-        # once more
+        # is read from its records once per step, at its result (the
+        # pre-relaxation included), the record once per step after the
+        # pre-relaxation, and the z and p gradients once per full
+        # certification, which only the sweeps whose r_u passes get; the
+        # loaded energy once per step at its result and once in the power,
+        # whose start value is the previous step's; each step reads the
+        # loading once, and the power once more; no bare-state energy or
+        # gradient is evaluated
         counts = count_evaluations(monkeypatch)
         ops, traj = run_reference(4)
         assert traj.aborted_at is None
-        assert counts["energy"] == traj.n_steps + 1
+        assert counts["energy"] == counts["energy_gradients"] == 0
+        assert counts["energy_from"] == traj.n_steps + 1
         assert counts["loaded_energy"] == traj.n_steps + 1 + traj.n_steps
         assert counts["rate_norms"] == traj.n_steps
         assert counts["eval_loading"] == traj.n_steps + 1 + traj.n_steps
-        assert counts["energy_gradients"] == counts["el_residuals"]
+        assert counts["state_gradients"] == counts["el_residuals"]
         assert traj.n_steps + 1 <= counts["el_residuals"] <= counts["sweeps"]
 
     def test_reparam_gradients_once_per_certification(self, monkeypatch,
                                                       tmp_path):
         # switching recovery reads each knot's gradients from the viscous
         # run, so the whole reparam command evaluates them in the solver's
-        # full certifications only, fewer than one per sweep
+        # full certifications only, fewer than one per sweep, and none at
+        # a bare state
         counts = count_evaluations(monkeypatch)
         cfg = RunConfig.parse("grid_n = 4\nn_steps = 6\n"
                               "load_amplitude = 1.2\n")
         assert cmd_reparam(cfg, str(tmp_path)) == 0
         assert counts["sweeps"] > 0
-        assert counts["energy_gradients"] == counts["el_residuals"] \
+        assert counts["energy_gradients"] == 0
+        assert counts["state_gradients"] == counts["el_residuals"] \
             < counts["sweeps"]
 
     def test_reparam_skips_unread_work(self, monkeypatch):
@@ -359,6 +367,20 @@ class TestPreRelax:
         assert not traj.accepted[0]
         assert traj.el_residuals == [(1e-3, 0.0, 0.0)]
         assert list(traj.iterations) == [0]
+
+    def test_rate_outside_steps_raises(self):
+        # a backward difference exists at steps 1..n_steps only: step 0
+        # has no predecessor, and states[-1] is the last state, so rate(0)
+        # would read the whole run's mean rate as a rate at t = 0
+        _, mat, ops, ep, loading, init = reference_problem(
+            n_side=4, n_steps=5, amplitude=1.2)
+        traj = run_viscous(ops, mat, ep, loading, init, n_steps=5)
+        assert traj.aborted_at is None and traj.n_steps == 5
+        for k in (0, -1, traj.n_steps + 1):
+            with pytest.raises(ValueError, match="outside 1..5"):
+                traj.rate(k)
+        assert (traj.rate(1).z_rate <= 0).all()
+        assert (traj.rate(traj.n_steps).z_rate <= 0).all()
 
     def test_rate_backward_difference(self):
         ops, traj = run_reference(10)

@@ -20,8 +20,10 @@ what each regime tests, compares a value with a regime name, and outside
 norm function: every rate norm is read from a ``RateNorms`` record, and
 each iterate's strain and laws are formed once: in ``solver`` the strain
 and the cell and damage laws are formed only by the (u, p) value
-evaluation and the records, and in ``driver`` the loaded energy only by
-the power."""
+evaluation and the records, and no bare-state energy is evaluated, and
+in ``driver`` the strain and the loaded energy only by the power.  A
+reader takes each record it reads as a required argument: only six
+parameters and fields, listed in ``_NONE_DEFAULTS``, default to None."""
 
 import ast
 from pathlib import Path
@@ -455,9 +457,11 @@ def test_rate_norms_read_from_records():
 # ``constitutive.DamageLaws``), in ``driver`` the power
 _FORMING_CALLS = {
     "solver.py": ({"elastic_cells", "damage_cells", "damage_potential",
-                   "apply", "total_strain", "strain_at", "stiffness"},
+                   "apply", "total_strain", "strain_at", "stiffness",
+                   "energy", "energy_gradients"},
                   {"value_grad", "UpRecord"}),
-    "driver.py": ({"loaded_energy", "energy", "energy_gradients"},
+    "driver.py": ({"loaded_energy", "energy", "energy_gradients",
+                   "strain_at", "elastic_cells"},
                   {"_power_integral"}),
 }
 
@@ -482,3 +486,60 @@ def test_iterate_formed_once():
                  for msg in _forming_calls(SRC / name)]
     assert not offenders, "strain, cells or laws formed outside the " \
         "value evaluations and the power:\n" + "\n".join(offenders)
+
+
+# the parameters and fields of ``src/ribv`` that default to None, as
+# "module:scope:name": the command line's argv, a run's abort step, the
+# rate record's optional inputs (the bare-rate ``psi_total`` and ``d_nu``
+# of the acceptance suite) and the damage laws a bare step forms; a None
+# default anywhere else would fork a reader into forming its record itself
+_NONE_DEFAULTS = {
+    "cli.py:main:argv",
+    "driver.py:Trajectory:aborted_at",
+    "dissipation.py:RateNorms.of:state",
+    "dissipation.py:RateNorms.of:mat",
+    "dissipation.py:RateNorms.of:e_rate",
+    "solver.py:incremental_step:laws",
+}
+
+
+def _none_defaults(path: Path) -> list[str]:
+    """Every function parameter and class field of a module whose default
+    is the literal None, as "module:scope:name"."""
+    out = []
+
+    def is_none(node):
+        return isinstance(node, ast.Constant) and node.value is None
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                name = scope + child.name
+                a = child.args
+                pos = a.posonlyargs + a.args
+                pairs = list(zip(pos[len(pos) - len(a.defaults):],
+                                 a.defaults)) \
+                    + list(zip(a.kwonlyargs, a.kw_defaults))
+                out.extend(f"{path.name}:{name}:{arg.arg}"
+                           for arg, d in pairs if is_none(d))
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                name = scope + child.name
+                out.extend(f"{path.name}:{name}:{stmt.target.id}"
+                           for stmt in child.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and is_none(stmt.value))
+                visit(child, name + ".")
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+def test_none_defaults_listed():
+    found = [msg for path in sorted(SRC.glob("*.py"))
+             for msg in _none_defaults(path)]
+    assert sorted(found) == sorted(_NONE_DEFAULTS), \
+        "None defaults other than those listed:\n" + "\n".join(
+            sorted(set(found) ^ _NONE_DEFAULTS))

@@ -19,8 +19,8 @@ from ribv.constitutive import (
 )
 from ribv.discretization import Grid, State, initial_state, tensor_norm
 from ribv.dissipation import DualDiagnostics, Rate, RateNorms, d_nu, \
-    dual_diagnostics, psi_rate_independent
-from ribv.driver import Trajectory, _power_integral, run_viscous
+    dual_diagnostics, psi_total
+from ribv.driver import Trajectory, run_viscous
 from ribv.problems import (
     ramp_loading,
     reference_material,
@@ -44,7 +44,7 @@ from ribv.reparam import (
 )
 
 from conftest import random_rate, random_state
-from oracles import align_z_curves, d_up, jump_intervals, \
+from oracles import align_z_curves, d_up, jump_intervals, loaded_at, \
     switching_residual
 
 
@@ -92,6 +92,16 @@ class TestNormalization:
                 assert np.array_equal(rs.u_rate, r.u_rate * fac)
                 assert np.array_equal(rs.z_rate, r.z_rate * fac)
                 assert np.array_equal(rs.p_rate, r.p_rate * fac)
+
+    def test_rate_outside_knots_raises(self):
+        # the rates per unit s are the run's backward differences, which
+        # exist at knots 1..n_knots - 1 only
+        ops, traj = ramp_run(n_steps=5, amplitude=1.2)
+        for p in (reparam_standard(traj, ops), reparam_ed(traj, ops)):
+            for k in (0, p.n_knots):
+                with pytest.raises(ValueError, match="outside"):
+                    p.rate(k)
+            assert (p.rate(1).z_rate <= 0).all()
 
     def test_round_trip_rates_resum(self):
         # rebuild rates from (s, t, q(s)) alone and re-integrate the
@@ -142,8 +152,8 @@ class TestContactPotential:
         for k in range(1, p.n_knots):
             m = contact_potential("visc", float(p.t_rate[k]), p.norms(k),
                                   traj.dual_diag[k], ep, stab_tol=10 * ep.eps)
-            ri = psi_rate_independent(traj.states[k], p.rate(k), ops, mat,
-                                      tol_pos=1e-12)
+            ri = psi_total(traj.states[k], p.rate(k), ops, mat, 0.0, 0.0,
+                           tol_pos=1e-12)
             dn = d_nu(ops, p.rate(k), ep.nu)
             expect = ri + ep.eps * dn ** 2 / p.t_rate[k]
             assert m == pytest.approx(expect, rel=1e-6, abs=1e-10)
@@ -168,7 +178,7 @@ class TestContactPotential:
         m = contact_potential("eps-nu0", 1e-5,
                               RateNorms.of(ops, rate, st, mat), diag, ep,
                               stab_tol=0.1, jump=True)
-        ri = psi_rate_independent(st, rate, ops, mat, tol_pos=1e-12)
+        ri = psi_total(st, rate, ops, mat, 0.0, 0.0, tol_pos=1e-12)
         expect = ri + d_up(ops, u_rate, p_rate) * diag.d_star_mu
         assert m == pytest.approx(expect, rel=1e-12)
 
@@ -520,8 +530,8 @@ class TestSweep:
             mu = lv.ptraj.traj.ep.mu
             power = 0.0
             for k in range(1, len(t)):
-                power += _power_integral(t[k - 1], t[k], st[k - 1], ops, mat,
-                                         loading)
+                power += loaded_at(t[k], st[k - 1], ops, mat, loading) \
+                    - loaded_at(t[k - 1], st[k - 1], ops, mat, loading)
             e_end = energy(t[-1], st[-1], ops, mat, mu, loading)
             e_0 = energy(t[0], st[0], ops, mat, mu, loading)
             assert np.isfinite(lv.contact_integral)

@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import ribv.constitutive as constitutive_module
+import ribv.driver as driver_module
 import ribv.solver as solver_module
 from ribv.constitutive import (
     DamageLaws,
@@ -18,7 +19,9 @@ from ribv.constitutive import (
     damage_curvature,
     damage_potential,
     energy,
+    energy_from,
     energy_gradients,
+    state_gradients,
     stiffness,
     yield_radius,
 )
@@ -28,7 +31,6 @@ from ribv.discretization import (
     eval_loading,
     initial_state,
     tensor_norm,
-    total_strain,
 )
 from ribv.config import RunConfig
 from ribv.dissipation import Rate, RateNorms, prox_map, prox_tangent, \
@@ -44,23 +46,25 @@ from ribv.solver import (
     _z_hess,
     _z_value,
     band_newton_step,
-    el_residuals,
     incremental_step,
     solve_up_step,
     solve_z_step,
 )
 
 from conftest import random_state
-from oracles import band_to_dense, certified_step, incremental_functional
+from oracles import band_to_dense, certified_step, certify, \
+    incremental_functional, up_record
 
 
 def small_ep(eps=1e-2, nu=1e-2, mu=1e-2, tau=0.05):
     return EnergyParams(eps=eps, nu=nu, mu=mu, tau=tau, t_final=1.0)
 
 
-def strain(ops, state, loading, t):
-    """The strain e = B(u + w(t)) - p that solve_z_step takes."""
-    return total_strain(ops.B, state, eval_loading(loading, t)[0])
+def z_records(ops, mat, ep, state, prev, loading, t):
+    """The (u, p) record and the damage laws of state that solve_z_step
+    takes, formed afresh."""
+    return (up_record(t, state, prev, ops, mat, ep, loading),
+            DamageLaws.at(state.z, ops, mat))
 
 
 def counted(calls, name, fn):
@@ -117,6 +121,7 @@ class TestTrivialSteps:
             prev = random_state(grid, rng)
             st = prev.copy()
             u_new, p_new, _ = solve_up_step(*eval_loading(loading, 0.7),
+                                            DamageLaws.at(st.z, ops, mat),
                                             st, prev, ops, mat, ep)
             before = incremental_functional(0.7, st, prev, ops, mat, ep,
                                             loading)
@@ -175,7 +180,8 @@ class TestUpStepExits:
         loading = ramp_loading(grid, amplitude=1.2)
         prev = initial_state(grid, z0=0.95)
         with pytest.raises(RuntimeError, match="dual residual"):
-            solve_up_step(*eval_loading(loading, 1.0), prev.copy(), prev,
+            solve_up_step(*eval_loading(loading, 1.0),
+                          DamageLaws.at(prev.z, ops, mat), prev.copy(), prev,
                           ops, mat, small_ep(), max_iter=1)
 
 
@@ -227,8 +233,8 @@ class TestZStep:
                                 np.zeros(grid.n_nodes)])
         st.p = np.tile([0.05, -0.05, 0.02], (grid.n_cells, 1))
 
-        z_new = solve_z_step(strain(ops, st, loading, 0.5), st, prev, ops,
-                             mat, ep, tol=1e-13)[0]
+        z_new = solve_z_step(*z_records(ops, mat, ep, st, prev, loading, 0.5),
+                             st, prev, ops, mat, ep, tol=1e-13)[0]
         assert np.ptp(z_new) < 1e-10  # stays uniform by symmetry
 
         e = ops.B.apply(st.u)[0] - st.p[0]
@@ -263,8 +269,8 @@ class TestZStep:
         st.u[~grid.dirichlet_mask] = rng.normal(0, 0.3,
                                                 (grid.n_nodes
                                                  - grid.n_side, 2))
-        z_new = solve_z_step(strain(ops, st, loading, 1.0), st, prev, ops,
-                             mat, ep)[0]
+        z_new = solve_z_step(*z_records(ops, mat, ep, st, prev, loading, 1.0),
+                             st, prev, ops, mat, ep)[0]
         assert np.all(z_new <= prev.z + 1e-15)
         assert np.all(z_new >= Z_FLOOR * (1 - 1e-12))
 
@@ -282,8 +288,9 @@ class TestZStep:
         st.u[~grid.dirichlet_mask] = rng.normal(0, 0.3,
                                                 (grid.n_nodes
                                                  - grid.n_side, 2))
-        z_new = solve_z_step(strain(ops, st, loading, 1.0), st, prev, ops,
-                             mat, small_ep())[0]
+        ep = small_ep()
+        z_new = solve_z_step(*z_records(ops, mat, ep, st, prev, loading, 1.0),
+                             st, prev, ops, mat, ep)[0]
         assert z_new[7] == Z_FLOOR
         assert np.all(z_new <= prev.z) and np.all(z_new >= Z_FLOOR)
 
@@ -300,8 +307,9 @@ class TestZStep:
                                                 (grid.n_nodes
                                                  - grid.n_side, 2))
         with pytest.raises(RuntimeError, match="residual"):
-            solve_z_step(strain(ops, st, loading, 1.0), st, prev, ops, mat,
-                         small_ep(), max_iter=1)
+            ep = small_ep()
+            solve_z_step(*z_records(ops, mat, ep, st, prev, loading, 1.0),
+                         st, prev, ops, mat, ep, max_iter=1)
 
     @pytest.mark.parametrize("n_side", [3, 5])
     def test_z_value_gradient_fd(self, n_side, rng):
@@ -425,7 +433,7 @@ class TestOneEvaluationPerIterate:
                 calls, name, getattr(constitutive_module, name)))
         elastic = counted(calls, "elastic_cells",
                           constitutive_module.elastic_cells)
-        for module in (constitutive_module, solver_module):
+        for module in (constitutive_module, solver_module, driver_module):
             monkeypatch.setattr(module, "elastic_cells", elastic)
         for name in ("_z_value", "prox_map"):
             monkeypatch.setattr(solver_module, name, counted(
@@ -602,8 +610,7 @@ class TestIncrementalStep:
         prev = initial_state(grid, z0=0.95)
         res = incremental_step(0.9, prev, ops, mat, ep, loading,
                                tol_stat=1e-9)
-        grads = energy_gradients(0.9, res.new_state, ops, mat, ep.mu, loading)
-        r = el_residuals(grads, res.new_state, prev, ops, mat, ep)
+        _, r = certify(0.9, res.new_state, prev, ops, mat, ep, loading)
         assert max(r) <= 1e-9
 
     def test_functional_evaluated_once_per_end(self, monkeypatch):
@@ -614,16 +621,16 @@ class TestIncrementalStep:
         mat = reference_material()
         ops = Operators.build(grid, mat)
         loading = ramp_loading(grid, amplitude=1.2)
-        calls = {"energy": 0, "rate_norms": 0}
+        calls = {"energy_from": 0, "rate_norms": 0}
 
-        monkeypatch.setattr(solver_module, "energy",
-                            counted(calls, "energy", energy))
+        monkeypatch.setattr(solver_module, "energy_from",
+                            counted(calls, "energy_from", energy_from))
         monkeypatch.setattr(RateNorms, "of", classmethod(
             counted(calls, "rate_norms", RateNorms.of.__func__)))
         res = incremental_step(0.9, initial_state(grid, z0=0.95), ops, mat,
                                small_ep(tau=0.1), loading, tol_stat=1e-9)
         assert res.iterations >= 2
-        assert calls == {"energy": 1, "rate_norms": 0}
+        assert calls == {"energy_from": 1, "rate_norms": 0}
 
 
 def damaging_step(n_steps=10, k=6):
@@ -672,25 +679,25 @@ class TestCertificationOrder:
 
     @pytest.mark.parametrize("max_iter", [500, 5])
     def test_gradients_once_per_passing_sweep(self, monkeypatch, max_iter):
-        # energy_gradients runs once per sweep whose r_u is within
-        # tol_stat, plus once at the max_iter-th sweep; r_u is recomputed
-        # here after each z solve from the public energy gradients
+        # the z and p gradients (``state_gradients``) are read once per
+        # sweep whose r_u is within tol_stat, plus once at the max_iter-th
+        # sweep; r_u is recomputed here after each z solve from the public
+        # energy gradients
         ops, mat, ep, loading, t, prev, _ = damaging_step()
         r_u = []
 
-        def z_step(e, state, prev_state, *args, **kwargs):
-            out = solve_z_step(e, state, prev_state, *args, **kwargs)
+        def z_step(up, laws, state, prev_state, *args, **kwargs):
+            out = solve_z_step(up, laws, state, prev_state, *args, **kwargs)
             st = state.copy()
             st.z = out[0]
-            r_u.append(el_residuals(
-                energy_gradients(t, st, ops, mat, ep.mu, loading), st,
-                prev_state, ops, mat, ep)[0])
+            r_u.append(certify(t, st, prev_state, ops, mat, ep,
+                               loading)[1][0])
             return out
 
-        calls = {"energy_gradients": 0}
+        calls = {"state_gradients": 0}
         monkeypatch.setattr(solver_module, "solve_z_step", z_step)
-        monkeypatch.setattr(solver_module, "energy_gradients", counted(
-            calls, "energy_gradients", energy_gradients))
+        monkeypatch.setattr(solver_module, "state_gradients", counted(
+            calls, "state_gradients", state_gradients))
         res = incremental_step(t, prev, ops, mat, ep, loading,
                                max_iter=max_iter)
         assert len(r_u) == res.iterations
@@ -698,10 +705,10 @@ class TestCertificationOrder:
         if max_iter == 5:
             # cut at a sweep whose r_u fails
             assert res.iterations == 5 and r_u[-1] > 1e-8
-            assert calls["energy_gradients"] == passing + 1
+            assert calls["state_gradients"] == passing + 1
         else:
             assert 0 < passing < res.iterations == 15
-            assert calls["energy_gradients"] == passing
+            assert calls["state_gradients"] == passing
 
     def test_max_iter_exit_certifies_in_full(self):
         # a step cut at max_iter = 5 of its 15 sweeps returns all three
@@ -710,9 +717,9 @@ class TestCertificationOrder:
         ops, mat, ep, loading, t, prev, _ = damaging_step()
         res = incremental_step(t, prev, ops, mat, ep, loading, max_iter=5)
         assert res.iterations == 5 and not res.accepted
-        grads = energy_gradients(t, res.new_state, ops, mat, ep.mu, loading)
-        assert res.el_residuals == el_residuals(grads, res.new_state, prev,
-                                                ops, mat, ep)
+        grads, residuals = certify(t, res.new_state, prev, ops, mat, ep,
+                                   loading)
+        assert res.el_residuals == residuals
         assert res.el_residuals[0] > 1e-8
         assert all(np.isfinite(r) and r > 0 for r in res.el_residuals)
         for got, want in zip(res.gradients, grads):
