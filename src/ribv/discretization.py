@@ -15,7 +15,8 @@ The module provides:
   assembled over the free dofs in LAPACK lower symmetric-band storage
   (the node-major dof order keeps their bandwidth at 2 n_side + 1),
 * ``assemble_nonlocal_form`` -- a Gagliardo-type nonlocal form for the
-  damage field, built in O(N^2) from its n_side distinct Toeplitz blocks,
+  damage field, built in O(N^2) from its n_side distinct Toeplitz blocks
+  in its own N x N buffer, the one such array it holds,
 * ``LoadingSpec`` / ``eval_loading`` -- time-dependent Dirichlet data
   (with a fixed interior lift) and external nodal forces,
 * ``total_strain`` -- e = B(u + w) - p.
@@ -258,7 +259,8 @@ def _fd_stencil(grid: Grid) -> np.ndarray:
     one-sided at the ends: Gx = I (x) D and Gy = D (x) I, i.e. Z D^T and
     D Z for a nodal field reshaped to Z[iy, ix]."""
     n, h = grid.n_side, grid.h
-    D = (np.eye(n, k=1) - np.eye(n, k=-1)) / (2.0 * h)
+    D = np.zeros((n, n))
+    D.flat[1::n + 1], D.flat[n::n + 1] = 0.5 / h, -0.5 / h
     D[0, :2] = D[-1, -2:] = (-1.0 / h, 1.0 / h)
     return D
 
@@ -277,7 +279,13 @@ def assemble_nonlocal_form(grid: Grid, m_order: float = 1.5) -> np.ndarray:
     With m = m1 (x) m1, block (a, b) of Gx^T L Gx over node rows is -m1_a
     m1_b P_|a-b| + [a = b] D^T diag((W 1)_a) D, P_d = E K_d E^T for E = D^T
     diag(m1) and K_d the Toeplitz kernel table of row offset d; Gy^T L Gy
-    swaps the axes.  O(N^2) flops for N nodes, two N x N arrays live.
+    swaps the axes.  O(N^2) flops for N nodes and one N x N array live:
+    X[a, ix, b, jx], twice the symmetric part of block (a, b) of Gx^T L Gx
+    at (ix, jx), is gathered k node rows at a time into the output's
+    layout, and A = X + X with (a, ix) and (b, jx) swapped is formed in
+    place, k node rows at a time against the rows after them; each
+    mirrored pair of entries is the same two terms added in either order,
+    so A is exactly symmetric.
     """
     if m_order <= 1.0:
         raise ValueError("nonlocal order must exceed 1")
@@ -288,18 +296,36 @@ def assemble_nonlocal_form(grid: Grid, m_order: float = 1.5) -> np.ndarray:
     off = np.abs(np.arange(n)[:, None] - np.arange(n))
     K = (dist2 ** -m_order)[:, off]          # K[d]: rows d apart, (n, n, n)
     E = D.T * m1
-    P = E @ K @ E.T
-    # row sums r = W 1 on the grid, and D^T diag(r_a) D per node row a
+    # row sums r = W 1 on the grid; R_a = D^T diag(r_a) D per node row a,
+    # and R_a + R_a^T, P_d + P_d^T: twice their symmetric parts
     w = grid.lump.reshape(n, n)              # m1_a m1_b
     r = w * (m1 @ (K @ m1)[off])
     R = (D.T * r[:, None, :]) @ D
-    # Q[a, b] = 2 sym of block (a, b) of Gx^T L Gx, indexed [a, b, ix, jx]
-    Q = (P + P.transpose(0, 2, 1))[off]
-    Q *= -w[:, :, None, None]
-    Q.reshape(n * n, n, n)[::n + 1] += R + R.transpose(0, 2, 1)
-    # A[(a, ix), (b, jx)] = Q[a, b, ix, jx] + Q[ix, jx, a, b]
-    return np.add(Q.transpose(0, 2, 1, 3), Q.transpose(2, 0, 3, 1),
-                  out=np.empty((n, n, n, n))).reshape(n * n, n * n)
+    R = R + R.transpose(0, 2, 1)
+    P = E @ K @ E.T
+    P = P + P.transpose(0, 2, 1)
+    del K  # the kernel tables are not held beside the output
+    nw = -w[:, :, None, None]
+    # k node rows per block: a block's work array holds at most
+    # max(2^15, n^3) entries
+    k = max(1, 2 ** 15 // n ** 3)
+    # X[a, ix, b, jx] = 2 sym of block (a, b) of Gx^T L Gx at (ix, jx),
+    # gathered as Q[a, b, ix, jx] and laid out in the output
+    X = np.empty((n, n, n, n))
+    for a0 in range(0, n, k):
+        a1 = a0 + k
+        Q = P[off[a0:a1]]
+        Q *= nw[a0:a1]
+        Q.reshape(-1, n, n)[a0::n + 1] += R[a0:a1]
+        X[a0:a1] = Q.transpose(0, 2, 1, 3)
+    del Q  # one block is all of X up to n_side 13: free it first
+    # A[(a, ix), (b, jx)] = X[a, ix, b, jx] + X[ix, a, jx, b], in place
+    for a0 in range(0, n, k):
+        a1 = a0 + k
+        blk = X[a0:a1, a0:] + X[a0:, a0:a1].transpose(1, 0, 3, 2)
+        X[a0:a1, a0:] = blk
+        X[a1:, a0:a1] = blk[:, k:].transpose(1, 0, 3, 2)
+    return X.reshape(n * n, n * n)
 
 
 def nonlocal_double_sum(grid: Grid, m_order: float,

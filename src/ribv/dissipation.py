@@ -203,16 +203,22 @@ def dist_r(grid: Grid, chi: np.ndarray, kappa: float) -> float:
     return float(np.sqrt((grid.lump * viol ** 2).sum()))
 
 
-def dist_h(grid: Grid, z: np.ndarray, omega: np.ndarray,
-           mat: MaterialParams, tol: float = 1e-10) -> float:
+def dist_ball(grid: Grid, omega: np.ndarray, radii: np.ndarray,
+              tol: float = 1e-10) -> float:
     """Weighted L2 distance of the cellwise deviatoric field omega to the
-    pointwise balls of radius V(z_c)."""
+    pointwise balls of the given cell radii."""
     omega = np.asarray(omega, dtype=float)
     if np.abs(tensor_trace(omega)).max(initial=0.0) > tol:
         raise ValueError("omega must be trace-free")
-    zc = cell_damage(grid, z)
-    viol = np.maximum(tensor_norm(omega) - yield_radius(zc, mat), 0.0)
+    viol = np.maximum(tensor_norm(omega) - radii, 0.0)
     return float(np.sqrt((grid.w_cell * viol ** 2).sum()))
+
+
+def dist_h(grid: Grid, z: np.ndarray, omega: np.ndarray,
+           mat: MaterialParams, tol: float = 1e-10) -> float:
+    """``dist_ball`` of omega to the yield balls, of radius V(z_c)."""
+    return dist_ball(grid, omega, yield_radius(cell_damage(grid, z), mat),
+                     tol)
 
 
 def flow_directions(direction: np.ndarray):
@@ -243,19 +249,21 @@ def dual_diagnostics(t: float, state: State, ops: Operators,
                      loading) -> DualDiagnostics:
     """Evaluate every dual stability magnitude of a state at time t."""
     grads = energy_gradients(t, state, ops, mat, mu, loading)
-    return diagnostics_from_gradients(grads, state, ops, mat, mu, nu)
+    V = yield_radius(cell_damage(ops.grid, state.z), mat)
+    return diagnostics_from_gradients(grads, state, V, ops, mat, mu, nu)
 
 
-def diagnostics_from_gradients(grads: tuple, state: State, ops: Operators,
-                               mat: MaterialParams, mu: float,
-                               nu: float) -> DualDiagnostics:
-    """``dual_diagnostics`` from the energy's partial gradients."""
+def diagnostics_from_gradients(grads: tuple, state: State, V: np.ndarray,
+                               ops: Operators, mat: MaterialParams,
+                               mu: float, nu: float) -> DualDiagnostics:
+    """``dual_diagnostics`` from the energy's partial gradients and the
+    yield radii V of state.z."""
     g_u, g_z, g_p = grads
     dual_u = ops.dual_norm(g_u)
     dz = dist_r(ops.grid, -g_z, mat.kappa)
-    dp = dist_h(ops.grid, state.z, -g_p, mat)
+    dp = dist_ball(ops.grid, -g_p, V)
     # hardening-free surrogate: test sigma_D itself
-    dp0 = dist_h(ops.grid, state.z, -(g_p - mu * state.p), mat)
+    dp0 = dist_ball(ops.grid, -(g_p - mu * state.p), V)
     if nu > 0:
         dnustar = float(np.sqrt(dual_u ** 2 / nu + dz ** 2 + dp ** 2 / nu))
     else:

@@ -143,8 +143,9 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
         power=np.array(power),
         balance_residual_cum=np.abs(E + np.cumsum(tau * N) - E[0]
                                     - np.cumsum(power)),
-        dual_diag=[diagnostics_from_gradients(r.gradients, r.new_state, ops,
-                                              mat, ep.mu, ep.nu)
+        dual_diag=[diagnostics_from_gradients(r.gradients, r.new_state,
+                                              r.laws.V, ops, mat, ep.mu,
+                                              ep.nu)
                    for r in steps],
         gradients=[r.gradients for r in steps],
         el_residuals=[r.el_residuals for r in steps],

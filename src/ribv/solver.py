@@ -11,13 +11,14 @@ z_floor <= z <= z_prev.  Both solves backtrack to one acceptance rule
 and raise RuntimeError when they cannot converge; each forms the data
 fixed over its call once (the prox map; the z cell data and Hessian base)
 and builds its Hessian from the value evaluation at the iterate (the prox
-shift, c'').  Each value evaluation is formed once and handed on as a
-record: the (u, p) solve's ``UpRecord`` (strain, stress, density, |dp|
-and the viscous K_D product) to the z-solve, r_u and the certification;
-the z-solve's ``DamageLaws`` at its accepted z to the next sweep, the
-certification, the energy and the next step.  Sweeps start from q_prev
-and are certified by r_u first, the other two optimality residuals where
-it passes.
+shift, c''); the (u, p) solve reads the data fixed over a step from the
+step's ``UpData``.  Each value evaluation is formed once and handed on
+as a record: the (u, p) solve's ``UpRecord`` (strain, stress, density,
+|dp| and the viscous K_D product) to the z-solve, r_u and the
+certification; the z-solve's ``DamageLaws`` at its accepted z to the
+next sweep, the certification, the energy and the next step.  Sweeps
+start from q_prev and are certified by r_u first, the other two
+optimality residuals where it passes.
 """
 
 from __future__ import annotations
@@ -104,6 +105,31 @@ class UpRecord(NamedTuple):
         return cls(e, *elastic_cells(e, mat), dp_abs, visc_kd)
 
 
+class UpData(NamedTuple):
+    """The (u, p) solve's data fixed over a step: the force F of the
+    loading at t and its free slice, u_prev on the free dofs, the loading
+    w flattened (a work buffer: each value evaluation writes w + u into
+    its free entries) and its free slice, visc_fac = eps nu / tau and the
+    viscous cell forms visc_fac K_D."""
+
+    F: np.ndarray
+    F_free: np.ndarray
+    u_prev_f: np.ndarray
+    uw: np.ndarray
+    w_free: np.ndarray
+    visc_fac: float
+    visc_cells: np.ndarray
+
+    @classmethod
+    def of(cls, w: np.ndarray, F: np.ndarray, prev_state: State,
+           ops: Operators, ep: EnergyParams) -> "UpData":
+        """The data of a step from prev_state under the loading (w, F)."""
+        free = ops.grid.free_dofs
+        visc_fac = ep.eps * ep.nu / ep.tau
+        return cls(F, F[free], prev_state.u.ravel()[free], w.flatten(),
+                   w.ravel()[free], visc_fac, visc_fac * ops.K_D_cells)
+
+
 # ---------------------------------------------------------------------------
 # subproblem solves
 # ---------------------------------------------------------------------------
@@ -118,12 +144,12 @@ def band_newton_step(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return step
 
 
-def solve_up_step(w: np.ndarray, F_ext: np.ndarray, laws: DamageLaws,
-                  state: State, prev_state: State, ops: Operators,
-                  mat: MaterialParams, ep: EnergyParams,
-                  tol_dual: float = 1e-12, max_iter: int = 80) -> tuple:
-    """Joint minimization in (u, p) with z frozen at the loading (w, F_ext)
-    and the ``DamageLaws`` at state.z.
+def solve_up_step(data: UpData, laws: DamageLaws, state: State,
+                  prev_state: State, ops: Operators, mat: MaterialParams,
+                  ep: EnergyParams, tol_dual: float = 1e-12,
+                  max_iter: int = 80) -> tuple:
+    """Joint minimization in (u, p) with z frozen, from the step's
+    ``UpData`` and the ``DamageLaws`` at state.z.
 
     Alternating u- and p-solves contract slowly once cells yield, so
     instead minimize the envelope F(u) = min_p J(u, p) by a semismooth
@@ -133,15 +159,16 @@ def solve_up_step(w: np.ndarray, F_ext: np.ndarray, laws: DamageLaws,
     w_c c_c S0 (I - J_c) of the prox: J_c = ``prox_tangent`` of the value
     evaluation's shift.  Value, gradient and tangent read the cell kernel
     ``elastic_cells`` and its form S0; the cell laws (c, V) are read from
-    ``laws``, and the checked ``prox_map`` and the viscous cell forms are
-    formed once per call.  Where no cell yields, J_c is 0 and the tangent
-    S0 itself.  The tangent is symmetric by construction (S0 acts as
-    2 mu_L G on the trace-free range of J_c, G = diag(FROB_W)); the
-    Hessian is assembled over the free dofs in lower band storage and
-    solved by band Cholesky (``band_newton_step``), which raises
-    LinAlgError when it is not positive definite.  Steps are halved until ``_acceptable`` holds:
-    Armijo's condition or, where the objective grows by at most 1e-6 of
-    itself, the approximate Armijo condition of Hager & Zhang (2005).
+    ``laws``, the loading and the viscous cell forms from ``data``, and
+    the checked ``prox_map`` is formed once per call.  Where no cell
+    yields, J_c is 0 and the tangent S0 itself.  The tangent is symmetric
+    by construction (S0 acts as 2 mu_L G on the trace-free range of J_c,
+    G = diag(FROB_W)); the Hessian is assembled over the free dofs in
+    lower band storage and solved by band Cholesky (``band_newton_step``),
+    which raises LinAlgError when it is not positive definite.  Steps are
+    halved until ``_acceptable`` holds: Armijo's condition or, where the
+    objective grows by at most 1e-6 of itself, the approximate Armijo
+    condition of Hager & Zhang (2005).
     Stops when the dual norm ``ops.dual_norm`` of the gradient is <=
     tol_dual and raises RuntimeError, stating that norm, when 50 halvings
     find no acceptable step or max_iter iterations end above tol_dual.
@@ -149,29 +176,26 @@ def solve_up_step(w: np.ndarray, F_ext: np.ndarray, laws: DamageLaws,
     """
     grid = ops.grid
     free = grid.free_dofs
-    F_free = F_ext[free]
     wc, wV = grid.w_cell * laws.c, grid.w_cell * laws.V
-    visc_fac = ep.eps * ep.nu / ep.tau
-    u_prev_f = prev_state.u.ravel()[free]
+    visc_fac, uw = data.visc_fac, data.uw
     c_q = deviatoric_modulus(laws.c, mat)
     shift_at = prox_map(prev_state.p, laws.V, visc_fac, ep.mu, c_q)
-    visc_cells, eye = visc_fac * ops.K_D_cells, np.eye(3)
-    uw, w_free = w.flatten(), w.ravel()[free]
+    eye = np.eye(3)
 
     def value_grad(u_free):
-        uw[free] = w_free + u_free
+        uw[free] = data.w_free + u_free
         e_bar = ops.B.apply(uw)
         shift = shift_at(tensor_dev(e_bar))
         p = shift[0]
-        du = u_free - u_prev_f
+        du = u_free - data.u_prev_f
         kd_du = ops.apply_K_D(du)
         dp = p - prev_state.p
         dp2 = tensor_dot(dp, dp)
         rec = UpRecord.of(e_bar - p, np.sqrt(dp2), mat, visc_fac * kd_du)
-        val = wc @ rec.q0 - F_ext @ uw + 0.5 * visc_fac * (du @ kd_du) \
+        val = wc @ rec.q0 - data.F @ uw + 0.5 * visc_fac * (du @ kd_du) \
             + wV @ rec.dp_abs + grid.w_cell @ (
                 0.5 * visc_fac * dp2 + 0.5 * ep.mu * tensor_dot(p, p))
-        grad = ops.B.adjoint(wc[:, None] * rec.s0)[free] - F_free \
+        grad = ops.B.adjoint(wc[:, None] * rec.s0)[free] - data.F_free \
             + rec.visc_kd
         return float(val), grad, shift, rec
 
@@ -190,7 +214,7 @@ def solve_up_step(w: np.ndarray, F_ext: np.ndarray, laws: DamageLaws,
         T = mat.unit_stiffness
         if (shift[3] < 1.0).any():
             T = T @ (eye - prox_tangent(shift, c_q))
-        H = ops.B.form(visc_cells + wc[:, None, None] * T)
+        H = ops.B.form(data.visc_cells + wc[:, None, None] * T)
         step = -band_newton_step(H, grad)
         slope = grad @ step
         alpha = 1.0
@@ -248,7 +272,9 @@ def solve_z_step(up: UpRecord, laws: DamageLaws, state: State,
     ``_z_value`` call.  The cell data a = w_c q0 and b = w_c |dp| are
     formed once per call, from ``up``, the Hessian base ``_z_hess`` when
     first needed and again only where a cell crosses z = 1; each
-    iteration adds lump (W'' + eps/tau) to its free slice.  ``laws``, the
+    iteration adds lump (W'' + eps/tau) to its free slice and solves it by
+    dense Cholesky (LAPACK ``dposv``), raising LinAlgError naming info
+    where the slice is not positive definite.  ``laws``, the
     ``DamageLaws`` at state.z, start the solve unless the bounds move
     state.z.  The stationarity residual is the mass norm of g/m over the
     free nodes (a node pinned at both bounds adds nothing).  Returns
@@ -280,9 +306,9 @@ def solve_z_step(up: UpRecord, laws: DamageLaws, state: State,
         H.flat[::len(idx) + 1] += m[idx] * (damage_curvature(z[idx], mat)
                                             + ep.eps / ep.tau)
         # H is exactly symmetric: its transpose is the Fortran array
-        *_, d[idx], info = lapack.dgesv(H.T, g[idx], overwrite_a=1)
+        _, d[idx], info = lapack.dposv(H.T, g[idx], lower=1, overwrite_a=1)
         if info != 0:
-            raise np.linalg.LinAlgError(f"dgesv failed with info={info}")
+            raise np.linalg.LinAlgError(f"dposv failed with info={info}")
         alpha = 1.0
         for _bt in range(50):
             z_t = np.minimum(np.maximum(z - alpha * d, Z_FLOOR), z_prev)
@@ -345,27 +371,28 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
     optimality residual drops below tol_stat (or max_iter sweeps); a
     (u, p) or z solve that cannot reach its tolerance raises RuntimeError.
 
-    The loading is read once per step, and every evaluation once per
-    sweep: the (u, p) solve's ``UpRecord`` gives the z-solve its cell
-    data, r_u its viscous product and the certification its strain,
-    stress and density; the z-solve's ``DamageLaws`` at its accepted z
-    give g_u, r_p, the energy gradients and the energy their laws, and
-    start the next sweep's (u, p) solve and z-solve, since the (u, p)
-    solve leaves z alone.  ``laws``, those at prev_state.z (the previous
-    step's), start the first sweep; they are formed where not passed.  A
-    sweep is certified r_u first: ``state_gradients`` and ``el_residuals``
-    run, from that g_u and r_u, only where r_u <= tol_stat or at the
-    max_iter-th sweep.  The energy and its loaded part are evaluated
-    once, at the end; the step's Psi is read by the driver from its rate
-    record."""
+    The loading is read, and the (u, p) solve's ``UpData`` formed, once
+    per step, and every evaluation once per sweep: the (u, p) solve's
+    ``UpRecord`` gives the z-solve its cell data, r_u its viscous product
+    and the certification its strain, stress and density; the z-solve's
+    ``DamageLaws`` at its accepted z give g_u, r_p, the energy gradients
+    and the energy their laws, and start the next sweep's (u, p) solve
+    and z-solve, since the (u, p) solve leaves z alone.  ``laws``, those
+    at prev_state.z (the previous step's), start the first sweep; they
+    are formed where not passed.  A sweep is certified r_u first:
+    ``state_gradients`` and ``el_residuals`` run, from that g_u and r_u,
+    only where r_u <= tol_stat or at the max_iter-th sweep.  The energy
+    and its loaded part are evaluated once, at the end; the step's Psi is
+    read by the driver from its rate record."""
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     w, F = eval_loading(loading, t)
+    data = UpData.of(w, F, prev_state, ops, ep)
     state = prev_state.copy()
     laws = laws or DamageLaws.at(state.z, ops, mat)
     for sweeps in range(1, max_iter + 1):
         state.u, state.p, up = solve_up_step(
-            w, F, laws, state, prev_state, ops, mat, ep,
+            data, laws, state, prev_state, ops, mat, ep,
             tol_dual=max(1e-13, 0.02 * tol_stat))
         state.z, laws = solve_z_step(up, laws, state, prev_state, ops, mat,
                                      ep, tol=0.1 * tol_stat)

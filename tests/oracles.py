@@ -12,8 +12,8 @@ from ribv.constitutive import DamageLaws, cell_damage, elastic_cells, \
     energy, energy_gradients, loaded_energy, strain_at, yield_radius
 from ribv.discretization import eval_loading, tensor_dev, tensor_norm
 from ribv.dissipation import Rate, prox_map, prox_tangent, psi_total
-from ribv.solver import StepResult, UpRecord, el_residuals, solve_up_step, \
-    solve_z_step
+from ribv.solver import StepResult, UpData, UpRecord, el_residuals, \
+    solve_up_step, solve_z_step
 
 FROB_W = np.array([1.0, 1.0, 2.0])
 
@@ -230,6 +230,32 @@ def dense_nonlocal_form(grid, m_order):
     return 0.5 * (A + A.T)
 
 
+def two_array_nonlocal_form(grid, m_order):
+    """The nonlocal form by the two-array assembly: every block (a, b) of
+    2 sym(Gx^T L Gx) gathered as Q[a, b, ix, jx], and A[(a, ix), (b, jx)]
+    = Q[a, b, ix, jx] + Q[ix, jx, a, b] written into a second N x N
+    array.  Entry by entry the same operations as the in-place assembly,
+    so the two agree bit for bit."""
+    n, h, m1 = grid.n_side, grid.h, grid.lump_1d
+    D = (np.eye(n, k=1) - np.eye(n, k=-1)) / (2.0 * h)
+    D[0, :2] = D[-1, -2:] = (-1.0 / h, 1.0 / h)
+    r2 = (h * np.arange(n)) ** 2
+    dist2 = r2[:, None] + r2
+    dist2[0, 0] = np.inf
+    off = np.abs(np.arange(n)[:, None] - np.arange(n))
+    K = (dist2 ** -m_order)[:, off]
+    E = D.T * m1
+    P = E @ K @ E.T
+    w = grid.lump.reshape(n, n)
+    r = w * (m1 @ (K @ m1)[off])
+    R = (D.T * r[:, None, :]) @ D
+    Q = (P + P.transpose(0, 2, 1))[off]
+    Q *= -w[:, :, None, None]
+    Q.reshape(n * n, n, n)[::n + 1] += R + R.transpose(0, 2, 1)
+    return np.add(Q.transpose(0, 2, 1, 3), Q.transpose(2, 0, 3, 1),
+                  out=np.empty((n, n, n, n))).reshape(n * n, n * n)
+
+
 def switching_residual(lam_up, lam_z, grads, state, rate, ops, mat, ep):
     """Least-squares residual of the switching system at one knot, every
     block recomputed at the given (lam_up, lam_z): the displacement
@@ -334,8 +360,8 @@ def certified_step(t, prev_state, ops, mat, ep, loading, tol_stat=1e-8,
     state = prev_state.copy()
     for sweeps in range(1, max_iter + 1):
         state.u, state.p, _ = solve_up_step(
-            *eval_loading(loading, t), DamageLaws.at(state.z, ops, mat),
-            state, prev_state, ops, mat, ep,
+            UpData.of(*eval_loading(loading, t), prev_state, ops, ep),
+            DamageLaws.at(state.z, ops, mat), state, prev_state, ops, mat, ep,
             tol_dual=max(1e-13, 0.02 * tol_stat))
         state.z = solve_z_step(
             up_record(t, state, prev_state, ops, mat, ep, loading),

@@ -26,6 +26,7 @@ from oracles import (
     cell_spread_grid,
     dense_nonlocal_form,
     dense_sym_gradient,
+    two_array_nonlocal_form,
 )
 
 
@@ -187,17 +188,28 @@ class TestNonlocalForm:
         assert np.all(steps > 0.0)
         assert steps[1] < 0.5 * steps[0]
 
+    @pytest.mark.parametrize("n_side", [*range(2, 10), *range(14, 21)])
+    def test_matches_two_array_assembly_bit_for_bit(self, n_side):
+        # one block of node rows up to n_side 13, several from 14 on: the
+        # in-place symmetrization adds the same two terms per entry as the
+        # two-array assembly, so no bit moves
+        g = Grid(n_side)
+        for m_order in (1.25, 1.5, 2.0):
+            assert np.array_equal(assemble_nonlocal_form(g, m_order),
+                                  two_array_nonlocal_form(g, m_order))
+
     def test_memory_budget(self):
-        # the assembly holds the gathered blocks and the result, two
-        # N x N arrays, beside O(N^1.5) work arrays
+        # the assembly holds one N x N array, the result, beside O(N^1.5)
+        # work arrays and one block of node rows (at most 2^15 entries or
+        # n_side^3); the two-array assembly peaks at 2.1 times the result
         g = Grid(32)
         tracemalloc.start()
         try:
-            assemble_nonlocal_form(g, 1.5)
+            A = assemble_nonlocal_form(g, 1.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * g.n_nodes ** 2 * 8
+        assert peak <= 1.3 * A.nbytes
 
     def test_rejects_low_order(self):
         with pytest.raises(ValueError):

@@ -307,7 +307,7 @@ def test_one_line_search_rule():
 
 
 # in their place: x.sum(), x.any(), x.all(), x.max(initial=),
-# np.minimum(np.maximum(...)), np.divide(..., where=), lapack.dgesv and
+# np.minimum(np.maximum(...)), np.divide(..., where=), lapack.dposv and
 # x[rows][:, cols]
 _ITERATE_MODULES = {"solver.py", "constitutive.py", "dissipation.py"}
 _SLOW_NUMPY_CALLS = {"np.sum", "np.any", "np.all", "np.max", "np.clip",

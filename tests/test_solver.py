@@ -43,6 +43,7 @@ from ribv.problems import (
 )
 from ribv.solver import (
     Z_FLOOR,
+    UpData,
     _z_hess,
     _z_value,
     band_newton_step,
@@ -120,9 +121,9 @@ class TestTrivialSteps:
         for _ in range(5):
             prev = random_state(grid, rng)
             st = prev.copy()
-            u_new, p_new, _ = solve_up_step(*eval_loading(loading, 0.7),
-                                            DamageLaws.at(st.z, ops, mat),
-                                            st, prev, ops, mat, ep)
+            u_new, p_new, _ = solve_up_step(
+                UpData.of(*eval_loading(loading, 0.7), prev, ops, ep),
+                DamageLaws.at(st.z, ops, mat), st, prev, ops, mat, ep)
             before = incremental_functional(0.7, st, prev, ops, mat, ep,
                                             loading)
             st2 = st.copy()
@@ -179,10 +180,11 @@ class TestUpStepExits:
         ops = Operators.build(grid, mat)
         loading = ramp_loading(grid, amplitude=1.2)
         prev = initial_state(grid, z0=0.95)
+        ep = small_ep()
+        data = UpData.of(*eval_loading(loading, 1.0), prev, ops, ep)
         with pytest.raises(RuntimeError, match="dual residual"):
-            solve_up_step(*eval_loading(loading, 1.0),
-                          DamageLaws.at(prev.z, ops, mat), prev.copy(), prev,
-                          ops, mat, small_ep(), max_iter=1)
+            solve_up_step(data, DamageLaws.at(prev.z, ops, mat), prev.copy(),
+                          prev, ops, mat, ep, max_iter=1)
 
 
 class TestBandNewtonStep:
@@ -311,6 +313,28 @@ class TestZStep:
             solve_z_step(*z_records(ops, mat, ep, st, prev, loading, 1.0),
                          st, prev, ops, mat, ep, max_iter=1)
 
+    def test_non_spd_free_slice_raises(self, rng):
+        # a negative definite nonlocal form leaves the free slice of the
+        # Newton matrix indefinite: the Cholesky factor stops at its first
+        # pivot (LAPACK info = 1) instead of taking a step; at uniform z
+        # the form adds nothing to the gradient, so the free set is that
+        # of test_box_constraints
+        grid = Grid(3)
+        mat = reference_material()
+        ops = Operators.build(grid, mat)
+        ops = dataclasses.replace(ops, A_m=-1e6 * np.eye(grid.n_nodes))
+        loading = ramp_loading(grid, amplitude=0.45)
+        prev = initial_state(grid, z0=0.9)
+        st = prev.copy()
+        st.u[~grid.dirichlet_mask] = rng.normal(0, 0.3,
+                                                (grid.n_nodes
+                                                 - grid.n_side, 2))
+        ep = small_ep()
+        records = z_records(ops, mat, ep, st, prev, loading, 1.0)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"dposv failed with info=1\b"):
+            solve_z_step(*records, st, prev, ops, mat, ep)
+
     @pytest.mark.parametrize("n_side", [3, 5])
     def test_z_value_gradient_fd(self, n_side, rng):
         # the laws at z assembled into value and gradient: central
@@ -410,7 +434,7 @@ class TestOneEvaluationPerIterate:
         # over the run, elastic_cells and SymGradient.apply run only there
         # and once per step in the power, at the strain of q_{k-1} at t_k
         calls = {"damage_cells": 0, "cell_damage": 0, "_z_value": 0,
-                 "_z_hess": 0, "dgesv": 0, "prox_map": 0, "shift": 0,
+                 "_z_hess": 0, "dposv": 0, "prox_map": 0, "shift": 0,
                  "apply": 0, "elastic_cells": 0}
         per_solve = {"solve_z_step": [], "solve_up_step": []}
         bases = []
@@ -442,8 +466,8 @@ class TestOneEvaluationPerIterate:
             calls, "_z_hess", z_hess))
         monkeypatch.setattr(solver_module, "prox_map", counted_map(
             calls, "shift", solver_module.prox_map))
-        monkeypatch.setattr(solver_module.lapack, "dgesv", counted(
-            calls, "dgesv", solver_module.lapack.dgesv))
+        monkeypatch.setattr(solver_module.lapack, "dposv", counted(
+            calls, "dposv", solver_module.lapack.dposv))
         monkeypatch.setattr(SymGradient, "apply",
                             counted(calls, "apply", SymGradient.apply))
         for name in per_solve:
@@ -456,12 +480,12 @@ class TestOneEvaluationPerIterate:
         assert per_solve["solve_z_step"] and per_solve["solve_up_step"]
         for n in per_solve["solve_z_step"]:
             assert n["damage_cells"] == n["cell_damage"] == n["_z_value"] - 1
-            assert n["_z_hess"] <= n["dgesv"]
+            assert n["_z_hess"] <= n["dposv"]
             assert n["elastic_cells"] == n["apply"] == 0
         # a rebuild within one solve only where c'' changed
         for (k0, cpp0), (k1, cpp1) in zip(bases, bases[1:]):
             assert k0 != k1 or (cpp0 != cpp1).any()
-        assert len(bases) < sum(n["dgesv"] for n in per_solve["solve_z_step"])
+        assert len(bases) < sum(n["dposv"] for n in per_solve["solve_z_step"])
         for n in per_solve["solve_up_step"]:
             assert n["damage_cells"] == 0
             assert n["prox_map"] == 1
