@@ -16,7 +16,7 @@ from dataclasses import MISSING, fields
 import numpy as np
 
 from .config import RunConfig, read_pairs
-from .constitutive import energy, energy_gradients
+from .constitutive import energy, energy_gradients, strain_at
 from .discretization import Grid, State, nonlocal_double_sum, tensor_norm
 from .dissipation import (
     dist_r,
@@ -93,7 +93,8 @@ def trajectory_rows(traj: Trajectory, ops, ptraj_std, ptraj_ed):
             traj.balance_residual_cum[k], float(st.z.min()),
             dd.dual_u, dd.dist_z, dd.dist_p, traj.dnu[k], dd.d_nu_star,
             norm_u_h1(ops, st.u), norm_p_l1(ops.grid, st.p),
-            norm_p_l2(ops.grid, st.p), norm_p_l2(ops.grid, traj.strains[k]),
+            norm_p_l2(ops.grid, st.p), norm_p_l2(
+                ops.grid, strain_at(traj.times[k], st, ops, traj.loading)[2]),
             int(traj.iterations[k]), bool(traj.accepted[k]),
         ))
     return rows

@@ -146,18 +146,18 @@ class State:
     def copy(self) -> "State":
         return State(self.u.copy(), self.z.copy(), self.p.copy())
 
-    def validate(self, grid: Grid, tol: float = 1e-10) -> None:
+    def validate(self, grid: Grid) -> None:
         if self.u.shape != (grid.n_nodes, 2):
             raise ValueError("u has wrong shape")
         if self.z.shape != (grid.n_nodes,):
             raise ValueError("z has wrong shape")
         if self.p.shape != (grid.n_cells, 3):
             raise ValueError("p has wrong shape")
-        if np.any(np.abs(self.u[grid.dirichlet_mask]) > tol):
+        if np.any(np.abs(self.u[grid.dirichlet_mask]) > 1e-10):
             raise ValueError("u must vanish on Dirichlet nodes")
         if np.any(self.z <= 0.0):
             raise ValueError("damage field must stay positive")
-        if np.max(np.abs(tensor_trace(self.p)), initial=0.0) > tol:
+        if np.max(np.abs(tensor_trace(self.p)), initial=0.0) > 1e-10:
             raise ValueError("plastic strain must be trace-free")
 
 

@@ -203,22 +203,20 @@ def dist_r(grid: Grid, chi: np.ndarray, kappa: float) -> float:
     return float(np.sqrt((grid.lump * viol ** 2).sum()))
 
 
-def dist_ball(grid: Grid, omega: np.ndarray, radii: np.ndarray,
-              tol: float = 1e-10) -> float:
-    """Weighted L2 distance of the cellwise deviatoric field omega to the
-    pointwise balls of the given cell radii."""
+def dist_ball(grid: Grid, omega: np.ndarray, radii: np.ndarray) -> float:
+    """Weighted L2 distance of the cellwise deviatoric field omega (trace
+    at most 1e-10) to the pointwise balls of the given cell radii."""
     omega = np.asarray(omega, dtype=float)
-    if np.abs(tensor_trace(omega)).max(initial=0.0) > tol:
+    if np.abs(tensor_trace(omega)).max(initial=0.0) > 1e-10:
         raise ValueError("omega must be trace-free")
     viol = np.maximum(tensor_norm(omega) - radii, 0.0)
     return float(np.sqrt((grid.w_cell * viol ** 2).sum()))
 
 
 def dist_h(grid: Grid, z: np.ndarray, omega: np.ndarray,
-           mat: MaterialParams, tol: float = 1e-10) -> float:
+           mat: MaterialParams) -> float:
     """``dist_ball`` of omega to the yield balls, of radius V(z_c)."""
-    return dist_ball(grid, omega, yield_radius(cell_damage(grid, z), mat),
-                     tol)
+    return dist_ball(grid, omega, yield_radius(cell_damage(grid, z), mat))
 
 
 def flow_directions(direction: np.ndarray):

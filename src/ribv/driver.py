@@ -10,7 +10,8 @@ error of freezing the state over the step and nothing else.  Its value
 at the step's start is the loaded part of the previous step's energy,
 which that step holds with its damage laws, so each step costs one
 strain and one ``loaded_energy`` call; the previous step's damage laws
-also start the next step.
+also start the next step.  A run keeps its states and per-step numbers
+only: a reader forms a step's strain or gradients again from its state.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ class Trajectory:
 
     times: np.ndarray
     states: list[State]
-    strains: list[np.ndarray]    # elastic strain e of each state
     ep: EnergyParams
     mat: MaterialParams
     loading: LoadingSpec
@@ -52,7 +52,6 @@ class Trajectory:
     power: np.ndarray            # integral of the partial time derivative
     balance_residual_cum: np.ndarray
     dual_diag: list[DualDiagnostics]
-    gradients: list[tuple]       # energy gradients (g_u, g_z, g_p)
     el_residuals: list[tuple[float, float, float]]
     dnu: np.ndarray              # D_nu of the backward-difference rate
     rate_norms: list[RateNorms]  # of the backward-difference rate
@@ -86,14 +85,14 @@ def _power_integral(t1: float, prev: StepResult, ops: Operators,
 
 
 def pre_relax(t0: float, init_state: State, ops: Operators,
-              mat: MaterialParams, ep: EnergyParams, loading: LoadingSpec,
-              tol_stat: float = 1e-9, max_iter: int = 200) -> StepResult:
+              mat: MaterialParams, ep: EnergyParams,
+              loading: LoadingSpec) -> StepResult:
     """Relax the initial data to a stationary starting configuration at
     t0.  A single incremental step with an enormous time step removes
     the viscous terms while keeping the rate-independent dissipation, so
     its ``new_state`` is stable with respect to the dissipation distance."""
     return incremental_step(t0, init_state, ops, mat, replace(ep, tau=1e12),
-                            loading, tol_stat=tol_stat, max_iter=max_iter)
+                            loading, tol_stat=1e-9, max_iter=200)
 
 
 def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
@@ -108,33 +107,36 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
     ep = replace(ep, tau=tau)
     times = np.linspace(0.0, ep.t_final, n_steps + 1)
 
-    steps = [pre_relax(0.0, init_state, ops, mat, ep, loading)]
-    norms = [RateNorms()]
-    power = [0.0]
-    for k in range(1, n_steps + 1):
-        if not steps[-1].accepted:
+    # each step is reduced to a row as it ends (its dual diagnostics from
+    # its gradients) and dropped once the next step has read its laws,
+    # strain and loaded energy: at most two StepResults are alive
+    res, norm, pw, rows = pre_relax(0.0, init_state, ops, mat, ep,
+                                    loading), RateNorms(), 0.0, []
+    for k in range(1, n_steps + 2):
+        rows.append((res.new_state, res.energy, diagnostics_from_gradients(
+            res.gradients, res.new_state, res.laws.V, ops, mat, ep.mu,
+            ep.nu), res.el_residuals, res.iterations, res.accepted,
+            res.z_floor_active, norm, pw))
+        if k > n_steps or not res.accepted:
             break
-        prev = steps[-1]
+        prev, dt = res, times[k] - times[k - 1]
         res = incremental_step(times[k], prev.new_state, ops, mat, ep,
                                loading, tol_stat=tol_stat, max_iter=max_iter,
                                laws=prev.laws)
-        dt = times[k] - times[k - 1]
-        steps.append(res)
-        norms.append(RateNorms.of(
+        norm = RateNorms.of(
             ops, Rate.between(prev.new_state, res.new_state, dt),
-            res.new_state, mat, (res.strain - prev.strain) / dt))
-        power.append(_power_integral(times[k], prev, ops, mat, loading))
-
+            res.new_state, mat, (res.strain - prev.strain) / dt)
+        pw = _power_integral(times[k], prev, ops, mat, loading)
+    (states, E, diags, residuals, iterations, accepted, floor, norms,
+     power) = zip(*rows)
     dnus = np.array([n.d_nu(ep.nu) for n in norms])
     # Psi carries half of the viscous quadratic, N all of it
     N = np.array([n.psi(ep.eps, ep.nu, tol_pos=1e-14) + 0.5 * ep.eps * d ** 2
                   for n, d in zip(norms, dnus)])
-    aborted_at = None if steps[-1].accepted else len(steps) - 1
-    E = np.array([r.energy for r in steps])
+    E = np.array(E)
     return Trajectory(
-        times=times[:len(steps)],
-        states=[r.new_state for r in steps],
-        strains=[r.strain for r in steps],
+        times=times[:len(states)],
+        states=list(states),
         ep=ep,
         mat=mat,
         loading=loading,
@@ -143,18 +145,14 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
         power=np.array(power),
         balance_residual_cum=np.abs(E + np.cumsum(tau * N) - E[0]
                                     - np.cumsum(power)),
-        dual_diag=[diagnostics_from_gradients(r.gradients, r.new_state,
-                                              r.laws.V, ops, mat, ep.mu,
-                                              ep.nu)
-                   for r in steps],
-        gradients=[r.gradients for r in steps],
-        el_residuals=[r.el_residuals for r in steps],
+        dual_diag=list(diags),
+        el_residuals=list(residuals),
         dnu=dnus,
-        rate_norms=norms,
-        iterations=np.array([0] + [r.iterations for r in steps[1:]]),
-        accepted=np.array([r.accepted for r in steps]),
-        aborted_at=aborted_at,
-        z_floor_hit=any(r.z_floor_active for r in steps[1:]),
+        rate_norms=list(norms),
+        iterations=np.array([0, *iterations[1:]]),
+        accepted=np.array(accepted),
+        aborted_at=None if accepted[-1] else len(states) - 1,
+        z_floor_hit=any(floor[1:]),
     )
 
 

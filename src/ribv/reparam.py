@@ -8,7 +8,8 @@ time step; rates are backward differences on the nonuniform s-grid with
 no smoothing.  The discrete normalization identity (slow-time rate plus
 rate norm equals one) then holds at every interior knot by construction.
 Both arclengths and every contact potential read the run's rate
-records scaled by dt/ds; only switching recovery reads the rate arrays.
+records scaled by dt/ds; only switching recovery reads the rate arrays,
+and it forms each knot's energy gradients from the knot's state.
 
 Switching recovery fits each knot's rates to lam (viscous system) +
 (1 - lam) (rate-independent system) in least squares.  The dissipation's
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constitutive import EnergyParams, MaterialParams, Operators, \
-    yield_radius, cell_damage
+    cell_damage, energy_gradients, yield_radius
 from .discretization import FROB_W, LoadingSpec, State, tensor_norm
 from .dissipation import DualDiagnostics, Rate, RateNorms, flow_directions
 from .driver import Trajectory, run_viscous
@@ -69,9 +70,9 @@ class ParamTrajectory:
     """A viscous run reparameterized by arclength: its knot map s -> t.
 
     Knot k sits at arclength s[k] and slow time traj.times[k]; states,
-    dual diagnostics, energy gradients, ep, mat and loading are the
-    run's, read from ``traj``.  Rates at knot k >= 1 are backward
-    differences over (s_{k-1}, s_k]; t_rate is 0 at knot 0.
+    dual diagnostics, ep, mat and loading are the run's, read from
+    ``traj``.  Rates at knot k >= 1 are backward differences over
+    (s_{k-1}, s_k]; t_rate is 0 at knot 0.
     """
 
     kind: str                      # "std" or "ed"
@@ -271,8 +272,9 @@ def recover_switching(ptraj: ParamTrajectory, ops: Operators,
     Single-rate: one lambda per knot shared by all blocks.  Multi-rate:
     (lambda_up, lambda_z) with lambda_up (1 - lambda_z) = 0; the blocks
     separate, so the branches (0, lambda_z) and (lambda_up, 1) are fit
-    apart and the first wins a tie.  The energy gradients are the viscous
-    run's (``ptraj.traj.gradients``).  Returns (lambdas, residuals);
+    apart and the first wins a tie.  Each knot's energy gradients are
+    formed from its state, one ``energy_gradients`` call per knot, bit
+    for bit those of the viscous step.  Returns (lambdas, residuals);
     lambdas has shape (n,) or (n, 2).  A rising damage rate raises.
     """
     n = ptraj.n_knots
@@ -281,8 +283,9 @@ def recover_switching(ptraj: ParamTrajectory, ops: Operators,
     traj = ptraj.traj
     for k in range(1, n):
         a_up, b_up, a_z, b_z = _switching_blocks(
-            traj.gradients[k], traj.states[k], ptraj.rate(k), ops,
-            traj.mat, traj.ep)
+            energy_gradients(traj.times[k], traj.states[k], ops, traj.mat,
+                             traj.ep.mu, traj.loading),
+            traj.states[k], ptraj.rate(k), ops, traj.mat, traj.ep)
         if multi_rate:
             (lam_z, rz), (lam_up, rup) = _fit(a_z, b_z), _fit(a_up, b_up)
             r0, r1 = a_up @ a_up + rz, rup + (a_z + b_z) @ (a_z + b_z)

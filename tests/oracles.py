@@ -476,6 +476,12 @@ def rate_norm_fields(ops, rate, state, mat, e_rate):
     }
 
 
+def state_strain(traj, ops, k):
+    """The strain e = B(u + w(t_k)) - p of a run's state k, formed
+    afresh."""
+    return strain_at(traj.times[k], traj.states[k], ops, traj.loading)[2]
+
+
 def enhanced_estimate_total(traj, ops):
     """sum_k tau (||e'|| + ||z'||_Hm + sqrt(mu) ||u'||_H1 + sqrt(mu)
     ||p'||_L2) over a run's backward-difference rates."""
@@ -484,7 +490,8 @@ def enhanced_estimate_total(traj, ops):
     for k in range(1, len(traj.times)):
         tau = traj.times[k] - traj.times[k - 1]
         rate = traj.rate(k)
-        e_rate = (traj.strains[k] - traj.strains[k - 1]) / tau
+        e_rate = (state_strain(traj, ops, k)
+                  - state_strain(traj, ops, k - 1)) / tau
         total += tau * (norm_p_l2(ops.grid, e_rate)
                         + norm_z_hm(ops, rate.z_rate)
                         + np.sqrt(ep.mu) * norm_u_h1(ops, rate.u_rate)

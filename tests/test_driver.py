@@ -1,6 +1,8 @@
 """Time-stepping driver and energy-dissipation balance diagnostics."""
 
 import sys
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,9 +15,9 @@ import ribv.solver as solver_module
 
 from ribv.cli import cmd_reparam, cmd_sweep
 from ribv.config import RunConfig
-from ribv.constitutive import EnergyParams, Operators
-from ribv.discretization import Grid, eval_loading, initial_state, \
-    total_strain
+from ribv.constitutive import EnergyParams, Operators, energy_gradients, \
+    strain_at
+from ribv.discretization import Grid, initial_state
 from ribv.dissipation import Rate, RateNorms, norm_p_l2, norm_u_h1
 from ribv.driver import enhanced_estimate_total, pre_relax, run_viscous
 from ribv.problems import (
@@ -132,7 +134,8 @@ class TestRampRun:
         for k in range(1, traj.n_steps + 1):
             tau = traj.times[k] - traj.times[k - 1]
             rate = traj.rate(k)
-            e_rate = (traj.strains[k] - traj.strains[k - 1]) / tau
+            e_rate = (oracles.state_strain(traj, ops, k)
+                      - oracles.state_strain(traj, ops, k - 1)) / tau
             rec = traj.rate_norms[k]
             want = rate_norm_fields(ops, rate, traj.states[k], traj.mat,
                                     e_rate)
@@ -149,15 +152,35 @@ class TestRampRun:
                     assert getattr(fold, name) == pytest.approx(value,
                                                                 rel=1e-13)
 
-    def test_strains_are_the_states_strains(self):
-        # each step hands on the strain its last sweep formed: bit-equal to
-        # e = B(u + w(t)) - p formed afresh at every state, the
-        # pre-relaxed one included
-        ops, traj = run_reference(4)
-        assert len(traj.strains) == len(traj.states)
-        for t, st, e in zip(traj.times, traj.states, traj.strains):
-            np.testing.assert_array_equal(
-                e, total_strain(ops.B, st, eval_loading(traj.loading, t)[0]))
+    def test_strains_are_the_states_strains(self, monkeypatch):
+        # the strain and gradients a reader forms from a kept state
+        # (``strain_at``, ``energy_gradients``) are bit-equal to those the
+        # step's last sweep formed, the pre-relaxed state included, and to
+        # the fresh loop's, on the mild and the damaging ramp
+        formed = []
+
+        def keeping(*args, **kwargs):
+            res = solver_module.incremental_step(*args, **kwargs)
+            formed.append((res.strain, res.gradients))
+            return res
+
+        monkeypatch.setattr(driver_module, "incremental_step", keeping)
+        for amplitude in (0.48, 1.2):
+            formed.clear()
+            grid, mat, ops, ep, loading, init = reference_problem(
+                n_side=4, n_steps=4, amplitude=amplitude)
+            traj = run_viscous(ops, mat, ep, loading, init, n_steps=4)
+            steps, _ = oracles.viscous_steps(ops, mat, ep, loading, init, 4)
+            assert traj.aborted_at is None
+            assert len(formed) == len(steps) == len(traj.states)
+            for k, ((strain, grads), ref) in enumerate(zip(formed, steps)):
+                t, st = traj.times[k], traj.states[k]
+                e = strain_at(t, st, ops, loading)[2]
+                np.testing.assert_array_equal(e, strain)
+                np.testing.assert_array_equal(e, ref.strain)
+                for got, want in zip(energy_gradients(
+                        t, st, ops, mat, ep.mu, loading), grads):
+                    np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n_steps, amplitude, over", [
         (5, 1.2, {}), (20, 0.48, {"eps": 1e-2, "nu": 0.1, "mu": 0.1})],
@@ -179,8 +202,11 @@ class TestRampRun:
         assert traj.el_residuals == [r.el_residuals for r in steps]
         assert list(traj.iterations[1:]) == [r.iterations for r in steps[1:]]
         for k, ref in enumerate(steps):
-            np.testing.assert_array_equal(traj.strains[k], ref.strain)
-            for got, want in zip(traj.gradients[k], ref.gradients):
+            t, st = traj.times[k], traj.states[k]
+            np.testing.assert_array_equal(
+                strain_at(t, st, ops, loading)[2], ref.strain)
+            for got, want in zip(energy_gradients(t, st, ops, mat, ep.mu,
+                                                  loading), ref.gradients):
                 np.testing.assert_array_equal(got, want)
             for name in ("u", "z", "p"):
                 np.testing.assert_array_equal(
@@ -276,18 +302,18 @@ class TestEvaluationCounts:
 
     def test_reparam_gradients_once_per_certification(self, monkeypatch,
                                                       tmp_path):
-        # switching recovery reads each knot's gradients from the viscous
-        # run, so the whole reparam command evaluates them in the solver's
-        # full certifications only, fewer than one per sweep, and none at
-        # a bare state
+        # the whole reparam command evaluates the z and p gradients in the
+        # solver's full certifications, fewer than one per sweep, and the
+        # gradients of a bare state once per knot k >= 1, where switching
+        # recovery forms them from the knot's state
         counts = count_evaluations(monkeypatch)
         cfg = RunConfig.parse("grid_n = 4\nn_steps = 6\n"
                               "load_amplitude = 1.2\n")
         assert cmd_reparam(cfg, str(tmp_path)) == 0
         assert counts["sweeps"] > 0
-        assert counts["energy_gradients"] == 0
-        assert counts["state_gradients"] == counts["el_residuals"] \
-            < counts["sweeps"]
+        assert counts["energy_gradients"] == cfg.n_steps
+        assert counts["state_gradients"] - counts["energy_gradients"] \
+            == counts["el_residuals"] < counts["sweeps"]
 
     def test_reparam_skips_unread_work(self, monkeypatch):
         # both arclengths and the BV balance of every regime read the
@@ -389,3 +415,53 @@ class TestPreRelax:
         r = traj.rate(k)
         assert np.allclose(r.u_rate,
                            (traj.states[k].u - traj.states[k - 1].u) / tau)
+
+
+class TestRunMemory:
+    def test_run_keeps_states_only(self):
+        # the bytes a returned run holds, and its traced peak, grow per
+        # extra step by one state's arrays plus a small constant (its
+        # scalars and records); keeping each step's strain and gradients
+        # too would take about 2.6 times the state per step
+        def traced(n_steps):
+            _, mat, ops, ep, loading, init = reference_problem(
+                n_side=16, n_steps=n_steps, amplitude=0.48)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                traj = run_viscous(ops, mat, ep, loading, init,
+                                   n_steps=n_steps)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert traj.aborted_at is None
+            st = traj.states[-1]
+            return (kept - base, peak - base,
+                    st.u.nbytes + st.z.nbytes + st.p.nbytes)
+
+        kept_a, peak_a, state_bytes = traced(10)
+        kept_b, peak_b, _ = traced(40)
+        assert (kept_b - kept_a) / 30 <= state_bytes + 2048
+        assert (peak_b - peak_a) / 30 <= state_bytes + 2048
+
+    def test_at_most_two_step_results_alive(self, monkeypatch):
+        # a step is dropped once the next one has read it: when a step
+        # starts, only its predecessor is alive
+        alive = [0]
+        at_start = []
+
+        def dropped():
+            alive[0] -= 1
+
+        def tracked(*args, **kwargs):
+            at_start.append(alive[0])
+            res = solver_module.incremental_step(*args, **kwargs)
+            alive[0] += 1
+            weakref.finalize(res, dropped)
+            return res
+
+        monkeypatch.setattr(driver_module, "incremental_step", tracked)
+        ops, traj = run_reference(6, n_side=4, amplitude=1.2)
+        assert traj.aborted_at is None
+        assert at_start == [0] + [1] * 6
+        assert alive == [0]

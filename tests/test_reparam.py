@@ -1,7 +1,6 @@
 """Arclength reparameterization, contact potentials, jump detection,
 switching recovery, and vanishing-parameter sweeps."""
 
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,7 +44,7 @@ from ribv.reparam import (
 
 from conftest import random_rate, random_state
 from oracles import align_z_curves, d_up, jump_intervals, loaded_at, \
-    switching_residual
+    state_strain, switching_residual
 
 
 def ramp_run(n_steps=20, n_side=4, amplitude=0.48, tol_stat=1e-8,
@@ -120,7 +119,8 @@ class TestNormalization:
                                    atol=1e-10)
                 norms = RateNorms.of(
                     ops, check, st[k], traj.mat,
-                    (traj.strains[k] - traj.strains[k - 1]) / ds)
+                    (state_strain(traj, ops, k)
+                     - state_strain(traj, ops, k - 1)) / ds)
                 total += ds * _integrand(p.kind, traj.ep, t_rate, norms,
                                          traj.dual_diag[k].d_nu_star)
             assert total == pytest.approx(p.s[-1], abs=1e-10)
@@ -297,11 +297,9 @@ def _build_knot_traj(state, rate, t, ops, mat, ep, loading):
     start = State(state.u - rate.u_rate, state.z - rate.z_rate,
                   state.p - rate.p_rate)
     traj = Trajectory(
-        times=np.array([t - 1.0, t]), states=[start, state], strains=None,
-        ep=ep, mat=mat, loading=loading, E_mu=None, N_value=None, power=None,
+        times=np.array([t - 1.0, t]), states=[start, state], ep=ep, mat=mat,
+        loading=loading, E_mu=None, N_value=None, power=None,
         balance_residual_cum=None, dual_diag=[None, None],
-        gradients=[None, energy_gradients(t, state, ops, mat, ep.mu,
-                                          loading)],
         el_residuals=None, dnu=None, rate_norms=None, iterations=None,
         accepted=None)
     return ParamTrajectory(kind="std", traj=traj, s=np.array([0.0, 1.0]),
@@ -386,27 +384,23 @@ class TestSwitchingRecovery:
 
     @pytest.mark.parametrize("multi_rate", [False, True])
     def test_one_gradient_per_knot(self, monkeypatch, multi_rate):
-        # each knot's gradients are the viscous run's, evaluated once
-        # there, and recover_switching evaluates none of its own
+        # recover_switching forms each knot's gradients from its state,
+        # exactly once per knot k >= 1 and at the knot's time
         ops, traj = ramp_run(n_steps=4, n_side=3)
         p = reparam_standard(traj, ops)
-        assert len(traj.gradients) == p.n_knots
-        for k in range(1, p.n_knots):
-            fresh = energy_gradients(traj.times[k], traj.states[k], ops,
-                                     traj.mat, traj.ep.mu, traj.loading)
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(fresh, traj.gradients[k]))
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[0])
+            calls.append((args[0], args[1]))
             return energy_gradients(*args, **kwargs)
 
         for module in (constitutive_module, reparam_module):
             monkeypatch.setattr(module, "energy_gradients", counted,
                                 raising=False)
         recover_switching(p, ops, multi_rate=multi_rate)
-        assert calls == []
+        assert [t for t, _ in calls] == list(traj.times[1:])
+        assert all(st is traj.states[k]
+                   for k, (_, st) in enumerate(calls, start=1))
 
     @pytest.mark.parametrize("multi_rate", [False, True])
     def test_fit_is_oracle_minimum(self, rng, multi_rate):
@@ -436,7 +430,7 @@ class TestSwitchingRecovery:
             rate.z_rate[rest] = 0.0
             rate.p_rate[stick] = 0.0
             p = _build_knot_traj(state, rate, 0.8, ops, mat, ep, loading)
-            grads = p.traj.gradients[1]
+            grads = energy_gradients(0.8, state, ops, mat, ep.mu, loading)
             g_z, g_p = grads[1], grads[2]
             rest_active |= (g_z[rest] > mat.kappa).any()
             V = yield_radius(cell_damage(grid, state.z), mat)
@@ -466,29 +460,30 @@ class TestSwitchingRecovery:
             with pytest.raises(ValueError, match="damage rate"):
                 recover_switching(p, ops, multi_rate=multi_rate)
 
-    def test_lambda_stable_under_roundoff(self):
+    def test_lambda_stable_under_roundoff(self, monkeypatch):
         # gradients moved by 1e-14 relative move the fitted coefficient
         # by roundoff only, not by the square root of it
         ops, traj = ramp_run(n_steps=20, n_side=4, amplitude=1.2)
         p = reparam_standard(traj, ops)
         rng = np.random.default_rng(0)
+
+        def shaken(*args, **kwargs):
+            return tuple(g * (1.0 + 1e-14 * rng.choice((-1.0, 1.0),
+                                                       g.shape))
+                         for g in energy_gradients(*args, **kwargs))
+
         for multi_rate in (False, True):
             lams, _ = recover_switching(p, ops, multi_rate=multi_rate)
             moving = lams > 1e-3
             assert moving.any()
-            for _ in range(3):
-                shaken = [None] + [
-                    tuple(g * (1.0 + 1e-14 * rng.choice((-1.0, 1.0),
-                                                        g.shape))
-                          for g in grads)
-                    for grads in traj.gradients[1:]]
-                p_shaken = ParamTrajectory(
-                    kind=p.kind, traj=replace(traj, gradients=shaken),
-                    s=p.s, t_rate=p.t_rate, normalization=p.normalization)
-                lams_shaken, _ = recover_switching(p_shaken, ops,
-                                                   multi_rate=multi_rate)
-                assert np.all(np.abs(lams_shaken - lams)[moving]
-                              <= 1e-10 * lams[moving])
+            with monkeypatch.context() as patch:
+                patch.setattr(reparam_module, "energy_gradients", shaken)
+                for _ in range(3):
+                    lams_shaken, _ = recover_switching(
+                        p, ops, multi_rate=multi_rate)
+                    assert not np.array_equal(lams_shaken, lams)
+                    assert np.all(np.abs(lams_shaken - lams)[moving]
+                                  <= 1e-10 * lams[moving])
 
     @pytest.mark.parametrize("multi_rate", [False, True])
     def test_two_dual_solves_per_knot(self, monkeypatch, multi_rate):
