@@ -17,7 +17,8 @@ import numpy as np
 
 from .config import RunConfig, read_pairs
 from .constitutive import energy, energy_gradients, strain_at
-from .discretization import Grid, State, nonlocal_double_sum, tensor_norm
+from .discretization import Grid, NonlocalForm, State, \
+    nonlocal_double_sum, tensor_norm
 from .dissipation import (
     dist_r,
     norm_p_l1,
@@ -333,17 +334,20 @@ def _selftest_prox(rng) -> tuple[bool, str]:
 
 
 def _selftest_nonlocal(rng) -> tuple[bool, str]:
+    # both forms: the dense one that Operators holds at this size, and
+    # the FFT product of the large grids, built directly
     grid, mat, ops, _, _, _ = reference_problem(n_side=3)
+    fft = NonlocalForm.toeplitz(grid, mat.m_order)
     worst = 0.0
     for _ in range(10):
         z1 = rng.uniform(0.2, 1.0, grid.n_nodes)
         z2 = rng.uniform(0.2, 1.0, grid.n_nodes)
-        quad = z1 @ ops.apply_A_m(z2)
         brute = nonlocal_double_sum(grid, mat.m_order, z1, z2)
-        worst = max(worst, abs(quad - brute) / max(1.0, abs(brute)))
+        for quad in (z1 @ ops.apply_A_m(z2), z1 @ fft.apply(z2)):
+            worst = max(worst, abs(quad - brute) / max(1.0, abs(brute)))
     ok = worst < 1e-12
-    return ok, f"nonlocal form vs brute-force double sum: " \
-               f"rel err {worst:.2e}"
+    return ok, f"nonlocal form (dense and FFT) vs brute-force double " \
+               f"sum: rel err {worst:.2e}"
 
 
 def _selftest_dist(rng) -> tuple[bool, str]:

@@ -23,6 +23,9 @@ with e = B(u + w(t)) - p and z_c the Q1 cell-center value (corner mean).
 Only the elastic term and the work depend on t (``loaded_energy``).
 ``damage_cells`` evaluates c, c', c'', V and V' per cell in one pass, and
 ``DamageLaws`` holds every law at one z (W, W', A_m z and the cell laws).
+``Operators`` holds A_m as a ``NonlocalForm``, dense on small grids and
+its Toeplitz tables alone on large ones; the energy reads it through
+``Operators.apply_A_m`` and the z-step Hessian through its free slice.
 The energy and its gradients are read from these records
 (``loaded_energy``, ``energy_from``, ``displacement_gradient``,
 ``state_gradients``); ``energy`` and ``energy_gradients`` form the
@@ -45,9 +48,9 @@ from .discretization import (
     FROB_W,
     Grid,
     LoadingSpec,
+    NonlocalForm,
     State,
     SymGradient,
-    assemble_nonlocal_form,
     assemble_sym_gradient,
     eval_loading,
     tensor_dev,
@@ -189,11 +192,18 @@ def corner_scatter(grid: Grid, v: np.ndarray) -> np.ndarray:
                        minlength=grid.n_nodes)
 
 
-def add_corner_form(grid: Grid, H: np.ndarray, v: np.ndarray) -> None:
-    """Add sum_c v_c a_c a_c^T to H in place, a_c = 1/4 at the corners of
-    cell c: the Hessian of z -> sum_c f_c(z_c) for v_c = f_c''(z_c)."""
-    np.add.at(H, (grid.cells[:, :, None], grid.cells[:, None, :]),
-              (v / 16.0)[:, None, None])
+def add_corner_form(grid: Grid, H: np.ndarray, v: np.ndarray,
+                    idx: np.ndarray) -> None:
+    """Add sum_c v_c a_c a_c^T on the nodes idx to H[:-1, :-1] in place,
+    a_c = 1/4 at the corners of cell c: the Hessian of z -> sum_c
+    f_c(z_c) for v_c = f_c''(z_c).  H is a form on idx and one spare node
+    last, whose row and column take every term with a corner off idx.
+    Each entry takes its cells' terms in cell order, as on all nodes."""
+    pos = np.full(grid.n_nodes, len(idx))
+    pos[idx] = np.arange(len(idx))
+    at = pos[grid.cells]
+    flat = len(H) * at[:, :, None] + at[:, None, :]
+    np.add.at(H.reshape(-1), flat.ravel(), np.repeat(v / 16.0, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +218,13 @@ class Operators:
     held as its lower band ``B.form(K_D_cells)`` together with its band
     Cholesky factor in the same storage; products and dual norms go
     through BLAS/LAPACK band kernels.  ``K_D`` expands the band into a
-    dense matrix for reference checks.
+    dense matrix for reference checks.  The nonlocal form ``A_m`` is a
+    ``NonlocalForm``: its tables, and the dense array on small grids.
     """
 
     grid: Grid
     B: SymGradient         # element-local symmetrized gradient
-    A_m: np.ndarray        # (n_nodes, n_nodes)
+    A_m: NonlocalForm      # the nonlocal form on the nodes
     K_D_cells: np.ndarray  # (n_cells, 3, 3) forms w_c diag(1, 1, 2)
     K_D_band: np.ndarray   # (kd + 1, n_free) lower band of K_D, Fortran order
     K_D_chol: np.ndarray   # (kd + 1, n_free) lower band Cholesky factor
@@ -221,7 +232,7 @@ class Operators:
     @classmethod
     def build(cls, grid: Grid, mat: MaterialParams) -> "Operators":
         B = assemble_sym_gradient(grid)
-        A_m = assemble_nonlocal_form(grid, mat.m_order)
+        A_m = NonlocalForm.build(grid, mat.m_order)
         cells = grid.w_cell[:, None, None] * np.diag(FROB_W)
         band = B.form(cells)
         chol, info = lapack.dpbtrf(band, lower=1)
@@ -245,7 +256,7 @@ class Operators:
     def apply_A_m(self, z: np.ndarray) -> np.ndarray:
         """A_m z, applied to z - z[0]: A_m annihilates constants, and the
         shift makes that exact in floating point."""
-        return self.A_m @ (z - z[0])
+        return self.A_m.apply(z)
 
     def dual_solve(self, g: np.ndarray) -> np.ndarray:
         """y = L^-1 g for the band Cholesky factor K_D = L L^T of a

@@ -17,6 +17,11 @@ The module provides:
 * ``assemble_nonlocal_form`` -- a Gagliardo-type nonlocal form for the
   damage field, built in O(N^2) from its n_side distinct Toeplitz blocks
   in its own N x N buffer, the one such array it holds,
+* ``NonlocalForm`` -- that form as its Toeplitz tables (n_side^3 numbers
+  each) with two reads, the product and the slice on a node subset:
+  from the dense array up to ``NONLOCAL_DENSE_MAX_SIDE``, and above it
+  with no N x N array, by the FFT of the kernel and a gather from the
+  tables that gives the dense entries bit for bit,
 * ``LoadingSpec`` / ``eval_loading`` -- time-dependent Dirichlet data
   (with a fixed interior lift) and external nodal forces,
 * ``total_strain`` -- e = B(u + w) - p.
@@ -254,6 +259,16 @@ def assemble_sym_gradient(grid: Grid) -> SymGradient:
 # nonlocal damage form
 # ---------------------------------------------------------------------------
 
+# The largest n_side at which ``NonlocalForm.build`` holds the dense N x N
+# form; above it the form is its tables alone.  The products cross over
+# here: dense against FFT, 80 against 92 us at n_side 24, 127 against 121
+# at 26, 175 against 182 at 28 and 296 against 127 at 32 (one BLAS
+# thread, best of 7).  The tables cost less to set up from n_side 12 on
+# (0.45 against 2.96 ms at 32) and hold n^3, not n^4, numbers; the
+# z-step's gathered free slice costs 2-3 times the dense take.
+NONLOCAL_DENSE_MAX_SIDE = 27
+
+
 def _fd_stencil(grid: Grid) -> np.ndarray:
     """1-D finite-difference derivative on n_side nodes, central inside and
     one-sided at the ends: Gx = I (x) D and Gy = D (x) I, i.e. Z D^T and
@@ -263,6 +278,30 @@ def _fd_stencil(grid: Grid) -> np.ndarray:
     D.flat[1::n + 1], D.flat[n::n + 1] = 0.5 / h, -0.5 / h
     D[0, :2] = D[-1, -2:] = (-1.0 / h, 1.0 / h)
     return D
+
+
+def _nonlocal_tables(grid: Grid, m_order: float):
+    """The Toeplitz tables of the nonlocal form (``assemble_nonlocal_form``):
+    S[d] = P_d + P_d^T and R[a] = R_a + R_a^T, (n, n, n) each, the row sums
+    r = W 1 on the grid, (n, n), the stencil D and the kernel
+    |x|^(-2 m) at node offsets (dy, dx), (n, n), 0 at (0, 0)."""
+    if m_order <= 1.0:
+        raise ValueError("nonlocal order must exceed 1")
+    n, D, m1 = grid.n_side, _fd_stencil(grid), grid.lump_1d
+    r2 = (grid.h * np.arange(n)) ** 2
+    dist2 = r2[:, None] + r2
+    dist2[0, 0] = np.inf  # the excluded diagonal: inf^(-m) = 0
+    kern = dist2 ** -m_order
+    off = np.abs(np.arange(n)[:, None] - np.arange(n))
+    K = kern[:, off]                         # K[d]: rows d apart, (n, n, n)
+    E = D.T * m1
+    # row sums r = W 1 on the grid; R_a = D^T diag(r_a) D per node row a,
+    # and R_a + R_a^T, P_d + P_d^T: twice their symmetric parts
+    r = grid.lump.reshape(n, n) * (m1 @ (K @ m1)[off])
+    R = (D.T * r[:, None, :]) @ D
+    R = R + R.transpose(0, 2, 1)
+    P = E @ K @ E.T
+    return P + P.transpose(0, 2, 1), R, r, D, kern
 
 
 def assemble_nonlocal_form(grid: Grid, m_order: float = 1.5) -> np.ndarray:
@@ -287,24 +326,15 @@ def assemble_nonlocal_form(grid: Grid, m_order: float = 1.5) -> np.ndarray:
     mirrored pair of entries is the same two terms added in either order,
     so A is exactly symmetric.
     """
-    if m_order <= 1.0:
-        raise ValueError("nonlocal order must exceed 1")
-    n, D, m1 = grid.n_side, _fd_stencil(grid), grid.lump_1d
-    r2 = (grid.h * np.arange(n)) ** 2
-    dist2 = r2[:, None] + r2
-    dist2[0, 0] = np.inf  # the excluded diagonal: inf^(-m) = 0
+    S, R = _nonlocal_tables(grid, m_order)[:2]
+    return _assemble_from_tables(S, R, grid.lump.reshape(grid.n_side, -1))
+
+
+def _assemble_from_tables(S, R, w):
+    """The dense form of ``assemble_nonlocal_form`` from its tables S and
+    R and the weights w, in place in its one N x N buffer."""
+    n = len(w)
     off = np.abs(np.arange(n)[:, None] - np.arange(n))
-    K = (dist2 ** -m_order)[:, off]          # K[d]: rows d apart, (n, n, n)
-    E = D.T * m1
-    # row sums r = W 1 on the grid; R_a = D^T diag(r_a) D per node row a,
-    # and R_a + R_a^T, P_d + P_d^T: twice their symmetric parts
-    w = grid.lump.reshape(n, n)              # m1_a m1_b
-    r = w * (m1 @ (K @ m1)[off])
-    R = (D.T * r[:, None, :]) @ D
-    R = R + R.transpose(0, 2, 1)
-    P = E @ K @ E.T
-    P = P + P.transpose(0, 2, 1)
-    del K  # the kernel tables are not held beside the output
     nw = -w[:, :, None, None]
     # k node rows per block: a block's work array holds at most
     # max(2^15, n^3) entries
@@ -314,7 +344,7 @@ def assemble_nonlocal_form(grid: Grid, m_order: float = 1.5) -> np.ndarray:
     X = np.empty((n, n, n, n))
     for a0 in range(0, n, k):
         a1 = a0 + k
-        Q = P[off[a0:a1]]
+        Q = S[off[a0:a1]]
         Q *= nw[a0:a1]
         Q.reshape(-1, n, n)[a0::n + 1] += R[a0:a1]
         X[a0:a1] = Q.transpose(0, 2, 1, 3)
@@ -326,6 +356,123 @@ def assemble_nonlocal_form(grid: Grid, m_order: float = 1.5) -> np.ndarray:
         X[a0:a1, a0:] = blk
         X[a1:, a0:a1] = blk[:, k:].transpose(1, 0, 3, 2)
     return X.reshape(n * n, n * n)
+
+
+@dataclass(frozen=True)
+class NonlocalForm:
+    """The nonlocal form A of ``assemble_nonlocal_form``, held as its
+    Toeplitz tables (n^3 numbers each), and below the crossover
+    ``NONLOCAL_DENSE_MAX_SIDE`` also as the dense N x N array.
+
+    Two reads: ``apply(z)``, the product A (z - z[0]), and
+    ``slice(idx)``, the submatrix A[idx][:, idx].  With ``dense`` they
+    read it.  Without, the product is W g = M T (M g) by a zero-padded
+    2-D FFT of the kernel (``k_hat``, real since the kernel is even), for
+    the difference gradients g and the lumped weights M, in O(N log N);
+    and the slice gathers each entry X[a, ix, b, jx] + X[ix, a, jx, b]
+    from the tables, with the operations of the dense assembly, so every
+    entry equals the dense one bit for bit.
+    """
+
+    S: np.ndarray       # (n, n, n): S[d] = P_d + P_d^T at row offset d
+    R: np.ndarray       # (n, n, n): R[a] = R_a + R_a^T of node row a
+    w: np.ndarray       # (n, n): the lumped weights, w[a, b] = m1_a m1_b
+    r: np.ndarray       # (n, n): the row sums W 1
+    D: np.ndarray       # (n, n): the difference stencil
+    dense: np.ndarray | None  # (N, N) at and below the crossover
+    k_hat: np.ndarray | None  # (2n, n + 1) above it
+
+    @classmethod
+    def build(cls, grid: Grid, m_order: float) -> "NonlocalForm":
+        """The form of the grid: ``assembled`` at n_side <=
+        ``NONLOCAL_DENSE_MAX_SIDE``, ``toeplitz`` above."""
+        if grid.n_side <= NONLOCAL_DENSE_MAX_SIDE:
+            return cls.assembled(grid, m_order)
+        return cls.toeplitz(grid, m_order)
+
+    @classmethod
+    def assembled(cls, grid: Grid, m_order: float) -> "NonlocalForm":
+        """The tables and the dense array assembled from them in place."""
+        S, R, r, D, _ = _nonlocal_tables(grid, m_order)
+        w = grid.lump.reshape(grid.n_side, -1)
+        return cls(S, R, w, r, D, _assemble_from_tables(S, R, w), None)
+
+    @classmethod
+    def toeplitz(cls, grid: Grid, m_order: float) -> "NonlocalForm":
+        """The tables and the FFT of the kernel, no N x N array: the
+        kernel at offsets -(n-1)..n-1 wrapped onto a 2n x 2n torus, with
+        offset n, which no node pair reaches, set to 0."""
+        S, R, r, D, kern = _nonlocal_tables(grid, m_order)
+        n = grid.n_side
+        wrap = np.r_[0:n + 1, n - 1:0:-1]
+        kern = np.pad(kern, (0, 1))[np.ix_(wrap, wrap)]
+        return cls(S, R, grid.lump.reshape(n, n), r, D, None,
+                   np.fft.rfft2(kern).real)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the tables, and the dense array or the kernel FFT."""
+        return sum(v.nbytes for v in vars(self).values() if v is not None)
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """A (z - z[0]): A annihilates constants, and the shift makes that
+        exact in floating point."""
+        v = z - z[0]
+        if self.dense is not None:
+            return self.dense @ v
+        n, D, w = len(self.w), self.D, self.w
+        Z = v.reshape(n, n)
+        G = np.stack([Z @ D.T, D @ Z])       # Gx z and Gy z on the grid
+        pad = (2 * n, 2 * n)
+        WG = w * np.fft.irfft2(self.k_hat * np.fft.rfft2(w * G, pad),
+                               pad)[:, :n, :n]
+        Y = self.r * G - WG                  # L g = (W 1) g - W g
+        return 2.0 * (Y[0] @ D + D.T @ Y[1]).ravel()
+
+    def slice(self, idx: np.ndarray) -> np.ndarray:
+        """A[idx][:, idx] for ascending node indices idx, a new array.
+
+        Without ``dense``, row i of the slice at node (a, ix) is gathered
+        strip by strip of one node row a: X[a, ix, b, jx] from the rows
+        ix of a table T[ix, k, jx] whose blocks k are the diagonal blocks
+        -w_aa S_0 + R_a (k = a) and S_d scaled by the three values -w_ab
+        takes at offset d (k = n + t n + d, t of a and b end rows), and
+        X[ix, a, jx, b] from its row a; each entry is then the dense
+        assembly's two terms, each formed as there.  T, 4 n^3 numbers, is
+        formed afresh on each call."""
+        if self.dense is not None:
+            return self.dense.take(idx, 0).take(idx, 1)
+        n, w = len(self.w), self.w
+        T = np.empty((n, 4, n, n))
+        T[:, 0] = (self.S[0] * -w.diagonal()[:, None, None]
+                   + self.R).transpose(1, 0, 2)
+        wt = -np.array([w[1, 1], w[0, 1], w[0, 0]])
+        T[:, 1:] = (self.S * wt[:, None, None, None]).transpose(2, 0, 1, 3)
+        T = T.reshape(n, -1)
+        a, x = np.divmod(idx, n)
+        key_a, key_x = _block_keys(a, x, n), _block_keys(x, a, n)
+        H = np.empty((len(idx), len(idx)))
+        bounds = np.searchsorted(a, np.arange(n + 1))
+        for row in np.flatnonzero(np.diff(bounds)):
+            s, e = bounds[row], bounds[row + 1]
+            # mode "clip" takes straight into the strip; the indices are
+            # in range, and "raise" would stage through a copy
+            np.take(T, np.add.outer(x[s:e] * T.shape[1], key_a[row]),
+                    out=H[s:e], mode="clip")
+            H[s:e] += T[row].take(key_x[x[s:e]])
+        return H
+
+
+def _block_keys(outer: np.ndarray, inner: np.ndarray, n: int) -> np.ndarray:
+    """Column keys k n + inner_j into the slice table of
+    ``NonlocalForm.slice`` for every outer index o (rows) and free node j
+    (columns): k = o where outer_j = o, else n + t n + |o - outer_j|, t
+    the number of end rows (0 or n - 1) among o and outer_j."""
+    o = np.arange(n)
+    end = (o == 0) | (o == n - 1)
+    d = np.abs(o[:, None] - outer)
+    k = np.where(d == 0, o[:, None], n * (1 + end[:, None] + end[outer]) + d)
+    return k * n + inner
 
 
 def nonlocal_double_sum(grid: Grid, m_order: float,

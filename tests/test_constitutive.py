@@ -20,8 +20,8 @@ from ribv.constitutive import (
     stiffness,
     yield_radius,
 )
-from ribv.discretization import Grid, LoadingSpec, State, initial_state, \
-    tensor_dev
+from ribv.discretization import NONLOCAL_DENSE_MAX_SIDE, Grid, \
+    LoadingSpec, State, initial_state, tensor_dev
 from ribv.dissipation import prox_map, prox_tangent
 from ribv.driver import _power_integral
 from ribv.problems import ramp_loading, reference_material
@@ -304,7 +304,8 @@ class TestNonlocalTerm:
         grid = Grid(32)
         mat = make_mat()
         ops = Operators.build(grid, mat)
-        local = dataclasses.replace(ops, A_m=np.zeros_like(ops.A_m))
+        local = dataclasses.replace(ops, A_m=dataclasses.replace(
+            ops.A_m, dense=np.zeros((grid.n_nodes, grid.n_nodes))))
         st = random_state(grid, rng)
         st.z = np.full(grid.n_nodes, 0.95)
         loading = ramp_loading(grid, amplitude=0.4)
@@ -335,13 +336,19 @@ class TestBandOperators:
                 dual_norm_oracle(K, v), rel=1e-10)
 
     def test_storage_is_banded(self):
-        # no (n_free, n_free) array: every operator array other than the
-        # nonlocal A_m fits in one lower band
-        ops = Operators.build(Grid(24), make_mat())
-        B = ops.B
-        limit = (B.kd + 1) * B.n_free
-        arrays = {name: v for name, v in {**vars(ops), **vars(B)}.items()
-                  if isinstance(v, np.ndarray) and name != "A_m"}
-        assert {"K_D_band", "K_D_chol", "band_pos"} <= set(arrays)
-        for name, v in arrays.items():
-            assert v.size <= limit, name
+        # no (n_free, n_free) array: every operator array fits in one
+        # lower band or holds n_side^3 numbers, the nonlocal form's dense
+        # array on the grids that hold one (n_side 24) alone excepted
+        for n_side in (24, 32):
+            ops = Operators.build(Grid(n_side), make_mat())
+            B = ops.B
+            limit = max((B.kd + 1) * B.n_free, n_side ** 3)
+            held = {**vars(ops), **vars(B), **vars(ops.A_m)}
+            if n_side <= NONLOCAL_DENSE_MAX_SIDE:
+                del held["dense"]
+            arrays = {name: v for name, v in held.items()
+                      if isinstance(v, np.ndarray)}
+            assert {"K_D_band", "K_D_chol", "band_pos", "S", "R"} \
+                <= set(arrays)
+            for name, v in arrays.items():
+                assert v.size <= limit, (n_side, name)

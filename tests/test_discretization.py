@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ribv.discretization import (
+    NONLOCAL_DENSE_MAX_SIDE,
     Grid,
+    NonlocalForm,
     assemble_nonlocal_form,
     assemble_sym_gradient,
     eval_loading,
@@ -214,6 +216,61 @@ class TestNonlocalForm:
     def test_rejects_low_order(self):
         with pytest.raises(ValueError):
             assemble_nonlocal_form(Grid(3), 1.0)
+
+
+class TestToeplitzForm:
+    """The form held as its tables alone, built directly at every size,
+    against the dense assembly."""
+
+    @pytest.mark.parametrize("n_side", range(2, 25))
+    def test_fft_apply_matches_dense(self, n_side, rng):
+        g = Grid(n_side)
+        for m_order in (1.25, 1.5, 2.0):
+            form = NonlocalForm.toeplitz(g, m_order)
+            assert form.dense is None
+            A = assemble_nonlocal_form(g, m_order)
+            for _ in range(3):
+                z = rng.uniform(0.2, 1.0, g.n_nodes)
+                ref = A @ (z - z[0])
+                assert np.max(np.abs(form.apply(z) - ref)) \
+                    <= 1e-12 * np.max(np.abs(ref))
+            # a constant field reads exact zeros, not FFT roundoff
+            assert not form.apply(np.full(g.n_nodes, 0.7)).any()
+
+    @pytest.mark.parametrize("n_side", range(2, 25))
+    def test_gathered_slice_is_dense_take(self, n_side, rng):
+        g = Grid(n_side)
+        for m_order in (1.25, 1.5, 2.0):
+            form = NonlocalForm.toeplitz(g, m_order)
+            A = assemble_nonlocal_form(g, m_order)
+            subsets = [np.arange(g.n_nodes), rng.integers(g.n_nodes, size=1)]
+            subsets += [np.flatnonzero(rng.random(g.n_nodes) < frac)
+                        for frac in (0.2, 0.5, 0.8)]
+            for idx in subsets:
+                got = form.slice(idx)
+                # bit for bit: signed zeros and all
+                assert np.array_equal(got.view(np.int64),
+                                      A[np.ix_(idx, idx)].view(np.int64))
+
+    def test_build_picks_by_size(self):
+        # dense up to the crossover, its tables alone above; both reads
+        # of the dense form are the assembled matrix's
+        for n_side in (4, NONLOCAL_DENSE_MAX_SIDE):
+            form = NonlocalForm.build(Grid(n_side), 1.5)
+            assert form.k_hat is None
+            assert np.array_equal(form.dense,
+                                  assemble_nonlocal_form(Grid(n_side), 1.5))
+        form = NonlocalForm.build(Grid(NONLOCAL_DENSE_MAX_SIDE + 1), 1.5)
+        assert form.dense is None and form.k_hat is not None
+
+    def test_nbytes_counts_what_is_held(self):
+        g = Grid(12)
+        n = g.n_side
+        tables = 2 * n ** 3 + 3 * n ** 2
+        assert NonlocalForm.toeplitz(g, 1.5).nbytes \
+            == 8 * (tables + 2 * n * (n + 1))
+        assert NonlocalForm.assembled(g, 1.5).nbytes \
+            == 8 * (tables + n ** 4)
 
 
 class TestLoading:

@@ -255,9 +255,10 @@ def test_no_dense_viscosity_operator():
     assert not offenders, "dense operator use:\n" + "\n".join(offenders)
 
 
-# the one scope per module allowed to read the dense nonlocal form: the
-# Operators class (apply_A_m) and the z-step Newton Hessian
-_A_M_READERS = {"constitutive.py": "Operators", "solver.py": "_z_hess"}
+# the one scope per module allowed to read the nonlocal form: the
+# Operators class (apply_A_m) and the z-step Hessian base, which reads
+# its slice on the free nodes
+_A_M_READERS = {"constitutive.py": "Operators", "solver.py": "_z_base"}
 
 
 def _nonlocal_form_reads(path: Path) -> list[str]:

@@ -2,6 +2,7 @@
 and the one-step descent structure."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from ribv.problems import (
 from ribv.solver import (
     Z_FLOOR,
     UpData,
-    _z_hess,
+    _z_base,
     _z_value,
     band_newton_step,
     incremental_step,
@@ -225,7 +226,8 @@ class TestZStep:
         grid = Grid(3)
         mat = reference_material()
         ops = Operators.build(grid, mat)
-        ops = dataclasses.replace(ops, A_m=np.zeros_like(ops.A_m))
+        ops = dataclasses.replace(ops, A_m=dataclasses.replace(
+            ops.A_m, dense=np.zeros_like(ops.A_m.dense)))
         loading = ramp_loading(grid, 0.0)
         ep = small_ep(tau=0.1)
 
@@ -276,6 +278,34 @@ class TestZStep:
         assert np.all(z_new <= prev.z + 1e-15)
         assert np.all(z_new >= Z_FLOOR * (1 - 1e-12))
 
+    def test_no_full_size_array_on_a_large_grid(self, monkeypatch):
+        # n_side 32 holds the form as its tables: the first iteration of a
+        # z-step with about half its nodes free (strain in the left half
+        # of the grid only) forms its base on the free nodes and
+        # allocates no N x N array; the step then ends at max_iter
+        grid = Grid(32)
+        mat = reference_material()
+        ops = Operators.build(grid, mat)
+        assert ops.A_m.dense is None
+        ep = small_ep()
+        prev = initial_state(grid, z0=0.9)
+        st = prev.copy()
+        st.u[:, 0] = 0.5 * np.minimum(grid.nodes[:, 0], 0.5)
+        records = z_records(ops, mat, ep, st, prev, ramp_loading(grid, 0.0),
+                            1.0)
+        sizes = []
+        monkeypatch.setattr(solver_module, "_z_base", lambda a, cpp, idx, o:
+                            sizes.append(len(idx)) or _z_base(a, cpp, idx, o))
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="after 1 iterations"):
+                solve_z_step(*records, st, prev, ops, mat, ep, max_iter=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sizes) == 1 and 0.45 < sizes[0] / grid.n_nodes < 0.55
+        assert peak < 8 * grid.n_nodes ** 2
+
     def test_node_pinned_at_both_bounds(self, rng):
         # a node whose z_prev sits at the floor is held at both bounds: its
         # negative W' cannot be reduced by any feasible step, and the
@@ -322,7 +352,8 @@ class TestZStep:
         grid = Grid(3)
         mat = reference_material()
         ops = Operators.build(grid, mat)
-        ops = dataclasses.replace(ops, A_m=-1e6 * np.eye(grid.n_nodes))
+        ops = dataclasses.replace(ops, A_m=dataclasses.replace(
+            ops.A_m, dense=-1e6 * np.eye(grid.n_nodes)))
         loading = ramp_loading(grid, amplitude=0.45)
         prev = initial_state(grid, z0=0.9)
         st = prev.copy()
@@ -396,23 +427,26 @@ class TestZStep:
 
 class TestOneEvaluationPerIterate:
     def test_z_hessian_from_passed_curvature(self, rng):
-        # the base from the c'' of the laws at z, with the
-        # diagonal term added, equals bit for bit the Hessian built from z
-        # alone, on cells on both sides of the stiffness kink at z = 1
+        # the base on the free nodes from the c'' of the laws at z, with
+        # the diagonal term added, equals bit for bit the slice of the
+        # Hessian built on all nodes from z alone, on cells on both sides
+        # of the stiffness kink at z = 1
         grid = Grid(4)
         mat = reference_material()
         ops = Operators.build(grid, mat)
         ep = small_ep()
         a = grid.w_cell * rng.uniform(0.0, 0.5, grid.n_cells)
         b = grid.w_cell * rng.uniform(0.0, 0.2, grid.n_cells)
-        for _ in range(5):
+        for k in range(5):
             z = 0.6 + 0.8 * grid.nodes[:, 0] \
                 + rng.uniform(-0.05, 0.05, grid.n_nodes)
+            idx = np.arange(grid.n_nodes) if k == 0 else np.flatnonzero(
+                rng.random(grid.n_nodes) < 0.6)
             cpp = DamageLaws.at(z, ops, mat).cpp
-            H = _z_hess(a, cpp, ops)
-            H[np.diag_indices(grid.n_nodes)] += grid.lump * (
-                damage_curvature(z, mat) + ep.eps / ep.tau)
-            want = ops.A_m.copy()
+            H = _z_base(a, cpp, idx, ops)
+            H[np.diag_indices(len(idx))] += grid.lump[idx] * (
+                damage_curvature(z[idx], mat) + ep.eps / ep.tau)
+            want = ops.A_m.dense.copy()
             cpp_z = damage_cells(cell_damage(grid, z), mat)[2]
             assert 0 < np.count_nonzero(cpp_z) < grid.n_cells
             for c, corners in enumerate(grid.cells):
@@ -421,20 +455,21 @@ class TestOneEvaluationPerIterate:
                         want[i, j] += cpp_z[c] * a[c] / 16.0
             want[np.diag_indices(grid.n_nodes)] += grid.lump * (
                 damage_curvature(z, mat) + ep.eps / ep.tau)
-            np.testing.assert_array_equal(H, want)
+            np.testing.assert_array_equal(H, want[np.ix_(idx, idx)])
 
     def test_laws_and_prox_run_in_value_evaluations_only(self, monkeypatch):
         # per z solve, damage_cells and cell_damage run once per trial
         # (the first objective reads the laws handed on), and the Hessian
-        # base once while c'' stays fixed; the (u, p) solves never form the
-        # laws, which the z-step or the previous step hands them; per
+        # base once while c'' and the free set stay fixed; the (u, p)
+        # solves never form the laws, which the z-step or the previous
+        # step hands them; per
         # (u, p) solve, the prox map is checked once and its shift runs once
         # per value evaluation, that is per strain B(u + w), whose elastic
         # cells the Newton tangent, the z-step and the certification reuse:
         # over the run, elastic_cells and SymGradient.apply run only there
         # and once per step in the power, at the strain of q_{k-1} at t_k
         calls = {"damage_cells": 0, "cell_damage": 0, "_z_value": 0,
-                 "_z_hess": 0, "dposv": 0, "prox_map": 0, "shift": 0,
+                 "_z_base": 0, "dposv": 0, "prox_map": 0, "shift": 0,
                  "apply": 0, "elastic_cells": 0}
         per_solve = {"solve_z_step": [], "solve_up_step": []}
         bases = []
@@ -448,9 +483,9 @@ class TestOneEvaluationPerIterate:
                 return out
             return wrapped
 
-        def z_hess(a, cpp, ops):
-            bases.append((len(per_solve["solve_z_step"]), cpp))
-            return _z_hess(a, cpp, ops)
+        def z_base(a, cpp, idx, ops):
+            bases.append((len(per_solve["solve_z_step"]), cpp, idx))
+            return _z_base(a, cpp, idx, ops)
 
         for name in ("damage_cells", "cell_damage"):
             monkeypatch.setattr(constitutive_module, name, counted(
@@ -462,8 +497,8 @@ class TestOneEvaluationPerIterate:
         for name in ("_z_value", "prox_map"):
             monkeypatch.setattr(solver_module, name, counted(
                 calls, name, getattr(solver_module, name)))
-        monkeypatch.setattr(solver_module, "_z_hess", counted(
-            calls, "_z_hess", z_hess))
+        monkeypatch.setattr(solver_module, "_z_base", counted(
+            calls, "_z_base", z_base))
         monkeypatch.setattr(solver_module, "prox_map", counted_map(
             calls, "shift", solver_module.prox_map))
         monkeypatch.setattr(solver_module.lapack, "dposv", counted(
@@ -480,11 +515,13 @@ class TestOneEvaluationPerIterate:
         assert per_solve["solve_z_step"] and per_solve["solve_up_step"]
         for n in per_solve["solve_z_step"]:
             assert n["damage_cells"] == n["cell_damage"] == n["_z_value"] - 1
-            assert n["_z_hess"] <= n["dposv"]
+            assert n["_z_base"] <= n["dposv"]
             assert n["elastic_cells"] == n["apply"] == 0
-        # a rebuild within one solve only where c'' changed
-        for (k0, cpp0), (k1, cpp1) in zip(bases, bases[1:]):
-            assert k0 != k1 or (cpp0 != cpp1).any()
+        # a rebuild within one solve only where c'' or the free set
+        # changed
+        for (k0, cpp0, idx0), (k1, cpp1, idx1) in zip(bases, bases[1:]):
+            assert k0 != k1 or (cpp0 != cpp1).any() \
+                or not np.array_equal(idx0, idx1)
         assert len(bases) < sum(n["dposv"] for n in per_solve["solve_z_step"])
         for n in per_solve["solve_up_step"]:
             assert n["damage_cells"] == 0
