@@ -15,7 +15,7 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .config import RunConfig, read_pairs
+from .config import RunConfig, read_pairs, read_value
 from .constitutive import energy, energy_gradients, strain_at
 from .discretization import Grid, NonlocalForm, State, \
     nonlocal_double_sum, tensor_norm
@@ -224,8 +224,9 @@ def parse_gronwall_instances(text: str) -> list[GronwallInstance]:
             # a sequence field (no plain default) reads comma-separated
             # floats, any other field its default's type
             default = known[key].default
-            kw[key] = np.array([float(x) for x in val.split(",")]) \
-                if default is MISSING else type(default)(val)
+            kw[key] = read_value(ln, key, val, (
+                lambda v: np.array([float(x) for x in v.split(",")]))
+                if default is MISSING else type(default))
         if not kw:
             continue
         if kw.get("lemma") not in _CHECKERS:

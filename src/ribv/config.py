@@ -55,6 +55,19 @@ def read_pairs(text: str, start: int = 1):
         yield ln, key, val
 
 
+def read_value(ln: int, key: str, val: str, convert):
+    """convert(val), its ValueError naming the line ln and the key."""
+    try:
+        return convert(val)
+    except ValueError as exc:
+        raise ValueError(f"line {ln}: {key} = {val!r}: {exc}") from None
+
+
+def _float_list(text: str) -> list[float]:
+    """The floats of a comma-separated list, blank items skipped."""
+    return [float(x) for x in text.split(",") if x.strip()]
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration with every tunable of the solver
@@ -78,7 +91,9 @@ class RunConfig:
         for ln, key, val in read_pairs(text):
             if key not in _DEFAULTS:
                 raise ValueError(f"line {ln}: unknown config key {key!r}")
-            cfg.values[key] = type(_DEFAULTS[key])(val)
+            cfg.values[key] = read_value(ln, key, val, type(_DEFAULTS[key]))
+            if key.startswith("ladder_"):
+                read_value(ln, key, val, _float_list)
         cfg.validate()
         return cfg
 
@@ -128,14 +143,14 @@ class RunConfig:
         """The (eps, nu, mu) levels of the sweep, checked against the
         regime by ``reparam.ladder_levels``; an empty ``ladder_nu`` or
         ``ladder_mu`` follows eps where the regime lets it vanish."""
-        eps = [float(x) for x in self.ladder_eps.split(",") if x.strip()]
+        eps = _float_list(self.ladder_eps)
         if not eps:
             raise ValueError("ladder_eps must not be empty")
         cols = []
         for key in ("nu", "mu"):
             text = self.values[f"ladder_{key}"]
             if text.strip():
-                cols.append([float(x) for x in text.split(",")])
+                cols.append(_float_list(text))
             elif key in regime_entry(self.regime).vanishing:
                 cols.append(list(eps))
             else:

@@ -219,7 +219,7 @@ class Operators:
     Cholesky factor in the same storage; products and dual norms go
     through BLAS/LAPACK band kernels.  ``K_D`` expands the band into a
     dense matrix for reference checks.  The nonlocal form ``A_m`` is a
-    ``NonlocalForm``: its tables, and the dense array on small grids.
+    ``NonlocalForm``: dense on small grids, its tables on large ones.
     """
 
     grid: Grid
@@ -336,12 +336,11 @@ def energy(t: float, state: State, ops: Operators, mat: MaterialParams,
     return energy_from(loaded, state, laws, ops, mu)
 
 
-def displacement_gradient(s0: np.ndarray, c: np.ndarray, F: np.ndarray,
-                          ops: Operators) -> np.ndarray:
-    """g_u = B^T (w_c c_c s0_c) - F on the free dofs at cell stiffness c,
-    s0 the weighted stress of ``elastic_cells`` at the strain."""
-    wc = ops.grid.w_cell * c
-    return (ops.B.adjoint(wc[:, None] * s0) - F)[ops.grid.free_dofs]
+def displacement_gradient(s0: np.ndarray, wc: np.ndarray,
+                          F_free: np.ndarray, ops: Operators) -> np.ndarray:
+    """g_u = B^T (wc_c s0_c) - F on the free dofs: wc = w_c c_c, s0 the
+    weighted stress of ``elastic_cells``, F_free the free part of F."""
+    return ops.B.adjoint(wc[:, None] * s0)[ops.grid.free_dofs] - F_free
 
 
 def state_gradients(e: np.ndarray, q0: np.ndarray, laws: DamageLaws,
@@ -368,5 +367,7 @@ def energy_gradients(t: float, state: State, ops: Operators,
     _, F, e = strain_at(t, state, ops, loading)
     laws = DamageLaws.at(state.z, ops, mat)
     s0, q0 = elastic_cells(e, mat)
-    return (displacement_gradient(s0, laws.c, F, ops),
+    grid = ops.grid
+    return (displacement_gradient(s0, grid.w_cell * laws.c,
+                                  F[grid.free_dofs], ops),
             *state_gradients(e, q0, laws, state.p, ops, mat, mu))

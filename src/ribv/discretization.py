@@ -15,13 +15,14 @@ The module provides:
   assembled over the free dofs in LAPACK lower symmetric-band storage
   (the node-major dof order keeps their bandwidth at 2 n_side + 1),
 * ``assemble_nonlocal_form`` -- a Gagliardo-type nonlocal form for the
-  damage field, built in O(N^2) from its n_side distinct Toeplitz blocks
-  in its own N x N buffer, the one such array it holds,
-* ``NonlocalForm`` -- that form as its Toeplitz tables (n_side^3 numbers
-  each) with two reads, the product and the slice on a node subset:
-  from the dense array up to ``NONLOCAL_DENSE_MAX_SIDE``, and above it
-  with no N x N array, by the FFT of the kernel and a gather from the
-  tables that gives the dense entries bit for bit,
+  damage field, built in O(N^2) from its n_side distinct Toeplitz blocks:
+  the blocks gathered into one N x N array and added to their mirror
+  image into a second,
+* ``NonlocalForm`` -- that form with two reads, the product and the
+  slice on a node subset: the dense array alone up to
+  ``NONLOCAL_DENSE_MAX_SIDE``, and above it the Toeplitz tables
+  (n_side^3 numbers each) with no N x N array, read by the FFT of the
+  kernel and by a gather that gives the dense entries bit for bit,
 * ``LoadingSpec`` / ``eval_loading`` -- time-dependent Dirichlet data
   (with a fixed interior lift) and external nodal forces,
 * ``total_strain`` -- e = B(u + w) - p.
@@ -318,51 +319,30 @@ def assemble_nonlocal_form(grid: Grid, m_order: float = 1.5) -> np.ndarray:
     With m = m1 (x) m1, block (a, b) of Gx^T L Gx over node rows is -m1_a
     m1_b P_|a-b| + [a = b] D^T diag((W 1)_a) D, P_d = E K_d E^T for E = D^T
     diag(m1) and K_d the Toeplitz kernel table of row offset d; Gy^T L Gy
-    swaps the axes.  O(N^2) flops for N nodes and one N x N array live:
-    X[a, ix, b, jx], twice the symmetric part of block (a, b) of Gx^T L Gx
-    at (ix, jx), is gathered k node rows at a time into the output's
-    layout, and A = X + X with (a, ix) and (b, jx) swapped is formed in
-    place, k node rows at a time against the rows after them; each
-    mirrored pair of entries is the same two terms added in either order,
-    so A is exactly symmetric.
+    swaps the axes.  O(N^2) flops for N nodes: Q[a, b, ix, jx], twice the
+    symmetric part of block (a, b) of Gx^T L Gx at (ix, jx), is gathered
+    from the tables, and A[(a, ix), (b, jx)] = Q[a, b, ix, jx] + Q[ix, jx,
+    a, b] is added into a second N x N array; each mirrored pair of
+    entries is the same two terms added in either order, so A is exactly
+    symmetric.
     """
     S, R = _nonlocal_tables(grid, m_order)[:2]
-    return _assemble_from_tables(S, R, grid.lump.reshape(grid.n_side, -1))
-
-
-def _assemble_from_tables(S, R, w):
-    """The dense form of ``assemble_nonlocal_form`` from its tables S and
-    R and the weights w, in place in its one N x N buffer."""
-    n = len(w)
+    n = grid.n_side
     off = np.abs(np.arange(n)[:, None] - np.arange(n))
-    nw = -w[:, :, None, None]
-    # k node rows per block: a block's work array holds at most
-    # max(2^15, n^3) entries
-    k = max(1, 2 ** 15 // n ** 3)
-    # X[a, ix, b, jx] = 2 sym of block (a, b) of Gx^T L Gx at (ix, jx),
-    # gathered as Q[a, b, ix, jx] and laid out in the output
-    X = np.empty((n, n, n, n))
-    for a0 in range(0, n, k):
-        a1 = a0 + k
-        Q = S[off[a0:a1]]
-        Q *= nw[a0:a1]
-        Q.reshape(-1, n, n)[a0::n + 1] += R[a0:a1]
-        X[a0:a1] = Q.transpose(0, 2, 1, 3)
-    del Q  # one block is all of X up to n_side 13: free it first
-    # A[(a, ix), (b, jx)] = X[a, ix, b, jx] + X[ix, a, jx, b], in place
-    for a0 in range(0, n, k):
-        a1 = a0 + k
-        blk = X[a0:a1, a0:] + X[a0:, a0:a1].transpose(1, 0, 3, 2)
-        X[a0:a1, a0:] = blk
-        X[a1:, a0:a1] = blk[:, k:].transpose(1, 0, 3, 2)
-    return X.reshape(n * n, n * n)
+    Q = S[off]
+    Q *= -grid.lump.reshape(n, n, 1, 1)
+    Q.reshape(n * n, n, n)[::n + 1] += R
+    del S, R  # the tables go before the second N x N array comes
+    return np.add(Q.transpose(0, 2, 1, 3), Q.transpose(2, 0, 3, 1),
+                  out=np.empty((n, n, n, n))).reshape(n * n, n * n)
 
 
 @dataclass(frozen=True)
 class NonlocalForm:
-    """The nonlocal form A of ``assemble_nonlocal_form``, held as its
-    Toeplitz tables (n^3 numbers each), and below the crossover
-    ``NONLOCAL_DENSE_MAX_SIDE`` also as the dense N x N array.
+    """The nonlocal form A of ``assemble_nonlocal_form``: up to the
+    crossover ``NONLOCAL_DENSE_MAX_SIDE`` the dense N x N array alone,
+    above it its Toeplitz tables (n^3 numbers each) and the FFT of the
+    kernel, with no N x N array.
 
     Two reads: ``apply(z)``, the product A (z - z[0]), and
     ``slice(idx)``, the submatrix A[idx][:, idx].  With ``dense`` they
@@ -374,13 +354,13 @@ class NonlocalForm:
     entry equals the dense one bit for bit.
     """
 
-    S: np.ndarray       # (n, n, n): S[d] = P_d + P_d^T at row offset d
-    R: np.ndarray       # (n, n, n): R[a] = R_a + R_a^T of node row a
-    w: np.ndarray       # (n, n): the lumped weights, w[a, b] = m1_a m1_b
-    r: np.ndarray       # (n, n): the row sums W 1
-    D: np.ndarray       # (n, n): the difference stencil
-    dense: np.ndarray | None  # (N, N) at and below the crossover
-    k_hat: np.ndarray | None  # (2n, n + 1) above it
+    dense: np.ndarray | None  # (N, N) at and below the crossover; above:
+    S: np.ndarray | None      # (n, n, n): S[d] = P_d + P_d^T at offset d
+    R: np.ndarray | None      # (n, n, n): R[a] = R_a + R_a^T of node row a
+    w: np.ndarray | None      # (n, n): the lumped weights, m1_a m1_b
+    r: np.ndarray | None      # (n, n): the row sums W 1
+    D: np.ndarray | None      # (n, n): the difference stencil
+    k_hat: np.ndarray | None  # (2n, n + 1): the FFT of the kernel
 
     @classmethod
     def build(cls, grid: Grid, m_order: float) -> "NonlocalForm":
@@ -392,10 +372,8 @@ class NonlocalForm:
 
     @classmethod
     def assembled(cls, grid: Grid, m_order: float) -> "NonlocalForm":
-        """The tables and the dense array assembled from them in place."""
-        S, R, r, D, _ = _nonlocal_tables(grid, m_order)
-        w = grid.lump.reshape(grid.n_side, -1)
-        return cls(S, R, w, r, D, _assemble_from_tables(S, R, w), None)
+        """The dense array of ``assemble_nonlocal_form`` alone."""
+        return cls(assemble_nonlocal_form(grid, m_order), *[None] * 6)
 
     @classmethod
     def toeplitz(cls, grid: Grid, m_order: float) -> "NonlocalForm":
@@ -406,12 +384,12 @@ class NonlocalForm:
         n = grid.n_side
         wrap = np.r_[0:n + 1, n - 1:0:-1]
         kern = np.pad(kern, (0, 1))[np.ix_(wrap, wrap)]
-        return cls(S, R, grid.lump.reshape(n, n), r, D, None,
+        return cls(None, S, R, grid.lump.reshape(n, n), r, D,
                    np.fft.rfft2(kern).real)
 
     @property
     def nbytes(self) -> int:
-        """Bytes held: the tables, and the dense array or the kernel FFT."""
+        """Bytes held: the dense array, or the tables and the kernel FFT."""
         return sum(v.nbytes for v in vars(self).values() if v is not None)
 
     def apply(self, z: np.ndarray) -> np.ndarray:

@@ -59,6 +59,9 @@ from .dissipation import prox_map, prox_tangent, subdiff_violation
 Z_FLOOR = 1e-8
 # sufficient-decrease fraction delta of both line searches
 _ARMIJO = 1e-4
+# Newton iterations of one (u, p) solve and of one z-solve
+UP_MAX_ITER = 80
+Z_MAX_ITER = 200
 
 
 def _acceptable(val, val_t, slope, slope_t):
@@ -148,8 +151,7 @@ def band_newton_step(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 def solve_up_step(data: UpData, laws: DamageLaws, state: State,
                   prev_state: State, ops: Operators, mat: MaterialParams,
-                  ep: EnergyParams, tol_dual: float = 1e-12,
-                  max_iter: int = 80) -> tuple:
+                  ep: EnergyParams, tol_dual: float = 1e-12) -> tuple:
     """Joint minimization in (u, p) with z frozen, from the step's
     ``UpData`` and the ``DamageLaws`` at state.z.
 
@@ -173,7 +175,7 @@ def solve_up_step(data: UpData, laws: DamageLaws, state: State,
     condition of Hager & Zhang (2005).
     Stops when the dual norm ``ops.dual_norm`` of the gradient is <=
     tol_dual and raises RuntimeError, stating that norm, when 50 halvings
-    find no acceptable step or max_iter iterations end above tol_dual.
+    find no acceptable step or UP_MAX_ITER iterations end above tol_dual.
     Returns (u, p, rec), rec the ``UpRecord`` of the accepted evaluation.
     """
     grid = ops.grid
@@ -197,19 +199,19 @@ def solve_up_step(data: UpData, laws: DamageLaws, state: State,
         val = wc @ rec.q0 - data.F @ uw + 0.5 * visc_fac * (du @ kd_du) \
             + wV @ rec.dp_abs + grid.w_cell @ (
                 0.5 * visc_fac * dp2 + 0.5 * ep.mu * tensor_dot(p, p))
-        grad = ops.B.adjoint(wc[:, None] * rec.s0)[free] - data.F_free \
+        grad = displacement_gradient(rec.s0, wc, data.F_free, ops) \
             + rec.visc_kd
         return float(val), grad, shift, rec
 
     u_free = state.u.ravel()[free].copy()
     val, grad, shift, rec = value_grad(u_free)
-    for it in range(max_iter + 1):
+    for it in range(UP_MAX_ITER + 1):
         r_dual = ops.dual_norm(grad)
         if r_dual <= tol_dual:
             break
-        if it == max_iter:
+        if it == UP_MAX_ITER:
             raise RuntimeError(f"solve_up_step: dual residual {r_dual:.3e} "
-                               f"> tol_dual after {max_iter} iterations")
+                               f"> tol_dual after {it} iterations")
         # per-cell consistent tangent w_c c_c S0 (I - dp*/d e_bar) from
         # the shift, S0 where no cell yields (shrink < 1); Hessian
         # visc_fac K_D + sum_c B_c^T T_c B_c
@@ -267,7 +269,7 @@ def _at_bounds(z, z_prev):
 
 def solve_z_step(up: UpRecord, laws: DamageLaws, state: State,
                  prev_state: State, ops: Operators, mat: MaterialParams,
-                 ep: EnergyParams, tol: float = 1e-10, max_iter: int = 200):
+                 ep: EnergyParams, tol: float = 1e-10):
     """Minimize the z subproblem at the (u, p) record ``up`` of state under
     z_floor <= z <= z_prev by projected Newton: g/m at nodes held at a
     bound, the (SPD) Newton step on the others, halved along the
@@ -285,14 +287,14 @@ def solve_z_step(up: UpRecord, laws: DamageLaws, state: State,
     is the mass norm of g/m over the free nodes (a node pinned at both
     bounds adds nothing).  Returns (z, laws) at the accepted z; raises
     RuntimeError, stating the residual, when 50 halvings find no step or
-    max_iter iterations end above tol."""
+    Z_MAX_ITER iterations end above tol."""
     z_prev, m, w_cell = prev_state.z, ops.grid.lump, ops.grid.w_cell
     a, b = w_cell * up.q0, w_cell * up.dp_abs
     z = np.minimum(np.maximum(state.z, Z_FLOOR), z_prev)
     if (z != state.z).any():
         laws = DamageLaws.at(z, ops, mat)
     val, g = _z_value(laws, z, z_prev, a, b, ops, mat, ep)
-    for it in range(max_iter + 1):
+    for it in range(Z_MAX_ITER + 1):
         d = g / m
         lower, upper = _at_bounds(z, z_prev)
         # held nodes keep d, the others take the Newton direction
@@ -300,9 +302,9 @@ def solve_z_step(up: UpRecord, laws: DamageLaws, state: State,
         res = float(g[free] @ d[free]) ** 0.5
         if res <= tol:
             return z, laws
-        if it == max_iter:
+        if it == Z_MAX_ITER:
             raise RuntimeError(f"solve_z_step: stationarity residual "
-                               f"{res:.3e} > tol after {max_iter} iterations")
+                               f"{res:.3e} > tol after {it} iterations")
         idx = free.nonzero()[0]
         if it == 0 or (laws.cpp != base_cpp).any() \
                 or (free != base_free).any():
@@ -404,7 +406,8 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
             tol_dual=max(1e-13, 0.02 * tol_stat))
         state.z, laws = solve_z_step(up, laws, state, prev_state, ops, mat,
                                      ep, tol=0.1 * tol_stat)
-        g_u = displacement_gradient(up.s0, laws.c, F, ops)
+        g_u = displacement_gradient(up.s0, ops.grid.w_cell * laws.c,
+                                    data.F_free, ops)
         r_u = ops.dual_norm(up.visc_kd + g_u)
         if r_u > tol_stat and sweeps < max_iter:
             continue

@@ -1,6 +1,7 @@
 """Config parsing, batch entry points, and output files."""
 
 import filecmp
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -65,6 +66,16 @@ class TestConfig:
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="line 1"):
             RunConfig.parse("grid_n 4\n")
+
+    @pytest.mark.parametrize("line", ["grid_n = 4.5", "eps = abc",
+                                      "ladder_eps = 1e-1,x"])
+    def test_unreadable_value_named(self, line):
+        # a value that does not read as its key's type names its line and
+        # key; a ladder list is read when its line is
+        key, val = line.split(" = ")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"line 2: {key} = {val!r}: ")):
+            RunConfig.parse(f"regime = eps0\n{line}\n")
 
     def test_z0_below_floor_rejected(self):
         # the solver holds z >= Z_FLOOR = 1e-8, so a start below it is
@@ -159,9 +170,9 @@ class TestConfig:
         _, mat_r, ops_r, ep_r, loading_r, init_r = reference_problem()
         assert mat == mat_r
         assert ep == ep_r
-        for name in ("S", "R", "dense"):
-            assert np.array_equal(getattr(ops.A_m, name),
-                                  getattr(ops_r.A_m, name))
+        # the reference grid holds the dense form alone
+        assert ops.A_m.S is None and ops_r.A_m.S is None
+        assert np.array_equal(ops.A_m.dense, ops_r.A_m.dense)
         assert np.array_equal(ops.K_D_band, ops_r.K_D_band)
         assert np.array_equal(loading.f_vec, loading_r.f_vec)
         for name in ("u", "z", "p"):
@@ -311,6 +322,13 @@ class TestSharedReader:
                                              "'gamma'"):
             parse_gronwall_instances("lemma = classic\nB = 1.0\n"
                                      "gamma = 0.1\n")
+
+    @pytest.mark.parametrize("line", ["B = x", "a = 1,2,q"])
+    def test_unreadable_instance_value_named(self, line):
+        key, val = line.split(" = ")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"line 3: {key} = {val!r}: ")):
+            parse_gronwall_instances(f"lemma = classic\nB = 1.0\n{line}\n")
 
     def test_unknown_lemma_named(self):
         with pytest.raises(ValueError, match="'gronwall2'"):

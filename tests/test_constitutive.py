@@ -338,17 +338,19 @@ class TestBandOperators:
     def test_storage_is_banded(self):
         # no (n_free, n_free) array: every operator array fits in one
         # lower band or holds n_side^3 numbers, the nonlocal form's dense
-        # array on the grids that hold one (n_side 24) alone excepted
+        # array on the grids that hold it (n_side 24), instead of its
+        # tables, alone excepted
         for n_side in (24, 32):
             ops = Operators.build(Grid(n_side), make_mat())
             B = ops.B
             limit = max((B.kd + 1) * B.n_free, n_side ** 3)
             held = {**vars(ops), **vars(B), **vars(ops.A_m)}
-            if n_side <= NONLOCAL_DENSE_MAX_SIDE:
-                del held["dense"]
+            dense = n_side <= NONLOCAL_DENSE_MAX_SIDE
+            assert (held.pop("dense") is not None) == dense
             arrays = {name: v for name, v in held.items()
                       if isinstance(v, np.ndarray)}
-            assert {"K_D_band", "K_D_chol", "band_pos", "S", "R"} \
-                <= set(arrays)
+            assert {"K_D_band", "K_D_chol", "band_pos"} <= set(arrays)
+            # the dense array or the tables, never both
+            assert ({"S", "R"} <= set(arrays)) != dense
             for name, v in arrays.items():
                 assert v.size <= limit, (n_side, name)

@@ -190,28 +190,28 @@ class TestNonlocalForm:
         assert np.all(steps > 0.0)
         assert steps[1] < 0.5 * steps[0]
 
-    @pytest.mark.parametrize("n_side", [*range(2, 10), *range(14, 21)])
+    @pytest.mark.parametrize("n_side",
+                             range(2, NONLOCAL_DENSE_MAX_SIDE + 1))
     def test_matches_two_array_assembly_bit_for_bit(self, n_side):
-        # one block of node rows up to n_side 13, several from 14 on: the
-        # in-place symmetrization adds the same two terms per entry as the
-        # two-array assembly, so no bit moves
+        # every size that holds the dense form: each entry is the oracle's
+        # two terms, formed and added in the same order, so no bit moves
         g = Grid(n_side)
         for m_order in (1.25, 1.5, 2.0):
             assert np.array_equal(assemble_nonlocal_form(g, m_order),
                                   two_array_nonlocal_form(g, m_order))
 
     def test_memory_budget(self):
-        # the assembly holds one N x N array, the result, beside O(N^1.5)
-        # work arrays and one block of node rows (at most 2^15 entries or
-        # n_side^3); the two-array assembly peaks at 2.1 times the result
-        g = Grid(32)
+        # at the largest dense size the assembly holds two N x N arrays,
+        # the gathered blocks and the result; its O(N^1.5) tables are
+        # freed before the second
+        g = Grid(NONLOCAL_DENSE_MAX_SIDE)
         tracemalloc.start()
         try:
             A = assemble_nonlocal_form(g, 1.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * A.nbytes
+        assert peak <= 2.1 * A.nbytes
 
     def test_rejects_low_order(self):
         with pytest.raises(ValueError):
@@ -253,11 +253,12 @@ class TestToeplitzForm:
                                       A[np.ix_(idx, idx)].view(np.int64))
 
     def test_build_picks_by_size(self):
-        # dense up to the crossover, its tables alone above; both reads
-        # of the dense form are the assembled matrix's
+        # the dense array alone up to the crossover, its tables alone
+        # above; both reads of the dense form are the assembled matrix's
         for n_side in (4, NONLOCAL_DENSE_MAX_SIDE):
             form = NonlocalForm.build(Grid(n_side), 1.5)
-            assert form.k_hat is None
+            assert [k for k, v in vars(form).items() if v is not None] \
+                == ["dense"]
             assert np.array_equal(form.dense,
                                   assemble_nonlocal_form(Grid(n_side), 1.5))
         form = NonlocalForm.build(Grid(NONLOCAL_DENSE_MAX_SIDE + 1), 1.5)
@@ -269,8 +270,7 @@ class TestToeplitzForm:
         tables = 2 * n ** 3 + 3 * n ** 2
         assert NonlocalForm.toeplitz(g, 1.5).nbytes \
             == 8 * (tables + 2 * n * (n + 1))
-        assert NonlocalForm.assembled(g, 1.5).nbytes \
-            == 8 * (tables + n ** 4)
+        assert NonlocalForm.assembled(g, 1.5).nbytes == 8 * n ** 4
 
 
 class TestLoading:

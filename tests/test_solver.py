@@ -173,9 +173,10 @@ class TestUpStepExits:
         assert max(per_solve["solve_up_step"]) <= 10
         assert max(per_solve["solve_z_step"]) <= 10
 
-    def test_unconverged_solve_raises(self):
+    def test_unconverged_solve_raises(self, monkeypatch):
         # one Newton iteration from the unloaded state under a damaging
         # load cannot reach tol_dual: the solve says so
+        monkeypatch.setattr(solver_module, "UP_MAX_ITER", 1)
         grid = Grid(4)
         mat = reference_material()
         ops = Operators.build(grid, mat)
@@ -185,7 +186,7 @@ class TestUpStepExits:
         data = UpData.of(*eval_loading(loading, 1.0), prev, ops, ep)
         with pytest.raises(RuntimeError, match="dual residual"):
             solve_up_step(data, DamageLaws.at(prev.z, ops, mat), prev.copy(),
-                          prev, ops, mat, ep, max_iter=1)
+                          prev, ops, mat, ep)
 
 
 class TestBandNewtonStep:
@@ -282,7 +283,9 @@ class TestZStep:
         # n_side 32 holds the form as its tables: the first iteration of a
         # z-step with about half its nodes free (strain in the left half
         # of the grid only) forms its base on the free nodes and
-        # allocates no N x N array; the step then ends at max_iter
+        # allocates no N x N array; the step then ends at its one allowed
+        # iteration
+        monkeypatch.setattr(solver_module, "Z_MAX_ITER", 1)
         grid = Grid(32)
         mat = reference_material()
         ops = Operators.build(grid, mat)
@@ -299,7 +302,7 @@ class TestZStep:
         tracemalloc.start()
         try:
             with pytest.raises(RuntimeError, match="after 1 iterations"):
-                solve_z_step(*records, st, prev, ops, mat, ep, max_iter=1)
+                solve_z_step(*records, st, prev, ops, mat, ep)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -326,9 +329,10 @@ class TestZStep:
         assert z_new[7] == Z_FLOOR
         assert np.all(z_new <= prev.z) and np.all(z_new >= Z_FLOOR)
 
-    def test_unconverged_z_solve_raises(self, rng):
+    def test_unconverged_z_solve_raises(self, rng, monkeypatch):
         # one projected Newton iteration cannot reach tol on the data of
         # test_box_constraints: the solve says so instead of returning z
+        monkeypatch.setattr(solver_module, "Z_MAX_ITER", 1)
         grid = Grid(3)
         mat = reference_material()
         ops = Operators.build(grid, mat)
@@ -341,7 +345,7 @@ class TestZStep:
         with pytest.raises(RuntimeError, match="residual"):
             ep = small_ep()
             solve_z_step(*z_records(ops, mat, ep, st, prev, loading, 1.0),
-                         st, prev, ops, mat, ep, max_iter=1)
+                         st, prev, ops, mat, ep)
 
     def test_non_spd_free_slice_raises(self, rng):
         # a negative definite nonlocal form leaves the free slice of the
