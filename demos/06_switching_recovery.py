@@ -10,8 +10,7 @@ transition the fit reports intermediate values.
 
 from ribv.driver import run_viscous
 from ribv.problems import reference_problem
-from ribv.reparam import TOL_JUMP, detect_jumps, recover_switching, \
-    reparam_standard
+from ribv.reparam import detect_jumps, recover_switching, reparam_standard
 
 grid, mat, ops, ep, loading, init = reference_problem(
     n_side=4, n_steps=20, amplitude=0.48, eps=1e-4, nu=1e-4, mu=1e-4)
@@ -20,7 +19,7 @@ ptraj = reparam_standard(traj, ops)
 
 lams, resid = recover_switching(ptraj, ops)
 jumps = detect_jumps(ptraj)
-in_jump = ptraj.jumps(TOL_JUMP)
+in_jump = ptraj.jumps()
 
 print(f"{'s':>9} {'t':>7} {'t_rate':>9} {'lambda':>8} {'residual':>10}"
       f"  {'jump':>4}")

@@ -106,8 +106,7 @@ def _solve_from_config(cfg: RunConfig):
     its standard and energy-dissipation reparameterizations."""
     _, mat, ops, ep, loading, init = cfg.build()
     traj = run_viscous(ops, mat, ep, loading, init,
-                       n_steps=cfg.n_steps, tol_stat=cfg.tol_stat,
-                       max_iter=cfg.max_iter)
+                       n_steps=cfg.n_steps, tol_stat=cfg.tol_stat)
     return ops, ep, traj, reparam_standard(traj, ops), reparam_ed(traj, ops)
 
 
@@ -134,15 +133,14 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
 def cmd_reparam(cfg: RunConfig, out_dir: str) -> int:
     ops, ep, traj, p_std, p_ed = _solve_from_config(cfg)
     lams, resid = recover_switching(p_std, ops)
-    jump_s, jump_e = p_std.jumps(cfg.tol_jump), p_ed.jumps(cfg.tol_jump)
+    jump_s, jump_e = p_std.jumps(), p_ed.jumps()
     _write_csv(os.path.join(out_dir, "reparam.csv"), REPARAM_COLUMNS, (
         (k, p_std.s[k], p_ed.s[k], traj.times[k], p_std.t_rate[k],
          p_ed.t_rate[k], p_std.normalization[k], p_ed.normalization[k],
          jump_s[k], jump_e[k], lams[k], resid[k])
         for k in range(p_std.n_knots)))
 
-    jumps_std = detect_jumps(p_std, cfg.tol_jump)
-    jumps_ed = detect_jumps(p_ed, cfg.tol_jump)
+    jumps_std, jumps_ed = detect_jumps(p_std), detect_jumps(p_ed)
     dev_std, dev_ed = (float(np.abs(p.normalization[1:] - 1.0).max(
         initial=0.0)) for p in (p_std, p_ed))
     _write_kv(os.path.join(out_dir, "summary.txt"), [
@@ -168,10 +166,7 @@ def cmd_reparam(cfg: RunConfig, out_dir: str) -> int:
 def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
     _, mat, ops, _, loading, init = cfg.build()
     report = bv_sweep(ops, mat, loading, init, cfg.regime, cfg.ladder(),
-                      n_steps=cfg.n_steps, tol_stat=cfg.tol_stat,
-                      tol_jump=cfg.tol_jump,
-                      stab_tol_factor=cfg.stab_tol_factor,
-                      max_iter=cfg.max_iter)
+                      n_steps=cfg.n_steps, tol_stat=cfg.tol_stat)
     dists = report.pairwise_sup_distance + [float("nan")]
     _write_csv(os.path.join(out_dir, "sweep.csv"), SWEEP_COLUMNS, (
         (i, *lv.params, lv.max_stability_nonjump, lv.ed_balance_residual,

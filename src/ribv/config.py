@@ -6,12 +6,15 @@ files.  Unknown keys are rejected with the offending name.  Ladder
 values are comma-separated lists.  The material keys and their defaults
 are the fields of ``MaterialParams``, the problem keys take their
 defaults from the keywords of ``problems.reference_problem``, to which
-``RunConfig.build`` hands the values, and the solver settings take
-theirs from the keywords of ``reparam.bv_sweep``.
+``RunConfig.build`` hands the values.  ``tol_stat``, the stationarity
+tolerance of each step, is the one solver setting a config takes; its
+default is that of ``reparam.bv_sweep``.  A value that reads as a
+non-finite number (nan, inf) is rejected with its line and key.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from inspect import signature
 
@@ -30,8 +33,7 @@ _DEFAULTS = {
     **_MATERIAL_KEYS,
     **{key: signature(reference_problem).parameters[kw].default
        for key, kw in _PROBLEM_KEYS.items()},
-    **{key: signature(bv_sweep).parameters[key].default
-       for key in ("tol_stat", "tol_jump", "stab_tol_factor", "max_iter")},
+    "tol_stat": signature(bv_sweep).parameters["tol_stat"].default,
     "load_kind": "ramp",            # ramp | zero
     "regime": "eps0",               # visc | eps0 | eps-nu0 | all0
     "ladder_eps": "1e-1,1e-2,1e-3",
@@ -56,11 +58,17 @@ def read_pairs(text: str, start: int = 1):
 
 
 def read_value(ln: int, key: str, val: str, convert):
-    """convert(val), its ValueError naming the line ln and the key."""
+    """convert(val), its ValueError naming the line ln and the key; a
+    non-finite number it yields, alone or in a sequence, is one too."""
     try:
-        return convert(val)
+        out = convert(val)
+        items = (out,) if isinstance(out, (str, int, float)) else out
+        if any(isinstance(x, float) and not math.isfinite(x)
+               for x in items):
+            raise ValueError("not a finite number")
     except ValueError as exc:
         raise ValueError(f"line {ln}: {key} = {val!r}: {exc}") from None
+    return out
 
 
 def _float_list(text: str) -> list[float]:
@@ -70,8 +78,8 @@ def _float_list(text: str) -> list[float]:
 
 @dataclass
 class RunConfig:
-    """Validated run configuration with every tunable of the solver
-    stack."""
+    """Validated run configuration: the reference problem, the sweep's
+    regime and ladder, and the step tolerance tol_stat."""
 
     values: dict
 
@@ -119,11 +127,6 @@ class RunConfig:
             raise ValueError(f"z0 must lie in [Z_FLOOR, 1] = [{Z_FLOOR}, 1]")
         if self.tol_stat <= 0:
             raise ValueError("tol_stat must be positive")
-        for key in ("tol_jump", "stab_tol_factor"):
-            if self.values[key] < 0:
-                raise ValueError(f"{key} must be nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
         self.ladder()
 
     # -- constructors for the solver stack ------------------------------

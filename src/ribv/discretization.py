@@ -305,7 +305,7 @@ def _nonlocal_tables(grid: Grid, m_order: float):
     return P + P.transpose(0, 2, 1), R, r, D, kern
 
 
-def assemble_nonlocal_form(grid: Grid, m_order: float = 1.5) -> np.ndarray:
+def assemble_nonlocal_form(grid: Grid, m_order: float) -> np.ndarray:
     """Symmetric PSD matrix A such that z1 @ A @ z2 equals the double sum
 
         sum_{i != j} m_i m_j |g_i - g_j| . |g'_i - g'_j| / |x_i - x_j|^(2 m)

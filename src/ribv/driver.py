@@ -97,7 +97,7 @@ def pre_relax(t0: float, init_state: State, ops: Operators,
 
 def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
                 loading: LoadingSpec, init_state: State, n_steps: int,
-                tol_stat: float = 1e-8, max_iter: int = 500) -> Trajectory:
+                tol_stat: float = 1e-8) -> Trajectory:
     """Drive the incremental scheme from t=0 to t=t_final in n_steps
     uniform steps (ep.tau is replaced by t_final / n_steps), starting
     from the validated, pre-relaxed initial state (step 0) and stopping
@@ -121,8 +121,7 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
             break
         prev, dt = res, times[k] - times[k - 1]
         res = incremental_step(times[k], prev.new_state, ops, mat, ep,
-                               loading, tol_stat=tol_stat, max_iter=max_iter,
-                               laws=prev.laws)
+                               loading, tol_stat=tol_stat, laws=prev.laws)
         norm = RateNorms.of(
             ops, Rate.between(prev.new_state, res.new_state, dt),
             res.new_state, mat, (res.strain - prev.strain) / dt)

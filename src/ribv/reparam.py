@@ -33,7 +33,11 @@ from .discretization import FROB_W, LoadingSpec, State, tensor_norm
 from .dissipation import DualDiagnostics, Rate, RateNorms, flow_directions
 from .driver import Trajectory, run_viscous
 
+# the discrete evidence's thresholds: a knot is in a jump where dt/ds <
+# TOL_JUMP, and a sweep level reads a magnitude below STAB_TOL_FACTOR * eps
+# as vanished
 TOL_JUMP = 1e-3
+STAB_TOL_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -95,10 +99,10 @@ class ParamTrajectory:
         """The record of ``rate(k)``: the run's record scaled by dt/ds."""
         return self.traj.rate_norms[k].scaled(self.t_rate[k])
 
-    def jumps(self, tol_jump: float) -> np.ndarray:
+    def jumps(self) -> np.ndarray:
         """Boolean per knot: True where the slow time is (numerically)
-        frozen, t_rate < tol_jump; never at knot 0."""
-        mask = self.t_rate < tol_jump
+        frozen, t_rate < TOL_JUMP; never at knot 0."""
+        mask = self.t_rate < TOL_JUMP
         mask[0] = False
         return mask
 
@@ -192,12 +196,11 @@ def contact_potential(regime: str, t_rate: float, norms: RateNorms,
     return float("inf")
 
 
-def detect_jumps(ptraj: ParamTrajectory,
-                 tol_jump: float = TOL_JUMP) -> list[tuple[float, float]]:
+def detect_jumps(ptraj: ParamTrajectory) -> list[tuple[float, float]]:
     """Maximal s-intervals over which the slow time is (numerically)
     frozen: each run a..b of consecutive ``ptraj.jumps`` knots gives
     the interval (s_{a-1}, s_b)."""
-    edges = np.diff(np.concatenate(([0], ptraj.jumps(tol_jump), [0])))
+    edges = np.diff(np.concatenate(([0], ptraj.jumps(), [0])))
     return [(float(ptraj.s[a - 1]), float(ptraj.s[b - 1]))
             for a, b in zip(np.flatnonzero(edges > 0),
                             np.flatnonzero(edges < 0))]
@@ -209,11 +212,10 @@ def stability_magnitude(regime: str, diag: DualDiagnostics) -> float:
     return getattr(diag, reg.dual) + (diag.dist_z if reg.multi_rate else 0.0)
 
 
-def max_stability_nonjump(ptraj: ParamTrajectory, regime: str,
-                          tol_jump: float = TOL_JUMP) -> float:
+def max_stability_nonjump(ptraj: ParamTrajectory, regime: str) -> float:
     """Largest stability magnitude over the knots k >= 1 outside the
     jumps, where it must vanish in the limit; 0 when there is none."""
-    off_jump = ~ptraj.jumps(tol_jump)
+    off_jump = ~ptraj.jumps()
     off_jump[0] = False
     return float(max((stability_magnitude(regime, d)
                       for d, keep in zip(ptraj.traj.dual_diag, off_jump)
@@ -348,17 +350,16 @@ def _align_z_curves(pa: ParamTrajectory, pb: ParamTrajectory, ops) -> float:
 
 
 def ed_balance_residual_bv(ptraj: ParamTrajectory, regime: str,
-                           stab_tol: float,
-                           tol_jump: float = TOL_JUMP) -> tuple[float, float]:
+                           stab_tol: float) -> tuple[float, float]:
     """Energy-dissipation balance residual of a candidate limit curve
     with the regime's contact potential: |E(end) + integral M ds -
     E(0) - integral power|, on the jump branch at the knots
-    ``ptraj.jumps(tol_jump)`` marks.  The energies E_mu and per-step
+    ``ptraj.jumps()`` marks.  The energies E_mu and per-step
     power integrals of the reparameterized viscous run ``ptraj.traj``
     supply E and the power.  Returns (residual, contact_integral).
     Either may be +inf when an infinite branch is hit."""
     traj = ptraj.traj
-    jumps = ptraj.jumps(tol_jump)
+    jumps = ptraj.jumps()
     contact = 0.0
     power = 0.0
     for k in range(1, ptraj.n_knots):
@@ -408,9 +409,7 @@ def ladder_levels(regime: str, ladder) -> list[tuple[float, float, float]]:
 
 def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
              init_state: State, regime: str, ladder, n_steps: int = 20,
-             tol_stat: float = 1e-8, tol_jump: float = TOL_JUMP,
-             stab_tol_factor: float = 10.0,
-             max_iter: int = 500) -> SweepReport:
+             tol_stat: float = 1e-8) -> SweepReport:
     """Run viscous solves over the loading's horizon along a
     vanishing-parameter ladder (checked by ``ladder_levels``), reparam-
     eterize by the regime's arclength, and assemble the cross-level
@@ -424,20 +423,18 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
         ep = EnergyParams(eps=eps, nu=nu, mu=mu, tau=t_final / n_steps,
                           t_final=t_final)
         traj = run_viscous(ops, mat, ep, loading, init_state.copy(),
-                           n_steps=n_steps, tol_stat=tol_stat,
-                           max_iter=max_iter)
+                           n_steps=n_steps, tol_stat=tol_stat)
         if traj.aborted_at is not None:
             raise RuntimeError(f"viscous run failed at step "
                                f"{traj.aborted_at} for level {lvl}")
         ptraj = _build_ptraj(REGIMES[regime].arclength, traj)
-        resid, contact = ed_balance_residual_bv(
-            ptraj, regime, stab_tol_factor * eps, tol_jump)
+        resid, contact = ed_balance_residual_bv(ptraj, regime,
+                                                STAB_TOL_FACTOR * eps)
         levels.append(LevelReport(
             params=lvl,
             n_steps=n_steps,
-            max_stability_nonjump=max_stability_nonjump(ptraj, regime,
-                                                        tol_jump),
-            jump_intervals=detect_jumps(ptraj, tol_jump),
+            max_stability_nonjump=max_stability_nonjump(ptraj, regime),
+            jump_intervals=detect_jumps(ptraj),
             contact_integral=contact,
             ed_balance_residual=resid,
             total_length=float(ptraj.s[-1]),

@@ -3,10 +3,12 @@
 import filecmp
 import re
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
 
+import ribv.driver as driver_module
 from ribv.cli import (
     CSV_COLUMNS,
     cmd_check_gronwall,
@@ -21,6 +23,7 @@ from ribv.config import RunConfig
 from ribv.constitutive import MaterialParams
 from ribv.gronwall import GronwallInstance
 from ribv.problems import reference_material, reference_problem
+from ribv.solver import incremental_step
 
 FAST_CFG = """
 grid_n = 3
@@ -62,16 +65,26 @@ class TestConfig:
         with pytest.raises(ValueError, match="line 1: unknown config key"
                                              " 'ed_dnu_args'"):
             RunConfig.parse("ed_dnu_args = pair\n")
+        # the jump and stability thresholds and the sweep cap are
+        # constants of reparam and solver
+        for key, val in (("tol_jump", "1e-3"), ("stab_tol_factor", "10.0"),
+                         ("max_iter", "500")):
+            with pytest.raises(ValueError, match=f"line 2: unknown config "
+                                                 f"key '{key}'"):
+                RunConfig.parse(f"grid_n = 4\n{key} = {val}\n")
 
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="line 1"):
             RunConfig.parse("grid_n 4\n")
 
-    @pytest.mark.parametrize("line", ["grid_n = 4.5", "eps = abc",
-                                      "ladder_eps = 1e-1,x"])
+    @pytest.mark.parametrize("line", [
+        "grid_n = 4.5", "eps = abc", "ladder_eps = 1e-1,x", "eps = nan",
+        "nu = inf", "tol_stat = nan", "load_amplitude = nan", "kappa = nan",
+        "ladder_eps = 1e-1,nan"])
     def test_unreadable_value_named(self, line):
-        # a value that does not read as its key's type names its line and
-        # key; a ladder list is read when its line is
+        # a value that does not read as its key's type, or reads as a
+        # non-finite number, names its line and key; a ladder list is read
+        # when its line is
         key, val = line.split(" = ")
         with pytest.raises(ValueError,
                            match=re.escape(f"line 2: {key} = {val!r}: ")):
@@ -147,19 +160,12 @@ class TestConfig:
             RunConfig.parse(f"regime = {regime}\n{ladder}\n")
 
     def test_solver_settings_checked_at_parse(self):
-        # a nonpositive tolerance or iteration cap, or a negative jump or
-        # stability tolerance, fails when the config is read, before any
-        # operator is assembled or step solved
-        for text in ("tol_stat = 0\n", "tol_stat = -1e-8\n"):
+        # a nonpositive or non-finite tolerance fails when the config is
+        # read, before any operator is assembled or step solved
+        for text in ("tol_stat = 0\n", "tol_stat = -1e-8\n",
+                     "tol_stat = nan\n", "tol_stat = inf\n"):
             with pytest.raises(ValueError, match="tol_stat"):
                 RunConfig.parse(text)
-        with pytest.raises(ValueError, match="max_iter"):
-            RunConfig.parse("max_iter = 0\n")
-        for key in ("tol_jump", "stab_tol_factor"):
-            with pytest.raises(ValueError, match=key):
-                RunConfig.parse(f"{key} = -1\n")
-            # zero is a valid setting: no jumps, exact stability
-            assert RunConfig.parse(f"{key} = 0\n").values[key] == 0.0
 
     def test_one_reference_problem(self):
         # one material and one builder: the default config builds the
@@ -222,6 +228,13 @@ class TestSolveCommand:
         assert np.all(rows["balance_residual"] < 1e-12)
 
 
+def one_sweep(monkeypatch):
+    """Cap each step of a run at one sweep; ``pre_relax`` passes its own
+    cap of 200 sweeps, which overrides this one."""
+    monkeypatch.setattr(driver_module, "incremental_step",
+                        partial(incremental_step, max_iter=1))
+
+
 class TestReparamSweep:
     def test_reparam_outputs(self, tmp_path):
         cfg = RunConfig.parse(FAST_CFG)
@@ -232,10 +245,11 @@ class TestReparamSweep:
         summary = (tmp_path / "summary.txt").read_text()
         assert "max_normalization_deviation_std" in summary
 
-    def test_reparam_reports_truncated_run(self, tmp_path):
+    def test_reparam_reports_truncated_run(self, tmp_path, monkeypatch):
         # one sweep per step cannot converge the damaging ramp: the run
         # stops at the first rejected step
-        cfg = RunConfig.parse("grid_n = 3\nn_steps = 4\nmax_iter = 1\n"
+        one_sweep(monkeypatch)
+        cfg = RunConfig.parse("grid_n = 3\nn_steps = 4\n"
                               "load_amplitude = 1.2\n")
         rc = cmd_reparam(cfg, str(tmp_path))
         assert rc == 1
@@ -257,10 +271,11 @@ class TestReparamSweep:
         summary = (tmp_path / "summary.txt").read_text()
         assert "stability_decay_ratios" in summary
 
-    def test_sweep_honours_max_iter(self, tmp_path):
+    def test_sweep_honours_max_iter(self, tmp_path, monkeypatch):
         # one sweep per step cannot converge the damaging ramp: the first
         # level stops at a rejected step and the sweep names it
-        cfg = RunConfig.parse("grid_n = 3\nn_steps = 4\nmax_iter = 1\n"
+        one_sweep(monkeypatch)
+        cfg = RunConfig.parse("grid_n = 3\nn_steps = 4\n"
                               "load_amplitude = 1.2\n"
                               "regime = eps0\n"
                               "ladder_eps = 1e-1,1e-2\n"
@@ -278,6 +293,8 @@ _READER_CASES = [
     (["", "eps = 1e-3", "   "], None),
     (["eps = 1e-3   # a trailing comment"], None),
     (["eps = 1e-3", "eps 1e-3"], 2),
+    (["eps = nan"], 1),
+    (["eps = 1e-3", "eps = -inf"], 2),
 ]
 _GRONWALL_HEAD = ["lemma = classic", "a = 1.0", "b = 0.1", "B = 1.0", "---",
                   "lemma = affine"]
@@ -297,8 +314,12 @@ class TestSharedReader:
             with pytest.raises(ValueError) as err:
                 parse(text)
             messages.append(str(err.value))
-        assert messages[0] == f"line {bad}: expected 'key = value', " \
-            f"got {lines[bad - 1]!r}"
+        # a line without `=`, or a value that reads as a non-finite number
+        line = lines[bad - 1]
+        key, eq, val = (part.strip() for part in line.partition("="))
+        assert messages[0] == f"line {bad}: " + (
+            f"{key} = {val!r}: not a finite number" if eq
+            else f"expected 'key = value', got {line!r}")
         assert messages[1] == messages[0].replace(
             f"line {bad}", f"line {bad + len(_GRONWALL_HEAD)}")
 
@@ -323,8 +344,11 @@ class TestSharedReader:
             parse_gronwall_instances("lemma = classic\nB = 1.0\n"
                                      "gamma = 0.1\n")
 
-    @pytest.mark.parametrize("line", ["B = x", "a = 1,2,q"])
+    @pytest.mark.parametrize("line", ["B = x", "a = 1,2,q", "B = nan",
+                                      "a = 1,nan", "lam = inf"])
     def test_unreadable_instance_value_named(self, line):
+        # as in a run config: a non-finite number, alone or in a
+        # sequence, is rejected with its line and key
         key, val = line.split(" = ")
         with pytest.raises(ValueError,
                            match=re.escape(f"line 3: {key} = {val!r}: ")):

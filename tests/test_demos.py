@@ -1,4 +1,6 @@
-"""Smoke test: every demo script runs standalone and exits 0."""
+"""Smoke test: every demo script runs standalone and exits 0, under
+``-W error`` as CI runs the selftest and sweeps: a numpy or scipy warning
+fails it (pytest's filterwarnings does not reach the subprocess)."""
 
 import os
 import subprocess
@@ -14,6 +16,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error", str(script)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

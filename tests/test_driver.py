@@ -11,6 +11,7 @@ import pytest
 import ribv.constitutive as constitutive_module
 import ribv.discretization as discretization_module
 import ribv.driver as driver_module
+import ribv.reparam as reparam_module
 import ribv.solver as solver_module
 
 from ribv.cli import cmd_reparam, cmd_sweep
@@ -324,11 +325,12 @@ class TestEvaluationCounts:
         products = count_rate_products(monkeypatch)
         ptraj = reparam_standard(traj, ops)
         reparam_ed(traj, ops)
-        for regime in ("visc", "eps0", "eps-nu0", "all0"):
-            for tol_jump in (TOL_JUMP, 1.0):
-                ed_balance_residual_bv(ptraj, regime, 10 * traj.ep.eps,
-                                       tol_jump)
-        assert ptraj.jumps(1.0)[1:].all() and not ptraj.jumps(TOL_JUMP).any()
+        # no knot is a jump at TOL_JUMP, every knot k >= 1 is one at 1
+        for tol_jump, marked in ((TOL_JUMP, False), (1.0, True)):
+            monkeypatch.setattr(reparam_module, "TOL_JUMP", tol_jump)
+            assert (ptraj.jumps()[1:] == marked).all()
+            for regime in ("visc", "eps0", "eps-nu0", "all0"):
+                ed_balance_residual_bv(ptraj, regime, 10 * traj.ep.eps)
         assert counts["eval_loading"] == counts["rate_norms"] == 0
         assert not any(products.values())
 

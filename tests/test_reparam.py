@@ -159,7 +159,7 @@ class TestContactPotential:
             assert m == pytest.approx(expect, rel=1e-6, abs=1e-10)
 
     def test_multirate_jump_branch_formula(self, rng):
-        # a jump knot (t' below tol_jump) with z' = 0 in the nu = eps
+        # a jump knot (t' below TOL_JUMP) with z' = 0 in the nu = eps
         # regime: the value is the product D(u', p') * D^{*,mu}
         grid = Grid(3)
         mat = reference_material()
@@ -183,36 +183,37 @@ class TestContactPotential:
         assert m == pytest.approx(expect, rel=1e-12)
 
 
-    def test_jump_knot_takes_jump_branch(self):
+    def test_jump_knot_takes_jump_branch(self, monkeypatch):
         # the snap's one jump knot (dt/ds about 6e-5) takes the jump branch
         # of the vanishing regimes: the eps0 balance is finite, with the
         # contact integral of the viscous formula to roundoff, which holds
-        # at every knot whatever tol_jump marks; on the stable branch the
+        # at every knot whatever TOL_JUMP marks; on the stable branch the
         # knot reads inf.  all0 over the energy-dissipation arclength stays
         # inf: both of its branches are infinite there
         ops, traj = ramp_run(n_steps=20, amplitude=0.48, eps=1e-4,
                              nu=1e-4, mu=1e-4)
         p_std, p_ed = reparam_standard(traj, ops), reparam_ed(traj, ops)
-        assert p_std.jumps(1e-3).sum() == 1
+        assert p_std.jumps().sum() == 1
         stab_tol = 10 * traj.ep.eps
         _, visc = ed_balance_residual_bv(p_std, "visc", stab_tol)
-        assert ed_balance_residual_bv(p_std, "visc", stab_tol,
-                                      tol_jump=0.0)[1] == visc
         resid, contact = ed_balance_residual_bv(p_std, "eps0", stab_tol)
         assert np.isfinite(resid)
         assert contact == pytest.approx(visc, rel=1e-8)
-        assert ed_balance_residual_bv(p_std, "eps0", stab_tol,
-                                      tol_jump=0.0)[0] == np.inf
         assert ed_balance_residual_bv(p_ed, "all0", stab_tol)[0] \
             == np.inf
+        # with no knot marked a jump
+        monkeypatch.setattr(reparam_module, "TOL_JUMP", 0.0)
+        assert ed_balance_residual_bv(p_std, "visc", stab_tol)[1] == visc
+        assert ed_balance_residual_bv(p_std, "eps0", stab_tol)[0] == np.inf
 
 
 class TestJumpsAndStability:
-    def test_smooth_run_no_jumps(self):
+    def test_smooth_run_no_jumps(self, monkeypatch):
         ops, traj = ramp_run(n_steps=10)
         p = reparam_standard(traj, ops)
         assert detect_jumps(p) == []
-        assert detect_jumps(p, tol_jump=0.0) == []
+        monkeypatch.setattr(reparam_module, "TOL_JUMP", 0.0)
+        assert detect_jumps(p) == []
 
     def test_frozen_loading_all_stable(self):
         grid = Grid(3)
@@ -224,7 +225,7 @@ class TestJumpsAndStability:
                            initial_state(grid, 0.95), n_steps=5)
         p = reparam_standard(traj, ops)
         # no jump, so the maximum runs over every knot k >= 1
-        assert not np.any(p.jumps(1e-3))
+        assert not np.any(p.jumps())
         assert max_stability_nonjump(p, "visc") <= 1e-6
         assert stability_magnitude("visc", traj.dual_diag[0]) <= 1e-6
 
@@ -256,7 +257,7 @@ class TestJumpsAndStability:
                 stability_magnitude(regime, traj.dual_diag[k])
                 for k in outside)
 
-    def test_jump_runs_from_hand_set_rates(self, rng):
+    def test_jump_runs_from_hand_set_rates(self, rng, monkeypatch):
         # the rule reads only s and t_rate: runs of knots 1-2, 4 and 6-7
         # (one knot apart, the last one ending at the last knot); knot 0
         # never counts although its t_rate is 0
@@ -264,8 +265,10 @@ class TestJumpsAndStability:
         p = ParamTrajectory(kind="std", traj=None, s=np.arange(8.0),
                             t_rate=t_rate, normalization=np.ones(8))
         assert detect_jumps(p) == [(0.0, 2.0), (3.0, 4.0), (5.0, 7.0)]
-        assert detect_jumps(p, tol_jump=0.0) == []
-        assert detect_jumps(p, tol_jump=1.0) == [(0.0, 7.0)]
+        for tol_jump, runs in ((0.0, []), (1.0, [(0.0, 7.0)])):
+            monkeypatch.setattr(reparam_module, "TOL_JUMP", tol_jump)
+            assert detect_jumps(p) == runs
+        monkeypatch.undo()
         # random rates against the knot-by-knot scan
         for _ in range(200):
             n = int(rng.integers(1, 12))
@@ -275,7 +278,7 @@ class TestJumpsAndStability:
                 normalization=np.ones(n))
             assert detect_jumps(p) == jump_intervals(p.s, p.t_rate, 1e-3)
 
-    def test_stability_maximum_from_hand_set_rates(self):
+    def test_stability_maximum_from_hand_set_rates(self, monkeypatch):
         # knot 0 and the jump knots 2 and 4 carry the largest magnitudes,
         # so counting any of them would show in the maximum
         diag = [DualDiagnostics(0.0, 0.0, 0.0, 0.0, d_nu_star=m,
@@ -287,8 +290,9 @@ class TestJumpsAndStability:
                             t_rate=np.array([0.0, 0.5, 1e-4, 0.5, 1e-5]),
                             normalization=np.ones(5))
         assert max_stability_nonjump(p, "visc") == 2.0
-        assert max_stability_nonjump(p, "visc", tol_jump=0.0) == 8.0
-        assert max_stability_nonjump(p, "visc", tol_jump=1.0) == 0.0
+        for tol_jump, expect in ((0.0, 8.0), (1.0, 0.0)):
+            monkeypatch.setattr(reparam_module, "TOL_JUMP", tol_jump)
+            assert max_stability_nonjump(p, "visc") == expect
 
 
 def _build_knot_traj(state, rate, t, ops, mat, ep, loading):

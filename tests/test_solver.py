@@ -167,8 +167,7 @@ class TestUpStepExits:
             cfg = RunConfig.parse(text)
             _, mat, ops, ep, loading, init = cfg.build()
             traj = run_viscous(ops, mat, ep, loading, init,
-                               n_steps=cfg.n_steps, tol_stat=cfg.tol_stat,
-                               max_iter=cfg.max_iter)
+                               n_steps=cfg.n_steps, tol_stat=cfg.tol_stat)
             assert traj.aborted_at is None
         assert max(per_solve["solve_up_step"]) <= 10
         assert max(per_solve["solve_z_step"]) <= 10
