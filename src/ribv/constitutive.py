@@ -3,16 +3,17 @@
 Material model:
 
 * damage-dependent isotropic elasticity C(z) xi = c(z) C0 xi,
-      c(z) = delta_reg + min(z,1)^2,  C0 xi = 2 mu_L xi + lam_L tr(xi) I,
-  with c'(z) = 2z and c''(z) = 2 on [0, 1), both 0 beyond; C0 is written
-  once, as the component form ``MaterialParams.unit_stiffness`` (S0), and
-  ``elastic_cells`` gives every cell stress and density from it,
+      c(z) = delta_reg + z^2,  C0 xi = 2 mu_L xi + lam_L tr(xi) I,
+  with c'(z) = 2z and c''(z) = 2; C0 is written once, as the component
+  form ``MaterialParams.unit_stiffness`` (S0), and ``elastic_cells``
+  gives every cell stress and density from it,
 * damage potential W(z) = w0 z^(-q_exp) with q_exp > 4 (a barrier at the
   fully broken state z = 0), W''(z) = q_exp (q_exp+1) w0 z^(-q_exp-2),
-* damage-dependent yield radius V(z) = sigma_y (m_bar + (1-m_bar)
-  clamp(z,0,1)) for the deviatoric constraint ball, with plastic
-  dissipation density H(z, pi) = V(z) |pi|; V'(z) = c_k on [0, 1),
-* unidirectional damage dissipation density kappa |zeta| for zeta <= 0.
+* damage-dependent yield radius V(z) = sigma_y (m_bar + (1-m_bar) z)
+  for the deviatoric constraint ball, with plastic dissipation density
+  H(z, pi) = V(z) |pi|; V'(z) = c_k,
+* unidirectional damage dissipation density kappa |zeta| for zeta <= 0:
+  z starts in (0, 1] (``State.validate``) and stays, so the laws hold there.
 
 The assembled energy is
 
@@ -21,7 +22,7 @@ The assembled energy is
 
 with e = B(u + w(t)) - p and z_c the Q1 cell-center value (corner mean).
 Only the elastic term and the work depend on t (``loaded_energy``).
-``damage_cells`` evaluates c, c', c'', V and V' per cell in one pass, and
+``damage_cells`` evaluates c, c' and V per cell in one pass, and
 ``DamageLaws`` holds every law at one z (W, W', A_m z and the cell laws).
 ``Operators`` holds A_m as a ``NonlocalForm``, dense on small grids and
 its Toeplitz tables alone on large ones; the energy reads it through
@@ -79,21 +80,22 @@ class MaterialParams:
     m_order: float = 1.5
 
     def __post_init__(self):
-        if self.lame_mu <= 0 or self.lame_lambda <= 0:
+        # each check is written so that nan fails it
+        if not (self.lame_mu > 0 and self.lame_lambda > 0):
             raise ValueError("Lame constants must be positive")
         if not (0.0 < self.delta_reg < 1.0):
             raise ValueError("delta_reg must lie in (0, 1)")
-        if self.sigma_y <= 0:
+        if not self.sigma_y > 0:
             raise ValueError("sigma_y must be positive")
         if not (0.0 < self.m_bar < 1.0):
             raise ValueError("m_bar must lie in (0, 1)")
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ValueError("kappa must be positive")
-        if self.w0 <= 0:
+        if not self.w0 > 0:
             raise ValueError("w0 must be positive")
-        if self.q_exp <= 4.0:
+        if not self.q_exp > 4.0:
             raise ValueError("q_exp must exceed 4 (2n for n = 2)")
-        if self.m_order <= 1.0:
+        if not self.m_order > 1.0:
             raise ValueError("m_order must exceed 1")
 
     @property
@@ -123,10 +125,12 @@ class EnergyParams:
     t_final: float = 1.0
 
     def __post_init__(self):
-        if self.eps < 0 or self.nu < 0 or self.mu < 0:
+        if not (self.eps >= 0 and self.nu >= 0 and self.mu >= 0):
             raise ValueError("regularization parameters must be nonnegative")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("time step must be positive")
+        if not self.t_final > 0:
+            raise ValueError("final time must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +138,8 @@ class EnergyParams:
 # ---------------------------------------------------------------------------
 
 def stiffness(z, mat: MaterialParams):
-    """Stiffness factor c(z) = delta_reg + min(z,1)^2 of C(z) = c(z) C0."""
-    z = np.asarray(z, dtype=float)
-    return mat.delta_reg + np.minimum(z, 1.0) ** 2
+    """Stiffness factor c(z) = delta_reg + z^2 of C(z) = c(z) C0."""
+    return mat.delta_reg + np.asarray(z, dtype=float) ** 2
 
 
 def elastic_cells(e: np.ndarray, mat: MaterialParams):
@@ -166,18 +169,15 @@ def damage_curvature(z, mat: MaterialParams):
 
 
 def yield_radius(z, mat: MaterialParams):
-    """Damage-dependent radius of the admissible deviatoric stress ball."""
-    z = np.minimum(np.maximum(z, 0.0), 1.0)
+    """Radius V(z) of the deviatoric stress ball, affine with slope c_k."""
     return mat.sigma_y * (mat.m_bar + (1.0 - mat.m_bar) * z)
 
 
 def damage_cells(zc: np.ndarray, mat: MaterialParams):
-    """The cell kernel of the damage laws: (c, c', c'', V, V') at cell
-    damage zc >= 0 in one pass, c = ``stiffness`` and V = ``yield_radius``;
-    c' = 2 zc, c'' = 2 and V' = c_k below zc = 1, all three 0 above."""
-    cpp = 2.0 * (zc < 1.0)
-    return (stiffness(zc, mat), cpp * zc, cpp, yield_radius(zc, mat),
-            (0.5 * mat.c_k) * cpp)
+    """The cell kernel of the damage laws: (c, c', V) at cell damage zc in
+    (0, 1] in one pass, c = ``stiffness``, c' = 2 zc and V =
+    ``yield_radius``; c'' = 2 and V' = c_k are constants."""
+    return stiffness(zc, mat), 2.0 * zc, yield_radius(zc, mat)
 
 
 def cell_damage(grid: Grid, z: np.ndarray) -> np.ndarray:
@@ -275,18 +275,16 @@ class Operators:
 
 
 class DamageLaws(NamedTuple):
-    """Every damage law at one nodal z: the barrier W, W' and A_m z at the
-    nodes and ``damage_cells`` at the cell damage.  A tuple, since the z
-    solve makes one per trial."""
+    """Every damage law at one nodal z in (0, 1]: the barrier W, W' and
+    A_m z at the nodes and ``damage_cells`` at the cell damage.  A tuple,
+    since the z solve makes one per trial."""
 
     W: np.ndarray
     Wp: np.ndarray
     Az: np.ndarray
     c: np.ndarray
     cp: np.ndarray
-    cpp: np.ndarray
     V: np.ndarray
-    Vp: np.ndarray
 
     @classmethod
     def at(cls, z: np.ndarray, ops: Operators,

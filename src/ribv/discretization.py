@@ -161,8 +161,9 @@ class State:
             raise ValueError("p has wrong shape")
         if np.any(np.abs(self.u[grid.dirichlet_mask]) > 1e-10):
             raise ValueError("u must vanish on Dirichlet nodes")
-        if np.any(self.z <= 0.0):
-            raise ValueError("damage field must stay positive")
+        # damage lives on (0, 1], where the laws hold; nan fails too
+        if not ((self.z > 0.0) & (self.z <= 1.0)).all():
+            raise ValueError("damage field must stay in (0, 1]")
         if np.max(np.abs(tensor_trace(self.p)), initial=0.0) > 1e-10:
             raise ValueError("plastic strain must be trace-free")
 

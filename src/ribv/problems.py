@@ -46,7 +46,8 @@ def reference_problem(n_side: int = 4, eps: float = 1e-2, nu: float = 1e-2,
                       z0: float = 0.95,
                       mat: MaterialParams = MaterialParams()):
     """Return (grid, mat, ops, ep, loading, init_state) for the reference
-    ramp.  z0 < 1 so the damage driving force is active from the start."""
+    ramp from a uniform damage z0 in (0, 1]; z0 = 1 is the undamaged
+    body."""
     grid = Grid(n_side)
     ops = Operators.build(grid, mat)
     ep = EnergyParams(eps=eps, nu=nu, mu=mu, tau=t_final / n_steps,

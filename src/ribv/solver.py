@@ -9,12 +9,12 @@ Newton on u, with p eliminated by the exact cellwise proximal map) and a
 projected-Newton solve in z under the irreversibility constraint
 z_floor <= z <= z_prev.  Both solves backtrack to one acceptance rule
 and raise RuntimeError when they cannot converge; each forms the data
-fixed over its call once (the prox map; the z cell data) and builds its
-Hessian from the value evaluation at the iterate (the prox shift, c''),
-the z-solve from a base on its free nodes only (``NonlocalForm.slice``
-plus the c'' corner form), formed again only where c'' or the free set
-changes; the (u, p) solve reads the data fixed over a step from the
-step's ``UpData``.  Each value evaluation is formed once and handed on
+fixed over its call once (the prox map; the z cell data).  The (u, p)
+solve builds its Hessian from the prox shift at the iterate, the z-solve
+from a base on its free nodes only (``NonlocalForm.slice`` plus the
+corner form of c'' = 2), formed again only where the free set changes;
+the (u, p) solve reads the data fixed over a step from the step's
+``UpData``.  Each value evaluation is formed once and handed on
 as a record: the (u, p) solve's ``UpRecord`` (strain, stress, density,
 |dp| and the viscous K_D product) to the z-solve, r_u and the
 certification; the z-solve's ``DamageLaws`` at its accepted z to the
@@ -246,19 +246,19 @@ def _z_value(laws, z, z_prev, a, b, ops, mat, ep):
     val = 0.5 * (z @ laws.Az) \
         + grid.lump @ (laws.W + (0.5 * r * dz - mat.kappa) * dz) \
         + laws.c @ a + laws.V @ b
-    g = laws.Az + corner_scatter(grid, laws.cp * a + laws.Vp * b) \
+    g = laws.Az + corner_scatter(grid, laws.cp * a + mat.c_k * b) \
         + grid.lump * (laws.Wp + r * dz - mat.kappa)
     return float(val), g
 
 
-def _z_base(a, cpp, idx, ops):
-    """The z-Hessian's part fixed while c'' and the free nodes idx are, on
-    idx: A_m plus the coupling sum_c c''_c a_c (corner form); the
-    piecewise linear V adds nothing.  A view: the slice holds one spare
-    row and column last (the last free node again), which take the corner
-    terms off the free nodes."""
+def _z_base(a, idx, ops):
+    """The z-Hessian's part fixed while the free nodes idx are, on idx:
+    A_m plus the coupling sum_c c'' a_c (corner form), c'' = 2; the
+    affine V adds nothing.  A view: the slice holds one spare row and
+    column last (the last free node again), which take the corner terms
+    off the free nodes."""
     H = ops.A_m.slice(np.concatenate((idx, idx[-1:])))
-    add_corner_form(ops.grid, H, cpp * a, idx)
+    add_corner_form(ops.grid, H, 2.0 * a, idx)
     return H[:-1, :-1]
 
 
@@ -278,21 +278,18 @@ def solve_z_step(up: UpRecord, laws: DamageLaws, state: State,
     rejected, and each other trial is one ``DamageLaws`` and one
     ``_z_value`` call.  The cell data a = w_c q0 and b = w_c |dp| are
     formed once per call, from ``up``, and the Hessian base ``_z_base``
-    on the free nodes when first needed and again only where a cell
-    crosses z = 1 or the free set changes; each iteration adds lump
-    (W'' + eps/tau) to a copy of it and solves that by dense Cholesky
-    (LAPACK ``dposv``), raising LinAlgError naming info where it is not
-    positive definite.  ``laws``, the ``DamageLaws`` at state.z, start
-    the solve unless the bounds move state.z.  The stationarity residual
-    is the mass norm of g/m over the free nodes (a node pinned at both
-    bounds adds nothing).  Returns (z, laws) at the accepted z; raises
-    RuntimeError, stating the residual, when 50 halvings find no step or
-    Z_MAX_ITER iterations end above tol."""
+    on the free nodes when first needed and again only where the free
+    set changes; each iteration adds lump (W'' + eps/tau) to a copy of
+    it and solves that by dense Cholesky (LAPACK ``dposv``), raising
+    LinAlgError naming info where it is not positive definite.  It starts
+    at state.z, within the bounds, with ``laws``, the ``DamageLaws`` there.
+    The stationarity residual is the mass norm of g/m over the free nodes
+    (a node pinned at both bounds adds nothing).  Returns (z, laws) at the
+    accepted z; raises RuntimeError, stating the residual, when 50
+    halvings find no step or Z_MAX_ITER iterations end above tol."""
     z_prev, m, w_cell = prev_state.z, ops.grid.lump, ops.grid.w_cell
     a, b = w_cell * up.q0, w_cell * up.dp_abs
-    z = np.minimum(np.maximum(state.z, Z_FLOOR), z_prev)
-    if (z != state.z).any():
-        laws = DamageLaws.at(z, ops, mat)
+    z = state.z
     val, g = _z_value(laws, z, z_prev, a, b, ops, mat, ep)
     for it in range(Z_MAX_ITER + 1):
         d = g / m
@@ -306,11 +303,10 @@ def solve_z_step(up: UpRecord, laws: DamageLaws, state: State,
             raise RuntimeError(f"solve_z_step: stationarity residual "
                                f"{res:.3e} > tol after {it} iterations")
         idx = free.nonzero()[0]
-        if it == 0 or (laws.cpp != base_cpp).any() \
-                or (free != base_free).any():
-            base_cpp, base_free = laws.cpp, free
+        if it == 0 or (free != base_free).any():
+            base_free = free
             base = H = None  # the last base and its work array go first
-            base = _z_base(a, base_cpp, idx, ops)
+            base = _z_base(a, idx, ops)
             H = np.empty(base.shape)
         np.copyto(H, base)
         H.flat[::len(idx) + 1] += m[idx] * (damage_curvature(z[idx], mat)

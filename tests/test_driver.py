@@ -122,6 +122,22 @@ class TestRampRun:
         assert total == pytest.approx(
             oracles.enhanced_estimate_total(traj, ops), rel=1e-13)
 
+    def test_undamaged_body_damages(self):
+        # z0 = 1 is the top of the damage domain, where the laws hold as
+        # below it: the damaging ramp breaks an undamaged body as it
+        # breaks one a hair below, to the same end state
+        ends = []
+        for z0 in (1.0, 1.0 - 1e-6):
+            _, mat, ops, ep, loading, init = reference_problem(
+                n_side=6, amplitude=1.2, z0=z0)
+            traj = run_viscous(ops, mat, ep, loading, init, n_steps=20)
+            assert traj.aborted_at is None
+            ends.append((traj.states[-1].z.min(), traj.E_mu[-1]))
+        (z_top, e_top), (z_below, e_below) = ends
+        assert z_top < 0.5
+        assert z_top == pytest.approx(z_below, abs=1e-7)
+        assert e_top == pytest.approx(e_below, abs=1e-7)
+
     def test_rate_records_match_array_formulas(self):
         # every field of every step's record on the damaging ramp is the
         # array formula of the step's backward-difference rate, step 0's

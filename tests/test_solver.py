@@ -15,8 +15,6 @@ from ribv.constitutive import (
     DamageLaws,
     EnergyParams,
     Operators,
-    cell_damage,
-    damage_cells,
     damage_curvature,
     damage_potential,
     energy,
@@ -296,8 +294,8 @@ class TestZStep:
         records = z_records(ops, mat, ep, st, prev, ramp_loading(grid, 0.0),
                             1.0)
         sizes = []
-        monkeypatch.setattr(solver_module, "_z_base", lambda a, cpp, idx, o:
-                            sizes.append(len(idx)) or _z_base(a, cpp, idx, o))
+        monkeypatch.setattr(solver_module, "_z_base", lambda a, idx, o:
+                            sizes.append(len(idx)) or _z_base(a, idx, o))
         tracemalloc.start()
         try:
             with pytest.raises(RuntimeError, match="after 1 iterations"):
@@ -373,8 +371,7 @@ class TestZStep:
     def test_z_value_gradient_fd(self, n_side, rng):
         # the laws at z assembled into value and gradient: central
         # differences of the value along random directions at random
-        # interior z, away from the kinks of the stiffness and yield-radius
-        # laws
+        # interior z of the damage domain (0, 1]
         grid = Grid(n_side)
         mat = reference_material()
         ops = Operators.build(grid, mat)
@@ -430,10 +427,9 @@ class TestZStep:
 
 class TestOneEvaluationPerIterate:
     def test_z_hessian_from_passed_curvature(self, rng):
-        # the base on the free nodes from the c'' of the laws at z, with
-        # the diagonal term added, equals bit for bit the slice of the
-        # Hessian built on all nodes from z alone, on cells on both sides
-        # of the stiffness kink at z = 1
+        # the base on the free nodes, with the diagonal term added, equals
+        # bit for bit the slice of the Hessian built on all nodes from z
+        # alone, for z in the damage domain up to 1
         grid = Grid(4)
         mat = reference_material()
         ops = Operators.build(grid, mat)
@@ -441,21 +437,18 @@ class TestOneEvaluationPerIterate:
         a = grid.w_cell * rng.uniform(0.0, 0.5, grid.n_cells)
         b = grid.w_cell * rng.uniform(0.0, 0.2, grid.n_cells)
         for k in range(5):
-            z = 0.6 + 0.8 * grid.nodes[:, 0] \
-                + rng.uniform(-0.05, 0.05, grid.n_nodes)
+            z = np.minimum(0.5 + 0.5 * grid.nodes[:, 0]
+                           + rng.uniform(-0.05, 0.05, grid.n_nodes), 1.0)
             idx = np.arange(grid.n_nodes) if k == 0 else np.flatnonzero(
                 rng.random(grid.n_nodes) < 0.6)
-            cpp = DamageLaws.at(z, ops, mat).cpp
-            H = _z_base(a, cpp, idx, ops)
+            H = _z_base(a, idx, ops)
             H[np.diag_indices(len(idx))] += grid.lump[idx] * (
                 damage_curvature(z[idx], mat) + ep.eps / ep.tau)
             want = ops.A_m.dense.copy()
-            cpp_z = damage_cells(cell_damage(grid, z), mat)[2]
-            assert 0 < np.count_nonzero(cpp_z) < grid.n_cells
             for c, corners in enumerate(grid.cells):
                 for i in corners:
                     for j in corners:
-                        want[i, j] += cpp_z[c] * a[c] / 16.0
+                        want[i, j] += 2.0 * a[c] / 16.0
             want[np.diag_indices(grid.n_nodes)] += grid.lump * (
                 damage_curvature(z, mat) + ep.eps / ep.tau)
             np.testing.assert_array_equal(H, want[np.ix_(idx, idx)])
@@ -463,7 +456,7 @@ class TestOneEvaluationPerIterate:
     def test_laws_and_prox_run_in_value_evaluations_only(self, monkeypatch):
         # per z solve, damage_cells and cell_damage run once per trial
         # (the first objective reads the laws handed on), and the Hessian
-        # base once while c'' and the free set stay fixed; the (u, p)
+        # base once while the free set stays fixed; the (u, p)
         # solves never form the laws, which the z-step or the previous
         # step hands them; per
         # (u, p) solve, the prox map is checked once and its shift runs once
@@ -486,9 +479,9 @@ class TestOneEvaluationPerIterate:
                 return out
             return wrapped
 
-        def z_base(a, cpp, idx, ops):
-            bases.append((len(per_solve["solve_z_step"]), cpp, idx))
-            return _z_base(a, cpp, idx, ops)
+        def z_base(a, idx, ops):
+            bases.append((len(per_solve["solve_z_step"]), idx))
+            return _z_base(a, idx, ops)
 
         for name in ("damage_cells", "cell_damage"):
             monkeypatch.setattr(constitutive_module, name, counted(
@@ -520,11 +513,9 @@ class TestOneEvaluationPerIterate:
             assert n["damage_cells"] == n["cell_damage"] == n["_z_value"] - 1
             assert n["_z_base"] <= n["dposv"]
             assert n["elastic_cells"] == n["apply"] == 0
-        # a rebuild within one solve only where c'' or the free set
-        # changed
-        for (k0, cpp0, idx0), (k1, cpp1, idx1) in zip(bases, bases[1:]):
-            assert k0 != k1 or (cpp0 != cpp1).any() \
-                or not np.array_equal(idx0, idx1)
+        # a rebuild within one solve only where the free set changed
+        for (k0, idx0), (k1, idx1) in zip(bases, bases[1:]):
+            assert k0 != k1 or not np.array_equal(idx0, idx1)
         assert len(bases) < sum(n["dposv"] for n in per_solve["solve_z_step"])
         for n in per_solve["solve_up_step"]:
             assert n["damage_cells"] == 0
