@@ -23,8 +23,9 @@ The module provides:
   ``NONLOCAL_DENSE_MAX_SIDE``, and above it the Toeplitz tables
   (n_side^3 numbers each) with no N x N array, read by the FFT of the
   kernel and by a gather that gives the dense entries bit for bit,
-* ``LoadingSpec`` / ``eval_loading`` -- time-dependent Dirichlet data
-  (with a fixed interior lift) and external nodal forces,
+* ``LoadingSpec`` / ``eval_loading`` -- the record of a loading: a
+  fixed Dirichlet lift and a lumped nodal force, each scaled by its own
+  time profile, as the problem builder formed them,
 * ``total_strain`` -- e = B(u + w) - p.
 """
 
@@ -476,34 +477,16 @@ def nonlocal_double_sum(grid: Grid, m_order: float,
 
 @dataclass(frozen=True)
 class LoadingSpec:
-    """Time-dependent loading: Dirichlet data g_dir * theta(t) extended
-    into the interior by a fixed lift, and a nodal force F(t) = f0 *
-    phi(t) (already weighted by the lumped quadrature).
+    """Time-dependent loading, as its builder formed it: the Dirichlet
+    lift w(t) = lift * theta(t), a nodal field that extends the boundary
+    datum into the interior, and the nodal force F(t) = f_vec * phi(t),
+    already weighted by the lumped quadrature."""
 
-    ``g_dir`` holds nodal values that are only read on the Dirichlet
-    nodes; the lift blends them linearly to zero at the opposite edge.
-    """
-
-    grid: Grid
-    g_dir: np.ndarray                        # (n_nodes, 2)
+    lift: np.ndarray                         # (n_nodes, 2)
     theta: Callable[[float], float]
-    f0: np.ndarray                           # (n_nodes, 2) force density
+    f_vec: np.ndarray                        # (2*n_nodes,) covector
     phi: Callable[[float], float]
     t_final: float
-    lift: np.ndarray = field(init=False)     # (n_nodes, 2)
-    f_vec: np.ndarray = field(init=False)    # (2*n_nodes,) covector
-
-    def __post_init__(self):
-        grid = self.grid
-        n = grid.n_side
-        # Each node inherits the value of the Dirichlet node in its row
-        # (the left-edge node with the same y), scaled by (1 - x).
-        gd = np.asarray(self.g_dir, dtype=float).reshape(grid.n_nodes, 2)
-        edge = np.arange(grid.n_nodes) // n * n  # ix = 0
-        lift = gd[edge] * (1.0 - grid.nodes[:, 0])[:, None]
-        fv = (grid.lump[:, None] * np.asarray(self.f0, float)).ravel()
-        object.__setattr__(self, "lift", lift)
-        object.__setattr__(self, "f_vec", fv)
 
 
 def eval_loading(spec: LoadingSpec, t: float):
@@ -512,7 +495,7 @@ def eval_loading(spec: LoadingSpec, t: float):
     ``w_field`` is (n_nodes, 2); the force vector is a flat covector of
     length 2*n_nodes paired with flat displacement fields.
     """
-    if t < -1e-12 or t > spec.t_final + 1e-12:
+    if not (-1e-12 <= t <= spec.t_final + 1e-12):
         raise ValueError(f"time {t} outside [0, {spec.t_final}]")
     return spec.lift * spec.theta(t), spec.f_vec * spec.phi(t)
 

@@ -127,30 +127,27 @@ class RateNorms:
     e_l2: float = 0.0     # ||e'||_L2 of the elastic strain rate
 
     @classmethod
-    def of(cls, ops: Operators, rate: Rate, state: State | None = None,
-           mat: MaterialParams | None = None,
-           e_rate: np.ndarray | None = None) -> "RateNorms":
-        """The record of a rate; R and H need the new state and the
-        material, and ||e'|| the strain rate: they read nan without."""
+    def of(cls, ops: Operators, rate: Rate, V: np.ndarray, kappa: float,
+           e_rate: np.ndarray) -> "RateNorms":
+        """The record of a rate, with R from the damage dissipation
+        coefficient kappa, H from the cell yield radii V at the new
+        state's z, and ||e'|| from the elastic strain rate e_rate."""
         grid = ops.grid
         z = rate.z_rate
         l2sq, kdsq = _h1_parts(ops, rate.u_rate)
         msq = (grid.lump * z ** 2).sum()
         p_abs = tensor_norm(rate.p_rate)
-        nan = float("nan")
         return cls(
             u_h1=float(np.sqrt(l2sq + kdsq)),
             u_kd=float(np.sqrt(kdsq)),
             z_m=float(np.sqrt(msq)),
             z_hm=float(np.sqrt(msq + max(z @ ops.apply_A_m(z), 0.0))),
             z_max=float(z.max()),
-            r_z=nan if mat is None
-            else float((grid.lump * mat.kappa * np.abs(z)).sum()),
-            h_p=nan if state is None else float((grid.w_cell * yield_radius(
-                cell_damage(grid, state.z), mat) * p_abs).sum()),
+            r_z=float((grid.lump * kappa * np.abs(z)).sum()),
+            h_p=float((grid.w_cell * V * p_abs).sum()),
             p_l1=float((grid.w_cell * p_abs).sum()),
             p_l2=norm_p_l2(grid, rate.p_rate),
-            e_l2=nan if e_rate is None else norm_p_l2(grid, e_rate))
+            e_l2=norm_p_l2(grid, e_rate))
 
     def scaled(self, f: float) -> "RateNorms":
         """The record of f times the rate, f > 0."""
@@ -182,8 +179,11 @@ class RateNorms:
 
 def psi_total(state: State, rate: Rate, ops: Operators, mat: MaterialParams,
               eps: float, nu: float, tol_pos: float = 0.0) -> float:
-    """Dissipation potential ``RateNorms.psi`` of a rate at state."""
-    return RateNorms.of(ops, rate, state, mat).psi(eps, nu, tol_pos)
+    """Dissipation potential ``RateNorms.psi`` of a rate at state, from
+    the state's yield radii and a zero strain rate, which Psi ignores."""
+    V = yield_radius(cell_damage(ops.grid, state.z), mat)
+    return RateNorms.of(ops, rate, V, mat.kappa,
+                        np.zeros_like(rate.p_rate)).psi(eps, nu, tol_pos)
 
 
 def conj_visc_u(ops: Operators, eta: np.ndarray, eps: float, nu: float) -> float:
@@ -278,8 +278,10 @@ def diagnostics_from_gradients(grads: tuple, state: State, V: np.ndarray,
 
 
 def d_nu(ops: Operators, rate: Rate, nu: float) -> float:
-    """Primal rate functional ``RateNorms.d_nu`` of a rate."""
-    return RateNorms.of(ops, rate).d_nu(nu)
+    """Primal rate functional ``RateNorms.d_nu`` of a rate, from zero
+    radii, kappa 0 and a zero strain rate, none of which D_nu reads."""
+    zero = np.zeros_like(rate.p_rate)
+    return RateNorms.of(ops, rate, zero[:, 0], 0.0, zero).d_nu(nu)
 
 
 # ---------------------------------------------------------------------------

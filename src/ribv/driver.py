@@ -101,7 +101,10 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
     """Drive the incremental scheme from t=0 to t=t_final in n_steps
     uniform steps (ep.tau is replaced by t_final / n_steps), starting
     from the validated, pre-relaxed initial state (step 0) and stopping
-    at the first rejected step, the pre-relaxation included."""
+    at the first rejected step, the pre-relaxation included; n_steps
+    below 1 raises ValueError."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be positive")
     init_state.validate(ops.grid)
     tau = ep.t_final / n_steps
     ep = replace(ep, tau=tau)
@@ -124,7 +127,7 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
                                loading, tol_stat=tol_stat, laws=prev.laws)
         norm = RateNorms.of(
             ops, Rate.between(prev.new_state, res.new_state, dt),
-            res.new_state, mat, (res.strain - prev.strain) / dt)
+            res.laws.V, mat.kappa, (res.strain - prev.strain) / dt)
         pw = _power_integral(times[k], prev, ops, mat, loading)
     (states, E, diags, residuals, iterations, accepted, floor, norms,
      power) = zip(*rows)

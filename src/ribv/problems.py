@@ -22,14 +22,19 @@ def ramp_loading(grid: Grid, amplitude: float = 1.0,
     """Transverse body-force ramp F(t) = t * amplitude * e_y with zero
     Dirichlet data: a clamped block loaded in bending/shear, so yielding
     stays contained near the clamped edge instead of forming a
-    through-thickness mechanism."""
+    through-thickness mechanism.  The lift is the zero field and the
+    force the lump-weighted amplitude along e_y; a non-finite amplitude
+    or a t_final that is not positive raises ValueError."""
+    if not np.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
+    if not (t_final > 0):
+        raise ValueError("t_final must be positive")
     f0 = np.zeros((grid.n_nodes, 2))
     f0[:, 1] = amplitude
     return LoadingSpec(
-        grid=grid,
-        g_dir=np.zeros((grid.n_nodes, 2)),
+        lift=np.zeros((grid.n_nodes, 2)),
         theta=lambda t: 0.0,
-        f0=f0,
+        f_vec=(grid.lump[:, None] * f0).ravel(),
         phi=lambda t: t,
         t_final=t_final,
     )
@@ -47,7 +52,9 @@ def reference_problem(n_side: int = 4, eps: float = 1e-2, nu: float = 1e-2,
                       mat: MaterialParams = MaterialParams()):
     """Return (grid, mat, ops, ep, loading, init_state) for the reference
     ramp from a uniform damage z0 in (0, 1]; z0 = 1 is the undamaged
-    body."""
+    body.  n_steps below 1 raises ValueError."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be positive")
     grid = Grid(n_side)
     ops = Operators.build(grid, mat)
     ep = EnergyParams(eps=eps, nu=nu, mu=mu, tau=t_final / n_steps,

@@ -413,7 +413,9 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
     """Run viscous solves over the loading's horizon along a
     vanishing-parameter ladder (checked by ``ladder_levels``), reparam-
     eterize by the regime's arclength, and assemble the cross-level
-    convergence evidence."""
+    convergence evidence; n_steps below 1 raises ValueError."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be positive")
     ladder = ladder_levels(regime, ladder)
     t_final = loading.t_final
 

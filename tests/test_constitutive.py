@@ -174,7 +174,8 @@ class TestMaterialValidation:
         with pytest.raises(ValueError):
             EnergyParams(**{field: np.nan})
 
-    @pytest.mark.parametrize("field", ["eps", "nu", "mu", "t_final"])
+    @pytest.mark.parametrize("field",
+                             ["eps", "nu", "mu", "t_final", "amplitude"])
     def test_reference_problem_rejects_nan(self, field):
         with pytest.raises(ValueError):
             reference_problem(n_side=3, **{field: np.nan})
@@ -197,13 +198,13 @@ class TestMaterialValidation:
                            rtol=1e-14)
 
 
-def still_loading(grid, g_dir=None, f0=None):
+def still_loading(grid, lift=None):
+    """Constant loading: the given lift (zero by default) and no force."""
     n = grid.n_nodes
     return LoadingSpec(
-        grid=grid,
-        g_dir=np.zeros((n, 2)) if g_dir is None else g_dir,
+        lift=np.zeros((n, 2)) if lift is None else lift,
         theta=lambda t: 1.0,
-        f0=np.zeros((n, 2)) if f0 is None else f0,
+        f_vec=np.zeros(2 * n),
         phi=lambda t: 1.0,
         t_final=1.0)
 
@@ -228,16 +229,15 @@ class TestEnergy:
         assert E == pytest.approx(0.1, abs=1e-14)
 
     def test_uniform_stretch_value(self):
-        # z = 1, u = p = 0, Dirichlet lift with unit horizontal strain:
-        # E = 1/2 * 1.05 * 3 + 0.1 = 1.675
+        # z = 1, u = p = 0, the lift (1 - x) e_x of unit horizontal
+        # strain: E = 1/2 * 1.05 * 3 + 0.1 = 1.675
         grid = Grid(3)
         mat = make_mat()
         ops = Operators.build(grid, mat)
         st0 = initial_state(grid)
-        g_dir = np.zeros((grid.n_nodes, 2))
-        g_dir[:, 0] = 1.0
-        E = energy(0.0, st0, ops, mat, 0.01,
-                   still_loading(grid, g_dir=g_dir))
+        lift = np.zeros((grid.n_nodes, 2))
+        lift[:, 0] = 1.0 - grid.nodes[:, 0]
+        E = energy(0.0, st0, ops, mat, 0.01, still_loading(grid, lift))
         assert E == pytest.approx(1.675, abs=1e-13)
 
     def test_hardening_term(self, rng):
@@ -284,16 +284,17 @@ class TestGradients:
     def test_time_derivative_fd(self, rng):
         # the power integral over [t0, t1] at a frozen state: for the
         # force ramp (theta = 0) the closed form -(t1 - t0) f.u; for
-        # theta(t) = t on a random Dirichlet lift together with a force
-        # ramp, the change of the whole energy
+        # theta(t) = t on a random lift together with a lumped random
+        # force, the change of the whole energy
         grid = Grid(3)
         mat = reference_material()
         ops = Operators.build(grid, mat)
         ramp = ramp_loading(grid, amplitude=0.4)
         lifted = LoadingSpec(
-            grid=grid, g_dir=rng.normal(0.0, 0.2, (grid.n_nodes, 2)),
+            lift=rng.normal(0.0, 0.2, (grid.n_nodes, 2)),
             theta=lambda t: t,
-            f0=rng.normal(0.0, 1.0, (grid.n_nodes, 2)),
+            f_vec=(grid.lump[:, None]
+                   * rng.normal(0.0, 1.0, (grid.n_nodes, 2))).ravel(),
             phi=lambda t: 0.5 + t * t,
             t_final=1.0)
         for _ in range(10):

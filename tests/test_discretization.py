@@ -281,6 +281,38 @@ class TestLoading:
         assert np.allclose(w, 0.0)
         assert np.allclose(F, 0.0)
 
+    def test_ramp_record(self):
+        # the builder's lift is +0.0 everywhere and its force the
+        # lump-weighted amplitude along e_y, bit for bit
+        g = Grid(4)
+        spec = ramp_loading(g, amplitude=-0.7)
+        assert spec.lift.shape == (g.n_nodes, 2)
+        assert not np.signbit(spec.lift).any() and not spec.lift.any()
+        want = np.zeros((g.n_nodes, 2))
+        want[:, 1] = g.lump * -0.7
+        np.testing.assert_array_equal(spec.f_vec, want.ravel())
+
+    def test_eval_scales_the_record(self):
+        g = Grid(4)
+        spec = ramp_loading(g, amplitude=0.48, t_final=2.0)
+        for t in (0.0, 0.3, 1.7, 2.0):
+            w, F = eval_loading(spec, t)
+            np.testing.assert_array_equal(w, spec.lift * 0.0)
+            np.testing.assert_array_equal(F, spec.f_vec * t)
+
+    @pytest.mark.parametrize("name, value", [
+        ("amplitude", np.nan), ("amplitude", np.inf),
+        ("amplitude", -np.inf), ("t_final", np.nan), ("t_final", 0.0),
+        ("t_final", -1.0)])
+    def test_ramp_rejects(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ramp_loading(Grid(3), **{name: value})
+
+    @pytest.mark.parametrize("t", [np.nan, -1e-9, 1.0 + 1e-9])
+    def test_eval_rejects_time_outside(self, t):
+        with pytest.raises(ValueError, match="outside"):
+            eval_loading(ramp_loading(Grid(3)), t)
+
 
 class TestStrainAndState:
     def test_zero_everything(self):

@@ -213,7 +213,8 @@ class TestDualDiagnostics:
             st = random_state(grid, rng)
             rate = random_rate(grid, rng, z_down=False)
             e_rate = rng.normal(0.0, 0.1, (grid.n_cells, 3))
-            rec = RateNorms.of(ops, rate, st, mat, e_rate)
+            V = yield_radius(cell_damage(grid, st.z), mat)
+            rec = RateNorms.of(ops, rate, V, mat.kappa, e_rate)
             for name, want in rate_norm_fields(ops, rate, st, mat,
                                                e_rate).items():
                 assert getattr(rec, name) == pytest.approx(want, rel=1e-13)

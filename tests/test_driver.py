@@ -16,9 +16,9 @@ import ribv.solver as solver_module
 
 from ribv.cli import cmd_reparam, cmd_sweep
 from ribv.config import RunConfig
-from ribv.constitutive import EnergyParams, Operators, energy_gradients, \
-    strain_at
-from ribv.discretization import Grid, initial_state
+from ribv.constitutive import EnergyParams, Operators, cell_damage, \
+    energy_gradients, strain_at, yield_radius
+from ribv.discretization import Grid, initial_state, tensor_norm
 from ribv.dissipation import Rate, RateNorms, norm_p_l2, norm_u_h1
 from ribv.driver import enhanced_estimate_total, pre_relax, run_viscous
 from ribv.problems import (
@@ -26,8 +26,8 @@ from ribv.problems import (
     reference_material,
     reference_problem,
 )
-from ribv.reparam import TOL_JUMP, ed_balance_residual_bv, reparam_ed, \
-    reparam_standard
+from ribv.reparam import TOL_JUMP, bv_sweep, ed_balance_residual_bv, \
+    reparam_ed, reparam_standard
 
 import oracles
 from oracles import balance_residual, norm_z_m, rate_norm_fields
@@ -140,7 +140,8 @@ class TestRampRun:
 
     def test_rate_records_match_array_formulas(self):
         # every field of every step's record on the damaging ramp is the
-        # array formula of the step's backward-difference rate, step 0's
+        # array formula of the step's backward-difference rate (H bit for
+        # bit, from the yield radii at the kept state's z), step 0's
         # record is the zero rate, and the record of f times the rate is f
         # times the record at the std arclength's dt/ds and beyond
         ops, traj = run_reference(10, n_side=4, amplitude=1.2)
@@ -160,11 +161,15 @@ class TestRampRun:
                 assert getattr(rec, name) == pytest.approx(value, rel=1e-13)
             assert traj.dnu[k] == pytest.approx(
                 oracles.d_nu(ops, rate, traj.ep.nu), rel=1e-13)
+            V = yield_radius(cell_damage(ops.grid, traj.states[k].z),
+                             traj.mat)
+            assert rec.h_p == float((ops.grid.w_cell * V
+                                     * tensor_norm(rate.p_rate)).sum())
             for f in (facs[k], 3.7e-5, 2.5e3):
                 fold = RateNorms.of(
                     ops, Rate(f * rate.u_rate, f * rate.z_rate,
                               f * rate.p_rate),
-                    traj.states[k], traj.mat, f * e_rate)
+                    V, traj.mat.kappa, f * e_rate)
                 for name, value in vars(rec.scaled(f)).items():
                     assert getattr(fold, name) == pytest.approx(value,
                                                                 rel=1e-13)
@@ -382,6 +387,17 @@ class TestPreRelax:
         dd = dual_diagnostics(0.0, st, ops, mat, ep.mu, ep.nu, loading)
         assert dd.dist_z < 1e-8
         assert dd.dist_p < 1e-8
+
+    def test_rejects_zero_steps(self):
+        grid, mat, ops, ep, loading, init = reference_problem(n_side=3,
+                                                              n_steps=2)
+        with pytest.raises(ValueError, match="n_steps must be positive"):
+            reference_problem(n_side=3, n_steps=0)
+        with pytest.raises(ValueError, match="n_steps must be positive"):
+            run_viscous(ops, mat, ep, loading, init, n_steps=0)
+        with pytest.raises(ValueError, match="n_steps must be positive"):
+            bv_sweep(ops, mat, loading, init, "eps0",
+                     [(1e-2, 0.1, 0.1), (1e-3, 0.1, 0.1)], n_steps=0)
 
     def test_initial_state_validated(self):
         # z is checked once, where it enters the run; the z-step keeps

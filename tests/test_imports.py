@@ -490,16 +490,12 @@ def test_iterate_formed_once():
 
 
 # the parameters and fields of ``src/ribv`` that default to None, as
-# "module:scope:name": the command line's argv, a run's abort step, the
-# rate record's optional inputs (the bare-rate ``psi_total`` and ``d_nu``
-# of the acceptance suite) and the damage laws a bare step forms; a None
-# default anywhere else would fork a reader into forming its record itself
+# "module:scope:name": the command line's argv, a run's abort step and
+# the damage laws a bare step forms; a None default anywhere else would
+# fork a reader into forming its record itself
 _NONE_DEFAULTS = {
     "cli.py:main:argv",
     "driver.py:Trajectory:aborted_at",
-    "dissipation.py:RateNorms.of:state",
-    "dissipation.py:RateNorms.of:mat",
-    "dissipation.py:RateNorms.of:e_rate",
     "solver.py:incremental_step:laws",
 }
 

@@ -117,8 +117,9 @@ class TestNormalization:
                              p_rate=(st[k].p - st[k - 1].p) / ds)
                 assert np.allclose(check.u_rate, p.rate(k).u_rate,
                                    atol=1e-10)
+                V = yield_radius(cell_damage(ops.grid, st[k].z), traj.mat)
                 norms = RateNorms.of(
-                    ops, check, st[k], traj.mat,
+                    ops, check, V, traj.mat.kappa,
                     (state_strain(traj, ops, k)
                      - state_strain(traj, ops, k - 1)) / ds)
                 total += ds * _integrand(p.kind, traj.ep, t_rate, norms,
@@ -175,8 +176,10 @@ class TestContactPotential:
         rate = Rate(u_rate=u_rate, z_rate=np.zeros(grid.n_nodes),
                     p_rate=p_rate)
         diag = dual_diagnostics(0.5, st, ops, mat, ep.mu, ep.nu, loading)
-        m = contact_potential("eps-nu0", 1e-5,
-                              RateNorms.of(ops, rate, st, mat), diag, ep,
+        norms = RateNorms.of(ops, rate,
+                             yield_radius(cell_damage(grid, st.z), mat),
+                             mat.kappa, np.zeros_like(p_rate))
+        m = contact_potential("eps-nu0", 1e-5, norms, diag, ep,
                               stab_tol=0.1, jump=True)
         ri = psi_total(st, rate, ops, mat, 0.0, 0.0, tol_pos=1e-12)
         expect = ri + d_up(ops, u_rate, p_rate) * diag.d_star_mu
