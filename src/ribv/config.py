@@ -78,8 +78,8 @@ def _float_list(text: str) -> list[float]:
 
 @dataclass
 class RunConfig:
-    """Validated run configuration: the reference problem, the sweep's
-    regime and ladder, and the step tolerance tol_stat."""
+    """Validated run configuration: the reference problem, whose uniform
+    step is ``EnergyParams.uniform``'s, the sweep's ladder and tol_stat."""
 
     values: dict
 
@@ -118,11 +118,9 @@ class RunConfig:
             # a 2x2 grid leaves the one-point-quadrature stiffness
             # singular on the free dofs (hourglass modes)
             raise ValueError("grid_n must be at least 3")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be positive")
-        # raises on bad regularization parameters or time step
-        EnergyParams(eps=self.eps, nu=self.nu, mu=self.mu,
-                     tau=self.t_final / self.n_steps, t_final=self.t_final)
+        # raises on bad regularization parameters, horizon or n_steps
+        EnergyParams.uniform(self.eps, self.nu, self.mu, self.t_final,
+                             self.n_steps)
         if not (Z_FLOOR <= self.z0 <= 1.0):
             raise ValueError(f"z0 must lie in [Z_FLOOR, 1] = [{Z_FLOOR}, 1]")
         if self.tol_stat <= 0:

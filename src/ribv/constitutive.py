@@ -127,10 +127,19 @@ class EnergyParams:
     def __post_init__(self):
         if not (self.eps >= 0 and self.nu >= 0 and self.mu >= 0):
             raise ValueError("regularization parameters must be nonnegative")
-        if not self.tau > 0:
-            raise ValueError("time step must be positive")
-        if not self.t_final > 0:
+        # the horizon first: a bad one makes a bad uniform step too
+        if not 0 < self.t_final < np.inf:
             raise ValueError("final time must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ValueError("time step must be positive")
+
+    @classmethod
+    def uniform(cls, eps, nu, mu, t_final, n_steps) -> "EnergyParams":
+        """The parameters of n_steps uniform steps over [0, t_final],
+        tau = t_final / n_steps; n_steps below 1 raises ValueError."""
+        if n_steps < 1:
+            raise ValueError("n_steps must be positive")
+        return cls(eps, nu, mu, t_final / n_steps, t_final)
 
 
 # ---------------------------------------------------------------------------

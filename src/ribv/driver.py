@@ -99,15 +99,15 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
                 loading: LoadingSpec, init_state: State, n_steps: int,
                 tol_stat: float = 1e-8) -> Trajectory:
     """Drive the incremental scheme from t=0 to t=t_final in n_steps
-    uniform steps (ep.tau is replaced by t_final / n_steps), starting
-    from the validated, pre-relaxed initial state (step 0) and stopping
-    at the first rejected step, the pre-relaxation included; n_steps
-    below 1 raises ValueError."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
+    uniform steps of ``EnergyParams.uniform``, from the validated,
+    pre-relaxed initial state (step 0) to the first rejected step, the
+    pre-relaxation included; n_steps below 1 or an ep.t_final other
+    than the loading's raises ValueError."""
+    if ep.t_final != loading.t_final:
+        raise ValueError(f"run horizon t_final = {ep.t_final} differs "
+                         f"from the loading's t_final = {loading.t_final}")
+    ep = EnergyParams.uniform(ep.eps, ep.nu, ep.mu, ep.t_final, n_steps)
     init_state.validate(ops.grid)
-    tau = ep.t_final / n_steps
-    ep = replace(ep, tau=tau)
     times = np.linspace(0.0, ep.t_final, n_steps + 1)
 
     # each step is reduced to a row as it ends (its dual diagnostics from
@@ -145,7 +145,7 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
         E_mu=E,
         N_value=N,
         power=np.array(power),
-        balance_residual_cum=np.abs(E + np.cumsum(tau * N) - E[0]
+        balance_residual_cum=np.abs(E + np.cumsum(ep.tau * N) - E[0]
                                     - np.cumsum(power)),
         dual_diag=list(diags),
         el_residuals=list(residuals),

@@ -24,10 +24,10 @@ def ramp_loading(grid: Grid, amplitude: float = 1.0,
     stays contained near the clamped edge instead of forming a
     through-thickness mechanism.  The lift is the zero field and the
     force the lump-weighted amplitude along e_y; a non-finite amplitude
-    or a t_final that is not positive raises ValueError."""
+    or a t_final that is not positive and finite raises ValueError."""
     if not np.isfinite(amplitude):
         raise ValueError("amplitude must be finite")
-    if not (t_final > 0):
+    if not 0 < t_final < np.inf:
         raise ValueError("t_final must be positive")
     f0 = np.zeros((grid.n_nodes, 2))
     f0[:, 1] = amplitude
@@ -52,12 +52,9 @@ def reference_problem(n_side: int = 4, eps: float = 1e-2, nu: float = 1e-2,
                       mat: MaterialParams = MaterialParams()):
     """Return (grid, mat, ops, ep, loading, init_state) for the reference
     ramp from a uniform damage z0 in (0, 1]; z0 = 1 is the undamaged
-    body.  n_steps below 1 raises ValueError."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
+    body; ep is ``EnergyParams.uniform``'s, n_steps below 1 raises."""
+    ep = EnergyParams.uniform(eps, nu, mu, t_final, n_steps)
     grid = Grid(n_side)
     ops = Operators.build(grid, mat)
-    ep = EnergyParams(eps=eps, nu=nu, mu=mu, tau=t_final / n_steps,
-                      t_final=t_final)
     loading = ramp_loading(grid, amplitude=amplitude, t_final=t_final)
     return grid, mat, ops, ep, loading, initial_state(grid, z0=z0)

@@ -306,8 +306,9 @@ def recover_switching(ptraj: ParamTrajectory, ops: Operators,
 
 @dataclass
 class LevelReport:
+    """A sweep level; ``ptraj.traj.ep`` holds the level's uniform step."""
+
     params: tuple[float, float, float]      # (eps, nu, mu)
-    n_steps: int
     max_stability_nonjump: float
     jump_intervals: list[tuple[float, float]]
     contact_integral: float
@@ -413,17 +414,13 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
     """Run viscous solves over the loading's horizon along a
     vanishing-parameter ladder (checked by ``ladder_levels``), reparam-
     eterize by the regime's arclength, and assemble the cross-level
-    convergence evidence; n_steps below 1 raises ValueError."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
+    convergence evidence; each level's n_steps uniform steps are
+    ``EnergyParams.uniform``'s, which raises ValueError below 1."""
     ladder = ladder_levels(regime, ladder)
-    t_final = loading.t_final
 
     levels = []
     for lvl in ladder:
-        eps, nu, mu = lvl
-        ep = EnergyParams(eps=eps, nu=nu, mu=mu, tau=t_final / n_steps,
-                          t_final=t_final)
+        ep = EnergyParams.uniform(*lvl, loading.t_final, n_steps)
         traj = run_viscous(ops, mat, ep, loading, init_state.copy(),
                            n_steps=n_steps, tol_stat=tol_stat)
         if traj.aborted_at is not None:
@@ -431,10 +428,9 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
                                f"{traj.aborted_at} for level {lvl}")
         ptraj = _build_ptraj(REGIMES[regime].arclength, traj)
         resid, contact = ed_balance_residual_bv(ptraj, regime,
-                                                STAB_TOL_FACTOR * eps)
+                                                STAB_TOL_FACTOR * ep.eps)
         levels.append(LevelReport(
             params=lvl,
-            n_steps=n_steps,
             max_stability_nonjump=max_stability_nonjump(ptraj, regime),
             jump_intervals=detect_jumps(ptraj),
             contact_integral=contact,

@@ -392,6 +392,24 @@ Lam = 1.0
         assert rc == 0
         assert out.count("PASS") == 2
 
+    def test_main_reads_one_block_per_lemma(self, tmp_path, capsys):
+        # the batch command end to end, as `python -m ribv check-gronwall`
+        # runs it: every block's hypotheses and bound hold
+        path = tmp_path / "instances.txt"
+        path.write_text(self.SAMPLE + "---\nlemma = viscous\n"
+                        "a = 0, 0, 0\nc = 0.5, 0.5\nr = 0, 0\n"
+                        "M = 1.0, 1.0\neta = 1.0\nkappa1 = 1.0\n"
+                        "kappa2 = 2.0\ntau = 0.1\neps = 1.0\n")
+        out = tmp_path / "out"
+        assert main(["check-gronwall", "--config", str(path),
+                     "--out", str(out)]) == 0
+        report = (out / "gronwall_report.txt").read_text().splitlines()
+        assert report == [
+            f"instance {i}: lemma={lemma} hypotheses=ok bound=holds PASS"
+            for i, lemma in enumerate(("classic", "affine", "viscous"))
+        ] + ["checked 3 instances, 0 failures"]
+        assert capsys.readouterr().out.splitlines() == report
+
     def test_violated_bound_fails(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("lemma = classic\n"

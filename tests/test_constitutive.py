@@ -180,6 +180,18 @@ class TestMaterialValidation:
         with pytest.raises(ValueError):
             reference_problem(n_side=3, **{field: np.nan})
 
+    @pytest.mark.parametrize("field, message", [
+        ("tau", "time step"), ("t_final", "final time")])
+    def test_energy_params_reject_inf(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            EnergyParams(**{field: np.inf})
+
+    def test_reference_problem_rejects_infinite_horizon(self):
+        # unchecked, tau = inf reaches the solver, which fails at a nan
+        # dual residual
+        with pytest.raises(ValueError, match="final time"):
+            reference_problem(n_side=3, n_steps=2, t_final=np.inf)
+
     def test_rejects_low_exponent(self):
         with pytest.raises(ValueError):
             make_mat(q_exp=3.0)

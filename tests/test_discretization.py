@@ -222,7 +222,8 @@ class TestToeplitzForm:
     """The form held as its tables alone, built directly at every size,
     against the dense assembly."""
 
-    @pytest.mark.parametrize("n_side", range(2, 25))
+    @pytest.mark.parametrize("n_side",
+                             range(2, NONLOCAL_DENSE_MAX_SIDE + 1))
     def test_fft_apply_matches_dense(self, n_side, rng):
         g = Grid(n_side)
         for m_order in (1.25, 1.5, 2.0):
@@ -237,7 +238,8 @@ class TestToeplitzForm:
             # a constant field reads exact zeros, not FFT roundoff
             assert not form.apply(np.full(g.n_nodes, 0.7)).any()
 
-    @pytest.mark.parametrize("n_side", range(2, 25))
+    @pytest.mark.parametrize("n_side",
+                             range(2, NONLOCAL_DENSE_MAX_SIDE + 1))
     def test_gathered_slice_is_dense_take(self, n_side, rng):
         g = Grid(n_side)
         for m_order in (1.25, 1.5, 2.0):
@@ -303,7 +305,7 @@ class TestLoading:
     @pytest.mark.parametrize("name, value", [
         ("amplitude", np.nan), ("amplitude", np.inf),
         ("amplitude", -np.inf), ("t_final", np.nan), ("t_final", 0.0),
-        ("t_final", -1.0)])
+        ("t_final", -1.0), ("t_final", np.inf)])
     def test_ramp_rejects(self, name, value):
         with pytest.raises(ValueError, match=name):
             ramp_loading(Grid(3), **{name: value})

@@ -398,6 +398,36 @@ class TestPreRelax:
         with pytest.raises(ValueError, match="n_steps must be positive"):
             bv_sweep(ops, mat, loading, init, "eps0",
                      [(1e-2, 0.1, 0.1), (1e-3, 0.1, 0.1)], n_steps=0)
+        with pytest.raises(ValueError, match="n_steps must be positive"):
+            RunConfig.parse("n_steps = 0\n")
+
+    @pytest.mark.parametrize("n_steps", [1, 3, 7, 20])
+    def test_one_uniform_step(self, n_steps):
+        # every entry point forms its step by EnergyParams.uniform
+        grid, mat, ops, ep, loading, init = reference_problem(
+            n_side=3, n_steps=n_steps, amplitude=0.3)
+        traj = run_viscous(ops, mat, ep, loading, init, n_steps=n_steps)
+        sweep = bv_sweep(ops, mat, loading, init, "eps0",
+                         [(1e-2, 0.1, 0.1), (1e-3, 0.1, 0.1)],
+                         n_steps=n_steps)
+        taus = [ep.tau, traj.ep.tau,
+                *(lvl.ptraj.traj.ep.tau for lvl in sweep.levels)]
+        assert all(tau == 1.0 / n_steps for tau in taus)
+
+    @pytest.mark.parametrize("t_final", [0.5, 2.0])
+    def test_rejects_other_horizon(self, t_final, monkeypatch):
+        # unchecked, 0.5 runs silently over half the ramp and 2.0 fails
+        # after two steps at a time outside the loading's horizon
+        grid, mat, ops, ep, loading, init = reference_problem(n_side=3,
+                                                              n_steps=4)
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("pre-relaxation reached")
+
+        monkeypatch.setattr(driver_module, "pre_relax", unreached)
+        with pytest.raises(ValueError, match=f"{t_final}.*1.0"):
+            run_viscous(ops, mat, replace(ep, t_final=t_final), loading,
+                        init, n_steps=4)
 
     def test_initial_state_validated(self):
         # z is checked once, where it enters the run; the z-step keeps
