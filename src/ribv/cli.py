@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig, read_pairs, read_value
 from .constitutive import energy, energy_gradients, strain_at
-from .discretization import Grid, NonlocalForm, State, \
+from .discretization import Grid, State, ToeplitzForm, \
     nonlocal_double_sum, tensor_norm
 from .dissipation import (
     dist_r,
@@ -333,7 +333,7 @@ def _selftest_nonlocal(rng) -> tuple[bool, str]:
     # both forms: the dense one that Operators holds at this size, and
     # the FFT product of the large grids, built directly
     grid, mat, ops, _, _, _ = reference_problem(n_side=3)
-    fft = NonlocalForm.toeplitz(grid, mat.m_order)
+    fft = ToeplitzForm.build(grid, mat.m_order)
     worst = 0.0
     for _ in range(10):
         z1 = rng.uniform(0.2, 1.0, grid.n_nodes)

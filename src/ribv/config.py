@@ -19,9 +19,9 @@ from dataclasses import dataclass, fields
 from inspect import signature
 
 from .constitutive import EnergyParams, MaterialParams
+from .discretization import Z_FLOOR
 from .problems import reference_problem
 from .reparam import bv_sweep, ladder_levels, regime_entry
-from .solver import Z_FLOOR
 
 _MATERIAL_KEYS = {f.name: f.default for f in fields(MaterialParams)}
 # config key -> keyword of reference_problem, whose default it takes

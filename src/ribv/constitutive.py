@@ -13,7 +13,7 @@ Material model:
   for the deviatoric constraint ball, with plastic dissipation density
   H(z, pi) = V(z) |pi|; V'(z) = c_k,
 * unidirectional damage dissipation density kappa |zeta| for zeta <= 0:
-  z starts in (0, 1] (``State.validate``) and stays, so the laws hold there.
+  z starts in [Z_FLOOR, 1] (``State.validate``) and stays; the laws hold there.
 
 The assembled energy is
 
@@ -24,9 +24,9 @@ with e = B(u + w(t)) - p and z_c the Q1 cell-center value (corner mean).
 Only the elastic term and the work depend on t (``loaded_energy``).
 ``damage_cells`` evaluates c, c' and V per cell in one pass, and
 ``DamageLaws`` holds every law at one z (W, W', A_m z and the cell laws).
-``Operators`` holds A_m as a ``NonlocalForm``, dense on small grids and
-its Toeplitz tables alone on large ones; the energy reads it through
-``Operators.apply_A_m`` and the z-step Hessian through its free slice.
+``Operators`` holds A_m as ``nonlocal_form`` picks it, a ``DenseForm`` on
+small grids and a ``ToeplitzForm`` on large ones; the energy reads it
+through ``Operators.apply_A_m`` and the z-step Hessian its free slice.
 The energy and its gradients are read from these records
 (``loaded_energy``, ``energy_from``, ``displacement_gradient``,
 ``state_gradients``); ``energy`` and ``energy_gradients`` form the
@@ -48,12 +48,14 @@ from scipy.linalg import blas, lapack
 from .discretization import (
     FROB_W,
     Grid,
+    DenseForm,
     LoadingSpec,
-    NonlocalForm,
     State,
     SymGradient,
+    ToeplitzForm,
     assemble_sym_gradient,
     eval_loading,
+    nonlocal_form,
     tensor_dev,
     tensor_dot,
     total_strain,
@@ -125,7 +127,7 @@ class EnergyParams:
     t_final: float = 1.0
 
     def __post_init__(self):
-        if not (self.eps >= 0 and self.nu >= 0 and self.mu >= 0):
+        if not all(0 <= x < np.inf for x in (self.eps, self.nu, self.mu)):
             raise ValueError("regularization parameters must be nonnegative")
         # the horizon first: a bad one makes a bad uniform step too
         if not 0 < self.t_final < np.inf:
@@ -136,7 +138,9 @@ class EnergyParams:
     @classmethod
     def uniform(cls, eps, nu, mu, t_final, n_steps) -> "EnergyParams":
         """The parameters of n_steps uniform steps over [0, t_final],
-        tau = t_final / n_steps; n_steps below 1 raises ValueError."""
+        tau = t_final / n_steps; n_steps not an integer >= 1 raises."""
+        if not isinstance(n_steps, (int, np.integer)):
+            raise ValueError("n_steps must be an integer")
         if n_steps < 1:
             raise ValueError("n_steps must be positive")
         return cls(eps, nu, mu, t_final / n_steps, t_final)
@@ -227,13 +231,13 @@ class Operators:
     held as its lower band ``B.form(K_D_cells)`` together with its band
     Cholesky factor in the same storage; products and dual norms go
     through BLAS/LAPACK band kernels.  ``K_D`` expands the band into a
-    dense matrix for reference checks.  The nonlocal form ``A_m`` is a
-    ``NonlocalForm``: dense on small grids, its tables on large ones.
+    dense matrix for reference checks.  The nonlocal form ``A_m`` is
+    ``nonlocal_form``'s, by grid size.
     """
 
     grid: Grid
     B: SymGradient         # element-local symmetrized gradient
-    A_m: NonlocalForm      # the nonlocal form on the nodes
+    A_m: DenseForm | ToeplitzForm  # the nonlocal form on the nodes
     K_D_cells: np.ndarray  # (n_cells, 3, 3) forms w_c diag(1, 1, 2)
     K_D_band: np.ndarray   # (kd + 1, n_free) lower band of K_D, Fortran order
     K_D_chol: np.ndarray   # (kd + 1, n_free) lower band Cholesky factor
@@ -241,7 +245,7 @@ class Operators:
     @classmethod
     def build(cls, grid: Grid, mat: MaterialParams) -> "Operators":
         B = assemble_sym_gradient(grid)
-        A_m = NonlocalForm.build(grid, mat.m_order)
+        A_m = nonlocal_form(grid, mat.m_order)
         cells = grid.w_cell[:, None, None] * np.diag(FROB_W)
         band = B.form(cells)
         chol, info = lapack.dpbtrf(band, lower=1)
@@ -263,8 +267,7 @@ class Operators:
         return blas.dsbmv(self.B.kd, 1.0, self.K_D_band, v, lower=1)
 
     def apply_A_m(self, z: np.ndarray) -> np.ndarray:
-        """A_m z, applied to z - z[0]: A_m annihilates constants, and the
-        shift makes that exact in floating point."""
+        """A_m z, applied to z - z[0]: exact zeros on constants."""
         return self.A_m.apply(z)
 
     def dual_solve(self, g: np.ndarray) -> np.ndarray:

@@ -18,11 +18,11 @@ The module provides:
   damage field, built in O(N^2) from its n_side distinct Toeplitz blocks:
   the blocks gathered into one N x N array and added to their mirror
   image into a second,
-* ``NonlocalForm`` -- that form with two reads, the product and the
-  slice on a node subset: the dense array alone up to
-  ``NONLOCAL_DENSE_MAX_SIDE``, and above it the Toeplitz tables
-  (n_side^3 numbers each) with no N x N array, read by the FFT of the
-  kernel and by a gather that gives the dense entries bit for bit,
+* ``nonlocal_form`` -- that form, with two reads, the product and the
+  slice on a node subset: a ``DenseForm``, the array, up to
+  ``NONLOCAL_DENSE_MAX_SIDE``; above, a ``ToeplitzForm``, its tables
+  (n_side^3 numbers each) read by the FFT of the kernel and by a gather
+  that gives the dense entries bit for bit,
 * ``LoadingSpec`` / ``eval_loading`` -- the record of a loading: a
   fixed Dirichlet lift and a lumped nodal force, each scaled by its own
   time profile, as the problem builder formed them,
@@ -39,6 +39,8 @@ import numpy as np
 
 # Frobenius weights for the (xx, yy, xy) component storage.
 FROB_W = np.array([1.0, 1.0, 2.0])
+# The damage floor: z lives on [Z_FLOOR, 1], the box of the z-step.
+Z_FLOOR = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +145,8 @@ class Grid:
 @dataclass
 class State:
     """Discrete state triple: nodal displacement correction u (zero on the
-    Dirichlet nodes), nodal damage z in (0, 1], and cellwise trace-free
-    plastic strain p."""
+    Dirichlet nodes), nodal damage z in [Z_FLOOR, 1], and cellwise
+    trace-free plastic strain p."""
 
     u: np.ndarray   # (n_nodes, 2)
     z: np.ndarray   # (n_nodes,)
@@ -162,9 +164,9 @@ class State:
             raise ValueError("p has wrong shape")
         if np.any(np.abs(self.u[grid.dirichlet_mask]) > 1e-10):
             raise ValueError("u must vanish on Dirichlet nodes")
-        # damage lives on (0, 1], where the laws hold; nan fails too
-        if not ((self.z > 0.0) & (self.z <= 1.0)).all():
-            raise ValueError("damage field must stay in (0, 1]")
+        # below the floor the z-step's box is empty; nan fails too
+        if not ((self.z >= Z_FLOOR) & (self.z <= 1.0)).all():
+            raise ValueError("damage field must stay in [Z_FLOOR, 1]")
         if np.max(np.abs(tensor_trace(self.p)), initial=0.0) > 1e-10:
             raise ValueError("plastic strain must be trace-free")
 
@@ -262,7 +264,7 @@ def assemble_sym_gradient(grid: Grid) -> SymGradient:
 # nonlocal damage form
 # ---------------------------------------------------------------------------
 
-# The largest n_side at which ``NonlocalForm.build`` holds the dense N x N
+# The largest n_side at which ``nonlocal_form`` holds the dense N x N
 # form; above it the form is its tables alone.  The products cross over
 # here: dense against FFT, 80 against 92 us at n_side 24, 127 against 121
 # at 26, 175 against 182 at 28 and 296 against 127 at 32 (one BLAS
@@ -270,6 +272,14 @@ def assemble_sym_gradient(grid: Grid) -> SymGradient:
 # (0.45 against 2.96 ms at 32) and hold n^3, not n^4, numbers; the
 # z-step's gathered free slice costs 2-3 times the dense take.
 NONLOCAL_DENSE_MAX_SIDE = 27
+
+
+def nonlocal_form(grid: Grid, m_order: float) -> DenseForm | ToeplitzForm:
+    """The nonlocal form of the grid, by its size: ``DenseForm`` at n_side
+    <= ``NONLOCAL_DENSE_MAX_SIDE``, ``ToeplitzForm`` above."""
+    if grid.n_side <= NONLOCAL_DENSE_MAX_SIDE:
+        return DenseForm(assemble_nonlocal_form(grid, m_order))
+    return ToeplitzForm.build(grid, m_order)
 
 
 def _fd_stencil(grid: Grid) -> np.ndarray:
@@ -340,68 +350,61 @@ def assemble_nonlocal_form(grid: Grid, m_order: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NonlocalForm:
-    """The nonlocal form A of ``assemble_nonlocal_form``: up to the
-    crossover ``NONLOCAL_DENSE_MAX_SIDE`` the dense N x N array alone,
-    above it its Toeplitz tables (n^3 numbers each) and the FFT of the
-    kernel, with no N x N array.
+class DenseForm:
+    """The nonlocal form as the N x N array of ``assemble_nonlocal_form``."""
 
-    Two reads: ``apply(z)``, the product A (z - z[0]), and
-    ``slice(idx)``, the submatrix A[idx][:, idx].  With ``dense`` they
-    read it.  Without, the product is W g = M T (M g) by a zero-padded
-    2-D FFT of the kernel (``k_hat``, real since the kernel is even), for
-    the difference gradients g and the lumped weights M, in O(N log N);
-    and the slice gathers each entry X[a, ix, b, jx] + X[ix, a, jx, b]
-    from the tables, with the operations of the dense assembly, so every
-    entry equals the dense one bit for bit.
-    """
-
-    dense: np.ndarray | None  # (N, N) at and below the crossover; above:
-    S: np.ndarray | None      # (n, n, n): S[d] = P_d + P_d^T at offset d
-    R: np.ndarray | None      # (n, n, n): R[a] = R_a + R_a^T of node row a
-    w: np.ndarray | None      # (n, n): the lumped weights, m1_a m1_b
-    r: np.ndarray | None      # (n, n): the row sums W 1
-    D: np.ndarray | None      # (n, n): the difference stencil
-    k_hat: np.ndarray | None  # (2n, n + 1): the FFT of the kernel
-
-    @classmethod
-    def build(cls, grid: Grid, m_order: float) -> "NonlocalForm":
-        """The form of the grid: ``assembled`` at n_side <=
-        ``NONLOCAL_DENSE_MAX_SIDE``, ``toeplitz`` above."""
-        if grid.n_side <= NONLOCAL_DENSE_MAX_SIDE:
-            return cls.assembled(grid, m_order)
-        return cls.toeplitz(grid, m_order)
-
-    @classmethod
-    def assembled(cls, grid: Grid, m_order: float) -> "NonlocalForm":
-        """The dense array of ``assemble_nonlocal_form`` alone."""
-        return cls(assemble_nonlocal_form(grid, m_order), *[None] * 6)
-
-    @classmethod
-    def toeplitz(cls, grid: Grid, m_order: float) -> "NonlocalForm":
-        """The tables and the FFT of the kernel, no N x N array: the
-        kernel at offsets -(n-1)..n-1 wrapped onto a 2n x 2n torus, with
-        offset n, which no node pair reaches, set to 0."""
-        S, R, r, D, kern = _nonlocal_tables(grid, m_order)
-        n = grid.n_side
-        wrap = np.r_[0:n + 1, n - 1:0:-1]
-        kern = np.pad(kern, (0, 1))[np.ix_(wrap, wrap)]
-        return cls(None, S, R, grid.lump.reshape(n, n), r, D,
-                   np.fft.rfft2(kern).real)
+    A: np.ndarray  # (N, N)
 
     @property
     def nbytes(self) -> int:
-        """Bytes held: the dense array, or the tables and the kernel FFT."""
-        return sum(v.nbytes for v in vars(self).values() if v is not None)
+        return self.A.nbytes
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """A (z - z[0]): A annihilates constants, and the shift makes that
         exact in floating point."""
-        v = z - z[0]
-        if self.dense is not None:
-            return self.dense @ v
+        return self.A @ (z - z[0])
+
+    def slice(self, idx: np.ndarray) -> np.ndarray:
+        """A[idx][:, idx] for ascending node indices idx, a new array."""
+        return self.A.take(idx, 0).take(idx, 1)
+
+
+@dataclass(frozen=True)
+class ToeplitzForm:
+    """The nonlocal form as its Toeplitz tables (n^3 numbers each) and the
+    FFT of the kernel, no N x N array; its two reads are ``DenseForm``'s."""
+
+    S: np.ndarray      # (n, n, n): S[d] = P_d + P_d^T at offset d
+    R: np.ndarray      # (n, n, n): R[a] = R_a + R_a^T of node row a
+    w: np.ndarray      # (n, n): the lumped weights, m1_a m1_b
+    r: np.ndarray      # (n, n): the row sums W 1
+    D: np.ndarray      # (n, n): the difference stencil
+    k_hat: np.ndarray  # (2n, n + 1): the FFT of the kernel
+
+    @classmethod
+    def build(cls, grid: Grid, m_order: float) -> "ToeplitzForm":
+        """The tables and the FFT of the kernel: the kernel at offsets
+        -(n-1)..n-1 wrapped onto a 2n x 2n torus, with offset n, which no
+        node pair reaches, set to 0."""
+        S, R, r, D, kern = _nonlocal_tables(grid, m_order)
+        n = grid.n_side
+        wrap = np.r_[0:n + 1, n - 1:0:-1]
+        kern = np.pad(kern, (0, 1))[np.ix_(wrap, wrap)]
+        return cls(S, R, grid.lump.reshape(n, n), r, D,
+                   np.fft.rfft2(kern).real)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the tables and the kernel FFT."""
+        return sum(v.nbytes for v in vars(self).values())
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """A (z - z[0]) as W g = M T (M g), by a zero-padded 2-D FFT of the
+        kernel (``k_hat``, real since the kernel is even), for the
+        difference gradients g and the lumped weights M, in O(N log N); a
+        constant field reads exact zeros."""
         n, D, w = len(self.w), self.D, self.w
-        Z = v.reshape(n, n)
+        Z = (z - z[0]).reshape(n, n)
         G = np.stack([Z @ D.T, D @ Z])       # Gx z and Gy z on the grid
         pad = (2 * n, 2 * n)
         WG = w * np.fft.irfft2(self.k_hat * np.fft.rfft2(w * G, pad),
@@ -412,16 +415,14 @@ class NonlocalForm:
     def slice(self, idx: np.ndarray) -> np.ndarray:
         """A[idx][:, idx] for ascending node indices idx, a new array.
 
-        Without ``dense``, row i of the slice at node (a, ix) is gathered
-        strip by strip of one node row a: X[a, ix, b, jx] from the rows
-        ix of a table T[ix, k, jx] whose blocks k are the diagonal blocks
-        -w_aa S_0 + R_a (k = a) and S_d scaled by the three values -w_ab
-        takes at offset d (k = n + t n + d, t of a and b end rows), and
-        X[ix, a, jx, b] from its row a; each entry is then the dense
-        assembly's two terms, each formed as there.  T, 4 n^3 numbers, is
-        formed afresh on each call."""
-        if self.dense is not None:
-            return self.dense.take(idx, 0).take(idx, 1)
+        Row i of the slice at node (a, ix) is gathered strip by strip of
+        one node row a: X[a, ix, b, jx] from the rows ix of a table T[ix,
+        k, jx] whose blocks k are the diagonal blocks -w_aa S_0 + R_a (k =
+        a) and S_d scaled by the three values -w_ab takes at offset d (k =
+        n + t n + d, t of a and b end rows), and X[ix, a, jx, b] from its
+        row a; each entry is then the dense assembly's two terms, each
+        formed as there, so it equals the dense one bit for bit.  T, 4 n^3
+        numbers, is formed afresh on each call."""
         n, w = len(self.w), self.w
         T = np.empty((n, 4, n, n))
         T[:, 0] = (self.S[0] * -w.diagonal()[:, None, None]
@@ -445,7 +446,7 @@ class NonlocalForm:
 
 def _block_keys(outer: np.ndarray, inner: np.ndarray, n: int) -> np.ndarray:
     """Column keys k n + inner_j into the slice table of
-    ``NonlocalForm.slice`` for every outer index o (rows) and free node j
+    ``ToeplitzForm.slice`` for every outer index o (rows) and free node j
     (columns): k = o where outer_j = o, else n + t n + |o - outer_j|, t
     the number of end rows (0 or n - 1) among o and outer_j."""
     o = np.arange(n)

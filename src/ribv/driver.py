@@ -101,7 +101,7 @@ def run_viscous(ops: Operators, mat: MaterialParams, ep: EnergyParams,
     """Drive the incremental scheme from t=0 to t=t_final in n_steps
     uniform steps of ``EnergyParams.uniform``, from the validated,
     pre-relaxed initial state (step 0) to the first rejected step, the
-    pre-relaxation included; n_steps below 1 or an ep.t_final other
+    pre-relaxation included; n_steps not an integer >= 1 or a t_final other
     than the loading's raises ValueError."""
     if ep.t_final != loading.t_final:
         raise ValueError(f"run horizon t_final = {ep.t_final} differs "

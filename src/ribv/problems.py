@@ -51,8 +51,8 @@ def reference_problem(n_side: int = 4, eps: float = 1e-2, nu: float = 1e-2,
                       z0: float = 0.95,
                       mat: MaterialParams = MaterialParams()):
     """Return (grid, mat, ops, ep, loading, init_state) for the reference
-    ramp from a uniform damage z0 in (0, 1]; z0 = 1 is the undamaged
-    body; ep is ``EnergyParams.uniform``'s, n_steps below 1 raises."""
+    ramp from a uniform damage z0 in [Z_FLOOR, 1]; z0 = 1 is the undamaged
+    body; ep is ``EnergyParams.uniform``'s, which checks n_steps."""
     ep = EnergyParams.uniform(eps, nu, mu, t_final, n_steps)
     grid = Grid(n_side)
     ops = Operators.build(grid, mat)

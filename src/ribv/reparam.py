@@ -321,7 +321,6 @@ class LevelReport:
 @dataclass
 class SweepReport:
     regime: str
-    ladder: list[tuple[float, float, float]]
     levels: list[LevelReport]
     pairwise_sup_distance: list[float]      # consecutive levels
 
@@ -350,17 +349,17 @@ def _align_z_curves(pa: ParamTrajectory, pb: ParamTrajectory, ops) -> float:
                                 axis=1)).max())
 
 
-def ed_balance_residual_bv(ptraj: ParamTrajectory, regime: str,
-                           stab_tol: float) -> tuple[float, float]:
+def ed_balance_residual_bv(ptraj: ParamTrajectory,
+                           regime: str) -> tuple[float, float]:
     """Energy-dissipation balance residual of a candidate limit curve
     with the regime's contact potential: |E(end) + integral M ds -
     E(0) - integral power|, on the jump branch at the knots
-    ``ptraj.jumps()`` marks.  The energies E_mu and per-step
-    power integrals of the reparameterized viscous run ``ptraj.traj``
-    supply E and the power.  Returns (residual, contact_integral).
+    ``ptraj.jumps()`` marks, reading magnitudes below STAB_TOL_FACTOR
+    times the run's eps as vanished.  The run ``ptraj.traj`` supplies E
+    (E_mu) and the power.  Returns (residual, contact_integral).
     Either may be +inf when an infinite branch is hit."""
     traj = ptraj.traj
-    jumps = ptraj.jumps()
+    jumps, stab_tol = ptraj.jumps(), STAB_TOL_FACTOR * traj.ep.eps
     contact = 0.0
     power = 0.0
     for k in range(1, ptraj.n_knots):
@@ -415,7 +414,7 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
     vanishing-parameter ladder (checked by ``ladder_levels``), reparam-
     eterize by the regime's arclength, and assemble the cross-level
     convergence evidence; each level's n_steps uniform steps are
-    ``EnergyParams.uniform``'s, which raises ValueError below 1."""
+    ``EnergyParams.uniform``'s, which checks n_steps."""
     ladder = ladder_levels(regime, ladder)
 
     levels = []
@@ -427,8 +426,7 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
             raise RuntimeError(f"viscous run failed at step "
                                f"{traj.aborted_at} for level {lvl}")
         ptraj = _build_ptraj(REGIMES[regime].arclength, traj)
-        resid, contact = ed_balance_residual_bv(ptraj, regime,
-                                                STAB_TOL_FACTOR * ep.eps)
+        resid, contact = ed_balance_residual_bv(ptraj, regime)
         levels.append(LevelReport(
             params=lvl,
             max_stability_nonjump=max_stability_nonjump(ptraj, regime),
@@ -442,5 +440,5 @@ def bv_sweep(ops: Operators, mat: MaterialParams, loading: LoadingSpec,
 
     dists = [_align_z_curves(a.ptraj, b.ptraj, ops)
              for a, b in zip(levels, levels[1:])]
-    return SweepReport(regime=regime, ladder=list(ladder), levels=levels,
+    return SweepReport(regime=regime, levels=levels,
                        pairwise_sup_distance=dists)

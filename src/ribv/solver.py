@@ -11,7 +11,7 @@ z_floor <= z <= z_prev.  Both solves backtrack to one acceptance rule
 and raise RuntimeError when they cannot converge; each forms the data
 fixed over its call once (the prox map; the z cell data).  The (u, p)
 solve builds its Hessian from the prox shift at the iterate, the z-solve
-from a base on its free nodes only (``NonlocalForm.slice`` plus the
+from a base on its free nodes only (the form's ``slice`` plus the
 corner form of c'' = 2), formed again only where the free set changes;
 the (u, p) solve reads the data fixed over a step from the step's
 ``UpData``.  Each value evaluation is formed once and handed on
@@ -47,6 +47,7 @@ from .constitutive import (
     state_gradients,
 )
 from .discretization import (
+    Z_FLOOR,
     LoadingSpec,
     State,
     eval_loading,
@@ -54,9 +55,8 @@ from .discretization import (
     tensor_dot,
     tensor_norm,
 )
-from .dissipation import prox_map, prox_tangent, subdiff_violation
+from .dissipation import dist_r, prox_map, prox_tangent, subdiff_violation
 
-Z_FLOOR = 1e-8
 # sufficient-decrease fraction delta of both line searches
 _ARMIJO = 1e-4
 # Newton iterations of one (u, p) solve and of one z-solve
@@ -351,12 +351,10 @@ def el_residuals(r_u: float, g_z: np.ndarray, g_p: np.ndarray,
     """
     grid = ops.grid
     z_rate = (state.z - prev_state.z) / ep.tau
-    chi = g_z  # density form of the damage driving force
-    gv1_viol = np.maximum(ep.eps * z_rate + chi - mat.kappa, 0.0)
-    gv1 = np.sqrt((grid.lump * gv1_viol ** 2).sum())
+    gv1 = dist_r(grid, -(ep.eps * z_rate + g_z), mat.kappa)
     p_rate = (state.p - prev_state.p) / ep.tau
     lhs2 = (grid.lump * (mat.kappa * np.abs(z_rate)
-                         + ep.eps * z_rate ** 2 + chi * z_rate)).sum()
+                         + ep.eps * z_rate ** 2 + g_z * z_rate)).sum()
     rhs2 = mat.c_k * ep.tau * np.abs(z_rate).max(initial=0.0) \
         * (grid.w_cell * tensor_norm(p_rate)).sum()
     gv2 = max(lhs2 - rhs2, 0.0)

@@ -21,6 +21,7 @@ from ribv.cli import (
 )
 from ribv.config import RunConfig
 from ribv.constitutive import MaterialParams
+from ribv.discretization import DenseForm
 from ribv.gronwall import GronwallInstance
 from ribv.problems import reference_material, reference_problem
 from ribv.solver import incremental_step
@@ -177,8 +178,8 @@ class TestConfig:
         assert mat == mat_r
         assert ep == ep_r
         # the reference grid holds the dense form alone
-        assert ops.A_m.S is None and ops_r.A_m.S is None
-        assert np.array_equal(ops.A_m.dense, ops_r.A_m.dense)
+        assert type(ops.A_m) is type(ops_r.A_m) is DenseForm
+        assert np.array_equal(ops.A_m.A, ops_r.A_m.A)
         assert np.array_equal(ops.K_D_band, ops_r.K_D_band)
         assert np.array_equal(loading.f_vec, loading_r.f_vec)
         for name in ("u", "z", "p"):

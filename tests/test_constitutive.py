@@ -21,8 +21,9 @@ from ribv.constitutive import (
     stiffness,
     yield_radius,
 )
-from ribv.discretization import NONLOCAL_DENSE_MAX_SIDE, Grid, \
-    LoadingSpec, State, initial_state, tensor_dev
+from ribv.discretization import NONLOCAL_DENSE_MAX_SIDE, Z_FLOOR, \
+    DenseForm, Grid, LoadingSpec, State, ToeplitzForm, initial_state, \
+    tensor_dev
 from ribv.dissipation import prox_map, prox_tangent
 from ribv.driver import _power_integral, run_viscous
 from ribv.problems import ramp_loading, reference_material, \
@@ -120,6 +121,17 @@ class TestDamageDomain:
             with pytest.raises(ValueError, match="damage field must stay"):
                 run_viscous(ops, mat, ep, loading, init, n_steps=2)
 
+    def test_rejects_damage_below_floor(self):
+        # below Z_FLOOR the z-step's box [Z_FLOOR, z_prev] is empty: a run
+        # from there would keep z and the barrier energy (about 3e43 at
+        # z = 1e-9) where they are, so it fails where it starts
+        _, mat, ops, ep, loading, init = reference_problem(
+            n_side=3, n_steps=2, z0=1e-9)
+        with pytest.raises(ValueError, match="damage field must stay"):
+            run_viscous(ops, mat, ep, loading, init, n_steps=2)
+        init.z[:] = Z_FLOOR
+        init.validate(ops.grid)
+
 
 class TestDamagePotential:
     def test_frozen_values(self):
@@ -181,10 +193,21 @@ class TestMaterialValidation:
             reference_problem(n_side=3, **{field: np.nan})
 
     @pytest.mark.parametrize("field, message", [
-        ("tau", "time step"), ("t_final", "final time")])
+        ("tau", "time step"), ("t_final", "final time"),
+        ("eps", "regularization"), ("nu", "regularization"),
+        ("mu", "regularization")])
     def test_energy_params_reject_inf(self, field, message):
         with pytest.raises(ValueError, match=message):
             EnergyParams(**{field: np.inf})
+
+    def test_uniform_rejects_fractional_steps(self):
+        # unchecked, 2.5 steps make tau = 0.4 and fail later in linspace
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            EnergyParams.uniform(1e-2, 1e-2, 1e-2, 1.0, 2.5)
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            reference_problem(n_side=3, n_steps=2.5)
+        assert EnergyParams.uniform(1e-2, 1e-2, 1e-2, 1.0, np.int64(4)) \
+            .tau == 0.25
 
     def test_reference_problem_rejects_infinite_horizon(self):
         # unchecked, tau = inf reaches the solver, which fails at a nan
@@ -340,8 +363,8 @@ class TestNonlocalTerm:
         grid = Grid(32)
         mat = make_mat()
         ops = Operators.build(grid, mat)
-        local = dataclasses.replace(ops, A_m=dataclasses.replace(
-            ops.A_m, dense=np.zeros((grid.n_nodes, grid.n_nodes))))
+        local = dataclasses.replace(ops, A_m=DenseForm(
+            np.zeros((grid.n_nodes, grid.n_nodes))))
         st = random_state(grid, rng)
         st.z = np.full(grid.n_nodes, 0.95)
         loading = ramp_loading(grid, amplitude=0.4)
@@ -380,13 +403,13 @@ class TestBandOperators:
             ops = Operators.build(Grid(n_side), make_mat())
             B = ops.B
             limit = max((B.kd + 1) * B.n_free, n_side ** 3)
-            held = {**vars(ops), **vars(B), **vars(ops.A_m)}
             dense = n_side <= NONLOCAL_DENSE_MAX_SIDE
-            assert (held.pop("dense") is not None) == dense
+            # the dense array or the tables, by type
+            assert type(ops.A_m) is (DenseForm if dense else ToeplitzForm)
+            held = {**vars(ops), **vars(B), **vars(ops.A_m)}
+            held.pop("A", None)
             arrays = {name: v for name, v in held.items()
                       if isinstance(v, np.ndarray)}
             assert {"K_D_band", "K_D_chol", "band_pos"} <= set(arrays)
-            # the dense array or the tables, never both
-            assert ({"S", "R"} <= set(arrays)) != dense
             for name, v in arrays.items():
                 assert v.size <= limit, (n_side, name)

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from ribv.discretization import (
     NONLOCAL_DENSE_MAX_SIDE,
+    DenseForm,
     Grid,
-    NonlocalForm,
+    ToeplitzForm,
     assemble_nonlocal_form,
     assemble_sym_gradient,
     eval_loading,
     initial_state,
     nonlocal_double_sum,
+    nonlocal_form,
     tensor_dev,
     tensor_dot,
     tensor_trace,
@@ -227,8 +229,7 @@ class TestToeplitzForm:
     def test_fft_apply_matches_dense(self, n_side, rng):
         g = Grid(n_side)
         for m_order in (1.25, 1.5, 2.0):
-            form = NonlocalForm.toeplitz(g, m_order)
-            assert form.dense is None
+            form = ToeplitzForm.build(g, m_order)
             A = assemble_nonlocal_form(g, m_order)
             for _ in range(3):
                 z = rng.uniform(0.2, 1.0, g.n_nodes)
@@ -243,7 +244,7 @@ class TestToeplitzForm:
     def test_gathered_slice_is_dense_take(self, n_side, rng):
         g = Grid(n_side)
         for m_order in (1.25, 1.5, 2.0):
-            form = NonlocalForm.toeplitz(g, m_order)
+            form = ToeplitzForm.build(g, m_order)
             A = assemble_nonlocal_form(g, m_order)
             subsets = [np.arange(g.n_nodes), rng.integers(g.n_nodes, size=1)]
             subsets += [np.flatnonzero(rng.random(g.n_nodes) < frac)
@@ -255,24 +256,24 @@ class TestToeplitzForm:
                                       A[np.ix_(idx, idx)].view(np.int64))
 
     def test_build_picks_by_size(self):
-        # the dense array alone up to the crossover, its tables alone
-        # above; both reads of the dense form are the assembled matrix's
-        for n_side in (4, NONLOCAL_DENSE_MAX_SIDE):
-            form = NonlocalForm.build(Grid(n_side), 1.5)
-            assert [k for k, v in vars(form).items() if v is not None] \
-                == ["dense"]
-            assert np.array_equal(form.dense,
-                                  assemble_nonlocal_form(Grid(n_side), 1.5))
-        form = NonlocalForm.build(Grid(NONLOCAL_DENSE_MAX_SIDE + 1), 1.5)
-        assert form.dense is None and form.k_hat is not None
+        # the benchmark's grids on either side of the crossover; the dense
+        # array is the assembled matrix
+        for n_side, kind in ((4, DenseForm), (12, DenseForm),
+                             (27, DenseForm), (28, ToeplitzForm),
+                             (32, ToeplitzForm)):
+            form = nonlocal_form(Grid(n_side), 1.5)
+            assert type(form) is kind, n_side
+            if kind is DenseForm:
+                assert np.array_equal(
+                    form.A, assemble_nonlocal_form(Grid(n_side), 1.5))
 
     def test_nbytes_counts_what_is_held(self):
         g = Grid(12)
         n = g.n_side
         tables = 2 * n ** 3 + 3 * n ** 2
-        assert NonlocalForm.toeplitz(g, 1.5).nbytes \
+        assert ToeplitzForm.build(g, 1.5).nbytes \
             == 8 * (tables + 2 * n * (n + 1))
-        assert NonlocalForm.assembled(g, 1.5).nbytes == 8 * n ** 4
+        assert nonlocal_form(g, 1.5).nbytes == 8 * n ** 4
 
 
 class TestLoading:

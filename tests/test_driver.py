@@ -351,7 +351,7 @@ class TestEvaluationCounts:
             monkeypatch.setattr(reparam_module, "TOL_JUMP", tol_jump)
             assert (ptraj.jumps()[1:] == marked).all()
             for regime in ("visc", "eps0", "eps-nu0", "all0"):
-                ed_balance_residual_bv(ptraj, regime, 10 * traj.ep.eps)
+                ed_balance_residual_bv(ptraj, regime)
         assert counts["eval_loading"] == counts["rate_norms"] == 0
         assert not any(products.values())
 

@@ -22,8 +22,9 @@ each iterate's strain and laws are formed once: in ``solver`` the strain
 and the cell and damage laws are formed only by the (u, p) value
 evaluation and the records, and no bare-state energy is evaluated, and
 in ``driver`` the strain and the loaded energy only by the power.  A
-reader takes each record it reads as a required argument: only six
-parameters and fields, listed in ``_NONE_DEFAULTS``, default to None."""
+reader takes each record it reads as a required argument: only the
+parameters and fields listed in ``_NONE_DEFAULTS`` default to None, and
+only the fields listed in ``_OPTIONAL_FIELDS`` may hold it."""
 
 import ast
 from pathlib import Path
@@ -540,3 +541,33 @@ def test_none_defaults_listed():
     assert sorted(found) == sorted(_NONE_DEFAULTS), \
         "None defaults other than those listed:\n" + "\n".join(
             sorted(set(found) ^ _NONE_DEFAULTS))
+
+
+# the class fields of ``src/ribv`` annotated ``... | None``, as
+# "module:class:name": a run's abort step and the parameter a regime keeps
+# positive; a record whose other fields may be None (one representation
+# or another held in one type) forks each reader on which it holds
+_OPTIONAL_FIELDS = {
+    "driver.py:Trajectory:aborted_at",
+    "reparam.py:Regime:positive",
+}
+
+
+def _optional_fields(path: Path) -> list[str]:
+    """Every class field of a module whose annotation admits None
+    (``X | None`` or ``Optional[X]``), as "module:class:name"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{cls.name}:{stmt.target.id}"
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+            and any((isinstance(n, ast.Constant) and n.value is None)
+                    or getattr(n, "id", getattr(n, "attr", None))
+                    == "Optional" for n in ast.walk(stmt.annotation))]
+
+
+def test_optional_fields_listed():
+    found = [msg for path in sorted(SRC.glob("*.py"))
+             for msg in _optional_fields(path)]
+    assert sorted(found) == sorted(_OPTIONAL_FIELDS), \
+        "fields that may be None other than those listed:\n" + "\n".join(
+            sorted(set(found) ^ _OPTIONAL_FIELDS))

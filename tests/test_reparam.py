@@ -197,17 +197,15 @@ class TestContactPotential:
                              nu=1e-4, mu=1e-4)
         p_std, p_ed = reparam_standard(traj, ops), reparam_ed(traj, ops)
         assert p_std.jumps().sum() == 1
-        stab_tol = 10 * traj.ep.eps
-        _, visc = ed_balance_residual_bv(p_std, "visc", stab_tol)
-        resid, contact = ed_balance_residual_bv(p_std, "eps0", stab_tol)
+        _, visc = ed_balance_residual_bv(p_std, "visc")
+        resid, contact = ed_balance_residual_bv(p_std, "eps0")
         assert np.isfinite(resid)
         assert contact == pytest.approx(visc, rel=1e-8)
-        assert ed_balance_residual_bv(p_ed, "all0", stab_tol)[0] \
-            == np.inf
+        assert ed_balance_residual_bv(p_ed, "all0")[0] == np.inf
         # with no knot marked a jump
         monkeypatch.setattr(reparam_module, "TOL_JUMP", 0.0)
-        assert ed_balance_residual_bv(p_std, "visc", stab_tol)[1] == visc
-        assert ed_balance_residual_bv(p_std, "eps0", stab_tol)[0] == np.inf
+        assert ed_balance_residual_bv(p_std, "visc")[1] == visc
+        assert ed_balance_residual_bv(p_std, "eps0")[0] == np.inf
 
 
 class TestJumpsAndStability:

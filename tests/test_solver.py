@@ -25,8 +25,11 @@ from ribv.constitutive import (
     yield_radius,
 )
 from ribv.discretization import (
+    Z_FLOOR,
+    DenseForm,
     Grid,
     SymGradient,
+    ToeplitzForm,
     eval_loading,
     initial_state,
     tensor_norm,
@@ -41,7 +44,6 @@ from ribv.problems import (
     reference_problem,
 )
 from ribv.solver import (
-    Z_FLOOR,
     UpData,
     _z_base,
     _z_value,
@@ -224,8 +226,8 @@ class TestZStep:
         grid = Grid(3)
         mat = reference_material()
         ops = Operators.build(grid, mat)
-        ops = dataclasses.replace(ops, A_m=dataclasses.replace(
-            ops.A_m, dense=np.zeros_like(ops.A_m.dense)))
+        ops = dataclasses.replace(ops, A_m=DenseForm(
+            np.zeros_like(ops.A_m.A)))
         loading = ramp_loading(grid, 0.0)
         ep = small_ep(tau=0.1)
 
@@ -286,7 +288,7 @@ class TestZStep:
         grid = Grid(32)
         mat = reference_material()
         ops = Operators.build(grid, mat)
-        assert ops.A_m.dense is None
+        assert type(ops.A_m) is ToeplitzForm
         ep = small_ep()
         prev = initial_state(grid, z0=0.9)
         st = prev.copy()
@@ -353,8 +355,8 @@ class TestZStep:
         grid = Grid(3)
         mat = reference_material()
         ops = Operators.build(grid, mat)
-        ops = dataclasses.replace(ops, A_m=dataclasses.replace(
-            ops.A_m, dense=-1e6 * np.eye(grid.n_nodes)))
+        ops = dataclasses.replace(ops, A_m=DenseForm(
+            -1e6 * np.eye(grid.n_nodes)))
         loading = ramp_loading(grid, amplitude=0.45)
         prev = initial_state(grid, z0=0.9)
         st = prev.copy()
@@ -444,7 +446,7 @@ class TestOneEvaluationPerIterate:
             H = _z_base(a, idx, ops)
             H[np.diag_indices(len(idx))] += grid.lump[idx] * (
                 damage_curvature(z[idx], mat) + ep.eps / ep.tau)
-            want = ops.A_m.dense.copy()
+            want = ops.A_m.A.copy()
             for c, corners in enumerate(grid.cells):
                 for i in corners:
                     for j in corners:
