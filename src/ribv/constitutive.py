@@ -33,7 +33,8 @@ The energy and its gradients are read from these records
 records of a bare state and read them the same way.
 Gradients are returned as the representers used throughout the solver:
 Euclidean covector for u on free dofs, lumped-L2 density for z, cellwise
-density for p.
+density for p.  No other module reads a constant of these laws, and
+only ``MaterialParams`` and ``deviatoric_modulus`` read the Lame ones.
 """
 
 from __future__ import annotations
@@ -82,22 +83,22 @@ class MaterialParams:
     m_order: float = 1.5
 
     def __post_init__(self):
-        # each check is written so that nan fails it
-        if not (self.lame_mu > 0 and self.lame_lambda > 0):
+        # each check is written so that nan and inf fail it
+        if not (0 < self.lame_mu < np.inf and 0 < self.lame_lambda < np.inf):
             raise ValueError("Lame constants must be positive")
         if not (0.0 < self.delta_reg < 1.0):
             raise ValueError("delta_reg must lie in (0, 1)")
-        if not self.sigma_y > 0:
+        if not 0 < self.sigma_y < np.inf:
             raise ValueError("sigma_y must be positive")
         if not (0.0 < self.m_bar < 1.0):
             raise ValueError("m_bar must lie in (0, 1)")
-        if not self.kappa > 0:
+        if not 0 < self.kappa < np.inf:
             raise ValueError("kappa must be positive")
-        if not self.w0 > 0:
+        if not 0 < self.w0 < np.inf:
             raise ValueError("w0 must be positive")
-        if not self.q_exp > 4.0:
+        if not 4.0 < self.q_exp < np.inf:
             raise ValueError("q_exp must exceed 4 (2n for n = 2)")
-        if not self.m_order > 1.0:
+        if not 1.0 < self.m_order < np.inf:
             raise ValueError("m_order must exceed 1")
 
     @property

@@ -162,13 +162,16 @@ class State:
             raise ValueError("z has wrong shape")
         if self.p.shape != (grid.n_cells, 3):
             raise ValueError("p has wrong shape")
-        if np.any(np.abs(self.u[grid.dirichlet_mask]) > 1e-10):
+        # each check is written so that nan fails it
+        if not (np.abs(self.u[grid.dirichlet_mask]) <= 1e-10).all():
             raise ValueError("u must vanish on Dirichlet nodes")
-        # below the floor the z-step's box is empty; nan fails too
+        # below the floor the z-step's box is empty
         if not ((self.z >= Z_FLOOR) & (self.z <= 1.0)).all():
             raise ValueError("damage field must stay in [Z_FLOOR, 1]")
-        if np.max(np.abs(tensor_trace(self.p)), initial=0.0) > 1e-10:
+        if not (np.abs(tensor_trace(self.p)) <= 1e-10).all():
             raise ValueError("plastic strain must be trace-free")
+        if not (np.isfinite(self.u).all() and np.isfinite(self.p).all()):
+            raise ValueError("u and p must be finite")
 
 
 def initial_state(grid: Grid, z0: float = 1.0) -> State:

@@ -67,16 +67,15 @@ class DualDiagnostics:
     dual_u      -- dual norm of the displacement residual (ops.dual_norm)
     dist_z      -- lumped-L2 distance of -g_z to the half-spaces {>= -kappa}
     dist_p      -- weighted distance of -g_p to the cellwise yield balls
-    dist_p0     -- same with the hardening term dropped (sigma_D tested)
     d_nu_star   -- sqrt(dual_u^2/nu + dist_z^2 + dist_p^2/nu)
     d_star_mu   -- sqrt(dual_u^2 + dist_p^2)
-    d_star0     -- sqrt(dual_u^2 + dist_p0^2)
+    d_star0     -- d_star_mu with the hardening term mu p dropped from
+                   g_p, so that sigma_D itself is tested
     """
 
     dual_u: float
     dist_z: float
     dist_p: float
-    dist_p0: float
     d_nu_star: float
     d_star_mu: float
     d_star0: float
@@ -270,7 +269,6 @@ def diagnostics_from_gradients(grads: tuple, state: State, V: np.ndarray,
         dual_u=dual_u,
         dist_z=dz,
         dist_p=dp,
-        dist_p0=dp0,
         d_nu_star=dnustar,
         d_star_mu=float(np.hypot(dual_u, dp)),
         d_star0=float(np.hypot(dual_u, dp0)),

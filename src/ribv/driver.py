@@ -12,6 +12,8 @@ which that step holds with its damage laws, so each step costs one
 strain and one ``loaded_energy`` call; the previous step's damage laws
 also start the next step.  A run keeps its states and per-step numbers
 only: a reader forms a step's strain or gradients again from its state.
+Its memory grows by one state a step: on the mild ramp at n_side 32,
+1,600 steps peak at 181 MB maxrss.
 """
 
 from __future__ import annotations

@@ -53,7 +53,8 @@ class Regime:
 
 # "visc" (all parameters fixed positive, the viscous formula at every knot),
 # "eps0" (viscosity scale to zero, rate weights fixed), "eps-nu0" (multi-
-# rate, hardening fixed), "all0" (everything vanishing)
+# rate, hardening fixed), "all0" (everything vanishing); no code outside
+# this module compares a regime name
 REGIMES = {
     "visc": Regime("d_nu_star", False, (), "eps", "std"),
     "eps0": Regime("d_nu_star", False, ("eps",), "nu", "std"),
@@ -79,7 +80,6 @@ class ParamTrajectory:
     (s_{k-1}, s_k]; t_rate is 0 at knot 0.
     """
 
-    kind: str                      # "std" or "ed"
     traj: Trajectory
     s: np.ndarray                  # (n+1,) strictly increasing
     t_rate: np.ndarray             # (n+1,) dt/ds
@@ -125,7 +125,7 @@ def _build_ptraj(kind, traj):
         fac = t_rate[k] = tau / ds[k]
         normalization[k] = _integrand(kind, traj.ep, fac, norms.scaled(fac),
                                       dns)
-    return ParamTrajectory(kind=kind, traj=traj, s=np.cumsum(ds),
+    return ParamTrajectory(traj=traj, s=np.cumsum(ds),
                            t_rate=t_rate, normalization=normalization)
 
 
@@ -325,25 +325,13 @@ class SweepReport:
     pairwise_sup_distance: list[float]      # consecutive levels
 
 
-def _interp_rows(x: np.ndarray, xp: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """``np.interp`` of every column of Z (one row per increasing knot xp)
-    at the points x >= xp[0], by its own formula slope (x - xp_j) + Z_j,
-    which is Z_j itself at a knot; the last row at and beyond the end."""
-    n = len(xp)
-    j = np.searchsorted(xp, x, side="right") - 1
-    i = np.minimum(j, n - 2)
-    slope = (Z[i + 1] - Z[i]) / (xp[i + 1] - xp[i])[:, None]
-    blend = slope * (x - xp[i])[:, None] + Z[i]
-    return np.where((j == n - 1)[:, None], Z[-1], blend)
-
-
 def _align_z_curves(pa: ParamTrajectory, pb: ParamTrajectory, ops) -> float:
     """Sup (over the finer rescaled s-grid) of the lumped-L2 distance
     between the damage curves of two levels."""
     ref = pa if pa.n_knots >= pb.n_knots else pb
     sig = ref.s / ref.s[-1]
-    za, zb = (_interp_rows(sig, p.s / p.s[-1],
-                           np.array([st.z for st in p.traj.states]))
+    za, zb = (np.column_stack([np.interp(sig, p.s / p.s[-1], zn) for zn in
+                               np.array([st.z for st in p.traj.states]).T])
               for p in (pa, pb))
     return float(np.sqrt(np.sum(ops.grid.lump * (za - zb) ** 2,
                                 axis=1)).max())

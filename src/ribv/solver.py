@@ -203,7 +203,7 @@ def solve_up_step(data: UpData, laws: DamageLaws, state: State,
             + rec.visc_kd
         return float(val), grad, shift, rec
 
-    u_free = state.u.ravel()[free].copy()
+    u_free = state.u.ravel()[free]
     val, grad, shift, rec = value_grad(u_free)
     for it in range(UP_MAX_ITER + 1):
         r_dual = ops.dual_norm(grad)
@@ -390,6 +390,8 @@ def incremental_step(t: float, prev_state: State, ops: Operators,
     read by the driver from its rate record."""
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
+    if not 0 < tol_stat < np.inf:
+        raise ValueError("tol_stat must be positive")
     w, F = eval_loading(loading, t)
     data = UpData.of(w, F, prev_state, ops, ep)
     state = prev_state.copy()

@@ -180,6 +180,16 @@ class TestMaterialValidation:
         with pytest.raises(ValueError):
             make_mat(**{field: np.nan})
 
+    @pytest.mark.parametrize("field, message", [
+        ("lame_lambda", "Lame"), ("lame_mu", "Lame"), ("sigma_y", "sigma_y"),
+        ("kappa", "kappa"), ("w0", "w0"), ("q_exp", "q_exp"),
+        ("m_order", "m_order")])
+    def test_material_rejects_inf(self, field, message):
+        # unchecked, an infinite constant runs to E_mu = inf, to no
+        # damage or to a nan residual in the solver
+        with pytest.raises(ValueError, match=message):
+            make_mat(**{field: np.inf})
+
     @pytest.mark.parametrize("field", [
         f.name for f in dataclasses.fields(EnergyParams)])
     def test_energy_params_reject_nan(self, field):

@@ -33,6 +33,10 @@ import oracles
 from oracles import balance_residual, norm_z_m, rate_norm_fields
 
 
+def pre_relax_unreached(*args, **kwargs):
+    raise AssertionError("pre-relaxation reached")
+
+
 def run_reference(n_steps, n_side=3, amplitude=0.45, **ep_over):
     grid, mat, ops, ep, loading, init = reference_problem(
         n_side=n_side, n_steps=n_steps, amplitude=amplitude, **ep_over)
@@ -420,11 +424,7 @@ class TestPreRelax:
         # after two steps at a time outside the loading's horizon
         grid, mat, ops, ep, loading, init = reference_problem(n_side=3,
                                                               n_steps=4)
-
-        def unreached(*args, **kwargs):
-            raise AssertionError("pre-relaxation reached")
-
-        monkeypatch.setattr(driver_module, "pre_relax", unreached)
+        monkeypatch.setattr(driver_module, "pre_relax", pre_relax_unreached)
         with pytest.raises(ValueError, match=f"{t_final}.*1.0"):
             run_viscous(ops, mat, replace(ep, t_final=t_final), loading,
                         init, n_steps=4)
@@ -436,6 +436,27 @@ class TestPreRelax:
                                                            n_steps=2)
         init.z[4] = 0.0
         with pytest.raises(ValueError, match="damage field must stay"):
+            run_viscous(ops, mat, ep, loading, init, n_steps=2)
+
+    @pytest.mark.parametrize("field, where, bad", [
+        ("u", "free", np.nan), ("u", "dirichlet", np.nan),
+        ("p", (0, 0), np.nan), ("p", (0, 2), np.inf)],
+        ids=["u-free-nan", "u-dirichlet-nan", "p-nan", "p-inf"])
+    def test_rejects_non_finite_state(self, field, where, bad, monkeypatch):
+        # unchecked, each reaches the solver, which fails at a nan dual
+        # residual: a nan passed the Dirichlet and trace checks, and a
+        # shear component of inf passed the trace check
+        _, mat, ops, ep, loading, init = reference_problem(n_side=3,
+                                                           n_steps=2)
+        if field == "u":
+            on_dirichlet = ops.grid.dirichlet_mask == (where == "dirichlet")
+            init.u[np.flatnonzero(on_dirichlet)[0], 0] = bad
+        else:
+            init.p[where] = bad
+        with pytest.raises(ValueError):
+            init.validate(ops.grid)
+        monkeypatch.setattr(driver_module, "pre_relax", pre_relax_unreached)
+        with pytest.raises(ValueError):
             run_viscous(ops, mat, ep, loading, init, n_steps=2)
 
     def test_step0_carries_pre_relaxation(self, monkeypatch):

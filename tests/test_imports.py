@@ -24,7 +24,9 @@ evaluation and the records, and no bare-state energy is evaluated, and
 in ``driver`` the strain and the loaded energy only by the power.  A
 reader takes each record it reads as a required argument: only the
 parameters and fields listed in ``_NONE_DEFAULTS`` default to None, and
-only the fields listed in ``_OPTIONAL_FIELDS`` may hold it."""
+only the fields listed in ``_OPTIONAL_FIELDS`` may hold it.  Every class
+field has a reader: it is read as an attribute in ``src/ribv``, the
+demos or the benchmark harness, or named as a string in ``src/ribv``."""
 
 import ast
 from pathlib import Path
@@ -34,6 +36,7 @@ from ribv.reparam import REGIMES
 
 SRC = Path(ribv.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
 # kept unchanged as the fixed acceptance suite, with two unused imports
 _SCAN_EXEMPT = {"test_acceptance.py"}
 
@@ -571,3 +574,36 @@ def test_optional_fields_listed():
     assert sorted(found) == sorted(_OPTIONAL_FIELDS), \
         "fields that may be None other than those listed:\n" + "\n".join(
             sorted(set(found) ^ _OPTIONAL_FIELDS))
+
+
+def _class_fields(path: Path) -> list[tuple[str, str]]:
+    """(class, field) of every annotated class field of a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [(cls.name, stmt.target.id)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)]
+
+
+def _read_names(path: Path, strings: bool) -> set[str]:
+    """Attribute names a module reads and, with ``strings``, the string
+    constants it holds (``getattr`` by name, as ``REGIMES`` does)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)} | {
+        node.value for node in ast.walk(tree) if strings
+        and isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_every_field_has_a_reader():
+    # a field nothing reads is work each builder does for no one
+    read = set().union(
+        *(_read_names(path, True) for path in SRC.glob("*.py")),
+        *(_read_names(path, False) for folder in ("demos", "perfbench")
+          for path in (ROOT / folder).rglob("*.py")))
+    offenders = [f"{path.name}:{cls}.{name}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for cls, name in _class_fields(path) if name not in read]
+    assert not offenders, "class fields nothing reads:\n" \
+        + "\n".join(offenders)

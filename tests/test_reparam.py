@@ -30,7 +30,6 @@ from ribv.reparam import (
     ParamTrajectory,
     _align_z_curves,
     _integrand,
-    _interp_rows,
     bv_sweep,
     contact_potential,
     detect_jumps,
@@ -107,7 +106,8 @@ class TestNormalization:
         # normalization: the total must reproduce the final arclength
         ops, traj = ramp_run(n_steps=10)
         st = traj.states
-        for p in (reparam_standard(traj, ops), reparam_ed(traj, ops)):
+        for kind, build in (("std", reparam_standard), ("ed", reparam_ed)):
+            p = build(traj, ops)
             total = 0.0
             for k in range(1, p.n_knots):
                 ds = p.s[k] - p.s[k - 1]
@@ -122,7 +122,7 @@ class TestNormalization:
                     ops, check, V, traj.mat.kappa,
                     (state_strain(traj, ops, k)
                      - state_strain(traj, ops, k - 1)) / ds)
-                total += ds * _integrand(p.kind, traj.ep, t_rate, norms,
+                total += ds * _integrand(kind, traj.ep, t_rate, norms,
                                          traj.dual_diag[k].d_nu_star)
             assert total == pytest.approx(p.s[-1], abs=1e-10)
 
@@ -263,8 +263,8 @@ class TestJumpsAndStability:
         # (one knot apart, the last one ending at the last knot); knot 0
         # never counts although its t_rate is 0
         t_rate = np.array([0.0, 1e-4, 0.0, 0.5, 1e-5, 0.5, 2e-4, 1e-6])
-        p = ParamTrajectory(kind="std", traj=None, s=np.arange(8.0),
-                            t_rate=t_rate, normalization=np.ones(8))
+        p = ParamTrajectory(traj=None, s=np.arange(8.0), t_rate=t_rate,
+                            normalization=np.ones(8))
         assert detect_jumps(p) == [(0.0, 2.0), (3.0, 4.0), (5.0, 7.0)]
         for tol_jump, runs in ((0.0, []), (1.0, [(0.0, 7.0)])):
             monkeypatch.setattr(reparam_module, "TOL_JUMP", tol_jump)
@@ -274,7 +274,7 @@ class TestJumpsAndStability:
         for _ in range(200):
             n = int(rng.integers(1, 12))
             p = ParamTrajectory(
-                kind="std", traj=None, s=np.cumsum(rng.uniform(0.1, 1, n)),
+                traj=None, s=np.cumsum(rng.uniform(0.1, 1, n)),
                 t_rate=rng.choice([0.0, 1e-4, 0.5], n),
                 normalization=np.ones(n))
             assert detect_jumps(p) == jump_intervals(p.s, p.t_rate, 1e-3)
@@ -282,11 +282,10 @@ class TestJumpsAndStability:
     def test_stability_maximum_from_hand_set_rates(self, monkeypatch):
         # knot 0 and the jump knots 2 and 4 carry the largest magnitudes,
         # so counting any of them would show in the maximum
-        diag = [DualDiagnostics(0.0, 0.0, 0.0, 0.0, d_nu_star=m,
+        diag = [DualDiagnostics(0.0, 0.0, 0.0, d_nu_star=m,
                                 d_star_mu=0.0, d_star0=0.0)
                 for m in (9.0, 1.0, 8.0, 2.0, 7.0)]
-        p = ParamTrajectory(kind="std",
-                            traj=SimpleNamespace(dual_diag=diag),
+        p = ParamTrajectory(traj=SimpleNamespace(dual_diag=diag),
                             s=np.arange(5.0),
                             t_rate=np.array([0.0, 0.5, 1e-4, 0.5, 1e-5]),
                             normalization=np.ones(5))
@@ -307,7 +306,7 @@ def _build_knot_traj(state, rate, t, ops, mat, ep, loading):
         balance_residual_cum=None, dual_diag=[None, None],
         el_residuals=None, dnu=None, rate_norms=None, iterations=None,
         accepted=None)
-    return ParamTrajectory(kind="std", traj=traj, s=np.array([0.0, 1.0]),
+    return ParamTrajectory(traj=traj, s=np.array([0.0, 1.0]),
                            t_rate=np.array([0.0, 1.0]),
                            normalization=np.ones(2))
 
@@ -559,11 +558,9 @@ class TestSweep:
             assert _align_z_curves(pa, pb, ops) == pytest.approx(
                 align_z_curves(pa, pb, ops.grid), rel=1e-14)
         # at its own knots a curve comes back bit for bit, the last one
-        # included, as from np.interp
+        # included, so a curve is at distance 0 from itself
         for p in (coarse, fine):
-            sig = p.s / p.s[-1]
-            z = np.array([st.z for st in p.traj.states])
-            assert np.array_equal(_interp_rows(sig, sig, z), z)
+            assert _align_z_curves(p, p, ops) == 0.0
 
     def test_snap_ladder_balance_finite(self):
         # an eps0 ladder whose levels each hold one jump knot: the balance

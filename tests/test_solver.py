@@ -670,6 +670,20 @@ class TestIncrementalStep:
         _, r = certify(0.9, res.new_state, prev, ops, mat, ep, loading)
         assert max(r) <= 1e-9
 
+    @pytest.mark.parametrize("tol_stat", [-1e-8, 0.0, np.nan, np.inf])
+    def test_rejects_tolerance_outside_positive_reals(self, tol_stat):
+        # unchecked, a negative or nan tolerance fails in the z-step on an
+        # empty free set, 0 runs 500 sweeps and aborts, and inf accepts
+        # every step after one sweep
+        _, mat, ops, ep, loading, init = reference_problem(n_side=3,
+                                                           n_steps=2)
+        with pytest.raises(ValueError, match="tol_stat must be positive"):
+            incremental_step(0.5, init, ops, mat, ep, loading,
+                             tol_stat=tol_stat)
+        with pytest.raises(ValueError, match="tol_stat must be positive"):
+            run_viscous(ops, mat, ep, loading, init, n_steps=2,
+                        tol_stat=tol_stat)
+
     def test_functional_evaluated_once_per_end(self, monkeypatch):
         # the energy is taken once, at the result, however many sweeps the
         # step takes; the step's Psi is not the solver's to take: the
