@@ -35,16 +35,24 @@ Gradients are returned as the representers used throughout the solver:
 Euclidean covector for u on free dofs, lumped-L2 density for z, cellwise
 density for p.  No other module reads a constant of these laws, and
 only ``MaterialParams`` and ``deviatoric_modulus`` read the Lame ones.
+The band and dense kernels (``lapack``, ``blas``; ``solver`` takes
+``lapack`` from here) are scipy's compiled LAPACK and BLAS modules,
+loaded from their files without the scipy.linalg package: its import
+cost every process 23 MB of peak RSS and about 0.19 s.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import blas, lapack
+import scipy
 
 from .discretization import (
     FROB_W,
@@ -62,6 +70,31 @@ from .discretization import (
     total_strain,
 )
 
+
+def _scipy_linalg_extension(name: str):
+    """scipy.linalg's compiled module ``name``, loaded from its file
+    without running the scipy.linalg package; kept in ``sys.modules``
+    under its own name, so a process loads it once, with or without the
+    package.  A missing file raises ``ImportError`` naming its path."""
+    full = "scipy.linalg." + name
+    if full in sys.modules:
+        return sys.modules[full]
+    stem = os.path.join(scipy.__path__[0], "linalg", name)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.exists(stem + suffix):
+            spec = importlib.util.spec_from_file_location(full, stem + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[full] = module
+            return module
+    raise ImportError(f"no compiled module at {stem} with a suffix in "
+                      f"{importlib.machinery.EXTENSION_SUFFIXES}",
+                      name=full, path=stem)
+
+
+# the five band and dense kernels: dpbtrf, dtbtrs, dpbsv, dposv and dsbmv
+lapack = _scipy_linalg_extension("_flapack")
+blas = _scipy_linalg_extension("_fblas")
 
 # q0 = 1/2 s0 . e as one matvec: a short-axis sum costs several times more
 _HALF = np.full(3, 0.5)
@@ -231,9 +264,10 @@ class Operators:
     The viscosity matrix K_D, 1/2 u K_D u = 1/2 sum_c w_c |(B u)_c|^2, is
     held as its lower band ``B.form(K_D_cells)`` together with its band
     Cholesky factor in the same storage; products and dual norms go
-    through BLAS/LAPACK band kernels.  ``K_D`` expands the band into a
-    dense matrix for reference checks.  The nonlocal form ``A_m`` is
-    ``nonlocal_form``'s, by grid size.
+    through the BLAS/LAPACK band kernels ``dsbmv`` and ``dtbtrs``, loaded
+    from scipy's compiled modules without the scipy.linalg package.
+    ``K_D`` expands the band into a dense matrix for reference checks.
+    The nonlocal form ``A_m`` is ``nonlocal_form``'s, by grid size.
     """
 
     grid: Grid

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .constitutive import (
     DamageLaws,
@@ -43,6 +42,7 @@ from .constitutive import (
     displacement_gradient,
     elastic_cells,
     energy_from,
+    lapack,
     loaded_energy,
     state_gradients,
 )

@@ -11,8 +11,11 @@ modules of the per-iterate work (``solver``, ``constitutive``,
 ``dissipation``) call no numpy function whose ndarray method or ufunc
 form costs a fraction of it on the small per-cell arrays they loop over
 (``np.sum``, ``np.any``, ``np.all``, ``np.max``, ``np.clip``,
-``np.errstate``, ``np.linalg.solve``, ``np.ix_``), no module imports
-any of scipy but ``scipy.linalg``, and each batch format has one owner:
+``np.errstate``, ``np.linalg.solve``, ``np.ix_``), the only scipy import
+is the bare ``import scipy`` of ``constitutive``'s loader (and, run in a
+fresh process, ribv loads scipy's compiled LAPACK and BLAS without the
+``scipy.linalg`` package, and a missing one raises), and each batch
+format has one owner:
 only ``config`` splits a `key = value` line and only ``cli._write_csv``
 joins a row with ",", only ``reparam``, whose ``REGIMES`` table says
 what each regime tests, compares a value with a regime name, and outside
@@ -29,6 +32,10 @@ field has a reader: it is read as an attribute in ``src/ribv``, the
 demos or the benchmark harness, or named as a string in ``src/ribv``."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ribv
@@ -335,7 +342,7 @@ def test_iterate_modules_avoid_slow_numpy_calls():
     assert not offenders, "slow numpy calls:\n" + "\n".join(offenders)
 
 
-def _scipy_imports(path: Path) -> list[str]:
+def _scipy_imports(path: Path) -> list[tuple[str, int, str]]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     # (line, dotted name) of every module or name imported
     modules = [(node.lineno, alias.name if isinstance(node, ast.Import)
@@ -343,19 +350,81 @@ def _scipy_imports(path: Path) -> list[str]:
                for node in ast.walk(tree)
                if isinstance(node, (ast.Import, ast.ImportFrom))
                for alias in node.names]
-    return [f"{path.name}:{line}: imports {name}"
-            for line, name in modules
-            if name.split(".")[0] == "scipy"
-            and name.split(".")[:2] != ["scipy", "linalg"]]
+    return [(path.name, line, name) for line, name in modules
+            if name.split(".")[0] == "scipy"]
 
 
-def test_scipy_linalg_only():
-    # the rest of scipy stays out of every process that runs ribv:
-    # scipy.optimize alone added 20 MB of peak RSS and 0.16 s of import
-    offenders = [msg for path in sorted(SRC.glob("*.py"))
-                 for msg in _scipy_imports(path)]
-    assert not offenders, "scipy beyond scipy.linalg:\n" \
-        + "\n".join(offenders)
+def test_scipy_imported_bare_once():
+    # scipy.linalg's __init__ adds 23 MB of peak RSS and 0.19 s of import
+    # (scipy.optimize 20 MB more): only the loader's bare ``import scipy``
+    # names scipy, and it loads the compiled kernels from their files
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in _scipy_imports(path)]
+    assert [(name, module) for name, _, module in found] \
+        == [("constitutive.py", "scipy")], \
+        "scipy imports beyond the loader's:\n" \
+        + "\n".join(f"{name}:{line}: imports {module}"
+                    for name, line, module in found)
+
+
+def _run_python(script: str, *args: str) -> list:
+    """Run ``script`` in a fresh interpreter on this checkout's ribv; its
+    last line of output, read as JSON."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", script,
+                           *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+_FOOTPRINT = """
+import json, sys
+import ribv.cli
+imported = "scipy.linalg" in sys.modules
+rc = ribv.cli.main(["solve", "--config", sys.argv[1], "--out", sys.argv[2]])
+solved = "scipy.linalg" in sys.modules
+flapack = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg.lapack
+print(json.dumps([imported, rc, solved,
+                  scipy.linalg.lapack._flapack is flapack]))
+"""
+
+
+def test_scipy_linalg_package_stays_out(tmp_path):
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("grid_n = 3\nn_steps = 1\n", encoding="utf-8")
+    imported, rc, solved, shared = _run_python(
+        _FOOTPRINT, str(cfg), str(tmp_path / "out"))
+    assert not imported, "import ribv.cli loads scipy.linalg"
+    assert rc == 0
+    assert not solved, "a solve loads scipy.linalg"
+    assert shared, "scipy.linalg loads _flapack a second time"
+
+
+_MISSING = """
+import json, sys
+from ribv.constitutive import _scipy_linalg_extension
+try:
+    _scipy_linalg_extension("_no_such_kernels")
+    raised = None
+except ImportError as exc:
+    raised = [str(exc), exc.path]
+print(json.dumps([raised, "scipy.linalg" in sys.modules]))
+"""
+
+
+def test_missing_extension_fails_loudly():
+    # no quiet fallback: the error names the file, and the scipy.linalg
+    # package is not imported in its place
+    raised, package = _run_python(_MISSING)
+    assert raised is not None, "no ImportError for a missing extension"
+    message, path = raised
+    assert path.endswith(os.path.join("scipy", "linalg", "_no_such_kernels"))
+    assert path in message
+    assert not package
 
 
 def _key_value_splits(path: Path) -> list[str]:
