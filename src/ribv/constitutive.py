@@ -25,8 +25,11 @@ Only the elastic term and the work depend on t (``loaded_energy``).
 ``damage_cells`` evaluates c, c' and V per cell in one pass, and
 ``DamageLaws`` holds every law at one z (W, W', A_m z and the cell laws).
 ``Operators`` holds A_m as ``nonlocal_form`` picks it, a ``DenseForm`` on
-small grids and a ``ToeplitzForm`` on large ones; the energy reads it
-through ``Operators.apply_A_m`` and the z-step Hessian its free slice.
+small grids and a ``ToeplitzForm`` (the FFT of the kernel and n x n
+tables) on large ones; the energy reads it through
+``Operators.apply_A_m``, and the z-step picks its Newton solve by its
+type: the dense free slice, or CG on ``apply_A_m`` preconditioned by
+the table form's DCT-I diagonal.
 The energy and its gradients are read from these records
 (``loaded_energy``, ``energy_from``, ``displacement_gradient``,
 ``state_gradients``); ``energy`` and ``energy_gradients`` form the
@@ -405,12 +408,16 @@ def state_gradients(e: np.ndarray, q0: np.ndarray, laws: DamageLaws,
 
 
 def energy_gradients(t: float, state: State, ops: Operators,
-                     mat: MaterialParams, mu: float, loading: LoadingSpec):
+                     mat: MaterialParams, mu: float, loading: LoadingSpec,
+                     laws=None):
     """Partial gradients (g_u, g_z, g_p) of the energy at a bare state:
     g_u the Euclidean covector on the free displacement dofs
-    (``displacement_gradient``), g_z and g_p as in ``state_gradients``."""
+    (``displacement_gradient``), g_z and g_p as in ``state_gradients``.
+    ``laws``, the ``DamageLaws`` at state.z, is formed here when not
+    given; a caller that reads them too (their yield radii) passes its
+    own."""
+    laws = laws or DamageLaws.at(state.z, ops, mat)
     _, F, e = strain_at(t, state, ops, loading)
-    laws = DamageLaws.at(state.z, ops, mat)
     s0, q0 = elastic_cells(e, mat)
     grid = ops.grid
     return (displacement_gradient(s0, grid.w_cell * laws.c,

@@ -18,11 +18,12 @@ The module provides:
   damage field, built in O(N^2) from its n_side distinct Toeplitz blocks:
   the blocks gathered into one N x N array and added to their mirror
   image into a second,
-* ``nonlocal_form`` -- that form, with two reads, the product and the
-  slice on a node subset: a ``DenseForm``, the array, up to
-  ``NONLOCAL_DENSE_MAX_SIDE``; above, a ``ToeplitzForm``, its tables
-  (n_side^3 numbers each) read by the FFT of the kernel and by a gather
-  that gives the dense entries bit for bit,
+* ``nonlocal_form`` -- that form, by grid size: a ``DenseForm``, the
+  array, with its product and its slice on a node subset, up to
+  ``NONLOCAL_DENSE_MAX_SIDE``; above, a ``ToeplitzForm``, the FFT of the
+  kernel and n_side x n_side tables, no n_side^3 one, with its product
+  and its diagonal in the lump-orthonormal 2-D DCT-I basis, which
+  preconditions the z-step's CG,
 * ``LoadingSpec`` / ``eval_loading`` -- the record of a loading: a
   fixed Dirichlet lift and a lumped nodal force, each scaled by its own
   time profile, as the problem builder formed them,
@@ -268,12 +269,15 @@ def assemble_sym_gradient(grid: Grid) -> SymGradient:
 # ---------------------------------------------------------------------------
 
 # The largest n_side at which ``nonlocal_form`` holds the dense N x N
-# form; above it the form is its tables alone.  The products cross over
-# here: dense against FFT, 80 against 92 us at n_side 24, 127 against 121
-# at 26, 175 against 182 at 28 and 296 against 127 at 32 (one BLAS
-# thread, best of 7).  The tables cost less to set up from n_side 12 on
-# (0.45 against 2.96 ms at 32) and hold n^3, not n^4, numbers; the
-# z-step's gathered free slice costs 2-3 times the dense take.
+# form; above it the form is its FFT and n x n tables.  The rule sits at
+# the crossover of the z-steps, dense Cholesky against CG: on the
+# damaging ramp (3 steps, amplitude 1.2, 33 sweeps either way, best of 3)
+# they take 0.21 against 0.27 s at n_side 24, 0.27 against 0.33 at 25,
+# 0.39 against 0.39 at 26, 0.40 against 0.35 at 27, 0.48 against 0.36 at
+# 28 and 0.95 against 0.46 at 32.  The products cross lower: dense
+# against FFT, 92 against 88 us at 24, 144 against 118 at 26, 193
+# against 108 at 28 and 325 against 122 at 32 (one BLAS thread, best of
+# 7).  Up to 27 the outputs stay those of the dense form bit for bit.
 NONLOCAL_DENSE_MAX_SIDE = 27
 
 
@@ -296,28 +300,15 @@ def _fd_stencil(grid: Grid) -> np.ndarray:
     return D
 
 
-def _nonlocal_tables(grid: Grid, m_order: float):
-    """The Toeplitz tables of the nonlocal form (``assemble_nonlocal_form``):
-    S[d] = P_d + P_d^T and R[a] = R_a + R_a^T, (n, n, n) each, the row sums
-    r = W 1 on the grid, (n, n), the stencil D and the kernel
-    |x|^(-2 m) at node offsets (dy, dx), (n, n), 0 at (0, 0)."""
+def _nonlocal_kernel(grid: Grid, m_order: float) -> np.ndarray:
+    """The kernel |x|^(-2 m) at node offsets (dy, dx), (n, n), 0 at
+    (0, 0)."""
     if m_order <= 1.0:
         raise ValueError("nonlocal order must exceed 1")
-    n, D, m1 = grid.n_side, _fd_stencil(grid), grid.lump_1d
-    r2 = (grid.h * np.arange(n)) ** 2
+    r2 = (grid.h * np.arange(grid.n_side)) ** 2
     dist2 = r2[:, None] + r2
     dist2[0, 0] = np.inf  # the excluded diagonal: inf^(-m) = 0
-    kern = dist2 ** -m_order
-    off = np.abs(np.arange(n)[:, None] - np.arange(n))
-    K = kern[:, off]                         # K[d]: rows d apart, (n, n, n)
-    E = D.T * m1
-    # row sums r = W 1 on the grid; R_a = D^T diag(r_a) D per node row a,
-    # and R_a + R_a^T, P_d + P_d^T: twice their symmetric parts
-    r = grid.lump.reshape(n, n) * (m1 @ (K @ m1)[off])
-    R = (D.T * r[:, None, :]) @ D
-    R = R + R.transpose(0, 2, 1)
-    P = E @ K @ E.T
-    return P + P.transpose(0, 2, 1), R, r, D, kern
+    return dist2 ** -m_order
 
 
 def assemble_nonlocal_form(grid: Grid, m_order: float) -> np.ndarray:
@@ -341,9 +332,19 @@ def assemble_nonlocal_form(grid: Grid, m_order: float) -> np.ndarray:
     entries is the same two terms added in either order, so A is exactly
     symmetric.
     """
-    S, R = _nonlocal_tables(grid, m_order)[:2]
-    n = grid.n_side
+    n, D, m1 = grid.n_side, _fd_stencil(grid), grid.lump_1d
     off = np.abs(np.arange(n)[:, None] - np.arange(n))
+    K = _nonlocal_kernel(grid, m_order)[:, off]  # K[d]: rows d apart
+    E = D.T * m1
+    # row sums r = W 1 on the grid; R_a = D^T diag(r_a) D per node row a,
+    # and S[d] = P_d + P_d^T, R[a] = R_a + R_a^T: twice their symmetric
+    # parts, (n, n, n) each
+    r = grid.lump.reshape(n, n) * (m1 @ (K @ m1)[off])
+    R = (D.T * r[:, None, :]) @ D
+    R = R + R.transpose(0, 2, 1)
+    P = E @ K @ E.T
+    S = P + P.transpose(0, 2, 1)
+    del K, P
     Q = S[off]
     Q *= -grid.lump.reshape(n, n, 1, 1)
     Q.reshape(n * n, n, n)[::n + 1] += R
@@ -374,27 +375,34 @@ class DenseForm:
 
 @dataclass(frozen=True)
 class ToeplitzForm:
-    """The nonlocal form as its Toeplitz tables (n^3 numbers each) and the
-    FFT of the kernel, no N x N array; its two reads are ``DenseForm``'s."""
+    """The nonlocal form as the FFT of its kernel and n x n tables, no
+    N x N array and no n^3 one: its product is ``DenseForm``'s, and
+    ``dct_solve`` inverts its diagonal in the lump-orthonormal 2-D DCT-I
+    basis, the z-step's preconditioner."""
 
-    S: np.ndarray      # (n, n, n): S[d] = P_d + P_d^T at offset d
-    R: np.ndarray      # (n, n, n): R[a] = R_a + R_a^T of node row a
-    w: np.ndarray      # (n, n): the lumped weights, m1_a m1_b
-    r: np.ndarray      # (n, n): the row sums W 1
-    D: np.ndarray      # (n, n): the difference stencil
-    k_hat: np.ndarray  # (2n, n + 1): the FFT of the kernel
+    w: np.ndarray         # (n, n): the lumped weights, m1_a m1_b
+    r: np.ndarray         # (n, n): the row sums W 1
+    D: np.ndarray         # (n, n): the difference stencil
+    k_hat: np.ndarray     # (2n, n + 1): the FFT of the kernel
+    basis: np.ndarray     # (n, n): lump-orthonormal DCT-I vectors, columns
+    dct_diag: np.ndarray  # (n, n): v A v of the 2-D basis vectors v
 
     @classmethod
     def build(cls, grid: Grid, m_order: float) -> "ToeplitzForm":
-        """The tables and the FFT of the kernel: the kernel at offsets
-        -(n-1)..n-1 wrapped onto a 2n x 2n torus, with offset n, which no
-        node pair reaches, set to 0."""
-        S, R, r, D, kern = _nonlocal_tables(grid, m_order)
-        n = grid.n_side
+        """The FFT of the kernel at offsets -(n-1)..n-1 wrapped onto a
+        2n x 2n torus, with offset n, which no node pair reaches, set to
+        0; the row sums W 1 by that FFT; the DCT-I diagonal in O(n^3)."""
+        kern = _nonlocal_kernel(grid, m_order)
+        n, D = grid.n_side, _fd_stencil(grid)
         wrap = np.r_[0:n + 1, n - 1:0:-1]
-        kern = np.pad(kern, (0, 1))[np.ix_(wrap, wrap)]
-        return cls(S, R, grid.lump.reshape(n, n), r, D,
-                   np.fft.rfft2(kern).real)
+        k_hat = np.fft.rfft2(np.pad(kern, (0, 1))[np.ix_(wrap, wrap)]).real
+        w = grid.lump.reshape(n, n)
+        r = w * _kernel_product(k_hat, w)
+        # DCT-I vectors, orthonormal under the trapezoid weights lump_1d
+        c = np.cos(np.pi / (n - 1) * np.outer(np.arange(n), np.arange(n)))
+        basis = c / np.sqrt(grid.lump_1d @ c ** 2)
+        return cls(w, r, D, k_hat, basis,
+                   _dct_diagonal(kern, r, D, basis, grid.lump_1d))
 
     @property
     def nbytes(self) -> int:
@@ -409,54 +417,48 @@ class ToeplitzForm:
         n, D, w = len(self.w), self.D, self.w
         Z = (z - z[0]).reshape(n, n)
         G = np.stack([Z @ D.T, D @ Z])       # Gx z and Gy z on the grid
-        pad = (2 * n, 2 * n)
-        WG = w * np.fft.irfft2(self.k_hat * np.fft.rfft2(w * G, pad),
-                               pad)[:, :n, :n]
-        Y = self.r * G - WG                  # L g = (W 1) g - W g
+        Y = self.r * G - w * _kernel_product(self.k_hat, w * G)
         return 2.0 * (Y[0] @ D + D.T @ Y[1]).ravel()
 
-    def slice(self, idx: np.ndarray) -> np.ndarray:
-        """A[idx][:, idx] for ascending node indices idx, a new array.
-
-        Row i of the slice at node (a, ix) is gathered strip by strip of
-        one node row a: X[a, ix, b, jx] from the rows ix of a table T[ix,
-        k, jx] whose blocks k are the diagonal blocks -w_aa S_0 + R_a (k =
-        a) and S_d scaled by the three values -w_ab takes at offset d (k =
-        n + t n + d, t of a and b end rows), and X[ix, a, jx, b] from its
-        row a; each entry is then the dense assembly's two terms, each
-        formed as there, so it equals the dense one bit for bit.  T, 4 n^3
-        numbers, is formed afresh on each call."""
-        n, w = len(self.w), self.w
-        T = np.empty((n, 4, n, n))
-        T[:, 0] = (self.S[0] * -w.diagonal()[:, None, None]
-                   + self.R).transpose(1, 0, 2)
-        wt = -np.array([w[1, 1], w[0, 1], w[0, 0]])
-        T[:, 1:] = (self.S * wt[:, None, None, None]).transpose(2, 0, 1, 3)
-        T = T.reshape(n, -1)
-        a, x = np.divmod(idx, n)
-        key_a, key_x = _block_keys(a, x, n), _block_keys(x, a, n)
-        H = np.empty((len(idx), len(idx)))
-        bounds = np.searchsorted(a, np.arange(n + 1))
-        for row in np.flatnonzero(np.diff(bounds)):
-            s, e = bounds[row], bounds[row + 1]
-            # mode "clip" takes straight into the strip; the indices are
-            # in range, and "raise" would stage through a copy
-            np.take(T, np.add.outer(x[s:e] * T.shape[1], key_a[row]),
-                    out=H[s:e], mode="clip")
-            H[s:e] += T[row].take(key_x[x[s:e]])
-        return H
+    def dct_solve(self, y: np.ndarray, shift: float) -> np.ndarray:
+        """P^-1 y for a nodal covector y, P = M V (L + shift) V^T M the
+        form plus shift M with the form taken diagonal, L =
+        ``dct_diag``, in the basis V (V^T M V = I): V (L + shift)^-1 V^T
+        y, by four n x n products."""
+        n, v = len(self.w), self.basis
+        Q = v.T @ y.reshape(n, n) @ v / (self.dct_diag + shift)
+        return (v @ Q @ v.T).ravel()
 
 
-def _block_keys(outer: np.ndarray, inner: np.ndarray, n: int) -> np.ndarray:
-    """Column keys k n + inner_j into the slice table of
-    ``ToeplitzForm.slice`` for every outer index o (rows) and free node j
-    (columns): k = o where outer_j = o, else n + t n + |o - outer_j|, t
-    the number of end rows (0 or n - 1) among o and outer_j."""
-    o = np.arange(n)
-    end = (o == 0) | (o == n - 1)
-    d = np.abs(o[:, None] - outer)
-    k = np.where(d == 0, o[:, None], n * (1 + end[:, None] + end[outer]) + d)
-    return k * n + inner
+def _kernel_product(k_hat: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The kernel table applied to (..., n, n) grid fields X, T X[i] =
+    sum_j kern(i - j) X[j], by the zero-padded 2-D FFT ``k_hat``: the
+    passes of ``rfft2`` and ``irfft2``, each 1-D pass over the last axis
+    made on the n rows that are not padding only."""
+    n = k_hat.shape[1] - 1
+    Y = np.fft.fft(np.fft.rfft(X, 2 * n), 2 * n, axis=-2) * k_hat
+    return np.fft.irfft(np.fft.ifft(Y, axis=-2)[..., :n, :], 2 * n)[..., :n]
+
+
+def _dct_diagonal(kern, r, D, basis, m1) -> np.ndarray:
+    """v A v for every 2-D basis vector v = basis[:, ky] (x) basis[:, kx],
+    (n, n), in O(n^3).  With A = 2 (Gx^T L Gx + Gy^T L Gy) and v
+    separable, Gx v = v_ky (x) D v_kx: its diagonal part r g^2 is
+    (v^2)^T r (Dv)^2, and its pair part g W g is the kernel paired with
+    the 1-D autocorrelations of m1 v and m1 D v; Gy v swaps the axes."""
+    n = len(r)
+    v, dv = basis, D @ basis
+    pad = 2 * n
+    # autocorrelations at lags 0..n-1 of each column, doubled past lag 0
+    # for the lags -(n-1)..-1
+    ac_v, ac_dv = (np.fft.irfft(np.abs(np.fft.rfft(m1[:, None] * f, pad,
+                                                   axis=0)) ** 2,
+                                pad, axis=0)[:n] for f in (v, dv))
+    ac_v[1:] *= 2.0
+    ac_dv[1:] *= 2.0
+    diag = (v ** 2).T @ r @ dv ** 2 + (dv ** 2).T @ r @ v ** 2
+    pair = ac_v.T @ kern @ ac_dv + ac_dv.T @ kern @ ac_v
+    return 2.0 * (diag - pair)
 
 
 def nonlocal_double_sum(grid: Grid, m_order: float,

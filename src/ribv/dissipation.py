@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constitutive import (
+    DamageLaws,
     MaterialParams,
     Operators,
     cell_damage,
@@ -244,10 +245,13 @@ def subdiff_violation(xi: np.ndarray, direction: np.ndarray,
 def dual_diagnostics(t: float, state: State, ops: Operators,
                      mat: MaterialParams, mu: float, nu: float,
                      loading) -> DualDiagnostics:
-    """Evaluate every dual stability magnitude of a state at time t."""
-    grads = energy_gradients(t, state, ops, mat, mu, loading)
-    V = yield_radius(cell_damage(ops.grid, state.z), mat)
-    return diagnostics_from_gradients(grads, state, V, ops, mat, mu, nu)
+    """Evaluate every dual stability magnitude of a state at time t, the
+    yield radii read from the ``DamageLaws`` its gradients are formed
+    from."""
+    laws = DamageLaws.at(state.z, ops, mat)
+    grads = energy_gradients(t, state, ops, mat, mu, loading, laws)
+    return diagnostics_from_gradients(grads, state, laws.V, ops, mat, mu,
+                                      nu)
 
 
 def diagnostics_from_gradients(grads: tuple, state: State, V: np.ndarray,

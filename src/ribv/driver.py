@@ -13,7 +13,7 @@ strain and one ``loaded_energy`` call; the previous step's damage laws
 also start the next step.  A run keeps its states and per-step numbers
 only: a reader forms a step's strain or gradients again from its state.
 Its memory grows by one state a step: on the mild ramp at n_side 32,
-1,600 steps of ``python -m ribv solve`` peak at 142 MB maxrss, from 40 MB
+1,600 steps of ``python -m ribv solve`` peak at 129 MB maxrss, from 40 MB
 before the first step.
 """
 

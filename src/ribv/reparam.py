@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import EnergyParams, MaterialParams, Operators, \
-    cell_damage, energy_gradients, yield_radius
+from .constitutive import DamageLaws, EnergyParams, MaterialParams, \
+    Operators, energy_gradients
 from .discretization import FROB_W, LoadingSpec, State, tensor_norm
 from .dissipation import DualDiagnostics, Rate, RateNorms, flow_directions
 from .driver import Trajectory, run_viscous
@@ -226,11 +226,12 @@ def max_stability_nonjump(ptraj: ParamTrajectory, regime: str) -> float:
 # switching recovery
 # ---------------------------------------------------------------------------
 
-def _switching_blocks(grads, state: State, rate: Rate, ops: Operators,
+def _switching_blocks(grads, V: np.ndarray, rate: Rate, ops: Operators,
                       mat: MaterialParams, ep: EnergyParams):
     """The switching residual at one knot as a_up + lam b_up on the
     displacement/plastic rows and a_z + lam b_z on the damage rows,
-    whitened to the Euclidean norm; grads = (g_u, g_z, g_p)."""
+    whitened to the Euclidean norm; grads = (g_u, g_z, g_p) and V the
+    yield radii at the knot."""
     if (rate.z_rate > 1e-12).any():
         raise ValueError("a damage rate is positive")
     grid = ops.grid
@@ -242,7 +243,6 @@ def _switching_blocks(grads, state: State, rate: Rate, ops: Operators,
     # lam nu p' + (1 - lam) (g_p + V d): d = p'/|p'| on moving cells, the
     # point of the unit ball with V d nearest to -g_p on sticking ones
     moving, dirs = flow_directions(rate.p_rate)
-    V = yield_radius(cell_damage(grid, state.z), mat)
     d = -g_p / np.maximum(tensor_norm(g_p), V)[:, None]
     d[moving] = dirs
     w_p = np.sqrt(grid.w_cell[:, None] * FROB_W)
@@ -275,7 +275,8 @@ def recover_switching(ptraj: ParamTrajectory, ops: Operators,
     (lambda_up, lambda_z) with lambda_up (1 - lambda_z) = 0; the blocks
     separate, so the branches (0, lambda_z) and (lambda_up, 1) are fit
     apart and the first wins a tie.  Each knot's energy gradients are
-    formed from its state, one ``energy_gradients`` call per knot, bit
+    formed from its state and its ``DamageLaws``, which give the yield
+    radii too, one ``energy_gradients`` call per knot, bit
     for bit those of the viscous step.  Returns (lambdas, residuals);
     lambdas has shape (n,) or (n, 2).  A rising damage rate raises.
     """
@@ -284,10 +285,11 @@ def recover_switching(ptraj: ParamTrajectory, ops: Operators,
     resid = np.zeros(n)
     traj = ptraj.traj
     for k in range(1, n):
+        laws = DamageLaws.at(traj.states[k].z, ops, traj.mat)
         a_up, b_up, a_z, b_z = _switching_blocks(
             energy_gradients(traj.times[k], traj.states[k], ops, traj.mat,
-                             traj.ep.mu, traj.loading),
-            traj.states[k], ptraj.rate(k), ops, traj.mat, traj.ep)
+                             traj.ep.mu, traj.loading, laws),
+            laws.V, ptraj.rate(k), ops, traj.mat, traj.ep)
         if multi_rate:
             (lam_z, rz), (lam_up, rup) = _fit(a_z, b_z), _fit(a_up, b_up)
             r0, r1 = a_up @ a_up + rz, rup + (a_z + b_z) @ (a_z + b_z)

@@ -10,15 +10,19 @@ projected-Newton solve in z under the irreversibility constraint
 z_floor <= z <= z_prev.  Both solves backtrack to one acceptance rule
 and raise RuntimeError when they cannot converge; each forms the data
 fixed over its call once (the prox map; the z cell data).  The (u, p)
-solve builds its Hessian from the prox shift at the iterate, the z-solve
-from a base on its free nodes only (the form's ``slice`` plus the
-corner form of c'' = 2), formed again only where the free set changes;
-the (u, p) solve reads the data fixed over a step from the step's
-``UpData``.  Each value evaluation is formed once and handed on
-as a record: the (u, p) solve's ``UpRecord`` (strain, stress, density,
-|dp| and the viscous K_D product) to the z-solve, r_u and the
-certification; the z-solve's ``DamageLaws`` at its accepted z to the
-next sweep, the certification, the energy and the next step.  Sweeps
+solve builds its Hessian from the prox shift at the iterate.  The
+z-solve picks its Newton solve on the free nodes by the nonlocal form's
+type (``_z_newton``): with a ``DenseForm``, dense Cholesky on a base
+(the form's ``slice`` plus the corner form of c'' = 2) formed again
+only where the free set changes; with a ``ToeplitzForm``, CG on the
+Hessian applied matrix-free, preconditioned by the form's DCT-I
+diagonal, to an Eisenstat-Walker forcing term.  The (u, p) solve reads
+the data fixed over a step from the step's ``UpData``.  Each value
+evaluation is formed once and handed on as a record: the (u, p) solve's
+``UpRecord`` (strain, stress, density, |dp| and the viscous K_D
+product) to the z-solve, r_u and the certification; the z-solve's
+``DamageLaws`` at its accepted z to the next sweep, the certification,
+the energy and the next step.  Sweeps
 start from q_prev and are certified by r_u first, the other two
 optimality residuals where it passes.
 """
@@ -36,6 +40,7 @@ from .constitutive import (
     MaterialParams,
     Operators,
     add_corner_form,
+    cell_damage,
     corner_scatter,
     damage_curvature,
     deviatoric_modulus,
@@ -48,6 +53,7 @@ from .constitutive import (
 )
 from .discretization import (
     Z_FLOOR,
+    DenseForm,
     LoadingSpec,
     State,
     eval_loading,
@@ -62,6 +68,8 @@ _ARMIJO = 1e-4
 # Newton iterations of one (u, p) solve and of one z-solve
 UP_MAX_ITER = 80
 Z_MAX_ITER = 200
+# CG iterations of one z Newton direction on the table path
+CG_MAX_ITER = 500
 
 
 def _acceptable(val, val_t, slope, slope_t):
@@ -262,6 +270,82 @@ def _z_base(a, idx, ops):
     return H[:-1, :-1]
 
 
+def _z_newton(a, ops):
+    """The z-step's Newton solve H d = g on its free nodes idx, H the
+    z-Hessian: A_m plus the corner form of c'' a = 2 a plus diag(curv),
+    curv = lump (W'' + eps/tau) on idx.  Returns solve(idx, curv, g,
+    rtol), the solve picked by the form's type.
+
+    ``DenseForm``: ``_z_base`` on idx, formed again only where idx
+    changes, plus curv on a copy, by dense Cholesky (LAPACK ``dposv``),
+    raising LinAlgError naming info where H is not positive definite;
+    rtol is not read.  ``ToeplitzForm``: preconditioned CG to relative
+    residual rtol, H applied matrix-free (``Operators.apply_A_m`` on the
+    zero-extended vector plus ``corner_scatter`` of 2 a times its
+    ``cell_damage``), preconditioned by the form's ``dct_solve``,
+    shifted by the mean of (corner row sum + curv) / lump over idx;
+    raises LinAlgError on non-positive curvature and RuntimeError after
+    CG_MAX_ITER iterations, each naming the relative residual."""
+    grid = ops.grid
+    if isinstance(ops.A_m, DenseForm):
+        base_idx = base = H = None
+
+        def solve(idx, curv, g, rtol):
+            nonlocal base_idx, base, H
+            if not np.array_equal(base_idx, idx):
+                base = H = None  # the last base and its work array go first
+                base_idx, base = idx, _z_base(a, idx, ops)
+                H = np.empty(base.shape)
+            np.copyto(H, base)
+            H.flat[::len(idx) + 1] += curv
+            # H is exactly symmetric: its transpose is the Fortran array
+            _, d, info = lapack.dposv(H.T, g, lower=1, overwrite_a=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dposv failed with info={info}")
+            return d
+        return solve
+
+    corner_sums = corner_scatter(grid, 2.0 * a)
+    x = np.zeros(grid.n_nodes)
+
+    def solve(idx, curv, g, rtol):
+        def hess(p):
+            x[idx] = p
+            return (ops.apply_A_m(x) + corner_scatter(
+                grid, 2.0 * a * cell_damage(grid, x)))[idx] + curv * p
+
+        def precond(q):
+            x[idx] = q
+            return ops.A_m.dct_solve(x, shift)[idx]
+
+        def rel_res():
+            return np.sqrt((res @ res) / (g @ g))
+
+        x[:] = 0.0
+        shift = ((corner_sums[idx] + curv) / grid.lump[idx]).mean()
+        d, res = np.zeros(len(idx)), g.copy()
+        q = precond(res)
+        p, rq = q, res @ q
+        for _ in range(CG_MAX_ITER):
+            Hp = hess(p)
+            pHp = p @ Hp
+            if not pHp > 0:
+                raise np.linalg.LinAlgError(
+                    f"z-step CG: curvature {pHp:.3e} <= 0 at relative "
+                    f"residual {rel_res():.3e}")
+            step = rq / pHp
+            d += step * p
+            res -= step * Hp
+            if rel_res() <= rtol:
+                return d
+            q = precond(res)
+            rq, rq_old = res @ q, rq
+            p = q + (rq / rq_old) * p
+        raise RuntimeError(f"z-step CG: relative residual {rel_res():.3e} "
+                           f"> {rtol:.3e} after {CG_MAX_ITER} iterations")
+    return solve
+
+
 def _at_bounds(z, z_prev):
     """Masks of the nodes at the lower and at the upper bound of z."""
     return z <= Z_FLOOR * (1 + 1e-12), z >= z_prev - 1e-15
@@ -277,18 +361,19 @@ def solve_z_step(up: UpRecord, laws: DamageLaws, state: State,
     (1987) 93) until ``_acceptable``; trials that leave z unmoved are
     rejected, and each other trial is one ``DamageLaws`` and one
     ``_z_value`` call.  The cell data a = w_c q0 and b = w_c |dp| are
-    formed once per call, from ``up``, and the Hessian base ``_z_base``
-    on the free nodes when first needed and again only where the free
-    set changes; each iteration adds lump (W'' + eps/tau) to a copy of
-    it and solves that by dense Cholesky (LAPACK ``dposv``), raising
-    LinAlgError naming info where it is not positive definite.  It starts
-    at state.z, within the bounds, with ``laws``, the ``DamageLaws`` there.
-    The stationarity residual is the mass norm of g/m over the free nodes
+    formed once per call, from ``up``, and the Newton solve on the free
+    nodes, ``_z_newton``, once per call: by the form's type, dense
+    Cholesky on a base formed again only where the free set changes, or
+    CG to the forcing term min(0.1, sqrt(res)) of Eisenstat & Walker
+    (SIAM J. Sci. Comput. 17 (1996) 16).  It starts at state.z, within
+    the bounds, with ``laws``, the ``DamageLaws`` there.  The
+    stationarity residual res is the mass norm of g/m over the free nodes
     (a node pinned at both bounds adds nothing).  Returns (z, laws) at the
     accepted z; raises RuntimeError, stating the residual, when 50
     halvings find no step or Z_MAX_ITER iterations end above tol."""
     z_prev, m, w_cell = prev_state.z, ops.grid.lump, ops.grid.w_cell
     a, b = w_cell * up.q0, w_cell * up.dp_abs
+    newton = _z_newton(a, ops)
     z = state.z
     val, g = _z_value(laws, z, z_prev, a, b, ops, mat, ep)
     for it in range(Z_MAX_ITER + 1):
@@ -303,18 +388,9 @@ def solve_z_step(up: UpRecord, laws: DamageLaws, state: State,
             raise RuntimeError(f"solve_z_step: stationarity residual "
                                f"{res:.3e} > tol after {it} iterations")
         idx = free.nonzero()[0]
-        if it == 0 or (free != base_free).any():
-            base_free = free
-            base = H = None  # the last base and its work array go first
-            base = _z_base(a, idx, ops)
-            H = np.empty(base.shape)
-        np.copyto(H, base)
-        H.flat[::len(idx) + 1] += m[idx] * (damage_curvature(z[idx], mat)
-                                            + ep.eps / ep.tau)
-        # H is exactly symmetric: its transpose is the Fortran array
-        _, d[idx], info = lapack.dposv(H.T, g[idx], lower=1, overwrite_a=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dposv failed with info={info}")
+        d[idx] = newton(idx, m[idx] * (damage_curvature(z[idx], mat)
+                                       + ep.eps / ep.tau),
+                        g[idx], min(0.1, res ** 0.5))
         alpha = 1.0
         for _bt in range(50):
             z_t = np.minimum(np.maximum(z - alpha * d, Z_FLOOR), z_prev)

@@ -239,21 +239,49 @@ class TestToeplitzForm:
             # a constant field reads exact zeros, not FFT roundoff
             assert not form.apply(np.full(g.n_nodes, 0.7)).any()
 
-    @pytest.mark.parametrize("n_side",
-                             range(2, NONLOCAL_DENSE_MAX_SIDE + 1))
-    def test_gathered_slice_is_dense_take(self, n_side, rng):
+    @pytest.mark.parametrize("n_side", range(3, 13))
+    def test_dct_diagonal_is_probed_form(self, n_side):
+        # the basis is orthonormal under the lumped weights, and the
+        # diagonal formed from the kernel and 1-D autocorrelations is
+        # v A v probed on the dense matrix, for every 2-D basis vector
         g = Grid(n_side)
         for m_order in (1.25, 1.5, 2.0):
             form = ToeplitzForm.build(g, m_order)
             A = assemble_nonlocal_form(g, m_order)
-            subsets = [np.arange(g.n_nodes), rng.integers(g.n_nodes, size=1)]
-            subsets += [np.flatnonzero(rng.random(g.n_nodes) < frac)
-                        for frac in (0.2, 0.5, 0.8)]
-            for idx in subsets:
-                got = form.slice(idx)
-                # bit for bit: signed zeros and all
-                assert np.array_equal(got.view(np.int64),
-                                      A[np.ix_(idx, idx)].view(np.int64))
+            V = np.kron(form.basis, form.basis)  # column ky n + kx
+            np.testing.assert_allclose(V.T @ (g.lump[:, None] * V),
+                                       np.eye(g.n_nodes), atol=1e-13)
+            probed = np.einsum("ik,ij,jk->k", V, A, V).reshape(n_side,
+                                                                n_side)
+            assert np.max(np.abs(form.dct_diag - probed)) \
+                <= 1e-13 * np.max(np.abs(probed))
+
+    def test_dct_solve_inverts_on_the_basis(self, rng):
+        # P^-1 of M v (L_k + shift) is v for each basis vector v, and P^-1
+        # is symmetric
+        g = Grid(9)
+        form = ToeplitzForm.build(g, 1.5)
+        V = np.kron(form.basis, form.basis)
+        shift = 0.7
+        for k in rng.permutation(g.n_nodes)[:10]:
+            y = g.lump * V[:, k] * (form.dct_diag.ravel()[k] + shift)
+            np.testing.assert_allclose(form.dct_solve(y, shift), V[:, k],
+                                       atol=1e-12)
+        x, y = rng.normal(size=(2, g.n_nodes))
+        assert x @ form.dct_solve(y, shift) \
+            == pytest.approx(y @ form.dct_solve(x, shift), rel=1e-12)
+
+    def test_build_forms_no_cubic_array(self):
+        # set-up holds n x n tables and FFT work arrays only: its peak is
+        # a few dozen nodal vectors, where one n^3 table is 64 at n_side 64
+        g = Grid(64)
+        tracemalloc.start()
+        try:
+            ToeplitzForm.build(g, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 8 * g.n_nodes
 
     def test_build_picks_by_size(self):
         # the benchmark's grids on either side of the crossover; the dense
@@ -268,9 +296,10 @@ class TestToeplitzForm:
                     form.A, assemble_nonlocal_form(Grid(n_side), 1.5))
 
     def test_nbytes_counts_what_is_held(self):
+        # five n x n tables and the kernel FFT
         g = Grid(12)
         n = g.n_side
-        tables = 2 * n ** 3 + 3 * n ** 2
+        tables = 5 * n ** 2
         assert ToeplitzForm.build(g, 1.5).nbytes \
             == 8 * (tables + 2 * n * (n + 1))
         assert nonlocal_form(g, 1.5).nbytes == 8 * n ** 4

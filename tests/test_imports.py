@@ -266,10 +266,12 @@ def test_no_dense_viscosity_operator():
     assert not offenders, "dense operator use:\n" + "\n".join(offenders)
 
 
-# the one scope per module allowed to read the nonlocal form: the
-# Operators class (apply_A_m) and the z-step Hessian base, which reads
-# its slice on the free nodes
-_A_M_READERS = {"constitutive.py": "Operators", "solver.py": "_z_base"}
+# the scopes per module allowed to read the nonlocal form: the Operators
+# class (apply_A_m); the z-step's Newton solve, which picks its solve by
+# the form's type and reads the table form's preconditioner, and its
+# dense Hessian base, which reads the slice on the free nodes
+_A_M_READERS = {"constitutive.py": {"Operators"},
+                "solver.py": {"_z_newton", "_z_base"}}
 
 
 def _nonlocal_form_reads(path: Path) -> list[str]:
@@ -277,7 +279,7 @@ def _nonlocal_form_reads(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     inside = {id(node) for scope in ast.walk(tree)
               if isinstance(scope, (ast.ClassDef, ast.FunctionDef))
-              and scope.name == _A_M_READERS.get(path.name)
+              and scope.name in _A_M_READERS.get(path.name, ())
               for node in ast.walk(scope)}
     return [f"{path.name}:{node.lineno}: reads .A_m"
             for node in ast.walk(tree)
@@ -564,10 +566,12 @@ def test_iterate_formed_once():
 
 # the parameters and fields of ``src/ribv`` that default to None, as
 # "module:scope:name": the command line's argv, a run's abort step and
-# the damage laws a bare step forms; a None default anywhere else would
-# fork a reader into forming its record itself
+# the damage laws a bare step and a bare state's gradients form; a None
+# default anywhere else would fork a reader into forming its record
+# itself
 _NONE_DEFAULTS = {
     "cli.py:main:argv",
+    "constitutive.py:energy_gradients:laws",
     "driver.py:Trajectory:aborted_at",
     "solver.py:incremental_step:laws",
 }

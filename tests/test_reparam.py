@@ -389,22 +389,30 @@ class TestSwitchingRecovery:
     @pytest.mark.parametrize("multi_rate", [False, True])
     def test_one_gradient_per_knot(self, monkeypatch, multi_rate):
         # recover_switching forms each knot's gradients from its state,
-        # exactly once per knot k >= 1 and at the knot's time
+        # exactly once per knot k >= 1 and at the knot's time, and takes
+        # its yield radii from the same laws: one cell damage per knot
         ops, traj = ramp_run(n_steps=4, n_side=3)
         p = reparam_standard(traj, ops)
-        calls = []
+        calls, cells = [], []
 
         def counted(*args, **kwargs):
             calls.append((args[0], args[1]))
             return energy_gradients(*args, **kwargs)
 
+        def counted_cells(*args):
+            cells.append(args)
+            return cell_damage(*args)
+
         for module in (constitutive_module, reparam_module):
             monkeypatch.setattr(module, "energy_gradients", counted,
+                                raising=False)
+            monkeypatch.setattr(module, "cell_damage", counted_cells,
                                 raising=False)
         recover_switching(p, ops, multi_rate=multi_rate)
         assert [t for t, _ in calls] == list(traj.times[1:])
         assert all(st is traj.states[k]
                    for k, (_, st) in enumerate(calls, start=1))
+        assert len(cells) == len(calls)
 
     @pytest.mark.parametrize("multi_rate", [False, True])
     def test_fit_is_oracle_minimum(self, rng, multi_rate):

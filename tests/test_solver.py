@@ -15,6 +15,7 @@ from ribv.constitutive import (
     DamageLaws,
     EnergyParams,
     Operators,
+    add_corner_form,
     damage_curvature,
     damage_potential,
     energy,
@@ -25,11 +26,13 @@ from ribv.constitutive import (
     yield_radius,
 )
 from ribv.discretization import (
+    NONLOCAL_DENSE_MAX_SIDE,
     Z_FLOOR,
     DenseForm,
     Grid,
     SymGradient,
     ToeplitzForm,
+    assemble_nonlocal_form,
     eval_loading,
     initial_state,
     tensor_norm,
@@ -46,6 +49,7 @@ from ribv.problems import (
 from ribv.solver import (
     UpData,
     _z_base,
+    _z_newton,
     _z_value,
     band_newton_step,
     incremental_step,
@@ -279,34 +283,151 @@ class TestZStep:
         assert np.all(z_new >= Z_FLOOR * (1 - 1e-12))
 
     def test_no_full_size_array_on_a_large_grid(self, monkeypatch):
-        # n_side 32 holds the form as its tables: the first iteration of a
-        # z-step with about half its nodes free (strain in the left half
-        # of the grid only) forms its base on the free nodes and
-        # allocates no N x N array; the step then ends at its one allowed
-        # iteration
+        # the form held as its tables: the first iteration of a z-step
+        # with about half its nodes free (strain in the left half of the
+        # grid only) takes its direction by CG, forms no base on the free
+        # nodes and allocates a few dozen nodal vectors, a peak linear in
+        # N at n_side 32 and 48, not an N x N array; the step then ends at
+        # its one allowed iteration
         monkeypatch.setattr(solver_module, "Z_MAX_ITER", 1)
-        grid = Grid(32)
+        calls, sizes = {"_z_base": 0}, []
+        monkeypatch.setattr(solver_module, "_z_base",
+                            counted(calls, "_z_base", _z_base))
+
+        def sized(a, ops):
+            solve = _z_newton(a, ops)
+            return lambda idx, *rest: sizes.append(len(idx)) \
+                or solve(idx, *rest)
+
+        monkeypatch.setattr(solver_module, "_z_newton", sized)
+        mat = reference_material()
+        ep = small_ep()
+        for n_side in (32, 48):
+            grid = Grid(n_side)
+            ops = Operators.build(grid, mat)
+            assert type(ops.A_m) is ToeplitzForm
+            prev = initial_state(grid, z0=0.9)
+            st = prev.copy()
+            st.u[:, 0] = 0.5 * np.minimum(grid.nodes[:, 0], 0.5)
+            records = z_records(ops, mat, ep, st, prev,
+                                ramp_loading(grid, 0.0), 1.0)
+            tracemalloc.start()
+            try:
+                with pytest.raises(RuntimeError,
+                                   match="after 1 iterations"):
+                    solve_z_step(*records, st, prev, ops, mat, ep)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 0.45 < sizes.pop() / grid.n_nodes < 0.55 and not sizes
+            assert peak < 64 * 8 * grid.n_nodes
+        assert calls["_z_base"] == 0
+
+    @pytest.mark.parametrize(
+        "n_side", [*range(3, NONLOCAL_DENSE_MAX_SIDE + 1), 28, 32])
+    def test_cg_direction_is_dense_solve(self, n_side, rng):
+        # the CG direction on the tables against a dense solve with the
+        # free slice of the assembled form plus the corner form and the
+        # diagonal: its residual is within rtol of g, so it lies within
+        # rtol |g| / lambda_min of the dense solution; up to the crossover
+        # the tables are built directly, since the type picks the solve
+        grid = Grid(n_side)
+        mat = reference_material()
+        ops = dataclasses.replace(
+            Operators.build(grid, mat),
+            A_m=ToeplitzForm.build(grid, mat.m_order))
+        A = assemble_nonlocal_form(grid, mat.m_order)
+        ep = small_ep()
+        a = grid.w_cell * rng.uniform(0.0, 0.5, grid.n_cells)
+        z = rng.uniform(0.3, 1.0, grid.n_nodes)
+        for idx in (np.flatnonzero(rng.random(grid.n_nodes) < 0.5),
+                    np.flatnonzero(grid.nodes[:, 0] < 0.5)):
+            curv = grid.lump[idx] * (damage_curvature(z[idx], mat)
+                                     + ep.eps / ep.tau)
+            H = np.zeros((len(idx) + 1, len(idx) + 1))
+            H[:-1, :-1] = A[idx][:, idx]
+            add_corner_form(grid, H, 2.0 * a, idx)
+            H = H[:-1, :-1]
+            H[np.diag_indices(len(idx))] += curv
+            lam_min = np.linalg.eigvalsh(H)[0]
+            g = grid.lump[idx] * rng.normal(size=len(idx))
+            want = np.linalg.solve(H, g)
+            for rtol in (0.1, 1e-4, 1e-9):
+                d = _z_newton(a, ops)(idx, curv, g, rtol)
+                gap = np.linalg.norm(H @ d - g)
+                assert gap <= rtol * np.linalg.norm(g) * (1 + 1e-6)
+                assert np.linalg.norm(d - want) \
+                    <= gap / lam_min * (1 + 1e-6) + 1e-14
+
+    def test_table_path_reaches_the_dense_minimizer(self, rng):
+        # the same z-step on a small grid with the form held either way:
+        # CG and the dense Cholesky stop at the same stationarity
+        # tolerance, so their minimizers agree to it
+        grid = Grid(6)
         mat = reference_material()
         ops = Operators.build(grid, mat)
-        assert type(ops.A_m) is ToeplitzForm
-        ep = small_ep()
+        table = dataclasses.replace(
+            ops, A_m=ToeplitzForm.build(grid, mat.m_order))
+        loading = ramp_loading(grid, amplitude=0.45)
         prev = initial_state(grid, z0=0.9)
         st = prev.copy()
-        st.u[:, 0] = 0.5 * np.minimum(grid.nodes[:, 0], 0.5)
-        records = z_records(ops, mat, ep, st, prev, ramp_loading(grid, 0.0),
-                            1.0)
-        sizes = []
-        monkeypatch.setattr(solver_module, "_z_base", lambda a, idx, o:
-                            sizes.append(len(idx)) or _z_base(a, idx, o))
-        tracemalloc.start()
-        try:
-            with pytest.raises(RuntimeError, match="after 1 iterations"):
-                solve_z_step(*records, st, prev, ops, mat, ep)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(sizes) == 1 and 0.45 < sizes[0] / grid.n_nodes < 0.55
-        assert peak < 8 * grid.n_nodes ** 2
+        st.u[~grid.dirichlet_mask] = rng.normal(0, 0.3,
+                                                (grid.n_nodes
+                                                 - grid.n_side, 2))
+        ep = small_ep()
+        z = [solve_z_step(*z_records(o, mat, ep, st, prev, loading, 1.0),
+                          st, prev, o, mat, ep, tol=1e-12)[0]
+             for o in (ops, table)]
+        assert (z[0] < prev.z).any()
+        np.testing.assert_allclose(z[1], z[0], rtol=0, atol=1e-10)
+
+    def test_cg_non_positive_curvature_raises(self, rng):
+        # the tables of -1e6 A_m, a negative semidefinite stand-in, leave
+        # the free Newton matrix indefinite: CG stops at the first
+        # direction of non-positive curvature, naming it and its residual,
+        # instead of taking a step; at uniform z the form adds nothing to
+        # the gradient, as in test_non_spd_free_slice_raises
+        grid = Grid(4)
+        mat = reference_material()
+        form = ToeplitzForm.build(grid, mat.m_order)
+        ops = dataclasses.replace(
+            Operators.build(grid, mat), A_m=dataclasses.replace(
+                form, r=-1e6 * form.r, k_hat=-1e6 * form.k_hat))
+        loading = ramp_loading(grid, amplitude=0.45)
+        prev = initial_state(grid, z0=0.9)
+        st = prev.copy()
+        st.u[~grid.dirichlet_mask] = rng.normal(0, 0.3,
+                                                (grid.n_nodes
+                                                 - grid.n_side, 2))
+        ep = small_ep()
+        records = z_records(ops, mat, ep, st, prev, loading, 1.0)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"CG: curvature -\S+ <= 0 at relative "
+                                 r"residual 1\.000e\+00$"):
+            solve_z_step(*records, st, prev, ops, mat, ep)
+
+    def test_cg_at_its_cap_raises(self, rng, monkeypatch):
+        # one CG iteration cannot reach the forcing term on the data of
+        # test_box_constraints with the tables: the solve says so, with
+        # its residual, instead of returning a direction
+        monkeypatch.setattr(solver_module, "CG_MAX_ITER", 1)
+        grid = Grid(5)
+        mat = reference_material()
+        ops = Operators.build(grid, mat)
+        ops = dataclasses.replace(
+            ops, A_m=ToeplitzForm.build(grid, mat.m_order))
+        loading = ramp_loading(grid, amplitude=0.45)
+        prev = initial_state(grid, z0=0.9)
+        st = prev.copy()
+        st.u[~grid.dirichlet_mask] = rng.normal(0, 0.3,
+                                                (grid.n_nodes
+                                                 - grid.n_side, 2))
+        ep = small_ep()
+        records = z_records(ops, mat, ep, st, prev, loading, 1.0)
+        with pytest.raises(RuntimeError,
+                           match=r"relative residual \S+ > \S+ after 1 "
+                                 r"iterations"):
+            solve_z_step(*records, st, prev, ops, mat, ep)
 
     def test_node_pinned_at_both_bounds(self, rng):
         # a node whose z_prev sits at the floor is held at both bounds: its
