@@ -239,6 +239,30 @@ class TestToeplitzForm:
             # a constant field reads exact zeros, not FFT roundoff
             assert not form.apply(np.full(g.n_nodes, 0.7)).any()
 
+    @pytest.mark.parametrize("n_side",
+                             range(2, NONLOCAL_DENSE_MAX_SIDE + 1))
+    def test_gathered_slice_is_dense_take(self, n_side, rng):
+        # the free slice the z-step's CG applies (the product on a vector
+        # zero off the free nodes, read on them), gathered column by
+        # column, is the dense take
+        g = Grid(n_side)
+        for m_order in (1.25, 1.5, 2.0):
+            form = ToeplitzForm.build(g, m_order)
+            A = assemble_nonlocal_form(g, m_order)
+            tol = 1e-12 * np.max(np.abs(A))
+            subsets = [np.arange(g.n_nodes), rng.integers(g.n_nodes, size=1)]
+            subsets += [np.flatnonzero(rng.random(g.n_nodes) < frac)
+                        for frac in (0.2, 0.5, 0.8)]
+            e = np.zeros(g.n_nodes)
+            for idx in subsets:
+                got = np.empty((len(idx), len(idx)))
+                for k, j in enumerate(idx):
+                    e[j] = 1.0
+                    got[:, k] = form.apply(e)[idx]
+                    e[j] = 0.0
+                assert np.max(np.abs(got - A[np.ix_(idx, idx)]),
+                              initial=0.0) <= tol
+
     @pytest.mark.parametrize("n_side", range(3, 13))
     def test_dct_diagonal_is_probed_form(self, n_side):
         # the basis is orthonormal under the lumped weights, and the
